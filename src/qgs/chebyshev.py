@@ -11,6 +11,7 @@ coefficients.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,6 +136,8 @@ class QParameter:
             raise TypeError("q must be Fraction, int, float, str or mpf")
         if not 0 < q <= 1:
             raise ValueError("q must lie in (0, 1]")
+        if float(q) < 1 / sys.float_info.max:
+            raise ValueError("q = %s is too small: q + 1/q exceeds the double range" % q)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "N", N)
         if float(self.nq) < N - 1e-9:

@@ -44,7 +44,10 @@ def _round12(x):
 def _parse_q(text):
     """Map a command-line q to the exact (int/Fraction) or mpf constructor path."""
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError("q = %s has a zero denominator" % text) from None
     try:
         return int(text)
     except ValueError:
@@ -534,20 +537,20 @@ def main(argv=None):
         if args.precision_bits is not None:
             set_precision_bits(args.precision_bits)
         record, csv_rows, fields = args.handler(args)
+        if args.timing:
+            record["wall_time_s"] = round(time.perf_counter() - start, 3)
+        _emit(args, record, csv_rows, fields)
     except ResourceLimitError as exc:
         _error("resource", exc)
         return 3
     except NumericalDegradationError as exc:
         _error("numerical", exc)
         return 1
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         _error("usage", exc)
         return 2
     finally:
         set_precision_bits(previous)
-    if args.timing:
-        record["wall_time_s"] = round(time.perf_counter() - start, 3)
-    _emit(args, record, csv_rows, fields)
     return 0 if record["verdict"] in AFFIRMATIVE_VERDICTS else 1
 
 

@@ -2,10 +2,10 @@
 Hilbert-Schmidt summability certificate, and regime classification.
 
 The gap functional compares |delta_{a+g} - delta_a - delta_b + delta_{b-g}|
-against a three-term power bound.  Both sides live at the scale q^(2a), far
-below the O(a) size of the eigenvalues themselves, so floating evaluation
-raises the working precision to roughly 2*depth*log2(1/q) + 64 bits before
-subtracting; rational q bypasses the issue entirely.
+against a three-term power bound.  For q < 1, delta_a = (a+1)L - C + r_a
+with r_a = 2(a+1)q^(2a+3)/((1-q^2)(1-q^(2a+2))); L and C cancel, leaving
+|r_{a+g} - r_a - r_b + r_{b-g}|: in Fractions for rational q, and in float64
+for decimal q (see _FloatCells).  No route raises the working precision.
 """
 
 from __future__ import annotations
@@ -13,22 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from itertools import accumulate
+from operator import index, mul
 
 import mpmath
 
-from .chebyshev import QParameter, poly_value_and_derivative
+from .chebyshev import QParameter
 from .fusion import dims
-from .precision import precision_bits, to_mpf, working_precision
-from .spectrum import eigenvalue
-
-
-def _needed_bits(param, depth):
-    """Mantissa width resolving q^(2*depth) under O(depth) magnitudes."""
-    q = float(param.q_mpf())
-    if q >= 1:
-        return precision_bits()
-    return max(precision_bits(), int(2 * depth * math.log2(1 / q)) + 64)
+from .precision import to_mpf, working_precision
+from .spectrum import eigenvalue, spectral_data
 
 
 def _check_labels(alpha, beta, gamma):
@@ -42,43 +35,84 @@ def _check_labels(alpha, beta, gamma):
     return alpha, beta, gamma
 
 
-def _gap_sides_from_tables(alpha, beta, gamma, deltas, qpow):
-    lhs = abs(deltas[alpha + gamma] - deltas[alpha] - deltas[beta] + deltas[beta - gamma])
-    rhs = (
-        abs(gamma) * abs(qpow[2 * alpha + 2 * gamma] - qpow[2 * beta + 2 * gamma])
-        + beta * abs(qpow[2 * beta] - qpow[2 * beta - 2 * gamma])
-        + alpha * abs(qpow[2 * alpha] - qpow[2 * alpha + 2 * gamma])
-    )
-    return lhs, rhs
+class _ExactCells:
+    """Gap cells in the arithmetic of q: the four r terms for rational q < 1.
+    At q = 1 every power of q is 1, the bound vanishes, and the eigenvalues
+    from their recurrence stand in for r."""
+
+    def __init__(self, param, top):
+        q = param.q
+        u = q * q
+        self.up = up = [u ** k for k in range(top + 2)]
+        if q == 1:
+            self.r = [d.delta for d in spectral_data(param, top)]
+        else:
+            self.r = [2 * q * (k + 1) * up[k + 1] / ((1 - u) * (1 - up[k + 1])) for k in range(top + 1)]
+
+    def sides(self, a, b, g):
+        r, up = self.r, self.up
+        lhs = abs(r[a + g] - r[a] - r[b] + r[b - g])
+        shift = abs(up[a + g] - up[b + g]) if b + g >= 0 else abs(up[a] - up[b]) / up[-g]
+        rhs = abs(g) * shift + b * abs(up[b] - up[b - g]) + a * abs(up[a] - up[a + g])
+        return lhs, rhs, 0
 
 
-def _delta_table(nq, top):
-    """Eigenvalues for labels 0..top in the arithmetic of nq."""
-    one = nq ** 0
-    zero = 0 * one
-    u_prev, u = zero, one
-    du_prev, du = zero, zero
-    out = []
-    for _ in range(top + 1):
-        out.append(du / u)
-        u_prev, u, du_prev, du = u, nq * u - u_prev, du, u + nq * du - du_prev
-    return out
+class _FloatCells:
+    """Gap cells at decimal q < 1 in float64, both sides divided by q^(2m).
 
-
-def _power_span(q, lo, hi):
-    """q**e for every integer exponent lo <= e <= hi, keyed by exponent.
-
-    Exponents below zero occur in the bound when beta + gamma < 0; there
-    the corresponding power exceeds 1 and the bound is merely weak, never
-    invalid.
+    With u = q^2 and h(n) = n u^n/(1-u^n), r_a = c h(a+1) for c = 2q/(1-u).
+    The four-term sum is a sum of K(n) = h(n) - 2h(n+1) + h(n+2) > 0 over a
+    d-by-g parallelogram of n, and K(n) = u^n kt[n] with
+    kt[n] = (1-u) B(n) / ((1-u^n)(1-u^(n+1))(1-u^(n+2))),
+    B(n) = n(1-u)(1+u^(n+1)) - 2u(1-u^n) = (1-u) sum_i (1-u^i)(1-u^(n+1-i)),
+    the sum taken while n(1-u) < 4u.  With 1 - u^k from expm1 no step
+    cancels, so the error stays near 1e-15 as q -> 1.
     """
-    table = {0: q ** 0}
-    for e in range(1, hi + 1):
-        table[e] = table[e - 1] * q
-    inv = 1 / q
-    for e in range(-1, lo - 1, -1):
-        table[e] = table[e + 1] * inv
-    return table
+
+    def __init__(self, q, top, span):
+        lq = math.log(q)
+        u = q * q
+        om = [-math.expm1(2 * k * lq) for k in range(max(top, span) + 3)]
+        kt = [0.0]
+        for n in range(1, top + 1):
+            if n * om[1] >= 4 * u:
+                b = n * om[1] * (2 - om[n + 1]) - 2 * u * om[n]
+            else:
+                b = om[1] * math.fsum(om[i] * om[n + 1 - i] for i in range(1, n + 1))
+            kt.append(om[1] * b / (om[n] * om[n + 1] * om[n + 2]))
+        self.om, self.kt = om, kt
+        self.pw = [q ** (2 * k) for k in range(span + 1)]
+        self.c = 2 * q / om[1]
+        self.weights = {}
+
+    def sides(self, a, b, g):
+        pw, om = self.pw, self.om
+        if g >= 0:
+            s, x, y, e2, e3 = g, a + 1, b - g + 1, b - g, a
+        else:
+            s, x, y, e2, e3 = -g, b + 1, a + g + 1, b, a + g
+        e1 = (a if a < b else b) + g
+        m = min(e1, e2, e3)
+        lo, d = (x, y - x) if x < y else (y, x - y)
+        w = self.weights.get((d, s))
+        if w is None:  # u^t times the number of (i, j), i < d, j < s, with i + j = t
+            w = self.weights[d, s] = [min(t + 1, d, s, d + s - 1 - t) * pw[t] for t in range(d + s - 1)]
+        lhs = self.c * sum(map(mul, self.kt[lo:lo + len(w)], w)) * pw[lo - m]
+        rhs = s * pw[e1 - m] * om[abs(a - b)] + (b * pw[e2 - m] + a * pw[e3 - m]) * om[s]
+        return lhs, rhs, m
+
+
+def _cells(param, top, span):
+    """The route for this q: labels up to top, exponents within span of a cell's smallest."""
+    if isinstance(param.q, Fraction) or param.q == 1:
+        return _ExactCells(param, top)
+    return _FloatCells(float(param.q), top, span)
+
+
+def _ratio(lhs, rhs):
+    if rhs == 0:
+        return 0 * lhs if lhs == 0 else math.inf
+    return lhs / rhs
 
 
 @dataclass(frozen=True)
@@ -87,7 +121,8 @@ class GapEvaluation:
 
     ``ratio`` is lhs/rhs, defined as 0 when both sides vanish and as
     infinity when only the bound side does (which happens at q = 1, where
-    every power of q collapses to 1).
+    every power of q collapses to 1).  At decimal q < 1 ``ratio`` is a
+    float, and lhs and rhs are mpf, so they neither underflow nor overflow.
     """
 
     alpha: int
@@ -101,26 +136,13 @@ class GapEvaluation:
 def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
     """Evaluate the gap functional at one index cell."""
     alpha, beta, gamma = _check_labels(alpha, beta, gamma)
-    top = max(alpha, beta) + abs(gamma)
-    exact = isinstance(param.q, Fraction)
-    bits = precision_bits() if exact else _needed_bits(param, top + 1)
-    with working_precision(bits):
-        if exact:
-            q = param.q
-            nq = param.nq
-        else:
-            q = param.q_mpf()
-            nq = q + 1 / q
-        deltas = {}
-        for k in {alpha + gamma, alpha, beta, beta - gamma}:
-            u, du = poly_value_and_derivative(k, nq)
-            deltas[k] = du / u
-        qpow = _power_span(q, -2 * abs(gamma), 2 * top)
-        lhs, rhs = _gap_sides_from_tables(alpha, beta, gamma, deltas, qpow)
-        if rhs == 0:
-            ratio = 0 if lhs == 0 else math.inf
-        else:
-            ratio = lhs / rhs
+    cells = _cells(param, max(alpha, beta) + abs(gamma), abs(alpha - beta) + 2 * abs(gamma) + 1)
+    with working_precision():  # mpf eigenvalues at q = 1.0, mpf scale at decimal q
+        lhs, rhs, m = cells.sides(alpha, beta, gamma)
+        ratio = _ratio(lhs, rhs)
+        if isinstance(cells, _FloatCells):
+            scale = param.q_mpf() ** (2 * m)
+            lhs, rhs = lhs * scale, rhs * scale
     return GapEvaluation(alpha, beta, gamma, lhs, rhs, ratio)
 
 
@@ -152,35 +174,21 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
         raise ValueError("alpha_max must be >= 10")
     if gamma_max < 0:
         raise ValueError("gamma_max must be >= 0")
-    top = alpha_max + gamma_max
-    exact = isinstance(param.q, Fraction)
-    bits = precision_bits() if exact else _needed_bits(param, top + 1)
+    cells = _cells(param, alpha_max + gamma_max, 4 * gamma_max + 1)
     sup = 0.0
     argmax = (0, 0, 0)
     half = alpha_max // 2
     quarter = alpha_max // 4
     low_sup = 0.0
     high_sup = 0.0
-    with working_precision(bits):
-        if exact:
-            deltas = _delta_table(param.nq, top)
-            qpow = _power_span(param.q, -2 * gamma_max, 2 * top)
-        else:
-            qm = param.q_mpf()
-            deltas = _delta_table(qm + 1 / qm, top)
-            qpow = _power_span(qm, -2 * gamma_max, 2 * top)
+    with working_precision():  # the mpf eigenvalues at q = 1.0
         for a in range(alpha_max + 1):
             b_lo = max(0, a - 2 * gamma_max)
             b_hi = min(alpha_max, a + 2 * gamma_max)
             for b in range(b_lo, b_hi + 1):
-                for g in range(-gamma_max, gamma_max + 1):
-                    if a + g < 0 or b - g < 0 or abs(g) > max(a, b):
-                        continue
-                    lhs, rhs = _gap_sides_from_tables(a, b, g, deltas, qpow)
-                    if rhs == 0:
-                        ratio = 0.0 if lhs == 0 else math.inf
-                    else:
-                        ratio = float(lhs / rhs)
+                # a + g >= 0 and b - g >= 0 also give |g| <= max(a, b)
+                for g in range(max(-gamma_max, -a), min(gamma_max, b) + 1):
+                    ratio = float(_ratio(*cells.sides(a, b, g)[:2]))
                     if ratio > sup:
                         sup = ratio
                         argmax = (a, b, g)
@@ -188,13 +196,8 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
                         low_sup = ratio
                     if half <= a and ratio > high_sup:
                         high_sup = ratio
-    if low_sup == high_sup == 0.0:
-        stable = True
-    else:
-        stable = abs(high_sup - low_sup) <= 0.1 * max(high_sup, low_sup)
-    return GapScan(
-        param, alpha_max, gamma_max, sup, argmax, low_sup, high_sup, stable
-    )
+    stable = abs(high_sup - low_sup) <= 0.1 * max(high_sup, low_sup)
+    return GapScan(param, alpha_max, gamma_max, sup, argmax, low_sup, high_sup, stable)
 
 
 @dataclass(frozen=True)
@@ -213,8 +216,8 @@ class HSCoefficient:
 def hs_coefficient(param: QParameter, alpha, beta, gamma, t) -> HSCoefficient:
     """Gap factor, single-step eigenvalue difference, and damping exp(-t*delta_beta)."""
     alpha, beta, gamma = _check_labels(alpha, beta, gamma)
-    if float(t) < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= float(t) < math.inf:
+        raise ValueError("t must be a finite number >= 0")
     ev = gap(param, alpha, beta, gamma)
     with working_precision():
         delta_b = eigenvalue(param, beta)
@@ -244,12 +247,7 @@ class HSCertificate:
 
 
 def hs_certificate(
-    param: QParameter,
-    t,
-    alpha_max: int,
-    *,
-    margin: float = 0.01,
-    tail_floor: float = 1e-3,
+    param: QParameter, t, alpha_max: int, *, margin: float = 0.01, tail_floor: float = 1e-3
 ) -> HSCertificate:
     """Ratio-test certificate for the summability of the HS-norm series.
 
@@ -261,8 +259,8 @@ def hs_certificate(
     alpha_max = index(alpha_max)
     if alpha_max < 20:
         raise ValueError("alpha_max must be >= 20")
-    if float(t) < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= float(t) < math.inf:
+        raise ValueError("t must be a finite number >= 0")
     if not 0 < margin < 1:
         raise ValueError("margin must lie in (0, 1)")
     table = dims(param, alpha_max)
@@ -283,29 +281,15 @@ def hs_certificate(
             * qm ** 2
             * mpmath.exp(-2 * tm)
         )
-    sums = []
-    acc = 0.0
-    for v in terms:
-        acc += v
-        sums.append(acc)
-    early_scale = max(terms[1:11])
-    if ratio_value >= 1 + margin:
-        verdict = "divergent"
-    elif terms[-1] >= tail_floor * early_scale:
+    if ratio_value >= 1 + margin or terms[-1] >= tail_floor * max(terms[1:11]):
         verdict = "divergent"
     elif ratio_value <= 1 - margin:
         verdict = "finite"
     else:
         verdict = "inconclusive"
     return HSCertificate(
-        param,
-        float(t),
-        alpha_max,
-        tuple(terms),
-        tuple(compressed),
-        tuple(sums),
-        ratio_value,
-        verdict,
+        param, float(t), alpha_max, tuple(terms), tuple(compressed),
+        tuple(accumulate(terms)), ratio_value, verdict,
     )
 
 

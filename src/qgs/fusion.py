@@ -16,7 +16,7 @@ from operator import index
 import mpmath
 
 from .chebyshev import QParameter
-from .precision import working_precision
+from .precision import precision_bits, working_precision
 
 
 def fuse(alpha: int, beta: int) -> list[int]:
@@ -49,21 +49,29 @@ class DimensionTable:
         return len(self.n) - 1
 
 
-@functools.lru_cache(maxsize=None)
 def dims(param: QParameter, alpha_max: int) -> DimensionTable:
-    """Build the dimension table for labels 0..alpha_max."""
-    alpha_max = index(alpha_max)
+    """Build the dimension table for labels 0..alpha_max; cached, and for
+    floating q keyed on the working precision too."""
+    bits = None if isinstance(param.q, Fraction) else precision_bits()
+    return _dims(param, index(alpha_max), bits)
+
+
+@functools.lru_cache(maxsize=None)
+def _dims(param, alpha_max, bits):
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
     n = [1, param.N]
     while len(n) <= alpha_max:
         n.append(param.N * n[-1] - n[-2])
-    with working_precision():
+    with working_precision(bits):
         nq = param.nq
         qdim = [nq ** 0, nq]
         while len(qdim) <= alpha_max:
             qdim.append(nq * qdim[-1] - qdim[-2])
     return DimensionTable(param, tuple(n[: alpha_max + 1]), tuple(qdim[: alpha_max + 1]))
+
+
+dims.cache_info = _dims.cache_info
 
 
 @dataclass(frozen=True)

@@ -312,3 +312,35 @@ def test_timing_flag_adds_wall_time(capsys):
     payload = json.loads(out)
     assert "wall_time_s" in payload
     assert payload["wall_time_s"] >= 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--N", "2", "--q", "1/0", "--alpha-max", "10"),
+        ("fusion", "--N", "2", "--q", "1/0", "--alpha-max", "10"),
+        ("gap-scan", "--N", "2", "--q", "1/0", "--alpha-max", "10", "--gamma-max", "1"),
+        ("spectrum", "--N", "2", "--q", "1e-400", "--alpha-max", "10"),
+        ("fusion", "--N", "2", "--q", "1e-400", "--alpha-max", "10"),
+        ("spectrum", "--N", "2", "--q", "1/10" + "0" * 400, "--alpha-max", "10"),
+        ("hs-cert", "--N", "3", "--q", "0.25", "--t", "nan", "--alpha-max", "40"),
+        ("hs-cert", "--N", "3", "--q", "0.25", "--t", "inf", "--alpha-max", "40"),
+    ],
+)
+def test_out_of_range_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+
+
+def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "record.json"
+    code, out, err = run_cli(
+        capsys, "spectrum", "--N", "2", "--q", "0.5", "--alpha-max", "2",
+        "--output", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+    assert not target.exists()

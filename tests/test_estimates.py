@@ -4,6 +4,11 @@ The spot values for the gap functional at q = 1/2, alpha = beta = 5,
 gamma = 1 were derived by hand: the bound side is
 5|q^10 - q^8| + 5|q^10 - q^12| = 75/4096, and the eigenvalue side is the
 discrete second difference checked against the hyperbolic closed form.
+
+The oracle for the closed-form routes is the eigenvalue recurrence they
+replaced: U and U' by the value/derivative recurrence, delta = U'/U, with
+the precision raised to twice the width that resolves q^(2*depth) under
+O(depth) eigenvalues.
 """
 
 import math
@@ -11,6 +16,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qgs.chebyshev import QParameter
 from qgs.estimates import (
@@ -31,6 +38,105 @@ def hyperbolic_eigenvalue(q, alpha):
         return ((alpha + 1) * mpmath.coth((alpha + 1) * s) - mpmath.coth(s)) / (
             2 * mpmath.sinh(s)
         )
+
+
+def delta_table(nq, top):
+    """Eigenvalues for labels 0..top in the arithmetic of nq."""
+    one = nq ** 0
+    zero = 0 * one
+    u_prev, u = zero, one
+    du_prev, du = zero, zero
+    out = []
+    for _ in range(top + 1):
+        out.append(du / u)
+        u_prev, u, du_prev, du = u, nq * u - u_prev, du, u + nq * du - du_prev
+    return out
+
+
+def oracle_gap(q, alpha, beta, gamma):
+    """(lhs, rhs, ratio) from the recurrence: exact for Fraction q, else
+    mpf at twice max(128, 2*depth*log2(1/q) + 64) bits.
+
+    Where the four labels cancel in pairs (gamma = 0 or alpha + gamma =
+    beta) lhs is 0 by symmetry; the recurrence leaves rounding noise there,
+    so the oracle returns the exact 0.
+    """
+    top = max(alpha, beta) + abs(gamma)
+    exact = isinstance(q, Fraction)
+    bits = 2 * max(128, int(2 * (top + 1) * math.log2(1 / float(q))) + 64)
+    with mpmath.workprec(bits):
+        if not exact:
+            q = mpmath.mpf(q)
+        d = delta_table(q + 1 / q, top)
+        lhs = abs(d[alpha + gamma] - d[alpha] - d[beta] + d[beta - gamma])
+        if gamma == 0 or alpha + gamma == beta:
+            lhs = 0 * lhs
+        rhs = (
+            abs(gamma) * abs(q ** (2 * alpha + 2 * gamma) - q ** (2 * beta + 2 * gamma))
+            + beta * abs(q ** (2 * beta) - q ** (2 * beta - 2 * gamma))
+            + alpha * abs(q ** (2 * alpha) - q ** (2 * alpha + 2 * gamma))
+        )
+        ratio = lhs / rhs if rhs else 0 * lhs
+    return lhs, rhs, ratio
+
+
+def valid_cell(alpha, beta, gamma):
+    return alpha + gamma >= 0 and beta - gamma >= 0 and abs(gamma) <= max(alpha, beta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.floats(min_value=0.05, max_value=0.99),
+    alpha=st.integers(min_value=0, max_value=500),
+    beta=st.integers(min_value=0, max_value=500),
+    gamma=st.integers(min_value=-5, max_value=5),
+)
+def test_gap_float_closed_form_matches_recurrence(q, alpha, beta, gamma):
+    assume(valid_cell(alpha, beta, gamma))
+    ev = gap(QParameter(q, 2), alpha, beta, gamma)
+    want = oracle_gap(q, alpha, beta, gamma)
+    assert isinstance(ev.ratio, float)
+    for got, ref in zip((ev.lhs, ev.rhs, ev.ratio), want):
+        assert abs(got - ref) <= max(1e-13 * abs(ref), 1e-300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.floats(min_value=0.9, max_value=0.99),
+    alpha=st.integers(min_value=0, max_value=120),
+    shift=st.integers(min_value=-10, max_value=10),
+    gamma=st.integers(min_value=-5, max_value=5),
+)
+def test_gap_float_near_one_within_scan_window(q, alpha, shift, gamma):
+    # q -> 1 with |alpha - beta| <= 10 is where the four-term sum cancels most
+    beta = max(0, alpha + shift)
+    assume(valid_cell(alpha, beta, gamma))
+    ev = gap(QParameter(q, 2), alpha, beta, gamma)
+    ref = oracle_gap(q, alpha, beta, gamma)[2]
+    assert abs(ev.ratio - ref) <= 1e-13 * abs(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=40),
+    alpha=st.integers(min_value=0, max_value=120),
+    beta=st.integers(min_value=0, max_value=120),
+    gamma=st.integers(min_value=-5, max_value=5),
+)
+def test_gap_rational_closed_form_equals_recurrence(q, alpha, beta, gamma):
+    assume(valid_cell(alpha, beta, gamma))
+    ev = gap(QParameter(q, 2), alpha, beta, gamma)
+    assert (ev.lhs, ev.rhs, ev.ratio) == oracle_gap(q, alpha, beta, gamma)
+
+
+def test_gap_float_outside_double_range():
+    # both sides lie far below the float range and the ratio does not
+    q = 1e-3
+    ev = gap(QParameter(q, 2), 200, 203, 2)
+    want = oracle_gap(q, 200, 203, 2)
+    assert max(want[:2]) < mpmath.mpf("1e-1000")
+    for got, ref in zip((ev.lhs, ev.rhs, ev.ratio), want):
+        assert abs(got - ref) <= 1e-13 * ref
 
 
 def test_gap_zero_shift_vanishes():
@@ -143,6 +249,9 @@ def test_hs_coefficient_spots():
     assert float(damped.damping) < 1e-20
     with pytest.raises(ValueError):
         hs_coefficient(p, 5, 5, 1, -0.5)
+    for t in ("nan", "inf"):
+        with pytest.raises(ValueError):
+            hs_coefficient(p, 5, 5, 1, t)
 
 
 def test_hs_certificate_regimes():
@@ -201,6 +310,9 @@ def test_hs_certificate_validation():
         hs_certificate(p, 0, 10)
     with pytest.raises(ValueError):
         hs_certificate(p, -0.5, 40)
+    for t in ("nan", "inf", float("nan")):
+        with pytest.raises(ValueError):
+            hs_certificate(p, t, 40)
 
 
 def test_regime_classify_flags():

@@ -9,12 +9,14 @@ spot.
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgs.chebyshev import QParameter, q_number
 from qgs.fusion import dims, fuse, fusion_check, growth_rate
+from qgs.precision import set_precision_bits, working_precision
 
 
 def test_fuse_examples():
@@ -122,3 +124,17 @@ def test_fusion_check_record():
     rec = fusion_check(QParameter(Fraction(1, 2), 2), 3, 4)
     assert rec.channels == fuse(3, 4)
     assert rec.classical_ok and rec.quantum_ok
+
+
+def test_dims_cache_is_keyed_on_precision():
+    param = QParameter("0.381966", 3)
+    try:
+        set_precision_bits(64)
+        dims(param, 50)
+        set_precision_bits(512)
+        table = dims(param, 50)
+        with working_precision():
+            want = q_number(51, param)
+            assert abs(table.qdim[50] - want) <= mpmath.mpf(2) ** -400 * want
+    finally:
+        set_precision_bits(None)
