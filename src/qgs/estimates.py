@@ -43,22 +43,23 @@ class _ExactCells:
     def __init__(self, param, top):
         q = param.q
         u = q * q
-        self.up = up = [u ** k for k in range(top + 2)]
+        self.pw = pw = [u ** k for k in range(top + 2)]
         if q == 1:
             self.r = [d.delta for d in spectral_data(param, top)]
         else:
-            self.r = [2 * q * (k + 1) * up[k + 1] / ((1 - u) * (1 - up[k + 1])) for k in range(top + 1)]
+            self.r = [2 * q * (k + 1) * pw[k + 1] / ((1 - u) * (1 - pw[k + 1])) for k in range(top + 1)]
 
     def sides(self, a, b, g):
-        r, up = self.r, self.up
+        r, pw = self.r, self.pw
         lhs = abs(r[a + g] - r[a] - r[b] + r[b - g])
-        shift = abs(up[a + g] - up[b + g]) if b + g >= 0 else abs(up[a] - up[b]) / up[-g]
-        rhs = abs(g) * shift + b * abs(up[b] - up[b - g]) + a * abs(up[a] - up[a + g])
-        return lhs, rhs, 0
+        shift = abs(pw[a + g] - pw[b + g]) if b + g >= 0 else abs(pw[a] - pw[b]) / pw[-g]
+        rhs = abs(g) * shift + b * abs(pw[b] - pw[b - g]) + a * abs(pw[a] - pw[a + g])
+        return lhs, rhs, 0, 0
 
 
 class _FloatCells:
-    """Gap cells at decimal q < 1 in float64, both sides divided by q^(2m).
+    """Gap cells at decimal q < 1 in float64, lhs divided by q^(2 lo) and
+    rhs by q^(2m), lo and m the smallest exponents on each side.
 
     With u = q^2 and h(n) = n u^n/(1-u^n), r_a = c h(a+1) for c = 2q/(1-u).
     The four-term sum is a sum of K(n) = h(n) - 2h(n+1) + h(n+2) > 0 over a
@@ -69,19 +70,18 @@ class _FloatCells:
     cancels, so the error stays near 1e-15 as q -> 1.
     """
 
-    def __init__(self, q, top, span):
+    def __init__(self, q, top):
         lq = math.log(q)
         u = q * q
-        om = [-math.expm1(2 * k * lq) for k in range(max(top, span) + 3)]
-        kt = [0.0]
+        self.om = om = [-math.expm1(2 * k * lq) for k in range(top + 3)]
+        self.kt = kt = [0.0]
         for n in range(1, top + 1):
             if n * om[1] >= 4 * u:
                 b = n * om[1] * (2 - om[n + 1]) - 2 * u * om[n]
             else:
                 b = om[1] * math.fsum(om[i] * om[n + 1 - i] for i in range(1, n + 1))
             kt.append(om[1] * b / (om[n] * om[n + 1] * om[n + 2]))
-        self.om, self.kt = om, kt
-        self.pw = [q ** (2 * k) for k in range(span + 1)]
+        self.pw = [q ** (2 * k) for k in range(top + 2)]
         self.c = 2 * q / om[1]
         self.weights = {}
 
@@ -97,22 +97,23 @@ class _FloatCells:
         w = self.weights.get((d, s))
         if w is None:  # u^t times the number of (i, j), i < d, j < s, with i + j = t
             w = self.weights[d, s] = [min(t + 1, d, s, d + s - 1 - t) * pw[t] for t in range(d + s - 1)]
-        lhs = self.c * sum(map(mul, self.kt[lo:lo + len(w)], w)) * pw[lo - m]
+        lhs = self.c * sum(map(mul, self.kt[lo:lo + len(w)], w))
         rhs = s * pw[e1 - m] * om[abs(a - b)] + (b * pw[e2 - m] + a * pw[e3 - m]) * om[s]
-        return lhs, rhs, m
+        return lhs, rhs, lo, m
 
 
-def _cells(param, top, span):
-    """The route for this q: labels up to top, exponents within span of a cell's smallest."""
+def _cells(param, top):
+    """The route for this q, with tables for cells whose labels stay within top."""
     if isinstance(param.q, Fraction) or param.q == 1:
         return _ExactCells(param, top)
-    return _FloatCells(float(param.q), top, span)
+    return _FloatCells(float(param.q), top)
 
 
-def _ratio(lhs, rhs):
+def _ratio(cells, a, b, g):
+    lhs, rhs, lo, m = cells.sides(a, b, g)
     if rhs == 0:
         return 0 * lhs if lhs == 0 else math.inf
-    return lhs / rhs
+    return lhs * cells.pw[lo - m] / rhs
 
 
 @dataclass(frozen=True)
@@ -136,13 +137,12 @@ class GapEvaluation:
 def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
     """Evaluate the gap functional at one index cell."""
     alpha, beta, gamma = _check_labels(alpha, beta, gamma)
-    cells = _cells(param, max(alpha, beta) + abs(gamma), abs(alpha - beta) + 2 * abs(gamma) + 1)
-    with working_precision():  # mpf eigenvalues at q = 1.0, mpf scale at decimal q
-        lhs, rhs, m = cells.sides(alpha, beta, gamma)
-        ratio = _ratio(lhs, rhs)
+    cells = _cells(param, max(alpha, beta) + abs(gamma))
+    with working_precision():  # mpf eigenvalues at q = 1.0, mpf scales at decimal q
+        ratio = _ratio(cells, alpha, beta, gamma)
+        lhs, rhs, lo, m = cells.sides(alpha, beta, gamma)
         if isinstance(cells, _FloatCells):
-            scale = param.q_mpf() ** (2 * m)
-            lhs, rhs = lhs * scale, rhs * scale
+            lhs, rhs = lhs * param.q_mpf() ** (2 * lo), rhs * param.q_mpf() ** (2 * m)
     return GapEvaluation(alpha, beta, gamma, lhs, rhs, ratio)
 
 
@@ -174,7 +174,7 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
         raise ValueError("alpha_max must be >= 10")
     if gamma_max < 0:
         raise ValueError("gamma_max must be >= 0")
-    cells = _cells(param, alpha_max + gamma_max, 4 * gamma_max + 1)
+    cells = _cells(param, alpha_max + gamma_max)
     sup = 0.0
     argmax = (0, 0, 0)
     half = alpha_max // 2
@@ -188,7 +188,7 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
             for b in range(b_lo, b_hi + 1):
                 # a + g >= 0 and b - g >= 0 also give |g| <= max(a, b)
                 for g in range(max(-gamma_max, -a), min(gamma_max, b) + 1):
-                    ratio = float(_ratio(*cells.sides(a, b, g)[:2]))
+                    ratio = float(_ratio(cells, a, b, g))
                     if ratio > sup:
                         sup = ratio
                         argmax = (a, b, g)
@@ -247,7 +247,12 @@ class HSCertificate:
 
 
 def hs_certificate(
-    param: QParameter, t, alpha_max: int, *, margin: float = 0.01, tail_floor: float = 1e-3
+    param: QParameter,
+    t,
+    alpha_max: int,
+    *,
+    margin: float = 0.01,
+    tail_floor: float = 1e-3,
 ) -> HSCertificate:
     """Ratio-test certificate for the summability of the HS-norm series.
 
