@@ -11,6 +11,7 @@ for decimal q (see _FloatCells).  No route raises the working precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -59,7 +60,7 @@ class _ExactCells:
 
 class _FloatCells:
     """Gap cells at decimal q < 1 in float64, lhs divided by q^(2 lo) and
-    rhs by q^(2m), lo and m the smallest exponents on each side.
+    rhs by q^(2m), lo and m the smallest exponents of nonzero terms.
 
     With u = q^2 and h(n) = n u^n/(1-u^n), r_a = c h(a+1) for c = 2q/(1-u).
     The four-term sum is a sum of K(n) = h(n) - 2h(n+1) + h(n+2) > 0 over a
@@ -81,7 +82,7 @@ class _FloatCells:
             else:
                 b = om[1] * math.fsum(om[i] * om[n + 1 - i] for i in range(1, n + 1))
             kt.append(om[1] * b / (om[n] * om[n + 1] * om[n + 2]))
-        self.pw = [q ** (2 * k) for k in range(top + 2)]
+        self.q, self.pw = q, [q ** (2 * k) for k in range(top + 2)]
         self.c = 2 * q / om[1]
         self.weights = {}
 
@@ -92,6 +93,8 @@ class _FloatCells:
         else:
             s, x, y, e2, e3 = -g, b + 1, a + g + 1, b, a + g
         e1 = (a if a < b else b) + g
+        if not a:  # the a-term vanishes; only nonzero terms may set m
+            e3 = e2
         m = min(e1, e2, e3)
         lo, d = (x, y - x) if x < y else (y, x - y)
         w = self.weights.get((d, s))
@@ -111,9 +114,15 @@ def _cells(param, top):
 
 def _ratio(cells, a, b, g):
     lhs, rhs, lo, m = cells.sides(a, b, g)
+    if lhs == 0:
+        return 0 * lhs
     if rhs == 0:
-        return 0 * lhs if lhs == 0 else math.inf
-    return lhs * cells.pw[lo - m] / rhs
+        return math.inf
+    p = cells.pw[abs(lo - m)]
+    if p >= sys.float_info.min:
+        return lhs * p / rhs if lo >= m else lhs / rhs / p
+    with working_precision():  # q^(2(lo - m)) is outside the normal float range
+        return float(mpmath.mpf(lhs) / rhs * mpmath.mpf(cells.q) ** (2 * (lo - m)))
 
 
 @dataclass(frozen=True)

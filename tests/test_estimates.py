@@ -139,6 +139,16 @@ def test_gap_float_outside_double_range():
         assert abs(got - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize("q", [1e-30, 1e-100, 1e-160])
+def test_gap_scan_float_tiny_q_matches_exact(q):
+    # powers of q underflow the float range two labels apart
+    approx = gap_constant_scan(QParameter(q, 2), 12, 2)
+    exact = gap_constant_scan(QParameter(Fraction(q), 2), 12, 2)
+    assert approx.argmax == exact.argmax
+    for field in ("sup_ratio", "window_low_sup", "window_high_sup"):
+        assert getattr(approx, field) == pytest.approx(getattr(exact, field), rel=1e-13)
+
+
 def test_gap_zero_shift_vanishes():
     p = QParameter(Fraction(1, 2), 2)
     ev = gap(p, 7, 4, 0)
