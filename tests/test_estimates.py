@@ -5,10 +5,10 @@ gamma = 1 were derived by hand: the bound side is
 5|q^10 - q^8| + 5|q^10 - q^12| = 75/4096, and the eigenvalue side is the
 discrete second difference checked against the hyperbolic closed form.
 
-The oracle for the closed-form routes is the eigenvalue recurrence they
-replaced: U and U' by the value/derivative recurrence, delta = U'/U, with
-the precision raised to twice the width that resolves q^(2*depth) under
-O(depth) eigenvalues.
+The oracle for the closed-form routes is the eigenvalue recurrence: U and
+U' by the value/derivative recurrence, delta = U'/U, with the precision
+raised to twice the width that resolves q^(2*depth) under O(depth)
+eigenvalues.
 """
 
 import math
