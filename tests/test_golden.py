@@ -1,10 +1,11 @@
 """Golden `gap-scan` records: the CLI output must stay byte-identical.
 
-Each file under ``golden/gap_scan`` is the JSON record that the mpmath
-recurrence route (precision raised to resolve q^(2*alpha_max)) wrote for
-the arguments listed here.  The closed-form routes must reproduce every
-byte, including the exit code, at q close to 1 where the four-term gap
-sum cancels hardest.
+Each file under ``golden/gap_scan`` is the JSON record an earlier route
+wrote for the arguments listed here: the mpmath recurrence (precision
+raised to resolve q^(2*alpha_max)) for the decimal-q files and q = 4/11,
+and the closed form in Fractions for q = 1/12, 6/11 and 11/12.  The current
+routes must reproduce every byte, including the exit code, at q close to 1
+where the four-term gap sum cancels hardest.
 """
 
 from pathlib import Path
@@ -31,6 +32,9 @@ CASES = {
     "q0.97_80x3": (["--q", "0.97", "--alpha-max", "80", "--gamma-max", "3"], 1),
     "q0.99_80x3": (["--q", "0.99", "--alpha-max", "80", "--gamma-max", "3"], 1),
     "q4-11_200x5": (["--q", "4/11", "--alpha-max", "200", "--gamma-max", "5"], 0),
+    "q1-12_120x4": (["--q", "1/12", "--alpha-max", "120", "--gamma-max", "4"], 0),
+    "q6-11_200x5": (["--q", "6/11", "--alpha-max", "200", "--gamma-max", "5"], 0),
+    "q11-12_200x5": (["--q", "11/12", "--alpha-max", "200", "--gamma-max", "5"], 0),
 }
 
 
