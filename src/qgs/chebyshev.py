@@ -130,8 +130,12 @@ class QParameter:
             raise ValueError("q must be a number in (0, 1]")
         if isinstance(q, int):
             q = Fraction(q)
-        elif isinstance(q, (float, str)):
+        elif isinstance(q, float):
             q = mpmath.mpf(q)
+        elif isinstance(q, str):
+            # a decimal string keeps the working width, and never less than a float's
+            with working_precision(max(precision_bits(), 53)):
+                q = mpmath.mpf(q)
         elif not isinstance(q, (Fraction, mpmath.mpf)):
             raise TypeError("q must be Fraction, int, float, str or mpf")
         if not 0 < q <= 1:

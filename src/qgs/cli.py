@@ -203,7 +203,7 @@ def _cmd_jw_verify(args):
             row.idempotency <= args.residual_tol
             and row.annihilation <= args.residual_tol
             and row.eig_residual <= args.residual_tol
-            and row.trace_error <= args.trace_tol
+            and row.trace_rel_error <= args.trace_tol
         )
         ok = ok and within
         rows.append(
@@ -213,6 +213,7 @@ def _cmd_jw_verify(args):
                 "idempotency": _round12(row.idempotency),
                 "annihilation": _round12(row.annihilation),
                 "trace_error": _round12(row.trace_error),
+                "trace_rel_error": _round12(row.trace_rel_error),
                 "eig_residual": _round12(row.eig_residual),
                 "ok": within,
             }
@@ -225,7 +226,7 @@ def _cmd_jw_verify(args):
     )
     fields = [
         "n", "rank", "idempotency", "annihilation", "trace_error",
-        "eig_residual", "ok",
+        "trace_rel_error", "eig_residual", "ok",
     ]
     return record, rows, fields
 
@@ -475,7 +476,10 @@ def build_parser():
     _add_model(p, default_n=2)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--residual-tol", type=float, default=1e-9)
-    p.add_argument("--trace-tol", type=float, default=1e-8)
+    p.add_argument(
+        "--trace-tol", type=float, default=1e-8,
+        help="bound on the relative trace error |tr - [n+1]_q| / [n+1]_q",
+    )
     p.set_defaults(handler=_cmd_jw_verify)
 
     p = sub.add_parser("pentagon", help="bracketing defect of double fusions")

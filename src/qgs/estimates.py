@@ -4,8 +4,11 @@ Hilbert-Schmidt summability certificate, and regime classification.
 The gap functional compares |delta_{a+g} - delta_a - delta_b + delta_{b-g}|
 against a three-term power bound.  For q < 1, delta_a = (a+1)L - C + r_a
 with r_a = 2(a+1)q^(2a+3)/((1-q^2)(1-q^(2a+2))); L and C cancel, leaving
-|r_{a+g} - r_a - r_b + r_{b-g}|: in Fractions for rational q, and in float64
-for decimal q (see _FloatCells).  No route raises the working precision.
+|r_{a+g} - r_a - r_b + r_{b-g}|: exact in integers for rational q (see
+_ExactCells: cross-multiplied, no Fraction normalisation, one correctly
+rounded division per scanned cell), and in float64 for decimal q (see
+_FloatCells).  At q = 1 the eigenvalue recurrence stands in for r.  No
+route raises the working precision.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import index, mul
 
 import mpmath
@@ -36,26 +39,82 @@ def _check_labels(alpha, beta, gamma):
     return alpha, beta, gamma
 
 
-class _ExactCells:
-    """Gap cells in the arithmetic of q: the four r terms for rational q < 1.
-    At q = 1 every power of q is 1, the bound vanishes, and the eigenvalues
-    from their recurrence stand in for r."""
+class _UnitCells:
+    """Gap cells at q = 1: every power of q is 1, so the bound vanishes, and
+    the eigenvalues from their recurrence stand in for r."""
 
     def __init__(self, param, top):
-        q = param.q
-        u = q * q
-        self.pw = pw = [u ** k for k in range(top + 2)]
-        if q == 1:
-            self.r = [d.delta for d in spectral_data(param, top)]
-        else:
-            self.r = [2 * q * (k + 1) * pw[k + 1] / ((1 - u) * (1 - pw[k + 1])) for k in range(top + 1)]
+        self.delta = [d.delta for d in spectral_data(param, top)]
 
-    def sides(self, a, b, g):
-        r, pw = self.r, self.pw
+    def gap(self, a, b, g):
+        r = self.delta
         lhs = abs(r[a + g] - r[a] - r[b] + r[b - g])
-        shift = abs(pw[a + g] - pw[b + g]) if b + g >= 0 else abs(pw[a] - pw[b]) / pw[-g]
-        rhs = abs(g) * shift + b * abs(pw[b] - pw[b - g]) + a * abs(pw[a] - pw[a + g])
-        return lhs, rhs, 0, 0
+        return lhs, 0 * lhs, 0 * lhs if lhs == 0 else math.inf
+
+
+class _ExactCells:
+    """Gap cells at rational q = p/r < 1 in integer arithmetic.
+
+    With u = q^2 = n/d and E_j = d^j - n^j, r_k = C t_k for
+    t_k = (k+1) n^(k+1) / E_(k+1) and C = 2pd / (r(d-n)).  The pair
+    difference X(k, g) = t_(k+g) - t_k is kept as an integer (num, den), so
+    lhs = C |X(a, g) - X(b-g, g)| costs three big multiplies, and rhs is an
+    integer over n^s d^M with M = max(a, b) + |g| (s > 0 only where the
+    exponent b + g of the shift term is negative).  A cell's ratio is then
+    one int / int true division, which CPython rounds correctly: it equals
+    float(Fraction(lhs) / Fraction(rhs)) without a single gcd.
+    """
+
+    def __init__(self, q, top):
+        p, r = q.numerator, q.denominator
+        n, d = p * p, r * r
+        self.npw = npw = list(accumulate(repeat(n, top + 1), mul, initial=1))
+        self.dpw = dpw = list(accumulate(repeat(d, top + 1), mul, initial=1))
+        self.e = [dk - nk for dk, nk in zip(dpw, npw)]
+        self.kn = [k * nk for k, nk in enumerate(npw)]  # t_k = kn[k+1] / e[k+1]
+        self.c = (2 * p * d, r * (d - n))
+        self.diffs = {}
+
+    def _lhs(self, a, b, g):
+        """lhs / C as (num, den), num signed."""
+        diffs = self.diffs
+        x = []
+        for k in (a, b - g):
+            pair = diffs.get((k, g))
+            if pair is None:
+                kn, e = self.kn, self.e
+                i, j = k + g + 1, k + 1
+                pair = diffs[k, g] = (kn[i] * e[j] - kn[j] * e[i], e[i] * e[j])
+            x.append(pair)
+        (n1, d1), (n2, d2) = x
+        return n1 * d2 - n2 * d1, d1 * d2
+
+    def _rhs(self, a, b, g):
+        """rhs as (num, den) with den = n^s d^M."""
+        npw, dpw, e = self.npw, self.dpw, self.e
+        m = max(a, b) + abs(g)
+        s = max(0, -b - g)
+        num = 0
+        for c, x, y in ((abs(g), a + g, b + g), (b, b, b - g), (a, a, a + g)):
+            if c and x != y:  # c |u^x - u^y| = c n^x E_(y-x) / d^y for x < y
+                x, y = min(x, y), max(x, y)
+                num += c * npw[x + s] * e[y - x] * dpw[m - y]
+        return num, npw[s] * dpw[m]
+
+    def ratio(self, a, b, g):
+        num, den = self._lhs(a, b, g)
+        if not num:
+            return 0.0
+        rnum, rden = self._rhs(a, b, g)
+        cn, cd = self.c
+        return abs(num) * (cn * rden) / (den * (cd * rnum))
+
+    def gap(self, a, b, g):
+        num, den = self._lhs(a, b, g)
+        rnum, rden = self._rhs(a, b, g)
+        cn, cd = self.c
+        lhs, rhs = Fraction(cn * abs(num), cd * den), Fraction(rnum, rden)
+        return lhs, rhs, Fraction(cn * abs(num) * rden, cd * den * rnum) if num else lhs
 
 
 class _FloatCells:
@@ -104,25 +163,31 @@ class _FloatCells:
         rhs = s * pw[e1 - m] * om[abs(a - b)] + (b * pw[e2 - m] + a * pw[e3 - m]) * om[s]
         return lhs, rhs, lo, m
 
+    def ratio(self, a, b, g):
+        lhs, rhs, lo, m = self.sides(a, b, g)
+        if lhs == 0:
+            return 0.0
+        if rhs == 0:
+            return math.inf
+        p = self.pw[abs(lo - m)]
+        if p >= sys.float_info.min:
+            return lhs * p / rhs if lo >= m else lhs / rhs / p
+        with working_precision():  # q^(2(lo - m)) is outside the normal float range
+            return float(mpmath.mpf(lhs) / rhs * mpmath.mpf(self.q) ** (2 * (lo - m)))
+
+    def gap(self, a, b, g):
+        lhs, rhs, lo, m = self.sides(a, b, g)
+        q = mpmath.mpf(self.q)
+        return lhs * q ** (2 * lo), rhs * q ** (2 * m), self.ratio(a, b, g)
+
 
 def _cells(param, top):
     """The route for this q, with tables for cells whose labels stay within top."""
-    if isinstance(param.q, Fraction) or param.q == 1:
-        return _ExactCells(param, top)
+    if param.q == 1:
+        return _UnitCells(param, top)
+    if isinstance(param.q, Fraction):
+        return _ExactCells(param.q, top)
     return _FloatCells(float(param.q), top)
-
-
-def _ratio(cells, a, b, g):
-    lhs, rhs, lo, m = cells.sides(a, b, g)
-    if lhs == 0:
-        return 0 * lhs
-    if rhs == 0:
-        return math.inf
-    p = cells.pw[abs(lo - m)]
-    if p >= sys.float_info.min:
-        return lhs * p / rhs if lo >= m else lhs / rhs / p
-    with working_precision():  # q^(2(lo - m)) is outside the normal float range
-        return float(mpmath.mpf(lhs) / rhs * mpmath.mpf(cells.q) ** (2 * (lo - m)))
 
 
 @dataclass(frozen=True)
@@ -148,10 +213,7 @@ def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
     alpha, beta, gamma = _check_labels(alpha, beta, gamma)
     cells = _cells(param, max(alpha, beta) + abs(gamma))
     with working_precision():  # mpf eigenvalues at q = 1.0, mpf scales at decimal q
-        ratio = _ratio(cells, alpha, beta, gamma)
-        lhs, rhs, lo, m = cells.sides(alpha, beta, gamma)
-        if isinstance(cells, _FloatCells):
-            lhs, rhs = lhs * param.q_mpf() ** (2 * lo), rhs * param.q_mpf() ** (2 * m)
+        lhs, rhs, ratio = cells.gap(alpha, beta, gamma)
     return GapEvaluation(alpha, beta, gamma, lhs, rhs, ratio)
 
 
@@ -183,28 +245,32 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
         raise ValueError("alpha_max must be >= 10")
     if gamma_max < 0:
         raise ValueError("gamma_max must be >= 0")
-    cells = _cells(param, alpha_max + gamma_max)
+    if param.q == 1:
+        raise ValueError(
+            "gap-scan needs q < 1: at q = 1 the power bound vanishes, so the "
+            "ratio is infinite wherever the gap functional is not 0"
+        )
+    ratio_at = _cells(param, alpha_max + gamma_max).ratio
     sup = 0.0
     argmax = (0, 0, 0)
     half = alpha_max // 2
     quarter = alpha_max // 4
     low_sup = 0.0
     high_sup = 0.0
-    with working_precision():  # the mpf eigenvalues at q = 1.0
-        for a in range(alpha_max + 1):
-            b_lo = max(0, a - 2 * gamma_max)
-            b_hi = min(alpha_max, a + 2 * gamma_max)
-            for b in range(b_lo, b_hi + 1):
-                # a + g >= 0 and b - g >= 0 also give |g| <= max(a, b)
-                for g in range(max(-gamma_max, -a), min(gamma_max, b) + 1):
-                    ratio = float(_ratio(cells, a, b, g))
-                    if ratio > sup:
-                        sup = ratio
-                        argmax = (a, b, g)
-                    if quarter <= a < half and ratio > low_sup:
-                        low_sup = ratio
-                    if half <= a and ratio > high_sup:
-                        high_sup = ratio
+    for a in range(alpha_max + 1):
+        b_lo = max(0, a - 2 * gamma_max)
+        b_hi = min(alpha_max, a + 2 * gamma_max)
+        for b in range(b_lo, b_hi + 1):
+            # a + g >= 0 and b - g >= 0 also give |g| <= max(a, b)
+            for g in range(max(-gamma_max, -a), min(gamma_max, b) + 1):
+                ratio = ratio_at(a, b, g)
+                if ratio > sup:
+                    sup = ratio
+                    argmax = (a, b, g)
+                if quarter <= a < half and ratio > low_sup:
+                    low_sup = ratio
+                if half <= a and ratio > high_sup:
+                    high_sup = ratio
     stable = abs(high_sup - low_sup) <= 0.1 * max(high_sup, low_sup)
     return GapScan(param, alpha_max, gamma_max, sup, argmax, low_sup, high_sup, stable)
 

@@ -435,6 +435,7 @@ class JWReportRow:
     idempotency: float
     annihilation: float
     trace_error: float
+    trace_rel_error: float
     eig_residual: float
 
 
@@ -454,13 +455,15 @@ def jw_report(param, n_max):
             sv = np.linalg.svd(rep.apply(i, b), compute_uv=False)
             ann = max(ann, float(sv[0]))
         target = float(q_number(n + 1, param))
+        trace_error = abs(jw.quantum_trace() - target)
         rows.append(
             JWReportRow(
                 n=n,
                 rank=jw.rank,
                 idempotency=idem,
                 annihilation=ann,
-                trace_error=abs(jw.quantum_trace() - target),
+                trace_error=trace_error,
+                trace_rel_error=trace_error / target,  # [n+1]_q >= 1 grows like q^-n
                 eig_residual=jw.eig_residual,
             )
         )

@@ -176,6 +176,17 @@ def test_qparameter_invariants():
     assert n2.nq == 2
 
 
+def test_qparameter_decimal_string_keeps_working_precision(monkeypatch):
+    # 0.9999 has no finite binary expansion, so a 53-bit parse is off by ~1e-17
+    monkeypatch.setenv("QGS_PRECISION_BITS", "256")
+    q = QParameter("0.9999", 2).q
+    man, exp = q.man_exp
+    assert man.bit_length() > 200
+    assert abs(Fraction(man) * Fraction(2) ** exp - Fraction(9999, 10000)) < Fraction(1, 2 ** 256)
+    # a float is already exact and is kept as given
+    assert QParameter(0.9999, 2).q == mpmath.mpf(0.9999)
+
+
 def test_qparameter_equality_and_hash():
     a = QParameter(Fraction(1, 2), 2)
     b = QParameter(Fraction(1, 2), 2)

@@ -151,10 +151,35 @@ def test_jw_verify_rows(capsys):
     header, rows = parse_csv(out)
     assert header == [
         "n", "rank", "idempotency", "annihilation", "trace_error",
-        "eig_residual", "ok",
+        "trace_rel_error", "eig_residual", "ok",
     ]
     assert len(rows) == 6
     assert all(r[-1] == "true" for r in rows)
+
+
+def test_jw_verify_small_q_judges_relative_trace_error(capsys):
+    # [n+1]_q grows like q^-n: the absolute trace error passes 1e-8 from
+    # n = 6 on at q = 0.05 while the relative one stays near 1e-15
+    code, out, _ = run_cli(capsys, "jw-verify", "--q", "0.05", "--n-max", "9")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass"
+    last = payload["rows"][-1]
+    assert last["trace_error"] > 1e-8
+    assert last["trace_rel_error"] < 1e-13
+
+
+@pytest.mark.parametrize("q", ["1", "1.0"])
+def test_gap_scan_at_q_one_is_usage_error(capsys, q):
+    # the power bound vanishes at q = 1, so there is nothing to scan
+    code, out, err = run_cli(
+        capsys, "gap-scan", "--N", "2", "--q", q, "--alpha-max", "30", "--gamma-max", "3",
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage"
+    assert "q = 1" in error["message"]
 
 
 def test_pentagon_documented_point(capsys):

@@ -62,21 +62,24 @@ def oracle_gap(q, alpha, beta, gamma):
     so the oracle returns the exact 0.
     """
     top = max(alpha, beta) + abs(gamma)
-    exact = isinstance(q, Fraction)
     bits = 2 * max(128, int(2 * (top + 1) * math.log2(1 / float(q))) + 64)
     with mpmath.workprec(bits):
-        if not exact:
+        if not isinstance(q, Fraction):
             q = mpmath.mpf(q)
-        d = delta_table(q + 1 / q, top)
-        lhs = abs(d[alpha + gamma] - d[alpha] - d[beta] + d[beta - gamma])
-        if gamma == 0 or alpha + gamma == beta:
-            lhs = 0 * lhs
-        rhs = (
-            abs(gamma) * abs(q ** (2 * alpha + 2 * gamma) - q ** (2 * beta + 2 * gamma))
-            + beta * abs(q ** (2 * beta) - q ** (2 * beta - 2 * gamma))
-            + alpha * abs(q ** (2 * alpha) - q ** (2 * alpha + 2 * gamma))
-        )
-        ratio = lhs / rhs if rhs else 0 * lhs
+        return oracle_cell(q, delta_table(q + 1 / q, top), alpha, beta, gamma)
+
+
+def oracle_cell(q, d, alpha, beta, gamma):
+    """(lhs, rhs, ratio) at one cell from the eigenvalue table d."""
+    lhs = abs(d[alpha + gamma] - d[alpha] - d[beta] + d[beta - gamma])
+    if gamma == 0 or alpha + gamma == beta:
+        lhs = 0 * lhs
+    rhs = (
+        abs(gamma) * abs(q ** (2 * alpha + 2 * gamma) - q ** (2 * beta + 2 * gamma))
+        + beta * abs(q ** (2 * beta) - q ** (2 * beta - 2 * gamma))
+        + alpha * abs(q ** (2 * alpha) - q ** (2 * alpha + 2 * gamma))
+    )
+    ratio = lhs / rhs if rhs else 0 * lhs
     return lhs, rhs, ratio
 
 
@@ -127,6 +130,32 @@ def test_gap_rational_closed_form_equals_recurrence(q, alpha, beta, gamma):
     assume(valid_cell(alpha, beta, gamma))
     ev = gap(QParameter(q, 2), alpha, beta, gamma)
     assert (ev.lhs, ev.rhs, ev.ratio) == oracle_gap(q, alpha, beta, gamma)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    q=st.fractions(min_value=Fraction(1, 40), max_value=Fraction(39, 40), max_denominator=40),
+    alpha_max=st.integers(min_value=10, max_value=40),
+    gamma_max=st.integers(min_value=0, max_value=4),
+)
+def test_gap_scan_rational_equals_exact_oracle_scan(q, alpha_max, gamma_max):
+    # every cell as float(lhs/rhs) of the exact recurrence cell, so the sup,
+    # its first cell and both window sups must agree to the last bit
+    d = delta_table(q + 1 / q, alpha_max + gamma_max)
+    ratios = {}
+    for a in range(alpha_max + 1):
+        for b in range(max(0, a - 2 * gamma_max), min(alpha_max, a + 2 * gamma_max) + 1):
+            for g in range(-gamma_max, gamma_max + 1):
+                if valid_cell(a, b, g):
+                    ratios[a, b, g] = float(oracle_cell(q, d, a, b, g)[2])
+    sup = max(ratios.values())
+    low = max((r for (a, _, _), r in ratios.items() if alpha_max // 4 <= a < alpha_max // 2), default=0.0)
+    high = max((r for (a, _, _), r in ratios.items() if a >= alpha_max // 2), default=0.0)
+    scan = gap_constant_scan(QParameter(q, 2), alpha_max, gamma_max)
+    assert scan.sup_ratio == sup
+    assert scan.argmax == (next(c for c, r in ratios.items() if r == sup) if sup else (0, 0, 0))
+    assert (scan.window_low_sup, scan.window_high_sup) == (low, high)
+    assert scan.stable == (abs(high - low) <= 0.1 * max(high, low))
 
 
 def test_gap_float_outside_double_range():

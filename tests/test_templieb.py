@@ -118,13 +118,15 @@ def test_jw_resource_limit():
 
 
 def test_jw_report_rows():
-    rows = jw_report(QParameter(0.5, 2), 6)
+    p = QParameter(0.5, 2)
+    rows = jw_report(p, 6)
     assert [r.n for r in rows] == list(range(1, 7))
     for r in rows:
         assert r.rank == r.n + 1
         assert r.idempotency <= 1e-9
         assert r.annihilation <= 1e-9
         assert r.trace_error <= 1e-8
+        assert r.trace_rel_error == r.trace_error / float(q_number(r.n + 1, p))
 
 
 def test_weight_matrix_spots():
