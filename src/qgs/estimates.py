@@ -49,7 +49,7 @@ class _UnitCells:
     def gap(self, a, b, g):
         r = self.delta
         lhs = abs(r[a + g] - r[a] - r[b] + r[b - g])
-        return lhs, 0 * lhs, 0 * lhs if lhs == 0 else math.inf
+        return lhs, 0 * lhs, (0 * lhs if lhs == 0 else math.inf)
 
 
 class _ExactCells:
@@ -75,18 +75,17 @@ class _ExactCells:
         self.c = (2 * p * d, r * (d - n))
         self.diffs = {}
 
+    def _diff(self, k, g):
+        """X(k, g) = t_(k+g) - t_k as (num, den)."""
+        pair = self.diffs.get((k, g))
+        if pair is None:
+            kn, e, i, j = self.kn, self.e, k + g + 1, k + 1
+            pair = self.diffs[k, g] = (kn[i] * e[j] - kn[j] * e[i], e[i] * e[j])
+        return pair
+
     def _lhs(self, a, b, g):
         """lhs / C as (num, den), num signed."""
-        diffs = self.diffs
-        x = []
-        for k in (a, b - g):
-            pair = diffs.get((k, g))
-            if pair is None:
-                kn, e = self.kn, self.e
-                i, j = k + g + 1, k + 1
-                pair = diffs[k, g] = (kn[i] * e[j] - kn[j] * e[i], e[i] * e[j])
-            x.append(pair)
-        (n1, d1), (n2, d2) = x
+        (n1, d1), (n2, d2) = self._diff(a, g), self._diff(b - g, g)
         return n1 * d2 - n2 * d1, d1 * d2
 
     def _rhs(self, a, b, g):
@@ -238,7 +237,8 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
     which the functional arises downstream).  Stability compares the
     supremum over alpha in [alpha_max/2, alpha_max] with the one over
     [alpha_max/4, alpha_max/2): agreement within 10% is the finite-grid
-    evidence that the ratio stays bounded.
+    evidence that the ratio stays bounded.  q must be below 1: at q = 1 the
+    bound vanishes and there is nothing to scan.
     """
     alpha_max, gamma_max = index(alpha_max), index(gamma_max)
     if alpha_max < 10:
@@ -247,7 +247,7 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
         raise ValueError("gamma_max must be >= 0")
     if param.q == 1:
         raise ValueError(
-            "gap-scan needs q < 1: at q = 1 the power bound vanishes, so the "
+            "a gap scan needs q < 1: at q = 1 the power bound vanishes, so the "
             "ratio is infinite wherever the gap functional is not 0"
         )
     ratio_at = _cells(param, alpha_max + gamma_max).ratio
