@@ -118,7 +118,8 @@ class QParameter:
     Admissible inputs satisfy 0 < q <= 1, integer N >= 2, and q + 1/q >= N
     (equivalently q no larger than the smallest positive root of
     x^2 - N*x + 1).  Rational q (Fraction or int) keeps all derived values
-    exact; float/str/mpf inputs run on the mpmath side.
+    exact; float/str/mpf inputs run on the mpmath side, a decimal string
+    read at the working precision (at least 53 bits).
     """
 
     __slots__ = ("q", "N")

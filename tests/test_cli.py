@@ -158,7 +158,7 @@ def test_jw_verify_rows(capsys):
 
 
 def test_jw_verify_small_q_judges_relative_trace_error(capsys):
-    # [n+1]_q grows like q^-n: the absolute trace error passes 1e-8 from
+    # [n+1]_q grows like q^-n: the absolute trace error exceeds 1e-8 from
     # n = 6 on at q = 0.05 while the relative one stays near 1e-15
     code, out, _ = run_cli(capsys, "jw-verify", "--q", "0.05", "--n-max", "9")
     assert code == 0
