@@ -2,10 +2,11 @@
 
 Every subcommand maps one-to-one onto a library operation and adds no
 numerics of its own; it parses parameters, runs the operation, and emits
-a deterministic CSV table or JSON report.  Floats are formatted at 12
+a deterministic CSV table or JSON report.  Numbers are formatted at 12
 significant digits, so identical requests at fixed precision produce
-byte-identical output.  Exit codes: 0 affirmative verdict, 1 verdict
-failure, 2 usage error, 3 resource limit.
+byte-identical output; an exact or mpf value beyond the double range is
+written as a plain number such as 1.75886302402e+524.  Exit codes: 0
+affirmative verdict, 1 verdict failure, 2 usage error, 3 resource limit.
 """
 
 import argparse
@@ -13,17 +14,21 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
+
+import mpmath
 
 from . import precision as _precision
 from .chebyshev import QParameter
 from .errors import NumericalDegradationError, ResourceLimitError
 from .estimates import gap_constant_scan, hs_certificate
 from .freewords import expansion_sweep, verify_boundary_expansion
-from .fusion import fuse, fusion_check
+from .fusion import fusion_check
 from .precision import precision_bits, set_precision_bits
 from .spectrum import amenability_criterion, cesaro_sum, spectral_rows, spectral_stream
 from .templieb import commutator_suite, jw_report, pentagon_bound, pentagon_defect
@@ -36,9 +41,52 @@ CESARO_PROBES = {
     "exp2x": (lambda s: math.exp(2.0 * s), 2.0),
 }
 
+# parsed flags that belong to every subcommand, not to the record's inputs
+_COMMON = frozenset({"command", "handler", "format", "output", "precision_bits", "timing"})
+# parsed flags (and pentagon's fixed constant) that the record lists as tolerances
+_TOLERANCES = frozenset(
+    {"margin", "tail_floor", "residual_tol", "trace_tol", "warmup", "threshold", "tol", "constant"}
+)
+_DIGITS = Context(prec=12)
 
-def _round12(x):
-    return float(f"{float(x):.12g}")
+
+class _Wide:
+    """A finite number beyond the double range, held as its 12-digit text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __str__(self):
+        return self.text
+
+
+def _num(x):
+    """x at 12 significant digits: a float, or _Wide for a finite Fraction or
+    mpf beyond the double range (a float that is already infinite stays so)."""
+    try:
+        value = float(x)
+    except OverflowError:  # a Fraction beyond the double range
+        value = math.inf
+    if not math.isinf(value) or isinstance(x, float) or mpmath.isinf(x):
+        return float(f"{value:.12g}")
+    if isinstance(x, mpmath.mpf):
+        man, exp = x.man_exp
+        x = Fraction(int(man)) * Fraction(2) ** exp
+    digits = _DIGITS.divide(Decimal(x.numerator), Decimal(x.denominator))
+    return _Wide(format(digits.normalize(_DIGITS), "g"))
+
+
+def _row(obj, *names, **extra):
+    """The named attributes of obj, then extra, as a record row or result:
+    ints, bools and strings as they are, sequences joined by ';', numbers by _num."""
+    row = {name: getattr(obj, name) for name in names}
+    row.update(extra)
+    for key, value in row.items():
+        if isinstance(value, (list, tuple)):
+            row[key] = ";".join(str(v) for v in value)
+        elif not isinstance(value, (int, str)):
+            row[key] = _num(value)
+    return row
 
 
 def _parse_q(text):
@@ -64,37 +112,28 @@ def _parse_pattern(text):
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _record(suite, inputs, *, tolerances=None, result=None, rows=None, verdict):
+def _record(args, verdict, result, rows):
+    """The one record of a run; inputs and tolerances are its parsed suite flags."""
+    flags = {k: v for k, v in vars(args).items() if k not in _COMMON}
     record = {
-        "suite": suite,
-        "inputs": inputs,
+        "suite": args.command,
+        "inputs": {k: v for k, v in flags.items() if k not in _TOLERANCES},
         "precision_bits": precision_bits(),
     }
-    if tolerances is not None:
-        record["tolerances"] = tolerances
-    if result is not None:
-        record["result"] = result
-    if rows is not None:
-        record["rows"] = rows
+    tolerances = {k: v for k, v in flags.items() if k in _TOLERANCES} or None
+    for key, value in (("tolerances", tolerances), ("result", result), ("rows", rows)):
+        if value is not None:
+            record[key] = value
     record["verdict"] = verdict
     return record
 
 
 def _cmd_spectrum(args):
-    param = _param(args)
     rows = [
-        {
-            "alpha": r.alpha,
-            "n": r.n,
-            "qdim": _round12(r.qdim),
-            "delta": _round12(r.delta),
-            "gap": _round12(r.gap),
-        }
-        for r in spectral_rows(param, args.alpha_max)
+        _row(r, "alpha", "n", "qdim", "delta", "gap")
+        for r in spectral_rows(_param(args), args.alpha_max)
     ]
-    inputs = {"N": args.N, "q": args.q, "alpha_max": args.alpha_max}
-    record = _record("spectrum", inputs, rows=rows, verdict="pass")
-    return record, rows, ["alpha", "n", "qdim", "delta", "gap"]
+    return "pass", None, rows
 
 
 def _cmd_fusion(args):
@@ -103,132 +142,60 @@ def _cmd_fusion(args):
         raise ValueError("--alpha and --beta must be given together")
     if args.alpha is not None:
         cells = [(args.alpha, args.beta)]
+    elif args.alpha_max < 0:
+        raise ValueError("--alpha-max must be >= 0")
     else:
-        cells = [
-            (a, b)
-            for a in range(args.alpha_max + 1)
-            for b in range(a, args.alpha_max + 1)
-        ]
-    rows = []
-    ok = True
-    for a, b in cells:
-        check = fusion_check(param, a, b)
-        ok = ok and check.classical_ok and check.quantum_ok
-        rows.append(
-            {
-                "alpha": a,
-                "beta": b,
-                "channels": ";".join(str(g) for g in check.channels),
-                "n_product": check.n_product,
-                "n_sum": check.n_sum,
-                "qdim_product": _round12(check.qdim_product),
-                "qdim_sum": _round12(check.qdim_sum),
-                "classical_ok": check.classical_ok,
-                "quantum_ok": check.quantum_ok,
-            }
-        )
-    inputs = {
-        "N": args.N,
-        "q": args.q,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "alpha_max": args.alpha_max,
-    }
-    record = _record("fusion", inputs, rows=rows, verdict="pass" if ok else "fail")
-    fields = [
-        "alpha", "beta", "channels", "n_product", "n_sum",
-        "qdim_product", "qdim_sum", "classical_ok", "quantum_ok",
+        top = args.alpha_max + 1
+        cells = [(a, b) for a in range(top) for b in range(a, top)]
+    checks = [fusion_check(param, a, b) for a, b in cells]
+    rows = [
+        _row(c, "alpha", "beta", "channels", "n_product", "n_sum",
+             "qdim_product", "qdim_sum", "classical_ok", "quantum_ok")
+        for c in checks
     ]
-    return record, rows, fields
+    ok = all(c.classical_ok and c.quantum_ok for c in checks)
+    return "pass" if ok else "fail", None, rows
 
 
 def _cmd_hs_cert(args):
-    param = _param(args)
     cert = hs_certificate(
-        param, args.t, args.alpha_max,
-        margin=args.margin, tail_floor=args.tail_floor,
+        _param(args), args.t, args.alpha_max, margin=args.margin, tail_floor=args.tail_floor
     )
+    series = zip(cert.terms, cert.compressed_terms, cert.partial_sums)
     rows = [
-        {
-            "alpha": a,
-            "term": _round12(term),
-            "compressed_term": _round12(comp),
-            "partial_sum": _round12(acc),
-        }
-        for a, (term, comp, acc) in enumerate(
-            zip(cert.terms, cert.compressed_terms, cert.partial_sums)
-        )
+        _row(None, alpha=a, term=term, compressed_term=comp, partial_sum=acc)
+        for a, (term, comp, acc) in enumerate(series)
     ]
-    inputs = {"N": args.N, "q": args.q, "t": args.t, "alpha_max": args.alpha_max}
-    tolerances = {"margin": args.margin, "tail_floor": args.tail_floor}
-    result = {"ratio_value": _round12(cert.ratio_value)}
-    record = _record(
-        "hs-cert", inputs, tolerances=tolerances, result=result, rows=rows,
-        verdict=cert.verdict,
-    )
-    return record, rows, ["alpha", "term", "compressed_term", "partial_sum"]
+    return cert.verdict, _row(cert, "ratio_value"), rows
 
 
 def _cmd_gap_scan(args):
-    param = _param(args)
-    scan = gap_constant_scan(param, args.alpha_max, args.gamma_max)
+    scan = gap_constant_scan(_param(args), args.alpha_max, args.gamma_max)
     verdict = "finite" if math.isfinite(scan.sup_ratio) and scan.stable else "fail"
-    result = {
-        "sup_ratio": _round12(scan.sup_ratio),
-        "argmax_alpha": scan.argmax[0],
-        "argmax_beta": scan.argmax[1],
-        "argmax_gamma": scan.argmax[2],
-        "window_low_sup": _round12(scan.window_low_sup),
-        "window_high_sup": _round12(scan.window_high_sup),
-        "stable": scan.stable,
-    }
-    inputs = {
-        "N": args.N,
-        "q": args.q,
-        "alpha_max": args.alpha_max,
-        "gamma_max": args.gamma_max,
-    }
-    record = _record("gap-scan", inputs, result=result, verdict=verdict)
-    csv_rows = [dict(result, verdict=verdict)]
-    fields = list(result) + ["verdict"]
-    return record, csv_rows, fields
+    alpha, beta, gamma = scan.argmax
+    result = _row(
+        scan, "sup_ratio", argmax_alpha=alpha, argmax_beta=beta, argmax_gamma=gamma,
+        window_low_sup=scan.window_low_sup, window_high_sup=scan.window_high_sup,
+        stable=scan.stable,
+    )
+    return verdict, result, None
 
 
 def _cmd_jw_verify(args):
-    param = _param(args)
-    rows = []
-    ok = True
-    for row in jw_report(param, args.n_max):
-        within = (
-            row.idempotency <= args.residual_tol
-            and row.annihilation <= args.residual_tol
-            and row.eig_residual <= args.residual_tol
-            and row.trace_rel_error <= args.trace_tol
+    rows = [
+        _row(
+            row, "n", "rank", "idempotency", "annihilation", "trace_error",
+            "trace_rel_error", "eig_residual",
+            ok=(
+                row.idempotency <= args.residual_tol
+                and row.annihilation <= args.residual_tol
+                and row.eig_residual <= args.residual_tol
+                and row.trace_rel_error <= args.trace_tol
+            ),
         )
-        ok = ok and within
-        rows.append(
-            {
-                "n": row.n,
-                "rank": row.rank,
-                "idempotency": _round12(row.idempotency),
-                "annihilation": _round12(row.annihilation),
-                "trace_error": _round12(row.trace_error),
-                "trace_rel_error": _round12(row.trace_rel_error),
-                "eig_residual": _round12(row.eig_residual),
-                "ok": within,
-            }
-        )
-    inputs = {"N": args.N, "q": args.q, "n_max": args.n_max}
-    tolerances = {"residual_tol": args.residual_tol, "trace_tol": args.trace_tol}
-    record = _record(
-        "jw-verify", inputs, tolerances=tolerances, rows=rows,
-        verdict="pass" if ok else "fail",
-    )
-    fields = [
-        "n", "rank", "idempotency", "annihilation", "trace_error",
-        "trace_rel_error", "eig_residual", "ok",
+        for row in jw_report(_param(args), args.n_max)
     ]
-    return record, rows, fields
+    return "pass" if all(r["ok"] for r in rows) else "fail", None, rows
 
 
 def _cmd_pentagon(args):
@@ -236,128 +203,55 @@ def _cmd_pentagon(args):
     defect = pentagon_defect(param, args.alpha, args.r, args.s, args.k, args.l)
     bound = float(pentagon_bound(param, args.alpha, args.r, args.k))
     ratio = defect / bound
-    verdict = "pass" if ratio <= 2 + 1e-9 else "fail"
-    result = {
-        "defect": _round12(defect),
-        "bound": _round12(bound),
-        "ratio": _round12(ratio),
-    }
-    inputs = {
-        "N": args.N, "q": args.q, "alpha": args.alpha,
-        "r": args.r, "s": args.s, "k": args.k, "l": args.l,
-    }
-    record = _record(
-        "pentagon", inputs, tolerances={"constant": 2}, result=result,
-        verdict=verdict,
-    )
-    csv_rows = [dict(result, verdict=verdict)]
-    return record, csv_rows, ["defect", "bound", "ratio", "verdict"]
+    verdict = "pass" if ratio <= args.constant + 1e-9 else "fail"
+    return verdict, _row(None, defect=defect, bound=bound, ratio=ratio), None
 
 
 def _cmd_lemma65(args):
     if args.alpha_min < 1 or args.alpha_max < args.alpha_min:
         raise ValueError("need 1 <= alpha-min <= alpha-max")
-    param = _param(args)
-    rows = []
-    ok = True
-    for est in commutator_suite(param, range(args.alpha_min, args.alpha_max + 1)):
-        ok = ok and est.passed
-        rows.append(
-            {
-                "alpha": est.alpha,
-                "k": est.k,
-                "l": est.l,
-                "weighted_defect": _round12(est.weighted_defect),
-                "reference": _round12(est.reference),
-                "ratio": _round12(est.ratio),
-                "constant": est.constant,
-                "passed": est.passed,
-            }
-        )
-    inputs = {
-        "N": args.N, "q": args.q,
-        "alpha_min": args.alpha_min, "alpha_max": args.alpha_max,
-    }
-    record = _record(
-        "lemma65", inputs, rows=rows, verdict="pass" if ok else "fail",
-    )
-    fields = [
-        "alpha", "k", "l", "weighted_defect", "reference", "ratio",
-        "constant", "passed",
+    rows = [
+        _row(est, "alpha", "k", "l", "weighted_defect", "reference", "ratio",
+             "constant", "passed")
+        for est in commutator_suite(_param(args), range(args.alpha_min, args.alpha_max + 1))
     ]
-    return record, rows, fields
-
-
-def _freeprod_row(report):
-    return {
-        "b": ";".join(str(t) for t in report.b_types),
-        "x": ";".join(str(t) for t in report.x_types),
-        "a": ";".join(str(t) for t in report.a_types),
-        "lhs_is_zero": report.lhs_is_zero,
-        "must_vanish": report.must_vanish,
-        "max_word_length": report.ledger.max_word_length,
-        "length_bound": report.ledger.bound,
-        "residual_zero": report.residual.is_zero(),
-        "passed": report.passed,
-    }
+    return "pass" if all(r["passed"] for r in rows) else "fail", None, rows
 
 
 def _cmd_freeprod(args):
-    single = args.b is not None or args.x is not None or args.a is not None
-    if single:
+    if args.b is not None or args.x is not None or args.a is not None:
+        pattern = [_parse_pattern(text) for text in (args.b, args.x, args.a)]
         reports = [
-            verify_boundary_expansion(
-                _parse_pattern(args.b),
-                _parse_pattern(args.x),
-                _parse_pattern(args.a),
-                max_x=args.max_x,
-                max_side=args.max_side,
-            )
+            verify_boundary_expansion(*pattern, max_x=args.max_x, max_side=args.max_side)
         ]
     else:
         reports = expansion_sweep(
             max_x=args.max_x, max_side=args.max_side, algebras=args.algebras
         )
-    rows = [_freeprod_row(rep) for rep in reports]
-    failures = sum(1 for rep in reports if not rep.passed)
-    inputs = {
-        "b": args.b, "x": args.x, "a": args.a,
-        "max_x": args.max_x, "max_side": args.max_side,
-        "algebras": args.algebras,
-    }
-    result = {"patterns": len(reports), "failures": failures}
-    record = _record(
-        "freeprod-verify", inputs, result=result, rows=rows,
-        verdict="pass" if failures == 0 else "fail",
-    )
-    fields = [
-        "b", "x", "a", "lhs_is_zero", "must_vanish", "max_word_length",
-        "length_bound", "residual_zero", "passed",
+    rows = [
+        _row(
+            None, b=rep.b_types, x=rep.x_types, a=rep.a_types,
+            lhs_is_zero=rep.lhs_is_zero, must_vanish=rep.must_vanish,
+            max_word_length=rep.ledger.max_word_length, length_bound=rep.ledger.bound,
+            residual_zero=rep.residual.is_zero(), passed=rep.passed,
+        )
+        for rep in reports
     ]
-    return record, rows, fields
+    failures = sum(1 for r in rows if not r["passed"])
+    result = {"patterns": len(rows), "failures": failures}
+    return "pass" if failures == 0 else "fail", result, rows
 
 
 def _cmd_amenability(args):
-    param = _param(args)
     report = amenability_criterion(
-        spectral_stream(param), args.n_max,
+        spectral_stream(_param(args)), args.n_max,
         warmup=args.warmup, threshold=args.threshold,
     )
     rows = [
-        {"checkpoint": cp, "ratio": _round12(r), "envelope": _round12(e)}
+        _row(None, checkpoint=cp, ratio=r, envelope=e)
         for cp, r, e in zip(report.checkpoints, report.ratios, report.envelope)
     ]
-    inputs = {"N": args.N, "q": args.q, "n_max": args.n_max}
-    tolerances = {"warmup": args.warmup, "threshold": args.threshold}
-    result = {
-        "liminf_estimate": _round12(report.liminf_estimate),
-        "note": report.note,
-    }
-    record = _record(
-        "amenability", inputs, tolerances=tolerances, result=result, rows=rows,
-        verdict=report.verdict,
-    )
-    return record, rows, ["checkpoint", "ratio", "envelope"]
+    return report.verdict, _row(report, "liminf_estimate", "note"), rows
 
 
 def _cmd_cesaro(args):
@@ -367,45 +261,34 @@ def _cmd_cesaro(args):
     value = cesaro_sum(func, args.k)
     limit = math.log(2.0) * slope
     error = abs(value - limit)
-    verdict = "pass" if error <= args.tol else "fail"
-    result = {
-        "poly": args.poly,
-        "k": args.k,
-        "value": _round12(value),
-        "limit": _round12(limit),
-        "abs_error": _round12(error),
-    }
-    inputs = {"poly": args.poly, "k": args.k}
-    record = _record(
-        "cesaro", inputs, tolerances={"tol": args.tol}, result=result,
-        verdict=verdict,
-    )
-    csv_rows = [dict(result, verdict=verdict)]
-    return record, csv_rows, list(result) + ["verdict"]
+    result = _row(None, poly=args.poly, k=args.k, value=value, limit=limit, abs_error=error)
+    return "pass" if error <= args.tol else "fail", result, None
 
 
 def _csv_cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.12g}"
-    if value is None:
-        return ""
     return str(value)
 
 
-def _emit(args, record, csv_rows, fields):
+def _emit(args, record):
+    """Write the record as JSON, or its rows (else result plus verdict) as CSV."""
     if args.format == "csv":
+        rows = record.get("rows") or [dict(record["result"], verdict=record["verdict"])]
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(fields)
-        for row in csv_rows:
-            writer.writerow([_csv_cell(row[f]) for f in fields])
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row.values()])
         text = buf.getvalue()
     else:
-        text = json.dumps(record, indent=2, ensure_ascii=False) + "\n"
+        # a _Wide number is written as a marked string, then unquoted
+        text = json.dumps(
+            record, indent=2, ensure_ascii=False, default=lambda w: "\0" + w.text
+        )
+        text = re.sub(r'"\\u0000([^"]*)"', r"\1", text) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -490,7 +373,7 @@ def build_parser():
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.set_defaults(handler=_cmd_pentagon)
+    p.set_defaults(handler=_cmd_pentagon, constant=2)
 
     p = sub.add_parser(
         "lemma65", help="weighted commutator-defect suite over sign pairs"
@@ -540,10 +423,10 @@ def main(argv=None):
     try:
         if args.precision_bits is not None:
             set_precision_bits(args.precision_bits)
-        record, csv_rows, fields = args.handler(args)
+        record = _record(args, *args.handler(args))
         if args.timing:
             record["wall_time_s"] = round(time.perf_counter() - start, 3)
-        _emit(args, record, csv_rows, fields)
+        _emit(args, record)
     except ResourceLimitError as exc:
         _error("resource", exc)
         return 3

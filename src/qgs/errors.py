@@ -2,7 +2,8 @@
 
 Domain violations (bad labels, out-of-range indices, malformed vectors)
 raise ValueError or a subclass; resource ceilings raise ResourceLimitError;
-numerical breakdown that survives the high-precision retry raises
+numerical breakdown (a projection whose eigenvalues fail to separate, a
+fusion overlap that is not a multiple of the identity) raises
 NumericalDegradationError carrying the worst residual seen.
 """
 
@@ -20,7 +21,7 @@ class InvalidVectorError(ValueError):
 
 
 class NumericalDegradationError(Exception):
-    """A numerical invariant failed beyond tolerance even after retry."""
+    """A numerical invariant failed beyond tolerance."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -406,6 +406,8 @@ def _canonical_pattern(b_types, x_types, a_types):
 
 def expansion_sweep(*, max_x=4, max_side=3, algebras=3):
     """Verify every type pattern up to the size limits, one per relabeling class."""
+    if min(max_x, max_side) < 0:
+        raise ValueError("max_x and max_side must be >= 0")
     labels = tuple(range(algebras))
     seen = set()
     reports = []

@@ -9,8 +9,8 @@ out on compressed coordinates: only an orthonormal basis of each image
 is kept, so a chain of n sites costs O(2^n * n^2) rather than O(4^n).
 
 All public arrays are float64 and read-only.  A failed eigenvalue
-separation during the projection build triggers one extended-precision
-rebuild; if that fails too, NumericalDegradationError is raised.
+separation during the projection build raises NumericalDegradationError
+with the worst residual.
 """
 
 from __future__ import annotations
@@ -35,18 +35,13 @@ _JW_CACHE = {}
 _ISO_CACHE = {}
 
 
-class _ChainFailure(Exception):
-    def __init__(self, residual):
-        self.residual = residual
-
-
 def _qfloat(param):
     return float(param.q_mpf())
 
 
-def _defining_vector(q, dtype=np.float64):
+def _defining_vector(q):
     root = math.sqrt(q)
-    return np.array([0.0, root, -1.0 / root, 0.0], dtype=dtype)
+    return np.array([0.0, root, -1.0 / root, 0.0])
 
 
 def _apply_pair(mat4, i, n, block):
@@ -107,54 +102,29 @@ def tl_rep(param, n):
     return TLRep(param, n, np.outer(w, w))
 
 
-def _orthonormalize(m):
-    """Two-pass modified Gram-Schmidt on the columns of m, in m's dtype."""
-    m = m.copy()
-    for j in range(m.shape[1]):
-        col = m[:, j]
-        for _ in range(2):
-            for i in range(j):
-                col = col - (m[:, i] @ col) * m[:, i]
-        nrm = np.sqrt(col @ col)
-        if nrm == 0:
-            raise _ChainFailure(np.inf)
-        m[:, j] = col / nrm
-    return m
-
-
-def _wenzl_step(param, prev, m, dtype, refine):
+def _wenzl_step(param, prev, m):
     """Image basis on m sites from the basis on m-1 sites."""
-    w = _defining_vector(_qfloat(param), dtype)
-    e4 = np.outer(w, w)
-    c = np.kron(prev, np.eye(2, dtype=dtype))
-    hit = _apply_pair(e4, m - 1, m, c)
+    w = _defining_vector(_qfloat(param))
+    c = np.kron(prev, np.eye(2))
+    hit = _apply_pair(np.outer(w, w), m - 1, m, c)
     ratio = float(q_number(m - 1, param) / q_number(m, param))
-    k = np.eye(2 * m, dtype=dtype) - ratio * (c.T @ hit)
-    k = (k + k.T) / 2
-    vals, vecs = np.linalg.eigh(k.astype(np.float64))
+    k = np.eye(2 * m) - ratio * (c.T @ hit)
+    vals, vecs = np.linalg.eigh((k + k.T) / 2)
     keep = vals > 0.5
-    if int(keep.sum()) != m + 1:
-        raise _ChainFailure(float(np.max(np.abs(vals - np.round(vals)))))
-    if not refine:
-        residual = float(np.max(np.abs(vals - np.round(vals))))
-        if residual > _EIG_TOL:
-            raise _ChainFailure(residual)
-        return c @ vecs[:, keep], residual
-    # one step of subspace iteration in extended precision, then re-orthonormalize
-    v = _orthonormalize(k @ vecs[:, keep].astype(dtype))
-    gram = v.T @ (k @ v)
-    residual = float(np.max(np.abs(gram - np.eye(m + 1, dtype=dtype))))
-    if residual > _EIG_TOL:
-        raise _ChainFailure(residual)
-    return c @ v, residual
+    residual = float(np.max(np.abs(vals - np.round(vals))))
+    if int(keep.sum()) != m + 1 or residual > _EIG_TOL:
+        raise NumericalDegradationError(
+            "projection eigenvalues failed to separate", residual=residual
+        )
+    return c @ vecs[:, keep], residual
 
 
-def _wenzl_chain(param, n, dtype, refine):
-    bases = [np.ones((1, 1), dtype=dtype), np.eye(2, dtype=dtype)]
+def _wenzl_chain(param, n):
+    bases = [np.ones((1, 1)), np.eye(2)]
     residuals = [0.0, 0.0]
     worst = 0.0
     for m in range(2, n + 1):
-        nxt, residual = _wenzl_step(param, bases[m - 1], m, dtype, refine)
+        nxt, residual = _wenzl_step(param, bases[m - 1], m)
         worst = max(worst, residual)
         bases.append(nxt)
         residuals.append(worst)
@@ -194,16 +164,7 @@ def jones_wenzl(param, n):
     hit = _JW_CACHE.get(key)
     if hit is not None:
         return hit
-    try:
-        bases, residuals = _wenzl_chain(param, n, np.float64, refine=False)
-    except _ChainFailure:
-        try:
-            bases, residuals = _wenzl_chain(param, n, np.longdouble, refine=True)
-            bases = [b.astype(np.float64) for b in bases]
-        except _ChainFailure as fail:
-            raise NumericalDegradationError(
-                "projection eigenvalues failed to separate", residual=fail.residual
-            ) from None
+    bases, residuals = _wenzl_chain(param, n)
     for m, basis in enumerate(bases):
         basis.setflags(write=False)
         _JW_CACHE.setdefault((param, m), JWProjection(param, m, basis, residuals[m]))

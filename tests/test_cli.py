@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from qgs import QParameter, templieb
 from qgs.cli import main
+from qgs.errors import NumericalDegradationError
 
 
 def run_cli(capsys, *argv):
@@ -350,6 +354,10 @@ def test_timing_flag_adds_wall_time(capsys):
         ("spectrum", "--N", "2", "--q", "1/10" + "0" * 400, "--alpha-max", "10"),
         ("hs-cert", "--N", "3", "--q", "0.25", "--t", "nan", "--alpha-max", "40"),
         ("hs-cert", "--N", "3", "--q", "0.25", "--t", "inf", "--alpha-max", "40"),
+        ("fusion", "--N", "2", "--q", "0.5", "--alpha-max", "-1"),
+        ("fusion", "--N", "2", "--q", "0.5", "--alpha-max", "-1", "--format", "csv"),
+        ("freeprod-verify", "--max-x", "-1", "--format", "csv"),
+        ("freeprod-verify", "--max-side", "-1"),
     ],
 )
 def test_out_of_range_inputs_are_usage_errors(capsys, argv):
@@ -369,3 +377,100 @@ def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert out == ""
     assert json.loads(err)["error"]["type"] == "usage"
     assert not target.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _qint(q, n):
+    """Exact [n]_q for rational q."""
+    return (q ** -n - q ** n) / (q ** -1 - q)
+
+
+def _rel_error(text, exact):
+    return abs(Fraction(Decimal(text)) / exact - 1)
+
+
+def test_numbers_beyond_double_range_stay_strict_json(capsys):
+    # [751]_0.2 is about 1.758863024018e+524: no Infinity, no traceback
+    code, out, _ = run_cli(capsys, "spectrum", "--N", "2", "--q", "0.2", "--alpha-max", "750")
+    assert code == 0
+    assert '"qdim": 1.75886302402e+524' in out
+    json.loads(out, parse_constant=_reject_constant)
+    # the exact route: [701]_(1/7) and [321]_(1/7) [401]_(1/7)
+    q = Fraction(1, 7)
+    code, out, _ = run_cli(capsys, "spectrum", "--N", "5", "--q", "1/7", "--alpha-max", "700")
+    assert code == 0
+    row = json.loads(out, parse_constant=_reject_constant, parse_float=str)["rows"][-1]
+    assert _rel_error(row["qdim"], _qint(q, 701)) < 1e-11
+    code, out, _ = run_cli(
+        capsys, "fusion", "--N", "2", "--q", "1/7", "--alpha", "320", "--beta", "400",
+    )
+    assert code == 0
+    row = json.loads(out, parse_constant=_reject_constant, parse_float=str)["rows"][0]
+    product = _qint(q, 321) * _qint(q, 401)
+    assert _rel_error(row["qdim_product"], product) < 1e-11
+    assert _rel_error(row["qdim_sum"], product) < 1e-11
+
+
+def test_numbers_beyond_double_range_in_csv(capsys):
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--N", "2", "--q", "0.2", "--alpha-max", "750", "--format", "csv",
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert rows[-1][header.index("qdim")] == "1.75886302402e+524"
+    code, out, _ = run_cli(
+        capsys, "fusion", "--N", "2", "--q", "1/7", "--alpha", "320", "--beta", "400",
+        "--format", "csv",
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    product = _qint(Fraction(1, 7), 321) * _qint(Fraction(1, 7), 401)
+    assert _rel_error(rows[0][header.index("qdim_product")], product) < 1e-11
+
+
+def test_failed_projection_separation_is_a_numerical_error(capsys, monkeypatch):
+    # no tolerance can be met below zero, so the first Wenzl step must fail
+    monkeypatch.setattr(templieb, "_EIG_TOL", -1.0)
+    monkeypatch.setattr(templieb, "_JW_CACHE", {})
+    with pytest.raises(NumericalDegradationError) as exc:
+        templieb.jones_wenzl(QParameter(Fraction(1, 2), 2), 3)
+    assert exc.value.residual >= 0
+    code, out, err = run_cli(capsys, "jw-verify", "--q", "0.5", "--n-max", "4")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "numerical"
+    assert "separate" in error["message"]
+
+
+SUITES = [
+    ("spectrum", "--N", "2", "--q", "0.5", "--alpha-max", "4"),
+    ("fusion", "--N", "2", "--q", "1/2", "--alpha-max", "2"),
+    ("hs-cert", "--N", "3", "--q", "0.25", "--t", "0", "--alpha-max", "30"),
+    ("gap-scan", "--N", "2", "--q", "0.5", "--alpha-max", "12", "--gamma-max", "2"),
+    ("jw-verify", "--q", "0.5", "--n-max", "3"),
+    ("pentagon", "--q", "0.5", "--alpha", "2", "--r", "1", "--s", "1", "--k", "1", "--l", "1"),
+    ("lemma65", "--q", "0.5", "--alpha-min", "1", "--alpha-max", "2"),
+    ("freeprod-verify", "--max-x", "1", "--max-side", "1", "--algebras", "2"),
+    ("amenability", "--N", "2", "--q", "1", "--n-max", "1000"),
+    ("cesaro", "--poly", "x", "--k", "100"),
+]
+
+
+@pytest.mark.parametrize("argv", SUITES, ids=[argv[0] for argv in SUITES])
+def test_csv_header_matches_json_record(capsys, argv):
+    # one record feeds both formats: the CSV header is the keys of the first
+    # JSON row, or of the result plus the verdict when there are no rows
+    _, out, _ = run_cli(capsys, *argv)
+    record = json.loads(out)
+    _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    header, rows = parse_csv(out)
+    if "rows" in record:
+        assert header == list(record["rows"][0])
+        assert len(rows) == len(record["rows"])
+    else:
+        assert header == list(record["result"]) + ["verdict"]
+        assert len(rows) == 1
