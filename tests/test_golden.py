@@ -11,7 +11,10 @@ mpmath recurrence, those of q = 1/12, 6/11 and 11/12 by the closed form in
 Fractions.  Every other record was written by the CLI before its handlers
 shared one record builder, except those for numbers beyond the double range
 and for negative grid sizes, which were rewritten when those stopped ending
-in ``Infinity``, a traceback or an empty pass.  Records are compared byte for byte, except
+in ``Infinity``, a traceback or an empty pass, and those at 256 bits for
+amenability at q = 0.381966 and fusion at q = 0.2, which were written
+before the Chebyshev recurrence moved into one generator.  Records are
+compared byte for byte, except
 those of ``jw-verify``, ``pentagon`` and ``lemma65``: their residuals near
 1e-15 depend on the BLAS build, so there keys, key order, the CSV header,
 ints, bools, strings, the verdict and the exit code must match exactly and
@@ -199,6 +202,25 @@ CASES = {
     ),
     "amenability_q1-3_N3_csv": (
         ["amenability", "--N", "3", "--q", "1/3", "--n-max", "20000", "--format", "csv"], 1,
+    ),
+    # raised precision: spectral_stream's per-label precision and the qdim column of dims
+    "amenability_q0.381966_N3_1e6_bits256": (
+        ["amenability", "--N", "3", "--q", "0.381966", "--n-max", "1000000",
+         "--precision-bits", "256"],
+        1,
+    ),
+    "amenability_q0.381966_N3_1e6_bits256_csv": (
+        ["amenability", "--N", "3", "--q", "0.381966", "--n-max", "1000000",
+         "--precision-bits", "256", "--format", "csv"],
+        1,
+    ),
+    "fusion_q0.2_N3_8_bits256": (
+        ["fusion", "--N", "3", "--q", "0.2", "--alpha-max", "8", "--precision-bits", "256"], 0,
+    ),
+    "fusion_q0.2_N3_8_bits256_csv": (
+        ["fusion", "--N", "3", "--q", "0.2", "--alpha-max", "8", "--precision-bits", "256",
+         "--format", "csv"],
+        0,
     ),
     "cesaro_x": (["cesaro", "--poly", "x", "--k", "20000"], 0),
     "cesaro_exp2x_csv": (["cesaro", "--poly", "exp2x", "--k", "1000", "--format", "csv"], 0),
