@@ -3,10 +3,12 @@
 The family is pinned by U_0 = 1, U_1 = x and the three-term recursion
 x*U_a = U_{a-1} + U_{a+1}.  Values at x = q + 1/q feed every eigenvalue and
 quantum dimension downstream, so two evaluation routes coexist: exact integer
-coefficients for structural identities, and a value-domain two-term
-recurrence (exact on rational inputs, mpmath otherwise) that is O(degree)
-and stable for x >= 2.  Large-degree evaluation must never expand
-coefficients.
+coefficients for structural identities, and a value-domain recurrence (exact
+on rational inputs, mpmath otherwise) that is O(degree) and stable for
+x >= 2.  The recurrence is written once: ``_values`` yields U_0(x), U_1(x),
+... and ``_pairs`` adds the exact derivatives; every value, derivative,
+q-number, dimension table and spectral stream reads one of the two.
+Large-degree evaluation must never expand coefficients.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 
@@ -50,12 +53,6 @@ class ChebyshevPoly:
     def derivative_coeffs(self):
         return tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
 
-    def derivative_value(self, x):
-        acc = 0 * x
-        for c in reversed(self.derivative_coeffs()):
-            acc = acc * x + c
-        return acc
-
 
 _COEFF_CACHE = [(1,), (0, 1)]
 
@@ -74,37 +71,36 @@ def build_poly(alpha):
     return ChebyshevPoly(alpha, _COEFF_CACHE[alpha])
 
 
+def _values(x):
+    """Yield U_0(x), U_1(x), ... in the arithmetic of x, each step at the
+    precision in force when the next value is asked for."""
+    prev, cur = 0 * x, x ** 0
+    while True:
+        yield cur
+        prev, cur = cur, x * cur - prev
+
+
+def _pairs(x):
+    """Yield (U_a(x), U_a'(x)) for a = 0, 1, ...: differentiating the recursion
+    gives u'_{a+1} = u_a + x*u'_a - u'_{a-1}, exact, never a finite difference."""
+    du_prev = du = 0 * x
+    for u in _values(x):
+        yield u, du
+        du_prev, du = du, u + x * du - du_prev
+
+
 def poly_value(alpha, x):
-    """U_alpha(x) by the two-term recurrence in the arithmetic of x."""
+    """U_alpha(x) by the recurrence in the arithmetic of x."""
     if alpha < 0:
         raise ValueError("degree must be a natural number")
-    one = x ** 0
-    if alpha == 0:
-        return one
-    prev, cur = one, x
-    for _ in range(alpha - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
+    return next(islice(_values(x), alpha, None))
 
 
 def poly_value_and_derivative(alpha, x):
-    """(U_alpha(x), U_alpha'(x)) by the simultaneous recurrence.
-
-    Differentiating the exact recursion gives u'_{k+1} = u_k + x*u'_k -
-    u'_{k-1}; this is exact differentiation of the coefficient polynomial,
-    not a finite difference.
-    """
+    """(U_alpha(x), U_alpha'(x)) by the simultaneous recurrence."""
     if alpha < 0:
         raise ValueError("degree must be a natural number")
-    one = x ** 0
-    zero = 0 * x
-    if alpha == 0:
-        return one, zero
-    u_prev, u = one, x
-    du_prev, du = zero, one
-    for _ in range(alpha - 1):
-        u_prev, u, du_prev, du = u, x * u - u_prev, du, u + x * du - du_prev
-    return u, du
+    return next(islice(_pairs(x), alpha, None))
 
 
 def poly_derivative(alpha, x):
@@ -211,7 +207,5 @@ def q_number(n, param):
     nq = param.nq
     if n == 0:
         return 0 * nq
-    if isinstance(nq, Fraction):
-        return poly_value(n - 1, nq)
     with working_precision():
         return poly_value(n - 1, nq)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import index
 
 import mpmath
 
-from .chebyshev import QParameter
+from .chebyshev import QParameter, _values
 from .precision import precision_bits, working_precision
 
 
@@ -60,15 +61,10 @@ def dims(param: QParameter, alpha_max: int) -> DimensionTable:
 def _dims(param, alpha_max, bits):
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
-    n = [1, param.N]
-    while len(n) <= alpha_max:
-        n.append(param.N * n[-1] - n[-2])
+    n = tuple(islice(_values(param.N), alpha_max + 1))
     with working_precision(bits):
-        nq = param.nq
-        qdim = [nq ** 0, nq]
-        while len(qdim) <= alpha_max:
-            qdim.append(nq * qdim[-1] - qdim[-2])
-    return DimensionTable(param, tuple(n[: alpha_max + 1]), tuple(qdim[: alpha_max + 1]))
+        qdim = tuple(islice(_values(param.nq), alpha_max + 1))
+    return DimensionTable(param, n, qdim)
 
 
 # callers that inspect the table cache (perfbench/tracer.py) ask dims for it

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from operator import index
 from typing import Callable, Iterable, Iterator, Mapping
 
 import mpmath
 
-from .chebyshev import QParameter, poly_value, poly_value_and_derivative
+from .chebyshev import QParameter, _pairs, _values, poly_value, poly_value_and_derivative
 from .errors import DegenerateRegimeError, InvalidVectorError
 from .fusion import dims
 from .precision import to_mpf, working_precision
@@ -115,25 +115,15 @@ class SpectralDatum:
 def spectral_stream(param: QParameter) -> Iterator[SpectralDatum]:
     """Yield SpectralDatum for alpha = 0, 1, 2, ... indefinitely.
 
-    Runs the value and derivative recurrences incrementally, so each step
+    Reads the value and derivative recurrences incrementally, so each step
     costs O(1) arithmetic operations.
     """
-    with working_precision():
-        nq = param.nq
-        one = nq ** 0
-    zero = 0 * one
-    u_prev, u = zero, one
-    du_prev, du = zero, zero
-    n_prev, n = 0, 1
-    alpha = 0
-    while True:
+    steps = zip(_pairs(param.nq), _values(param.N))
+    for alpha in count():
         with working_precision():
+            (u, du), n = next(steps)
             delta = du / u
         yield SpectralDatum(alpha, delta, n, n * n)
-        with working_precision():
-            u_prev, u, du_prev, du = u, nq * u - u_prev, du, u + nq * du - du_prev
-        n_prev, n = n, param.N * n - n_prev
-        alpha += 1
 
 
 def spectral_data(param: QParameter, alpha_max: int) -> list[SpectralDatum]:
