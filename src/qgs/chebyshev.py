@@ -205,7 +205,5 @@ def q_number(n, param):
     if n < 0:
         raise ValueError("q-number index must be a natural number")
     nq = param.nq
-    if n == 0:
-        return 0 * nq
     with working_precision():
-        return poly_value(n - 1, nq)
+        return poly_value(n - 1, nq) if n else 0 * nq

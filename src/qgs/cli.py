@@ -144,6 +144,8 @@ def _cmd_fusion(args):
         cells = [(args.alpha, args.beta)]
     elif args.alpha_max < 0:
         raise ValueError("--alpha-max must be >= 0")
+    elif args.alpha_max > 200:  # the grid's cost grows like alpha_max^3
+        raise ResourceLimitError(f"a fusion grid of --alpha-max {args.alpha_max} exceeds 200")
     else:
         top = args.alpha_max + 1
         cells = [(a, b) for a in range(top) for b in range(a, top)]

@@ -39,6 +39,10 @@ def _check_labels(alpha, beta, gamma):
     return alpha, beta, gamma
 
 
+def _beyond_double(a, b, g):
+    return ValueError(f"the gap ratio at cell ({a}, {b}, {g}) is beyond the double range")
+
+
 class _UnitCells:
     """Gap cells at q = 1: every power of q is 1, so the bound vanishes, and
     the eigenvalues from their recurrence stand in for r."""
@@ -106,7 +110,10 @@ class _ExactCells:
             return 0.0
         rnum, rden = self._rhs(a, b, g)
         cn, cd = self.c
-        return abs(num) * (cn * rden) / (den * (cd * rnum))
+        try:
+            return abs(num) * (cn * rden) / (den * (cd * rnum))
+        except OverflowError:
+            raise _beyond_double(a, b, g) from None
 
     def gap(self, a, b, g):
         num, den = self._lhs(a, b, g)
@@ -166,13 +173,15 @@ class _FloatCells:
         lhs, rhs, lo, m = self.sides(a, b, g)
         if lhs == 0:
             return 0.0
-        if rhs == 0:
-            return math.inf
-        p = self.pw[abs(lo - m)]
+        p = self.pw[abs(lo - m)]  # rhs > 0: its term of exponent m has a nonzero factor
         if p >= sys.float_info.min:
-            return lhs * p / rhs if lo >= m else lhs / rhs / p
-        with working_precision():  # q^(2(lo - m)) is outside the normal float range
-            return float(mpmath.mpf(lhs) / rhs * mpmath.mpf(self.q) ** (2 * (lo - m)))
+            ratio = lhs * p / rhs if lo >= m else lhs / rhs / p
+        else:
+            with working_precision():  # q^(2(lo - m)) is outside the normal float range
+                ratio = float(mpmath.mpf(lhs) / rhs * mpmath.mpf(self.q) ** (2 * (lo - m)))
+        if math.isinf(ratio):
+            raise _beyond_double(a, b, g)
+        return ratio
 
     def gap(self, a, b, g):
         lhs, rhs, lo, m = self.sides(a, b, g)
@@ -197,6 +206,7 @@ class GapEvaluation:
     infinity when only the bound side does (which happens at q = 1, where
     every power of q collapses to 1).  At decimal q < 1 ``ratio`` is a
     float, and lhs and rhs are mpf, so they neither underflow nor overflow.
+    A ratio at q < 1 that is not a finite float raises ValueError.
     """
 
     alpha: int

@@ -17,7 +17,10 @@ from operator import index
 import mpmath
 
 from .chebyshev import QParameter, _values
+from .errors import ResourceLimitError
 from .precision import precision_bits, working_precision
+
+MAX_LABELS = 20_000  # per dimension table or spectral probe; 10^4 labels take seconds
 
 
 def fuse(alpha: int, beta: int) -> list[int]:
@@ -53,8 +56,11 @@ class DimensionTable:
 def dims(param: QParameter, alpha_max: int) -> DimensionTable:
     """Build the dimension table for labels 0..alpha_max; cached, and for
     floating q keyed on the working precision too."""
+    alpha_max = index(alpha_max)
+    if alpha_max >= MAX_LABELS:
+        raise ResourceLimitError(f"labels 0..{alpha_max} exceed {MAX_LABELS} labels")
     bits = None if isinstance(param.q, Fraction) else precision_bits()
-    return _dims(param, index(alpha_max), bits)
+    return _dims(param, alpha_max, bits)
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 import mpmath
 
 from .chebyshev import QParameter, _pairs, _values, poly_value, poly_value_and_derivative
-from .errors import DegenerateRegimeError, InvalidVectorError
-from .fusion import dims
+from .errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
+from .fusion import MAX_LABELS, dims
 from .precision import to_mpf, working_precision
 
 
@@ -249,8 +249,8 @@ def amenability_criterion(
     """Probe whether lambda_n / log(n) diverges along the given spectrum.
 
     ``spectrum`` yields eigenvalues in ascending order with multiplicities;
-    it must cover at least n_max eigenvalues.  Checkpoints double from the
-    warm-up index up to n_max.
+    it must cover at least n_max eigenvalues within MAX_LABELS labels.
+    Checkpoints double from the warm-up index up to n_max.
     """
     n_max = index(n_max)
     if n_max < 10:
@@ -264,7 +264,7 @@ def amenability_criterion(
     if checkpoints[-1] != n_max:
         checkpoints.append(n_max)
 
-    it = iter(spectrum)
+    it = enumerate(spectrum, 1)
     covered = 0
     current = None
     last_delta = None
@@ -272,11 +272,13 @@ def amenability_criterion(
     for cp in checkpoints:
         while covered < cp:
             try:
-                current = next(it)
+                labels, current = next(it)
             except StopIteration:
                 raise ValueError(
                     f"spectrum exhausted after {covered} eigenvalues, need {cp}"
                 ) from None
+            if labels > MAX_LABELS:
+                raise ResourceLimitError(f"n_max = {n_max} needs over {MAX_LABELS} labels")
             d = float(current.delta)
             if last_delta is not None and d < last_delta:
                 raise ValueError("spectrum must be sorted ascending")

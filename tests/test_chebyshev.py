@@ -97,6 +97,22 @@ def test_value_and_derivative_pair_consistency():
         assert du == poly_derivative(a, 2.7)
 
 
+def horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_value_and_derivative_match_coefficients_exactly():
+    # Horner on the exact coefficient vectors is a route apart from the recurrence
+    for x in (Fraction(5, 2), Fraction(7, 3)):
+        for a in range(41):
+            p = build_poly(a)
+            want = (horner(p.coeffs, x), horner(p.derivative_coeffs(), x))
+            assert poly_value_and_derivative(a, x) == want
+
+
 def test_derivative_coeffs_exact():
     p = build_poly(3)
     assert p.derivative_coeffs() == (-2, 0, 3)

@@ -186,6 +186,19 @@ def test_gap_scan_at_q_one_is_usage_error(capsys, q):
     assert "q = 1" in error["message"]
 
 
+@pytest.mark.parametrize("q", ["1e-70", "1/1" + "0" * 70])
+def test_gap_ratio_beyond_double_range_is_usage_error(capsys, q):
+    # the sup ratio is about q^-5 / 6, which no finite float holds
+    code, out, err = run_cli(
+        capsys, "gap-scan", "--N", "2", "--q", q, "--alpha-max", "10", "--gamma-max", "4",
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage"
+    assert "(0, 8, 4)" in error["message"]
+
+
 def test_pentagon_documented_point(capsys):
     code, out, _ = run_cli(
         capsys, "pentagon", "--q", "0.5", "--alpha", "3", "--r", "1",
@@ -237,6 +250,27 @@ def test_lemma65_suite(capsys):
     assert len(payload["rows"]) == 12
     complementary = [r for r in payload["rows"] if r["k"] == -1 and r["l"] == -1]
     assert complementary and all(r["constant"] == 6 for r in complementary)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # dims: labels 0..alpha_max must number at most MAX_LABELS
+        ("spectrum", "--N", "2", "--q", "0.5", "--alpha-max", "100000000"),
+        ("spectrum", "--N", "2", "--q", "0.5", "--alpha-max", "20000"),
+        ("fusion", "--N", "2", "--q", "1/2", "--alpha", "10000", "--beta", "10000"),
+        ("hs-cert", "--N", "3", "--q", "0.25", "--t", "0", "--alpha-max", "20000"),
+        # the fusion grid, whose cost grows like alpha_max^3
+        ("fusion", "--N", "2", "--q", "0.5", "--alpha-max", "201"),
+        # the labels amenability draws: about 6.7e6 for 10^20 eigenvalues at N = 2
+        ("amenability", "--N", "2", "--q", "0.5", "--n-max", "1" + "0" * 20),
+    ],
+)
+def test_cost_ceilings_are_resource_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "resource"
 
 
 def test_freeprod_single_pattern(capsys):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgs.chebyshev import QParameter
+from qgs.chebyshev import QParameter, build_poly
 from qgs.errors import DegenerateRegimeError, InvalidVectorError
 from qgs.fusion import dims
 from qgs.spectrum import (
@@ -242,14 +242,31 @@ def test_spectral_data_table():
     assert all(y > x for x, y in zip(deltas, deltas[1:]))
 
 
+def closed_form_eigenvalue(q, alpha):
+    """delta_alpha = (alpha+1)L - C + r_alpha, exact for rational q < 1."""
+    u = q * q
+    big_l = q / (1 - u)
+    big_c = q * (1 + u) / (1 - u) ** 2
+    r = 2 * (alpha + 1) * q ** (2 * alpha + 3) / ((1 - u) * (1 - u ** (alpha + 1)))
+    return (alpha + 1) * big_l - big_c + r
+
+
 def test_spectral_stream_matches_table():
-    p = QParameter(0.5, 2)
-    stream = spectral_stream(p)
-    head = [next(stream) for _ in range(8)]
-    assert [d.alpha for d in head] == list(range(8))
-    for d, ref in zip(head, spectral_data(p, 7)):
-        assert d.n == ref.n
-        assert abs(float(d.delta) - float(ref.delta)) <= 1e-12 * max(1.0, float(ref.delta))
+    # oracles that share no code with the stream: the closed form of delta
+    # for q < 1, alpha(alpha+2)/6 at q = 1, and n = U_alpha(N) by coefficients
+    cases = (
+        (Fraction(1, 2), 2, closed_form_eigenvalue),
+        (Fraction(2, 7), 3, closed_form_eigenvalue),
+        (Fraction(1), 2, lambda q, a: Fraction(a * (a + 2), 6)),
+    )
+    for q, N, oracle in cases:
+        stream = spectral_stream(QParameter(q, N))
+        for alpha in range(61):
+            d = next(stream)
+            assert d.alpha == alpha
+            assert d.delta == oracle(q, alpha)
+            assert d.n == build_poly(alpha).value(N)
+            assert d.multiplicity == d.n ** 2
 
 
 def test_spectral_rows_shape():
