@@ -169,24 +169,26 @@ class _FloatCells:
         rhs = s * pw[e1 - m] * om[abs(a - b)] + (b * pw[e2 - m] + a * pw[e3 - m]) * om[s]
         return lhs, rhs, lo, m
 
-    def ratio(self, a, b, g):
-        lhs, rhs, lo, m = self.sides(a, b, g)
+    def _ratio(self, lhs, rhs, lo, m):
+        """lhs/rhs of one cell's sides; inf beyond the double range."""
         if lhs == 0:
             return 0.0
         p = self.pw[abs(lo - m)]  # rhs > 0: its term of exponent m has a nonzero factor
         if p >= sys.float_info.min:
-            ratio = lhs * p / rhs if lo >= m else lhs / rhs / p
-        else:
-            with working_precision():  # q^(2(lo - m)) is outside the normal float range
-                ratio = float(mpmath.mpf(lhs) / rhs * mpmath.mpf(self.q) ** (2 * (lo - m)))
+            return lhs * p / rhs if lo >= m else lhs / rhs / p
+        with working_precision():  # q^(2(lo - m)) is outside the normal float range
+            return float(mpmath.mpf(lhs) / rhs * mpmath.mpf(self.q) ** (2 * (lo - m)))
+
+    def ratio(self, a, b, g):
+        ratio = self._ratio(*self.sides(a, b, g))
         if math.isinf(ratio):
             raise _beyond_double(a, b, g)
         return ratio
 
     def gap(self, a, b, g):
-        lhs, rhs, lo, m = self.sides(a, b, g)
+        lhs, rhs, lo, m = sides = self.sides(a, b, g)
         q = mpmath.mpf(self.q)
-        return lhs * q ** (2 * lo), rhs * q ** (2 * m), self.ratio(a, b, g)
+        return lhs * q ** (2 * lo), rhs * q ** (2 * m), self._ratio(*sides)
 
 
 def _cells(param, top):
@@ -202,11 +204,10 @@ def _cells(param, top):
 class GapEvaluation:
     """One evaluation of the second-difference gap functional.
 
-    ``ratio`` is lhs/rhs, defined as 0 when both sides vanish and as
-    infinity when only the bound side does (which happens at q = 1, where
-    every power of q collapses to 1).  At decimal q < 1 ``ratio`` is a
-    float, and lhs and rhs are mpf, so they neither underflow nor overflow.
-    A ratio at q < 1 that is not a finite float raises ValueError.
+    ``ratio`` is lhs/rhs: 0 when both sides vanish, infinity when only the
+    bound side does (at q = 1, where every power of q collapses to 1) and,
+    at decimal q < 1, beyond the double range; there it is a float while lhs
+    and rhs are mpf, so they neither underflow nor overflow.
     """
 
     alpha: int
@@ -247,8 +248,8 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
     which the functional arises downstream).  Stability compares the
     supremum over alpha in [alpha_max/2, alpha_max] with the one over
     [alpha_max/4, alpha_max/2): agreement within 10% is the finite-grid
-    evidence that the ratio stays bounded.  q must be below 1: at q = 1 the
-    bound vanishes and there is nothing to scan.
+    evidence that the ratio stays bounded.  q must be below 1 (at q = 1 the
+    bound vanishes), and a cell ratio beyond the double range is a ValueError.
     """
     alpha_max, gamma_max = index(alpha_max), index(gamma_max)
     if alpha_max < 10:

@@ -121,7 +121,7 @@ def spectral_stream(param: QParameter) -> Iterator[SpectralDatum]:
     steps = zip(_pairs(param.nq), _values(param.N))
     for alpha in count():
         with working_precision():
-            (u, du), n = next(steps)
+            (u, du), n = next(steps)  # the generators step at this precision
             delta = du / u
         yield SpectralDatum(alpha, delta, n, n * n)
 

@@ -178,6 +178,15 @@ def test_gap_scan_float_tiny_q_matches_exact(q):
         assert getattr(approx, field) == pytest.approx(getattr(exact, field), rel=1e-13)
 
 
+@pytest.mark.parametrize("q", [1e-70, Fraction(1, 10**70)])
+def test_gap_ratio_beyond_double_range(q):
+    # the ratio at (0, 8, 4) is near q^-5/6: gap reports it, a scan refuses it
+    param = QParameter(q, 2)
+    assert gap(param, 0, 8, 4).ratio > 1.7e308
+    with pytest.raises(ValueError, match=r"\(0, 8, 4\)"):
+        gap_constant_scan(param, 10, 4)
+
+
 def test_gap_zero_shift_vanishes():
     p = QParameter(Fraction(1, 2), 2)
     ev = gap(p, 7, 4, 0)
