@@ -256,7 +256,6 @@ def test_lemma65_suite(capsys):
     "argv",
     [
         # dims: labels 0..alpha_max must number at most MAX_LABELS
-        ("spectrum", "--N", "2", "--q", "0.5", "--alpha-max", "100000000"),
         ("spectrum", "--N", "2", "--q", "0.5", "--alpha-max", "20000"),
         ("fusion", "--N", "2", "--q", "1/2", "--alpha", "10000", "--beta", "10000"),
         ("hs-cert", "--N", "3", "--q", "0.25", "--t", "0", "--alpha-max", "20000"),
