@@ -6,7 +6,7 @@ from .estimates import gap, gap_constant_scan, hs_certificate, hs_coefficient, r
 from .freewords import Expression, Letter, PhiSymbol, apply_generator, atom, circle, expansion_sweep, gradient_commutator, hs_propagation_bound, multiply, reduce_product, star, verify_boundary_expansion, word
 from .fusion import dims, fuse, fusion_check, growth_rate
 from .precision import precision_bits, set_precision_bits, working_precision
-from .spectrum import amenability_criterion, cesaro_sum, dirichlet_form, eigenvalue, gap_limit, gradient_norm, multiplier, resolvent_coeff, semigroup_coeff, semigroup_rate, spectral_data, spectral_rows, spectral_stream
+from .spectrum import amenability_criterion, cesaro_sum, dirichlet_form, eigenvalue, gap_limit, multiplier, resolvent_coeff, semigroup_coeff, semigroup_rate, spectral_data, spectral_rows, spectral_stream
 from .templieb import commutator_estimate, commutator_suite, fusion_isometry, jones_wenzl, jw_report, pentagon_bound, pentagon_defect, tl_rep, weight_matrix
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "dirichlet_form",
     "eigenvalue",
     "gap_limit",
-    "gradient_norm",
     "multiplier",
     "resolvent_coeff",
     "semigroup_coeff",

@@ -187,11 +187,10 @@ def _cmd_jw_verify(args):
     rows = [
         _row(
             row, "n", "rank", "idempotency", "annihilation", "trace_error",
-            "trace_rel_error", "eig_residual",
+            "trace_rel_error",
             ok=(
                 row.idempotency <= args.residual_tol
                 and row.annihilation <= args.residual_tol
-                and row.eig_residual <= args.residual_tol
                 and row.trace_rel_error <= args.trace_tol
             ),
         )

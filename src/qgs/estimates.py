@@ -197,7 +197,13 @@ def _cells(param, top):
         return _UnitCells(param, top)
     if isinstance(param.q, Fraction):
         return _ExactCells(param.q, top)
-    return _FloatCells(float(param.q), top)
+    q = float(param.q)
+    if q == 1.0:
+        raise ValueError(
+            "this decimal q < 1 rounds to 1.0 as a double, where the float "
+            "gap cells would divide by 1 - q^2 = 0; give q as a fraction"
+        )
+    return _FloatCells(q, top)
 
 
 @dataclass(frozen=True)

@@ -189,12 +189,6 @@ def dirichlet_form(param: QParameter, vector: Mapping):
     return total
 
 
-def gradient_norm(param: QParameter, vector: Mapping):
-    """Squared derivation norm of the associated multiplier; coincides with
-    the Dirichlet form by construction."""
-    return dirichlet_form(param, vector)
-
-
 @dataclass(frozen=True)
 class ResolventCoeff:
     """Resolvent and regularized-generator coefficients at one label."""

@@ -3,14 +3,19 @@
 The loop parameter is d = q + 1/q.  Each generator acts on a pair of
 adjacent sites as the rank-one operator |w><w| for the defining vector
 w = sqrt(q)|01> - (1/sqrt(q))|10>, with site 1 stored in the most
-significant bit.  Top-label projections are built by the one-step
-recursion p_{n} = p_{n-1} - ([n-1]/[n]) p_{n-1} e_{n-1} p_{n-1} carried
-out on compressed coordinates: only an orthonormal basis of each image
-is kept, so a chain of n sites costs O(2^n * n^2) rather than O(4^n).
+significant bit.  Every generator keeps the weight of a basis word (its
+number of 1s), so the image of the top-label projection p_n holds exactly
+one unit vector per weight k = 0..n: the q-Dicke vector v_k(w) ~ q^(-inv(w)),
+inv(w) the number of pairs i < j with w_i = 0 and w_j = 1.  These are the
+weight vectors of the spin-n/2 module of U_q(sl_2) (Frenkel-Khovanov, Duke
+Math. J. 1997); they are written down directly from the inversion counts
+in O(2^n * n), with no eigenvalue problem.  Only this orthonormal image
+basis is kept, so isometries and bracketings on n sites cost
+O(2^n * n^2) rather than O(4^n).
 
-All public arrays are float64 and read-only.  A failed eigenvalue
-separation during the projection build raises NumericalDegradationError
-with the worst residual.
+All public arrays are float64 and read-only.  A fusion overlap that is not
+a scalar multiple of the identity raises NumericalDegradationError with
+its residual.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .fusion import fuse
 MAX_STRANDS = 14
 DENSE_LIMIT = 12
 
-_EIG_TOL = 1e-9
 _GRAM_TOL = 1e-8
 
 _JW_CACHE = {}
@@ -102,44 +106,37 @@ def tl_rep(param, n):
     return TLRep(param, n, np.outer(w, w))
 
 
-def _wenzl_step(param, prev, m):
-    """Image basis on m sites from the basis on m-1 sites."""
-    w = _defining_vector(_qfloat(param))
-    c = np.kron(prev, np.eye(2))
-    hit = _apply_pair(np.outer(w, w), m - 1, m, c)
-    ratio = float(q_number(m - 1, param) / q_number(m, param))
-    k = np.eye(2 * m) - ratio * (c.T @ hit)
-    vals, vecs = np.linalg.eigh((k + k.T) / 2)
-    keep = vals > 0.5
-    residual = float(np.max(np.abs(vals - np.round(vals))))
-    if int(keep.sum()) != m + 1 or residual > _EIG_TOL:
-        raise NumericalDegradationError(
-            "projection eigenvalues failed to separate", residual=residual
-        )
-    return c @ vecs[:, keep], residual
+def _dicke_basis(q, n):
+    """Unit q-Dicke vectors v_k(w) ~ q^(-inv(w)), one column per weight k = 0..n.
 
-
-def _wenzl_chain(param, n):
-    bases = [np.ones((1, 1)), np.eye(2)]
-    residuals = [0.0, 0.0]
-    worst = 0.0
-    for m in range(2, n + 1):
-        nxt, residual = _wenzl_step(param, bases[m - 1], m)
-        worst = max(worst, residual)
-        bases.append(nxt)
-        residuals.append(worst)
-    return bases, residuals
+    inv(w) counts the pairs i < j with w_i = 0 and w_j = 1.  Each column is
+    stored as q^(k(n-k) - inv(w)), whose entries lie in (0, 1], and then
+    normalised, so no power of 1/q can overflow.
+    """
+    words = np.arange(2 ** n)
+    weight = np.zeros(2 ** n, dtype=np.int64)
+    inv = np.zeros(2 ** n, dtype=np.int64)
+    for site in range(n):  # last site first: weight counts the ones to its right
+        bit = (words >> site) & 1
+        inv += (1 - bit) * weight
+        weight += bit
+    basis = np.zeros((2 ** n, n + 1))
+    basis[words, weight] = q ** (weight * (n - weight) - inv).astype(float)
+    return basis / np.linalg.norm(basis, axis=0)
 
 
 class JWProjection:
-    """Top-label projection on n sites, stored through an orthonormal image basis."""
+    """Top-label projection on n sites, stored through an orthonormal image basis.
 
-    def __init__(self, param, n, basis, eig_residual):
+    Column k of the basis is the q-Dicke vector of weight k, so every weight
+    operator of the chain is diagonal on it.
+    """
+
+    def __init__(self, param, n, basis):
         self.param = param
         self.n = n
         self.basis = basis
         self.rank = basis.shape[1]
-        self.eig_residual = eig_residual
 
     def matrix(self):
         if self.n > DENSE_LIMIT:
@@ -162,21 +159,16 @@ def jones_wenzl(param, n):
         raise ResourceLimitError(f"label {n} exceeds the {MAX_STRANDS}-site limit")
     key = (param, n)
     hit = _JW_CACHE.get(key)
-    if hit is not None:
-        return hit
-    bases, residuals = _wenzl_chain(param, n)
-    for m, basis in enumerate(bases):
+    if hit is None:
+        basis = _dicke_basis(_qfloat(param), n)
         basis.setflags(write=False)
-        _JW_CACHE.setdefault((param, m), JWProjection(param, m, basis, residuals[m]))
-    return _JW_CACHE[key]
+        hit = _JW_CACHE[key] = JWProjection(param, n, basis)
+    return hit
 
 
 def weight_matrix(param, alpha):
-    """Positive matrix on the image basis with trace [alpha+1]; identity at q = 1."""
-    jw = jones_wenzl(param, alpha)
-    d = _weight_diag(param, alpha)
-    m = jw.basis.T @ (d[:, None] * jw.basis)
-    return (m + m.T) / 2
+    """diag(q^(2k - alpha)) on the image basis: trace [alpha+1], identity at q = 1."""
+    return np.diag(_qfloat(param) ** np.arange(-alpha, alpha + 1, 2.0))
 
 
 def _nested_cups(q, m):
@@ -271,18 +263,20 @@ def _pentagon_sides(param, alpha, r, s, k, l):
 
     inner_a = fusion_isometry(param, alpha, r, alpha + l)
     outer_a = fusion_isometry(param, s, alpha + l, alpha + k + l)
-    u = inner_a.V @ jones_wenzl(param, alpha + l).basis.T
-    a_side = np.tensordot(
-        u, outer_a.V.reshape(2 ** s, 2 ** (alpha + l), -1), axes=([1], [1])
+    t = np.tensordot(
+        jones_wenzl(param, alpha + l).basis,
+        outer_a.V.reshape(2 ** s, 2 ** (alpha + l), -1), axes=([0], [1]),
     )
+    a_side = np.tensordot(inner_a.V, t, axes=([1], [0]))
     a_side = a_side.transpose(1, 0, 2).reshape(2 ** (s + alpha + r), -1)
 
     inner_b = fusion_isometry(param, s, alpha, alpha + k)
     outer_b = fusion_isometry(param, alpha + k, r, alpha + k + l)
-    u2 = inner_b.V @ jones_wenzl(param, alpha + k).basis.T
-    b_side = np.tensordot(
-        u2, outer_b.V.reshape(2 ** (alpha + k), 2 ** r, -1), axes=([1], [0])
+    t = np.tensordot(
+        jones_wenzl(param, alpha + k).basis,
+        outer_b.V.reshape(2 ** (alpha + k), 2 ** r, -1), axes=([0], [0]),
     )
+    b_side = np.tensordot(inner_b.V, t, axes=([1], [0]))
     b_side = b_side.reshape(2 ** (s + alpha + r), -1)
     return a_side, b_side
 
@@ -301,11 +295,14 @@ def pentagon_defect(param, alpha, r, s, k, l, align_phase=True):
 
     The phase freedom of each isometry is fixed, when align_phase is set,
     by the scalar of modulus one closest to the two sides in the
-    Frobenius sense; for real matrices that is a sign.
+    Frobenius sense; for real matrices that is a sign.  Both sides map the
+    weight-j basis vector of the target into the same weight sector of the
+    chain, so the columns of their difference are orthogonal and its norm is
+    the largest column norm.
     """
     a_side, b_side = _pentagon_sides(param, alpha, r, s, k, l)
     diff = _aligned_difference(a_side, b_side, align_phase)
-    return float(np.linalg.svd(diff, compute_uv=False)[0])
+    return float(np.max(np.linalg.norm(diff, axis=0)))
 
 
 def pentagon_bound(param, alpha, r, k):
@@ -328,20 +325,17 @@ class CommutatorEstimate:
 
 
 def _weighted_defect(param, alpha, k, l):
-    """Worst bracketing-gap pairing against weighted basis vectors, r = s = 1."""
+    """Worst bracketing-gap pairing against weighted basis vectors, r = s = 1.
+
+    Each probe is a product of basis vectors scaled by their weights; the
+    weights are diagonal on the basis, so they cancel against the probe's
+    norm and only the unit basis vectors remain.
+    """
     a_side, b_side = _pentagon_sides(param, alpha, 1, 1, k, l)
     diff = _aligned_difference(a_side, b_side, align_phase=True)
-    qa = weight_matrix(param, alpha)
-    q1 = weight_matrix(param, 1)
-    za = jones_wenzl(param, alpha).basis @ qa
-    probe = np.einsum("am,bi,cn->abcmin", q1, za, q1)
-    probe = probe.reshape(2 ** (alpha + 2), -1)
-    hit = diff.T @ probe
-    norms = np.linalg.norm(hit, axis=0)
-    n1 = np.linalg.norm(q1, axis=0)
-    na = np.linalg.norm(za, axis=0)
-    scales = np.einsum("m,i,n->min", n1, na, n1).reshape(-1)
-    return float(np.max(norms / scales))
+    diff = diff.reshape(2, 2 ** alpha, 2, -1)
+    hit = np.einsum("xayc,ai->xiyc", diff, jones_wenzl(param, alpha).basis)
+    return float(np.max(np.linalg.norm(hit, axis=3)))
 
 
 def commutator_estimate(param, alpha, r, s, k, l):
@@ -397,7 +391,6 @@ class JWReportRow:
     annihilation: float
     trace_error: float
     trace_rel_error: float
-    eig_residual: float
 
 
 def jw_report(param, n_max):
@@ -425,7 +418,6 @@ def jw_report(param, n_max):
                 annihilation=ann,
                 trace_error=trace_error,
                 trace_rel_error=trace_error / target,  # [n+1]_q >= 1 grows like q^-n
-                eig_residual=jw.eig_residual,
             )
         )
     return rows

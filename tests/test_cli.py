@@ -155,16 +155,16 @@ def test_jw_verify_rows(capsys):
     header, rows = parse_csv(out)
     assert header == [
         "n", "rank", "idempotency", "annihilation", "trace_error",
-        "trace_rel_error", "eig_residual", "ok",
+        "trace_rel_error", "ok",
     ]
     assert len(rows) == 6
     assert all(r[-1] == "true" for r in rows)
 
 
 def test_jw_verify_small_q_judges_relative_trace_error(capsys):
-    # [n+1]_q grows like q^-n: the absolute trace error exceeds 1e-8 from
-    # n = 6 on at q = 0.05 while the relative one stays near 1e-15
-    code, out, _ = run_cli(capsys, "jw-verify", "--q", "0.05", "--n-max", "9")
+    # [n+1]_q grows like q^-n: at q = 0.1 and n = 13 the absolute trace error
+    # exceeds 1e-8 while the relative one stays near 1e-15
+    code, out, _ = run_cli(capsys, "jw-verify", "--q", "0.1", "--n-max", "13")
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
@@ -184,6 +184,19 @@ def test_gap_scan_at_q_one_is_usage_error(capsys, q):
     error = json.loads(err)["error"]
     assert error["type"] == "usage"
     assert "q = 1" in error["message"]
+
+
+def test_gap_scan_at_decimal_q_rounding_to_one_is_usage_error(capsys):
+    # q < 1 at the working width, but the float cells would divide by 1 - 1.0
+    code, out, err = run_cli(
+        capsys, "gap-scan", "--N", "2", "--q", "0.99999999999999999",
+        "--alpha-max", "10", "--gamma-max", "2",
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage"
+    assert "rounds to 1.0" in error["message"]
 
 
 @pytest.mark.parametrize("q", ["1e-70", "1/1" + "0" * 70])
@@ -464,19 +477,22 @@ def test_numbers_beyond_double_range_in_csv(capsys):
     assert _rel_error(rows[0][header.index("qdim_product")], product) < 1e-11
 
 
-def test_failed_projection_separation_is_a_numerical_error(capsys, monkeypatch):
-    # no tolerance can be met below zero, so the first Wenzl step must fail
-    monkeypatch.setattr(templieb, "_EIG_TOL", -1.0)
-    monkeypatch.setattr(templieb, "_JW_CACHE", {})
+def test_failed_fusion_gram_check_is_a_numerical_error(capsys, monkeypatch):
+    # no tolerance can be met below zero, so the first fusion isometry must fail
+    monkeypatch.setattr(templieb, "_GRAM_TOL", -1.0)
+    monkeypatch.setattr(templieb, "_ISO_CACHE", {})
     with pytest.raises(NumericalDegradationError) as exc:
-        templieb.jones_wenzl(QParameter(Fraction(1, 2), 2), 3)
+        templieb.fusion_isometry(QParameter(Fraction(1, 2), 2), 2, 1, 1)
     assert exc.value.residual >= 0
-    code, out, err = run_cli(capsys, "jw-verify", "--q", "0.5", "--n-max", "4")
+    code, out, err = run_cli(
+        capsys, "pentagon", "--q", "0.5", "--alpha", "3", "--r", "1",
+        "--s", "1", "--k", "1", "--l", "1",
+    )
     assert code == 1
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "numerical"
-    assert "separate" in error["message"]
+    assert "scalar multiple" in error["message"]
 
 
 SUITES = [

@@ -26,7 +26,6 @@ from qgs.spectrum import (
     dirichlet_form,
     eigenvalue,
     gap_limit,
-    gradient_norm,
     multiplier,
     resolvent_coeff,
     semigroup_coeff,
@@ -200,12 +199,6 @@ def test_dirichlet_form_index_validation():
         dirichlet_form(p, {(1, 3, 1): 1.0})  # n_1 = 2, so i = 3 is out of range
     with pytest.raises(InvalidVectorError):
         dirichlet_form(p, {(2, 0, 1): 1.0})  # indices are 1-based
-
-
-def test_gradient_norm_is_dirichlet_form():
-    p = QParameter(0.5, 2)
-    vec = {(0, 1, 1): 0.3, (1, 2, 2): -1.5, (3, 1, 4): 2j}
-    assert gradient_norm(p, vec) == dirichlet_form(p, vec)
 
 
 def test_resolvent_spots():

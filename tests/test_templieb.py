@@ -6,6 +6,7 @@ with d the loop parameter; the quantum trace of p_2 is [3] = d^2 - 1
 1 (x) 1 is w/sqrt(d) for the defining vector w.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,10 @@ from qgs.chebyshev import QParameter, q_number
 from qgs.errors import ResourceLimitError
 from qgs.fusion import fuse
 from qgs.templieb import (
+    _aligned_difference,
+    _pentagon_sides,
+    _weight_diag,
+    _weighted_defect,
     commutator_estimate,
     commutator_suite,
     fusion_isometry,
@@ -105,6 +110,15 @@ def test_jw_invariants():
             )
 
 
+def test_jw_basis_is_weight_pure():
+    # column k lives on the words with k ones, so weights are diagonal on it
+    p = QParameter(0.3, 2)
+    for n in range(1, 9):
+        b = jones_wenzl(p, n).basis
+        ones = np.array([bin(x).count("1") for x in range(2 ** n)])
+        assert np.all(b[ones[:, None] != np.arange(n + 1)] == 0)
+
+
 def test_jw_memoized_and_frozen():
     p = QParameter(0.5, 2)
     assert jones_wenzl(p, 5) is jones_wenzl(p, 5)
@@ -135,6 +149,9 @@ def test_weight_matrix_spots():
     assert np.allclose(q1, np.diag([2.0, 0.5]), atol=1e-12)
     assert np.trace(weight_matrix(p, 2)) == pytest.approx(5.25, abs=1e-8)
     for a in range(1, 8):
+        b = jones_wenzl(p, a).basis
+        measured = b.T @ (_weight_diag(p, a)[:, None] * b)
+        assert np.allclose(weight_matrix(p, a), measured, rtol=1e-12, atol=1e-14)
         tr = np.trace(weight_matrix(p, a))
         assert tr == pytest.approx(float(q_number(a + 1, p)), abs=1e-8)
         vals = np.linalg.eigvalsh(weight_matrix(p, a))
@@ -248,6 +265,23 @@ def test_pentagon_geometric_decay():
     assert abs(slope - math.log(0.5)) <= 0.05 * abs(math.log(0.5))
 
 
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 1.0])
+def test_pentagon_defect_is_the_operator_norm(q):
+    # the largest column norm stands in for the largest singular value
+    p = QParameter(q, 2)
+    for alpha, r, s in itertools.product(range(5), (1, 2, 3), (1, 2, 3)):
+        for k, l in itertools.product(range(-s, s + 1, 2), range(-r, r + 1, 2)):
+            if alpha + k not in fuse(s, alpha) or alpha + l not in fuse(alpha, r):
+                continue
+            target = alpha + k + l
+            if target not in fuse(alpha + k, r) or target not in fuse(s, alpha + l):
+                continue
+            diff = _aligned_difference(*_pentagon_sides(p, alpha, r, s, k, l), True)
+            reference = np.linalg.svd(diff, compute_uv=False)[0]
+            defect = pentagon_defect(p, alpha, r, s, k, l)
+            assert defect == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+
 def test_pentagon_validation():
     p = QParameter(0.5, 2)
     with pytest.raises(ValueError):
@@ -276,6 +310,50 @@ def test_commutator_estimate_scope():
     p = QParameter(0.5, 2)
     with pytest.raises(ValueError):
         commutator_estimate(p, 4, 2, 1, 1, 1)
+
+
+def _weighted_defect_reference(param, alpha, k, l):
+    """The weighted pairing with explicit weights on basis and probes."""
+    diff = _aligned_difference(*_pentagon_sides(param, alpha, 1, 1, k, l), True)
+
+    def weights(n):
+        b = jones_wenzl(param, n).basis
+        return b.T @ (_weight_diag(param, n)[:, None] * b)
+
+    q1 = weights(1)
+    za = jones_wenzl(param, alpha).basis @ weights(alpha)
+    probe = np.einsum("am,bi,cn->abcmin", q1, za, q1).reshape(2 ** (alpha + 2), -1)
+    norms = np.linalg.norm(diff.T @ probe, axis=0)
+    n1 = np.linalg.norm(q1, axis=0)
+    na = np.linalg.norm(za, axis=0)
+    scales = np.einsum("m,i,n->min", n1, na, n1).reshape(-1)
+    return float(np.max(norms / scales))
+
+
+@pytest.mark.parametrize("q", [0.05, 0.4, 0.9, 1.0])
+def test_weighted_defect_matches_weighted_probes(q):
+    p = QParameter(q, 2)
+    for alpha in range(7):
+        for k, l in ((1, 1), (1, -1), (-1, 1)):
+            if alpha + min(k, l) < 0:
+                continue
+            assert _weighted_defect(p, alpha, k, l) == pytest.approx(
+                _weighted_defect_reference(p, alpha, k, l), rel=1e-12, abs=1e-15
+            )
+
+
+def test_commutator_suite_is_continuous_in_q():
+    # the image basis is a function of q, not an eigen-solver's choice of
+    # rotation, so one ulp of q moves no weighted defect; the abs floor only
+    # covers the coincident routes k = l = 1, whose defect is roundoff
+    base = commutator_suite(QParameter(0.4, 2), range(7))
+    for q in (math.nextafter(0.4, 0), math.nextafter(0.4, 1)):
+        rows = commutator_suite(QParameter(q, 2), range(7))
+        assert [(r.alpha, r.k, r.l) for r in rows] == [(r.alpha, r.k, r.l) for r in base]
+        for row, ref in zip(rows, base):
+            assert row.weighted_defect == pytest.approx(
+                ref.weighted_defect, rel=1e-12, abs=1e-14
+            )
 
 
 def test_commutator_suite_rows():
