@@ -6,9 +6,9 @@ been mean-centered.  Primitive factors are tagged tuples: ("a", name,
 starred) for an atom, ("g", factors) for a letter wrapped by the formal
 generator.  Atoms are assumed mean-zero, so the scalar symbol phi of a
 single atom is structurally zero; every other phi is an opaque symbol
-and expressions are polynomials in these symbols with Fraction
-coefficients.  The junction rewrite for same-algebra neighbours u, v
-with contents C, D is
+and expressions are polynomials in these symbols with int coefficients
+(an exact Fraction only after a non-integer scalar).  The junction
+rewrite for same-algebra neighbours u, v with contents C, D is
 
     u v = (CD) circled + phi(CD) 1 - [u circled] phi(C) v
           - [v circled] phi(D) u - [both circled] phi(C) phi(D) 1
@@ -19,7 +19,6 @@ wrap, and makes normal forms unique regardless of rewrite order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -61,6 +60,15 @@ def _phi(algebra, factors):
     return PhiSymbol(algebra, factors)
 
 
+def _exact(coeff):
+    """A coefficient from outside: an int as it is, anything else as an exact
+    Fraction, which becomes an int again when it is integral."""
+    if type(coeff) is int:
+        return coeff
+    value = Fraction(coeff)
+    return value.numerator if value.denominator == 1 else value
+
+
 def _is_centered(letter):
     return letter.circled or (
         len(letter.factors) == 1 and letter.factors[0][0] == "a"
@@ -70,9 +78,9 @@ def _is_centered(letter):
 class Expression:
     """Linear combination of reduced words with phi-symbol coefficients.
 
-    Terms are keyed by (word, sorted phi multiset); coefficients are
-    Fractions, and zero coefficients are pruned, so equality of
-    expressions is plain dict equality.
+    Terms are keyed by (word, sorted phi multiset); coefficients are ints,
+    or exact Fractions after a non-integer scalar, and zero coefficients
+    are pruned, so equality of expressions is plain dict equality.
     """
 
     __slots__ = ("terms",)
@@ -82,12 +90,12 @@ class Expression:
         if terms:
             for key, coeff in terms.items():
                 if coeff:
-                    self.terms[key] = Fraction(coeff)
+                    self.terms[key] = _exact(coeff)
 
     @classmethod
     def from_word(cls, letters, coeff=1, phis=()):
         out = cls()
-        out._add(tuple(letters), tuple(phis), Fraction(coeff))
+        out._add(tuple(letters), tuple(phis), _exact(coeff))
         return out
 
     def _add(self, letters, phis, coeff):
@@ -110,9 +118,6 @@ class Expression:
     def items(self):
         return sorted(self.terms.items())
 
-    def word_lengths(self):
-        return [len(w) for (w, _phis) in self.terms]
-
     def __eq__(self, other):
         return isinstance(other, Expression) and self.terms == other.terms
 
@@ -121,13 +126,11 @@ class Expression:
 
     def __add__(self, other):
         out = Expression(dict(self.terms))
-        out._add_scaled(other, (), Fraction(1))
+        out._add_scaled(other, (), 1)
         return out
 
     def __sub__(self, other):
-        out = Expression(dict(self.terms))
-        out._add_scaled(other, (), Fraction(-1))
-        return out
+        return self + -other
 
     def __neg__(self):
         return Expression({k: -c for k, c in self.terms.items()})
@@ -136,8 +139,7 @@ class Expression:
         if isinstance(other, Expression):
             return multiply(self, other)
         out = Expression()
-        for (w, phis), coeff in self.terms.items():
-            out._add(w, phis, coeff * Fraction(other))
+        out._add_scaled(self, (), _exact(other))
         return out
 
     __rmul__ = __mul__
@@ -161,17 +163,17 @@ def _concat_words(w1, w2):
     out = Expression()
     merged = u.factors + v.factors
     fused = Letter(u.algebra, merged, True)
-    out._add(w1[:-1] + (fused,) + w2[1:], (), Fraction(1))
+    out._add(w1[:-1] + (fused,) + w2[1:], (), 1)
     inner = _concat_words(w1[:-1], w2[1:])
-    out._add_scaled(inner, (PhiSymbol(u.algebra, merged),), Fraction(1))
+    out._add_scaled(inner, (PhiSymbol(u.algebra, merged),), 1)
     pu = _phi(u.algebra, u.factors) if u.circled else None
     pv = _phi(v.algebra, v.factors) if v.circled else None
     if u.circled and pu is not None:
-        out._add(w1[:-1] + (v,) + w2[1:], (pu,), Fraction(-1))
+        out._add(w1[:-1] + (v,) + w2[1:], (pu,), -1)
     if v.circled and pv is not None:
-        out._add(w1[:-1] + (u,) + w2[1:], (pv,), Fraction(-1))
+        out._add(w1[:-1] + (u,) + w2[1:], (pv,), -1)
     if u.circled and v.circled and pu is not None and pv is not None:
-        out._add_scaled(inner, (pu, pv), Fraction(-1))
+        out._add_scaled(inner, (pu, pv), -1)
     return out
 
 
@@ -292,7 +294,7 @@ def _boundary_main_sum(b, x, a):
         middle = circle(gradient_commutator((mid_b,), (mid_x,), (mid_a,)))
         term = multiply(Expression.from_word(b[: k - i]), middle)
         term = multiply(term, Expression.from_word(a[n - i + 1 :]))
-        total._add_scaled(term, tuple(phis), Fraction(1))
+        total._add_scaled(term, tuple(phis), 1)
     return total
 
 
@@ -318,12 +320,6 @@ class ExpansionReport:
     passed: bool
 
 
-def _check_reduced_types(types):
-    for left, right in zip(types, types[1:]):
-        if left == right:
-            raise ValueError("type pattern is not reduced")
-
-
 def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3):
     """Check the junction expansion of the commutator against its boundary sum.
 
@@ -337,7 +333,8 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3)
     x_types = tuple(x_types)
     a_types = tuple(a_types)
     for seq in (b_types, x_types, a_types):
-        _check_reduced_types(seq)
+        if any(left == right for left, right in zip(seq, seq[1:])):
+            raise ValueError("type pattern is not reduced")
     if len(x_types) > max_x or max(len(b_types), len(a_types)) > max_side:
         raise ResourceLimitError(
             f"pattern sizes ({len(b_types)}, {len(x_types)}, {len(a_types)}) "
@@ -381,55 +378,34 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3)
     )
 
 
-def _reduced_sequences(labels, length):
-    if length == 0:
-        yield ()
-        return
-    for head in labels:
-        for tail in _reduced_sequences(labels, length - 1):
-            if not tail or tail[0] != head:
-                yield (head,) + tail
+def _growth_words(max_length, used, algebras):
+    """Reduced label words of length 0..max_length once `used` labels are taken.
 
-
-def _canonical_pattern(b_types, x_types, a_types):
-    relabel = {}
-    flat = []
-    for seq in (b_types, x_types, a_types):
-        out = []
-        for t in seq:
-            if t not in relabel:
-                relabel[t] = len(relabel)
-            out.append(relabel[t])
-        flat.append(tuple(out))
-    return tuple(flat)
+    Each letter is a label already used or the next unused one, so a pattern
+    of such words is the first-appearance relabeling, and least member, of its
+    class.  Words come by length, then lexicographically, with the labels used."""
+    level = [((), used)]
+    yield from level
+    for _ in range(max_length):
+        level = [
+            (w + (t,), max(n, t + 1))
+            for w, n in level
+            for t in range(min(n + 1, algebras))
+            if not w or t != w[-1]
+        ]
+        yield from level
 
 
 def expansion_sweep(*, max_x=4, max_side=3, algebras=3):
     """Verify every type pattern up to the size limits, one per relabeling class."""
     if min(max_x, max_side) < 0:
         raise ValueError("max_x and max_side must be >= 0")
-    labels = tuple(range(algebras))
-    seen = set()
-    reports = []
-    side_patterns = [
-        seq
-        for ln in range(max_side + 1)
-        for seq in _reduced_sequences(labels, ln)
+    return [
+        verify_boundary_expansion(bt, xt, at, max_x=max_x, max_side=max_side)
+        for bt, used_b in _growth_words(max_side, 0, algebras)
+        for xt, used_x in _growth_words(max_x, used_b, algebras)
+        for at, _ in _growth_words(max_side, used_x, algebras)
     ]
-    mid_patterns = [
-        seq for ln in range(max_x + 1) for seq in _reduced_sequences(labels, ln)
-    ]
-    for bt, xt, at in itertools.product(side_patterns, mid_patterns, side_patterns):
-        canon = _canonical_pattern(bt, xt, at)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        reports.append(
-            verify_boundary_expansion(
-                canon[0], canon[1], canon[2], max_x=max_x, max_side=max_side
-            )
-        )
-    return reports
 
 
 def hs_propagation_bound(per_algebra, scalar_bound, a_bound, b_bound, m, k, ledger_hs):

@@ -29,6 +29,7 @@ import numpy as np
 from .chebyshev import q_number
 from .errors import NumericalDegradationError, ResourceLimitError
 from .fusion import fuse
+from .precision import to_mpf, working_precision
 
 MAX_STRANDS = 14
 DENSE_LIMIT = 12
@@ -305,9 +306,23 @@ def pentagon_defect(param, alpha, r, s, k, l, align_phase=True):
     return float(np.max(np.linalg.norm(diff, axis=0)))
 
 
+def _reference(param, exponent, alpha):
+    """q^exponent, refused outside the double range, where a ratio to it says nothing."""
+    q = _qfloat(param)
+    try:
+        value = q ** exponent
+    except OverflowError:  # q < 1 to a negative power
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(
+            f"q^{exponent} at q = {q!r}, alpha = {alpha} is outside the double range"
+        )
+    return value
+
+
 def pentagon_bound(param, alpha, r, k):
     """Decay reference q^(alpha + (k - r)/2) for the bracketing gap."""
-    return _qfloat(param) ** (alpha + (k - r) / 2)
+    return _reference(param, alpha + (k - r) / 2, alpha)
 
 
 @dataclass(frozen=True)
@@ -346,6 +361,7 @@ def commutator_estimate(param, alpha, r, s, k, l):
         raise ValueError("shifts k and l must be +1 or -1")
     if alpha + k < 0 or alpha + l < 0 or alpha + k + l < 0:
         raise ValueError("shifted labels must stay nonnegative")
+    reference = _reference(param, alpha, alpha)
     if (k, l) == (-1, -1):
         parts = [
             commutator_estimate(param, alpha, 1, 1, kk, ll)
@@ -356,7 +372,6 @@ def commutator_estimate(param, alpha, r, s, k, l):
     else:
         weighted = _weighted_defect(param, alpha, k, l)
         constant = 2
-    reference = _qfloat(param) ** alpha
     ratio = weighted / reference
     return CommutatorEstimate(
         alpha=alpha,
@@ -389,7 +404,7 @@ class JWReportRow:
     rank: int
     idempotency: float
     annihilation: float
-    trace_error: float
+    trace_error: object  # an mpf: |tr - [n+1]_q| may lie beyond the double range
     trace_rel_error: float
 
 
@@ -398,6 +413,10 @@ def jw_report(param, n_max):
     n_max = operator.index(n_max)
     if n_max < 1:
         raise ValueError("need at least one site")
+    # tr and [n+1]_q are q^-n times the trace against diag(1, q^2)^(x)n (entries
+    # in (0, 1]) and sum_k q^(2k): their relative error needs no power of 1/q
+    site = np.array([1.0, _qfloat(param) ** 2])
+    diag = np.ones(1)
     rows = []
     for n in range(1, n_max + 1):
         jw = jones_wenzl(param, n)
@@ -408,8 +427,11 @@ def jw_report(param, n_max):
         for i in range(1, n):
             sv = np.linalg.svd(rep.apply(i, b), compute_uv=False)
             ann = max(ann, float(sv[0]))
-        target = float(q_number(n + 1, param))
-        trace_error = abs(jw.quantum_trace() - target)
+        diag = np.kron(diag, site)
+        target = float(np.sum(site[1] ** np.arange(n + 1)))
+        rel = abs(float(np.einsum("x,xj,xj->", diag, b, b)) - target) / target
+        with working_precision():
+            trace_error = rel * to_mpf(q_number(n + 1, param))
         rows.append(
             JWReportRow(
                 n=n,
@@ -417,7 +439,7 @@ def jw_report(param, n_max):
                 idempotency=idem,
                 annihilation=ann,
                 trace_error=trace_error,
-                trace_rel_error=trace_error / target,  # [n+1]_q >= 1 grows like q^-n
+                trace_rel_error=rel,
             )
         )
     return rows

@@ -176,7 +176,7 @@ def test_criterion_07_tl_suite():
                         worst_rel = max(worst_rel, np.max(np.abs(e @ f - f @ e)))
         for row in jw_report(param, 10):
             worst_jw = max(worst_jw, row.idempotency, row.annihilation)
-            worst_trace = max(worst_trace, row.trace_error)
+            worst_trace = max(worst_trace, float(row.trace_error))
         for total in range(2, 9):
             for alpha in range(1, total):
                 beta = total - alpha
@@ -265,7 +265,7 @@ def test_criterion_09_fusion_exactness():
 
 def test_criterion_10_word_calculus_sweep():
     start = time.perf_counter()
-    reports = expansion_sweep(max_x=4, max_side=3, algebras=3)
+    reports = expansion_sweep(max_x=5, max_side=3, algebras=3)
     residual_ok = all(r.residual.is_zero() for r in reports)
     length_ok = all(r.ledger.max_word_length <= r.ledger.bound for r in reports)
     vanish_ok = all(r.lhs_is_zero for r in reports if r.must_vanish)

@@ -173,6 +173,18 @@ def test_jw_verify_small_q_judges_relative_trace_error(capsys):
     assert last["trace_rel_error"] < 1e-13
 
 
+def test_jw_verify_tiny_q_has_no_nan(capsys):
+    # q^-n overflows a double from n = 11 on at q = 1e-30
+    code, out, _ = run_cli(
+        capsys, "jw-verify", "--q", "1e-30", "--n-max", "12", "--format", "csv",
+    )
+    assert code == 0
+    assert "nan" not in out
+    header, rows = parse_csv(out)
+    assert len(rows) == 12
+    assert all(r[-1] == "true" for r in rows)
+
+
 @pytest.mark.parametrize("q", ["1", "1.0"])
 def test_gap_scan_at_q_one_is_usage_error(capsys, q):
     # the power bound vanishes at q = 1, so there is nothing to scan
@@ -404,6 +416,12 @@ def test_timing_flag_adds_wall_time(capsys):
         ("fusion", "--N", "2", "--q", "0.5", "--alpha-max", "-1", "--format", "csv"),
         ("freeprod-verify", "--max-x", "-1", "--format", "csv"),
         ("freeprod-verify", "--max-side", "-1"),
+        # the reference q^alpha underflows to 0.0, or overflows at a negative exponent
+        ("lemma65", "--q", "1e-30", "--alpha-max", "12"),
+        ("pentagon", "--q", "1e-200", "--alpha", "3", "--r", "1", "--s", "1",
+         "--k", "1", "--l", "1"),
+        ("pentagon", "--q", "1e-200", "--alpha", "0", "--r", "5", "--s", "1",
+         "--k", "1", "--l", "5"),
     ],
 )
 def test_out_of_range_inputs_are_usage_errors(capsys, argv):

@@ -19,6 +19,7 @@ from qgs.freewords import (
     Expression,
     Letter,
     PhiSymbol,
+    _growth_words,
     apply_generator,
     atom,
     circle,
@@ -279,3 +280,74 @@ def test_expression_arithmetic():
     x = Expression.from_word((atom(0, "x"),), coeff=Fraction(2, 3))
     assert (x - x).is_zero()
     assert (x + x) == Expression.from_word((atom(0, "x"),), coeff=Fraction(4, 3))
+
+def test_scalar_coefficients_stay_exact():
+    x = (atom(0, "x"),)
+    e = Expression.from_word(x)
+    for scalar in (Fraction(2, 3), 2 / 3, 0.5):
+        (coeff,) = (scalar * e).terms.values()
+        assert type(coeff) is Fraction and coeff == Fraction(scalar)
+    (coeff,) = (e * Fraction(4, 2)).terms.values()
+    assert type(coeff) is int and coeff == 2
+    (coeff,) = Expression.from_word(x, coeff=Fraction(-6, 3)).terms.values()
+    assert type(coeff) is int and coeff == -2
+    (coeff,) = Expression({(x, ()): 1.5}).terms.values()
+    assert coeff == Fraction(3, 2)
+
+
+def test_sweep_ledger_coefficients_are_ints():
+    coeffs = [
+        coeff
+        for rep in expansion_sweep(max_x=3, max_side=2, algebras=2)
+        for group in rep.ledger.groups.values()
+        for coeff in group.terms.values()
+    ]
+    assert coeffs
+    assert all(type(c) is int for c in coeffs)
+
+
+def _relabel_and_filter(max_x, max_side, algebras):
+    """Every reduced type triple in product order, relabeled by first
+    appearance; the first triple of each relabeling class is kept."""
+
+    def reduced(limit):
+        return [
+            seq
+            for n in range(limit + 1)
+            for seq in itertools.product(range(algebras), repeat=n)
+            if all(left != right for left, right in zip(seq, seq[1:]))
+        ]
+
+    sides, middles = reduced(max_side), reduced(max_x)
+    seen = set()
+    out = []
+    for bt in sides:
+        for xt in middles:
+            head_labels = {}
+            head = tuple(
+                tuple(head_labels.setdefault(t, len(head_labels)) for t in seq)
+                for seq in (bt, xt)
+            )
+            for at in sides:
+                relabel = dict(head_labels)
+                canon = head + (tuple(relabel.setdefault(t, len(relabel)) for t in at),)
+                if canon not in seen:
+                    seen.add(canon)
+                    out.append(canon)
+    return out
+
+
+def test_growth_words_match_relabel_and_filter():
+    for max_x, max_side, algebras in itertools.product(range(6), range(4), range(5)):
+        patterns = [
+            (bt, xt, at)
+            for bt, used_b in _growth_words(max_side, 0, algebras)
+            for xt, used_x in _growth_words(max_x, used_b, algebras)
+            for at, _ in _growth_words(max_side, used_x, algebras)
+        ]
+        assert patterns == _relabel_and_filter(max_x, max_side, algebras)
+
+
+def test_expansion_sweep_order():
+    reports = expansion_sweep(max_x=2, max_side=2, algebras=3)
+    assert [(r.b_types, r.x_types, r.a_types) for r in reports] == _relabel_and_filter(2, 2, 3)

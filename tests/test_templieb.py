@@ -8,6 +8,7 @@ with d the loop parameter; the quantum trace of p_2 is [3] = d^2 - 1
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from qgs.chebyshev import QParameter, q_number
 from qgs.errors import ResourceLimitError
 from qgs.fusion import fuse
+from qgs.precision import to_mpf, working_precision
 from qgs.templieb import (
     _aligned_difference,
     _pentagon_sides,
@@ -141,6 +143,38 @@ def test_jw_report_rows():
         assert r.annihilation <= 1e-9
         assert r.trace_error <= 1e-8
         assert r.trace_rel_error == r.trace_error / float(q_number(r.n + 1, p))
+
+
+@pytest.mark.parametrize("q", ["1e-30", Fraction(1, 10**30)])
+def test_jw_report_at_tiny_q(q):
+    # [n+1]_q ~ 1e360 at n = 12 lies beyond the double range
+    p = QParameter(q, 2)
+    for r in jw_report(p, 12):
+        assert r.trace_rel_error == 0.0
+        assert r.trace_error == 0
+    assert q_number(13, p) > 1e308
+
+
+def test_jw_report_scaled_trace_matches_direct_trace():
+    # where q^-n fits a double, the trace taken against diag(1/q, q) agrees
+    p = QParameter(0.3, 2)
+    for r in jw_report(p, 12):
+        target = q_number(r.n + 1, p)
+        direct = abs(jones_wenzl(p, r.n).quantum_trace() - float(target)) / float(target)
+        assert r.trace_rel_error == pytest.approx(direct, abs=1e-14)
+        with working_precision():
+            assert r.trace_error == r.trace_rel_error * to_mpf(target)
+
+
+def test_references_outside_double_range_are_usage_errors():
+    with pytest.raises(ValueError, match="q = 1e-30, alpha = 11"):
+        commutator_estimate(QParameter(1e-30, 2), 11, 1, 1, -1, -1)
+    assert commutator_estimate(QParameter(1e-30, 2), 10, 1, 1, 1, 1).reference > 0
+    tiny = QParameter(1e-200, 2)
+    with pytest.raises(ValueError, match="alpha = 3"):
+        pentagon_bound(tiny, 3, 1, 1)
+    with pytest.raises(ValueError, match="alpha = 0"):
+        pentagon_bound(tiny, 0, 5, 1)  # q^-2 overflows
 
 
 def test_weight_matrix_spots():
