@@ -21,17 +21,9 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
-
 from . import precision as _precision
-from .chebyshev import QParameter
 from .errors import NumericalDegradationError, ResourceLimitError
-from .estimates import gap_constant_scan, hs_certificate
-from .freewords import expansion_sweep, verify_boundary_expansion
-from .fusion import fusion_check
 from .precision import precision_bits, set_precision_bits
-from .spectrum import amenability_criterion, cesaro_sum, spectral_rows, spectral_stream
-from .templieb import commutator_suite, jw_report, pentagon_bound, pentagon_defect
 
 AFFIRMATIVE_VERDICTS = frozenset({"pass", "finite", "divergent", "satisfied"})
 
@@ -67,8 +59,12 @@ def _num(x):
         value = float(x)
     except OverflowError:  # a Fraction beyond the double range
         value = math.inf
-    if not math.isinf(value) or isinstance(x, float) or mpmath.isinf(x):
+    if not math.isinf(value) or isinstance(x, float):
         return float(f"{value:.12g}")
+    import mpmath
+
+    if mpmath.isinf(x):
+        return value
     if isinstance(x, mpmath.mpf):
         man, exp = x.man_exp
         x = Fraction(int(man)) * Fraction(2) ** exp
@@ -103,6 +99,8 @@ def _parse_q(text):
 
 
 def _param(args):
+    from .chebyshev import QParameter
+
     return QParameter(_parse_q(args.q), args.N)
 
 
@@ -129,6 +127,8 @@ def _record(args, verdict, result, rows):
 
 
 def _cmd_spectrum(args):
+    from .spectrum import spectral_rows
+
     rows = [
         _row(r, "alpha", "n", "qdim", "delta", "gap")
         for r in spectral_rows(_param(args), args.alpha_max)
@@ -137,6 +137,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_fusion(args):
+    from .fusion import fusion_check
+
     param = _param(args)
     if (args.alpha is None) != (args.beta is None):
         raise ValueError("--alpha and --beta must be given together")
@@ -160,6 +162,8 @@ def _cmd_fusion(args):
 
 
 def _cmd_hs_cert(args):
+    from .estimates import hs_certificate
+
     cert = hs_certificate(
         _param(args), args.t, args.alpha_max, margin=args.margin, tail_floor=args.tail_floor
     )
@@ -172,6 +176,8 @@ def _cmd_hs_cert(args):
 
 
 def _cmd_gap_scan(args):
+    from .estimates import gap_constant_scan
+
     scan = gap_constant_scan(_param(args), args.alpha_max, args.gamma_max)
     verdict = "finite" if math.isfinite(scan.sup_ratio) and scan.stable else "fail"
     alpha, beta, gamma = scan.argmax
@@ -184,6 +190,8 @@ def _cmd_gap_scan(args):
 
 
 def _cmd_jw_verify(args):
+    from .templieb import jw_report
+
     rows = [
         _row(
             row, "n", "rank", "idempotency", "annihilation", "trace_error",
@@ -200,6 +208,8 @@ def _cmd_jw_verify(args):
 
 
 def _cmd_pentagon(args):
+    from .templieb import pentagon_bound, pentagon_defect
+
     param = _param(args)
     defect = pentagon_defect(param, args.alpha, args.r, args.s, args.k, args.l)
     bound = float(pentagon_bound(param, args.alpha, args.r, args.k))
@@ -209,6 +219,8 @@ def _cmd_pentagon(args):
 
 
 def _cmd_lemma65(args):
+    from .templieb import commutator_suite
+
     if args.alpha_min < 1 or args.alpha_max < args.alpha_min:
         raise ValueError("need 1 <= alpha-min <= alpha-max")
     rows = [
@@ -220,6 +232,8 @@ def _cmd_lemma65(args):
 
 
 def _cmd_freeprod(args):
+    from .freewords import expansion_sweep, verify_boundary_expansion
+
     if args.b is not None or args.x is not None or args.a is not None:
         pattern = [_parse_pattern(text) for text in (args.b, args.x, args.a)]
         reports = [
@@ -244,6 +258,8 @@ def _cmd_freeprod(args):
 
 
 def _cmd_amenability(args):
+    from .spectrum import amenability_criterion, spectral_stream
+
     report = amenability_criterion(
         spectral_stream(_param(args)), args.n_max,
         warmup=args.warmup, threshold=args.threshold,
@@ -256,6 +272,8 @@ def _cmd_amenability(args):
 
 
 def _cmd_cesaro(args):
+    from .spectrum import cesaro_sum
+
     if args.k < 1:
         raise ValueError("--k must be >= 1")
     func, slope = CESARO_PROBES[args.poly]

@@ -23,9 +23,19 @@ from operator import index, mul
 import mpmath
 
 from .chebyshev import QParameter
-from .fusion import dims
+from .errors import ResourceLimitError
+from .fusion import MAX_LABELS, dims
 from .precision import to_mpf, working_precision
 from .spectrum import eigenvalue, spectral_data
+
+
+# gap_constant_scan's cost ceilings besides MAX_LABELS, each about 3-5 s of
+# scanning (2-vCPU x86_64): a float64 cell takes about 3 us; an exact cell at
+# q = p/r works on integers of b = (alpha_max + gamma_max) log2(r^2) bits and
+# takes about 2.5e-10 b^1.5 s (CPython multiplies them in about b^1.585),
+# from b = 1.4e3 at q = 4/11 to b = 2e6 at a 4000-digit r
+MAX_SCAN_CELLS = 10**6
+MAX_EXACT_SCAN_WORK = 2 * 10**10  # cells * b^1.5
 
 
 def _check_labels(alpha, beta, gamma):
@@ -256,6 +266,8 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
     [alpha_max/4, alpha_max/2): agreement within 10% is the finite-grid
     evidence that the ratio stays bounded.  q must be below 1 (at q = 1 the
     bound vanishes), and a cell ratio beyond the double range is a ValueError.
+    Labels beyond MAX_LABELS, a grid of more than MAX_SCAN_CELLS cells, or
+    at rational q more than MAX_EXACT_SCAN_WORK are a ResourceLimitError.
     """
     alpha_max, gamma_max = index(alpha_max), index(gamma_max)
     if alpha_max < 10:
@@ -267,7 +279,29 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
             "a gap scan needs q < 1: at q = 1 the power bound vanishes, so the "
             "ratio is infinite wherever the gap functional is not 0"
         )
-    ratio_at = _cells(param, alpha_max + gamma_max).ratio
+    top = alpha_max + gamma_max
+    if top >= MAX_LABELS:  # near q = 1 the float tables take O(top^2) steps
+        raise ResourceLimitError(f"labels 0..{top} exceed {MAX_LABELS} labels")
+    # at most min(alpha_max, 4 gamma_max) + 1 betas and 2 min(alpha_max, gamma_max) + 1
+    # gammas per alpha: 3.5% above the count at 200 x 5, twice it at gamma_max >= alpha_max
+    cells = (
+        (alpha_max + 1)
+        * (min(alpha_max, 4 * gamma_max) + 1)
+        * (2 * min(alpha_max, gamma_max) + 1)
+    )
+    if cells > MAX_SCAN_CELLS:
+        raise ResourceLimitError(
+            f"a gap scan of up to {cells} cells exceeds {MAX_SCAN_CELLS}"
+        )
+    if isinstance(param.q, Fraction):
+        bits = top * (param.q.denominator ** 2).bit_length()
+        work = cells * bits * math.isqrt(bits)
+        if work > MAX_EXACT_SCAN_WORK:
+            raise ResourceLimitError(
+                f"an exact gap scan at q = {param.q} of up to {cells} cells on "
+                f"{bits}-bit integers exceeds {MAX_EXACT_SCAN_WORK} cells * bits^1.5"
+            )
+    ratio_at = _cells(param, top).ratio
     sup = 0.0
     argmax = (0, 0, 0)
     half = alpha_max // 2

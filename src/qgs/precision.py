@@ -11,8 +11,6 @@ import os
 from contextlib import contextmanager
 from fractions import Fraction
 
-import mpmath
-
 DEFAULT_BITS = 128
 
 _override = None
@@ -49,12 +47,16 @@ def set_precision_bits(bits):
 @contextmanager
 def working_precision(bits=None):
     """Context manager running mpmath at the resolved precision."""
+    import mpmath
+
     with mpmath.workprec(bits if bits is not None else precision_bits()):
         yield mpmath.mp
 
 
 def to_mpf(x):
     """Convert int/float/str/Fraction/mpf to mpf at current precision."""
+    import mpmath
+
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
     return mpmath.mpf(x)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,15 +308,16 @@ def pentagon_defect(param, alpha, r, s, k, l, align_phase=True):
 
 
 def _reference(param, exponent, alpha):
-    """q^exponent, refused outside the double range, where a ratio to it says nothing."""
+    """q^exponent, refused outside the normal double range: a ratio to an
+    infinite, zero or subnormal (precision-losing) reference says nothing."""
     q = _qfloat(param)
     try:
         value = q ** exponent
     except OverflowError:  # q < 1 to a negative power
         value = math.inf
-    if not 0.0 < value < math.inf:
+    if not sys.float_info.min <= value < math.inf:
         raise ValueError(
-            f"q^{exponent} at q = {q!r}, alpha = {alpha} is outside the double range"
+            f"q^{exponent} at q = {q!r}, alpha = {alpha} is outside the normal double range"
         )
     return value
 

@@ -288,6 +288,16 @@ def test_lemma65_suite(capsys):
         ("fusion", "--N", "2", "--q", "0.5", "--alpha-max", "201"),
         # the labels amenability draws: about 6.7e6 for 10^20 eigenvalues at N = 2
         ("amenability", "--N", "2", "--q", "0.5", "--n-max", "1" + "0" * 20),
+        # gap-scan: its labels (near q = 1 the float tables take O(labels^2)
+        # steps), its grid, whose cells grow like alpha_max gamma_max^2, and at
+        # rational q the integers of its cells, which grow with alpha_max
+        ("gap-scan", "--N", "2", "--q", "0.5", "--alpha-max", "100000",
+         "--gamma-max", "100000"),
+        ("gap-scan", "--N", "2", "--q", "0.99999", "--alpha-max", "20000", "--gamma-max", "0"),
+        ("gap-scan", "--N", "2", "--q", "0.5", "--alpha-max", "2000", "--gamma-max", "20"),
+        ("gap-scan", "--N", "2", "--q", "4/11", "--alpha-max", "10000", "--gamma-max", "0"),
+        # the Cesaro sum's k terms
+        ("cesaro", "--poly", "x", "--k", "100000000000"),
     ],
 )
 def test_cost_ceilings_are_resource_errors(capsys, argv):
@@ -422,6 +432,11 @@ def test_timing_flag_adds_wall_time(capsys):
          "--k", "1", "--l", "1"),
         ("pentagon", "--q", "1e-200", "--alpha", "0", "--r", "5", "--s", "1",
          "--k", "1", "--l", "5"),
+        # the reference is subnormal: 1e-320 keeps only a few of its bits
+        ("lemma65", "--q", "1e-32", "--alpha-min", "10", "--alpha-max", "10",
+         "--format", "csv"),
+        ("pentagon", "--q", "1e-40", "--alpha", "8", "--r", "1", "--s", "1",
+         "--k", "1", "--l", "1"),
     ],
 )
 def test_out_of_range_inputs_are_usage_errors(capsys, argv):

@@ -1,0 +1,115 @@
+"""The lazy `qgs` package surface, and the modules each subcommand imports.
+
+A run should import only what its subcommand calls: numpy only for the
+Temperley-Lieb suites, mpmath for every suite but freeprod-verify.  Each
+check runs in a fresh interpreter, since this process has imported
+everything already; it asserts module names, not times.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qgs
+
+_SRC = str(Path(qgs.__file__).resolve().parents[1])
+
+
+def _fresh(code, *args):
+    """Run code in a new interpreter with this qgs on its path; its stdout as JSON."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+_RUN = """
+import contextlib, io, json, sys
+import qgs.cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qgs.cli.main(argv)
+print(json.dumps([code, sorted(m for m in ("numpy", "mpmath") if m in sys.modules)]))
+"""
+
+
+def _loaded(argv):
+    code, modules = _fresh(_RUN, json.dumps(argv))
+    assert code in (None, 0, 1)  # a record with its verdict, not an error
+    return set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["freeprod-verify", "--max-x", "2", "--max-side", "1", "--algebras", "2"],
+        ["freeprod-verify", "--b", "0,1", "--x", "1,0,1", "--a", "1,0"],
+    ],
+)
+def test_import_and_word_calculus_load_neither_numpy_nor_mpmath(argv):
+    assert _loaded(argv) == set()
+
+
+@pytest.mark.parametrize("q", ["0.5", "1/2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--N", "2", "--alpha-max", "5"],
+        ["gap-scan", "--N", "2", "--alpha-max", "12", "--gamma-max", "1"],
+        ["amenability", "--N", "2", "--n-max", "2000", "--warmup", "100"],
+    ],
+)
+def test_spectral_suites_do_not_load_numpy(argv, q):
+    assert "numpy" not in _loaded(argv + ["--q", q])
+
+
+def test_temperley_lieb_suite_loads_numpy():
+    # the probe sees an import at all
+    assert "numpy" in _loaded(["jw-verify", "--q", "0.5", "--n-max", "3"])
+
+
+def test_every_public_name_is_its_submodules_object():
+    for module, names in qgs._EXPORTS.items():
+        sub = importlib.import_module(f"qgs.{module}")
+        for name in names:
+            assert getattr(qgs, name) is getattr(sub, name), name
+    assert sorted(qgs.__all__) == sorted([*qgs._OWNER, "__version__"])
+    assert len(set(qgs.__all__)) == len(qgs.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qgs.no_such_name  # noqa: B018
+    assert not hasattr(qgs, "no_such_name")
+
+
+def test_dir_lists_all():
+    assert set(qgs.__all__) <= set(dir(qgs))
+
+
+_SURFACE = """
+import json, sys
+import qgs
+bare = sorted(m for m in sys.modules if m.startswith("qgs."))
+tl = qgs.templieb.__name__
+star = {}
+exec("from qgs import *", star)
+print(json.dumps([bare, tl, sorted(n for n in qgs.__all__ if n not in star)]))
+"""
+
+
+def test_fresh_package_is_lazy_and_star_import_binds_all():
+    bare, templieb, missing = _fresh(_SURFACE)
+    assert bare == []
+    assert templieb == "qgs.templieb"
+    assert missing == []
