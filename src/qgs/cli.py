@@ -274,8 +274,6 @@ def _cmd_amenability(args):
 def _cmd_cesaro(args):
     from .spectrum import cesaro_sum
 
-    if args.k < 1:
-        raise ValueError("--k must be >= 1")
     func, slope = CESARO_PROBES[args.poly]
     value = cesaro_sum(func, args.k)
     limit = math.log(2.0) * slope

@@ -2,9 +2,8 @@
 
 Domain violations (bad labels, out-of-range indices, malformed vectors)
 raise ValueError or a subclass; resource ceilings raise ResourceLimitError;
-numerical breakdown (a projection whose eigenvalues fail to separate, a
-fusion overlap that is not a multiple of the identity) raises
-NumericalDegradationError carrying the worst residual seen.
+numerical breakdown (a fusion overlap that is not a multiple of the
+identity) raises NumericalDegradationError carrying the worst residual seen.
 """
 
 

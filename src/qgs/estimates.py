@@ -37,6 +37,15 @@ from .spectrum import eigenvalue, spectral_data
 MAX_SCAN_CELLS = 10**6
 MAX_EXACT_SCAN_WORK = 2 * 10**10  # cells * b^1.5
 
+# the tables one route builds for labels 0..top, checked by gap and
+# gap_constant_scan alike (2-vCPU x86_64): at q = p/r about 2 top^2
+# log2(r^2) bits of integers (q = 4/11 at 5,000 labels: 3.5e8 bits, 35 MB;
+# no scan inside the ceilings above needs more), at decimal q about
+# min(top, 4u/(1-u))^2 / 2 fsum terms, u = q^2, at about 0.15 us each
+# (q = 0.99999 at 4,000 labels: 8e6 terms, 1.2 s)
+MAX_EXACT_TABLE_BITS = 5 * 10**8
+MAX_FLOAT_TABLE_TERMS = 10**7
+
 
 def _check_labels(alpha, beta, gamma):
     alpha, beta, gamma = index(alpha), index(beta), index(gamma)
@@ -201,6 +210,29 @@ class _FloatCells:
         return lhs * q ** (2 * lo), rhs * q ** (2 * m), self._ratio(*sides)
 
 
+def _check_tables(param, top):
+    """Refuse gap-cell tables for labels 0..top beyond the label or table ceilings."""
+    if top >= MAX_LABELS:
+        raise ResourceLimitError(f"labels 0..{top} exceed {MAX_LABELS} labels")
+    if param.q == 1:
+        return
+    if isinstance(param.q, Fraction):
+        bits = 2 * top * top * (param.q.denominator ** 2).bit_length()
+        if bits > MAX_EXACT_TABLE_BITS:
+            raise ResourceLimitError(
+                f"exact gap tables for labels 0..{top} at q = {param.q} take about "
+                f"{bits} bits, above {MAX_EXACT_TABLE_BITS}"
+            )
+        return
+    u = float(param.q) ** 2
+    summed = min(top, 4 * u / (1 - u)) if u < 1 else top
+    if summed * summed / 2 > MAX_FLOAT_TABLE_TERMS:
+        raise ResourceLimitError(
+            f"float gap tables for labels 0..{top} at q = {float(param.q)!r} sum about "
+            f"{summed * summed / 2:.3g} terms, above {MAX_FLOAT_TABLE_TERMS}"
+        )
+
+
 def _cells(param, top):
     """The route for this q, with tables for cells whose labels stay within top."""
     if param.q == 1:
@@ -235,9 +267,16 @@ class GapEvaluation:
 
 
 def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
-    """Evaluate the gap functional at one index cell."""
+    """Evaluate the gap functional at one index cell.
+
+    Labels beyond MAX_LABELS, or tables beyond MAX_EXACT_TABLE_BITS at
+    rational q or MAX_FLOAT_TABLE_TERMS at decimal q, are a
+    ResourceLimitError.
+    """
     alpha, beta, gamma = _check_labels(alpha, beta, gamma)
-    cells = _cells(param, max(alpha, beta) + abs(gamma))
+    top = max(alpha, beta) + abs(gamma)
+    _check_tables(param, top)
+    cells = _cells(param, top)
     with working_precision():  # mpf eigenvalues at q = 1.0, mpf scales at decimal q
         lhs, rhs, ratio = cells.gap(alpha, beta, gamma)
     return GapEvaluation(alpha, beta, gamma, lhs, rhs, ratio)
@@ -266,8 +305,10 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
     [alpha_max/4, alpha_max/2): agreement within 10% is the finite-grid
     evidence that the ratio stays bounded.  q must be below 1 (at q = 1 the
     bound vanishes), and a cell ratio beyond the double range is a ValueError.
-    Labels beyond MAX_LABELS, a grid of more than MAX_SCAN_CELLS cells, or
-    at rational q more than MAX_EXACT_SCAN_WORK are a ResourceLimitError.
+    Labels beyond MAX_LABELS or tables beyond MAX_EXACT_TABLE_BITS or
+    MAX_FLOAT_TABLE_TERMS (as for gap), a grid of more than MAX_SCAN_CELLS
+    cells, or at rational q more than MAX_EXACT_SCAN_WORK are a
+    ResourceLimitError.
     """
     alpha_max, gamma_max = index(alpha_max), index(gamma_max)
     if alpha_max < 10:
@@ -280,8 +321,7 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
             "ratio is infinite wherever the gap functional is not 0"
         )
     top = alpha_max + gamma_max
-    if top >= MAX_LABELS:  # near q = 1 the float tables take O(top^2) steps
-        raise ResourceLimitError(f"labels 0..{top} exceed {MAX_LABELS} labels")
+    _check_tables(param, top)
     # at most min(alpha_max, 4 gamma_max) + 1 betas and 2 min(alpha_max, gamma_max) + 1
     # gammas per alpha: 3.5% above the count at 200 x 5, twice it at gamma_max >= alpha_max
     cells = (

@@ -10,8 +10,10 @@ inv(w) the number of pairs i < j with w_i = 0 and w_j = 1.  These are the
 weight vectors of the spin-n/2 module of U_q(sl_2) (Frenkel-Khovanov, Duke
 Math. J. 1997); they are written down directly from the inversion counts
 in O(2^n * n), with no eigenvalue problem.  Only this orthonormal image
-basis is kept, so isometries and bracketings on n sites cost
-O(2^n * n^2) rather than O(4^n).
+basis is kept: a fusion isometry on n sites costs O(2^n * n^2) to build
+and is stored as its coefficients in the weight bases, and the two
+bracketings of a double fusion contract those coefficients, so no 2^n
+vector is formed for them.
 
 All public arrays are float64 and read-only.  A fusion overlap that is not
 a scalar multiple of the identity raises NumericalDegradationError with
@@ -182,18 +184,31 @@ def _nested_cups(q, m):
     return cup
 
 
+@dataclass(frozen=True, eq=False)
 class FusionIsometry:
-    """Isometric embedding of the label-gamma image into the alpha (x) beta chain."""
+    """Isometric embedding of the label-gamma image into the alpha (x) beta chain.
 
-    def __init__(self, param, alpha, beta, gamma, v, compressed, scale, gram_residual):
-        self.param = param
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        self.V = v
-        self.compressed = compressed
-        self.scale = scale
-        self.gram_residual = gram_residual
+    ``compressed`` holds its coefficients in the weight bases, shaped
+    (alpha+1, beta+1, gamma+1): entry (i, j, k) is the coefficient of
+    basis vector i of p_alpha times basis vector j of p_beta in the image
+    of target vector k.  ``V``, the chain matrix (B_alpha (x) B_beta) C, is
+    built from it on each read.
+    """
+
+    param: object
+    alpha: int
+    beta: int
+    gamma: int
+    compressed: np.ndarray
+
+    @property
+    def V(self):
+        ba = jones_wenzl(self.param, self.alpha).basis
+        bb = jones_wenzl(self.param, self.beta).basis
+        v = np.einsum("ai,ijk->ajk", ba, self.compressed)
+        v = np.einsum("bj,ajk->abk", bb, v).reshape(2 ** (self.alpha + self.beta), -1)
+        v.setflags(write=False)
+        return v
 
 
 def fusion_isometry(param, alpha, beta, gamma):
@@ -233,15 +248,9 @@ def fusion_isometry(param, alpha, beta, gamma):
             "fusion overlap is not a scalar multiple of the identity",
             residual=gram_residual,
         )
-    flat = flat / math.sqrt(scale)
-    comp3 = flat.reshape(alpha + 1, beta + 1, gamma + 1)
-    v = np.einsum("ai,ijk->ajk", ba, comp3)
-    v = np.einsum("bj,ajk->abk", bb, v).reshape(2 ** (alpha + beta), gamma + 1)
-    v.setflags(write=False)
-    flat.setflags(write=False)
-    iso = FusionIsometry(param, alpha, beta, gamma, v, flat, scale, gram_residual)
-    _ISO_CACHE[key] = iso
-    return iso
+    comp = comp / math.sqrt(scale)
+    comp.setflags(write=False)
+    return _ISO_CACHE.setdefault(key, FusionIsometry(param, alpha, beta, gamma, comp))
 
 
 def _check_channel(gamma, left, right):
@@ -250,7 +259,13 @@ def _check_channel(gamma, left, right):
 
 
 def _pentagon_sides(param, alpha, r, s, k, l):
-    """The two bracketings of the double fusion, as chain maps out of the source."""
+    """The two bracketings of the double fusion in the weight bases.
+
+    Both chain maps factor through the isometry B_s (x) B_alpha (x) B_r, so
+    each side is kept as its (s+1, alpha+1, r+1, alpha+k+l+1) coefficient
+    array: entry (i, a, j, c) pairs target vector c with the product of
+    basis vectors i, a and j.
+    """
     for label in (alpha, r, s, alpha + l, alpha + k, alpha + k + l):
         if label < 0:
             raise ValueError("labels and shifted labels must be nonnegative")
@@ -263,33 +278,18 @@ def _pentagon_sides(param, alpha, r, s, k, l):
             f"{s + alpha + r} sites exceeds the {MAX_STRANDS}-site limit"
         )
 
-    inner_a = fusion_isometry(param, alpha, r, alpha + l)
-    outer_a = fusion_isometry(param, s, alpha + l, alpha + k + l)
-    t = np.tensordot(
-        jones_wenzl(param, alpha + l).basis,
-        outer_a.V.reshape(2 ** s, 2 ** (alpha + l), -1), axes=([0], [1]),
-    )
-    a_side = np.tensordot(inner_a.V, t, axes=([1], [0]))
-    a_side = a_side.transpose(1, 0, 2).reshape(2 ** (s + alpha + r), -1)
-
-    inner_b = fusion_isometry(param, s, alpha, alpha + k)
-    outer_b = fusion_isometry(param, alpha + k, r, alpha + k + l)
-    t = np.tensordot(
-        jones_wenzl(param, alpha + k).basis,
-        outer_b.V.reshape(2 ** (alpha + k), 2 ** r, -1), axes=([0], [0]),
-    )
-    b_side = np.tensordot(inner_b.V, t, axes=([1], [0]))
-    b_side = b_side.reshape(2 ** (s + alpha + r), -1)
-    return a_side, b_side
+    inner_a = fusion_isometry(param, alpha, r, alpha + l).compressed
+    outer_a = fusion_isometry(param, s, alpha + l, alpha + k + l).compressed
+    inner_b = fusion_isometry(param, s, alpha, alpha + k).compressed
+    outer_b = fusion_isometry(param, alpha + k, r, alpha + k + l).compressed
+    return (np.einsum("arm,smc->sarc", inner_a, outer_a),
+            np.einsum("sam,mrc->sarc", inner_b, outer_b))
 
 
 def _aligned_difference(a_side, b_side, align_phase):
-    z = 1.0
-    if align_phase:
-        overlap = float(np.sum(a_side * b_side))
-        if overlap < 0:
-            z = -1.0
-    return a_side - z * b_side
+    if align_phase and np.sum(a_side * b_side) < 0:
+        return a_side + b_side
+    return a_side - b_side
 
 
 def pentagon_defect(param, alpha, r, s, k, l, align_phase=True):
@@ -300,11 +300,12 @@ def pentagon_defect(param, alpha, r, s, k, l, align_phase=True):
     Frobenius sense; for real matrices that is a sign.  Both sides map the
     weight-j basis vector of the target into the same weight sector of the
     chain, so the columns of their difference are orthogonal and its norm is
-    the largest column norm.
+    the largest column norm; the product basis is orthonormal, so that norm
+    is taken on the weight-basis coefficients.
     """
     a_side, b_side = _pentagon_sides(param, alpha, r, s, k, l)
     diff = _aligned_difference(a_side, b_side, align_phase)
-    return float(np.max(np.linalg.norm(diff, axis=0)))
+    return float(np.max(np.linalg.norm(diff.reshape(-1, diff.shape[3]), axis=0)))
 
 
 def _reference(param, exponent, alpha):
@@ -346,13 +347,13 @@ def _weighted_defect(param, alpha, k, l):
 
     Each probe is a product of basis vectors scaled by their weights; the
     weights are diagonal on the basis, so they cancel against the probe's
-    norm and only the unit basis vectors remain.
+    norm and only the unit basis vectors remain.  The pairing with a unit
+    product basis vector is the coefficient that the sides already hold,
+    so the defect is their largest norm over the target axis.
     """
     a_side, b_side = _pentagon_sides(param, alpha, 1, 1, k, l)
     diff = _aligned_difference(a_side, b_side, align_phase=True)
-    diff = diff.reshape(2, 2 ** alpha, 2, -1)
-    hit = np.einsum("xayc,ai->xiyc", diff, jones_wenzl(param, alpha).basis)
-    return float(np.max(np.linalg.norm(hit, axis=3)))
+    return float(np.max(np.linalg.norm(diff, axis=3)))
 
 
 def commutator_estimate(param, alpha, r, s, k, l):

@@ -296,6 +296,8 @@ def test_lemma65_suite(capsys):
         ("gap-scan", "--N", "2", "--q", "0.99999", "--alpha-max", "20000", "--gamma-max", "0"),
         ("gap-scan", "--N", "2", "--q", "0.5", "--alpha-max", "2000", "--gamma-max", "20"),
         ("gap-scan", "--N", "2", "--q", "4/11", "--alpha-max", "10000", "--gamma-max", "0"),
+        # its float tables, whose fsum terms grow like min(labels, 4q^2/(1-q^2))^2
+        ("gap-scan", "--N", "2", "--q", "0.99999", "--alpha-max", "19999", "--gamma-max", "0"),
         # the Cesaro sum's k terms
         ("cesaro", "--poly", "x", "--k", "100000000000"),
     ],
@@ -437,6 +439,9 @@ def test_timing_flag_adds_wall_time(capsys):
          "--format", "csv"),
         ("pentagon", "--q", "1e-40", "--alpha", "8", "--r", "1", "--s", "1",
          "--k", "1", "--l", "1"),
+        ("cesaro", "--poly", "x", "--k", "0"),
+        ("lemma65", "--q", "0.5", "--alpha-min", "0", "--alpha-max", "3"),
+        ("fusion", "--N", "2", "--q", "0.5", "--alpha", "3"),
     ],
 )
 def test_out_of_range_inputs_are_usage_errors(capsys, argv):

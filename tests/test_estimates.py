@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qgs.chebyshev import QParameter
+from qgs.errors import ResourceLimitError
 from qgs.estimates import (
     GapEvaluation,
     gap,
@@ -244,6 +245,20 @@ def test_gap_domain_validation():
         gap(p, 5, 1, 2)  # beta - gamma < 0
     with pytest.raises(ValueError):
         gap(p, 2, 2, 3)  # |gamma| > max(alpha, beta)
+
+
+def test_gap_tables_have_cost_ceilings():
+    # one cell builds its route's tables for every label up to
+    # max(alpha, beta) + |gamma|: integers of about 2 top^2 log2(r^2) bits
+    # at q = p/r, about min(top, 4q^2/(1-q^2))^2 / 2 fsum terms at decimal q
+    with pytest.raises(ResourceLimitError, match="bits"):
+        gap(QParameter(Fraction(4, 11), 2), 10000, 10000, 0)
+    with pytest.raises(ResourceLimitError, match="terms"):
+        gap(QParameter(0.99999, 2), 6000, 6000, 0)
+    with pytest.raises(ResourceLimitError, match="labels"):
+        gap(QParameter(0.5, 2), 20000, 0, 0)
+    # far from q = 1 the float sums stop early, so the same labels are cheap
+    assert gap(QParameter(0.5, 2), 6000, 6000, 0).ratio == 0
 
 
 def test_gap_degenerate_regime_ratio_is_inf():

@@ -26,6 +26,7 @@ from qgs.freewords import (
     expansion_sweep,
     gradient_commutator,
     hs_propagation_bound,
+    multiply,
     reduce_product,
     star,
     verify_boundary_expansion,
@@ -127,6 +128,22 @@ def test_confluence_random_patterns():
         out = reduce_product(b, x, a)
         for seed in (1, 2, 3):
             assert out.terms == brute_product(b + x + a, random.Random(seed))
+
+
+def test_both_circled_junctions_associate():
+    # a same-algebra product is a circled merged letter plus its phi, so
+    # joining two of them rewrites a junction of two circled letters with
+    # nonzero phis; normal forms must not depend on the bracketing
+    a1, a2, a3, a4 = (Expression.from_word((atom(0, f"a{i}"),)) for i in range(1, 5))
+    left, right = multiply(a1, a2), multiply(a3, a4)
+    out = multiply(left, right)
+    assert out == multiply(multiply(left, a3), a4)
+    letters = tuple(atom(0, f"a{i}") for i in range(1, 5))
+    assert out.terms == brute_product(letters, random.Random(5))
+    # a different-algebra product between them: its phi term joins them again
+    b1, b2 = (Expression.from_word((atom(1, f"b{i}"),)) for i in (1, 2))
+    middle = multiply(b1, b2)
+    assert multiply(multiply(left, middle), right) == multiply(left, multiply(middle, right))
 
 
 def test_apply_generator_single_letter():

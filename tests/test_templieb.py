@@ -19,7 +19,6 @@ from qgs.fusion import fuse
 from qgs.precision import to_mpf, working_precision
 from qgs.templieb import (
     _aligned_difference,
-    _pentagon_sides,
     _weight_diag,
     _weighted_defect,
     commutator_estimate,
@@ -299,6 +298,29 @@ def test_pentagon_geometric_decay():
     assert abs(slope - math.log(0.5)) <= 0.05 * abs(math.log(0.5))
 
 
+def _chain_sides(param, alpha, r, s, k, l):
+    """Both bracketings as chain maps out of the source, built from the
+    chain isometries: the 2^(s+alpha+r)-row oracle for the weight-basis sides."""
+    inner_a = fusion_isometry(param, alpha, r, alpha + l)
+    outer_a = fusion_isometry(param, s, alpha + l, alpha + k + l)
+    t = np.tensordot(
+        jones_wenzl(param, alpha + l).basis,
+        outer_a.V.reshape(2 ** s, 2 ** (alpha + l), -1), axes=([0], [1]),
+    )
+    a_side = np.tensordot(inner_a.V, t, axes=([1], [0]))
+    a_side = a_side.transpose(1, 0, 2).reshape(2 ** (s + alpha + r), -1)
+
+    inner_b = fusion_isometry(param, s, alpha, alpha + k)
+    outer_b = fusion_isometry(param, alpha + k, r, alpha + k + l)
+    t = np.tensordot(
+        jones_wenzl(param, alpha + k).basis,
+        outer_b.V.reshape(2 ** (alpha + k), 2 ** r, -1), axes=([0], [0]),
+    )
+    b_side = np.tensordot(inner_b.V, t, axes=([1], [0]))
+    b_side = b_side.reshape(2 ** (s + alpha + r), -1)
+    return a_side, b_side
+
+
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 1.0])
 def test_pentagon_defect_is_the_operator_norm(q):
     # the largest column norm stands in for the largest singular value
@@ -310,10 +332,25 @@ def test_pentagon_defect_is_the_operator_norm(q):
             target = alpha + k + l
             if target not in fuse(alpha + k, r) or target not in fuse(s, alpha + l):
                 continue
-            diff = _aligned_difference(*_pentagon_sides(p, alpha, r, s, k, l), True)
+            diff = _aligned_difference(*_chain_sides(p, alpha, r, s, k, l), True)
             reference = np.linalg.svd(diff, compute_uv=False)[0]
             defect = pentagon_defect(p, alpha, r, s, k, l)
             assert defect == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("q", [0.08, 0.3, 0.6, 0.95])
+def test_weight_basis_defects_match_chain_maps_at_full_size(q):
+    # 12 sites (pentagon --alpha 10) and 13 sites (lemma65 --alpha-max 11)
+    p = QParameter(q, 2)
+    for alpha in (10, 11):
+        for k, l in itertools.product((1, -1), repeat=2):
+            diff = _aligned_difference(*_chain_sides(p, alpha, 1, 1, k, l), True)
+            chain = float(np.max(np.linalg.norm(diff, axis=0)))
+            assert abs(pentagon_defect(p, alpha, 1, 1, k, l) - chain) <= 5e-14
+            hit = np.einsum("xayc,ai->xiyc", diff.reshape(2, 2 ** alpha, 2, -1),
+                            jones_wenzl(p, alpha).basis)
+            chain = float(np.max(np.linalg.norm(hit, axis=3)))
+            assert abs(_weighted_defect(p, alpha, k, l) - chain) <= 5e-14
 
 
 def test_pentagon_validation():
@@ -348,7 +385,7 @@ def test_commutator_estimate_scope():
 
 def _weighted_defect_reference(param, alpha, k, l):
     """The weighted pairing with explicit weights on basis and probes."""
-    diff = _aligned_difference(*_pentagon_sides(param, alpha, 1, 1, k, l), True)
+    diff = _aligned_difference(*_chain_sides(param, alpha, 1, 1, k, l), True)
 
     def weights(n):
         b = jones_wenzl(param, n).basis
