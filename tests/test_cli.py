@@ -300,6 +300,8 @@ def test_lemma65_suite(capsys):
         ("gap-scan", "--N", "2", "--q", "0.99999", "--alpha-max", "19999", "--gamma-max", "0"),
         # the Cesaro sum's k terms
         ("cesaro", "--poly", "x", "--k", "100000000000"),
+        # the word-calculus sweep's patterns: 524,046 here, counted before any is verified
+        ("freeprod-verify", "--max-x", "5", "--max-side", "4", "--algebras", "4"),
     ],
 )
 def test_cost_ceilings_are_resource_errors(capsys, argv):
@@ -428,6 +430,9 @@ def test_timing_flag_adds_wall_time(capsys):
         ("fusion", "--N", "2", "--q", "0.5", "--alpha-max", "-1", "--format", "csv"),
         ("freeprod-verify", "--max-x", "-1", "--format", "csv"),
         ("freeprod-verify", "--max-side", "-1"),
+        # no algebra leaves only the empty pattern, a vacuous pass
+        ("freeprod-verify", "--max-x", "2", "--max-side", "1", "--algebras", "0"),
+        ("freeprod-verify", "--max-x", "2", "--max-side", "1", "--algebras", "-1"),
         # the reference q^alpha underflows to 0.0, or overflows at a negative exponent
         ("lemma65", "--q", "1e-30", "--alpha-max", "12"),
         ("pentagon", "--q", "1e-200", "--alpha", "3", "--r", "1", "--s", "1",

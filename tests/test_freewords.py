@@ -5,7 +5,9 @@ rewrite u v = (uv) circled + phi(uv) 1 - [u circled] phi(u) v
 - [v circled] phi(v) u - [both] phi(u) phi(v) 1 at a RANDOMLY chosen
 junction each step and canonicalizes at the end.  Agreement with the
 library product over many random orders checks both the expansion and
-its order-independence.
+its order-independence.  The commutator b D(xa) - D(bxa) - b D(x) a
++ D(bx) a, built term by term from the public product and generator, is
+the oracle for its regrouping as two Leibniz defects.
 """
 
 import itertools
@@ -16,10 +18,14 @@ import pytest
 
 from qgs.errors import ResourceLimitError
 from qgs.freewords import (
+    MAX_SWEEP_PATTERNS,
     Expression,
     Letter,
     PhiSymbol,
+    _boundary_main_sum,
     _growth_words,
+    _leibniz_defect,
+    _sweep_size,
     apply_generator,
     atom,
     circle,
@@ -363,8 +369,110 @@ def test_growth_words_match_relabel_and_filter():
             for at, _ in _growth_words(max_side, used_x, algebras)
         ]
         assert patterns == _relabel_and_filter(max_x, max_side, algebras)
+        assert _sweep_size(max_x, max_side, algebras) == len(patterns)
+
+
+def test_sweep_sizes_against_ceiling():
+    sizes = [_sweep_size(max_x, 3, 3) for max_x in (4, 5, 6)]
+    assert sizes == [3715, 7587, 15331]
+    assert max(sizes) <= MAX_SWEEP_PATTERNS
+    # 524,046 and 1,573,887 patterns; counting stops once past the ceiling
+    assert _sweep_size(5, 4, 4) > MAX_SWEEP_PATTERNS
+    assert _sweep_size(6, 4, 4) > MAX_SWEEP_PATTERNS
+    assert _sweep_size(10**9, 3, 2) > MAX_SWEEP_PATTERNS
 
 
 def test_expansion_sweep_order():
     reports = expansion_sweep(max_x=2, max_side=2, algebras=3)
     assert [(r.b_types, r.x_types, r.a_types) for r in reports] == _relabel_and_filter(2, 2, 3)
+
+
+def four_term_commutator(eb, ex, ea):
+    """b D(x a) - D(b x a) - b D(x) a + D(b x) a, term by term from the
+    public product, generator, sum and difference."""
+    xa = multiply(ex, ea)
+    return (
+        multiply(eb, apply_generator(xa))
+        - apply_generator(multiply(eb, xa))
+        - multiply(multiply(eb, apply_generator(ex)), ea)
+        + multiply(apply_generator(multiply(eb, ex)), ea)
+    )
+
+
+def _oracle_ledger(b, x, a):
+    """The ledger groups and residual of the four-term route."""
+    words = (Expression.from_word(w) for w in (b, x, a))
+    ledger = four_term_commutator(*words) - _boundary_main_sum(b, x, a)
+    groups, residual = {}, {}
+    for (w, phis), coeff in ledger.terms.items():
+        groups.setdefault((len(w), tuple(lt.algebra for lt in w)), {})[(w, phis)] = coeff
+        if len(w) > len(b) + len(a):
+            residual[(w, phis)] = coeff
+    return groups, residual
+
+
+def test_gradient_commutator_matches_four_term_oracle():
+    for max_x, max_side in ((3, 2), (2, 3)):
+        for rep in expansion_sweep(max_x=max_x, max_side=max_side, algebras=3):
+            # the atoms verify_boundary_expansion substitutes
+            b, x, a = (
+                tuple(atom(t, f"{name}{i}") for i, t in enumerate(types, 1))
+                for name, types in zip("bxa", (rep.b_types, rep.x_types, rep.a_types))
+            )
+            expected = four_term_commutator(*(Expression.from_word(w) for w in (b, x, a)))
+            assert gradient_commutator(b, x, a).terms == expected.terms
+            groups, residual = _oracle_ledger(b, x, a)
+            assert {sig: g.terms for sig, g in rep.ledger.groups.items()} == groups
+            assert rep.residual.terms == residual
+            assert rep.lhs_is_zero == expected.is_zero()
+
+
+def _random_word(rng, length, names):
+    """Reduced word over two algebras; about half its letters are circled
+    two-atom products, whose phi is a nonzero symbol."""
+    letters = []
+    for _ in range(length):
+        alg = rng.choice([t for t in range(2) if not letters or t != letters[-1].algebra])
+        letter = atom(alg, next(names))
+        if rng.random() < 0.5:
+            letter = Letter(alg, letter.factors + atom(alg, next(names)).factors, True)
+        letters.append(letter)
+    return tuple(letters)
+
+
+def test_gradient_commutator_oracle_at_circled_letters():
+    rng = random.Random(1802)
+    names = (f"s{i}" for i in itertools.count())
+    nonzero = both_circled = 0
+    for _ in range(150):
+        b, x, a = (_random_word(rng, rng.randint(1, 3), names) for _ in range(3))
+        expected = four_term_commutator(*(Expression.from_word(w) for w in (b, x, a)))
+        assert gradient_commutator(b, x, a).terms == expected.terms
+        nonzero += not expected.is_zero()
+        for left, right in ((b, x), (x, a)):
+            if left[-1].algebra == right[0].algebra:
+                both_circled += left[-1].circled and right[0].circled
+    assert nonzero >= 30 and both_circled >= 20
+
+
+def test_leibniz_regrouping_at_phi_carrying_inputs():
+    # C(b, x) a - C(b, x a) is the four-term sum for any expressions, with
+    # several terms, phi symbols and coefficients other than 1
+    rng = random.Random(68)
+    names = (f"s{i}" for i in itertools.count())
+
+    def expression():
+        out = Expression()
+        for _ in range(rng.randint(1, 3)):
+            w = _random_word(rng, rng.randint(0, 2), names)
+            phis = tuple(
+                PhiSymbol(rng.randrange(3), atom(0, next(names)).factors * 2)
+                for _ in range(rng.randint(0, 2))
+            )
+            out = out + Expression.from_word(w, coeff=rng.choice((-2, -1, 1, 3)), phis=phis)
+        return out
+
+    for _ in range(60):
+        eb, ex, ea = expression(), expression(), expression()
+        regrouped = multiply(_leibniz_defect(eb, ex), ea) - _leibniz_defect(eb, multiply(ex, ea))
+        assert regrouped == four_term_commutator(eb, ex, ea)
