@@ -258,10 +258,12 @@ def _cmd_freeprod(args):
 
 
 def _cmd_amenability(args):
-    from .spectrum import amenability_criterion, spectral_stream
+    from .spectrum import amenability_criterion, labels_covering, spectral_stream
 
+    param = _param(args)
+    labels_covering(param.N, args.n_max)  # the label ceiling, before any eigenvalue
     report = amenability_criterion(
-        spectral_stream(_param(args)), args.n_max,
+        spectral_stream(param), args.n_max,
         warmup=args.warmup, threshold=args.threshold,
     )
     rows = [

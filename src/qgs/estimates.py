@@ -6,9 +6,15 @@ against a three-term power bound.  For q < 1, delta_a = (a+1)L - C + r_a
 with r_a = 2(a+1)q^(2a+3)/((1-q^2)(1-q^(2a+2))); L and C cancel, leaving
 |r_{a+g} - r_a - r_b + r_{b-g}|: exact in integers for rational q (see
 _ExactCells: cross-multiplied, no Fraction normalisation, one correctly
-rounded division per scanned cell), and in float64 for decimal q (see
+rounded division per cell), and in float64 for decimal q (see
 _FloatCells).  At q = 1 the eigenvalue recurrence stands in for r.  No
 route raises the working precision.
+
+At rational q the grid scan screens every cell in float64 (_FloatCells
+at float(q), with log q from the fraction) and evaluates exactly only the
+cells whose float ratio, widened by the margin _SCREEN_EPS, could still
+raise the supremum they are compared with; every ratio it reports is an
+exact cell, correctly rounded.
 """
 
 from __future__ import annotations
@@ -33,7 +39,10 @@ from .spectrum import eigenvalue, spectral_data
 # scanning (2-vCPU x86_64): a float64 cell takes about 3 us; an exact cell at
 # q = p/r works on integers of b = (alpha_max + gamma_max) log2(r^2) bits and
 # takes about 2.5e-10 b^1.5 s (CPython multiplies them in about b^1.585),
-# from b = 1.4e3 at q = 4/11 to b = 2e6 at a 4000-digit r
+# from b = 1.4e3 at q = 4/11 to b = 2e6 at a 4000-digit r.  The exact work
+# ceiling bounds the worst case, in which the float screen passes every cell
+# on to exact evaluation (200 x 5 scans at q = 4/11, 6/11, 11/12, 99/100
+# and 1/1000 pass it 52-244 of their 44,851 cells)
 MAX_SCAN_CELLS = 10**6
 MAX_EXACT_SCAN_WORK = 2 * 10**10  # cells * b^1.5
 
@@ -152,11 +161,11 @@ class _FloatCells:
     kt[n] = (1-u) B(n) / ((1-u^n)(1-u^(n+1))(1-u^(n+2))),
     B(n) = n(1-u)(1+u^(n+1)) - 2u(1-u^n) = (1-u) sum_i (1-u^i)(1-u^(n+1-i)),
     the sum taken while n(1-u) < 4u.  With 1 - u^k from expm1 no step
-    cancels, so the error stays near 1e-15 as q -> 1.
+    cancels, so the error stays near 1e-15 as q -> 1, given lq = log q
+    to a relative 1e-16: 1 - u^k is as close as lq is.
     """
 
-    def __init__(self, q, top):
-        lq = math.log(q)
+    def __init__(self, q, top, lq):
         u = q * q
         self.om = om = [-math.expm1(2 * k * lq) for k in range(top + 3)]
         self.kt = kt = [0.0]
@@ -204,10 +213,46 @@ class _FloatCells:
             raise _beyond_double(a, b, g)
         return ratio
 
+    def bound(self, a, b, g):
+        """An upper bound on the exact ratio at the rational q these tables
+        stand for, when they come from _screen_cells."""
+        return self._ratio(*self.sides(a, b, g)) * (1 + _SCREEN_EPS) + 2.0**-1000
+
     def gap(self, a, b, g):
         lhs, rhs, lo, m = sides = self.sides(a, b, g)
         q = mpmath.mpf(self.q)
         return lhs * q ** (2 * lo), rhs * q ** (2 * m), self._ratio(*sides)
+
+
+# The float64 screen of the rational gap scan.  Its cells are _FloatCells at
+# float(q), with log q = -log1p((r-p)/p) taken from q = p/r itself: from
+# log(float(q)), 1 - u^k would be off by about 2^-53/(1-q), 3e-8 at
+# q = 1 - 1e-9.  A cell's ratio is then made of sums, products and quotients
+# of positive terms (the one difference, in B(n), loses at most a bit, since
+# n(1-u) >= 4u there): a sum of at most 2 top terms, powers q^(2k) with
+# k <= 2 top that carry the 2^-53 of float(q) k-fold, and a few dozen more
+# roundings.  With top < MAX_LABELS that is a relative error below 2^-35
+# (the most seen is 1.4e-15, about 2^-49), so a screened ratio times
+# 1 + _SCREEN_EPS bounds the exact one.  A ratio that underflows is off by
+# at most 2^-1075 / rhs in absolute terms, and rhs >= 1 - u > 2^-54, hence
+# the 2^-1000 added.  A cell whose bound is below the sup it must beat cannot
+# beat it under the scan's strict >, so only the others are evaluated
+# exactly.  Where float(q) is not a normal double below 1.0 (r > 2^53 with q
+# within 2^-54 of 1, or q < 2.2e-308) there is no screen and every cell is
+# evaluated exactly, as at decimal q every cell is evaluated in float64.  The float tables need no ceiling of their own: they sum about
+# min(top, 4u/(1-u))^2 / 2 terms; for r < 128, 4u/(1-u) <= 4r^2/(2r-1) < 256,
+# at most about 33k terms, and for r >= 128, MAX_EXACT_TABLE_BITS holds
+# top^2 <= 5e8/30, at most 8.3e6 terms, below MAX_FLOAT_TABLE_TERMS.
+_SCREEN_EPS = 2.0**-30
+
+
+def _screen_cells(q, top):
+    """Float64 cells for rational q = p/r with log q from the fraction (see
+    _SCREEN_EPS); None where float(q) is not a normal double below 1.0."""
+    if not sys.float_info.min <= float(q) < 1.0:
+        return None
+    p, r = q.numerator, q.denominator
+    return _FloatCells(float(q), top, -math.log1p((r - p) / p))
 
 
 def _check_tables(param, top):
@@ -245,7 +290,7 @@ def _cells(param, top):
             "this decimal q < 1 rounds to 1.0 as a double, where the float "
             "gap cells would divide by 1 - q^2 = 0; give q as a fraction"
         )
-    return _FloatCells(q, top)
+    return _FloatCells(q, top, math.log(q))
 
 
 @dataclass(frozen=True)
@@ -342,6 +387,8 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
                 f"{bits}-bit integers exceeds {MAX_EXACT_SCAN_WORK} cells * bits^1.5"
             )
     ratio_at = _cells(param, top).ratio
+    screen = _screen_cells(param.q, top) if isinstance(param.q, Fraction) else None
+    bound_at = screen.bound if screen else None  # None: every cell is evaluated
     sup = 0.0
     argmax = (0, 0, 0)
     half = alpha_max // 2
@@ -354,6 +401,11 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
         for b in range(b_lo, b_hi + 1):
             # a + g >= 0 and b - g >= 0 also give |g| <= max(a, b)
             for g in range(max(-gamma_max, -a), min(gamma_max, b) + 1):
+                # skip a cell that cannot beat its sup (low_sup and high_sup never exceed sup)
+                if bound_at and bound_at(a, b, g) < (
+                    sup if a < quarter else low_sup if a < half else high_sup
+                ):
+                    continue
                 ratio = ratio_at(a, b, g)
                 if ratio > sup:
                     sup = ratio

@@ -25,9 +25,14 @@ from typing import NamedTuple
 
 from .errors import ResourceLimitError
 
-# expansion_sweep's ceiling: (6, 3, 3), 15,331 patterns, takes about 4 s
-# (2-vCPU x86_64); the cost of a pattern grows with its length
+# expansion_sweep's ceilings (2-vCPU x86_64): (6, 3, 3), 15,331 patterns,
+# takes about 4.6 s.  A pattern of k, n and m letters in b, x and a costs
+# about 0.4-1.3 us per unit of _pattern_work(k, n, m) = (k+1)(n+1)(m+1)(k+n+m):
+# 0.4 us over the (6, 3, 3) and (4, 3, 4) sweeps (1.07e7 and 9.9e6 units),
+# 0.9 us for an x of 256 letters alone, 1.3 us for a b and an a of 30 each.
+# MAX_LETTER_WORK holds for a sweep's sum and for a single pattern alike.
 MAX_SWEEP_PATTERNS = 20_000
+MAX_LETTER_WORK = 15 * 10**6
 
 
 class Letter(NamedTuple):
@@ -355,6 +360,12 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3)
             f"pattern sizes ({len(b_types)}, {len(x_types)}, {len(a_types)}) "
             f"exceed limits ({max_side}, {max_x}, {max_side})"
         )
+    work = _pattern_work(len(b_types), len(x_types), len(a_types))
+    if work > MAX_LETTER_WORK:
+        raise ResourceLimitError(
+            f"pattern sizes ({len(b_types)}, {len(x_types)}, {len(a_types)}) take "
+            f"{work} units of letter work, above {MAX_LETTER_WORK}"
+        )
     b = tuple(atom(t, f"b{i}") for i, t in enumerate(b_types, 1))
     x = tuple(atom(t, f"x{i}") for i, t in enumerate(x_types, 1))
     a = tuple(atom(t, f"a{i}") for i, t in enumerate(a_types, 1))
@@ -412,16 +423,18 @@ def _growth_words(max_length, used, algebras):
 
 
 def _growth_counts(max_length, used, algebras):
-    """How many words `_growth_words` yields, keyed by the labels used after
-    them; counting stops once more than MAX_SWEEP_PATTERNS are counted.
+    """Tallies of the words `_growth_words` yields, keyed by the labels used
+    after them: [count, sum of L + 1, sum of (L + 1) L] over their lengths L;
+    counting stops once more than MAX_SWEEP_PATTERNS are counted.
 
     A first letter is any label taken or the next new one, a later letter
     any label taken but the one before it or the next new one, so the count
     needs only the length and the labels used."""
-    totals = {used: 1}
+    totals = {used: [1, 1, 0]}
     level = {used: 1}
+    counted = 1
     for length in range(max_length):
-        if not level or sum(totals.values()) > MAX_SWEEP_PATTERNS:
+        if not level or counted > MAX_SWEEP_PATTERNS:
             break
         step = {}
         for n, count in level.items():
@@ -432,7 +445,11 @@ def _growth_counts(max_length, used, algebras):
                 step[n + 1] = step.get(n + 1, 0) + count
         level = step
         for n, count in level.items():
-            totals[n] = totals.get(n, 0) + count
+            tally = totals.setdefault(n, [0, 0, 0])
+            tally[0] += count
+            tally[1] += count * (length + 2)
+            tally[2] += count * (length + 2) * (length + 1)
+            counted += count
     return totals
 
 
@@ -440,17 +457,36 @@ def _sweep_size(max_x, max_side, algebras):
     """The number of patterns `expansion_sweep` verifies, exact up to
     MAX_SWEEP_PATTERNS; above it, only a number above the ceiling."""
     return sum(
-        count_b * count_x * sum(_growth_counts(max_side, used_x, algebras).values())
-        for used_b, count_b in _growth_counts(max_side, 0, algebras).items()
-        for used_x, count_x in _growth_counts(max_x, used_b, algebras).items()
+        count_b * count_x * sum(t[0] for t in _growth_counts(max_side, used_x, algebras).values())
+        for used_b, (count_b, _, _) in _growth_counts(max_side, 0, algebras).items()
+        for used_x, (count_x, _, _) in _growth_counts(max_x, used_b, algebras).items()
     )
+
+
+def _pattern_work(k, n, m):
+    """The cost of one pattern of k, n and m letters in b, x and a, in the
+    units of MAX_LETTER_WORK."""
+    return (k + 1) * (n + 1) * (m + 1) * (k + n + m)
+
+
+def _sweep_work(max_x, max_side, algebras):
+    """The summed _pattern_work of the patterns `expansion_sweep` verifies,
+    exact where _sweep_size is.  Summed over words of lengths k, n and m,
+    (k+1)(n+1)(m+1)(k+n+m) is a sum of three products of per-word tallies."""
+    work = 0
+    for used_b, (_, b0, b1) in _growth_counts(max_side, 0, algebras).items():
+        for used_x, (_, x0, x1) in _growth_counts(max_x, used_b, algebras).items():
+            _, a0, a1 = map(sum, zip(*_growth_counts(max_side, used_x, algebras).values()))
+            work += b1 * x0 * a0 + b0 * x1 * a0 + b0 * x0 * a1
+    return work
 
 
 def expansion_sweep(*, max_x=4, max_side=3, algebras=3):
     """Verify every type pattern up to the size limits, one per relabeling class.
 
-    More than MAX_SWEEP_PATTERNS patterns is a ResourceLimitError, raised
-    before any pattern is verified."""
+    More than MAX_SWEEP_PATTERNS patterns, or more than MAX_LETTER_WORK
+    summed over them, is a ResourceLimitError, raised before any pattern is
+    verified."""
     if min(max_x, max_side) < 0:
         raise ValueError("max_x and max_side must be >= 0")
     if algebras < 1:
@@ -459,6 +495,12 @@ def expansion_sweep(*, max_x=4, max_side=3, algebras=3):
         raise ResourceLimitError(
             f"a sweep of ({max_x}, {max_side}, {algebras}) checks more than "
             f"{MAX_SWEEP_PATTERNS} patterns"
+        )
+    work = _sweep_work(max_x, max_side, algebras)
+    if work > MAX_LETTER_WORK:
+        raise ResourceLimitError(
+            f"a sweep of ({max_x}, {max_side}, {algebras}) takes {work} units of "
+            f"letter work, above {MAX_LETTER_WORK}"
         )
     return [
         verify_boundary_expansion(bt, xt, at, max_x=max_x, max_side=max_side)

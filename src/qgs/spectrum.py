@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from operator import index
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -239,6 +239,18 @@ class AmenabilityReport:
     satisfied: bool
     verdict: str
     note: str = "numerical evidence"
+
+
+def labels_covering(N: int, n_max: int) -> int:
+    """How many labels of the spectral stream at N it takes to cover n_max
+    eigenvalues, from the multiplicities n_a^2 alone; more than MAX_LABELS
+    is a ResourceLimitError, raised after at most MAX_LABELS integer steps."""
+    n_max = index(n_max)
+    for labels, covered in enumerate(accumulate(n * n for n in _values(N)), 1):
+        if covered >= n_max:
+            return labels
+        if labels >= MAX_LABELS:
+            raise ResourceLimitError(f"n_max = {n_max} needs over {MAX_LABELS} labels")
 
 
 def amenability_criterion(

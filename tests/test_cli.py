@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgs import QParameter, templieb
+from qgs import QParameter, freewords, spectrum, templieb
 from qgs.cli import main
 from qgs.errors import NumericalDegradationError
 
@@ -344,6 +344,33 @@ def test_freeprod_resource_limit(capsys):
     assert json.loads(err)["error"]["type"] == "resource"
 
 
+def test_freeprod_letter_ceiling_before_any_pattern(capsys, monkeypatch):
+    # 20,000 patterns pass the pattern ceiling, but their letters would take hours
+    def unverified(*args, **kwargs):
+        raise AssertionError("a pattern was verified")
+
+    monkeypatch.setattr(freewords, "verify_boundary_expansion", unverified)
+    code, out, err = run_cli(
+        capsys, "freeprod-verify", "--max-x", "19999", "--max-side", "0", "--algebras", "2",
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "resource"
+
+
+def test_freeprod_single_pattern_letter_ceiling(capsys, monkeypatch):
+    def unverified(*args, **kwargs):
+        raise AssertionError("the pattern was verified")
+
+    monkeypatch.setattr(freewords, "gradient_commutator", unverified)
+    side = ",".join("01" * 30)
+    code, out, err = run_cli(
+        capsys, "freeprod-verify", "--b", side, "--x", side, "--a", side,
+        "--max-x", "60", "--max-side", "60",
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "resource"
+
+
 def test_amenability_satisfied(capsys):
     code, out, _ = run_cli(
         capsys, "amenability", "--N", "2", "--q", "1", "--n-max", "1000000",
@@ -362,6 +389,21 @@ def test_amenability_not_satisfied_exits_one(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["verdict"] == "not-satisfied"
+
+
+def test_amenability_label_ceiling_before_any_eigenvalue(capsys, monkeypatch):
+    # 10^14 eigenvalues at N = 2 need about 66,900 labels: refused from the
+    # multiplicities alone, not after 20,001 exact eigenvalues
+    def unread_stream(param):
+        raise AssertionError("the spectral stream was read")
+        yield
+
+    monkeypatch.setattr(spectrum, "spectral_stream", unread_stream)
+    code, out, err = run_cli(
+        capsys, "amenability", "--N", "2", "--q", "1/2", "--n-max", "100000000000000",
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "resource"
 
 
 def test_cesaro_linear_probe(capsys):

@@ -12,17 +12,21 @@ eigenvalues.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qgs.chebyshev import QParameter
 from qgs.errors import ResourceLimitError
 from qgs.estimates import (
+    _SCREEN_EPS,
     GapEvaluation,
+    _ExactCells,
+    _screen_cells,
     gap,
     gap_constant_scan,
     hs_certificate,
@@ -157,6 +161,104 @@ def test_gap_scan_rational_equals_exact_oracle_scan(q, alpha_max, gamma_max):
     assert scan.argmax == (next(c for c, r in ratios.items() if r == sup) if sup else (0, 0, 0))
     assert (scan.window_low_sup, scan.window_high_sup) == (low, high)
     assert scan.stable == (abs(high - low) <= 0.1 * max(high, low))
+
+
+def scan_cells(alpha_max, gamma_max):
+    """The cells of a gap scan, in its order."""
+    for a in range(alpha_max + 1):
+        for b in range(max(0, a - 2 * gamma_max), min(alpha_max, a + 2 * gamma_max) + 1):
+            for g in range(max(-gamma_max, -a), min(gamma_max, b) + 1):
+                yield a, b, g
+
+
+def exhaustive_exact_scan(q, alpha_max, gamma_max):
+    """(sup_ratio, argmax, window_low_sup, window_high_sup, stable) with every
+    cell evaluated exactly, in the scan's order: the reference for the
+    screened scan at rational q, down to the cell a ValueError names."""
+    ratio_at = _ExactCells(q, alpha_max + gamma_max).ratio
+    sup, argmax, low, high = 0.0, (0, 0, 0), 0.0, 0.0
+    for a, b, g in scan_cells(alpha_max, gamma_max):
+        ratio = ratio_at(a, b, g)
+        if ratio > sup:
+            sup, argmax = ratio, (a, b, g)
+        if alpha_max // 4 <= a < alpha_max // 2:
+            low = max(low, ratio)
+        if a >= alpha_max // 2:
+            high = max(high, ratio)
+    return sup, argmax, low, high, abs(high - low) <= 0.1 * max(high, low)
+
+
+def scan_record(scan):
+    return (scan.sup_ratio, scan.argmax, scan.window_low_sup, scan.window_high_sup, scan.stable)
+
+
+def fraction_in(r_max):
+    return st.integers(2, r_max).flatmap(
+        lambda r: st.integers(1, r - 1).map(lambda p: Fraction(p, r))
+    )
+
+
+# rational q of every size up to r = 10^6, q within 1e-3 of 1 (to 1 - 1e-6),
+# and q <= 1e-6 (to 1e-12)
+screened_q = st.one_of(
+    fraction_in(10**6),
+    st.integers(1000, 10**6).flatmap(
+        lambda r: st.integers(1, r // 1000).map(lambda k: Fraction(r - k, r))
+    ),
+    st.integers(1000, 10**6).map(lambda r: Fraction(r - 1, r)),
+    st.integers(1, 1000).flatmap(
+        lambda p: st.integers(10**6 * p, 10**12).map(lambda r: Fraction(p, r))
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=screened_q,
+    alpha_max=st.integers(min_value=10, max_value=80),
+    gamma_max=st.integers(min_value=0, max_value=4),
+)
+@example(q=Fraction(10**6 - 1, 10**6), alpha_max=40, gamma_max=4)
+@example(q=Fraction(1, 10**6), alpha_max=40, gamma_max=4)
+def test_gap_scan_screen_error_far_below_its_margin(q, alpha_max, gamma_max):
+    # the screen skips a cell when its float ratio times 1 + _SCREEN_EPS is
+    # below the sup the cell must beat: 2^-40 leaves 1000x headroom.  Near
+    # q = 1 this needs log q from the fraction: from log(float(q)) the error
+    # is about 2^-53 / (1 - q), 3e-11 at q = 1 - 1e-6
+    top = alpha_max + gamma_max
+    exact, screen = _ExactCells(q, top), _screen_cells(q, top)
+    for a, b, g in scan_cells(alpha_max, gamma_max):
+        want = exact.ratio(a, b, g)
+        got = screen._ratio(*screen.sides(a, b, g))
+        assert abs(got - want) <= 2.0**-40 * want
+        assert screen.bound(a, b, g) >= want
+    assert 2.0**-40 * 1000 < _SCREEN_EPS
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.one_of(fraction_in(10**4), st.integers(2, 10**9).map(lambda r: Fraction(r - 1, r))),
+    alpha_max=st.integers(min_value=10, max_value=60),
+    gamma_max=st.integers(min_value=0, max_value=4),
+)
+def test_gap_scan_rational_equals_exhaustive_exact_scan(q, alpha_max, gamma_max):
+    scan = gap_constant_scan(QParameter(q, 2), alpha_max, gamma_max)
+    assert scan_record(scan) == exhaustive_exact_scan(q, alpha_max, gamma_max)
+
+
+@pytest.mark.parametrize("q", [Fraction(2**60, 2**60 + 1), Fraction(1, 10**308)])
+def test_gap_scan_unscreened_q_equals_exhaustive_exact_scan(q):
+    # float(q) is 1.0 and subnormal (QParameter refuses q below 1/DBL_MAX, so
+    # float(q) is never 0.0): there is no screen, and every cell is exact
+    assert float(q) in (1.0, 1e-308) and _screen_cells(q, 14) is None
+    param = QParameter(q, 2)
+    try:
+        want = exhaustive_exact_scan(q, 10, 4)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            gap_constant_scan(param, 10, 4)
+    else:
+        assert scan_record(gap_constant_scan(param, 10, 4)) == want
 
 
 def test_gap_float_outside_double_range():

@@ -17,7 +17,9 @@ from fractions import Fraction
 import pytest
 
 from qgs.errors import ResourceLimitError
+from qgs import freewords
 from qgs.freewords import (
+    MAX_LETTER_WORK,
     MAX_SWEEP_PATTERNS,
     Expression,
     Letter,
@@ -25,7 +27,9 @@ from qgs.freewords import (
     _boundary_main_sum,
     _growth_words,
     _leibniz_defect,
+    _pattern_work,
     _sweep_size,
+    _sweep_work,
     apply_generator,
     atom,
     circle,
@@ -380,6 +384,44 @@ def test_sweep_sizes_against_ceiling():
     assert _sweep_size(5, 4, 4) > MAX_SWEEP_PATTERNS
     assert _sweep_size(6, 4, 4) > MAX_SWEEP_PATTERNS
     assert _sweep_size(10**9, 3, 2) > MAX_SWEEP_PATTERNS
+
+
+def test_sweep_work_sums_pattern_work():
+    for max_x, max_side, algebras in itertools.product(range(6), range(4), range(5)):
+        assert _sweep_work(max_x, max_side, algebras) == sum(
+            _pattern_work(len(bt), len(xt), len(at))
+            for bt, used_b in _growth_words(max_side, 0, algebras)
+            for xt, used_x in _growth_words(max_x, used_b, algebras)
+            for at, _ in _growth_words(max_side, used_x, algebras)
+        )
+
+
+def test_sweep_work_against_ceiling():
+    works = [_sweep_work(*cfg) for cfg in ((5, 3, 3), (6, 3, 3), (4, 3, 4))]
+    assert works == [4047512, 10670072, 9873852]
+    assert max(works) <= MAX_LETTER_WORK
+    # 20,000 patterns, within their ceiling, of up to 19,999 letters each
+    assert _sweep_size(19999, 0, 2) == MAX_SWEEP_PATTERNS
+    assert _sweep_work(19999, 0, 2) > MAX_LETTER_WORK
+
+
+def unverified(*args, **kwargs):
+    raise AssertionError("a pattern was verified")
+
+
+def test_sweep_letter_ceiling_before_any_pattern(monkeypatch):
+    monkeypatch.setattr(freewords, "verify_boundary_expansion", unverified)
+    with pytest.raises(ResourceLimitError, match="letter work"):
+        expansion_sweep(max_x=19999, max_side=0, algebras=2)
+
+
+def test_single_pattern_letter_ceiling(monkeypatch):
+    # 60 letters in each of b, x and a: 61^3 * 180 = 4.1e7 units
+    monkeypatch.setattr(freewords, "gradient_commutator", unverified)
+    side = tuple(i % 2 for i in range(60))
+    assert _pattern_work(60, 60, 60) > MAX_LETTER_WORK
+    with pytest.raises(ResourceLimitError, match="letter work"):
+        verify_boundary_expansion(side, side, side, max_x=60, max_side=60)
 
 
 def test_expansion_sweep_order():

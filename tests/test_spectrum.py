@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgs.chebyshev import QParameter, build_poly
-from qgs.errors import DegenerateRegimeError, InvalidVectorError
+from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.fusion import dims
 from qgs.spectrum import (
     AmenabilityReport,
@@ -26,6 +26,7 @@ from qgs.spectrum import (
     dirichlet_form,
     eigenvalue,
     gap_limit,
+    labels_covering,
     multiplier,
     resolvent_coeff,
     semigroup_coeff,
@@ -308,6 +309,22 @@ def test_amenability_kac_regime_plateaus():
     q0 = (3 - math.sqrt(5)) / 2
     plateau = 1 / (2 * math.sqrt(5) * math.log(1 / q0))
     assert abs(report.ratios[-1] - plateau) <= 0.1 * plateau
+
+
+@pytest.mark.parametrize("N, n_max", [(2, 10), (2, 10**6), (3, 20000), (5, 12345)])
+def test_labels_covering_counts_the_labels_amenability_draws(N, n_max):
+    drawn = []
+    stream = (drawn.append(d) or d for d in spectral_stream(QParameter(Fraction(1, N + 1), N)))
+    amenability_criterion(stream, n_max)
+    assert labels_covering(N, n_max) == len(drawn)
+
+
+def test_labels_covering_ceiling():
+    # N = 2 covers (L + 1)(L + 2)(2L + 3)/6 eigenvalues with labels 0..L
+    covered = 20000 * 20001 * 40001 // 6
+    assert labels_covering(2, covered) == 20000
+    with pytest.raises(ResourceLimitError, match="over 20000 labels"):
+        labels_covering(2, covered + 1)
 
 
 def test_amenability_validation():
