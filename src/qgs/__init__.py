@@ -1,7 +1,8 @@
 """Spectral, fusion and intertwiner toolkit for free orthogonal quantum groups.
 
 The package is lazy: a public name imports its submodule on first access,
-so a caller pays for numpy (``templieb``) and mpmath only when it uses them.
+so a caller pays for numpy (the qubit-chain objects of ``templieb``) and
+mpmath only when it uses them.
 """
 
 import importlib

@@ -246,13 +246,17 @@ class _FloatCells:
 _SCREEN_EPS = 2.0**-30
 
 
+def _log_q(p, r):
+    """log(p/r) for 0 < p < r, to a relative 1e-16 however close p/r is to 1."""
+    return -math.log1p((r - p) / p)
+
+
 def _screen_cells(q, top):
     """Float64 cells for rational q = p/r with log q from the fraction (see
     _SCREEN_EPS); None where float(q) is not a normal double below 1.0."""
     if not sys.float_info.min <= float(q) < 1.0:
         return None
-    p, r = q.numerator, q.denominator
-    return _FloatCells(float(q), top, -math.log1p((r - p) / p))
+    return _FloatCells(float(q), top, _log_q(q.numerator, q.denominator))
 
 
 def _check_tables(param, top):
@@ -290,7 +294,10 @@ def _cells(param, top):
             "this decimal q < 1 rounds to 1.0 as a double, where the float "
             "gap cells would divide by 1 - q^2 = 0; give q as a fraction"
         )
-    return _FloatCells(q, top, math.log(q))
+    # log q from the mpf's exact value man 2^exp: log(float(q)) would carry
+    # the 2^-53 of float(q) into 1 - u^k as 2^-53/(1-q)
+    man, exp = param.q.man_exp
+    return _FloatCells(q, top, _log_q(int(man), 1 << -exp))
 
 
 @dataclass(frozen=True)

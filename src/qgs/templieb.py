@@ -9,66 +9,62 @@ one unit vector per weight k = 0..n: the q-Dicke vector v_k(w) ~ q^(-inv(w)),
 inv(w) the number of pairs i < j with w_i = 0 and w_j = 1.  These are the
 weight vectors of the spin-n/2 module of U_q(sl_2) (Frenkel-Khovanov, Duke
 Math. J. 1997); they are written down directly from the inversion counts
-in O(2^n * n), with no eigenvalue problem.  Only this orthonormal image
-basis is kept: a fusion isometry on n sites costs O(2^n * n^2) to build
-and is stored as its coefficients in the weight bases, and the two
-bracketings of a double fusion contract those coefficients, so no 2^n
-vector is formed for them.
+in O(2^n * n), with no eigenvalue problem.
 
-All public arrays are float64 and read-only.  A fusion overlap that is not
-a scalar multiple of the identity raises NumericalDegradationError with
-its residual.
+A fusion isometry is kept as its coefficients in these weight bases, from
+their closed form as one alternating sum of symmetric q-binomials
+(Kirillov-Reshetikhin 1989) in mpmath.  The bracketings of a double fusion
+contract those coefficients with no 2^n vector and no numpy, n log2(1/q)
+bits above the working precision (_bits), as their gap of size q^n on n
+sites is a difference of terms of size 1.  The chain objects (generators,
+projections, weight matrices, an isometry's chain matrix V) are float64
+and read-only, hold at most MAX_STRANDS sites, and import numpy when called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
 from dataclasses import dataclass
+from types import MappingProxyType, SimpleNamespace
 
-import numpy as np
+import mpmath
 
-from .chebyshev import q_number
+from .chebyshev import _values, q_number
 from .errors import NumericalDegradationError, ResourceLimitError
-from .fusion import fuse
-from .precision import to_mpf, working_precision
+from .precision import precision_bits, to_mpf, working_precision
 
 MAX_STRANDS = 14
 DENSE_LIMIT = 12
 
-_GRAM_TOL = 1e-8
+# The closed form's one ceiling, in table entries plus coefficient summands
+# weighted by 1 + (bits/1000)^1.5 (_check_work).  A unit takes 2.5-4.5 us
+# (2-vCPU x86_64), so this is 3-4 s: the 100 (x) 100 -> 100 isometry at
+# q = 0.9 takes 1.6 s, a pentagon at alpha = 40, q = 1e-100 takes 2.1 s
+MAX_FUSION_WORK = 10**6
+_GRAM_TOL = 1e-8  # relative spread of the column norms, which Schur's lemma makes equal
 
 _JW_CACHE = {}
 _ISO_CACHE = {}
+_TABLES = {}
+
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# the weighted defects, each bounded by 2, that make up an estimate
+_PARTS = {(k, l): ((k, l),) for k, l in _SIGNS[:3]} | {(-1, -1): _SIGNS[:3]}
 
 
 def _qfloat(param):
     return float(param.q_mpf())
 
 
-def _defining_vector(q):
-    root = math.sqrt(q)
-    return np.array([0.0, root, -1.0 / root, 0.0])
-
-
-def _apply_pair(mat4, i, n, block):
-    """Apply a two-site operator at sites (i, i+1) to the columns of block."""
-    left = 2 ** (i - 1)
-    tail = block.shape[1:]
-    shaped = block.reshape(left, 4, -1)
-    out = np.einsum("ab,xby->xay", mat4, shaped)
-    return out.reshape((2 ** n,) + tail)
-
-
 def _weight_diag(param, n):
     """Diagonal of the n-fold product of diag(1/q, q), in site order."""
+    import numpy as np
+
     q = _qfloat(param)
-    site = np.array([1.0 / q, q])
-    d = np.ones(1)
-    for _ in range(n):
-        d = np.kron(d, site)
-    return d
+    return functools.reduce(np.kron, [np.array([1.0 / q, q])] * n, np.ones(1))
 
 
 class TLRep:
@@ -86,10 +82,16 @@ class TLRep:
 
     def apply(self, i, block):
         """e_i applied to a vector or to the columns of a matrix."""
+        import numpy as np
+
         self._check_index(i)
-        return _apply_pair(self._e4, i, self.n, np.asarray(block, dtype=float))
+        block = np.asarray(block, dtype=float)
+        out = np.einsum("ab,xby->xay", self._e4, block.reshape(2 ** (i - 1), 4, -1))
+        return out.reshape(block.shape)
 
     def generator_matrix(self, i):
+        import numpy as np
+
         self._check_index(i)
         if self.n > DENSE_LIMIT:
             raise ResourceLimitError(
@@ -100,13 +102,20 @@ class TLRep:
         return np.kron(np.kron(left, self._e4), right)
 
 
+def _check_strands(n):
+    if n > MAX_STRANDS:
+        raise ResourceLimitError(f"{n} sites exceeds the {MAX_STRANDS}-site limit")
+
+
 def tl_rep(param, n):
+    import numpy as np
+
     n = operator.index(n)
     if n < 1:
         raise ValueError("need at least one site")
-    if n > MAX_STRANDS:
-        raise ResourceLimitError(f"{n} sites exceeds the {MAX_STRANDS}-site limit")
-    w = _defining_vector(_qfloat(param))
+    _check_strands(n)
+    root = math.sqrt(_qfloat(param))
+    w = np.array([0.0, root, -1.0 / root, 0.0])  # the defining vector
     return TLRep(param, n, np.outer(w, w))
 
 
@@ -117,6 +126,8 @@ def _dicke_basis(q, n):
     stored as q^(k(n-k) - inv(w)), whose entries lie in (0, 1], and then
     normalised, so no power of 1/q can overflow.
     """
+    import numpy as np
+
     words = np.arange(2 ** n)
     weight = np.zeros(2 ** n, dtype=np.int64)
     inv = np.zeros(2 ** n, dtype=np.int64)
@@ -151,6 +162,8 @@ class JWProjection:
 
     def quantum_trace(self):
         """Trace against the product of diag(1/q, q); equals [n+1] up to roundoff."""
+        import numpy as np
+
         d = _weight_diag(self.param, self.n)
         return float(np.einsum("x,xj,xj->", d, self.basis, self.basis))
 
@@ -159,8 +172,7 @@ def jones_wenzl(param, n):
     n = operator.index(n)
     if n < 0:
         raise ValueError("label must be nonnegative")
-    if n > MAX_STRANDS:
-        raise ResourceLimitError(f"label {n} exceeds the {MAX_STRANDS}-site limit")
+    _check_strands(n)
     key = (param, n)
     hit = _JW_CACHE.get(key)
     if hit is None:
@@ -172,140 +184,190 @@ def jones_wenzl(param, n):
 
 def weight_matrix(param, alpha):
     """diag(q^(2k - alpha)) on the image basis: trace [alpha+1], identity at q = 1."""
+    import numpy as np
+
     return np.diag(_qfloat(param) ** np.arange(-alpha, alpha + 1, 2.0))
 
 
-def _nested_cups(q, m):
-    """Chain-ordered vector of m nested arcs on 2m adjacent sites."""
-    w2 = _defining_vector(q).reshape(2, 2)
-    cup = np.ones(1)
-    for _ in range(m):
-        cup = np.einsum("ab,i->aib", w2, cup).reshape(-1)
-    return cup
+def _bits(param, sites):
+    """Width for weight-basis data on `sites` sites: their defects are of
+    size q^sites, differences of terms of size 1, so they need that many bits
+    beyond the working precision, and 32 more absorb the sums' roundoff."""
+    return precision_bits() + math.ceil(-sites * math.log2(float(param.q))) + 32
+
+
+def _check_work(bits, isometries):
+    """Refuse closed-form work past MAX_FUSION_WORK before any is done: about
+    3 top^2 table entries, and (alpha+1)(gamma+1) coefficients per isometry
+    of at most min(m, alpha-m, beta-m) + 1 summands, m = (alpha+beta-gamma)/2."""
+    top = max(max(labels) for labels in isometries)
+    terms = 3 * (top + 1) ** 2 + sum(  # min(m, alpha-m, beta-m) = (a+b+g)/2 - max(a, b, g)
+        (a + 1) * (g + 1) * ((a + b + g) // 2 - max(a, b, g) + 1) for a, b, g in isometries)
+    work = terms * (1 + (bits / 1000) ** 1.5)
+    if work > MAX_FUSION_WORK:
+        raise ResourceLimitError(f"fusion coefficients for labels up to {top} at {bits} bits "
+                                 f"take about {work:.3g} units of work, above {MAX_FUSION_WORK}")
+
+
+def _tables(param, bits, top):
+    """q-number tables for labels 0..top, grown in place per (q, bits): binom[n][k]
+    = S(n, k) = [n]!/([k]! [n-k]!), [n] = U_(n-1)(q + 1/q), root[n][k] =
+    sqrt(q^(k(n-k)) / S(n, k)) and powers of q, all formed from q at bits
+    (QParameter.nq and fusion.dims are at the working precision)."""
+    with working_precision(bits):
+        t = _TABLES.get((param, bits))
+        if t is None:
+            q = to_mpf(param.q)
+            t = _TABLES[param, bits] = SimpleNamespace(q=q, numbers=_values(q + 1 / q),
+                                                       nums=[0 * q], binom=[], root=[], powers={})
+        for n in range(len(t.binom), top + 1):
+            if n:
+                t.nums.append(next(t.numbers))  # [n]
+            row = [t.q ** 0] + [t.binom[n - 1][k - 1] * t.nums[n] / t.nums[k]
+                                for k in range(1, n + 1)]
+            t.binom.append(row)
+            t.root.append([mpmath.sqrt(t.q ** (k * (n - k)) / b) for k, b in enumerate(row)])
+    return t
+
+
+def _closed_form(t, alpha, beta, gamma):
+    """One list of ((i, j), c) per target weight k of the alpha (x) beta ->
+    gamma isometry, i + j = k + m, m = (alpha+beta-gamma)/2, not normalised;
+    run at the precision of the tables t.  c(i, j, k) is root(alpha, i)
+    root(beta, j) root(gamma, k) sum_a (-1)^s S(m, s) S(alpha-m, a) S(beta-m, k-a)
+    q^-x, s = i - a, x = s(j+1) + (alpha-m-a)(i+k-a) + (k-a)(beta-m-k+a):
+    a of the target's k ones lie on its first alpha - m sites, and s of the m
+    nested cups put their one on the alpha side."""
+    m = (alpha + beta - gamma) // 2
+    binom, root, powers = t.binom, t.root, t.powers
+    columns = []
+    for k in range(gamma + 1):
+        column = []
+        for i in range(max(0, k + m - beta), min(alpha, k + m) + 1):
+            j, total = k + m - i, 0
+            for a in range(max(0, i - m, k + m - beta), min(i, alpha - m, k) + 1):
+                s = i - a
+                x = s * (j + 1) + (alpha - m - a) * (i + k - a) + (k - a) * (beta - m - k + a)
+                power = powers.get(-x) or powers.setdefault(-x, t.q ** -x)
+                term = binom[m][s] * binom[alpha - m][a] * binom[beta - m][k - a] * power
+                total = total - term if s % 2 else total + term
+            column.append(((i, j), root[alpha][i] * root[beta][j] * root[gamma][k] * total))
+        columns.append(column)
+    return columns
 
 
 @dataclass(frozen=True, eq=False)
 class FusionIsometry:
     """Isometric embedding of the label-gamma image into the alpha (x) beta chain.
 
-    ``compressed`` holds its coefficients in the weight bases, shaped
-    (alpha+1, beta+1, gamma+1): entry (i, j, k) is the coefficient of
-    basis vector i of p_alpha times basis vector j of p_beta in the image
-    of target vector k.  ``V``, the chain matrix (B_alpha (x) B_beta) C, is
-    built from it on each read.
+    ``coefficients`` maps (i, j) to the coefficient, an mpf at ``bits``, of
+    basis vectors i of p_alpha and j of p_beta in the image of target vector
+    k = i + j - (alpha+beta-gamma)/2: weights are kept, so no other entry is
+    nonzero.  ``V``, the chain matrix (B_alpha (x) B_beta) C, is built on read.
     """
 
     param: object
     alpha: int
     beta: int
     gamma: int
-    compressed: np.ndarray
+    bits: int
+    coefficients: MappingProxyType
 
     @property
     def V(self):
-        ba = jones_wenzl(self.param, self.alpha).basis
-        bb = jones_wenzl(self.param, self.beta).basis
-        v = np.einsum("ai,ijk->ajk", ba, self.compressed)
-        v = np.einsum("bj,ajk->abk", bb, v).reshape(2 ** (self.alpha + self.beta), -1)
+        import numpy as np
+
+        _check_strands(self.alpha + self.beta)
+        ba, bb = (jones_wenzl(self.param, n).basis for n in (self.alpha, self.beta))
+        m = (self.alpha + self.beta - self.gamma) // 2
+        v = np.zeros((2 ** self.alpha, 2 ** self.beta, self.gamma + 1))
+        for (i, j), c in self.coefficients.items():
+            v[:, :, i + j - m] += float(c) * np.outer(ba[:, i], bb[:, j])
+        v = v.reshape(2 ** (self.alpha + self.beta), -1)
         v.setflags(write=False)
         return v
 
 
-def fusion_isometry(param, alpha, beta, gamma):
-    alpha = operator.index(alpha)
-    beta = operator.index(beta)
-    gamma = operator.index(gamma)
-    if min(alpha, beta, gamma) < 0:
-        raise ValueError("labels must be nonnegative")
-    if alpha + beta > MAX_STRANDS:
-        raise ResourceLimitError(
-            f"{alpha + beta} sites exceeds the {MAX_STRANDS}-site limit"
-        )
-    if gamma not in fuse(alpha, beta):
-        raise ValueError(f"label {gamma} is not a channel of {alpha} and {beta}")
-    key = (param, alpha, beta, gamma)
-    cached = _ISO_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    m = (alpha + beta - gamma) // 2
-    ba = jones_wenzl(param, alpha).basis
-    bb = jones_wenzl(param, beta).basis
-    bg = jones_wenzl(param, gamma).basis
-    cup = _nested_cups(_qfloat(param), m)
-    split = bg.reshape(2 ** (alpha - m), 2 ** (beta - m), gamma + 1)
-    t = np.einsum("xyk,c->xcyk", split, cup).reshape(2 ** alpha, 2 ** beta, gamma + 1)
-    comp = np.einsum("ai,abk->ibk", ba, t)
-    comp = np.einsum("bj,ibk->ijk", bb, comp)
-    flat = comp.reshape((alpha + 1) * (beta + 1), gamma + 1)
-    gram = flat.T @ flat
-    scale = float(np.trace(gram)) / (gamma + 1)
-    if scale <= 0:
-        raise NumericalDegradationError("fusion overlap collapsed", residual=scale)
-    gram_residual = float(np.max(np.abs(gram - scale * np.eye(gamma + 1)))) / scale
-    if gram_residual > _GRAM_TOL:
-        raise NumericalDegradationError(
-            "fusion overlap is not a scalar multiple of the identity",
-            residual=gram_residual,
-        )
-    comp = comp / math.sqrt(scale)
-    comp.setflags(write=False)
-    return _ISO_CACHE.setdefault(key, FusionIsometry(param, alpha, beta, gamma, comp))
-
-
-def _check_channel(gamma, left, right):
-    if gamma < 0 or gamma not in fuse(left, right):
+def _check_channel(gamma, left, right):  # not fuse(left, right): labels may be huge
+    if not abs(left - right) <= gamma <= left + right or (left + right - gamma) % 2:
         raise ValueError(f"label {gamma} is not a channel of {left} and {right}")
 
 
-def _pentagon_sides(param, alpha, r, s, k, l):
-    """The two bracketings of the double fusion in the weight bases.
+def fusion_isometry(param, alpha, beta, gamma, bits=None):
+    """The isometry with its coefficients at `bits`, by default the width
+    for alpha + beta sites; cached per width."""
+    alpha, beta, gamma = operator.index(alpha), operator.index(beta), operator.index(gamma)
+    if min(alpha, beta, gamma) < 0:
+        raise ValueError("labels must be nonnegative")
+    _check_channel(gamma, alpha, beta)
+    bits = _bits(param, alpha + beta) if bits is None else bits
+    key = (param, alpha, beta, gamma, bits)
+    if key in _ISO_CACHE:
+        return _ISO_CACHE[key]
 
-    Both chain maps factor through the isometry B_s (x) B_alpha (x) B_r, so
-    each side is kept as its (s+1, alpha+1, r+1, alpha+k+l+1) coefficient
-    array: entry (i, a, j, c) pairs target vector c with the product of
-    basis vectors i, a and j.
-    """
-    for label in (alpha, r, s, alpha + l, alpha + k, alpha + k + l):
-        if label < 0:
-            raise ValueError("labels and shifted labels must be nonnegative")
-    _check_channel(alpha + l, alpha, r)
-    _check_channel(alpha + k + l, s, alpha + l)
-    _check_channel(alpha + k, s, alpha)
-    _check_channel(alpha + k + l, alpha + k, r)
-    if s + alpha + r > MAX_STRANDS:
-        raise ResourceLimitError(
-            f"{s + alpha + r} sites exceeds the {MAX_STRANDS}-site limit"
-        )
-
-    inner_a = fusion_isometry(param, alpha, r, alpha + l).compressed
-    outer_a = fusion_isometry(param, s, alpha + l, alpha + k + l).compressed
-    inner_b = fusion_isometry(param, s, alpha, alpha + k).compressed
-    outer_b = fusion_isometry(param, alpha + k, r, alpha + k + l).compressed
-    return (np.einsum("arm,smc->sarc", inner_a, outer_a),
-            np.einsum("sam,mrc->sarc", inner_b, outer_b))
+    _check_work(bits, [(alpha, beta, gamma)])
+    with working_precision(bits):
+        columns = _closed_form(_tables(param, bits, max(alpha, beta, gamma)), alpha, beta, gamma)
+        norms = [sum(c * c for _, c in column) for column in columns]
+        scale = sum(norms) / (gamma + 1)
+        residual = float(max(abs(n - scale) for n in norms) / scale)
+        if residual > _GRAM_TOL:
+            raise NumericalDegradationError("fusion overlap is not a scalar multiple "
+                                            "of the identity", residual=residual)
+        units = [1 / mpmath.sqrt(n) for n in norms]
+        coefficients = {ij: c * unit for column, unit in zip(columns, units) for ij, c in column}
+    iso = FusionIsometry(param, alpha, beta, gamma, bits, MappingProxyType(coefficients))
+    return _ISO_CACHE.setdefault(key, iso)
 
 
-def _aligned_difference(a_side, b_side, align_phase):
-    if align_phase and np.sum(a_side * b_side) < 0:
-        return a_side + b_side
-    return a_side - b_side
+def _pentagon_isometries(alpha, r, s, k, l):
+    """(alpha, beta, gamma) of the inner and outer fusion of bracketing a, then b."""
+    return ((alpha, r, alpha + l), (s, alpha + l, alpha + k + l),
+            (s, alpha, alpha + k), (alpha + k, r, alpha + k + l))
+
+
+def _pentagon_gap(param, alpha, r, s, k, l, align_phase, bits):
+    """The gap between the two bracketings of a double fusion, at bits.  Both
+    factor through B_s (x) B_alpha (x) B_r and keep weights, so a side maps
+    basis vectors (i, a, j) to their one product of an inner and an outer
+    coefficient, in target vector c = i + a + j - (s+r-k-l)/2; align_phase
+    flips side b where that brings it closer."""
+    inner_a, outer_a, inner_b, outer_b = (
+        fusion_isometry(param, *labels, bits=bits).coefficients
+        for labels in _pentagon_isometries(alpha, r, s, k, l)
+    )
+    ma, mb = (r - l) // 2, (s - k) // 2
+    with working_precision(bits):
+        a_side = {(i, a, j): c * outer_a[i, a + j - ma]
+                  for (a, j), c in inner_a.items() for i in range(s + 1)
+                  if (i, a + j - ma) in outer_a}
+        b_side = {(i, a, j): c * outer_b[i + a - mb, j]
+                  for (i, a), c in inner_b.items() for j in range(r + 1)
+                  if (i + a - mb, j) in outer_b}
+        if align_phase and sum(c * b_side.get(key, 0) for key, c in a_side.items()) < 0:
+            b_side = {key: -c for key, c in b_side.items()}
+        return {key: a_side.get(key, 0) - b_side.get(key, 0) for key in a_side.keys() | b_side}
 
 
 def pentagon_defect(param, alpha, r, s, k, l, align_phase=True):
     """Operator norm of the gap between the two bracketings of a double fusion.
 
     The phase freedom of each isometry is fixed, when align_phase is set,
-    by the scalar of modulus one closest to the two sides in the
-    Frobenius sense; for real matrices that is a sign.  Both sides map the
-    weight-j basis vector of the target into the same weight sector of the
-    chain, so the columns of their difference are orthogonal and its norm is
-    the largest column norm; the product basis is orthonormal, so that norm
-    is taken on the weight-basis coefficients.
+    by the sign closest to the two sides in the Frobenius sense.  The columns
+    of the gap lie in distinct weight sectors, so its norm is the largest
+    column norm, taken on the orthonormal weight-basis coefficients.
     """
-    a_side, b_side = _pentagon_sides(param, alpha, r, s, k, l)
-    diff = _aligned_difference(a_side, b_side, align_phase)
-    return float(np.max(np.linalg.norm(diff.reshape(-1, diff.shape[3]), axis=0)))
+    if min(alpha, r, s, alpha + l, alpha + k, alpha + k + l) < 0:
+        raise ValueError("labels and shifted labels must be nonnegative")
+    for left, right, gamma in _pentagon_isometries(alpha, r, s, k, l):
+        _check_channel(gamma, left, right)
+    bits = _bits(param, s + alpha + r)
+    _check_work(bits, _pentagon_isometries(alpha, r, s, k, l))
+    columns = {}
+    with working_precision(bits):
+        for key, d in _pentagon_gap(param, alpha, r, s, k, l, align_phase, bits).items():
+            columns[sum(key)] = columns.get(sum(key), 0) + d * d  # i + a + j fixes c
+        return float(mpmath.sqrt(max(columns.values())))
 
 
 def _reference(param, exponent, alpha):
@@ -317,9 +379,8 @@ def _reference(param, exponent, alpha):
     except OverflowError:  # q < 1 to a negative power
         value = math.inf
     if not sys.float_info.min <= value < math.inf:
-        raise ValueError(
-            f"q^{exponent} at q = {q!r}, alpha = {alpha} is outside the normal double range"
-        )
+        raise ValueError(f"q^{exponent} at q = {q!r}, alpha = {alpha} is outside the "
+                         "normal double range")
     return value
 
 
@@ -342,18 +403,32 @@ class CommutatorEstimate:
     passed: bool
 
 
-def _weighted_defect(param, alpha, k, l):
+def _weighted_defect(param, alpha, k, l, bits=None):
     """Worst bracketing-gap pairing against weighted basis vectors, r = s = 1.
 
-    Each probe is a product of basis vectors scaled by their weights; the
-    weights are diagonal on the basis, so they cancel against the probe's
-    norm and only the unit basis vectors remain.  The pairing with a unit
-    product basis vector is the coefficient that the sides already hold,
-    so the defect is their largest norm over the target axis.
-    """
-    a_side, b_side = _pentagon_sides(param, alpha, 1, 1, k, l)
-    diff = _aligned_difference(a_side, b_side, align_phase=True)
-    return float(np.max(np.linalg.norm(diff, axis=3)))
+    The weights are diagonal on the basis, so they cancel against a probe's
+    norm; each unit basis vector meets one entry of the gap, so the defect
+    is the largest entry."""
+    bits = _bits(param, alpha + 2) if bits is None else bits
+    return float(max(map(abs, _pentagon_gap(param, alpha, 1, 1, k, l, True, bits).values())))
+
+
+def _estimates(param, cases):
+    """Estimates of (alpha, k, l) cases at the width of the largest alpha, so
+    they share isometries; the work of all is checked before the first."""
+    bits = _bits(param, max(alpha for alpha, _, _ in cases) + 2)
+    _check_work(bits, {labels for alpha, k, l in cases for part in _PARTS[k, l]
+                       for labels in _pentagon_isometries(alpha, 1, 1, *part)})
+    defect = functools.cache(lambda alpha, k, l: _weighted_defect(param, alpha, k, l, bits))
+    rows = []
+    for alpha, k, l in cases:
+        reference = _reference(param, alpha, alpha)
+        weighted = sum(defect(alpha, *part) for part in _PARTS[k, l])
+        constant = 2 * len(_PARTS[k, l])
+        ratio = weighted / reference
+        rows.append(CommutatorEstimate(alpha, 1, 1, k, l, weighted, reference, ratio,
+                                       constant, ratio <= constant + 1e-9))
+    return rows
 
 
 def commutator_estimate(param, alpha, r, s, k, l):
@@ -364,41 +439,17 @@ def commutator_estimate(param, alpha, r, s, k, l):
         raise ValueError("shifts k and l must be +1 or -1")
     if alpha + k < 0 or alpha + l < 0 or alpha + k + l < 0:
         raise ValueError("shifted labels must stay nonnegative")
-    reference = _reference(param, alpha, alpha)
-    if (k, l) == (-1, -1):
-        parts = [
-            commutator_estimate(param, alpha, 1, 1, kk, ll)
-            for kk, ll in ((1, 1), (1, -1), (-1, 1))
-        ]
-        weighted = sum(p.weighted_defect for p in parts)
-        constant = 6
-    else:
-        weighted = _weighted_defect(param, alpha, k, l)
-        constant = 2
-    ratio = weighted / reference
-    return CommutatorEstimate(
-        alpha=alpha,
-        r=1,
-        s=1,
-        k=k,
-        l=l,
-        weighted_defect=weighted,
-        reference=reference,
-        ratio=ratio,
-        constant=constant,
-        passed=ratio <= constant + 1e-9,
-    )
+    return _estimates(param, [(alpha, k, l)])[0]
 
 
 def commutator_suite(param, alphas):
     """Estimates over all admissible sign pairs for each label in alphas."""
-    rows = []
+    cases = []
     for alpha in alphas:
-        for k, l in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            if alpha + k < 0 or alpha + l < 0 or alpha + k + l < 0:
-                continue
-            rows.append(commutator_estimate(param, alpha, 1, 1, k, l))
-    return rows
+        # a label whose tables alone pass the ceiling ends a long range early
+        _check_work(precision_bits(), [(alpha + 2, 0, alpha + 2)])
+        cases += [(alpha, k, l) for k, l in _SIGNS if alpha + min(k, l, k + l) >= 0]
+    return _estimates(param, cases) if cases else []
 
 
 @dataclass(frozen=True)
@@ -413,6 +464,8 @@ class JWReportRow:
 
 def jw_report(param, n_max):
     """Per-level diagnostics for the top-label projections up to n_max sites."""
+    import numpy as np
+
     n_max = operator.index(n_max)
     if n_max < 1:
         raise ValueError("need at least one site")
@@ -426,23 +479,12 @@ def jw_report(param, n_max):
         b = jw.basis
         idem = float(np.linalg.norm(b.T @ b - np.eye(n + 1), 2))
         rep = tl_rep(param, n)
-        ann = 0.0
-        for i in range(1, n):
-            sv = np.linalg.svd(rep.apply(i, b), compute_uv=False)
-            ann = max(ann, float(sv[0]))
+        ann = max((float(np.linalg.svd(rep.apply(i, b), compute_uv=False)[0])
+                   for i in range(1, n)), default=0.0)
         diag = np.kron(diag, site)
         target = float(np.sum(site[1] ** np.arange(n + 1)))
         rel = abs(float(np.einsum("x,xj,xj->", diag, b, b)) - target) / target
         with working_precision():
             trace_error = rel * to_mpf(q_number(n + 1, param))
-        rows.append(
-            JWReportRow(
-                n=n,
-                rank=jw.rank,
-                idempotency=idem,
-                annihilation=ann,
-                trace_error=trace_error,
-                trace_rel_error=rel,
-            )
-        )
+        rows.append(JWReportRow(n, jw.rank, idem, ann, trace_error, rel))
     return rows

@@ -247,13 +247,39 @@ def test_pentagon_mixed_routes(capsys):
     assert payload["result"]["ratio"] <= 2
 
 
-def test_pentagon_resource_limit(capsys):
+def test_pentagon_resource_limit(capsys, monkeypatch):
+    # the work ceiling refuses before any coefficient is formed
+    def unformed(*args):
+        raise AssertionError("a coefficient was formed")
+
+    monkeypatch.setattr(templieb, "_closed_form", unformed)
     code, out, err = run_cli(
-        capsys, "pentagon", "--q", "0.5", "--alpha", "13", "--r", "1",
+        capsys, "pentagon", "--q", "0.5", "--alpha", "1000000000", "--r", "1",
         "--s", "1", "--k", "1", "--l", "1",
     )
-    assert code == 3
+    assert (code, out) == (3, "")
     assert json.loads(err)["error"]["type"] == "resource"
+
+
+def test_tiny_q_lemma65_stands_above_roundoff(capsys):
+    # at alpha = 8, 9 the references q^alpha are 1e-16 and 1e-18: the float64
+    # chain route read its 1e-16 roundoff there, ratios 2.2-8.9 against 2 and 6
+    code, out, _ = run_cli(capsys, "lemma65", "--q", "0.01", "--alpha-max", "9")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        assert row["passed"]
+        if row["k"] != row["l"]:
+            assert row["ratio"] == pytest.approx(0.9999, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", ["9", "40"])  # 11 and 42 sites
+def test_tiny_q_pentagon_stands_above_roundoff(capsys, alpha):
+    code, out, _ = run_cli(
+        capsys, "pentagon", "--q", "0.01", "--alpha", alpha, "--r", "1", "--s", "1",
+        "--k", "1", "--l", "-1",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["ratio"] == pytest.approx(0.9999, abs=1e-12)
 
 
 def test_pentagon_bad_shift_is_usage(capsys):
@@ -302,6 +328,14 @@ def test_lemma65_suite(capsys):
         ("cesaro", "--poly", "x", "--k", "100000000000"),
         # the word-calculus sweep's patterns: 524,046 here, counted before any is verified
         ("freeprod-verify", "--max-x", "5", "--max-side", "4", "--algebras", "4"),
+        # the projections' 2^n chain arrays, capped at 14 strands
+        ("jw-verify", "--q", "0.5", "--n-max", "15"),
+        # the fusion coefficients' work: labels, and bits at tiny q; lemma65
+        # sums it over its alpha range before its first estimate
+        ("pentagon", "--q", "1e-300", "--alpha", "100", "--r", "1", "--s", "1",
+         "--k", "1", "--l", "1"),
+        ("lemma65", "--q", "0.5", "--alpha-max", "1000000000"),
+        ("lemma65", "--q", "0.5", "--alpha-max", "300"),
     ],
 )
 def test_cost_ceilings_are_resource_errors(capsys, argv):

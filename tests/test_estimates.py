@@ -33,6 +33,7 @@ from qgs.estimates import (
     hs_coefficient,
     regime_classify,
 )
+from qgs.precision import set_precision_bits
 
 
 def hyperbolic_eigenvalue(q, alpha):
@@ -122,6 +123,18 @@ def test_gap_float_near_one_within_scan_window(q, alpha, shift, gamma):
     ev = gap(QParameter(q, 2), alpha, beta, gamma)
     ref = oracle_gap(q, alpha, beta, gamma)[2]
     assert abs(ev.ratio - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_gap_decimal_q_near_one_takes_log_q_from_the_decimal(bits):
+    # log(float(q)) would put 2^-53/(1-q), about 1e-7, into 1 - q^2
+    set_precision_bits(bits)
+    try:
+        got = gap(QParameter("0.999999999", 2), 10, 15, 2).ratio
+    finally:
+        set_precision_bits(None)
+    exact = gap(QParameter(Fraction(999999999, 10**9), 2), 10, 15, 2).ratio
+    assert abs(got / exact - 1) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)

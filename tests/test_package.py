@@ -1,7 +1,8 @@
 """The lazy `qgs` package surface, and the modules each subcommand imports.
 
-A run should import only what its subcommand calls: numpy only for the
-Temperley-Lieb suites, mpmath for every suite but freeprod-verify.  Each
+A run should import only what its subcommand calls: numpy only for
+jw-verify, whose projections live on the qubit chain, mpmath for every
+suite but freeprod-verify.  Each
 check runs in a fresh interpreter, since this process has imported
 everything already; it asserts module names, not times.
 """
@@ -67,6 +68,8 @@ def test_import_and_word_calculus_load_neither_numpy_nor_mpmath(argv):
         ["spectrum", "--N", "2", "--alpha-max", "5"],
         ["gap-scan", "--N", "2", "--alpha-max", "12", "--gamma-max", "1"],
         ["amenability", "--N", "2", "--n-max", "2000", "--warmup", "100"],
+        ["lemma65", "--alpha-max", "4"],
+        ["pentagon", "--alpha", "4", "--r", "2", "--s", "1", "--k", "-1", "--l", "0"],
     ],
 )
 def test_spectral_suites_do_not_load_numpy(argv, q):

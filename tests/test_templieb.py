@@ -3,7 +3,10 @@
 Hand-derived oracles used below: one recursion step gives p_2 = I - e_1/d
 with d the loop parameter; the quantum trace of p_2 is [3] = d^2 - 1
 (5.25 at q = 1/2); the single-cup isometry embedding the trivial label in
-1 (x) 1 is w/sqrt(d) for the defining vector w.
+1 (x) 1 is w/sqrt(d) for the defining vector w.  The closed-form fusion
+coefficients are checked against their chain construction (_chain_coefficients:
+nested cups under the target basis, projected on the product basis), and
+the weight-basis defects against the chain maps of the isometries (_chain_sides).
 """
 
 import itertools
@@ -18,7 +21,7 @@ from qgs.errors import ResourceLimitError
 from qgs.fusion import fuse
 from qgs.precision import to_mpf, working_precision
 from qgs.templieb import (
-    _aligned_difference,
+    _bits,
     _weight_diag,
     _weighted_defect,
     commutator_estimate,
@@ -251,8 +254,89 @@ def test_fusion_isometry_validation():
     p = QParameter(0.5, 2)
     with pytest.raises(ValueError):
         fusion_isometry(p, 2, 1, 0)
-    with pytest.raises(ResourceLimitError):
-        fusion_isometry(p, 8, 8, 2)
+    # the work ceiling refuses before any table is built or any channel listed
+    with pytest.raises(ResourceLimitError, match="units of work"):
+        fusion_isometry(p, 10**9, 10**9, 2)
+    with pytest.raises(ResourceLimitError, match="units of work"):
+        fusion_isometry(QParameter("1e-300", 2), 100, 1, 101)
+    # 16 sites of coefficients are fine; their chain matrix is not
+    iso = fusion_isometry(p, 8, 8, 2)
+    with pytest.raises(ResourceLimitError, match="14-site limit"):
+        iso.V  # noqa: B018
+
+
+def _nested_cups(q, m):
+    """Chain-ordered vector of m nested arcs on 2m adjacent sites."""
+    root = math.sqrt(q)
+    w2 = np.array([[0.0, root], [-1.0 / root, 0.0]])
+    cup = np.ones(1)
+    for _ in range(m):
+        cup = np.einsum("ab,i->aib", w2, cup).reshape(-1)
+    return cup
+
+
+def _chain_coefficients(param, alpha, beta, gamma):
+    """Fusion coefficients from 2^alpha x 2^beta chain arrays: nested cups
+    under the target basis, projected on the product basis and scaled by the
+    trace of their Gram matrix."""
+    m = (alpha + beta - gamma) // 2
+    ba, bb, bg = (jones_wenzl(param, n).basis for n in (alpha, beta, gamma))
+    split = bg.reshape(2 ** (alpha - m), 2 ** (beta - m), gamma + 1)
+    t = np.einsum("xyk,c->xcyk", split, _nested_cups(float(param.q), m))
+    comp = np.einsum("ai,abk->ibk", ba, t.reshape(2 ** alpha, 2 ** beta, gamma + 1))
+    comp = np.einsum("bj,ibk->ijk", bb, comp)
+    flat = comp.reshape(-1, gamma + 1)
+    return comp / math.sqrt(np.trace(flat.T @ flat) / (gamma + 1))
+
+
+def _dense(iso):
+    """The closed-form coefficients as a float64 (alpha+1, beta+1, gamma+1) array."""
+    comp = np.zeros((iso.alpha + 1, iso.beta + 1, iso.gamma + 1))
+    m = (iso.alpha + iso.beta - iso.gamma) // 2
+    for (i, j), c in iso.coefficients.items():
+        comp[i, j, i + j - m] = c
+    return comp
+
+
+def _aligned_difference(a_side, b_side, align_phase):
+    if align_phase and np.sum(a_side * b_side) < 0:
+        return a_side + b_side
+    return a_side - b_side
+
+
+CLOSED_FORM_QS = [0.05, 0.3, 0.8, "1.0", 1, Fraction(1, 3), Fraction(2, 5)]
+
+
+@pytest.mark.parametrize("q", CLOSED_FORM_QS)
+def test_closed_form_matches_chain_construction(q):
+    p = QParameter(q, 2)
+    for alpha, beta in itertools.product(range(7), repeat=2):
+        for gamma in fuse(alpha, beta):
+            closed = _dense(fusion_isometry(p, alpha, beta, gamma))
+            chain = _chain_coefficients(p, alpha, beta, gamma)
+            assert np.max(np.abs(closed - chain)) <= 1e-14, (alpha, beta, gamma)
+
+
+@pytest.mark.parametrize("q", [0.08, "1.0", Fraction(2, 5)])
+def test_closed_form_matches_chain_construction_at_13_sites(q):
+    p = QParameter(q, 2)
+    for alpha, beta, gamma in ((12, 1, 11), (12, 1, 13), (1, 12, 11), (7, 6, 3), (10, 3, 9)):
+        closed = _dense(fusion_isometry(p, alpha, beta, gamma))
+        chain = _chain_coefficients(p, alpha, beta, gamma)
+        assert np.max(np.abs(closed - chain)) <= 1e-14, (alpha, beta, gamma)
+
+
+@pytest.mark.parametrize("q", ["0.01", Fraction(1, 7), 1])
+def test_closed_form_agrees_with_itself_at_twice_the_bits(q):
+    p = QParameter(q, 2)
+    for alpha, beta, gamma in ((20, 1, 21), (20, 1, 19), (1, 20, 19), (9, 9, 4), (3, 17, 16)):
+        bits = _bits(p, alpha + beta)
+        iso = fusion_isometry(p, alpha, beta, gamma)
+        wide = fusion_isometry(p, alpha, beta, gamma, bits=2 * bits)
+        assert iso.bits == bits and wide.bits == 2 * bits
+        assert iso.coefficients.keys() == wide.coefficients.keys()
+        for key, c in iso.coefficients.items():
+            assert abs(c - wide.coefficients[key]) <= 2.0 ** -128, (alpha, beta, gamma, key)
 
 
 def test_pentagon_defect_bound_spot():
@@ -276,6 +360,21 @@ def test_pentagon_coincident_routes():
     p = QParameter(0.5, 2)
     assert pentagon_defect(p, 4, 1, 1, 1, 1) <= 1e-12
     assert pentagon_defect(p, 4, 1, 1, -1, -1) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 3), 1, "0.01"])
+def test_coincident_routes_vanish_at_the_raised_precision(q):
+    # the weight-basis gap of equal shifts is roundoff of the closed form at
+    # its raised precision, far below float64's 1e-16 and below q^alpha
+    p = QParameter(q, 2)
+    for alpha in range(2, 12):
+        assert _weighted_defect(p, alpha, 1, 1) <= 2.0 ** -120
+        assert pentagon_defect(p, alpha, 1, 1, -1, -1) <= 2.0 ** -120
+    # the single cup w/sqrt(d): coefficient of |0>|1> squared is q^2/(1 + q^2)
+    iso = fusion_isometry(p, 1, 1, 0)
+    with working_precision(iso.bits):
+        q2 = to_mpf(p.q) ** 2
+        assert abs(iso.coefficients[0, 1] ** 2 - q2 / (1 + q2)) <= 2.0 ** -120
 
 
 def test_pentagon_defect_trivial_source():
