@@ -1,8 +1,10 @@
 """Spectral, fusion and intertwiner toolkit for free orthogonal quantum groups.
 
 The package is lazy: a public name imports its submodule on first access,
-so a caller pays for numpy (the qubit-chain objects of ``templieb``) and
-mpmath only when it uses them.
+so a caller pays for numpy (the qubit-chain objects of ``templieb``) only
+when it uses them, and for mpmath only when it works at decimal q or
+calls ``templieb`` or an mpmath-only function (``hs_certificate``,
+``gap_limit``, ...): exact data at rational q never imports it.
 """
 
 import importlib

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-import mpmath
-
-from .precision import precision_bits, to_mpf, working_precision
+from .precision import _is_mp, _precision_for, precision_bits, to_mpf, working_precision
 
 __all__ = [
     "ChebyshevPoly",
@@ -127,13 +125,12 @@ class QParameter:
             raise ValueError("q must be a number in (0, 1]")
         if isinstance(q, int):
             q = Fraction(q)
-        elif isinstance(q, float):
-            q = mpmath.mpf(q)
-        elif isinstance(q, str):
-            # a decimal string keeps the working width, and never less than a float's
-            with working_precision(max(precision_bits(), 53)):
-                q = mpmath.mpf(q)
-        elif not isinstance(q, (Fraction, mpmath.mpf)):
+        elif isinstance(q, (float, str)):
+            # a float is read exactly, a decimal string at the working width
+            # and never less than a float's
+            with working_precision(max(precision_bits(), 53)) as mp:
+                q = mp.mpf(q)
+        elif not (isinstance(q, Fraction) or _is_mp(q)):  # an mpc fails the ordering below
             raise TypeError("q must be Fraction, int, float, str or mpf")
         if not 0 < q <= 1:
             raise ValueError("q must lie in (0, 1]")
@@ -155,8 +152,8 @@ class QParameter:
         """The tracial model at this N: q equal to the small root exactly."""
         if N == 2:
             return cls(Fraction(1), 2)
-        with working_precision(max(precision_bits(), 256)):
-            q = (N - mpmath.sqrt(N * N - 4)) / 2
+        with working_precision(max(precision_bits(), 256)) as mp:
+            q = (N - mp.sqrt(N * N - 4)) / 2
         return cls(q, N)
 
     @property
@@ -172,8 +169,8 @@ class QParameter:
         """Smallest positive root of x^2 - N*x + 1 (exactly 1 at N = 2)."""
         if self.N == 2:
             return 1
-        with working_precision():
-            return (self.N - mpmath.sqrt(self.N * self.N - 4)) / 2
+        with working_precision() as mp:
+            return (self.N - mp.sqrt(self.N * self.N - 4)) / 2
 
     @property
     def is_kac(self):
@@ -205,5 +202,5 @@ def q_number(n, param):
     if n < 0:
         raise ValueError("q-number index must be a natural number")
     nq = param.nq
-    with working_precision():
+    with _precision_for(nq):
         return poly_value(n - 1, nq) if n else 0 * nq

@@ -61,11 +61,11 @@ def _num(x):
         value = math.inf
     if not math.isinf(value) or isinstance(x, float):
         return float(f"{value:.12g}")
-    import mpmath
+    if not isinstance(x, Fraction):  # an mpf, so mpmath is loaded already
+        import mpmath
 
-    if mpmath.isinf(x):
-        return value
-    if isinstance(x, mpmath.mpf):
+        if mpmath.isinf(x):
+            return value
         man, exp = x.man_exp
         x = Fraction(int(man)) * Fraction(2) ** exp
     digits = _DIGITS.divide(Decimal(x.numerator), Decimal(x.denominator))
@@ -211,8 +211,8 @@ def _cmd_pentagon(args):
     from .templieb import pentagon_bound, pentagon_defect
 
     param = _param(args)
+    bound = float(pentagon_bound(param, args.alpha, args.r, args.k))  # refused before any work
     defect = pentagon_defect(param, args.alpha, args.r, args.s, args.k, args.l)
-    bound = float(pentagon_bound(param, args.alpha, args.r, args.k))
     ratio = defect / bound
     verdict = "pass" if ratio <= args.constant + 1e-9 else "fail"
     return verdict, _row(None, defect=defect, bound=bound, ratio=ratio), None

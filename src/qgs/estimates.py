@@ -26,12 +26,10 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import index, mul
 
-import mpmath
-
 from .chebyshev import QParameter
 from .errors import ResourceLimitError
 from .fusion import MAX_LABELS, dims
-from .precision import to_mpf, working_precision
+from .precision import _precision_for, to_mpf, working_precision
 from .spectrum import eigenvalue, spectral_data
 
 
@@ -204,8 +202,8 @@ class _FloatCells:
         p = self.pw[abs(lo - m)]  # rhs > 0: its term of exponent m has a nonzero factor
         if p >= sys.float_info.min:
             return lhs * p / rhs if lo >= m else lhs / rhs / p
-        with working_precision():  # q^(2(lo - m)) is outside the normal float range
-            return float(mpmath.mpf(lhs) / rhs * mpmath.mpf(self.q) ** (2 * (lo - m)))
+        with working_precision() as mp:  # q^(2(lo - m)) is outside the normal float range
+            return float(mp.mpf(lhs) / rhs * mp.mpf(self.q) ** (2 * (lo - m)))
 
     def ratio(self, a, b, g):
         ratio = self._ratio(*self.sides(a, b, g))
@@ -220,7 +218,7 @@ class _FloatCells:
 
     def gap(self, a, b, g):
         lhs, rhs, lo, m = sides = self.sides(a, b, g)
-        q = mpmath.mpf(self.q)
+        q = to_mpf(self.q)
         return lhs * q ** (2 * lo), rhs * q ** (2 * m), self._ratio(*sides)
 
 
@@ -329,7 +327,7 @@ def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
     top = max(alpha, beta) + abs(gamma)
     _check_tables(param, top)
     cells = _cells(param, top)
-    with working_precision():  # mpf eigenvalues at q = 1.0, mpf scales at decimal q
+    with _precision_for(param.q):  # mpf eigenvalues at q = 1.0, mpf scales at decimal q
         lhs, rhs, ratio = cells.gap(alpha, beta, gamma)
     return GapEvaluation(alpha, beta, gamma, lhs, rhs, ratio)
 
@@ -444,10 +442,10 @@ def hs_coefficient(param: QParameter, alpha, beta, gamma, t) -> HSCoefficient:
     if not 0 <= float(t) < math.inf:
         raise ValueError("t must be a finite number >= 0")
     ev = gap(param, alpha, beta, gamma)
-    with working_precision():
+    with working_precision() as mp:
         delta_b = eigenvalue(param, beta)
         step = abs(delta_b - eigenvalue(param, beta - gamma))
-        damping = mpmath.exp(-to_mpf(t) * to_mpf(delta_b))
+        damping = mp.exp(-to_mpf(t) * to_mpf(delta_b))
     return HSCoefficient(alpha, beta, gamma, float(t), ev.lhs, step, damping)
 
 
@@ -496,20 +494,20 @@ def hs_certificate(
     table = dims(param, alpha_max)
     terms = []
     compressed = []
-    with working_precision():
+    with working_precision() as mp:
         qm = param.q_mpf()
         tm = to_mpf(t)
-        qa = mpmath.mpf(1)
+        qa = mp.mpf(1)
         for a in range(alpha_max + 1):
-            damp = mpmath.exp(-2 * tm * a)
-            n2 = mpmath.mpf(table.n[a]) ** 2
+            damp = mp.exp(-2 * tm * a)
+            n2 = mp.mpf(table.n[a]) ** 2
             terms.append(float(n2 * (qa * qa + qa) ** 2 * damp))
             compressed.append(float(n2 * qa * qa * damp))
             qa = qa * qm
         ratio_value = float(
-            mpmath.exp(2 * mpmath.log(mpmath.mpf(table.n[alpha_max])) / alpha_max)
+            mp.exp(2 * mp.log(mp.mpf(table.n[alpha_max])) / alpha_max)
             * qm ** 2
-            * mpmath.exp(-2 * tm)
+            * mp.exp(-2 * tm)
         )
     if ratio_value >= 1 + margin or terms[-1] >= tail_floor * max(terms[1:11]):
         verdict = "divergent"
@@ -538,5 +536,5 @@ class RegimeClassification:
 
 
 def regime_classify(param: QParameter) -> RegimeClassification:
-    ghs = float(param.q_mpf()) < float(param.q0) - 1e-9
+    ghs = float(param.q) < float(param.q0) - 1e-9
     return RegimeClassification(kac=param.is_kac, ighs=True, ghs=ghs)

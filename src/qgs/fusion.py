@@ -14,11 +14,9 @@ from fractions import Fraction
 from itertools import islice
 from operator import index
 
-import mpmath
-
 from .chebyshev import QParameter, _values
 from .errors import ResourceLimitError
-from .precision import precision_bits, working_precision
+from .precision import _is_mp, _precision_for, precision_bits, working_precision
 
 MAX_LABELS = 20_000  # per dimension table or spectral probe; 10^4 labels take seconds
 
@@ -59,7 +57,7 @@ def dims(param: QParameter, alpha_max: int) -> DimensionTable:
     alpha_max = index(alpha_max)
     if alpha_max >= MAX_LABELS:
         raise ResourceLimitError(f"labels 0..{alpha_max} exceed {MAX_LABELS} labels")
-    bits = None if isinstance(param.q, Fraction) else precision_bits()
+    bits = precision_bits() if _is_mp(param.q) else None
     return _dims(param, alpha_max, bits)
 
 
@@ -68,7 +66,7 @@ def _dims(param, alpha_max, bits):
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
     n = tuple(islice(_values(param.N), alpha_max + 1))
-    with working_precision(bits):
+    with _precision_for(param.q, bits=bits):
         qdim = tuple(islice(_values(param.nq), alpha_max + 1))
     return DimensionTable(param, n, qdim)
 
@@ -96,8 +94,8 @@ def growth_rate(param: QParameter, alpha_probe: int) -> GrowthProbe:
     if alpha_probe < 1:
         raise ValueError("alpha_probe must be >= 1")
     table = dims(param, alpha_probe)
-    with working_precision():
-        root = mpmath.exp(mpmath.log(mpmath.mpf(table.n[alpha_probe])) / alpha_probe)
+    with working_precision() as mp:
+        root = mp.exp(mp.log(mp.mpf(table.n[alpha_probe])) / alpha_probe)
         product = root * param.q_mpf()
     return GrowthProbe(alpha_probe, float(param.q0), float(root), float(product))
 
@@ -129,7 +127,7 @@ def fusion_check(param: QParameter, alpha: int, beta: int) -> FusionCheck:
     table = dims(param, alpha + beta)
     n_product = table.n[alpha] * table.n[beta]
     n_sum = sum(table.n[g] for g in channels)
-    with working_precision():
+    with _precision_for(table.qdim[alpha]):
         qdim_product = table.qdim[alpha] * table.qdim[beta]
         qdim_sum = sum(table.qdim[g] for g in channels)
         if isinstance(qdim_product, Fraction):

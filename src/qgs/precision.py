@@ -1,14 +1,17 @@
 """Working-precision control for the floating-point side of the package.
 
-Exact identities run in rational arithmetic and never touch this module.
-Everything floating (large-degree polynomial values, eigenvalues, series
-certificates) runs under mpmath with a mantissa width resolved in priority
-order: an explicit set_precision_bits() call, the QGS_PRECISION_BITS
-environment variable, then the 128-bit default.
+Exact identities run in rational arithmetic and never touch this module's
+working precision, so they never import mpmath: code that works on data
+of either kind enters it through _precision_for, which tests the data
+with _is_mp.  Everything floating (large-degree polynomial values,
+eigenvalues, series certificates) runs under mpmath with a mantissa width
+resolved in priority order: an explicit set_precision_bits() call, the
+QGS_PRECISION_BITS environment variable, then the 128-bit default.
 """
 
 import os
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 DEFAULT_BITS = 128
@@ -46,11 +49,26 @@ def set_precision_bits(bits):
 
 @contextmanager
 def working_precision(bits=None):
-    """Context manager running mpmath at the resolved precision."""
+    """Context manager running mpmath at the resolved precision; it imports
+    mpmath and yields its context, whose mpf, sqrt, exp, ... are mpmath's."""
     import mpmath
 
     with mpmath.workprec(bits if bits is not None else precision_bits()):
         yield mpmath.mp
+
+
+def _is_mp(*values):
+    """Whether any of values is an mpmath number.  Only code that makes one
+    imports mpmath, so the test imports nothing: exact data (int, Fraction)
+    and floats never are one."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and any(isinstance(v, (mpmath.mpf, mpmath.mpc)) for v in values)
+
+
+def _precision_for(*values, bits=None):
+    """working_precision(bits) for arithmetic on values when any is an
+    mpmath number; otherwise a null context, which leaves mpmath unimported."""
+    return working_precision(bits) if _is_mp(*values) else nullcontext()
 
 
 def to_mpf(x):

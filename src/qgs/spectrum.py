@@ -15,12 +15,10 @@ from itertools import accumulate, count, islice
 from operator import index
 from typing import Callable, Iterable, Iterator, Mapping
 
-import mpmath
-
 from .chebyshev import QParameter, _pairs, _values, poly_value, poly_value_and_derivative
 from .errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from .fusion import MAX_LABELS, dims
-from .precision import to_mpf, working_precision
+from .precision import _precision_for, to_mpf, working_precision
 
 
 def eigenvalue(param: QParameter, alpha: int):
@@ -32,8 +30,9 @@ def eigenvalue(param: QParameter, alpha: int):
     alpha = index(alpha)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    with working_precision():
-        u, du = poly_value_and_derivative(alpha, param.nq)
+    nq = param.nq
+    with _precision_for(nq):
+        u, du = poly_value_and_derivative(alpha, nq)
         return du / u
 
 
@@ -43,11 +42,11 @@ def gap_limit(param: QParameter):
     Raises DegenerateRegimeError at q = 1, where the gaps grow linearly
     instead of converging.
     """
-    with working_precision():
+    with working_precision() as mp:
         nq = to_mpf(param.nq)
         if nq <= 2:
             raise DegenerateRegimeError("eigenvalue gaps diverge at q = 1")
-        return 1 / mpmath.sqrt(nq * nq - 4)
+        return 1 / mp.sqrt(nq * nq - 4)
 
 
 def semigroup_coeff(param: QParameter, alpha: int, t):
@@ -61,11 +60,11 @@ def semigroup_coeff(param: QParameter, alpha: int, t):
         raise ValueError("alpha must be >= 0")
     if param.q == 1:
         raise DegenerateRegimeError("interpolation coefficients need q < 1")
-    with working_precision():
+    with working_precision() as mp:
         tm = to_mpf(t)
         if tm <= -1:
             raise ValueError("t must be > -1")
-        qt = mpmath.power(param.q_mpf(), tm)
+        qt = mp.power(param.q_mpf(), tm)
         num = poly_value(alpha, qt + 1 / qt)
         den = poly_value(alpha, to_mpf(param.nq))
         return (num / den) ** 3
@@ -75,19 +74,19 @@ def semigroup_rate(param: QParameter, alpha: int):
     """d/dt of semigroup_coeff at t = 1: 3 (q - 1/q) log(q) times the eigenvalue."""
     if param.q == 1:
         raise DegenerateRegimeError("interpolation coefficients need q < 1")
-    with working_precision():
+    with working_precision() as mp:
         qm = param.q_mpf()
         delta = to_mpf(eigenvalue(param, alpha))
-        return 3 * delta * mpmath.log(qm) * (qm - 1 / qm)
+        return 3 * delta * mp.log(qm) * (qm - 1 / qm)
 
 
 def multiplier(param: QParameter, alpha: int, t):
     """Semigroup multiplier exp(-t * eigenvalue) for t >= 0."""
-    with working_precision():
+    with working_precision() as mp:
         tm = to_mpf(t)
         if tm < 0:
             raise ValueError("t must be >= 0")
-        return mpmath.exp(-tm * to_mpf(eigenvalue(param, alpha)))
+        return mp.exp(-tm * to_mpf(eigenvalue(param, alpha)))
 
 
 # cesaro_sum's ceiling on k: 10^7 terms take about 3 s (0.27 s per 10^6 for
@@ -126,9 +125,10 @@ def spectral_stream(param: QParameter) -> Iterator[SpectralDatum]:
     Reads the value and derivative recurrences incrementally, so each step
     costs O(1) arithmetic operations.
     """
-    steps = zip(_pairs(param.nq), _values(param.N))
+    nq = param.nq
+    steps = zip(_pairs(nq), _values(param.N))
     for alpha in count():
-        with working_precision():
+        with _precision_for(nq):
             (u, du), n = next(steps)  # the generators step at this precision
             delta = du / u
         yield SpectralDatum(alpha, delta, n, n * n)
@@ -158,7 +158,7 @@ def spectral_rows(param: QParameter, alpha_max: int) -> list[SpectralRow]:
     rows = []
     prev = None
     for d in spectral_data(param, alpha_max):
-        with working_precision():
+        with _precision_for(d.delta):
             gap = 0 * d.delta if prev is None else d.delta - prev
         rows.append(SpectralRow(d.alpha, d.n, table.qdim[d.alpha], d.delta, gap))
         prev = d.delta
@@ -192,7 +192,7 @@ def dirichlet_form(param: QParameter, vector: Mapping):
             )
         if a not in deltas:
             deltas[a] = eigenvalue(param, a)
-        with working_precision():
+        with _precision_for(total, deltas[a], vector[key]):
             total = total + deltas[a] * abs(vector[key]) ** 2
     return total
 
@@ -212,7 +212,7 @@ def resolvent_coeff(param: QParameter, alpha: int, eps) -> ResolventCoeff:
     if not float(eps) > 0:
         raise ValueError("eps must be > 0")
     delta = eigenvalue(param, alpha)
-    with working_precision():
+    with _precision_for(delta, eps):
         den = 1 + eps * delta
         return ResolventCoeff(index(alpha), float(eps), 1 / den, delta / den)
 

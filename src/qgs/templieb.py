@@ -55,15 +55,11 @@ _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _PARTS = {(k, l): ((k, l),) for k, l in _SIGNS[:3]} | {(-1, -1): _SIGNS[:3]}
 
 
-def _qfloat(param):
-    return float(param.q_mpf())
-
-
 def _weight_diag(param, n):
     """Diagonal of the n-fold product of diag(1/q, q), in site order."""
     import numpy as np
 
-    q = _qfloat(param)
+    q = float(param.q)
     return functools.reduce(np.kron, [np.array([1.0 / q, q])] * n, np.ones(1))
 
 
@@ -114,7 +110,7 @@ def tl_rep(param, n):
     if n < 1:
         raise ValueError("need at least one site")
     _check_strands(n)
-    root = math.sqrt(_qfloat(param))
+    root = math.sqrt(float(param.q))
     w = np.array([0.0, root, -1.0 / root, 0.0])  # the defining vector
     return TLRep(param, n, np.outer(w, w))
 
@@ -176,7 +172,7 @@ def jones_wenzl(param, n):
     key = (param, n)
     hit = _JW_CACHE.get(key)
     if hit is None:
-        basis = _dicke_basis(_qfloat(param), n)
+        basis = _dicke_basis(float(param.q), n)
         basis.setflags(write=False)
         hit = _JW_CACHE[key] = JWProjection(param, n, basis)
     return hit
@@ -186,7 +182,7 @@ def weight_matrix(param, alpha):
     """diag(q^(2k - alpha)) on the image basis: trace [alpha+1], identity at q = 1."""
     import numpy as np
 
-    return np.diag(_qfloat(param) ** np.arange(-alpha, alpha + 1, 2.0))
+    return np.diag(float(param.q) ** np.arange(-alpha, alpha + 1, 2.0))
 
 
 def _bits(param, sites):
@@ -373,7 +369,7 @@ def pentagon_defect(param, alpha, r, s, k, l, align_phase=True):
 def _reference(param, exponent, alpha):
     """q^exponent, refused outside the normal double range: a ratio to an
     infinite, zero or subnormal (precision-losing) reference says nothing."""
-    q = _qfloat(param)
+    q = float(param.q)
     try:
         value = q ** exponent
     except OverflowError:  # q < 1 to a negative power
@@ -415,14 +411,16 @@ def _weighted_defect(param, alpha, k, l, bits=None):
 
 def _estimates(param, cases):
     """Estimates of (alpha, k, l) cases at the width of the largest alpha, so
-    they share isometries; the work of all is checked before the first."""
-    bits = _bits(param, max(alpha for alpha, _, _ in cases) + 2)
+    they share isometries; the references and the work of all are checked
+    before the first."""
+    references = {alpha: _reference(param, alpha, alpha) for alpha, _, _ in cases}
+    bits = _bits(param, max(references) + 2)
     _check_work(bits, {labels for alpha, k, l in cases for part in _PARTS[k, l]
                        for labels in _pentagon_isometries(alpha, 1, 1, *part)})
     defect = functools.cache(lambda alpha, k, l: _weighted_defect(param, alpha, k, l, bits))
     rows = []
     for alpha, k, l in cases:
-        reference = _reference(param, alpha, alpha)
+        reference = references[alpha]
         weighted = sum(defect(alpha, *part) for part in _PARTS[k, l])
         constant = 2 * len(_PARTS[k, l])
         ratio = weighted / reference
@@ -446,7 +444,9 @@ def commutator_suite(param, alphas):
     """Estimates over all admissible sign pairs for each label in alphas."""
     cases = []
     for alpha in alphas:
-        # a label whose tables alone pass the ceiling ends a long range early
+        # a label whose reference is refused, or whose tables alone pass the
+        # ceiling, ends a long range early
+        _reference(param, alpha, alpha)
         _check_work(precision_bits(), [(alpha + 2, 0, alpha + 2)])
         cases += [(alpha, k, l) for k, l in _SIGNS if alpha + min(k, l, k + l) >= 0]
     return _estimates(param, cases) if cases else []
@@ -471,7 +471,7 @@ def jw_report(param, n_max):
         raise ValueError("need at least one site")
     # tr and [n+1]_q are q^-n times the trace against diag(1, q^2)^(x)n (entries
     # in (0, 1]) and sum_k q^(2k): their relative error needs no power of 1/q
-    site = np.array([1.0, _qfloat(param) ** 2])
+    site = np.array([1.0, float(param.q) ** 2])
     diag = np.ones(1)
     rows = []
     for n in range(1, n_max + 1):

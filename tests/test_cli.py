@@ -247,18 +247,40 @@ def test_pentagon_mixed_routes(capsys):
     assert payload["result"]["ratio"] <= 2
 
 
-def test_pentagon_resource_limit(capsys, monkeypatch):
-    # the work ceiling refuses before any coefficient is formed
-    def unformed(*args):
-        raise AssertionError("a coefficient was formed")
+def _unformed(*args):
+    raise AssertionError("a coefficient was formed")
 
-    monkeypatch.setattr(templieb, "_closed_form", unformed)
+
+def test_pentagon_resource_limit(capsys, monkeypatch):
+    # the work ceiling refuses before any coefficient is formed (q^1000 is a
+    # normal double, so the reference is admissible)
+    monkeypatch.setattr(templieb, "_closed_form", _unformed)
     code, out, err = run_cli(
-        capsys, "pentagon", "--q", "0.5", "--alpha", "1000000000", "--r", "1",
+        capsys, "pentagon", "--q", "0.5", "--alpha", "1000", "--r", "1",
         "--s", "1", "--k", "1", "--l", "1",
     )
     assert (code, out) == (3, "")
     assert json.loads(err)["error"]["type"] == "resource"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # q^100 underflows; the defect alone would pass the work ceiling (exit 3)
+        ("pentagon", "--q", "1e-300", "--alpha", "100", "--r", "1", "--s", "1",
+         "--k", "1", "--l", "1"),
+        ("pentagon", "--q", "0.5", "--alpha", "1000000000", "--r", "1", "--s", "1",
+         "--k", "1", "--l", "1"),
+        # q^11 underflows; alpha = 2-10 are admissible, and 486 passes the ceiling
+        ("lemma65", "--q", "1e-30", "--alpha-max", "12"),
+        ("lemma65", "--q", "1e-30", "--alpha-max", "1000000000"),
+    ],
+)
+def test_reference_is_refused_before_any_coefficient(capsys, monkeypatch, argv):
+    monkeypatch.setattr(templieb, "_closed_form", _unformed)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "usage"
 
 
 def test_tiny_q_lemma65_stands_above_roundoff(capsys):
@@ -330,10 +352,11 @@ def test_lemma65_suite(capsys):
         ("freeprod-verify", "--max-x", "5", "--max-side", "4", "--algebras", "4"),
         # the projections' 2^n chain arrays, capped at 14 strands
         ("jw-verify", "--q", "0.5", "--n-max", "15"),
-        # the fusion coefficients' work: labels, and bits at tiny q; lemma65
-        # sums it over its alpha range before its first estimate
-        ("pentagon", "--q", "1e-300", "--alpha", "100", "--r", "1", "--s", "1",
-         "--k", "1", "--l", "1"),
+        # the fusion coefficients' work: labels, and bits at tiny q (62 sites,
+        # reference q^0, a pass at q = 0.5); lemma65 sums it over its alpha
+        # range before its first estimate
+        ("pentagon", "--q", "1e-300", "--alpha", "20", "--r", "40", "--s", "2",
+         "--k", "0", "--l", "0"),
         ("lemma65", "--q", "0.5", "--alpha-max", "1000000000"),
         ("lemma65", "--q", "0.5", "--alpha-max", "300"),
     ],

@@ -13,12 +13,13 @@ shared one record builder, except those for numbers beyond the double range
 and for negative grid sizes, which were rewritten when those stopped ending
 in ``Infinity``, a traceback or an empty pass, and those at 256 bits for
 amenability at q = 0.381966 and fusion at q = 0.2, which were written
-before the Chebyshev recurrence moved into one generator.  Records are
-compared byte for byte, except
-those of ``jw-verify``, ``pentagon`` and ``lemma65``: their residuals near
-1e-15 depend on the BLAS build, so there keys, key order, the CSV header,
-ints, bools, strings, the verdict and the exit code must match exactly and
-floats to 1e-9 relative or 1e-12 absolute.
+before the Chebyshev recurrence moved into one generator, and those of
+``lemma65`` and ``pentagon``, rewritten when their fusion coefficients
+came from the closed form in mpmath alone.  Records are compared byte for
+byte, except those of ``jw-verify``: its residuals near 1e-15 depend on
+the BLAS build, so there keys, key order, the CSV header, ints, bools,
+strings, the verdict and the exit code must match exactly and floats to
+1e-9 relative or 1e-12 absolute.
 """
 
 import csv
@@ -32,7 +33,7 @@ import pytest
 from qgs.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-BLAS_SENSITIVE = {"jw-verify", "pentagon", "lemma65"}
+BLAS_SENSITIVE = {"jw-verify"}
 
 
 def _gap(*args):

@@ -1,10 +1,12 @@
 """The lazy `qgs` package surface, and the modules each subcommand imports.
 
 A run should import only what its subcommand calls: numpy only for
-jw-verify, whose projections live on the qubit chain, mpmath for every
-suite but freeprod-verify.  Each
-check runs in a fresh interpreter, since this process has imported
-everything already; it asserts module names, not times.
+jw-verify, whose projections live on the qubit chain, and mpmath only for
+decimal q, hs-cert and the Temperley-Lieb suites (jw-verify, lemma65,
+pentagon): spectrum, fusion, gap-scan and amenability at rational q stay
+exact and never load it, nor does freeprod-verify.  Each check runs in a
+fresh interpreter, since this process has imported everything already; it
+asserts module names, not times.
 """
 
 import importlib
@@ -12,11 +14,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qgs
+from test_spectrum import closed_form_eigenvalue
 
 _SRC = str(Path(qgs.__file__).resolve().parents[1])
 
@@ -74,6 +78,67 @@ def test_import_and_word_calculus_load_neither_numpy_nor_mpmath(argv):
 )
 def test_spectral_suites_do_not_load_numpy(argv, q):
     assert "numpy" not in _loaded(argv + ["--q", q])
+
+
+# suites whose exact route, at rational q, needs no mpmath
+_EXACT_ROUTE = [
+    ["spectrum", "--N", "2", "--alpha-max", "5"],
+    ["fusion", "--N", "2", "--alpha-max", "4"],
+    ["fusion", "--N", "2", "--alpha", "3", "--beta", "4"],
+    ["gap-scan", "--N", "2", "--alpha-max", "12", "--gamma-max", "1"],
+    ["amenability", "--N", "2", "--n-max", "2000", "--warmup", "100"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(argv + ["--q", "1/2"] for argv in _EXACT_ROUTE),
+        ["amenability", "--N", "2", "--q", "1", "--n-max", "2000", "--warmup", "100"],
+    ],
+)
+def test_rational_q_suites_do_not_load_mpmath(argv):
+    assert "mpmath" not in _loaded(argv)
+
+
+def test_rational_q_usage_error_does_not_load_mpmath():
+    argv = ["spectrum", "--N", "2", "--q", "1/0", "--alpha-max", "5"]
+    assert _fresh(_RUN, json.dumps(argv)) == [2, []]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(argv + ["--q", "0.5"] for argv in _EXACT_ROUTE),
+        ["hs-cert", "--N", "2", "--q", "1/2", "--t", "0.5", "--alpha-max", "40"],
+    ],
+)
+def test_decimal_q_and_hs_cert_load_mpmath(argv):
+    assert "mpmath" in _loaded(argv)
+
+
+_PRECISION = """
+import json, sys
+from fractions import Fraction
+if sys.argv[1] == "eager":
+    import mpmath
+from qgs import QParameter, eigenvalue
+q = QParameter("0.3", 2).q
+delta = eigenvalue(QParameter("0.3", 2), 50)
+exact = eigenvalue(QParameter(Fraction(1, 2), 2), 300)
+print(json.dumps([[[str(x.man), x.exp, x.bc] for x in (q, delta)], type(exact).__name__,
+                  str(exact)]))
+"""
+
+
+def test_lazy_mpmath_computes_at_the_working_precision(monkeypatch):
+    monkeypatch.setenv("QGS_PRECISION_BITS", "256")
+    lazy, eager = (_fresh(_PRECISION, order) for order in ("lazy", "eager"))
+    assert lazy == eager
+    mpfs, kind, exact = lazy
+    assert all(128 < bc <= 256 for _, _, bc in mpfs)  # not mpmath's 53 bits, nor 128
+    assert kind == "Fraction"
+    assert Fraction(exact) == closed_form_eigenvalue(Fraction(1, 2), 300)
 
 
 def test_temperley_lieb_suite_loads_numpy():
