@@ -370,7 +370,7 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
             "a gap scan needs q < 1: at q = 1 the power bound vanishes, so the "
             "ratio is infinite wherever the gap functional is not 0"
         )
-    top = alpha_max + gamma_max
+    top = alpha_max + min(alpha_max, gamma_max)  # the largest label a cell reads, a + g
     _check_tables(param, top)
     # at most min(alpha_max, 4 gamma_max) + 1 betas and 2 min(alpha_max, gamma_max) + 1
     # gammas per alpha: 3.5% above the count at 200 x 5, twice it at gamma_max >= alpha_max

@@ -422,91 +422,37 @@ def _growth_words(max_length, used, algebras):
         yield from level
 
 
-def _growth_counts(max_length, used, algebras):
-    """Tallies of the words `_growth_words` yields, keyed by the labels used
-    after them: [count, sum of L + 1, sum of (L + 1) L] over their lengths L;
-    counting stops once more than MAX_SWEEP_PATTERNS are counted.
-
-    A first letter is any label taken or the next new one, a later letter
-    any label taken but the one before it or the next new one, so the count
-    needs only the length and the labels used."""
-    totals = {used: [1, 1, 0]}
-    level = {used: 1}
-    counted = 1
-    for length in range(max_length):
-        if not level or counted > MAX_SWEEP_PATTERNS:
-            break
-        step = {}
-        for n, count in level.items():
-            reused = n - (1 if length else 0)
-            if reused > 0:
-                step[n] = step.get(n, 0) + count * reused
-            if n < algebras:
-                step[n + 1] = step.get(n + 1, 0) + count
-        level = step
-        for n, count in level.items():
-            tally = totals.setdefault(n, [0, 0, 0])
-            tally[0] += count
-            tally[1] += count * (length + 2)
-            tally[2] += count * (length + 2) * (length + 1)
-            counted += count
-    return totals
-
-
-def _sweep_size(max_x, max_side, algebras):
-    """The number of patterns `expansion_sweep` verifies, exact up to
-    MAX_SWEEP_PATTERNS; above it, only a number above the ceiling."""
-    return sum(
-        count_b * count_x * sum(t[0] for t in _growth_counts(max_side, used_x, algebras).values())
-        for used_b, (count_b, _, _) in _growth_counts(max_side, 0, algebras).items()
-        for used_x, (count_x, _, _) in _growth_counts(max_x, used_b, algebras).items()
-    )
-
-
 def _pattern_work(k, n, m):
     """The cost of one pattern of k, n and m letters in b, x and a, in the
     units of MAX_LETTER_WORK."""
     return (k + 1) * (n + 1) * (m + 1) * (k + n + m)
 
 
-def _sweep_work(max_x, max_side, algebras):
-    """The summed _pattern_work of the patterns `expansion_sweep` verifies,
-    exact where _sweep_size is.  Summed over words of lengths k, n and m,
-    (k+1)(n+1)(m+1)(k+n+m) is a sum of three products of per-word tallies."""
-    work = 0
-    for used_b, (_, b0, b1) in _growth_counts(max_side, 0, algebras).items():
-        for used_x, (_, x0, x1) in _growth_counts(max_x, used_b, algebras).items():
-            _, a0, a1 = map(sum, zip(*_growth_counts(max_side, used_x, algebras).values()))
-            work += b1 * x0 * a0 + b0 * x1 * a0 + b0 * x0 * a1
-    return work
-
-
 def expansion_sweep(*, max_x=4, max_side=3, algebras=3):
     """Verify every type pattern up to the size limits, one per relabeling class.
 
     More than MAX_SWEEP_PATTERNS patterns, or more than MAX_LETTER_WORK
-    summed over them, is a ResourceLimitError, raised before any pattern is
-    verified."""
+    summed over them, is a ResourceLimitError, raised while the patterns are
+    listed and so before any is verified."""
     if min(max_x, max_side) < 0:
         raise ValueError("max_x and max_side must be >= 0")
     if algebras < 1:
         raise ValueError("algebras must be >= 1")
-    if _sweep_size(max_x, max_side, algebras) > MAX_SWEEP_PATTERNS:
-        raise ResourceLimitError(
-            f"a sweep of ({max_x}, {max_side}, {algebras}) checks more than "
-            f"{MAX_SWEEP_PATTERNS} patterns"
-        )
-    work = _sweep_work(max_x, max_side, algebras)
-    if work > MAX_LETTER_WORK:
-        raise ResourceLimitError(
-            f"a sweep of ({max_x}, {max_side}, {algebras}) takes {work} units of "
-            f"letter work, above {MAX_LETTER_WORK}"
-        )
+    patterns, work = [], 0
+    for bt, used_b in _growth_words(max_side, 0, algebras):
+        for xt, used_x in _growth_words(max_x, used_b, algebras):
+            for at, _ in _growth_words(max_side, used_x, algebras):
+                patterns.append((bt, xt, at))
+                work += _pattern_work(len(bt), len(xt), len(at))
+                if len(patterns) > MAX_SWEEP_PATTERNS or work > MAX_LETTER_WORK:
+                    raise ResourceLimitError(
+                        f"a sweep of ({max_x}, {max_side}, {algebras}) takes more than "
+                        + (f"{MAX_LETTER_WORK} units of letter work" if work > MAX_LETTER_WORK
+                           else f"{MAX_SWEEP_PATTERNS} patterns")
+                    )
     return [
         verify_boundary_expansion(bt, xt, at, max_x=max_x, max_side=max_side)
-        for bt, used_b in _growth_words(max_side, 0, algebras)
-        for xt, used_x in _growth_words(max_x, used_b, algebras)
-        for at, _ in _growth_words(max_side, used_x, algebras)
+        for bt, xt, at in patterns
     ]
 
 

@@ -463,12 +463,15 @@ class JWReportRow:
 
 
 def jw_report(param, n_max):
-    """Per-level diagnostics for the top-label projections up to n_max sites."""
-    import numpy as np
-
+    """Per-level diagnostics for the top-label projections up to n_max sites.
+    Column k of b lies in weight k, which every generator keeps, so b^T b - 1
+    and e_i b have orthogonal columns: each norm is a largest column norm."""
     n_max = operator.index(n_max)
     if n_max < 1:
         raise ValueError("need at least one site")
+    _check_strands(n_max)
+    import numpy as np
+
     # tr and [n+1]_q are q^-n times the trace against diag(1, q^2)^(x)n (entries
     # in (0, 1]) and sum_k q^(2k): their relative error needs no power of 1/q
     site = np.array([1.0, float(param.q) ** 2])
@@ -477,9 +480,9 @@ def jw_report(param, n_max):
     for n in range(1, n_max + 1):
         jw = jones_wenzl(param, n)
         b = jw.basis
-        idem = float(np.linalg.norm(b.T @ b - np.eye(n + 1), 2))
+        idem = float(np.max(np.abs(np.diag(b.T @ b) - 1)))
         rep = tl_rep(param, n)
-        ann = max((float(np.linalg.svd(rep.apply(i, b), compute_uv=False)[0])
+        ann = max((float(np.max(np.linalg.norm(rep.apply(i, b), axis=0)))
                    for i in range(1, n)), default=0.0)
         diag = np.kron(diag, site)
         target = float(np.sum(site[1] ** np.arange(n + 1)))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgs import QParameter, freewords, spectrum, templieb
+from qgs import QParameter, freewords, fusion, spectrum, templieb
 from qgs.cli import main
 from qgs.errors import NumericalDegradationError
 
@@ -325,6 +325,15 @@ def test_lemma65_suite(capsys):
     assert complementary and all(r["constant"] == 6 for r in complementary)
 
 
+# the exact work of a rational gap scan: 46,431 cells on integers of 204,385
+# bits, within the table ceiling (8.4e7 bits)
+EXACT_SCAN_ARGV = ("gap-scan", "--N", "2", "--q", "1/1" + "0" * 150,
+                   "--alpha-max", "200", "--gamma-max", "5")
+# part of the message of the ceiling a case must reach, where an earlier
+# check could refuse it instead
+CEILING_MESSAGES = {EXACT_SCAN_ARGV: "exact gap scan"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -348,7 +357,7 @@ def test_lemma65_suite(capsys):
         ("gap-scan", "--N", "2", "--q", "0.99999", "--alpha-max", "19999", "--gamma-max", "0"),
         # the Cesaro sum's k terms
         ("cesaro", "--poly", "x", "--k", "100000000000"),
-        # the word-calculus sweep's patterns: 524,046 here, counted before any is verified
+        # the word-calculus sweep's patterns: 524,046 here; listing stops past 20,000
         ("freeprod-verify", "--max-x", "5", "--max-side", "4", "--algebras", "4"),
         # the projections' 2^n chain arrays, capped at 14 strands
         ("jw-verify", "--q", "0.5", "--n-max", "15"),
@@ -359,13 +368,61 @@ def test_lemma65_suite(capsys):
          "--k", "0", "--l", "0"),
         ("lemma65", "--q", "0.5", "--alpha-max", "1000000000"),
         ("lemma65", "--q", "0.5", "--alpha-max", "300"),
+        EXACT_SCAN_ARGV,
     ],
 )
 def test_cost_ceilings_are_resource_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert json.loads(err)["error"]["type"] == "resource"
+    error = json.loads(err)["error"]
+    assert error["type"] == "resource"
+    assert CEILING_MESSAGES.get(argv, "") in error["message"]
+
+
+def test_jw_verify_refuses_before_any_level(capsys, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(templieb, "_dicke_basis", unbuilt)
+    monkeypatch.setattr(templieb, "_JW_CACHE", {})
+    for n_max in ("15", "40"):
+        code, out, err = run_cli(capsys, "jw-verify", "--q", "0.5", "--n-max", n_max)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["type"] == "resource"
+
+
+def test_gap_tables_sized_by_the_labels_cells_read(capsys):
+    # no cell reads a label above alpha_max + min(gamma_max, alpha_max)
+    records = []
+    for gamma_max in ("10", "19990"):
+        code, out, _ = run_cli(
+            capsys, "gap-scan", "--N", "2", "--q", "0.5", "--alpha-max", "10",
+            "--gamma-max", gamma_max,
+        )
+        record = json.loads(out)
+        assert (code, record["inputs"]["gamma_max"]) == (1, int(gamma_max))
+        del record["inputs"]
+        records.append(record)
+    assert records[0] == records[1]
+
+
+def test_rational_fusion_grid_refused_before_any_cell(capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(fusion, "fusion_check", reached)
+    for q, alpha_max in (("4/11", "200"), ("4/11", "152"), ("1/1" + "0" * 150, "25")):
+        code, out, err = run_cli(capsys, "fusion", "--N", "2", "--q", q, "--alpha-max", alpha_max)
+        assert (code, out) == (3, "")
+        assert "q-dimensions" in json.loads(err)["error"]["message"]
+    # the largest grids within the bound go on to their cells
+    for q, alpha_max in (("1/2", "200"), ("4/11", "151"), ("1/1" + "0" * 150, "24")):
+        with pytest.raises(Reached):
+            main(["fusion", "--N", "2", "--q", q, "--alpha-max", alpha_max])
 
 
 def test_freeprod_single_pattern(capsys):

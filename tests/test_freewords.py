@@ -28,8 +28,6 @@ from qgs.freewords import (
     _growth_words,
     _leibniz_defect,
     _pattern_work,
-    _sweep_size,
-    _sweep_work,
     apply_generator,
     atom,
     circle,
@@ -364,7 +362,21 @@ def _relabel_and_filter(max_x, max_side, algebras):
     return out
 
 
-def test_growth_words_match_relabel_and_filter():
+def unverified(*args, **kwargs):
+    raise AssertionError("a pattern was verified")
+
+
+def listed(b_types, x_types, a_types, **limits):
+    return tuple(b_types), tuple(x_types), tuple(a_types)
+
+
+def walk(monkeypatch, max_x, max_side, algebras):
+    """The patterns expansion_sweep lists, with verification stubbed out."""
+    monkeypatch.setattr(freewords, "verify_boundary_expansion", listed)
+    return expansion_sweep(max_x=max_x, max_side=max_side, algebras=algebras)
+
+
+def test_growth_words_match_relabel_and_filter(monkeypatch):
     for max_x, max_side, algebras in itertools.product(range(6), range(4), range(5)):
         patterns = [
             (bt, xt, at)
@@ -373,43 +385,46 @@ def test_growth_words_match_relabel_and_filter():
             for at, _ in _growth_words(max_side, used_x, algebras)
         ]
         assert patterns == _relabel_and_filter(max_x, max_side, algebras)
-        assert _sweep_size(max_x, max_side, algebras) == len(patterns)
+        if algebras and len(patterns) <= MAX_SWEEP_PATTERNS:
+            assert walk(monkeypatch, max_x, max_side, algebras) == patterns
 
 
-def test_sweep_sizes_against_ceiling():
-    sizes = [_sweep_size(max_x, 3, 3) for max_x in (4, 5, 6)]
+def test_sweep_sizes_against_ceiling(monkeypatch):
+    sizes = [len(walk(monkeypatch, max_x, 3, 3)) for max_x in (4, 5, 6)]
     assert sizes == [3715, 7587, 15331]
     assert max(sizes) <= MAX_SWEEP_PATTERNS
-    # 524,046 and 1,573,887 patterns; counting stops once past the ceiling
-    assert _sweep_size(5, 4, 4) > MAX_SWEEP_PATTERNS
-    assert _sweep_size(6, 4, 4) > MAX_SWEEP_PATTERNS
-    assert _sweep_size(10**9, 3, 2) > MAX_SWEEP_PATTERNS
+    # 524,046 and 1,573,887 patterns; the walk stops once past the ceiling
+    monkeypatch.setattr(freewords, "verify_boundary_expansion", unverified)
+    for max_x, max_side, algebras in ((5, 4, 4), (6, 4, 4)):
+        with pytest.raises(ResourceLimitError, match="patterns"):
+            expansion_sweep(max_x=max_x, max_side=max_side, algebras=algebras)
+    # words of every length at two algebras: the letter work passes its
+    # ceiling first
+    with pytest.raises(ResourceLimitError, match="letter work"):
+        expansion_sweep(max_x=10**9, max_side=3, algebras=2)
 
 
-def test_sweep_work_sums_pattern_work():
-    for max_x, max_side, algebras in itertools.product(range(6), range(4), range(5)):
-        assert _sweep_work(max_x, max_side, algebras) == sum(
-            _pattern_work(len(bt), len(xt), len(at))
-            for bt, used_b in _growth_words(max_side, 0, algebras)
-            for xt, used_x in _growth_words(max_x, used_b, algebras)
-            for at, _ in _growth_words(max_side, used_x, algebras)
-        )
+def test_sweep_work_sums_pattern_work(monkeypatch):
+    # at (n, 0, 2) the sweep lists one x of each length 0..n, so its work is
+    # the sum of (L + 1) L over those lengths, n (n + 1) (n + 2) / 3
+    assert 354 * 355 * 356 // 3 <= MAX_LETTER_WORK < 355 * 356 * 357 // 3
+    assert [len(xt) for _, xt, _ in walk(monkeypatch, 354, 0, 2)] == list(range(355))
+    monkeypatch.setattr(freewords, "verify_boundary_expansion", unverified)
+    with pytest.raises(ResourceLimitError, match="letter work"):
+        expansion_sweep(max_x=355, max_side=0, algebras=2)
 
 
-def test_sweep_work_against_ceiling():
-    works = [_sweep_work(*cfg) for cfg in ((5, 3, 3), (6, 3, 3), (4, 3, 4))]
+def test_sweep_work_against_ceiling(monkeypatch):
+    works = [
+        sum(_pattern_work(*map(len, pattern)) for pattern in walk(monkeypatch, *cfg))
+        for cfg in ((5, 3, 3), (6, 3, 3), (4, 3, 4))
+    ]
     assert works == [4047512, 10670072, 9873852]
     assert max(works) <= MAX_LETTER_WORK
-    # 20,000 patterns, within their ceiling, of up to 19,999 letters each
-    assert _sweep_size(19999, 0, 2) == MAX_SWEEP_PATTERNS
-    assert _sweep_work(19999, 0, 2) > MAX_LETTER_WORK
-
-
-def unverified(*args, **kwargs):
-    raise AssertionError("a pattern was verified")
 
 
 def test_sweep_letter_ceiling_before_any_pattern(monkeypatch):
+    # 20,000 patterns, within their ceiling, of up to 19,999 letters each
     monkeypatch.setattr(freewords, "verify_boundary_expansion", unverified)
     with pytest.raises(ResourceLimitError, match="letter work"):
         expansion_sweep(max_x=19999, max_side=0, algebras=2)
