@@ -106,6 +106,7 @@ def poly_derivative(alpha, x):
     return poly_value_and_derivative(alpha, x)[1]
 
 
+@dataclass(frozen=True, slots=True)
 class QParameter:
     """Deformation data (q, N) for one quantum group model.
 
@@ -116,9 +117,11 @@ class QParameter:
     read at the working precision (at least 53 bits).
     """
 
-    __slots__ = ("q", "N")
+    q: object
+    N: int
 
-    def __init__(self, q, N):
+    def __post_init__(self):
+        q, N = self.q, self.N
         if not isinstance(N, int) or N < 2:
             raise ValueError("N must be an integer >= 2")
         if isinstance(q, bool):
@@ -137,15 +140,11 @@ class QParameter:
         if float(q) < 1 / sys.float_info.max:
             raise ValueError("q = %s is too small: q + 1/q exceeds the double range" % q)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "N", N)
         if float(self.nq) < N - 1e-9:
             raise ValueError(
                 "q + 1/q = %s is below N = %d; q may not exceed the "
                 "smallest positive root of x^2 - N*x + 1" % (float(self.nq), N)
             )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QParameter is immutable")
 
     @classmethod
     def kac(cls, N):
@@ -179,22 +178,6 @@ class QParameter:
     def q_mpf(self):
         """q as mpf at the current working precision."""
         return to_mpf(self.q)
-
-    def __eq__(self, other):
-        if not isinstance(other, QParameter):
-            return NotImplemented
-        if self.N != other.N:
-            return False
-        try:
-            return self.q == other.q
-        except TypeError:
-            return False
-
-    def __hash__(self):
-        return hash((self.N, self.q))
-
-    def __repr__(self):
-        return "QParameter(q=%r, N=%d)" % (self.q, self.N)
 
 
 def q_number(n, param):

@@ -7,8 +7,8 @@ with r_a = 2(a+1)q^(2a+3)/((1-q^2)(1-q^(2a+2))); L and C cancel, leaving
 |r_{a+g} - r_a - r_b + r_{b-g}|: exact in integers for rational q (see
 _ExactCells: cross-multiplied, no Fraction normalisation, one correctly
 rounded division per cell), and in float64 for decimal q (see
-_FloatCells).  At q = 1 the eigenvalue recurrence stands in for r.  No
-route raises the working precision.
+_FloatCells).  At q = 1, delta_a = a(a+2)/6 gives the exact cell in
+closed form.  No route raises the working precision.
 
 At rational q the grid scan screens every cell in float64 (_FloatCells
 at float(q), with log q from the fraction) and evaluates exactly only the
@@ -28,9 +28,9 @@ from operator import index, mul
 
 from .chebyshev import QParameter
 from .errors import ResourceLimitError
-from .fusion import MAX_LABELS, dims
+from .fusion import _check_table_labels, _integer_dims
 from .precision import _precision_for, to_mpf, working_precision
-from .spectrum import eigenvalue, spectral_data
+from .spectrum import eigenvalue
 
 
 # gap_constant_scan's cost ceilings besides MAX_LABELS, each about 3-5 s of
@@ -60,9 +60,7 @@ def _check_labels(alpha, beta, gamma):
         raise ValueError("labels must be >= 0")
     if alpha + gamma < 0 or beta - gamma < 0:
         raise ValueError("shifted labels alpha+gamma and beta-gamma must be >= 0")
-    if abs(gamma) > max(alpha, beta):
-        raise ValueError("|gamma| must not exceed max(alpha, beta)")
-    return alpha, beta, gamma
+    return alpha, beta, gamma  # and so |gamma| <= max(alpha, beta)
 
 
 def _beyond_double(a, b, g):
@@ -70,15 +68,12 @@ def _beyond_double(a, b, g):
 
 
 class _UnitCells:
-    """Gap cells at q = 1: every power of q is 1, so the bound vanishes, and
-    the eigenvalues from their recurrence stand in for r."""
+    """Gap cells at q = 1 (so N = 2): every power of q is 1, so the bound
+    vanishes, and delta_a = a(a+2)/6 makes the four-term sum g(a-b+g)/3."""
 
-    def __init__(self, param, top):
-        self.delta = [d.delta for d in spectral_data(param, top)]
-
-    def gap(self, a, b, g):
-        r = self.delta
-        lhs = abs(r[a + g] - r[a] - r[b] + r[b - g])
+    @staticmethod
+    def gap(a, b, g):
+        lhs = Fraction(abs(g * (a - b + g)), 3)
         return lhs, 0 * lhs, (0 * lhs if lhs == 0 else math.inf)
 
 
@@ -259,8 +254,7 @@ def _screen_cells(q, top):
 
 def _check_tables(param, top):
     """Refuse gap-cell tables for labels 0..top beyond the label or table ceilings."""
-    if top >= MAX_LABELS:
-        raise ResourceLimitError(f"labels 0..{top} exceed {MAX_LABELS} labels")
+    _check_table_labels(top)
     if param.q == 1:
         return
     if isinstance(param.q, Fraction):
@@ -283,7 +277,7 @@ def _check_tables(param, top):
 def _cells(param, top):
     """The route for this q, with tables for cells whose labels stay within top."""
     if param.q == 1:
-        return _UnitCells(param, top)
+        return _UnitCells()
     if isinstance(param.q, Fraction):
         return _ExactCells(param.q, top)
     q = float(param.q)
@@ -327,7 +321,7 @@ def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
     top = max(alpha, beta) + abs(gamma)
     _check_tables(param, top)
     cells = _cells(param, top)
-    with _precision_for(param.q):  # mpf eigenvalues at q = 1.0, mpf scales at decimal q
+    with _precision_for(param.q):  # mpf scales at decimal q
         lhs, rhs, ratio = cells.gap(alpha, beta, gamma)
     return GapEvaluation(alpha, beta, gamma, lhs, rhs, ratio)
 
@@ -491,7 +485,7 @@ def hs_certificate(
         raise ValueError("t must be a finite number >= 0")
     if not 0 < margin < 1:
         raise ValueError("margin must lie in (0, 1)")
-    table = dims(param, alpha_max)
+    n = _integer_dims(param.N, alpha_max)
     terms = []
     compressed = []
     with working_precision() as mp:
@@ -500,12 +494,12 @@ def hs_certificate(
         qa = mp.mpf(1)
         for a in range(alpha_max + 1):
             damp = mp.exp(-2 * tm * a)
-            n2 = mp.mpf(table.n[a]) ** 2
+            n2 = mp.mpf(n[a]) ** 2
             terms.append(float(n2 * (qa * qa + qa) ** 2 * damp))
             compressed.append(float(n2 * qa * qa * damp))
             qa = qa * qm
         ratio_value = float(
-            mp.exp(2 * mp.log(mp.mpf(table.n[alpha_max])) / alpha_max)
+            mp.exp(2 * mp.log(mp.mpf(n[alpha_max])) / alpha_max)
             * qm ** 2
             * mp.exp(-2 * tm)
         )

@@ -20,6 +20,24 @@ from .precision import _is_mp, _precision_for, precision_bits, working_precision
 
 MAX_LABELS = 20_000  # per dimension table or spectral probe; 10^4 labels take seconds
 
+# exact q-number tables at q = p/r < 1: label a's terms have about a log2(pr)
+# bits and the gcds of a Fraction step cost about bits^1.7, so labels 0..top take
+# about (top + 1) (top log2(pr))^1.7 units; at the ceiling spectrum rows, their
+# slowest reader, take 3.3-4.9 s (1/10^150 at 130 labels, 4/11 at 2114; 2-vCPU x86_64)
+MAX_EXACT_TABLE_WORK = 2 * 10**10
+
+
+def _check_table_labels(top, q=None):
+    """Refuse tables for labels 0..top past MAX_LABELS and, when q = p/r < 1,
+    exact q-number tables past MAX_EXACT_TABLE_WORK, before their first step."""
+    if top >= MAX_LABELS:
+        raise ResourceLimitError(f"labels 0..{top} exceed {MAX_LABELS} labels")
+    if isinstance(q, Fraction) and q != 1:
+        work = (top + 1) * (top * (q.numerator * q.denominator).bit_length()) ** 1.7
+        if work > MAX_EXACT_TABLE_WORK:
+            raise ResourceLimitError(f"exact q-number tables for labels 0..{top} at q = {q} take "
+                                     f"{work:.3g} units of work, above {MAX_EXACT_TABLE_WORK:.3g}")
+
 
 def fuse(alpha: int, beta: int) -> list[int]:
     """Fusion channels of the tensor product of irreducibles alpha and beta.
@@ -51,24 +69,28 @@ class DimensionTable:
         return len(self.n) - 1
 
 
+def _integer_dims(N: int, top: int) -> tuple[int, ...]:
+    """n_0..n_top of dims alone, under MAX_LABELS: no q-dimension is formed."""
+    _check_table_labels(top)
+    return tuple(islice(_values(N), top + 1))
+
+
 def dims(param: QParameter, alpha_max: int) -> DimensionTable:
     """Build the dimension table for labels 0..alpha_max; cached, and for
     floating q keyed on the working precision too."""
     alpha_max = index(alpha_max)
-    if alpha_max >= MAX_LABELS:
-        raise ResourceLimitError(f"labels 0..{alpha_max} exceed {MAX_LABELS} labels")
+    if alpha_max < 0:
+        raise ValueError("alpha_max must be >= 0")
+    _check_table_labels(alpha_max, param.q)
     bits = precision_bits() if _is_mp(param.q) else None
     return _dims(param, alpha_max, bits)
 
 
 @functools.lru_cache(maxsize=None)
 def _dims(param, alpha_max, bits):
-    if alpha_max < 0:
-        raise ValueError("alpha_max must be >= 0")
-    n = tuple(islice(_values(param.N), alpha_max + 1))
-    with _precision_for(param.q, bits=bits):
+    with _precision_for(param.q):  # at precision_bits(), the bits of the key
         qdim = tuple(islice(_values(param.nq), alpha_max + 1))
-    return DimensionTable(param, n, qdim)
+    return DimensionTable(param, _integer_dims(param.N, alpha_max), qdim)
 
 
 # callers that inspect the table cache (perfbench/tracer.py) ask dims for it
@@ -93,9 +115,9 @@ def growth_rate(param: QParameter, alpha_probe: int) -> GrowthProbe:
     alpha_probe = index(alpha_probe)
     if alpha_probe < 1:
         raise ValueError("alpha_probe must be >= 1")
-    table = dims(param, alpha_probe)
+    n = _integer_dims(param.N, alpha_probe)[alpha_probe]
     with working_precision() as mp:
-        root = mp.exp(mp.log(mp.mpf(table.n[alpha_probe])) / alpha_probe)
+        root = mp.exp(mp.log(mp.mpf(n)) / alpha_probe)
         product = root * param.q_mpf()
     return GrowthProbe(alpha_probe, float(param.q0), float(root), float(product))
 

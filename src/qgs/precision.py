@@ -65,10 +65,10 @@ def _is_mp(*values):
     return mpmath is not None and any(isinstance(v, (mpmath.mpf, mpmath.mpc)) for v in values)
 
 
-def _precision_for(*values, bits=None):
-    """working_precision(bits) for arithmetic on values when any is an
-    mpmath number; otherwise a null context, which leaves mpmath unimported."""
-    return working_precision(bits) if _is_mp(*values) else nullcontext()
+def _precision_for(*values):
+    """working_precision() for arithmetic on values when any is an mpmath
+    number; otherwise a null context, which leaves mpmath unimported."""
+    return working_precision() if _is_mp(*values) else nullcontext()
 
 
 def to_mpf(x):

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .chebyshev import QParameter, _pairs, _values, poly_value, poly_value_and_derivative
 from .errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
-from .fusion import MAX_LABELS, dims
+from .fusion import MAX_LABELS, _check_table_labels, _integer_dims, dims
 from .precision import _precision_for, to_mpf, working_precision
 
 
@@ -138,6 +138,7 @@ def spectral_data(param: QParameter, alpha_max: int) -> list[SpectralDatum]:
     alpha_max = index(alpha_max)
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
+    _check_table_labels(alpha_max, param.q)
     return list(islice(spectral_stream(param), alpha_max + 1))
 
 
@@ -181,15 +182,13 @@ def dirichlet_form(param: QParameter, vector: Mapping):
         if not all(isinstance(v, int) for v in (a, i, j)) or a < 0:
             raise InvalidVectorError(f"bad index triple {key!r}")
         keys.append(key)
-    table = dims(param, max(k[0] for k in keys))
+    n = _integer_dims(param.N, max(k[0] for k in keys))
     deltas = {}
     total = 0
     for key in sorted(keys):
         a, i, j = key
-        if not (1 <= i <= table.n[a] and 1 <= j <= table.n[a]):
-            raise InvalidVectorError(
-                f"matrix indices {key!r} outside 1..{table.n[a]}"
-            )
+        if not (1 <= i <= n[a] and 1 <= j <= n[a]):
+            raise InvalidVectorError(f"matrix indices {key!r} outside 1..{n[a]}")
         if a not in deltas:
             deltas[a] = eigenvalue(param, a)
         with _precision_for(total, deltas[a], vector[key]):

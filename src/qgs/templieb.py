@@ -55,14 +55,6 @@ _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _PARTS = {(k, l): ((k, l),) for k, l in _SIGNS[:3]} | {(-1, -1): _SIGNS[:3]}
 
 
-def _weight_diag(param, n):
-    """Diagonal of the n-fold product of diag(1/q, q), in site order."""
-    import numpy as np
-
-    q = float(param.q)
-    return functools.reduce(np.kron, [np.array([1.0 / q, q])] * n, np.ones(1))
-
-
 class TLRep:
     """Temperley-Lieb generators e_1 .. e_{n-1} on an n-site qubit chain."""
 
@@ -157,11 +149,13 @@ class JWProjection:
         return self.basis @ self.basis.T
 
     def quantum_trace(self):
-        """Trace against the product of diag(1/q, q); equals [n+1] up to roundoff."""
+        """Trace against the product of diag(1/q, q), which is q^(2k-n) on the
+        words of weight k where column k lives; equals [n+1] up to roundoff."""
         import numpy as np
 
-        d = _weight_diag(self.param, self.n)
-        return float(np.einsum("x,xj,xj->", d, self.basis, self.basis))
+        with np.errstate(over="ignore"):  # inf, not inf * 0, at tiny q
+            weights = float(self.param.q) ** np.arange(-self.n, self.n + 1, 2.0)
+        return float(weights @ np.einsum("xj,xj->j", self.basis, self.basis))
 
 
 def jones_wenzl(param, n):

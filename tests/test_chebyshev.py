@@ -210,6 +210,41 @@ def test_qparameter_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != c
+    # a decimal q equals the fraction of the same value, and hashes with it
+    assert QParameter("0.5", 2) == a
+    assert hash(QParameter("0.5", 2)) == hash(a)
+    assert QParameter("0.25", 3) != QParameter("0.25", 2) != 0.25
+
+
+def test_qparameter_repr_and_immutability():
+    assert repr(QParameter("0.5", 2)) == "QParameter(q=mpf('0.5'), N=2)"
+    assert repr(QParameter(1, 2)) == "QParameter(q=Fraction(1, 1), N=2)"
+    assert repr(QParameter(Fraction(1, 3), 3)) == "QParameter(q=Fraction(1, 3), N=3)"
+    p = QParameter("0.5", 2)
+    for name in ("q", "N"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+    assert p.q == 0.5 and p.N == 2
+
+
+@pytest.mark.parametrize(
+    "q, N, error, message",
+    [
+        (Fraction(1, 2), 1, ValueError, "N must be an integer >= 2"),
+        (Fraction(1, 2), 2.0, ValueError, "N must be an integer >= 2"),
+        (True, 2, ValueError, "q must be a number in (0, 1]"),
+        (1j, 2, TypeError, "q must be Fraction, int, float, str or mpf"),
+        (0, 2, ValueError, "q must lie in (0, 1]"),
+        (Fraction(3, 2), 2, ValueError, "q must lie in (0, 1]"),
+        ("1e-400", 2, ValueError, "q = 1.0e-400 is too small: q + 1/q exceeds the double range"),
+        (Fraction(1, 2), 3, ValueError, "q + 1/q = 2.5 is below N = 3; q may not exceed the "
+         "smallest positive root of x^2 - N*x + 1"),
+    ],
+)
+def test_qparameter_validation_messages(q, N, error, message):
+    with pytest.raises(error) as info:
+        QParameter(q, N)
+    assert str(info.value) == message
 
 
 def test_poly_class_value_types():

@@ -5,6 +5,7 @@ import io
 import json
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -329,9 +330,17 @@ def test_lemma65_suite(capsys):
 # bits, within the table ceiling (8.4e7 bits)
 EXACT_SCAN_ARGV = ("gap-scan", "--N", "2", "--q", "1/1" + "0" * 150,
                    "--alpha-max", "200", "--gamma-max", "5")
+# exact q-number tables at q = 1/10^150, whose Fraction steps reach 400 x 499
+# bits (310 labels for amenability): each ran past 15 s before their ceiling
+EXACT_TABLE_ARGVS = (
+    ("spectrum", "--N", "2", "--q", "1/1" + "0" * 150, "--alpha-max", "400"),
+    ("fusion", "--N", "2", "--q", "1/1" + "0" * 150, "--alpha", "200", "--beta", "200"),
+    ("amenability", "--N", "2", "--q", "1/1" + "0" * 150, "--n-max", "10000000"),
+)
 # part of the message of the ceiling a case must reach, where an earlier
 # check could refuse it instead
-CEILING_MESSAGES = {EXACT_SCAN_ARGV: "exact gap scan"}
+CEILING_MESSAGES = {EXACT_SCAN_ARGV: "exact gap scan"} | {
+    argv: "exact q-number tables" for argv in EXACT_TABLE_ARGVS}
 
 
 @pytest.mark.parametrize(
@@ -369,6 +378,7 @@ CEILING_MESSAGES = {EXACT_SCAN_ARGV: "exact gap scan"}
         ("lemma65", "--q", "0.5", "--alpha-max", "1000000000"),
         ("lemma65", "--q", "0.5", "--alpha-max", "300"),
         EXACT_SCAN_ARGV,
+        *EXACT_TABLE_ARGVS,
     ],
 )
 def test_cost_ceilings_are_resource_errors(capsys, argv):
@@ -378,6 +388,35 @@ def test_cost_ceilings_are_resource_errors(capsys, argv):
     error = json.loads(err)["error"]
     assert error["type"] == "resource"
     assert CEILING_MESSAGES.get(argv, "") in error["message"]
+
+
+@pytest.mark.parametrize("argv", EXACT_TABLE_ARGVS)
+def test_exact_tables_refused_before_any_step(capsys, monkeypatch, argv):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a q-number table was stepped")
+
+    monkeypatch.setattr(fusion, "_dims", unbuilt)
+    monkeypatch.setattr(spectrum, "spectral_stream", unbuilt)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "exact q-number tables" in json.loads(err)["error"]["message"]
+
+
+def test_hs_cert_reads_integer_dimensions_only(capsys, monkeypatch):
+    # the record needs n_alpha alone; the q-dimensions at q = 1/10^150 took 10.9 s
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a q-dimension table was built")
+
+    monkeypatch.setattr(fusion, "_dims", unbuilt)
+    argv = ["hs-cert", "--N", "2", "--q", "1/1" + "0" * 150, "--t", "0.5",
+            "--alpha-max", "400", "--format", "csv"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "hs_cert" / "hs_cert_q1-1e150_t0.5_400_csv.csv"
+    assert out == golden.read_bytes().decode("utf-8")
+    code, _, err = run_cli(capsys, *argv[:-4], "--alpha-max", "20000")
+    assert code == 3
+    assert json.loads(err)["error"]["message"] == "labels 0..20000 exceed 20000 labels"
 
 
 def test_jw_verify_refuses_before_any_level(capsys, monkeypatch):

@@ -34,6 +34,7 @@ from qgs.estimates import (
     regime_classify,
 )
 from qgs.precision import set_precision_bits
+from qgs.spectrum import spectral_data
 
 
 def hyperbolic_eigenvalue(q, alpha):
@@ -359,7 +360,9 @@ def test_gap_domain_validation():
     with pytest.raises(ValueError):
         gap(p, 5, 1, 2)  # beta - gamma < 0
     with pytest.raises(ValueError):
-        gap(p, 2, 2, 3)  # |gamma| > max(alpha, beta)
+        gap(p, 2, 2, 3)  # |gamma| > max(alpha, beta), so beta - gamma < 0
+    with pytest.raises(ValueError, match="labels must be >= 0"):
+        gap(p, -1, 2, 0)
 
 
 def test_gap_tables_have_cost_ceilings():
@@ -374,6 +377,22 @@ def test_gap_tables_have_cost_ceilings():
         gap(QParameter(0.5, 2), 20000, 0, 0)
     # far from q = 1 the float sums stop early, so the same labels are cheap
     assert gap(QParameter(0.5, 2), 6000, 6000, 0).ratio == 0
+
+
+@pytest.mark.parametrize("q", [1, "1.0"])
+def test_gap_at_q1_in_closed_form(q):
+    # delta_a = a(a+2)/6 at q = 1, so the four-term sum is g(a-b+g)/3 exactly
+    p = QParameter(q, 2)
+    delta = [d.delta for d in spectral_data(QParameter(1, 2), 35)]
+    for a in range(31):
+        for b in range(31):
+            for g in range(max(-5, -a), min(5, b) + 1):
+                ev = gap(p, a, b, g)
+                lhs = Fraction(abs(g * (a - b + g)), 3)
+                assert ev.lhs == lhs == abs(delta[a + g] - delta[a] - delta[b] + delta[b - g])
+                assert type(ev.lhs) is Fraction
+                assert ev.rhs == 0
+                assert ev.ratio == (math.inf if lhs else 0)
 
 
 def test_gap_degenerate_regime_ratio_is_inf():

@@ -146,6 +146,13 @@ CASES = {
          "--format", "csv"],
         0,
     ),
+    # hs-cert reads only the integer dimensions; this record was written while
+    # it still built the q-dimension table too (11 s at q = 1/10^150)
+    "hs_cert_q1-1e150_t0.5_400_csv": (
+        ["hs-cert", "--N", "2", "--q", "1/1" + "0" * 150, "--t", "0.5", "--alpha-max", "400",
+         "--format", "csv"],
+        0,
+    ),
     "jw_verify_q0.5_6": (["jw-verify", "--q", "0.5", "--n-max", "6"], 0),
     "jw_verify_q0.5_6_csv": (["jw-verify", "--q", "0.5", "--n-max", "6", "--format", "csv"], 0),
     "jw_verify_q1-3_6": (["jw-verify", "--q", "1/3", "--n-max", "6"], 0),

@@ -9,6 +9,7 @@ nested cups under the target basis, projected on the product basis), and
 the weight-basis defects against the chain maps of the isometries (_chain_sides).
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -22,7 +23,6 @@ from qgs.fusion import fuse
 from qgs.precision import to_mpf, working_precision
 from qgs.templieb import (
     _bits,
-    _weight_diag,
     _weighted_defect,
     commutator_estimate,
     commutator_suite,
@@ -38,6 +38,12 @@ from qgs.templieb import (
 
 def loop_parameter(q):
     return q + 1 / q
+
+
+def _weight_diag(param, n):
+    """Diagonal of the n-fold Kronecker product of diag(1/q, q), in site order."""
+    q = float(param.q)
+    return functools.reduce(np.kron, [np.array([1.0 / q, q])] * n, np.ones(1))
 
 
 def test_defining_vector_rank_one_generator():
@@ -112,6 +118,18 @@ def test_jw_invariants():
             assert jw.quantum_trace() == pytest.approx(
                 float(q_number(n + 1, param)), abs=1e-8
             )
+
+
+def test_quantum_trace_weights_columns_by_weight():
+    # column k lives on the words of weight k, where the Kronecker diagonal is q^(2k-n)
+    for q in (0.3, 0.5):
+        param = QParameter(q, 2)
+        for n in range(13):
+            b = jones_wenzl(param, n).basis
+            direct = float(np.einsum("x,xj,xj->", _weight_diag(param, n), b, b))
+            assert jones_wenzl(param, n).quantum_trace() == pytest.approx(direct, rel=1e-12)
+    # the Kronecker diagonal meets zero entries with 1/q^12 = inf there, which gave NaN
+    assert jones_wenzl(QParameter("1e-30", 2), 12).quantum_trace() == math.inf
 
 
 def test_jw_basis_is_weight_pure():
