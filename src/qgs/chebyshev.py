@@ -1,14 +1,16 @@
 """Dilated Chebyshev polynomials of the second kind and q-number arithmetic.
 
 The family is pinned by U_0 = 1, U_1 = x and the three-term recursion
-x*U_a = U_{a-1} + U_{a+1}.  Values at x = q + 1/q feed every eigenvalue and
-quantum dimension downstream, so two evaluation routes coexist: exact integer
+x*U_a = U_{a-1} + U_{a+1}.  Values at x = q + 1/q feed every quantum
+dimension downstream, so two evaluation routes coexist: exact integer
 coefficients for structural identities, and a value-domain recurrence (exact
 on rational inputs, mpmath otherwise) that is O(degree) and stable for
 x >= 2.  The recurrence is written once: ``_values`` yields U_0(x), U_1(x),
 ... and ``_pairs`` adds the exact derivatives; every value, derivative,
-q-number, dimension table and spectral stream reads one of the two.
-Large-degree evaluation must never expand coefficients.
+q-number and dimension table reads one of the two.  The eigenvalues
+U'/U at q + 1/q have a closed form (spectrum._deltas), which the tests
+check against ``_pairs``.  Large-degree evaluation must never expand
+coefficients.
 """
 
 from __future__ import annotations

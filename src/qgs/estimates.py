@@ -2,13 +2,14 @@
 Hilbert-Schmidt summability certificate, and regime classification.
 
 The gap functional compares |delta_{a+g} - delta_a - delta_b + delta_{b-g}|
-against a three-term power bound.  For q < 1, delta_a = (a+1)L - C + r_a
-with r_a = 2(a+1)q^(2a+3)/((1-q^2)(1-q^(2a+2))); L and C cancel, leaving
-|r_{a+g} - r_a - r_b + r_{b-g}|: exact in integers for rational q (see
-_ExactCells: cross-multiplied, no Fraction normalisation, one correctly
-rounded division per cell), and in float64 for decimal q (see
-_FloatCells).  At q = 1, delta_a = a(a+2)/6 gives the exact cell in
-closed form.  No route raises the working precision.
+against a three-term power bound.  gap() takes both sides exactly at
+rational q and at q = 1, from spectrum.eigenvalue and powers of u = q^2.
+For q < 1, delta_a = (a+1)L - C + r_a with r_a = 2(a+1)q^(2a+3)/((1-q^2)
+(1-q^(2a+2))); L and C cancel, leaving |r_{a+g} - r_a - r_b + r_{b-g}|,
+which the grid scan evaluates in integers at rational q (_ExactCells: no
+Fraction normalisation, one correctly rounded division per cell), and
+gap() and the scan in float64 at decimal q (_FloatCells).  No route
+raises the working precision.
 
 At rational q the grid scan screens every cell in float64 (_FloatCells
 at float(q), with log q from the fraction) and evaluates exactly only the
@@ -29,8 +30,8 @@ from operator import index, mul
 from .chebyshev import QParameter
 from .errors import ResourceLimitError
 from .fusion import _check_table_labels, _integer_dims
-from .precision import _precision_for, to_mpf, working_precision
-from .spectrum import eigenvalue
+from .precision import to_mpf, working_precision
+from .spectrum import MAX_EXACT_TOTAL_BITS, _check_exact_bits, eigenvalue
 
 
 # gap_constant_scan's cost ceilings besides MAX_LABELS, each about 3-5 s of
@@ -44,8 +45,8 @@ from .spectrum import eigenvalue
 MAX_SCAN_CELLS = 10**6
 MAX_EXACT_SCAN_WORK = 2 * 10**10  # cells * b^1.5
 
-# the tables one route builds for labels 0..top, checked by gap and
-# gap_constant_scan alike (2-vCPU x86_64): at q = p/r about 2 top^2
+# the tables one route builds for labels 0..top, checked by gap at decimal q
+# and by gap_constant_scan (2-vCPU x86_64): at q = p/r about 2 top^2
 # log2(r^2) bits of integers (q = 4/11 at 5,000 labels: 3.5e8 bits, 35 MB;
 # no scan inside the ceilings above needs more), at decimal q about
 # min(top, 4u/(1-u))^2 / 2 fsum terms, u = q^2, at about 0.15 us each
@@ -65,16 +66,6 @@ def _check_labels(alpha, beta, gamma):
 
 def _beyond_double(a, b, g):
     return ValueError(f"the gap ratio at cell ({a}, {b}, {g}) is beyond the double range")
-
-
-class _UnitCells:
-    """Gap cells at q = 1 (so N = 2): every power of q is 1, so the bound
-    vanishes, and delta_a = a(a+2)/6 makes the four-term sum g(a-b+g)/3."""
-
-    @staticmethod
-    def gap(a, b, g):
-        lhs = Fraction(abs(g * (a - b + g)), 3)
-        return lhs, 0 * lhs, (0 * lhs if lhs == 0 else math.inf)
 
 
 class _ExactCells:
@@ -135,13 +126,6 @@ class _ExactCells:
             return abs(num) * (cn * rden) / (den * (cd * rnum))
         except OverflowError:
             raise _beyond_double(a, b, g) from None
-
-    def gap(self, a, b, g):
-        num, den = self._lhs(a, b, g)
-        rnum, rden = self._rhs(a, b, g)
-        cn, cd = self.c
-        lhs, rhs = Fraction(cn * abs(num), cd * den), Fraction(rnum, rden)
-        return lhs, rhs, Fraction(cn * abs(num) * rden, cd * den * rnum) if num else lhs
 
 
 class _FloatCells:
@@ -213,8 +197,9 @@ class _FloatCells:
 
     def gap(self, a, b, g):
         lhs, rhs, lo, m = sides = self.sides(a, b, g)
-        q = to_mpf(self.q)
-        return lhs * q ** (2 * lo), rhs * q ** (2 * m), self._ratio(*sides)
+        with working_precision():  # the scales as mpf, so they neither underflow nor overflow
+            q = to_mpf(self.q)
+            return lhs * q ** (2 * lo), rhs * q ** (2 * m), self._ratio(*sides)
 
 
 # The float64 screen of the rational gap scan.  Its cells are _FloatCells at
@@ -255,8 +240,6 @@ def _screen_cells(q, top):
 def _check_tables(param, top):
     """Refuse gap-cell tables for labels 0..top beyond the label or table ceilings."""
     _check_table_labels(top)
-    if param.q == 1:
-        return
     if isinstance(param.q, Fraction):
         bits = 2 * top * top * (param.q.denominator ** 2).bit_length()
         if bits > MAX_EXACT_TABLE_BITS:
@@ -275,9 +258,7 @@ def _check_tables(param, top):
 
 
 def _cells(param, top):
-    """The route for this q, with tables for cells whose labels stay within top."""
-    if param.q == 1:
-        return _UnitCells()
+    """The route for this q < 1, with tables for cells whose labels stay within top."""
     if isinstance(param.q, Fraction):
         return _ExactCells(param.q, top)
     q = float(param.q)
@@ -310,20 +291,34 @@ class GapEvaluation:
     ratio: object
 
 
+def _exact_gap(param, a, b, g):
+    """(lhs, rhs, ratio) at rational q or q = 1, every one exact but an infinite ratio."""
+    if param.q == 1:  # a decimal q = 1.0 too: delta_a = a(a+2)/6 and the bound 0 are exact
+        param = QParameter(1, 2)
+    labels = (a + g, a, b, b - g)
+    _check_exact_bits(param.q, labels, MAX_EXACT_TOTAL_BITS)
+    d = [eigenvalue(param, k) for k in labels]
+    lhs = abs(d[0] - d[1] - d[2] + d[3])
+    u = param.q ** 2
+    rhs = (abs(g) * abs(u ** (a + g) - u ** (b + g)) + b * abs(u ** b - u ** (b - g))
+           + a * abs(u ** a - u ** (a + g)))
+    return lhs, rhs, (lhs / rhs if rhs else math.inf) if lhs else lhs
+
+
 def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
     """Evaluate the gap functional at one index cell.
 
-    Labels beyond MAX_LABELS, or tables beyond MAX_EXACT_TABLE_BITS at
-    rational q or MAX_FLOAT_TABLE_TERMS at decimal q, are a
-    ResourceLimitError.
+    Labels beyond MAX_LABELS, exact eigenvalues beyond
+    spectrum.MAX_EXACT_TOTAL_BITS at rational q, or tables beyond
+    MAX_FLOAT_TABLE_TERMS at decimal q are a ResourceLimitError.
     """
     alpha, beta, gamma = _check_labels(alpha, beta, gamma)
     top = max(alpha, beta) + abs(gamma)
+    if param.q == 1 or isinstance(param.q, Fraction):
+        _check_table_labels(top)
+        return GapEvaluation(alpha, beta, gamma, *_exact_gap(param, alpha, beta, gamma))
     _check_tables(param, top)
-    cells = _cells(param, top)
-    with _precision_for(param.q):  # mpf scales at decimal q
-        lhs, rhs, ratio = cells.gap(alpha, beta, gamma)
-    return GapEvaluation(alpha, beta, gamma, lhs, rhs, ratio)
+    return GapEvaluation(alpha, beta, gamma, *_cells(param, top).gap(alpha, beta, gamma))
 
 
 @dataclass(frozen=True)

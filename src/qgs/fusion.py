@@ -23,7 +23,7 @@ MAX_LABELS = 20_000  # per dimension table or spectral probe; 10^4 labels take s
 # exact q-number tables at q = p/r < 1: label a's terms have about a log2(pr)
 # bits and the gcds of a Fraction step cost about bits^1.7, so labels 0..top take
 # about (top + 1) (top log2(pr))^1.7 units; at the ceiling spectrum rows, their
-# slowest reader, take 3.3-4.9 s (1/10^150 at 130 labels, 4/11 at 2114; 2-vCPU x86_64)
+# slowest reader, take 1.9-3.1 s (4/11 at 2114 labels, 1/10^150 at 130; 2-vCPU x86_64)
 MAX_EXACT_TABLE_WORK = 2 * 10**10
 
 

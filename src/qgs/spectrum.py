@@ -1,39 +1,95 @@
 """Spectral data of the central heat semigroup on a free orthogonal quantum group.
 
 The generator acts diagonally on matrix coefficients of the irreducible of
-label alpha, with eigenvalue U'_alpha(N_q)/U_alpha(N_q) computed from exact
-Chebyshev data.  Everything here is a pure function of a QParameter; rational
-q gives exact rational eigenvalues, floating q is evaluated in mpmath at the
-configured working precision.
+label alpha, with eigenvalue delta_alpha = U'_alpha(N_q)/U_alpha(N_q), which
+_deltas evaluates in closed form.  Everything here is a pure function of a
+QParameter; rational q gives exact rational eigenvalues, floating q is
+evaluated in mpmath at the configured working precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, count, islice
 from operator import index
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .chebyshev import QParameter, _pairs, _values, poly_value, poly_value_and_derivative
+from .chebyshev import QParameter, _values, poly_value
 from .errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from .fusion import MAX_LABELS, _check_table_labels, _integer_dims, dims
-from .precision import _precision_for, to_mpf, working_precision
+from .precision import _is_mp, _precision_for, precision_bits, to_mpf, working_precision
+
+# exact eigenvalues at q = p/r < 1, about (alpha+1) log2(r^2) bits each
+# (2-vCPU x86_64): one takes 2.0 s at 1e7 bits (q = 1/10^307, alpha = 5,000);
+# a sum of them, a Dirichlet total or a gap cell's four, pays gcds that grow
+# with their bits summed: 1.0 s at 8.6e5 (q = 1/10^150, labels 0..40)
+MAX_EXACT_DELTA_BITS = 10**7
+MAX_EXACT_TOTAL_BITS = 1.2 * 10**6
+
+
+def _check_exact_bits(q, labels, ceiling):
+    """Refuse exact eigenvalues at q = p/r < 1 on labels whose bits, summed, pass ceiling."""
+    exact = isinstance(q, Fraction) and q != 1
+    bits = sum(a + 1 for a in labels) * (q.denominator ** 2).bit_length() if exact else 0
+    if bits > ceiling:
+        raise ResourceLimitError(f"exact eigenvalues at q = {q} up to label {max(labels)} "
+                                 f"take about {bits} bits, above {ceiling:.3g}")
+
+
+def _deltas(q, alpha=0):
+    """Yield delta_alpha, delta_(alpha+1), ... in closed form, carrying w forward:
+    with u = q^2 and w = u^(a+1), delta_a = q/(1-u) [(a+1)(1+w)/(1-w) - (1+u)/(1-u)],
+    and a(a+2)/6 at q = 1.  Exact at rational q.  At decimal q the bracket cancels
+    to about (1-u)^3 of its terms, so they are formed 3 log2(1/(1-u)) + 16 bits
+    wider than the working precision of the first step, and rounded to it.
+    """
+    if q == 1:
+        for a in count(alpha):
+            delta = Fraction(a * (a + 2), 6)
+            if _is_mp(q):
+                with working_precision():
+                    delta = to_mpf(delta)
+            yield delta
+    elif isinstance(q, Fraction):  # n = p^2, d = r^2: w = n^(a+1) / d^(a+1)
+        p, r = q.numerator, q.denominator
+        n, d = p * p, r * r
+        npow, dpow = n ** (alpha + 1), d ** (alpha + 1)
+        for a in count(alpha):
+            yield Fraction(p * r * ((a + 1) * (dpow + npow) * (d - n) - (d + n) * (dpow - npow)),
+                           (d - n) ** 2 * (dpow - npow))
+            npow, dpow = npow * n, dpow * d
+    else:
+        from mpmath.libmp import fone, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_sub
+
+        # log2(1/(1-u)) from q's exact value man 2^exp: 1 - u = (4^-exp - man^2) / 4^-exp
+        man, exp = q.man_exp
+        bits = precision_bits()
+        wide = bits + 3 * (1 - 2 * exp - ((1 << -2 * exp) - man * man).bit_length()) + 16
+        with working_precision(wide) as mp:
+            u = q * q
+            w, b, c = u ** (alpha + 1), (1 + u) / (1 - u), q / (1 - u)
+        u, w, b, c = u._mpf_, w._mpf_, b._mpf_, c._mpf_
+        for a in count(alpha):  # on raw mpf values rounded to nearest: no context per label
+            z = mpf_div(mpf_add(fone, w, wide, "n"), mpf_sub(fone, w, wide, "n"), wide, "n")
+            t = mpf_sub(mpf_mul_int(z, a + 1, wide, "n"), b, wide, "n")
+            yield mp.make_mpf(mpf_mul(c, t, bits, "n"))
+            w = mpf_mul(w, u, wide, "n")
 
 
 def eigenvalue(param: QParameter, alpha: int):
     """Generator eigenvalue on the irreducible of label alpha.
 
     Exact (a Fraction) when q is rational; an mpf otherwise.  The value is
-    0 at alpha = 0 and strictly increasing in alpha.
+    0 at alpha = 0 and strictly increasing in alpha.  An exact value of more
+    than MAX_EXACT_DELTA_BITS is a ResourceLimitError.
     """
     alpha = index(alpha)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    nq = param.nq
-    with _precision_for(nq):
-        u, du = poly_value_and_derivative(alpha, nq)
-        return du / u
+    _check_exact_bits(param.q, [alpha], MAX_EXACT_DELTA_BITS)
+    return next(_deltas(param.q, alpha))
 
 
 def gap_limit(param: QParameter):
@@ -120,17 +176,9 @@ class SpectralDatum:
 
 
 def spectral_stream(param: QParameter) -> Iterator[SpectralDatum]:
-    """Yield SpectralDatum for alpha = 0, 1, 2, ... indefinitely.
-
-    Reads the value and derivative recurrences incrementally, so each step
-    costs O(1) arithmetic operations.
-    """
-    nq = param.nq
-    steps = zip(_pairs(nq), _values(param.N))
-    for alpha in count():
-        with _precision_for(nq):
-            (u, du), n = next(steps)  # the generators step at this precision
-            delta = du / u
+    """Yield SpectralDatum for alpha = 0, 1, 2, ... indefinitely, each in
+    O(1) arithmetic operations (see _deltas)."""
+    for alpha, delta, n in zip(count(), _deltas(param.q), _values(param.N)):
         yield SpectralDatum(alpha, delta, n, n * n)
 
 
@@ -170,29 +218,34 @@ def dirichlet_form(param: QParameter, vector: Mapping):
     """Quadratic form sum of eigenvalue * |amplitude|^2 over the support.
 
     ``vector`` maps (alpha, i, j) with 1-based matrix indices to an
-    amplitude; indices outside 1..n_alpha raise InvalidVectorError.
+    amplitude; indices outside 1..n_alpha raise InvalidVectorError.  Each
+    label adds one term; an exact total whose eigenvalues pass
+    MAX_EXACT_TOTAL_BITS is a ResourceLimitError.
     """
     if not vector:
         return 0
-    keys = []
     for key in vector:
         if not (isinstance(key, tuple) and len(key) == 3):
             raise InvalidVectorError(f"expected (alpha, i, j) key, got {key!r}")
         a, i, j = key
         if not all(isinstance(v, int) for v in (a, i, j)) or a < 0:
             raise InvalidVectorError(f"bad index triple {key!r}")
-        keys.append(key)
-    n = _integer_dims(param.N, max(k[0] for k in keys))
-    deltas = {}
-    total = 0
-    for key in sorted(keys):
+    n = _integer_dims(param.N, max(k[0] for k in vector))
+    weights = {}
+    for key in sorted(vector):
         a, i, j = key
         if not (1 <= i <= n[a] and 1 <= j <= n[a]):
             raise InvalidVectorError(f"matrix indices {key!r} outside 1..{n[a]}")
-        if a not in deltas:
-            deltas[a] = eigenvalue(param, a)
-        with _precision_for(total, deltas[a], vector[key]):
-            total = total + deltas[a] * abs(vector[key]) ** 2
+        w = weights.get(a, 0)
+        with _precision_for(w, vector[key]):
+            weights[a] = w + abs(vector[key]) ** 2
+    exact = [a for a, w in weights.items() if isinstance(w, (int, Fraction))]  # exact terms
+    _check_exact_bits(param.q, exact, MAX_EXACT_TOTAL_BITS)
+    total = 0
+    for a, w in weights.items():
+        delta = eigenvalue(param, a)
+        with _precision_for(total, delta, w):
+            total = total + delta * w
     return total
 
 

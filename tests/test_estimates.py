@@ -13,6 +13,7 @@ eigenvalues.
 
 import math
 import re
+import time
 from fractions import Fraction
 
 import mpmath
@@ -136,6 +137,23 @@ def test_gap_decimal_q_near_one_takes_log_q_from_the_decimal(bits):
         set_precision_bits(None)
     exact = gap(QParameter(Fraction(999999999, 10**9), 2), 10, 15, 2).ratio
     assert abs(got / exact - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("q", [Fraction(4, 11), Fraction(99, 100)])
+def test_gap_rational_equals_the_scan_cells(q):
+    # gap() takes lhs from four exact eigenvalues, the scan's _ExactCells from
+    # integer pair differences of r_k
+    cells, param = _ExactCells(q, 35), QParameter(q, 2)
+    cn, cd = cells.c
+    for a in range(30):
+        for b in range(30):
+            for g in range(max(-5, -a), min(5, b) + 1):
+                ev = gap(param, a, b, g)
+                num, den = cells._lhs(a, b, g)
+                assert ev.lhs == Fraction(cn * abs(num), cd * den)
+                assert ev.rhs == Fraction(*cells._rhs(a, b, g))
+                assert float(ev.ratio) == cells.ratio(a, b, g)
+                assert type(ev.ratio) is Fraction
 
 
 @settings(max_examples=40, deadline=None)
@@ -366,11 +384,15 @@ def test_gap_domain_validation():
 
 
 def test_gap_tables_have_cost_ceilings():
-    # one cell builds its route's tables for every label up to
-    # max(alpha, beta) + |gamma|: integers of about 2 top^2 log2(r^2) bits
-    # at q = p/r, about min(top, 4q^2/(1-q^2))^2 / 2 fsum terms at decimal q
+    # at q = p/r one cell sums four exact eigenvalues of about
+    # (label + 1) log2(r^2) bits each; at decimal q it builds float tables
+    # for every label up to max(alpha, beta) + |gamma|, about
+    # min(top, 4q^2/(1-q^2))^2 / 2 fsum terms
+    start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="bits"):
-        gap(QParameter(Fraction(4, 11), 2), 10000, 10000, 0)
+        gap(QParameter(Fraction(1, 10**300), 2), 400, 395, 3)  # 3.2e6 bits: 10 s
+    assert time.perf_counter() - start < 0.1
+    assert gap(QParameter(Fraction(4, 11), 2), 10000, 10000, 0).ratio == 0  # 2.8e5 bits
     with pytest.raises(ResourceLimitError, match="terms"):
         gap(QParameter(0.99999, 2), 6000, 6000, 0)
     with pytest.raises(ResourceLimitError, match="labels"):

@@ -211,7 +211,7 @@ CASES = {
     "amenability_q1-3_N3_csv": (
         ["amenability", "--N", "3", "--q", "1/3", "--n-max", "20000", "--format", "csv"], 1,
     ),
-    # raised precision: spectral_stream's per-label precision and the qdim column of dims
+    # raised precision: the closed-form eigenvalues' guard bits and the qdim column of dims
     "amenability_q0.381966_N3_1e6_bits256": (
         ["amenability", "--N", "3", "--q", "0.381966", "--n-max", "1000000",
          "--precision-bits", "256"],

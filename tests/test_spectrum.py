@@ -1,23 +1,26 @@
 """Spectral data of the central Markov semigroup.
 
-The eigenvalue oracle used here is the hyperbolic closed form
-((a+1)coth((a+1)s) - coth(s)) / (2 sinh s) with s = log(1/q), derived by
-differentiating the geometric closed form of the dilated Chebyshev
-polynomials at x = q + 1/q.  It is computed with mpmath at 192 bits,
-independently of the recurrence route used by the library.
+The eigenvalue oracles used here share no code with the library's closed
+form: the hyperbolic closed form ((a+1)coth((a+1)s) - coth(s)) / (2 sinh s)
+with s = log(1/q), computed with mpmath at 192 bits, and U'/U from the
+value/derivative recurrence of chebyshev, exact at rational q and at four
+times the working width at decimal q.
 """
 
 import math
+import time
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qgs.chebyshev import QParameter, build_poly
+from qgs.chebyshev import QParameter, _pairs, build_poly, poly_value_and_derivative
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.fusion import dims
+from qgs.precision import set_precision_bits
 from qgs.spectrum import (
     AmenabilityReport,
     ResolventCoeff,
@@ -70,6 +73,92 @@ def test_eigenvalue_matches_hyperbolic_oracle():
             got = float(eigenvalue(p, a))
             want = float(hyperbolic_eigenvalue(qm, a))
             assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [Fraction(1, 2), Fraction(4, 11), Fraction(10, 11), Fraction(99, 100), Fraction(1, 1000),
+     Fraction(1, 10**150), Fraction(1)],
+)
+def test_eigenvalue_equals_the_recurrence_exactly(q):
+    # U'/U from one pass of the recurrence, which poly_value_and_derivative
+    # indexes into; at 1/10^150 its Fraction steps take 13 s to label 300
+    p = QParameter(q, 2)
+    top = 100 if q.denominator > 10**6 else 300
+    pairs = list(islice(_pairs(p.nq), top + 1))
+    assert pairs[-1] == poly_value_and_derivative(top, p.nq)
+    want = [du / u for u, du in pairs]
+    assert [d.delta for d in islice(spectral_stream(p), top + 1)] == want
+    assert [eigenvalue(p, a) for a in range(top + 1)] == want
+    assert all(type(d) is Fraction for d in want)
+
+
+def recurrence_eigenvalue(p, alpha, bits):
+    """U'/U at the value of p.q, by the recurrence at the given width."""
+    with mpmath.workprec(bits):
+        u, du = poly_value_and_derivative(alpha, p.q + 1 / p.q)
+        return du / u
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(min_value=0.05, max_value=1 - 1e-9), alpha=st.integers(0, 400))
+@example(q=0.999999999, alpha=1)
+@example(q=1 - 1e-9, alpha=0)
+def test_decimal_eigenvalue_against_the_recurrence_at_four_times_the_bits(q, alpha):
+    # near q = 1 the closed form's two terms cancel to about (1-q^2)^3 of
+    # their size; a guard of 2 log2(1/(1-q^2)) bits leaves 1.9e-35 at
+    # q = 0.999999999, alpha = 1
+    p = QParameter(q, 2)
+    want = recurrence_eigenvalue(p, alpha, 512)
+    got = (eigenvalue(p, alpha), list(islice(spectral_stream(p), alpha + 1))[-1].delta)
+    for d in got:
+        assert d.context.prec == 53  # an mpf, read back outside any working precision
+        with mpmath.workprec(512):
+            assert abs(d - want) <= 2.0**-120 * want
+
+
+def test_decimal_eigenvalue_is_correctly_rounded_near_one():
+    p = QParameter("0.999999999", 2)
+    want = recurrence_eigenvalue(p, 1, 512)
+    with mpmath.workprec(128):
+        assert eigenvalue(p, 1) == +want
+
+
+def test_decimal_q_read_wider_than_the_working_precision():
+    # 1 - q^2 is taken from q's exact binary value, not from q*q at 128 bits
+    set_precision_bits(256)
+    try:
+        p = QParameter("0." + "9" * 60, 2)
+    finally:
+        set_precision_bits(None)
+    assert eigenvalue(p, 3) == 2.5  # 3 * 5 / 6 up to O((1-q)^2)
+    with mpmath.workprec(128):
+        want = [0, 0.5, mpmath.mpf(4) / 3, 2.5]
+    assert [d.delta for d in islice(spectral_stream(p), 4)] == want
+
+
+@pytest.mark.parametrize("q", ["0.3", "1.0"])
+def test_decimal_eigenvalue_is_an_mpf_at_the_working_precision(q):
+    set_precision_bits(192)
+    try:
+        p = QParameter(q, 2)
+        values = (eigenvalue(p, 5), list(islice(spectral_stream(p), 6))[-1].delta)
+    finally:
+        set_precision_bits(None)
+    for d in values:
+        assert isinstance(d, mpmath.mpf)
+        assert 128 < d._mpf_[3] <= 192  # mantissa bits: not mpmath's 53, nor 128
+    assert type(eigenvalue(QParameter(1, 2), 5)) is Fraction
+
+
+def test_exact_eigenvalue_ceiling():
+    # one Fraction of about (alpha+1) log2(r^2) bits: 4e7 bits took 13.7 s here
+    p = QParameter(Fraction(1, 10**307), 2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="up to label 19999 take about 40800000 bits"):
+        eigenvalue(p, 19999)
+    assert time.perf_counter() - start < 0.1
+    assert eigenvalue(QParameter(Fraction(1, 2), 2), 19999) == closed_form_eigenvalue(Fraction(1, 2), 19999)
 
 
 def test_eigenvalue_strictly_increasing():
@@ -179,6 +268,7 @@ def test_cesaro_semigroup_origin():
 
 def test_dirichlet_form_spots():
     p = QParameter(0.5, 2)
+    assert dirichlet_form(p, {}) == 0
     assert dirichlet_form(p, {(0, 1, 1): 1.0}) == 0
     assert float(dirichlet_form(p, {(1, 1, 1): 1.0})) == pytest.approx(0.4, rel=1e-12)
     two_terms = dirichlet_form(p, {(1, 1, 1): 1.0, (2, 1, 1): 2.0})
@@ -192,6 +282,29 @@ def test_dirichlet_form_complex_and_scaling():
     doubled = float(dirichlet_form(p, {k: 2 * v for k, v in vec.items()}))
     assert doubled == pytest.approx(4 * base, rel=1e-12)
     assert base > 0
+
+
+def test_dirichlet_form_sums_each_label_once():
+    # n_1 = 3 at N = 3; x = q + 1/q = 10/3, delta_1 = 1/x and delta_2 = 2x/(x^2 - 1)
+    p = QParameter(Fraction(1, 3), 3)
+    vec = {(1, i, j): Fraction(i, j) for i in range(1, 4) for j in range(1, 4)}
+    weight = sum(v * v for v in vec.values())
+    vec[(2, 1, 1)] = 2
+    assert dirichlet_form(p, vec) == Fraction(3, 10) * weight + 4 * Fraction(60, 91)
+
+
+def test_dirichlet_form_exact_total_ceiling():
+    # the gcds of an exact total grow with the bits of all its eigenvalues:
+    # labels 0..40 at q = 1/10^150 take about 1 s, labels 0..130 took 91 s
+    p = QParameter(Fraction(1, 10**150), 2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="up to label 80 take about 3311037 bits"):
+        dirichlet_form(p, {(a, 1, 1): 1 for a in range(81)})
+    assert time.perf_counter() - start < 0.1
+    # float amplitudes make a float total: only each eigenvalue is exact
+    assert dirichlet_form(p, {(a, 1, 1): 1.0 for a in range(81)}) > 0
+    want = sum(closed_form_eigenvalue(p.q, a) for a in range(41))
+    assert dirichlet_form(p, {(a, 1, 1): 1 for a in range(41)}) == want
 
 
 def test_dirichlet_form_index_validation():
