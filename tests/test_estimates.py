@@ -390,7 +390,7 @@ def test_gap_tables_have_cost_ceilings():
     # min(top, 4q^2/(1-q^2))^2 / 2 fsum terms
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="bits"):
-        gap(QParameter(Fraction(1, 10**300), 2), 400, 395, 3)  # 3.2e6 bits: 10 s
+        gap(QParameter(Fraction(1, 10**300), 2), 400, 395, 3)  # 3.2e6 bits: 10 s on 2-vCPU x86_64
     assert time.perf_counter() - start < 0.1
     assert gap(QParameter(Fraction(4, 11), 2), 10000, 10000, 0).ratio == 0  # 2.8e5 bits
     with pytest.raises(ResourceLimitError, match="terms"):

@@ -82,7 +82,7 @@ def test_eigenvalue_matches_hyperbolic_oracle():
 )
 def test_eigenvalue_equals_the_recurrence_exactly(q):
     # U'/U from one pass of the recurrence, which poly_value_and_derivative
-    # indexes into; at 1/10^150 its Fraction steps take 13 s to label 300
+    # indexes into; at 1/10^150 its Fraction steps take 13 s to label 300 (2-vCPU x86_64)
     p = QParameter(q, 2)
     top = 100 if q.denominator > 10**6 else 300
     pairs = list(islice(_pairs(p.nq), top + 1))
@@ -112,7 +112,7 @@ def test_decimal_eigenvalue_against_the_recurrence_at_four_times_the_bits(q, alp
     want = recurrence_eigenvalue(p, alpha, 512)
     got = (eigenvalue(p, alpha), list(islice(spectral_stream(p), alpha + 1))[-1].delta)
     for d in got:
-        assert d.context.prec == 53  # an mpf, read back outside any working precision
+        assert isinstance(d, mpmath.mpf)
         with mpmath.workprec(512):
             assert abs(d - want) <= 2.0**-120 * want
 
@@ -152,13 +152,14 @@ def test_decimal_eigenvalue_is_an_mpf_at_the_working_precision(q):
 
 
 def test_exact_eigenvalue_ceiling():
-    # one Fraction of about (alpha+1) log2(r^2) bits: 4e7 bits took 13.7 s here
+    # one Fraction of about (alpha+1) log2(r^2) bits: 4e7 bits took 13.7 s (2-vCPU x86_64)
     p = QParameter(Fraction(1, 10**307), 2)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="up to label 19999 take about 40800000 bits"):
         eigenvalue(p, 19999)
     assert time.perf_counter() - start < 0.1
-    assert eigenvalue(QParameter(Fraction(1, 2), 2), 19999) == closed_form_eigenvalue(Fraction(1, 2), 19999)
+    half = Fraction(1, 2)
+    assert eigenvalue(QParameter(half, 2), 19999) == closed_form_eigenvalue(half, 19999)
 
 
 def test_eigenvalue_strictly_increasing():
@@ -295,7 +296,7 @@ def test_dirichlet_form_sums_each_label_once():
 
 def test_dirichlet_form_exact_total_ceiling():
     # the gcds of an exact total grow with the bits of all its eigenvalues:
-    # labels 0..40 at q = 1/10^150 take about 1 s, labels 0..130 took 91 s
+    # labels 0..40 at q = 1/10^150 take about 1 s, labels 0..130 took 91 s (2-vCPU x86_64)
     p = QParameter(Fraction(1, 10**150), 2)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="up to label 80 take about 3311037 bits"):
