@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 
 from .precision import _is_mp, _precision_for, precision_bits, to_mpf, working_precision
 
@@ -54,21 +54,14 @@ class ChebyshevPoly:
         return tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
 
 
-_COEFF_CACHE = [(1,), (0, 1)]
-
-
 def build_poly(alpha):
     """Exact coefficient vector of the degree-alpha member."""
     if alpha < 0:
         raise ValueError("degree must be a natural number")
-    while len(_COEFF_CACHE) <= alpha:
-        prev, cur = _COEFF_CACHE[-2], _COEFF_CACHE[-1]
-        # x*cur shifts coefficients up one slot; subtract prev
-        nxt = [0] + list(cur)
-        for k, c in enumerate(prev):
-            nxt[k] -= c
-        _COEFF_CACHE.append(tuple(nxt))
-    return ChebyshevPoly(alpha, _COEFF_CACHE[alpha])
+    prev, cur = (), (1,)
+    for _ in range(alpha):  # x*cur shifts coefficients up one slot; subtract prev
+        prev, cur = cur, tuple(c - p for c, p in zip_longest((0, *cur), prev, fillvalue=0))
+    return ChebyshevPoly(alpha, cur)
 
 
 def _values(x):

@@ -269,14 +269,10 @@ def _cmd_freeprod(args):
 
 
 def _cmd_amenability(args):
-    from .fusion import _check_table_labels
-    from .spectrum import amenability_criterion, labels_covering, spectral_stream
+    from .spectrum import amenability_criterion
 
-    param = _param(args)
-    _check_table_labels(labels_covering(param.N, args.n_max) - 1, param.q)  # before any delta
     report = amenability_criterion(
-        spectral_stream(param), args.n_max,
-        warmup=args.warmup, threshold=args.threshold,
+        _param(args), args.n_max, warmup=args.warmup, threshold=args.threshold
     )
     rows = [
         _row(None, checkpoint=cp, ratio=r, envelope=e)

@@ -45,13 +45,13 @@ from .spectrum import MAX_EXACT_TOTAL_BITS, _check_exact_bits, eigenvalue
 MAX_SCAN_CELLS = 10**6
 MAX_EXACT_SCAN_WORK = 2 * 10**10  # cells * b^1.5
 
-# the tables one route builds for labels 0..top, checked by gap at decimal q
-# and by gap_constant_scan (2-vCPU x86_64): at q = p/r about 2 top^2
-# log2(r^2) bits of integers (q = 4/11 at 5,000 labels: 3.5e8 bits, 35 MB;
-# no scan inside the ceilings above needs more), at decimal q about
-# min(top, 4u/(1-u))^2 / 2 fsum terms, u = q^2, at about 0.15 us each
-# (q = 0.99999 at 4,000 labels: 8e6 terms, 1.2 s)
-MAX_EXACT_TABLE_BITS = 5 * 10**8
+# the float tables for labels 0..top, checked by gap and gap_constant_scan at
+# decimal q: about min(top, 4u/(1-u))^2 / 2 fsum terms, u = q^2, at about
+# 0.15 us each (q = 0.99999 at 4,000 labels: 8e6 terms, 1.2 s, 2-vCPU x86_64).
+# The scan's exact tables at q = p/r, about 2 top^2 log2(r^2) bits of
+# integers, need no ceiling of their own: with top = A + min(A, G) there are
+# top + 1 cells at G = 0 and at least 7.5 top at G >= 1, so MAX_EXACT_SCAN_WORK
+# keeps them under 2.8e8 bits (35 MB; the largest, q = 1/2 at A = 6,827)
 MAX_FLOAT_TABLE_TERMS = 10**7
 
 
@@ -217,10 +217,12 @@ class _FloatCells:
 # beat it under the scan's strict >, so only the others are evaluated
 # exactly.  Where float(q) is not a normal double below 1.0 (r > 2^53 with q
 # within 2^-54 of 1, or q < 2.2e-308) there is no screen and every cell is
-# evaluated exactly, as at decimal q every cell is evaluated in float64.  The float tables need no ceiling of their own: they sum about
+# evaluated exactly, as at decimal q every cell is evaluated in float64.  The
+# float tables need no ceiling of their own: they sum about
 # min(top, 4u/(1-u))^2 / 2 terms; for r < 128, 4u/(1-u) <= 4r^2/(2r-1) < 256,
-# at most about 33k terms, and for r >= 128, MAX_EXACT_TABLE_BITS holds
-# top^2 <= 5e8/30, at most 8.3e6 terms, below MAX_FLOAT_TABLE_TERMS.
+# at most about 33k terms, and for r >= 128, more than top cells of
+# (top log2(r^2))^1.5 <= MAX_EXACT_SCAN_WORK with log2(r^2) >= 15 hold
+# top <= 2,601, at most 3.4e6 terms, below MAX_FLOAT_TABLE_TERMS.
 _SCREEN_EPS = 2.0**-30
 
 
@@ -238,15 +240,10 @@ def _screen_cells(q, top):
 
 
 def _check_tables(param, top):
-    """Refuse gap-cell tables for labels 0..top beyond the label or table ceilings."""
+    """Refuse gap-cell tables for labels 0..top beyond MAX_LABELS and, at
+    decimal q, beyond MAX_FLOAT_TABLE_TERMS."""
     _check_table_labels(top)
     if isinstance(param.q, Fraction):
-        bits = 2 * top * top * (param.q.denominator ** 2).bit_length()
-        if bits > MAX_EXACT_TABLE_BITS:
-            raise ResourceLimitError(
-                f"exact gap tables for labels 0..{top} at q = {param.q} take about "
-                f"{bits} bits, above {MAX_EXACT_TABLE_BITS}"
-            )
         return
     u = float(param.q) ** 2
     summed = min(top, 4 * u / (1 - u)) if u < 1 else top
@@ -344,10 +341,9 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
     [alpha_max/4, alpha_max/2): agreement within 10% is the finite-grid
     evidence that the ratio stays bounded.  q must be below 1 (at q = 1 the
     bound vanishes), and a cell ratio beyond the double range is a ValueError.
-    Labels beyond MAX_LABELS or tables beyond MAX_EXACT_TABLE_BITS or
-    MAX_FLOAT_TABLE_TERMS (as for gap), a grid of more than MAX_SCAN_CELLS
-    cells, or at rational q more than MAX_EXACT_SCAN_WORK are a
-    ResourceLimitError.
+    Labels beyond MAX_LABELS or tables beyond MAX_FLOAT_TABLE_TERMS (as for
+    gap), a grid of more than MAX_SCAN_CELLS cells, or at rational q more
+    than MAX_EXACT_SCAN_WORK are a ResourceLimitError.
     """
     alpha_max, gamma_max = index(alpha_max), index(gamma_max)
     if alpha_max < 10:

@@ -64,10 +64,6 @@ class DimensionTable:
     n: tuple[int, ...]
     qdim: tuple
 
-    @property
-    def alpha_max(self) -> int:
-        return len(self.n) - 1
-
 
 def _integer_dims(N: int, top: int) -> tuple[int, ...]:
     """n_0..n_top of dims alone, under MAX_LABELS: no q-dimension is formed."""

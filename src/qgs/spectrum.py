@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice
 from operator import index
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .chebyshev import QParameter, _values, poly_value
 from .errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
@@ -22,9 +22,10 @@ from .fusion import MAX_LABELS, _check_table_labels, _integer_dims, dims
 from .precision import _is_mp, _precision_for, precision_bits, to_mpf, working_precision
 
 # exact eigenvalues at q = p/r < 1, about (alpha+1) log2(r^2) bits each
-# (2-vCPU x86_64): one takes 2.0 s at 1e7 bits (q = 1/10^307, alpha = 5,000);
-# a sum of them, a Dirichlet total or a gap cell's four, pays gcds that grow
-# with their bits summed: 1.0 s at 8.6e5 (q = 1/10^150, labels 0..40)
+# (2-vCPU x86_64): one takes 2.0 s at 1e7 bits (q = 1/10^307, alpha = 5,000),
+# and an amenability probe's, their bits summed, 0.7 s at 9e6 (q = 1/10^307,
+# n_max = 2.5e8); a sum of them, a Dirichlet total or a gap cell's four, pays
+# gcds that grow with their bits summed: 1.0 s at 8.6e5 (q = 1/10^150, labels 0..40)
 MAX_EXACT_DELTA_BITS = 10**7
 MAX_EXACT_TOTAL_BITS = 1.2 * 10**6
 
@@ -293,30 +294,20 @@ class AmenabilityReport:
     note: str = "numerical evidence"
 
 
-def labels_covering(N: int, n_max: int) -> int:
-    """How many labels of the spectral stream at N it takes to cover n_max
-    eigenvalues, from the multiplicities n_a^2 alone; more than MAX_LABELS
-    is a ResourceLimitError, raised after at most MAX_LABELS integer steps."""
-    n_max = index(n_max)
-    for labels, covered in enumerate(accumulate(n * n for n in _values(N)), 1):
-        if covered >= n_max:
-            return labels
-        if labels >= MAX_LABELS:
-            raise ResourceLimitError(f"n_max = {n_max} needs over {MAX_LABELS} labels")
-
-
 def amenability_criterion(
-    spectrum: Iterable[SpectralDatum],
+    param: QParameter,
     n_max: int,
     *,
     warmup: int = 1000,
     threshold: float = 50.0,
 ) -> AmenabilityReport:
-    """Probe whether lambda_n / log(n) diverges along the given spectrum.
+    """Probe whether lambda_n / log(n) diverges for the model param.
 
-    ``spectrum`` yields eigenvalues in ascending order with multiplicities;
-    it must cover at least n_max eigenvalues within MAX_LABELS labels.
-    Checkpoints double from the warm-up index up to n_max.
+    Checkpoints double from the warm-up index up to n_max.  The label where
+    each lands is found from the integer multiplicities n_a^2 alone, and the
+    eigenvalue is evaluated at those labels only.  More than MAX_LABELS
+    labels, or exact eigenvalues at them past MAX_EXACT_DELTA_BITS summed,
+    are a ResourceLimitError raised before any eigenvalue.
     """
     n_max = index(n_max)
     if n_max < 10:
@@ -330,31 +321,20 @@ def amenability_criterion(
     if checkpoints[-1] != n_max:
         checkpoints.append(n_max)
 
-    it = enumerate(spectrum, 1)
-    covered = 0
-    current = None
-    last_delta = None
-    lambdas = []
+    walk = enumerate(accumulate(n * n for n in _values(param.N)))
+    label, covered = next(walk)
+    labels = []
     for cp in checkpoints:
         while covered < cp:
-            try:
-                labels, current = next(it)
-            except StopIteration:
-                raise ValueError(
-                    f"spectrum exhausted after {covered} eigenvalues, need {cp}"
-                ) from None
-            if labels > MAX_LABELS:
+            label, covered = next(walk)
+            if label >= MAX_LABELS:
                 raise ResourceLimitError(f"n_max = {n_max} needs over {MAX_LABELS} labels")
-            d = float(current.delta)
-            if last_delta is not None and d < last_delta:
-                raise ValueError("spectrum must be sorted ascending")
-            last_delta = d
-            if current.multiplicity < 1:
-                raise ValueError("multiplicities must be >= 1")
-            covered += current.multiplicity
-        lambdas.append(float(current.delta))
-
-    ratios = tuple(lam / math.log(cp) for lam, cp in zip(lambdas, checkpoints))
+        labels.append(label)
+    distinct = set(labels)
+    # their bits summed under the one-value ceiling: a gcd's cost grows faster than its bits
+    _check_exact_bits(param.q, distinct, MAX_EXACT_DELTA_BITS)
+    delta = {a: float(eigenvalue(param, a)) for a in distinct}
+    ratios = tuple(delta[a] / math.log(cp) for a, cp in zip(labels, checkpoints))
     envelope = []
     running = math.inf
     for r in reversed(ratios):

@@ -35,7 +35,6 @@ from qgs import (
     semigroup_coeff,
     semigroup_rate,
     spectral_data,
-    spectral_stream,
     tl_rep,
 )
 from qgs.freewords import expansion_sweep
@@ -281,9 +280,9 @@ def test_criterion_10_word_calculus_sweep():
 
 
 def test_criterion_11_amenability_dichotomy():
-    free2 = amenability_criterion(spectral_stream(QParameter(1, 2)), 10**6)
+    free2 = amenability_criterion(QParameter(1, 2), 10**6)
     kac3 = QParameter(KAC3_Q, 3)
-    probe3 = amenability_criterion(spectral_stream(kac3), 10**6)
+    probe3 = amenability_criterion(kac3, 10**6)
     plateau_ref = 1.0 / (2 * math.log(1 / KAC3_Q) * math.sqrt(5))
     plateau_gap = abs(probe3.ratios[-1] - plateau_ref) / plateau_ref
     ok = (

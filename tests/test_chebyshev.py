@@ -190,6 +190,8 @@ def test_qparameter_invariants():
     assert n2.is_kac
     assert n2.q0 == 1
     assert n2.nq == 2
+    assert QParameter.kac(2) == n2  # exactly q = 1, a Fraction
+    assert type(QParameter.kac(2).q) is Fraction
 
 
 def test_qparameter_decimal_string_keeps_working_precision(monkeypatch):

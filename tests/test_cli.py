@@ -331,15 +331,18 @@ def test_lemma65_suite(capsys):
 EXACT_SCAN_ARGV = ("gap-scan", "--N", "2", "--q", "1/1" + "0" * 150,
                    "--alpha-max", "200", "--gamma-max", "5")
 # exact q-number tables at q = 1/10^150, whose Fraction steps reach 400 x 499
-# bits (310 labels for amenability): each ran past 15 s before their ceiling
+# bits: each ran past 15 s before their ceiling
 EXACT_TABLE_ARGVS = (
     ("spectrum", "--N", "2", "--q", "1/1" + "0" * 150, "--alpha-max", "400"),
     ("fusion", "--N", "2", "--q", "1/1" + "0" * 150, "--alpha", "200", "--beta", "200"),
-    ("amenability", "--N", "2", "--q", "1/1" + "0" * 150, "--n-max", "10000000"),
 )
+# amenability's exact eigenvalues at q = 1/10^150: 22 checkpoint labels up
+# to 3,106 of 997 bits a label, 1.7e7 bits summed
+EXACT_DELTA_ARGV = ("amenability", "--N", "2", "--q", "1/1" + "0" * 150,
+                    "--n-max", "10000000000")
 # part of the message of the ceiling a case must reach, where an earlier
 # check could refuse it instead
-CEILING_MESSAGES = {EXACT_SCAN_ARGV: "exact gap scan"} | {
+CEILING_MESSAGES = {EXACT_SCAN_ARGV: "exact gap scan", EXACT_DELTA_ARGV: "exact eigenvalues"} | {
     argv: "exact q-number tables" for argv in EXACT_TABLE_ARGVS}
 
 
@@ -379,6 +382,7 @@ CEILING_MESSAGES = {EXACT_SCAN_ARGV: "exact gap scan"} | {
         ("lemma65", "--q", "0.5", "--alpha-max", "300"),
         EXACT_SCAN_ARGV,
         *EXACT_TABLE_ARGVS,
+        EXACT_DELTA_ARGV,
     ],
 )
 def test_cost_ceilings_are_resource_errors(capsys, argv):
@@ -400,6 +404,25 @@ def test_exact_tables_refused_before_any_step(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert "exact q-number tables" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 15 checkpoint labels up to 310, which the q-number table ceiling refused
+        ("amenability", "--N", "2", "--q", "1/1" + "0" * 150, "--n-max", "10000000"),
+        # 31 checkpoint labels up to 14,421, where the table ceiling refused labels 0..14421
+        ("amenability", "--N", "2", "--q", "1/2", "--n-max", "1000000000000"),
+    ],
+)
+def test_exact_amenability_records_come_back(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert err == ""
+    payload = json.loads(out)
+    assert code == (0 if payload["verdict"] == "satisfied" else 1)
+    n_max = int(argv[-1])
+    checkpoints = [row["checkpoint"] for row in payload["rows"]]
+    assert checkpoints == [1000 * 2**k for k in range(len(checkpoints) - 1)] + [n_max]
 
 
 def test_hs_cert_reads_integer_dimensions_only(capsys, monkeypatch):
@@ -477,6 +500,17 @@ def test_freeprod_single_pattern(capsys):
     assert row["residual_zero"] is True
 
 
+def test_freeprod_empty_pattern(capsys):
+    # an empty --b, with --x and --a left out, is the empty pattern: one
+    # row, not a sweep
+    code, out, _ = run_cli(capsys, "freeprod-verify", "--b", "")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["result"] == {"patterns": 1, "failures": 0}
+    (row,) = payload["rows"]
+    assert (row["b"], row["x"], row["a"], row["lhs_is_zero"]) == ("", "", "", True)
+
+
 def test_freeprod_sweep_small(capsys):
     code, out, _ = run_cli(
         capsys, "freeprod-verify", "--max-x", "2", "--max-side", "1",
@@ -547,11 +581,11 @@ def test_amenability_not_satisfied_exits_one(capsys):
 def test_amenability_label_ceiling_before_any_eigenvalue(capsys, monkeypatch):
     # 10^14 eigenvalues at N = 2 need about 66,900 labels: refused from the
     # multiplicities alone, not after 20,001 exact eigenvalues
-    def unread_stream(param):
-        raise AssertionError("the spectral stream was read")
-        yield
+    def unformed(*args):
+        raise AssertionError("an eigenvalue was formed")
 
-    monkeypatch.setattr(spectrum, "spectral_stream", unread_stream)
+    monkeypatch.setattr(spectrum, "eigenvalue", unformed)
+    monkeypatch.setattr(spectrum, "_deltas", unformed)
     code, out, err = run_cli(
         capsys, "amenability", "--N", "2", "--q", "1/2", "--n-max", "100000000000000",
     )

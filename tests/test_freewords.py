@@ -306,6 +306,40 @@ def test_expression_arithmetic():
     assert (x - x).is_zero()
     assert (x + x) == Expression.from_word((atom(0, "x"),), coeff=Fraction(4, 3))
 
+def test_expression_items_repr_and_product():
+    x, y = atom(0, "x"), atom(1, "y")
+    ex, ey = Expression.from_word((x,)), Expression.from_word((y,), coeff=2)
+    xy = ex * ey
+    assert xy == multiply(ex, ey) == Expression.from_word((x, y), coeff=2)
+    assert xy.items() == [(((x, y), ()), 2)]
+    assert repr(xy) == f"Expression(2*phi[]*word{[x, y]})"
+    assert repr(Expression()) == "Expression(0)"
+    assert Expression.from_word((x,), 0).is_zero()
+
+
+def test_circled_single_atom_has_no_phi():
+    # phi of a single atom is structurally zero, circled or not: the junction
+    # rewrite adds no -phi(C) v term, so the product is the plain atom's
+    x, y = atom(0, "x"), atom(0, "y")
+    circled = Letter(0, x.factors, True)
+    merged = x.factors + y.factors
+    want = Expression({((Letter(0, merged, True),), ()): 1, ((), (PhiSymbol(0, merged),)): 1})
+    ey = Expression.from_word((y,))
+    assert multiply(Expression.from_word((circled,)), ey) == want
+    assert multiply(Expression.from_word((x,)), ey) == want
+
+
+def test_star_of_generator_wraps_and_phi_symbols():
+    u, v = atom(0, "u"), atom(0, "v", star=True)
+    wrapped = apply_generator(Expression.from_word((u,)))
+    starred_wrap = Letter(0, (("g", (("a", "u", True),)),), False)
+    assert star(wrapped) == Expression.from_word((starred_wrap,))
+    prod = multiply(Expression.from_word((u,)), Expression.from_word((v,)))
+    phi = PhiSymbol(0, (("a", "v", False), ("a", "u", True)))  # (u v*)* = v u*
+    assert star(prod) == Expression({((Letter(0, phi.factors, True),), ()): 1, ((), (phi,)): 1})
+    assert star(star(prod)) == prod
+
+
 def test_scalar_coefficients_stay_exact():
     x = (atom(0, "x"),)
     e = Expression.from_word(x)

@@ -6,7 +6,6 @@ fragment pins which check fired.
 """
 
 from fractions import Fraction
-from itertools import count
 
 import pytest
 
@@ -18,7 +17,6 @@ from qgs.freewords import Expression, Letter, atom, circle, hs_propagation_bound
 from qgs.fusion import dims, growth_rate
 from qgs.precision import precision_bits, set_precision_bits
 from qgs.spectrum import (
-    SpectralDatum,
     amenability_criterion,
     dirichlet_form,
     eigenvalue,
@@ -41,11 +39,6 @@ UNIT = QParameter(1, 2)
 UNCENTERED = Letter(0, (("a", "x", False), ("a", "y", False)), False)
 
 
-def _ones(multiplicity):
-    """A flat spectrum: delta_a = a, each with the given multiplicity."""
-    return (SpectralDatum(a, float(a), 1, multiplicity) for a in count())
-
-
 CASES = {
     # chebyshev
     "build_poly": (lambda: build_poly(-1), ValueError, "degree"),
@@ -65,13 +58,12 @@ CASES = {
     "dirichlet_key": (lambda: dirichlet_form(P, {(1, 1): 1}), InvalidVectorError, "expected"),
     "dirichlet_triple": (lambda: dirichlet_form(P, {(-1, 1, 1): 1}), InvalidVectorError,
                          "bad index triple"),
-    "amenability_warmup": (lambda: amenability_criterion(_ones(1), 100, warmup=1), ValueError,
+    "amenability_warmup": (lambda: amenability_criterion(P, 100, warmup=1), ValueError,
                            "warmup must be >= 2"),
-    "amenability_multiplicity": (lambda: amenability_criterion(_ones(0), 100), ValueError,
-                                 "multiplicities must be >= 1"),
-    # the label ceiling checked while walking a stream: 20,001 labels of multiplicity 1
-    "amenability_labels": (lambda: amenability_criterion(_ones(1), 20_001), ResourceLimitError,
-                           "needs over 20000 labels"),
+    # the label ceiling of the walk along the multiplicities: labels 0..19,999
+    # cover 20000 * 20001 * 40001 / 6 eigenvalues at N = 2
+    "amenability_labels": (lambda: amenability_criterion(P, 20000 * 20001 * 40001 // 6 + 1),
+                           ResourceLimitError, "needs over 20000 labels"),
     # estimates
     "gap_labels": (lambda: gap(P, -1, 2, 0), ValueError, "labels must be >= 0"),
     "scan_gamma_max": (lambda: gap_constant_scan(P, 20, -1), ValueError, "gamma_max must be >= 0"),

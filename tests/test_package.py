@@ -6,12 +6,14 @@ decimal q, hs-cert and the Temperley-Lieb suites (jw-verify, lemma65,
 pentagon): spectrum, fusion, gap-scan and amenability at rational q stay
 exact and never load it, nor does freeprod-verify.  Each check runs in a
 fresh interpreter, since this process has imported everything already; it
-asserts module names, not times.
+asserts module names, not times.  The README's ceiling table is checked
+against the MAX_* constants the package defines.
 """
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -181,3 +183,18 @@ def test_fresh_package_is_lazy_and_star_import_binds_all():
     assert bare == []
     assert templieb == "qgs.templieb"
     assert missing == []
+
+
+def test_readme_ceiling_table_names_every_ceiling():
+    # each MAX_* constant of the package has its `module.NAME` row in the
+    # README's ceiling table, and each row names a constant that exists
+    package = Path(qgs.__file__).resolve().parent
+    defined = {
+        f"{path.stem}.{name}"
+        for path in package.glob("*.py")
+        for name in re.findall(r"^(MAX_\w+) =", path.read_text(encoding="utf-8"), re.M)
+    }
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `(\w+\.MAX_\w+)` =", readme.read_text(encoding="utf-8"), re.M)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == defined

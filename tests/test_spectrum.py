@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qgs import spectrum
 from qgs.chebyshev import QParameter, _pairs, build_poly, poly_value_and_derivative
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.fusion import dims
@@ -29,7 +30,6 @@ from qgs.spectrum import (
     dirichlet_form,
     eigenvalue,
     gap_limit,
-    labels_covering,
     multiplier,
     resolvent_coeff,
     semigroup_coeff,
@@ -390,22 +390,69 @@ def test_spectral_rows_shape():
         assert float(row.qdim) == pytest.approx(float(table.qdim[row.alpha]), rel=1e-12)
 
 
-def _flat_spectrum(count):
-    from qgs.spectrum import SpectralDatum
+def stream_walk(param, n_max, warmup=1000, threshold=50.0):
+    """The amenability probe as a walk along spectral_stream, drawing every
+    label up to the last checkpoint: (ratios, envelope, liminf, verdict,
+    labels drawn), the oracle of amenability_criterion."""
+    checkpoints = [min(warmup, n_max)]
+    while checkpoints[-1] * 2 <= n_max:
+        checkpoints.append(checkpoints[-1] * 2)
+    if checkpoints[-1] != n_max:
+        checkpoints.append(n_max)
+    stream, covered, ratios = spectral_stream(param), 0, []
+    for cp in checkpoints:
+        while covered < cp:
+            current = next(stream)
+            covered += current.multiplicity
+        ratios.append(float(current.delta) / math.log(cp))
+    envelope = [min(ratios[i:]) for i in range(len(ratios))]
+    liminf = min(r for r, cp in zip(ratios, checkpoints) if 2 * cp >= n_max)
+    verdict = "satisfied" if liminf > threshold else "not-satisfied"
+    return tuple(ratios), tuple(envelope), liminf, verdict, current.alpha + 1
 
-    return [SpectralDatum(a, 0.0, 1, 1) for a in range(count)]
+
+def _report(report):
+    return report.ratios, report.envelope, report.liminf_estimate, report.verdict
 
 
-def test_amenability_flat_spectrum_fails():
-    report = amenability_criterion(_flat_spectrum(64), 32, warmup=4)
+# every admissible model (q + 1/q >= N) of N = 2..5 at these q
+AMENABILITY_MODELS = [
+    (N, q) for N in range(2, 6)
+    for q in (Fraction(1, 3), Fraction(1, 5), Fraction(2, 11), "0.2", "0.1234", 1, "1.0")
+    if float(Fraction(q)) + 1 / float(Fraction(q)) >= N
+]
+
+
+@pytest.mark.parametrize("N, q", AMENABILITY_MODELS)
+@pytest.mark.parametrize("n_max", [10, 12345, 10**6, 3 * 10**8])
+def test_amenability_equals_the_stream_walk(N, q, n_max):
+    p = QParameter(q, N)
+    want = stream_walk(p, n_max, warmup=100)[:4]
+    assert _report(amenability_criterion(p, n_max, warmup=100)) == want
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("q", ["0.381966", "0.95", "0.999999", "0.05", "0.3", "1.0"])
+def test_decimal_amenability_equals_the_stream_walk(bits, q):
+    set_precision_bits(bits)
+    try:
+        for N, n_max in ((2, 10**12), (3 if q == "0.381966" else 2, 10**6)):
+            p = QParameter(q, N)
+            assert _report(amenability_criterion(p, n_max)) == stream_walk(p, n_max)[:4]
+    finally:
+        set_precision_bits(None)
+
+
+def test_amenability_kac_model_fails():
+    report = amenability_criterion(QParameter.kac(3), 32, warmup=4)
     assert report.satisfied is False
     assert report.verdict == "not-satisfied"
-    assert report.liminf_estimate == 0
+    assert 0 < report.liminf_estimate < 1
 
 
 def test_amenability_degenerate_regime_satisfied():
     p = QParameter(1, 2)
-    report = amenability_criterion(spectral_stream(p), 10 ** 6)
+    report = amenability_criterion(p, 10 ** 6)
     assert report.satisfied is True
     assert report.verdict == "satisfied"
     assert report.liminf_estimate > 50
@@ -418,7 +465,7 @@ def test_amenability_degenerate_regime_satisfied():
 
 def test_amenability_kac_regime_plateaus():
     p = QParameter.kac(3)
-    report = amenability_criterion(spectral_stream(p), 10 ** 6)
+    report = amenability_criterion(p, 10 ** 6)
     assert report.satisfied is False
     q0 = (3 - math.sqrt(5)) / 2
     plateau = 1 / (2 * math.sqrt(5) * math.log(1 / q0))
@@ -426,30 +473,62 @@ def test_amenability_kac_regime_plateaus():
 
 
 @pytest.mark.parametrize("N, n_max", [(2, 10), (2, 10**6), (3, 20000), (5, 12345)])
-def test_labels_covering_counts_the_labels_amenability_draws(N, n_max):
-    drawn = []
-    stream = (drawn.append(d) or d for d in spectral_stream(QParameter(Fraction(1, N + 1), N)))
-    amenability_criterion(stream, n_max)
-    assert labels_covering(N, n_max) == len(drawn)
+def test_labels_covering_counts_the_labels_amenability_draws(monkeypatch, N, n_max):
+    # the labels covering n_max eigenvalues, drawn by the stream walk, end
+    # at the last label whose eigenvalue amenability_criterion evaluates
+    p = QParameter(Fraction(1, N + 1), N)
+    evaluated = []
+    monkeypatch.setattr(spectrum, "eigenvalue",
+                        lambda param, a: evaluated.append(a) or eigenvalue(param, a))
+    amenability_criterion(p, n_max)
+    assert max(evaluated) + 1 == stream_walk(p, n_max)[4]
+    assert len(evaluated) == len(set(evaluated)) <= math.log2(n_max) + 2
 
 
-def test_labels_covering_ceiling():
+def _unformed(*args):
+    raise AssertionError("an eigenvalue was formed")
+
+
+def test_labels_covering_ceiling(monkeypatch):
     # N = 2 covers (L + 1)(L + 2)(2L + 3)/6 eigenvalues with labels 0..L
     covered = 20000 * 20001 * 40001 // 6
-    assert labels_covering(2, covered) == 20000
+    half = QParameter(Fraction(1, 2), 2)
+    last = amenability_criterion(half, covered).ratios[-1]
+    assert last == float(eigenvalue(half, 19999)) / math.log(covered)
+    monkeypatch.setattr(spectrum, "eigenvalue", _unformed)
+    monkeypatch.setattr(spectrum, "_deltas", _unformed)
     with pytest.raises(ResourceLimitError, match="over 20000 labels"):
-        labels_covering(2, covered + 1)
+        amenability_criterion(half, covered + 1)
+
+
+@pytest.mark.parametrize(
+    "q, n_max, message",
+    [
+        # about 66,900 labels at N = 2, refused after 20,000 integer steps (4 ms
+        # on 2-vCPU x86_64); a walk of the stream formed 20,001 exact
+        # eigenvalues first, over 120 s at q = 4/11
+        (Fraction(1, 2), 10**14, "needs over 20000 labels"),
+        (Fraction(4, 11), 10**14, "needs over 20000 labels"),
+        # 22 checkpoint labels up to 3,106 of 997 bits a label each
+        (Fraction(1, 10**150), 10**10, "up to label 3106 take about 17204232 bits"),
+    ],
+)
+def test_amenability_refused_before_any_eigenvalue(monkeypatch, q, n_max, message):
+    monkeypatch.setattr(spectrum, "eigenvalue", _unformed)
+    monkeypatch.setattr(spectrum, "_deltas", _unformed)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=message):
+        amenability_criterion(QParameter(q, 2), n_max)
+    assert time.perf_counter() - start < 1  # also under tools/unreached.py's tracing
 
 
 def test_amenability_validation():
-    with pytest.raises(ValueError):
-        amenability_criterion(_flat_spectrum(64), 5)
-    with pytest.raises(ValueError):
-        amenability_criterion([], 32)
-    with pytest.raises(ValueError):
-        amenability_criterion(_flat_spectrum(10), 32, warmup=4)  # runs out of data
-    from qgs.spectrum import SpectralDatum
-
-    decreasing = [SpectralDatum(0, 1.0, 1, 1), SpectralDatum(1, 0.5, 1, 1)]
-    with pytest.raises(ValueError):
-        amenability_criterion(decreasing, 10, warmup=2)
+    p = QParameter(Fraction(1, 3), 3)
+    with pytest.raises(ValueError, match="n_max must be >= 10"):
+        amenability_criterion(p, 5)
+    with pytest.raises(TypeError):
+        amenability_criterion(p, 1e6)
+    with pytest.raises(ValueError, match="warmup must be >= 2"):
+        amenability_criterion(p, 32, warmup=1)
+    # a warm-up past n_max leaves the single checkpoint n_max
+    assert amenability_criterion(p, 32, warmup=100).checkpoints == (32,)
