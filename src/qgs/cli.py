@@ -126,6 +126,13 @@ def _record(args, verdict, result, rows):
     return record
 
 
+def _check_tolerances(args, *names):
+    """Refuse a tolerance flag that is not a finite number >= 0."""
+    for name in names:
+        if not 0 <= getattr(args, name) < math.inf:
+            raise ValueError(f"--{name.replace('_', '-')} must be a finite number >= 0")
+
+
 def _cmd_spectrum(args):
     from .spectrum import spectral_rows
 
@@ -203,6 +210,7 @@ def _cmd_gap_scan(args):
 def _cmd_jw_verify(args):
     from .templieb import jw_report
 
+    _check_tolerances(args, "residual_tol", "trace_tol")
     rows = [
         _row(
             row, "n", "rank", "idempotency", "annihilation", "trace_error",
@@ -284,6 +292,7 @@ def _cmd_amenability(args):
 def _cmd_cesaro(args):
     from .spectrum import cesaro_sum
 
+    _check_tolerances(args, "tol")
     func, slope = CESARO_PROBES[args.poly]
     value = cesaro_sum(func, args.k)
     limit = math.log(2.0) * slope

@@ -44,15 +44,9 @@ from .spectrum import MAX_EXACT_TOTAL_BITS, _check_exact_bits, eigenvalue
 # and 1/1000 pass it 52-244 of their 44,851 cells)
 MAX_SCAN_CELLS = 10**6
 MAX_EXACT_SCAN_WORK = 2 * 10**10  # cells * b^1.5
-
-# the float tables for labels 0..top, checked by gap and gap_constant_scan at
-# decimal q: about min(top, 4u/(1-u))^2 / 2 fsum terms, u = q^2, at about
-# 0.15 us each (q = 0.99999 at 4,000 labels: 8e6 terms, 1.2 s, 2-vCPU x86_64).
-# The scan's exact tables at q = p/r, about 2 top^2 log2(r^2) bits of
-# integers, need no ceiling of their own: with top = A + min(A, G) there are
-# top + 1 cells at G = 0 and at least 7.5 top at G >= 1, so MAX_EXACT_SCAN_WORK
-# keeps them under 2.8e8 bits (35 MB; the largest, q = 1/2 at A = 6,827)
-MAX_FLOAT_TABLE_TERMS = 10**7
+# The scan's exact tables, about 2 top^2 log2(r^2) bits at q = p/r, need no
+# ceiling of their own: with top + 1 cells at G = 0 and at least 7.5 top at
+# G >= 1, MAX_EXACT_SCAN_WORK keeps them under 2.8e8 bits (35 MB at q = 1/2)
 
 
 def _check_labels(alpha, beta, gamma):
@@ -128,6 +122,9 @@ class _ExactCells:
             raise _beyond_double(a, b, g) from None
 
 
+_SCALE = 192  # S and T of _FloatCells are integers in units of 2^-_SCALE: see there
+
+
 class _FloatCells:
     """Gap cells at decimal q < 1 in float64, lhs divided by q^(2 lo) and
     rhs by q^(2m), lo and m the smallest exponents of nonzero terms.
@@ -135,23 +132,28 @@ class _FloatCells:
     With u = q^2 and h(n) = n u^n/(1-u^n), r_a = c h(a+1) for c = 2q/(1-u).
     The four-term sum is a sum of K(n) = h(n) - 2h(n+1) + h(n+2) > 0 over a
     d-by-g parallelogram of n, and K(n) = u^n kt[n] with
-    kt[n] = (1-u) B(n) / ((1-u^n)(1-u^(n+1))(1-u^(n+2))),
-    B(n) = n(1-u)(1+u^(n+1)) - 2u(1-u^n) = (1-u) sum_i (1-u^i)(1-u^(n+1-i)),
-    the sum taken while n(1-u) < 4u.  With 1 - u^k from expm1 no step
-    cancels, so the error stays near 1e-15 as q -> 1, given lq = log q
-    to a relative 1e-16: 1 - u^k is as close as lq is.
+    kt[n] = (1-u) B(n) / ((1-u^n)(1-u^(n+1))(1-u^(n+2))), B(n) = (1-u) S(n),
+    S(n) = sum_i (1-u^i)(1-u^(n+1-i)), i = 1..n, by one recurrence of positive
+    terms: S(n) = S(n-1) + (1-u)(T(n-1) + 1-u^n), T(n) = u(T(n-1) + 1-u^n),
+    in integer units of 2^-192 with u = 1 - (1-u).  Each 1 - u^k, from expm1
+    and above about 2^-53 as float(q) <= 1 - 2^-53, is exact in them, and
+    S(n) >= n (1-u)^2 ends within 2^-85.  Nothing cancels: up to 19,999
+    labels, q = 1e-150 to 1 - 1e-9, kt is within 7e-16 relative of its
+    300-bit value at lq, and 1 - u^k is as close to q's as lq is to log q.
     """
 
     def __init__(self, q, top, lq):
-        u = q * q
         self.om = om = [-math.expm1(2 * k * lq) for k in range(top + 3)]
+        one = 1 << _SCALE
+        o1 = int(om[1] * one)
+        u = one - o1
+        s = t = 0
         self.kt = kt = [0.0]
         for n in range(1, top + 1):
-            if n * om[1] >= 4 * u:
-                b = n * om[1] * (2 - om[n + 1]) - 2 * u * om[n]
-            else:
-                b = om[1] * math.fsum(om[i] * om[n + 1 - i] for i in range(1, n + 1))
-            kt.append(om[1] * b / (om[n] * om[n + 1] * om[n + 2]))
+            x = t + int(om[n] * one)
+            s += o1 * x >> _SCALE
+            t = u * x >> _SCALE
+            kt.append(om[1] * (om[1] * (s / one)) / (om[n] * om[n + 1] * om[n + 2]))
         self.q, self.pw = q, [q ** (2 * k) for k in range(top + 2)]
         self.c = 2 * q / om[1]
         self.weights = {}
@@ -202,27 +204,21 @@ class _FloatCells:
             return lhs * q ** (2 * lo), rhs * q ** (2 * m), self._ratio(*sides)
 
 
-# The float64 screen of the rational gap scan.  Its cells are _FloatCells at
-# float(q), with log q = -log1p((r-p)/p) taken from q = p/r itself: from
-# log(float(q)), 1 - u^k would be off by about 2^-53/(1-q), 3e-8 at
-# q = 1 - 1e-9.  A cell's ratio is then made of sums, products and quotients
-# of positive terms (the one difference, in B(n), loses at most a bit, since
-# n(1-u) >= 4u there): a sum of at most 2 top terms, powers q^(2k) with
-# k <= 2 top that carry the 2^-53 of float(q) k-fold, and a few dozen more
-# roundings.  With top < MAX_LABELS that is a relative error below 2^-35
-# (the most seen is 1.4e-15, about 2^-49), so a screened ratio times
-# 1 + _SCREEN_EPS bounds the exact one.  A ratio that underflows is off by
-# at most 2^-1075 / rhs in absolute terms, and rhs >= 1 - u > 2^-54, hence
+# The float64 screen of the rational gap scan: _FloatCells at float(q), with
+# log q = -log1p((r-p)/p) from q = p/r itself (from log(float(q)), 1 - u^k
+# would be off by about 2^-53/(1-q), 3e-8 at q = 1 - 1e-9).  A cell's ratio
+# is built from sums, products and quotients of positive terms only, so their
+# relative errors add: 1 - u^k within a few 2^-53, S(n) within 2^-85, powers
+# q^(2k), k <= 2 top, with the 2^-53 of float(q) k-fold, an lhs sum of at
+# most 2 top terms, and a few dozen roundings.  With top < MAX_LABELS that is
+# below 2^-35 (the most seen is 1.4e-15, about 2^-49), so a screened ratio
+# times 1 + _SCREEN_EPS bounds the exact one.  A ratio that underflows is off
+# by at most 2^-1075 / rhs in absolute terms, and rhs >= 1 - u > 2^-54, hence
 # the 2^-1000 added.  A cell whose bound is below the sup it must beat cannot
 # beat it under the scan's strict >, so only the others are evaluated
 # exactly.  Where float(q) is not a normal double below 1.0 (r > 2^53 with q
 # within 2^-54 of 1, or q < 2.2e-308) there is no screen and every cell is
-# evaluated exactly, as at decimal q every cell is evaluated in float64.  The
-# float tables need no ceiling of their own: they sum about
-# min(top, 4u/(1-u))^2 / 2 terms; for r < 128, 4u/(1-u) <= 4r^2/(2r-1) < 256,
-# at most about 33k terms, and for r >= 128, more than top cells of
-# (top log2(r^2))^1.5 <= MAX_EXACT_SCAN_WORK with log2(r^2) >= 15 hold
-# top <= 2,601, at most 3.4e6 terms, below MAX_FLOAT_TABLE_TERMS.
+# evaluated exactly, as at decimal q every cell is evaluated in float64.
 _SCREEN_EPS = 2.0**-30
 
 
@@ -237,21 +233,6 @@ def _screen_cells(q, top):
     if not sys.float_info.min <= float(q) < 1.0:
         return None
     return _FloatCells(float(q), top, _log_q(q.numerator, q.denominator))
-
-
-def _check_tables(param, top):
-    """Refuse gap-cell tables for labels 0..top beyond MAX_LABELS and, at
-    decimal q, beyond MAX_FLOAT_TABLE_TERMS."""
-    _check_table_labels(top)
-    if isinstance(param.q, Fraction):
-        return
-    u = float(param.q) ** 2
-    summed = min(top, 4 * u / (1 - u)) if u < 1 else top
-    if summed * summed / 2 > MAX_FLOAT_TABLE_TERMS:
-        raise ResourceLimitError(
-            f"float gap tables for labels 0..{top} at q = {float(param.q)!r} sum about "
-            f"{summed * summed / 2:.3g} terms, above {MAX_FLOAT_TABLE_TERMS}"
-        )
 
 
 def _cells(param, top):
@@ -305,16 +286,14 @@ def _exact_gap(param, a, b, g):
 def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
     """Evaluate the gap functional at one index cell.
 
-    Labels beyond MAX_LABELS, exact eigenvalues beyond
-    spectrum.MAX_EXACT_TOTAL_BITS at rational q, or tables beyond
-    MAX_FLOAT_TABLE_TERMS at decimal q are a ResourceLimitError.
+    Labels beyond MAX_LABELS, or exact eigenvalues beyond
+    spectrum.MAX_EXACT_TOTAL_BITS at rational q, are a ResourceLimitError.
     """
     alpha, beta, gamma = _check_labels(alpha, beta, gamma)
     top = max(alpha, beta) + abs(gamma)
+    _check_table_labels(top)
     if param.q == 1 or isinstance(param.q, Fraction):
-        _check_table_labels(top)
         return GapEvaluation(alpha, beta, gamma, *_exact_gap(param, alpha, beta, gamma))
-    _check_tables(param, top)
     return GapEvaluation(alpha, beta, gamma, *_cells(param, top).gap(alpha, beta, gamma))
 
 
@@ -341,9 +320,8 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
     [alpha_max/4, alpha_max/2): agreement within 10% is the finite-grid
     evidence that the ratio stays bounded.  q must be below 1 (at q = 1 the
     bound vanishes), and a cell ratio beyond the double range is a ValueError.
-    Labels beyond MAX_LABELS or tables beyond MAX_FLOAT_TABLE_TERMS (as for
-    gap), a grid of more than MAX_SCAN_CELLS cells, or at rational q more
-    than MAX_EXACT_SCAN_WORK are a ResourceLimitError.
+    Labels beyond MAX_LABELS, a grid of more than MAX_SCAN_CELLS cells, or
+    at rational q more than MAX_EXACT_SCAN_WORK are a ResourceLimitError.
     """
     alpha_max, gamma_max = index(alpha_max), index(gamma_max)
     if alpha_max < 10:
@@ -356,7 +334,7 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
             "ratio is infinite wherever the gap functional is not 0"
         )
     top = alpha_max + min(alpha_max, gamma_max)  # the largest label a cell reads, a + g
-    _check_tables(param, top)
+    _check_table_labels(top)
     # at most min(alpha_max, 4 gamma_max) + 1 betas and 2 min(alpha_max, gamma_max) + 1
     # gammas per alpha: 3.5% above the count at 200 x 5, twice it at gamma_max >= alpha_max
     cells = (
@@ -476,6 +454,8 @@ def hs_certificate(
         raise ValueError("t must be a finite number >= 0")
     if not 0 < margin < 1:
         raise ValueError("margin must lie in (0, 1)")
+    if not 0 < tail_floor < 1:
+        raise ValueError("tail_floor must lie in (0, 1)")
     n = _integer_dims(param.N, alpha_max)
     terms = []
     compressed = []

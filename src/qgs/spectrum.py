@@ -315,6 +315,8 @@ def amenability_criterion(
     warmup = index(warmup)
     if warmup < 2:
         raise ValueError("warmup must be >= 2")
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be a finite number")
     checkpoints = [min(warmup, n_max)]
     while checkpoints[-1] * 2 <= n_max:
         checkpoints.append(checkpoints[-1] * 2)

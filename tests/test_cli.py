@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -357,16 +358,14 @@ CEILING_MESSAGES = {EXACT_SCAN_ARGV: "exact gap scan", EXACT_DELTA_ARGV: "exact 
         ("fusion", "--N", "2", "--q", "0.5", "--alpha-max", "201"),
         # the labels amenability draws: about 6.7e6 for 10^20 eigenvalues at N = 2
         ("amenability", "--N", "2", "--q", "0.5", "--n-max", "1" + "0" * 20),
-        # gap-scan: its labels (near q = 1 the float tables take O(labels^2)
-        # steps), its grid, whose cells grow like alpha_max gamma_max^2, and at
-        # rational q the integers of its cells, which grow with alpha_max
+        # gap-scan: its labels, its grid, whose cells grow like alpha_max
+        # gamma_max^2, and at rational q the integers of its cells, which grow
+        # with alpha_max
         ("gap-scan", "--N", "2", "--q", "0.5", "--alpha-max", "100000",
          "--gamma-max", "100000"),
         ("gap-scan", "--N", "2", "--q", "0.99999", "--alpha-max", "20000", "--gamma-max", "0"),
         ("gap-scan", "--N", "2", "--q", "0.5", "--alpha-max", "2000", "--gamma-max", "20"),
         ("gap-scan", "--N", "2", "--q", "4/11", "--alpha-max", "10000", "--gamma-max", "0"),
-        # its float tables, whose fsum terms grow like min(labels, 4q^2/(1-q^2))^2
-        ("gap-scan", "--N", "2", "--q", "0.99999", "--alpha-max", "19999", "--gamma-max", "0"),
         # the Cesaro sum's k terms
         ("cesaro", "--poly", "x", "--k", "100000000000"),
         # the word-calculus sweep's patterns: 524,046 here; listing stops past 20,000
@@ -452,6 +451,20 @@ def test_jw_verify_refuses_before_any_level(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "jw-verify", "--q", "0.5", "--n-max", n_max)
         assert (code, out) == (3, "")
         assert json.loads(err)["error"]["type"] == "resource"
+
+
+def test_gap_scan_near_one_at_the_label_ceiling_prints_a_record(capsys):
+    # the float tables take O(1) a label at every q, so near q = 1 as
+    # elsewhere only the label ceiling bounds them
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "gap-scan", "--N", "2", "--q", "0.99999", "--alpha-max", "19999",
+        "--gamma-max", "0",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["result"]["sup_ratio"] == 0 and record["verdict"] == "finite"
 
 
 def test_gap_tables_sized_by_the_labels_cells_read(capsys):
@@ -644,6 +657,9 @@ def test_timing_flag_adds_wall_time(capsys):
     assert payload["wall_time_s"] >= 0
 
 
+HS_CERT = ("hs-cert", "--N", "2", "--q", "0.5", "--t", "0.5", "--alpha-max", "30")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -676,6 +692,21 @@ def test_timing_flag_adds_wall_time(capsys):
         ("cesaro", "--poly", "x", "--k", "0"),
         ("lemma65", "--q", "0.5", "--alpha-min", "0", "--alpha-max", "3"),
         ("fusion", "--N", "2", "--q", "0.5", "--alpha", "3"),
+        # tolerances: tail_floor lies in (0, 1), as margin does, a threshold is
+        # finite, and the others are finite and >= 0; a NaN or inf would decide
+        # the verdict by its comparisons and reach the record as NaN or
+        # Infinity, which is not JSON, and a tail floor of -1 would make every
+        # certificate divergent
+        (*HS_CERT, "--tail-floor", "nan"),
+        (*HS_CERT, "--tail-floor", "-1"),
+        (*HS_CERT, "--tail-floor", "1"),
+        ("amenability", "--N", "2", "--q", "0.5", "--n-max", "10000", "--threshold", "nan"),
+        ("amenability", "--N", "2", "--q", "0.5", "--n-max", "10000", "--threshold", "inf"),
+        ("cesaro", "--poly", "x", "--k", "100", "--tol", "nan"),
+        ("cesaro", "--poly", "x", "--k", "100", "--tol", "-1"),
+        ("jw-verify", "--q", "0.5", "--n-max", "4", "--residual-tol", "nan"),
+        ("jw-verify", "--q", "0.5", "--n-max", "4", "--trace-tol", "nan"),
+        ("jw-verify", "--q", "0.5", "--n-max", "4", "--trace-tol", "inf"),
     ],
 )
 def test_out_of_range_inputs_are_usage_errors(capsys, argv):

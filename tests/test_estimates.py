@@ -27,6 +27,7 @@ from qgs.estimates import (
     _SCREEN_EPS,
     GapEvaluation,
     _ExactCells,
+    _FloatCells,
     _screen_cells,
     gap,
     gap_constant_scan,
@@ -137,6 +138,49 @@ def test_gap_decimal_q_near_one_takes_log_q_from_the_decimal(bits):
         set_precision_bits(None)
     exact = gap(QParameter(Fraction(999999999, 10**9), 2), 10, 15, 2).ratio
     assert abs(got / exact - 1) <= 1e-14
+
+
+# the eight q of the table accuracy checks, from tiny to within 1e-9 of 1
+TABLE_QS = [1e-150, 0.05, 0.3, 0.5, 0.9, 0.99, 0.99999, 1 - 1e-9]
+
+
+def fixed_point_kt(lq, top, bits=300):
+    """kt[1..top] of the gap tables at u = exp(2 lq), from u at `bits` bits and
+    B(n) = n(1-u)(1+u^(n+1)) - 2u(1-u^n) in exact integers: (num, den) pairs."""
+    with mpmath.workprec(bits + 64):
+        u = int(mpmath.exp(2 * mpmath.mpf(lq)) * 2**bits)
+    one = 1 << bits
+    w = [one]  # u^k in units of 2^-bits
+    for _ in range(top + 2):
+        w.append(w[-1] * u >> bits)
+    om = [one - x for x in w]
+    return [
+        (om[1] * (n * om[1] * (one + w[n + 1]) - 2 * u * om[n]), om[n] * om[n + 1] * om[n + 2])
+        for n in range(1, top + 1)
+    ]
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_float_tables_match_a_300_bit_evaluation(q):
+    # the positive-term recurrence for S(n) against the closed form of B(n),
+    # which cancels but not at 300 bits, on every label the scans can read
+    lq = math.log(q)
+    kt = _FloatCells(q, 19999, lq).kt
+    for n, (num, den) in enumerate(fixed_point_kt(lq, 19999), start=1):
+        want = num / den
+        assert abs(kt[n] - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_float_tables_match_the_fsum_sum(q):
+    # B(n) = (1-u) sum_i (1-u^i)(1-u^(n+1-i)), summed term by term
+    lq = math.log(q)
+    cells = _FloatCells(q, 1000, lq)
+    om = cells.om
+    for n in [*range(1, 301), 1000]:
+        b = om[1] * math.fsum(om[i] * om[n + 1 - i] for i in range(1, n + 1))
+        want = om[1] * b / (om[n] * om[n + 1] * om[n + 2])
+        assert abs(cells.kt[n] - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("q", [Fraction(4, 11), Fraction(99, 100)])
@@ -386,19 +430,19 @@ def test_gap_domain_validation():
 def test_gap_tables_have_cost_ceilings():
     # at q = p/r one cell sums four exact eigenvalues of about
     # (label + 1) log2(r^2) bits each; at decimal q it builds float tables
-    # for every label up to max(alpha, beta) + |gamma|, about
-    # min(top, 4q^2/(1-q^2))^2 / 2 fsum terms
+    # for every label up to max(alpha, beta) + |gamma|, O(1) a label
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="bits"):
         gap(QParameter(Fraction(1, 10**300), 2), 400, 395, 3)  # 3.2e6 bits: 10 s on 2-vCPU x86_64
     assert time.perf_counter() - start < 0.1
     assert gap(QParameter(Fraction(4, 11), 2), 10000, 10000, 0).ratio == 0  # 2.8e5 bits
-    with pytest.raises(ResourceLimitError, match="terms"):
-        gap(QParameter(0.99999, 2), 6000, 6000, 0)
+    # 12,000 labels near q = 1 as far from it
+    for q in (0.99999, 0.5):
+        start = time.perf_counter()
+        assert gap(QParameter(q, 2), 6000, 6000, 0).ratio == 0
+        assert time.perf_counter() - start < 0.5
     with pytest.raises(ResourceLimitError, match="labels"):
         gap(QParameter(0.5, 2), 20000, 0, 0)
-    # far from q = 1 the float sums stop early, so the same labels are cheap
-    assert gap(QParameter(0.5, 2), 6000, 6000, 0).ratio == 0
 
 
 @pytest.mark.parametrize("q", [1, "1.0"])

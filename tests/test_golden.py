@@ -8,18 +8,19 @@ the SHA-256 of its UTF-8 bytes.
 
 The gap-scan records of decimal q and of q = 4/11 were written by the
 mpmath recurrence, those of q = 1/12, 6/11 and 11/12 by the closed form in
-Fractions.  Every other record was written by the CLI before its handlers
-shared one record builder, except those for numbers beyond the double range
-and for negative grid sizes, which were rewritten when those stopped ending
-in ``Infinity``, a traceback or an empty pass, and those at 256 bits for
-amenability at q = 0.381966 and fusion at q = 0.2, which were written
-before the Chebyshev recurrence moved into one generator, and those of
-``lemma65`` and ``pentagon``, rewritten when their fusion coefficients
-came from the closed form in mpmath alone.  Records are compared byte for
-byte, except those of ``jw-verify``: its residuals near 1e-15 depend on
-the BLAS build, so there keys, key order, the CSV header, ints, bools,
-strings, the verdict and the exit code must match exactly and floats to
-1e-9 relative or 1e-12 absolute.
+Fractions, and that of q = 0.99999 while the float tables still summed
+B(n) term by term near q = 1.  Every other record was written by the CLI
+before its handlers shared one record builder, except those for numbers
+beyond the double range and for negative grid sizes, which were rewritten
+when those stopped ending in ``Infinity``, a traceback or an empty pass,
+and those at 256 bits for amenability at q = 0.381966 and fusion at
+q = 0.2, which were written before the Chebyshev recurrence moved into
+one generator, and those of ``lemma65`` and ``pentagon``, rewritten when their
+fusion coefficients came from the closed form in mpmath alone.  Records
+are compared byte for byte, except those of ``jw-verify``: its residuals
+near 1e-15 depend on the BLAS build, so there keys, key order, the CSV
+header, ints, bools, strings, the verdict and the exit code must match
+exactly and floats to 1e-9 relative or 1e-12 absolute.
 """
 
 import csv
@@ -55,6 +56,7 @@ CASES = {
     "q0.95_80x3": (_gap("--q", "0.95", "--alpha-max", "80", "--gamma-max", "3"), 1),
     "q0.97_80x3": (_gap("--q", "0.97", "--alpha-max", "80", "--gamma-max", "3"), 1),
     "q0.99_80x3": (_gap("--q", "0.99", "--alpha-max", "80", "--gamma-max", "3"), 1),
+    "q0.99999_2000x3": (_gap("--q", "0.99999", "--alpha-max", "2000", "--gamma-max", "3"), 1),
     "q4-11_200x5": (_gap("--q", "4/11", "--alpha-max", "200", "--gamma-max", "5"), 0),
     "q1-12_120x4": (_gap("--q", "1/12", "--alpha-max", "120", "--gamma-max", "4"), 0),
     "q6-11_200x5": (_gap("--q", "6/11", "--alpha-max", "200", "--gamma-max", "5"), 0),
@@ -313,3 +315,15 @@ def test_gap_scan_golden_record(name, capsys):
 @pytest.mark.parametrize("name", OTHERS)
 def test_cli_golden_record(name, capsys):
     check_golden(name, capsys)
+
+
+def _not_strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def test_json_goldens_are_strict_json():
+    # NaN and Infinity parse by default, though no strict JSON reader takes them
+    paths = sorted(GOLDEN.rglob("*.json"))
+    assert paths
+    for path in paths:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_not_strict)
