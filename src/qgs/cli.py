@@ -61,14 +61,16 @@ def _num(x):
         value = math.inf
     if not math.isinf(value) or isinstance(x, float):
         return float(f"{value:.12g}")
-    if not isinstance(x, Fraction):  # an mpf, so mpmath is loaded already
-        import mpmath
-
-        if mpmath.isinf(x):
-            return value
+    if isinstance(x, Fraction):
+        num, den = x.numerator, x.denominator
+    else:  # an mpf, exactly man * 2^exp
         man, exp = x.man_exp
-        x = Fraction(int(man)) * Fraction(2) ** exp
-    digits = _DIGITS.divide(Decimal(x.numerator), Decimal(x.denominator))
+        num, den = int(man) << max(exp, 0), 1 << max(-exp, 0)
+    # the quotient by 10^k has at least 29 digits, and a last sticky digit marks
+    # a nonzero remainder, so the one half-even rounding to 12 digits is exact
+    k = (abs(num).bit_length() - den.bit_length()) * 3 // 10 - 30
+    q, r = divmod(abs(num) * 10 ** max(-k, 0), den * 10 ** max(k, 0))
+    digits = _DIGITS.plus(Decimal(f"{'-' if num < 0 else ''}{10 * q + (r > 0)}E{k - 1}"))
     return _Wide(format(digits.normalize(_DIGITS), "g"))
 
 
@@ -459,6 +461,7 @@ def main(argv=None):
     try:
         if args.precision_bits is not None:
             set_precision_bits(args.precision_bits)
+        precision_bits()  # a bad QGS_PRECISION_BITS is refused before any work
         record = _record(args, *args.handler(args))
         if args.timing:
             record["wall_time_s"] = round(time.perf_counter() - start, 3)

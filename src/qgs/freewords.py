@@ -290,24 +290,11 @@ def _boundary_main_sum(b, x, a):
     n, k, m = len(x), len(b), len(a)
     total = Expression()
     for i in range(max(1, n - m + 1), min(n, k) + 1):
-        phis = []
-        dead = False
-        for j in range(1, i):
-            bb, xx = b[k - j], x[j - 1]
-            if bb.algebra != xx.algebra:
-                dead = True
-                break
-            phis.append(PhiSymbol(bb.algebra, bb.factors + xx.factors))
-        if dead:
+        pairs = [(b[k - j], x[j - 1]) for j in range(1, i)]
+        pairs += [(x[j - 1], a[n - j]) for j in range(i + 1, n + 1)]
+        if any(u.algebra != v.algebra for u, v in pairs):
             continue
-        for j in range(i + 1, n + 1):
-            xx, aa = x[j - 1], a[n - j]
-            if xx.algebra != aa.algebra:
-                dead = True
-                break
-            phis.append(PhiSymbol(xx.algebra, xx.factors + aa.factors))
-        if dead:
-            continue
+        phis = [PhiSymbol(u.algebra, u.factors + v.factors) for u, v in pairs]
         mid_b, mid_x, mid_a = b[k - i], x[i - 1], a[n - i]
         if not mid_b.algebra == mid_x.algebra == mid_a.algebra:
             continue

@@ -9,6 +9,7 @@ description of the fusion channels.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -16,7 +17,7 @@ from operator import index
 
 from .chebyshev import QParameter, _values
 from .errors import ResourceLimitError
-from .precision import _is_mp, _precision_for, precision_bits, working_precision
+from .precision import _is_mp, _precision_for, precision_bits
 
 MAX_LABELS = 20_000  # per dimension table or spectral probe; 10^4 labels take seconds
 
@@ -112,10 +113,8 @@ def growth_rate(param: QParameter, alpha_probe: int) -> GrowthProbe:
     if alpha_probe < 1:
         raise ValueError("alpha_probe must be >= 1")
     n = _integer_dims(param.N, alpha_probe)[alpha_probe]
-    with working_precision() as mp:
-        root = mp.exp(mp.log(mp.mpf(n)) / alpha_probe)
-        product = root * param.q_mpf()
-    return GrowthProbe(alpha_probe, float(param.q0), float(root), float(product))
+    root = math.exp(math.log(n) / alpha_probe)  # math.log reads an int of any size
+    return GrowthProbe(alpha_probe, float(param.q0), root, root * float(param.q))
 
 
 @dataclass(frozen=True)

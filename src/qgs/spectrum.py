@@ -337,12 +337,7 @@ def amenability_criterion(
     _check_exact_bits(param.q, distinct, MAX_EXACT_DELTA_BITS)
     delta = {a: float(eigenvalue(param, a)) for a in distinct}
     ratios = tuple(delta[a] / math.log(cp) for a, cp in zip(labels, checkpoints))
-    envelope = []
-    running = math.inf
-    for r in reversed(ratios):
-        running = min(running, r)
-        envelope.append(running)
-    envelope = tuple(reversed(envelope))
+    envelope = tuple(accumulate(reversed(ratios), min))[::-1]
     window = [i for i, cp in enumerate(checkpoints) if 2 * cp >= n_max]
     liminf_estimate = min(ratios[i] for i in window)
     satisfied = liminf_estimate > threshold

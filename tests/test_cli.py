@@ -3,15 +3,18 @@
 import csv
 import io
 import json
+import random
+import runpy
+import sys
 import time
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qgs import QParameter, freewords, fusion, spectrum, templieb
-from qgs.cli import main
+from qgs.cli import _num, main
 from qgs.errors import NumericalDegradationError
 
 
@@ -826,3 +829,65 @@ def test_csv_header_matches_json_record(capsys, argv):
     else:
         assert header == list(record["result"]) + ["verdict"]
         assert len(rows) == 1
+
+
+def _num_by_one_division(x):
+    """The wide-number text as one Decimal division of the whole exact quotient."""
+    if not isinstance(x, Fraction):
+        man, exp = x.man_exp
+        x = Fraction(int(man)) * Fraction(2) ** exp
+    digits = Context(prec=12).divide(Decimal(x.numerator), Decimal(x.denominator))
+    return format(digits.normalize(Context(prec=12)), "g")
+
+
+def test_wide_numbers_match_one_decimal_division():
+    import mpmath
+
+    rng = random.Random(19)
+    values = []
+    for _ in range(400):
+        bits = rng.randint(53, 1024)
+        man = rng.choice((1, -1)) * (rng.getrandbits(bits) | 1 << (bits - 1) | 1)
+        exp = rng.randint(1025, 30000) - rng.choice((bits, bits // 2, 0))
+        with mpmath.workprec(bits):
+            values.append(mpmath.ldexp(mpmath.mpf(man), exp))
+        values.append(Fraction(man << max(exp, 0), rng.choice((1, 3, 7, 2**61 - 1))))
+    # exact 12-digit ties, rounded half-even
+    for _ in range(200):
+        digits = rng.randint(10**11, 10**12 - 1)
+        values.append(rng.choice((1, -1)) * Fraction((10 * digits + 5) * 10 ** rng.randint(320, 9000)))
+    for x in values:
+        assert str(_num(x)) == _num_by_one_division(x)
+
+
+@pytest.mark.parametrize("flag, env", [(("--precision-bits", "1025"), None), ((), "1025")],
+                         ids=["flag", "env"])
+def test_precision_width_ceiling_before_any_work(capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("QGS_PRECISION_BITS", env)
+    monkeypatch.setattr(spectrum, "spectral_rows", lambda *args: pytest.fail("work ran"))
+    code, out, err = run_cli(capsys, "spectrum", "--N", "2", "--q", "1/2", "--alpha-max", "5", *flag)
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "resource"
+    assert "exceeds 1024 bits" in error["message"]
+
+
+@pytest.mark.parametrize("flag, env", [(("--precision-bits", "1024"), None), ((), "1024")],
+                         ids=["flag", "env"])
+def test_precision_width_ceiling_runs(capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("QGS_PRECISION_BITS", env)
+    code, out, _ = run_cli(capsys, "spectrum", "--N", "2", "--q", "0.5", "--alpha-max", "5", *flag)
+    assert code == 0
+    assert json.loads(out)["precision_bits"] == 1024
+
+
+def test_module_run_as_main_exits_with_the_verdict(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qgs", "cesaro", "--poly", "x", "--k", "1000"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):  # qgs.cli is imported
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("qgs.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"

@@ -260,6 +260,18 @@ def test_verify_just_past_maximal():
     assert rep.passed
 
 
+def test_verify_fails_on_a_ledger_word_past_the_bound(monkeypatch):
+    # the commutator's words are never longer than len(b) + len(a), so a boundary
+    # sum that leaves one (here the whole word bxa) must fail the check
+    monkeypatch.setattr(freewords, "_boundary_main_sum",
+                        lambda b, x, a: Expression.from_word(b + x + a))
+    rep = verify_boundary_expansion((0, 1), (1, 0, 1), (1, 0))
+    assert not rep.passed
+    assert not rep.ledger.within_bound
+    assert not rep.residual.is_zero()
+    assert rep.ledger.max_word_length == 7
+
+
 def test_verify_validation():
     with pytest.raises(ResourceLimitError):
         verify_boundary_expansion((0,), (0, 1, 0, 1, 0), (0,))

@@ -47,6 +47,8 @@ CASES = {
     "q_number": (lambda: q_number(-1, P), ValueError, "q-number index"),
     # precision
     "set_precision_bits": (lambda: set_precision_bits(16), ValueError, "at least 24 bits"),
+    "set_precision_bits_wide": (lambda: set_precision_bits(1025), ResourceLimitError,
+                                "precision of 1025 bits exceeds 1024 bits"),
     # fusion
     "dims": (lambda: dims(P, -1), ValueError, "alpha_max must be >= 0"),
     "growth_rate": (lambda: growth_rate(P, 0), ValueError, "alpha_probe must be >= 1"),
@@ -108,3 +110,12 @@ def test_precision_environment_checks(monkeypatch, value, message):
     monkeypatch.setenv("QGS_PRECISION_BITS", value)
     with pytest.raises(ValueError, match=message):
         precision_bits()
+
+
+def test_precision_environment_width_ceiling(monkeypatch):
+    monkeypatch.setattr(precision, "_override", None)
+    monkeypatch.setenv("QGS_PRECISION_BITS", "1025")
+    with pytest.raises(ResourceLimitError, match="QGS_PRECISION_BITS of 1025 bits exceeds 1024"):
+        precision_bits()
+    monkeypatch.setenv("QGS_PRECISION_BITS", "1024")
+    assert precision_bits() == 1024

@@ -157,6 +157,23 @@ def test_every_public_name_is_its_submodules_object():
     assert len(set(qgs.__all__)) == len(qgs.__all__)
 
 
+def test_submodule_read_as_an_attribute_is_the_imported_module(monkeypatch):
+    monkeypatch.delattr(qgs, "fusion", raising=False)
+    assert qgs.fusion is sys.modules["qgs.fusion"]
+
+
+def test_unreached_tool_fails_when_a_line_is_unreached():
+    # one test reaches little of src/qgs, so the tool lists lines and exits 1
+    root = Path(__file__).resolve().parents[1]
+    node = f"{root / 'tests' / 'test_package.py'}::test_unknown_name_is_an_attribute_error"
+    done = subprocess.run([sys.executable, str(root / "tools" / "unreached.py"), node],
+                          capture_output=True, text=True, cwd=root)
+    assert done.returncode == 1
+    listing = [line for line in done.stdout.splitlines() if line.startswith("src/qgs/")]
+    assert listing
+    assert re.search(r"^[1-9]\d* executable lines in src/qgs never ran$", done.stdout, re.M)
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         qgs.no_such_name  # noqa: B018

@@ -10,6 +10,8 @@ no test reached.  Standard library only, besides pytest itself:
 
 The trace makes the suite about three times slower.  Lines run only in a
 child process (a test that starts `python -m qgs.cli`) count as unreached.
+The exit status is 1 when any executable line is unreached, and pytest's
+own exit status otherwise.
 """
 
 import sys
@@ -85,7 +87,7 @@ def main(argv=None):
         if missing:
             print(f"{path.relative_to(ROOT)}: {_ranges(missing)}")
     print(f"{total} executable lines in {PACKAGE.relative_to(ROOT)} never ran")
-    return code
+    return 1 if total else code
 
 
 if __name__ == "__main__":
