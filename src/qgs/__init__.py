@@ -23,7 +23,7 @@ _EXPORTS = {
                   "circle", "expansion_sweep", "gradient_commutator",
                   "hs_propagation_bound", "multiply", "reduce_product", "star",
                   "verify_boundary_expansion", "word"),
-    "fusion": ("dims", "fuse", "fusion_check", "growth_rate"),
+    "fusion": ("dims", "fuse", "fusion_check", "fusion_grid", "growth_rate"),
     "precision": ("precision_bits", "set_precision_bits", "working_precision"),
     "spectrum": ("amenability_criterion", "cesaro_sum", "dirichlet_form", "eigenvalue",
                  "gap_limit", "multiplier", "resolvent_coeff", "semigroup_coeff",

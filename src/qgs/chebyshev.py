@@ -127,7 +127,10 @@ class QParameter:
             # a float is read exactly, a decimal string at the working width
             # and never less than a float's
             with working_precision(max(precision_bits(), 53)) as mp:
-                q = mp.mpf(q)
+                q, bits = mp.mpf(q), mp.prec
+            if q == 1 and Fraction(self.q) != 1:  # nearer 1 than the width resolves
+                raise ValueError(f"q = {self.q} reads as 1 at {bits} bits: give q as a fraction, "
+                                 "or a wider --precision-bits")
         elif not (isinstance(q, Fraction) or _is_mp(q)):  # an mpc fails the ordering below
             raise TypeError("q must be Fraction, int, float, str or mpf")
         if not 0 < q <= 1:

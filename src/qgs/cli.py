@@ -145,33 +145,18 @@ def _cmd_spectrum(args):
     return "pass", None, rows
 
 
-def _check_fusion_grid(q, alpha_max):
-    """Refuse a grid with more work than alpha_max = 200 at decimal q (6.1 s at
-    q = 0.3, 2-vCPU x86_64): (A+1)(A+2)(A+3)/6 channel sums, weighted at
-    q = p/r by (b/600)^2 once their q-dimensions of b = A log2(pr) bits pass
-    600 bits, as the gcds of Fraction sums grow like b^2."""
-    bits = alpha_max * (q.numerator * q.denominator).bit_length() if isinstance(q, Fraction) else 0
-    work = (alpha_max + 1) * (alpha_max + 2) * (alpha_max + 3) * max(bits, 600) ** 2
-    if work > 201 * 202 * 203 * 600**2:
-        raise ResourceLimitError(f"a fusion grid of --alpha-max {alpha_max} on {bits}-bit "
-                                 "q-dimensions takes more work than --alpha-max 200 at decimal q")
-
-
 def _cmd_fusion(args):
-    from .fusion import fusion_check
+    from .fusion import fusion_check, fusion_grid
 
     param = _param(args)
     if (args.alpha is None) != (args.beta is None):
         raise ValueError("--alpha and --beta must be given together")
     if args.alpha is not None:
-        cells = [(args.alpha, args.beta)]
+        checks = [fusion_check(param, args.alpha, args.beta)]
     elif args.alpha_max < 0:
         raise ValueError("--alpha-max must be >= 0")
     else:
-        _check_fusion_grid(param.q, args.alpha_max)
-        top = args.alpha_max + 1
-        cells = [(a, b) for a in range(top) for b in range(a, top)]
-    checks = [fusion_check(param, a, b) for a, b in cells]
+        checks = fusion_grid(param, args.alpha_max)
     rows = [
         _row(c, "alpha", "beta", "channels", "n_product", "n_sum",
              "qdim_product", "qdim_sum", "classical_ok", "quantum_ok")

@@ -26,6 +26,9 @@ MAX_LABELS = 20_000  # per dimension table or spectral probe; 10^4 labels take s
 # about (top + 1) (top log2(pr))^1.7 units; at the ceiling spectrum rows, their
 # slowest reader, take 1.9-3.1 s (4/11 at 2114 labels, 1/10^150 at 130; 2-vCPU x86_64)
 MAX_EXACT_TABLE_WORK = 2 * 10**10
+# a fusion grid to label A: (A+1)(A+2)(A+3)/6 channel sums, weighted at q = p/r by (b/600)^2
+# once their q-dimensions of b = A log2(pr) bits pass 600, as Fraction gcds grow like b^2
+MAX_GRID_WORK = 201 * 202 * 203 * 600**2
 
 
 def _check_table_labels(top, q=None):
@@ -73,8 +76,8 @@ def _integer_dims(N: int, top: int) -> tuple[int, ...]:
 
 
 def dims(param: QParameter, alpha_max: int) -> DimensionTable:
-    """Build the dimension table for labels 0..alpha_max; cached, and for
-    floating q keyed on the working precision too."""
+    """Build the dimension table for labels 0..alpha_max; the last 64 are
+    cached, and for floating q keyed on the working precision too."""
     alpha_max = index(alpha_max)
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
@@ -83,7 +86,7 @@ def dims(param: QParameter, alpha_max: int) -> DimensionTable:
     return _dims(param, alpha_max, bits)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)  # a fusion_check sweep of 0..40 reuses 41 tables
 def _dims(param, alpha_max, bits):
     with _precision_for(param.q):  # at precision_bits(), the bits of the key
         qdim = tuple(islice(_values(param.nq), alpha_max + 1))
@@ -133,6 +136,30 @@ class FusionCheck:
     quantum_ok: bool
 
 
+def _fusion_checks(param: QParameter, cells) -> list[FusionCheck]:
+    """The FusionCheck of each cell (a, b), all from one table of labels 0..max(a+b): each
+    channel sum is a difference of step-2 prefix sums, and each product is formed apart."""
+    channels = [fuse(a, b) for a, b in cells]  # a bad label is refused before the table
+    table = dims(param, max(c[-1] for c in channels))
+    checks = []
+    with _precision_for(table.qdim[0]):  # the same steps on ints, Fractions and mpfs
+        g0 = min(c[0] for c in channels)  # s[g+2] = s[g] + x[g] from s[g0] = s[g0+1] = 0
+        step = 1 if any((c[0] - g0) % 2 for c in channels) else 2  # only the parities read
+        n_sums, qdim_sums = [0] * (len(table.n) + 2), [0] * (len(table.n) + 2)
+        for g in range(g0, len(table.n), step):
+            n_sums[g + 2] = n_sums[g] + table.n[g]
+            qdim_sums[g + 2] = qdim_sums[g] + table.qdim[g]
+        for (a, b), chan in zip(cells, channels):  # sums over g = |a-b|, ..., a+b
+            lo, hi = chan[0], chan[-1] + 2
+            n_product, n_sum = table.n[a] * table.n[b], n_sums[hi] - n_sums[lo]
+            qdim_product, qdim_sum = table.qdim[a] * table.qdim[b], qdim_sums[hi] - qdim_sums[lo]
+            quantum_ok = (qdim_product == qdim_sum if isinstance(qdim_product, Fraction)
+                          else abs(qdim_product - qdim_sum) <= 1e-12 * abs(qdim_product))
+            checks.append(FusionCheck(param, a, b, chan, n_product, n_sum, qdim_product,
+                                      qdim_sum, n_product == n_sum, quantum_ok))
+    return checks
+
+
 def fusion_check(param: QParameter, alpha: int, beta: int) -> FusionCheck:
     """Verify n_a*n_b and [a+1][b+1] against the sums over fusion channels.
 
@@ -140,26 +167,19 @@ def fusion_check(param: QParameter, alpha: int, beta: int) -> FusionCheck:
     rule is exact for rational q; for floating q the comparison allows a
     relative slack of 1e-12.
     """
-    channels = fuse(alpha, beta)
-    table = dims(param, alpha + beta)
-    n_product = table.n[alpha] * table.n[beta]
-    n_sum = sum(table.n[g] for g in channels)
-    with _precision_for(table.qdim[alpha]):
-        qdim_product = table.qdim[alpha] * table.qdim[beta]
-        qdim_sum = sum(table.qdim[g] for g in channels)
-        if isinstance(qdim_product, Fraction):
-            quantum_ok = qdim_product == qdim_sum
-        else:
-            quantum_ok = abs(qdim_product - qdim_sum) <= 1e-12 * abs(qdim_product)
-    return FusionCheck(
-        param,
-        alpha,
-        beta,
-        channels,
-        n_product,
-        n_sum,
-        qdim_product,
-        qdim_sum,
-        n_product == n_sum,
-        quantum_ok,
-    )
+    return _fusion_checks(param, [(alpha, beta)])[0]
+
+
+def fusion_grid(param: QParameter, alpha_max: int) -> list[FusionCheck]:
+    """fusion_check on every cell alpha <= beta <= alpha_max, row by row, all
+    read from one table of labels 0..2 alpha_max.  A grid past MAX_GRID_WORK
+    is a ResourceLimitError raised before the table is built."""
+    alpha_max = index(alpha_max)
+    if alpha_max < 0:
+        raise ValueError("alpha_max must be >= 0")
+    q, top = param.q, alpha_max + 1
+    bits = alpha_max * (q.numerator * q.denominator).bit_length() if isinstance(q, Fraction) else 0
+    if top * (top + 1) * (top + 2) * max(bits, 600) ** 2 > MAX_GRID_WORK:
+        raise ResourceLimitError(f"a fusion grid of alpha_max {alpha_max} on {bits}-bit "
+                                 "q-dimensions takes more work than alpha_max 200 at decimal q")
+    return _fusion_checks(param, [(a, b) for a in range(top) for b in range(a, top)])

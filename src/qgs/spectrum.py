@@ -206,12 +206,10 @@ def spectral_rows(param: QParameter, alpha_max: int) -> list[SpectralRow]:
     """Tabulate label, dimension, quantum dimension, eigenvalue and gap."""
     table = dims(param, alpha_max)
     rows = []
-    prev = None
-    for d in spectral_data(param, alpha_max):
-        with _precision_for(d.delta):
-            gap = 0 * d.delta if prev is None else d.delta - prev
-        rows.append(SpectralRow(d.alpha, d.n, table.qdim[d.alpha], d.delta, gap))
-        prev = d.delta
+    for alpha, n, qdim, delta in zip(count(), table.n, table.qdim, _deltas(param.q)):
+        with _precision_for(delta):
+            gap = delta - rows[-1].delta if rows else 0 * delta
+        rows.append(SpectralRow(alpha, n, qdim, delta, gap))
     return rows
 
 

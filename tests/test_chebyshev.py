@@ -21,7 +21,7 @@ from qgs.chebyshev import (
     poly_value_and_derivative,
     q_number,
 )
-from qgs.precision import working_precision
+from qgs.precision import set_precision_bits, working_precision
 
 
 def test_build_poly_small_degrees():
@@ -203,6 +203,22 @@ def test_qparameter_decimal_string_keeps_working_precision(monkeypatch):
     assert abs(Fraction(man) * Fraction(2) ** exp - Fraction(9999, 10000)) < Fraction(1, 2 ** 256)
     # a float is already exact and is kept as given
     assert QParameter(0.9999, 2).q == mpmath.mpf(0.9999)
+
+
+def test_qparameter_refuses_a_decimal_string_read_as_one():
+    # 1 - 10^-300 is 1 at 128 bits; read as q = 1 it would run the q = 1 model
+    nines = "0." + "9" * 300
+    try:
+        set_precision_bits(128)
+        for text in (nines, "1." + "0" * 300 + "1"):
+            with pytest.raises(ValueError, match="reads as 1 at 128 bits: give q as a fraction"):
+                QParameter(text, 2)
+        assert QParameter("0." + "9" * 30, 2).q < 1
+        assert QParameter("1.0", 2).q == 1
+        set_precision_bits(1024)
+        assert QParameter(nines, 2).q < 1
+    finally:
+        set_precision_bits(None)
 
 
 def test_qparameter_equality_and_hash():

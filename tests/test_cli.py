@@ -492,7 +492,7 @@ def test_rational_fusion_grid_refused_before_any_cell(capsys, monkeypatch):
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(fusion, "fusion_check", reached)
+    monkeypatch.setattr(fusion, "_fusion_checks", reached)
     for q, alpha_max in (("4/11", "200"), ("4/11", "152"), ("1/1" + "0" * 150, "25")):
         code, out, err = run_cli(capsys, "fusion", "--N", "2", "--q", q, "--alpha-max", alpha_max)
         assert (code, out) == (3, "")
@@ -501,6 +501,21 @@ def test_rational_fusion_grid_refused_before_any_cell(capsys, monkeypatch):
     for q, alpha_max in (("1/2", "200"), ("4/11", "151"), ("1/1" + "0" * 150, "24")):
         with pytest.raises(Reached):
             main(["fusion", "--N", "2", "--q", q, "--alpha-max", alpha_max])
+
+
+def test_decimal_q_read_as_one_is_a_usage_error(capsys):
+    nines = "0." + "9" * 300
+    argv = ["spectrum", "--N", "2", "--q", nines, "--alpha-max", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and "--precision-bits" in error["message"]
+    code, out, err = run_cli(capsys, *argv, "--precision-bits", "1024")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inputs"]["q"] == nines
+    code, _, err = run_cli(capsys, "spectrum", "--N", "2", "--q", "0." + "9" * 30,
+                           "--alpha-max", "2")
+    assert (code, err) == (0, "")
 
 
 def test_freeprod_single_pattern(capsys):

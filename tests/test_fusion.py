@@ -7,6 +7,7 @@ spot.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -14,9 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgs import fusion
 from qgs.chebyshev import QParameter, q_number
-from qgs.fusion import dims, fuse, fusion_check, growth_rate
-from qgs.precision import set_precision_bits, working_precision
+from qgs.cli import _num
+from qgs.errors import ResourceLimitError
+from qgs.fusion import dims, fuse, fusion_check, fusion_grid, growth_rate
+from qgs.precision import _precision_for, set_precision_bits, working_precision
 
 
 def test_fuse_examples():
@@ -138,3 +142,103 @@ def test_dims_cache_is_keyed_on_precision():
             assert abs(table.qdim[50] - want) <= mpmath.mpf(2) ** -400 * want
     finally:
         set_precision_bits(None)
+
+
+def direct_check(table, a, b):
+    """Both sum rules on cell (a, b) with one q-dimension added per channel:
+    the oracle of the telescoped prefix sums."""
+    channels = fuse(a, b)
+    with _precision_for(table.qdim[a]):
+        qdim_product = table.qdim[a] * table.qdim[b]
+        qdim_sum = sum(table.qdim[g] for g in channels)
+        if isinstance(qdim_product, Fraction):
+            quantum_ok = qdim_product == qdim_sum
+        else:
+            quantum_ok = abs(qdim_product - qdim_sum) <= 1e-12 * abs(qdim_product)
+    n_product, n_sum = table.n[a] * table.n[b], sum(table.n[g] for g in channels)
+    return (channels, n_product, n_sum, qdim_product, qdim_sum, n_product == n_sum, quantum_ok)
+
+
+def record(check):
+    return (check.channels, check.n_product, check.n_sum, check.qdim_product, check.qdim_sum,
+            check.classical_ok, check.quantum_ok)
+
+
+@pytest.mark.parametrize(
+    "param, alpha_max",
+    [(QParameter(Fraction(4, 11), 2), 60), (QParameter(Fraction(1, 3), 3), 40)],
+)
+def test_fusion_grid_equals_the_direct_sums_at_rational_q(param, alpha_max):
+    table = dims(param, 2 * alpha_max)
+    grid = fusion_grid(param, alpha_max)
+    top = alpha_max + 1
+    assert [(c.alpha, c.beta) for c in grid] == [(a, b) for a in range(top) for b in range(a, top)]
+    for check in grid:
+        assert record(check) == direct_check(table, check.alpha, check.beta)
+        assert check.classical_ok and check.quantum_ok
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_fusion_grid_prints_the_direct_sums_at_decimal_q(bits):
+    # the 12-digit numbers of the CLI records, the verdicts and the integers agree
+    rng = random.Random(bits)
+    qs = ["0.01", "0.3", "0.95", "0.999"] + [
+        f"{rng.uniform(0.02, 0.99):.{rng.randint(2, 12)}f}" for _ in range(6)
+    ]
+    try:
+        set_precision_bits(bits)
+        for q in qs:
+            param = QParameter(q, 2)
+            table = dims(param, 50)
+            for check in fusion_grid(param, 25):
+                want = direct_check(table, check.alpha, check.beta)
+                got = record(check)
+                assert got[:3] + got[5:] == want[:3] + want[5:]
+                assert [str(_num(v)) for v in got[3:5]] == [str(_num(v)) for v in want[3:5]]
+    finally:
+        set_precision_bits(None)
+
+
+def test_fusion_check_is_the_grid_rule_on_one_cell():
+    param = QParameter(Fraction(4, 11), 2)
+    table = dims(param, 70)
+    for a, b in ((0, 0), (7, 0), (3, 9), (35, 35), (12, 5)):
+        check = fusion_check(param, a, b)
+        assert (check.alpha, check.beta) == (a, b)
+        assert record(check) == direct_check(table, a, b)
+
+
+def test_fusion_grid_builds_one_table():
+    param = QParameter(Fraction(7, 23), 2)
+    misses = dims.cache_info().misses
+    grid = fusion_grid(param, 40)
+    assert dims.cache_info().misses == misses + 1
+    assert len(grid) == 41 * 42 // 2
+
+
+@pytest.mark.parametrize(
+    "q, refused, accepted",
+    [("0.5", 201, 200), (Fraction(4, 11), 152, 151), (Fraction(1, 10**150), 25, 24)],
+)
+def test_fusion_grid_refused_before_any_table(monkeypatch, q, refused, accepted):
+    class Built(Exception):
+        pass
+
+    def unbuilt(*args):
+        raise Built
+
+    monkeypatch.setattr(fusion, "_dims", unbuilt)
+    param = QParameter(q, 2)
+    with pytest.raises(ResourceLimitError, match="q-dimensions"):
+        fusion_grid(param, refused)
+    # the largest grid within MAX_GRID_WORK goes on to its table
+    with pytest.raises(Built):
+        fusion_grid(param, accepted)
+
+
+def test_dims_cache_is_bounded():
+    param = QParameter(Fraction(2, 9), 2)
+    for top in range(200):
+        dims(param, top)
+    info = dims.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 200

@@ -14,7 +14,7 @@ from qgs.chebyshev import QParameter, build_poly, poly_value, poly_value_and_der
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.estimates import gap, gap_constant_scan, hs_certificate
 from qgs.freewords import Expression, Letter, atom, circle, hs_propagation_bound, word
-from qgs.fusion import dims, growth_rate
+from qgs.fusion import dims, fusion_grid, growth_rate
 from qgs.precision import precision_bits, set_precision_bits
 from qgs.spectrum import (
     amenability_criterion,
@@ -51,6 +51,7 @@ CASES = {
                                 "precision of 1025 bits exceeds 1024 bits"),
     # fusion
     "dims": (lambda: dims(P, -1), ValueError, "alpha_max must be >= 0"),
+    "fusion_grid": (lambda: fusion_grid(P, -1), ValueError, "alpha_max must be >= 0"),
     "growth_rate": (lambda: growth_rate(P, 0), ValueError, "alpha_probe must be >= 1"),
     # spectrum
     "eigenvalue": (lambda: eigenvalue(P, -1), ValueError, "alpha must be >= 0"),
