@@ -1,9 +1,11 @@
 """Spectral, fusion and intertwiner toolkit for free orthogonal quantum groups.
 
 The package is lazy: a public name imports its submodule on first access,
-so a caller pays for numpy (the qubit-chain objects of ``templieb``) only
-when it uses them, and for mpmath only when it works at decimal q or
-calls ``templieb`` or an mpmath-only function (``hs_certificate``,
+so a caller pays for numpy (the optional ``chain`` extra) only when it
+builds the qubit-chain objects of ``templieb`` (``tl_rep``, a
+``jones_wenzl`` basis or matrix, ``weight_matrix``, an isometry's ``V``),
+which no CLI subcommand does, and for mpmath only when it works at decimal
+q or calls ``templieb`` or an mpmath-only function (``hs_certificate``,
 ``gap_limit``, ...): exact data at rational q never imports it.
 """
 

@@ -9,7 +9,8 @@ one unit vector per weight k = 0..n: the q-Dicke vector v_k(w) ~ q^(-inv(w)),
 inv(w) the number of pairs i < j with w_i = 0 and w_j = 1.  These are the
 weight vectors of the spin-n/2 module of U_q(sl_2) (Frenkel-Khovanov, Duke
 Math. J. 1997); they are written down directly from the inversion counts
-in O(2^n * n), with no eigenvalue problem.
+in O(2^n * n), with no eigenvalue problem.  jw_report checks them one weight
+sector at a time in plain floats, each level's sectors grown from the last.
 
 A fusion isometry is kept as its coefficients in these weight bases, from
 their closed form as one alternating sum of symmetric q-binomials
@@ -18,7 +19,8 @@ contract those coefficients with no 2^n vector and no numpy, n log2(1/q)
 bits above the working precision (_bits), as their gap of size q^n on n
 sites is a difference of terms of size 1.  The chain objects (generators,
 projections, weight matrices, an isometry's chain matrix V) are float64
-and read-only, hold at most MAX_STRANDS sites, and import numpy when called.
+and read-only, hold at most MAX_STRANDS sites, and are the only code here
+that imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -456,32 +458,55 @@ class JWReportRow:
     trace_rel_error: float
 
 
+def _weight_sectors(n_max):
+    """For n = 1..n_max sites, the words of each weight k = 0..n (site 1 the
+    most significant bit), each mapped to the exponent k(n-k) - inv(w) of its
+    q-Dicke entry.  Each level grows from the last: appending a 0 to w keeps
+    inv(w), so the exponent grows by k; appending a 1 adds the n - k zeros
+    already in w to inv(w), and the exponent stays."""
+    sectors = [{0: 0}]  # the empty word
+    for n in range(1, n_max + 1):
+        grown = [{} for _ in range(n + 1)]
+        for k, sector in enumerate(sectors):
+            for w, e in sector.items():
+                grown[k][2 * w] = e + k
+                grown[k + 1][2 * w + 1] = e
+        sectors = grown
+        yield sectors
+
+
 def jw_report(param, n_max):
-    """Per-level diagnostics for the top-label projections up to n_max sites.
-    Column k of b lies in weight k, which every generator keeps, so b^T b - 1
-    and e_i b have orthogonal columns: each norm is a largest column norm."""
+    """Per-level diagnostics for the top-label projections up to n_max sites,
+    on the unit q-Dicke vector v_k of each weight k, in floats.  Every
+    generator keeps a word's weight, so each check is a sum within a sector:
+    idempotency |v_k.v_k - 1|; annihilation |e_i v_k|, where e_i = |w><w|
+    meets each pair x01y, x10y at sites i, i+1 with entries a, b in
+    (sqrt(q) a - b/sqrt(q)) w, of norm |q a - b| sqrt(1 + q^-2); and the
+    trace against diag(1/q, q) per site, q^-n sum_k q^(2k) |v_k|^2, whose
+    relative error to [n+1]_q = q^-n sum_k q^(2k) needs no power of 1/q."""
     n_max = operator.index(n_max)
     if n_max < 1:
         raise ValueError("need at least one site")
     _check_strands(n_max)
-    import numpy as np
-
-    # tr and [n+1]_q are q^-n times the trace against diag(1, q^2)^(x)n (entries
-    # in (0, 1]) and sum_k q^(2k): their relative error needs no power of 1/q
-    site = np.array([1.0, float(param.q) ** 2])
-    diag = np.ones(1)
+    q = float(param.q)
+    powers = [q ** e for e in range(max(n_max * n_max // 4, 2 * n_max) + 1)]
+    gain = math.hypot(1, 1 / q)
     rows = []
-    for n in range(1, n_max + 1):
-        jw = jones_wenzl(param, n)
-        b = jw.basis
-        idem = float(np.max(np.abs(np.diag(b.T @ b) - 1)))
-        rep = tl_rep(param, n)
-        ann = max((float(np.max(np.linalg.norm(rep.apply(i, b), axis=0)))
-                   for i in range(1, n)), default=0.0)
-        diag = np.kron(diag, site)
-        target = float(np.sum(site[1] ** np.arange(n + 1)))
-        rel = abs(float(np.einsum("x,xj,xj->", diag, b, b)) - target) / target
+    for n, sectors in enumerate(_weight_sectors(n_max), 1):
+        idem = ann = 0.0
+        norms = []
+        for sector in sectors:
+            scale = math.sqrt(math.fsum(powers[e] ** 2 for e in sector.values()))
+            v = {w: powers[e] / scale for w, e in sector.items()}
+            norms.append(math.fsum(x * x for x in v.values()))
+            idem = max(idem, abs(norms[-1] - 1))
+            for j in range(n - 1):  # the generator on sites n - 1 - j and n - j
+                pair, low = 3 << j, 1 << j
+                ann = max(ann, gain * math.hypot(*[q * x - v[w ^ pair] for w, x in v.items()
+                                                   if w & pair == low]))
+        target = math.fsum(powers[2 * k] for k in range(n + 1))
+        rel = abs(math.fsum(powers[2 * k] * s for k, s in enumerate(norms)) - target) / target
         with working_precision():
             trace_error = rel * to_mpf(q_number(n + 1, param))
-        rows.append(JWReportRow(n, jw.rank, idem, ann, trace_error, rel))
+        rows.append(JWReportRow(n, len(sectors), idem, ann, trace_error, rel))
     return rows

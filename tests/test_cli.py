@@ -167,9 +167,9 @@ def test_jw_verify_rows(capsys):
 
 
 def test_jw_verify_small_q_judges_relative_trace_error(capsys):
-    # [n+1]_q grows like q^-n: at q = 0.1 and n = 13 the absolute trace error
-    # exceeds 1e-8 while the relative one stays near 1e-15
-    code, out, _ = run_cli(capsys, "jw-verify", "--q", "0.1", "--n-max", "13")
+    # [n+1]_q grows like q^-n: at q = 0.116 and n = 13 the absolute trace
+    # error exceeds 1e-8 while the relative one stays near 2e-16
+    code, out, _ = run_cli(capsys, "jw-verify", "--q", "0.116", "--n-max", "13")
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
@@ -448,8 +448,7 @@ def test_jw_verify_refuses_before_any_level(capsys, monkeypatch):
     def unbuilt(*args, **kwargs):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(templieb, "_dicke_basis", unbuilt)
-    monkeypatch.setattr(templieb, "_JW_CACHE", {})
+    monkeypatch.setattr(templieb, "_weight_sectors", unbuilt)
     for n_max in ("15", "40"):
         code, out, err = run_cli(capsys, "jw-verify", "--q", "0.5", "--n-max", n_max)
         assert (code, out) == (3, "")

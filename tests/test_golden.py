@@ -18,9 +18,11 @@ q = 0.2, which were written before the Chebyshev recurrence moved into
 one generator, and those of ``lemma65`` and ``pentagon``, rewritten when their
 fusion coefficients came from the closed form in mpmath alone.  Records
 are compared byte for byte, except those of ``jw-verify``: its residuals
-near 1e-15 depend on the BLAS build, so there keys, key order, the CSV
-header, ints, bools, strings, the verdict and the exit code must match
-exactly and floats to 1e-9 relative or 1e-12 absolute.
+near 1e-15 depend on the platform's libm ``pow`` and on the summation
+order (they were written by a dense numpy route, whose residuals depended
+on the BLAS build), so there keys, key order, the CSV header, ints, bools,
+strings, the verdict and the exit code must match exactly and floats to
+1e-9 relative or 1e-12 absolute.
 """
 
 import csv

@@ -1,13 +1,16 @@
 """The lazy `qgs` package surface, and the modules each subcommand imports.
 
-A run should import only what its subcommand calls: numpy only for
-jw-verify, whose projections live on the qubit chain, and mpmath only for
-decimal q, hs-cert and the Temperley-Lieb suites (jw-verify, lemma65,
-pentagon): spectrum, fusion, gap-scan and amenability at rational q stay
-exact and never load it, nor does freeprod-verify.  Each check runs in a
-fresh interpreter, since this process has imported everything already; it
-asserts module names, not times.  The README's ceiling table is checked
-against the MAX_* constants the package defines.
+A run should import only what its subcommand calls.  No subcommand loads
+numpy: jw-verify checks the projections one weight sector at a time in
+floats, and only the library's qubit-chain objects (tl_rep, jones_wenzl's
+basis and matrix, weight_matrix, an isometry's V) import it, which one
+probe confirms.  mpmath is loaded only for decimal q, hs-cert and the
+Temperley-Lieb suites (jw-verify, lemma65, pentagon): spectrum, fusion,
+gap-scan and amenability at rational q stay exact and never load it, nor
+does freeprod-verify.  Each check runs in a fresh interpreter, since this
+process has imported everything already; it asserts module names, not
+times.  The README's ceiling table is checked against the MAX_* constants
+the package defines.
 """
 
 import importlib
@@ -76,6 +79,8 @@ def test_import_and_word_calculus_load_neither_numpy_nor_mpmath(argv):
         ["amenability", "--N", "2", "--n-max", "2000", "--warmup", "100"],
         ["lemma65", "--alpha-max", "4"],
         ["pentagon", "--alpha", "4", "--r", "2", "--s", "1", "--k", "-1", "--l", "0"],
+        ["jw-verify", "--n-max", "3"],
+        ["jw-verify", "--n-max", "14"],
     ],
 )
 def test_spectral_suites_do_not_load_numpy(argv, q):
@@ -143,9 +148,36 @@ def test_lazy_mpmath_computes_at_the_working_precision(monkeypatch):
     assert Fraction(exact) == closed_form_eigenvalue(Fraction(1, 2), 300)
 
 
-def test_temperley_lieb_suite_loads_numpy():
+_CHAIN = """
+import json, sys
+from qgs import QParameter, tl_rep
+tl_rep(QParameter("0.5", 2), 3).generator_matrix(1)
+print(json.dumps("numpy" in sys.modules))
+"""
+
+
+def test_qubit_chain_objects_load_numpy():
     # the probe sees an import at all
-    assert "numpy" in _loaded(["jw-verify", "--q", "0.5", "--n-max", "3"])
+    assert _fresh(_CHAIN) is True
+
+
+_BLOCKED = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # any import of numpy raises ImportError
+import qgs.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = qgs.cli.main(["jw-verify", "--q", "0.3", "--n-max", "14"])
+print(json.dumps([code, out.getvalue()]))
+"""
+
+
+def test_jw_verify_runs_with_numpy_blocked():
+    blocked, free = (_fresh(_BLOCKED, mode) for mode in ("blocked", "free"))
+    assert blocked[0] == 0
+    assert blocked == free
+    assert json.loads(blocked[1])["verdict"] == "pass"
 
 
 def test_every_public_name_is_its_submodules_object():

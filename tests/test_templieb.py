@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qgs import templieb
 from qgs.chebyshev import QParameter, q_number
 from qgs.errors import ResourceLimitError
 from qgs.fusion import fuse
@@ -184,6 +185,84 @@ def test_jw_report_scaled_trace_matches_direct_trace():
         assert r.trace_rel_error == pytest.approx(direct, abs=1e-14)
         with working_precision():
             assert r.trace_error == r.trace_rel_error * to_mpf(target)
+
+
+def _dense_jw_report(param, n_max):
+    """The dense report jw-verify gave before its checks moved to weight
+    sectors: the whole image basis b, the spectral norms of b^T b - 1 and of
+    each e_i b as largest column norms, and the trace against diag(1, q^2)
+    per site.  Rows of (n, rank, idempotency, annihilation, trace_rel_error)."""
+    site = np.array([1.0, float(param.q) ** 2])
+    diag = np.ones(1)
+    rows = []
+    for n in range(1, n_max + 1):
+        jw = jones_wenzl(param, n)
+        b = jw.basis
+        idem = float(np.max(np.abs(np.diag(b.T @ b) - 1)))
+        rep = tl_rep(param, n)
+        ann = max((float(np.max(np.linalg.norm(rep.apply(i, b), axis=0)))
+                   for i in range(1, n)), default=0.0)
+        diag = np.kron(diag, site)
+        target = float(np.sum(site[1] ** np.arange(n + 1)))
+        rel = abs(float(np.einsum("x,xj,xj->", diag, b, b)) - target) / target
+        rows.append((n, jw.rank, idem, ann, rel))
+    return rows
+
+
+def _passes(idem, ann, rel, residual_tol=1e-9, trace_tol=1e-8):  # jw-verify's defaults
+    return idem <= residual_tol and ann <= residual_tol and rel <= trace_tol
+
+
+_rng = np.random.default_rng(21)
+_DENSE_CASES = [  # q log-uniform in [1e-300, 1], then rational q and q = 1
+    *((float(10.0 ** -x), int(n)) for x, n in zip(_rng.uniform(0, 300, 10),
+                                                    _rng.integers(1, 15, 10))),
+    (Fraction(1, 20), 13), (Fraction(1, 3), 14), (Fraction(4, 11), 9),
+    (Fraction(9, 10), 14), (Fraction(1, 10**30), 12), (1, 1), (1, 14),
+]
+
+
+@pytest.mark.parametrize("q, n_max", _DENSE_CASES)
+def test_jw_report_matches_the_dense_report(q, n_max, monkeypatch):
+    monkeypatch.setattr(templieb, "_JW_CACHE", {})  # do not keep 2^n-row bases
+    param = QParameter(q, 2)
+    dense = _dense_jw_report(param, n_max)
+    rows = jw_report(param, n_max)
+    assert [(r.n, r.rank) for r in rows] == [row[:2] for row in dense]
+    for r, (_, _, idem, ann, rel) in zip(rows, dense):
+        assert r.idempotency == pytest.approx(idem, rel=0, abs=1e-13)
+        assert r.annihilation == pytest.approx(ann, rel=0, abs=1e-13)
+        assert r.trace_rel_error == pytest.approx(rel, rel=0, abs=1e-13)
+    assert (all(_passes(r.idempotency, r.annihilation, r.trace_rel_error) for r in rows)
+            == all(_passes(*row[2:]) for row in dense))
+
+
+def test_jw_report_sees_a_wrong_entry(monkeypatch):
+    # one exponent off by one on the last level: the sector checks report
+    # what the dense generators see on the same vectors
+    param, n_max = QParameter(Fraction(1, 2), 2), 6
+    real = templieb._weight_sectors
+
+    def skewed(n_max):
+        for sectors in real(n_max):
+            sectors = [dict(sector) for sector in sectors]
+            if len(sectors) == n_max + 1:
+                sectors[2][0b000101] += 1
+            yield sectors
+
+    monkeypatch.setattr(templieb, "_weight_sectors", skewed)
+    *_, last = jw_report(param, n_max)
+    *_, sectors = skewed(n_max)
+    b = np.zeros((2 ** n_max, n_max + 1))
+    for k, sector in enumerate(sectors):
+        for w, e in sector.items():
+            b[w, k] = 0.5 ** e
+    b /= np.linalg.norm(b, axis=0)
+    rep = tl_rep(param, n_max)
+    ann = max(float(np.max(np.linalg.norm(rep.apply(i, b), axis=0))) for i in range(1, n_max))
+    assert ann > 0.1
+    assert last.annihilation == pytest.approx(ann, rel=1e-12)
+    assert last.idempotency < 1e-15
 
 
 def test_references_outside_double_range_are_usage_errors():
