@@ -137,9 +137,11 @@ class FusionCheck:
 
 
 def _fusion_checks(param: QParameter, cells) -> list[FusionCheck]:
-    """The FusionCheck of each cell (a, b), all from one table of labels 0..max(a+b): each
-    channel sum is a difference of step-2 prefix sums, and each product is formed apart."""
-    channels = [fuse(a, b) for a, b in cells]  # a bad label is refused before the table
+    """The FusionCheck of each cell (a, b) of nonnegative labels, all from one table of labels
+    0..max(a+b): each channel sum is a difference of step-2 prefix sums, and each product is
+    formed apart.  A table past the ceilings is refused before any channel list is built."""
+    _check_table_labels(max(a + b for a, b in cells), param.q)
+    channels = [fuse(a, b) for a, b in cells]
     table = dims(param, max(c[-1] for c in channels))
     checks = []
     with _precision_for(table.qdim[0]):  # the same steps on ints, Fractions and mpfs
@@ -167,6 +169,9 @@ def fusion_check(param: QParameter, alpha: int, beta: int) -> FusionCheck:
     rule is exact for rational q; for floating q the comparison allows a
     relative slack of 1e-12.
     """
+    alpha, beta = index(alpha), index(beta)
+    if alpha < 0 or beta < 0:
+        raise ValueError("irreducible labels must be >= 0")
     return _fusion_checks(param, [(alpha, beta)])[0]
 
 

@@ -111,10 +111,12 @@ def semigroup_coeff(param: QParameter, alpha: int, t):
 
     Lies in (0, 1] for t in (-1, 1] and equals 1 at t = 1.  Values of t
     above 1 are accepted so the derivative at the endpoint can be probed.
+    Each U_alpha takes alpha steps, so alpha is held under MAX_LABELS.
     """
     alpha = index(alpha)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
+    _check_table_labels(alpha)
     if param.q == 1:
         raise DegenerateRegimeError("interpolation coefficients need q < 1")
     with working_precision() as mp:

@@ -21,6 +21,10 @@ sites is a difference of terms of size 1.  The chain objects (generators,
 projections, weight matrices, an isometry's chain matrix V) are float64
 and read-only, hold at most MAX_STRANDS sites, and are the only code here
 that imports numpy, when called.
+
+Nothing is kept between calls.  Each public call builds one q-binomial
+table up to the largest label it needs and a memo of the isometries it
+reads (_isometries), and drops both on return.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 import mpmath
 
@@ -47,10 +51,6 @@ DENSE_LIMIT = 12
 # q = 0.9 takes 1.6 s, a pentagon at alpha = 40, q = 1e-100 takes 2.1 s
 MAX_FUSION_WORK = 10**6
 _GRAM_TOL = 1e-8  # relative spread of the column norms, which Schur's lemma makes equal
-
-_JW_CACHE = {}
-_ISO_CACHE = {}
-_TABLES = {}
 
 _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # the weighted defects, each bounded by 2, that make up an estimate
@@ -165,20 +165,22 @@ def jones_wenzl(param, n):
     if n < 0:
         raise ValueError("label must be nonnegative")
     _check_strands(n)
-    key = (param, n)
-    hit = _JW_CACHE.get(key)
-    if hit is None:
-        basis = _dicke_basis(float(param.q), n)
-        basis.setflags(write=False)
-        hit = _JW_CACHE[key] = JWProjection(param, n, basis)
-    return hit
+    basis = _dicke_basis(float(param.q), n)
+    basis.setflags(write=False)
+    return JWProjection(param, n, basis)
 
 
 def weight_matrix(param, alpha):
     """diag(q^(2k - alpha)) on the image basis: trace [alpha+1], identity at q = 1."""
+    alpha = operator.index(alpha)
+    if alpha < 0:
+        raise ValueError("label must be nonnegative")
+    _check_strands(alpha)
     import numpy as np
 
-    return np.diag(float(param.q) ** np.arange(-alpha, alpha + 1, 2.0))
+    matrix = np.diag(float(param.q) ** np.arange(-alpha, alpha + 1, 2.0))
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _bits(param, sites):
@@ -202,36 +204,32 @@ def _check_work(bits, isometries):
 
 
 def _tables(param, bits, top):
-    """q-number tables for labels 0..top, grown in place per (q, bits): binom[n][k]
-    = S(n, k) = [n]!/([k]! [n-k]!), [n] = U_(n-1)(q + 1/q), root[n][k] =
-    sqrt(q^(k(n-k)) / S(n, k)) and powers of q, all formed from q at bits
-    (QParameter.nq and fusion.dims are at the working precision)."""
+    """q-number tables for labels 0..top: q, binom[n][k] = S(n, k) = [n]!/([k]!
+    [n-k]!), [n] = U_(n-1)(q + 1/q), root[n][k] = sqrt(q^(k(n-k)) / S(n, k)) and
+    an empty memo of powers of q, all formed from q at bits (QParameter.nq and
+    fusion.dims are at the working precision)."""
     with working_precision(bits):
-        t = _TABLES.get((param, bits))
-        if t is None:
-            q = to_mpf(param.q)
-            t = _TABLES[param, bits] = SimpleNamespace(q=q, numbers=_values(q + 1 / q),
-                                                       nums=[0 * q], binom=[], root=[], powers={})
-        for n in range(len(t.binom), top + 1):
-            if n:
-                t.nums.append(next(t.numbers))  # [n]
-            row = [t.q ** 0] + [t.binom[n - 1][k - 1] * t.nums[n] / t.nums[k]
-                                for k in range(1, n + 1)]
-            t.binom.append(row)
-            t.root.append([mpmath.sqrt(t.q ** (k * (n - k)) / b) for k, b in enumerate(row)])
-    return t
+        q = to_mpf(param.q)
+        numbers = _values(q + 1 / q)
+        nums = [0 * q] + [next(numbers) for _ in range(top)]  # [0], [1], ..., [top]
+        binom = [[q ** 0]]
+        for n in range(1, top + 1):
+            binom.append([q ** 0] + [binom[-1][k - 1] * nums[n] / nums[k] for k in range(1, n + 1)])
+        root = [[mpmath.sqrt(q ** (k * (n - k)) / b) for k, b in enumerate(row)]
+                for n, row in enumerate(binom)]
+    return q, binom, root, {}
 
 
-def _closed_form(t, alpha, beta, gamma):
+def _closed_form(tables, alpha, beta, gamma):
     """One list of ((i, j), c) per target weight k of the alpha (x) beta ->
     gamma isometry, i + j = k + m, m = (alpha+beta-gamma)/2, not normalised;
-    run at the precision of the tables t.  c(i, j, k) is root(alpha, i)
+    run at the precision of the tables.  c(i, j, k) is root(alpha, i)
     root(beta, j) root(gamma, k) sum_a (-1)^s S(m, s) S(alpha-m, a) S(beta-m, k-a)
     q^-x, s = i - a, x = s(j+1) + (alpha-m-a)(i+k-a) + (k-a)(beta-m-k+a):
     a of the target's k ones lie on its first alpha - m sites, and s of the m
     nested cups put their one on the alpha side."""
     m = (alpha + beta - gamma) // 2
-    binom, root, powers = t.binom, t.root, t.powers
+    q, binom, root, powers = tables
     columns = []
     for k in range(gamma + 1):
         column = []
@@ -240,7 +238,7 @@ def _closed_form(t, alpha, beta, gamma):
             for a in range(max(0, i - m, k + m - beta), min(i, alpha - m, k) + 1):
                 s = i - a
                 x = s * (j + 1) + (alpha - m - a) * (i + k - a) + (k - a) * (beta - m - k + a)
-                power = powers.get(-x) or powers.setdefault(-x, t.q ** -x)
+                power = powers.get(-x) or powers.setdefault(-x, q ** -x)
                 term = binom[m][s] * binom[alpha - m][a] * binom[beta - m][k - a] * power
                 total = total - term if s % 2 else total + term
             column.append(((i, j), root[alpha][i] * root[beta][j] * root[gamma][k] * total))
@@ -285,31 +283,40 @@ def _check_channel(gamma, left, right):  # not fuse(left, right): labels may be 
         raise ValueError(f"label {gamma} is not a channel of {left} and {right}")
 
 
+def _isometries(param, bits, labels):
+    """A memo of the isometries at bits that one call reads, keyed on their
+    (alpha, beta, gamma): the work of all of labels is checked first, and
+    they are read from one table up to the largest label."""
+    _check_work(bits, labels)
+    tables = _tables(param, bits, max(map(max, labels)))
+
+    @functools.cache
+    def isometry(alpha, beta, gamma):
+        with working_precision(bits):
+            columns = _closed_form(tables, alpha, beta, gamma)
+            norms = [sum(c * c for _, c in column) for column in columns]
+            scale = sum(norms) / (gamma + 1)
+            residual = float(max(abs(n - scale) for n in norms) / scale)
+            if residual > _GRAM_TOL:
+                raise NumericalDegradationError("fusion overlap is not a scalar multiple "
+                                                "of the identity", residual=residual)
+            units = [1 / mpmath.sqrt(n) for n in norms]
+            coefficients = {ij: c * unit for column, unit in zip(columns, units)
+                            for ij, c in column}
+        return FusionIsometry(param, alpha, beta, gamma, bits, MappingProxyType(coefficients))
+
+    return isometry
+
+
 def fusion_isometry(param, alpha, beta, gamma, bits=None):
     """The isometry with its coefficients at `bits`, by default the width
-    for alpha + beta sites; cached per width."""
+    for alpha + beta sites."""
     alpha, beta, gamma = operator.index(alpha), operator.index(beta), operator.index(gamma)
     if min(alpha, beta, gamma) < 0:
         raise ValueError("labels must be nonnegative")
     _check_channel(gamma, alpha, beta)
     bits = _bits(param, alpha + beta) if bits is None else bits
-    key = (param, alpha, beta, gamma, bits)
-    if key in _ISO_CACHE:
-        return _ISO_CACHE[key]
-
-    _check_work(bits, [(alpha, beta, gamma)])
-    with working_precision(bits):
-        columns = _closed_form(_tables(param, bits, max(alpha, beta, gamma)), alpha, beta, gamma)
-        norms = [sum(c * c for _, c in column) for column in columns]
-        scale = sum(norms) / (gamma + 1)
-        residual = float(max(abs(n - scale) for n in norms) / scale)
-        if residual > _GRAM_TOL:
-            raise NumericalDegradationError("fusion overlap is not a scalar multiple "
-                                            "of the identity", residual=residual)
-        units = [1 / mpmath.sqrt(n) for n in norms]
-        coefficients = {ij: c * unit for column, unit in zip(columns, units) for ij, c in column}
-    iso = FusionIsometry(param, alpha, beta, gamma, bits, MappingProxyType(coefficients))
-    return _ISO_CACHE.setdefault(key, iso)
+    return _isometries(param, bits, [(alpha, beta, gamma)])(alpha, beta, gamma)
 
 
 def _pentagon_isometries(alpha, r, s, k, l):
@@ -318,18 +325,17 @@ def _pentagon_isometries(alpha, r, s, k, l):
             (s, alpha, alpha + k), (alpha + k, r, alpha + k + l))
 
 
-def _pentagon_gap(param, alpha, r, s, k, l, align_phase, bits):
-    """The gap between the two bracketings of a double fusion, at bits.  Both
-    factor through B_s (x) B_alpha (x) B_r and keep weights, so a side maps
-    basis vectors (i, a, j) to their one product of an inner and an outer
-    coefficient, in target vector c = i + a + j - (s+r-k-l)/2; align_phase
-    flips side b where that brings it closer."""
-    inner_a, outer_a, inner_b, outer_b = (
-        fusion_isometry(param, *labels, bits=bits).coefficients
-        for labels in _pentagon_isometries(alpha, r, s, k, l)
-    )
+def _pentagon_gap(isometry, alpha, r, s, k, l, align_phase):
+    """The gap between the two bracketings of a double fusion, from a memo
+    of isometries (_isometries) and at their bits.  Both factor through
+    B_s (x) B_alpha (x) B_r and keep weights, so a side maps basis vectors
+    (i, a, j) to their one product of an inner and an outer coefficient, in
+    target vector c = i + a + j - (s+r-k-l)/2; align_phase flips side b
+    where that brings it closer."""
+    isos = [isometry(*labels) for labels in _pentagon_isometries(alpha, r, s, k, l)]
+    inner_a, outer_a, inner_b, outer_b = (iso.coefficients for iso in isos)
     ma, mb = (r - l) // 2, (s - k) // 2
-    with working_precision(bits):
+    with working_precision(isos[0].bits):
         a_side = {(i, a, j): c * outer_a[i, a + j - ma]
                   for (a, j), c in inner_a.items() for i in range(s + 1)
                   if (i, a + j - ma) in outer_a}
@@ -354,10 +360,10 @@ def pentagon_defect(param, alpha, r, s, k, l, align_phase=True):
     for left, right, gamma in _pentagon_isometries(alpha, r, s, k, l):
         _check_channel(gamma, left, right)
     bits = _bits(param, s + alpha + r)
-    _check_work(bits, _pentagon_isometries(alpha, r, s, k, l))
+    isometry = _isometries(param, bits, _pentagon_isometries(alpha, r, s, k, l))
     columns = {}
     with working_precision(bits):
-        for key, d in _pentagon_gap(param, alpha, r, s, k, l, align_phase, bits).items():
+        for key, d in _pentagon_gap(isometry, alpha, r, s, k, l, align_phase).items():
             columns[sum(key)] = columns.get(sum(key), 0) + d * d  # i + a + j fixes c
         return float(mpmath.sqrt(max(columns.values())))
 
@@ -395,14 +401,16 @@ class CommutatorEstimate:
     passed: bool
 
 
-def _weighted_defect(param, alpha, k, l, bits=None):
-    """Worst bracketing-gap pairing against weighted basis vectors, r = s = 1.
+def _weighted_defect(param, alpha, k, l, isometry=None):
+    """Worst bracketing-gap pairing against weighted basis vectors, r = s = 1,
+    from a memo of isometries, by default its own at the width for alpha + 2 sites.
 
     The weights are diagonal on the basis, so they cancel against a probe's
     norm; each unit basis vector meets one entry of the gap, so the defect
     is the largest entry."""
-    bits = _bits(param, alpha + 2) if bits is None else bits
-    return float(max(map(abs, _pentagon_gap(param, alpha, 1, 1, k, l, True, bits).values())))
+    isometry = isometry or _isometries(param, _bits(param, alpha + 2),
+                                       _pentagon_isometries(alpha, 1, 1, k, l))
+    return float(max(map(abs, _pentagon_gap(isometry, alpha, 1, 1, k, l, True).values())))
 
 
 def _estimates(param, cases):
@@ -411,9 +419,9 @@ def _estimates(param, cases):
     before the first."""
     references = {alpha: _reference(param, alpha, alpha) for alpha, _, _ in cases}
     bits = _bits(param, max(references) + 2)
-    _check_work(bits, {labels for alpha, k, l in cases for part in _PARTS[k, l]
-                       for labels in _pentagon_isometries(alpha, 1, 1, *part)})
-    defect = functools.cache(lambda alpha, k, l: _weighted_defect(param, alpha, k, l, bits))
+    isometry = _isometries(param, bits, {labels for alpha, k, l in cases for part in _PARTS[k, l]
+                                         for labels in _pentagon_isometries(alpha, 1, 1, *part)})
+    defect = functools.cache(lambda alpha, k, l: _weighted_defect(param, alpha, k, l, isometry))
     rows = []
     for alpha, k, l in cases:
         reference = references[alpha]

@@ -709,6 +709,8 @@ HS_CERT = ("hs-cert", "--N", "2", "--q", "0.5", "--t", "0.5", "--alpha-max", "30
         ("cesaro", "--poly", "x", "--k", "0"),
         ("lemma65", "--q", "0.5", "--alpha-min", "0", "--alpha-max", "3"),
         ("fusion", "--N", "2", "--q", "0.5", "--alpha", "3"),
+        # a negative label stays a usage error beside one past the label ceiling
+        ("fusion", "--N", "2", "--q", "0.5", "--alpha", "-1", "--beta", "1000000000"),
         # tolerances: tail_floor lies in (0, 1), as margin does, a threshold is
         # finite, and the others are finite and >= 0; a NaN or inf would decide
         # the verdict by its comparisons and reach the record as NaN or
@@ -798,11 +800,13 @@ def test_numbers_beyond_double_range_in_csv(capsys):
 
 
 def test_failed_fusion_gram_check_is_a_numerical_error(capsys, monkeypatch):
-    # no tolerance can be met below zero, so the first fusion isometry must fail
+    # no tolerance can be met below zero, so the first fusion isometry must
+    # fail, even one that an earlier call built: nothing is kept between calls
+    param = QParameter(Fraction(1, 2), 2)
+    templieb.fusion_isometry(param, 2, 1, 1)
     monkeypatch.setattr(templieb, "_GRAM_TOL", -1.0)
-    monkeypatch.setattr(templieb, "_ISO_CACHE", {})
     with pytest.raises(NumericalDegradationError) as exc:
-        templieb.fusion_isometry(QParameter(Fraction(1, 2), 2), 2, 1, 1)
+        templieb.fusion_isometry(param, 2, 1, 1)
     assert exc.value.residual >= 0
     code, out, err = run_cli(
         capsys, "pentagon", "--q", "0.5", "--alpha", "3", "--r", "1",

@@ -130,6 +130,19 @@ def test_fusion_check_record():
     assert rec.classical_ok and rec.quantum_ok
 
 
+def test_fusion_labels_refused_before_any_channel_list(monkeypatch):
+    # 10^9 channels would be a list of 8 GB; the ceiling on a + b comes first
+    def unbuilt(*args):
+        raise AssertionError("a channel list was built")
+
+    monkeypatch.setattr(fusion, "fuse", unbuilt)
+    param = QParameter(Fraction(1, 2), 2)
+    with pytest.raises(ResourceLimitError, match="exceed 20000 labels"):
+        fusion_check(param, 10**9, 10**9)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        fusion_check(param, -1, 10**9)
+
+
 def test_dims_cache_is_keyed_on_precision():
     param = QParameter("0.381966", 3)
     try:

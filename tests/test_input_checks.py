@@ -14,7 +14,7 @@ from qgs.chebyshev import QParameter, build_poly, poly_value, poly_value_and_der
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.estimates import gap, gap_constant_scan, hs_certificate
 from qgs.freewords import Expression, Letter, atom, circle, hs_propagation_bound, word
-from qgs.fusion import dims, fusion_grid, growth_rate
+from qgs.fusion import MAX_LABELS, dims, fusion_grid, growth_rate
 from qgs.precision import precision_bits, set_precision_bits
 from qgs.spectrum import (
     amenability_criterion,
@@ -25,12 +25,14 @@ from qgs.spectrum import (
     spectral_data,
 )
 from qgs.templieb import (
+    MAX_STRANDS,
     commutator_estimate,
     fusion_isometry,
     jones_wenzl,
     jw_report,
     pentagon_defect,
     tl_rep,
+    weight_matrix,
 )
 
 P = QParameter(Fraction(1, 2), 2)
@@ -56,6 +58,8 @@ CASES = {
     # spectrum
     "eigenvalue": (lambda: eigenvalue(P, -1), ValueError, "alpha must be >= 0"),
     "semigroup_coeff": (lambda: semigroup_coeff(P, -1, 0.5), ValueError, "alpha must be >= 0"),
+    "semigroup_coeff_labels": (lambda: semigroup_coeff(P, MAX_LABELS, 0.5), ResourceLimitError,
+                               "exceed 20000 labels"),
     "semigroup_rate_q1": (lambda: semigroup_rate(UNIT, 3), DegenerateRegimeError, "q < 1"),
     "spectral_data": (lambda: spectral_data(P, -1), ValueError, "alpha_max must be >= 0"),
     "dirichlet_key": (lambda: dirichlet_form(P, {(1, 1): 1}), InvalidVectorError, "expected"),
@@ -76,6 +80,9 @@ CASES = {
     "tl_dense": (lambda: tl_rep(P, 13).generator_matrix(1), ResourceLimitError, "dense generator"),
     "jw_dense": (lambda: jones_wenzl(P, 13).matrix(), ResourceLimitError, "dense projection"),
     "jw_label": (lambda: jones_wenzl(P, -1), ValueError, "label must be nonnegative"),
+    "weight_matrix_label": (lambda: weight_matrix(P, -3), ValueError, "label must be nonnegative"),
+    "weight_matrix_strands": (lambda: weight_matrix(P, MAX_STRANDS + 1), ResourceLimitError,
+                              "15 sites exceeds the 14-site limit"),
     "isometry_labels": (lambda: fusion_isometry(P, -1, 1, 0), ValueError,
                         "labels must be nonnegative"),
     "pentagon_labels": (lambda: pentagon_defect(P, 0, 1, 1, -1, 1), ValueError,

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from qgs import spectrum
 from qgs.chebyshev import QParameter, _pairs, build_poly, poly_value_and_derivative
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
-from qgs.fusion import dims
+from qgs.fusion import MAX_LABELS, dims
 from qgs.precision import set_precision_bits
 from qgs.spectrum import (
     AmenabilityReport,
@@ -192,6 +192,12 @@ def test_semigroup_coeff_spots():
     p = QParameter(0.5, 2)
     assert float(semigroup_coeff(p, 1, 0)) == pytest.approx(0.512, rel=1e-12)
     assert float(semigroup_coeff(p, 1, 0.5)) == pytest.approx(0.610940, abs=1e-5)
+
+
+def test_semigroup_coeff_at_the_label_ceiling():
+    # MAX_LABELS itself is refused (tests/test_input_checks.py); one below runs
+    value = semigroup_coeff(QParameter(0.5, 2), MAX_LABELS - 1, 0.5)
+    assert 0 < value < 1
 
 
 def test_semigroup_coeff_range_and_validation():

@@ -10,8 +10,10 @@ the weight-basis defects against the chain maps of the isometries (_chain_sides)
 """
 
 import functools
+import gc
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -142,11 +144,34 @@ def test_jw_basis_is_weight_pure():
         assert np.all(b[ones[:, None] != np.arange(n + 1)] == 0)
 
 
-def test_jw_memoized_and_frozen():
+def test_jw_basis_is_frozen():
     p = QParameter(0.5, 2)
-    assert jones_wenzl(p, 5) is jones_wenzl(p, 5)
     with pytest.raises(ValueError):
         jones_wenzl(p, 5).basis[0, 0] = 1.0
+
+
+def test_calls_keep_nothing():
+    # tables, isometries and bases live for one call, so 20 new q leave no
+    # more traced memory than they found
+    def calls(q):
+        p = QParameter(q, 2)
+        commutator_suite(p, [1, 2])
+        pentagon_defect(p, 3, 1, 2, 0, 1)
+        fusion_isometry(p, 4, 3, 3)
+        jones_wenzl(p, 10)
+
+    calls("0.5")  # imports and their one-time state, outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i in range(20):
+            calls(f"0.{31 + 2 * i}")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5 * 2**20
 
 
 def test_jw_resource_limit():
@@ -223,8 +248,7 @@ _DENSE_CASES = [  # q log-uniform in [1e-300, 1], then rational q and q = 1
 
 
 @pytest.mark.parametrize("q, n_max", _DENSE_CASES)
-def test_jw_report_matches_the_dense_report(q, n_max, monkeypatch):
-    monkeypatch.setattr(templieb, "_JW_CACHE", {})  # do not keep 2^n-row bases
+def test_jw_report_matches_the_dense_report(q, n_max):
     param = QParameter(q, 2)
     dense = _dense_jw_report(param, n_max)
     rows = jw_report(param, n_max)
@@ -291,6 +315,11 @@ def test_weight_matrix_spots():
         assert vals.min() > 0
     classical = weight_matrix(QParameter(1, 2), 4)
     assert np.allclose(classical, np.eye(5), atol=1e-10)
+
+
+def test_weight_matrix_is_frozen():
+    with pytest.raises(ValueError):
+        weight_matrix(QParameter(0.5, 2), 3)[0, 0] = 1.0
 
 
 def test_fusion_isometry_trivial_right_factor():
@@ -494,11 +523,12 @@ def test_pentagon_geometric_decay():
     assert abs(slope - math.log(0.5)) <= 0.05 * abs(math.log(0.5))
 
 
-def _chain_sides(param, alpha, r, s, k, l):
+def _chain_sides(param, alpha, r, s, k, l, isometry=fusion_isometry):
     """Both bracketings as chain maps out of the source, built from the
-    chain isometries: the 2^(s+alpha+r)-row oracle for the weight-basis sides."""
-    inner_a = fusion_isometry(param, alpha, r, alpha + l)
-    outer_a = fusion_isometry(param, s, alpha + l, alpha + k + l)
+    chain isometries (isometry(param, alpha, beta, gamma)): the
+    2^(s+alpha+r)-row oracle for the weight-basis sides."""
+    inner_a = isometry(param, alpha, r, alpha + l)
+    outer_a = isometry(param, s, alpha + l, alpha + k + l)
     t = np.tensordot(
         jones_wenzl(param, alpha + l).basis,
         outer_a.V.reshape(2 ** s, 2 ** (alpha + l), -1), axes=([0], [1]),
@@ -506,8 +536,8 @@ def _chain_sides(param, alpha, r, s, k, l):
     a_side = np.tensordot(inner_a.V, t, axes=([1], [0]))
     a_side = a_side.transpose(1, 0, 2).reshape(2 ** (s + alpha + r), -1)
 
-    inner_b = fusion_isometry(param, s, alpha, alpha + k)
-    outer_b = fusion_isometry(param, alpha + k, r, alpha + k + l)
+    inner_b = isometry(param, s, alpha, alpha + k)
+    outer_b = isometry(param, alpha + k, r, alpha + k + l)
     t = np.tensordot(
         jones_wenzl(param, alpha + k).basis,
         outer_b.V.reshape(2 ** (alpha + k), 2 ** r, -1), axes=([0], [0]),
@@ -519,8 +549,10 @@ def _chain_sides(param, alpha, r, s, k, l):
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 1.0])
 def test_pentagon_defect_is_the_operator_norm(q):
-    # the largest column norm stands in for the largest singular value
+    # the largest column norm stands in for the largest singular value; the
+    # oracle builds each isometry once, as the library keeps none between calls
     p = QParameter(q, 2)
+    isometry = functools.cache(fusion_isometry)
     for alpha, r, s in itertools.product(range(5), (1, 2, 3), (1, 2, 3)):
         for k, l in itertools.product(range(-s, s + 1, 2), range(-r, r + 1, 2)):
             if alpha + k not in fuse(s, alpha) or alpha + l not in fuse(alpha, r):
@@ -528,7 +560,7 @@ def test_pentagon_defect_is_the_operator_norm(q):
             target = alpha + k + l
             if target not in fuse(alpha + k, r) or target not in fuse(s, alpha + l):
                 continue
-            diff = _aligned_difference(*_chain_sides(p, alpha, r, s, k, l), True)
+            diff = _aligned_difference(*_chain_sides(p, alpha, r, s, k, l, isometry), True)
             reference = np.linalg.svd(diff, compute_uv=False)[0]
             defect = pentagon_defect(p, alpha, r, s, k, l)
             assert defect == pytest.approx(reference, rel=1e-12, abs=1e-15)
