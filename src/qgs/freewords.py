@@ -15,6 +15,16 @@ rewrite for same-algebra neighbours u, v with contents C, D is
 
 which keeps every letter of a normal form mean-zero or a bare generator
 wrap, and makes normal forms unique regardless of rewrite order.
+
+The rewriting runs on interned ids.  Each public call makes one _Table
+mapping every distinct Letter and PhiSymbol to a small int, with each id's
+algebra, the id of a circled letter's own phi, and memos of the junction
+fusion and the generator wrap; it is dropped on return.  Inside, a word is
+a tuple of ids and a term is keyed by (word, sorted phi ids).  Expressions,
+keyed by Letter and PhiSymbol tuples, are encoded into the table on the
+way in and decoded on the way out.  expansion_sweep shares one table
+across its patterns and builds the Leibniz defect C(b, x) once per run of
+patterns with the same b and x.
 """
 
 from __future__ import annotations
@@ -25,12 +35,12 @@ from typing import NamedTuple
 
 from .errors import ResourceLimitError
 
-# expansion_sweep's ceilings (2-vCPU x86_64): (6, 3, 3), 15,331 patterns,
-# takes about 4.6 s.  A pattern of k, n and m letters in b, x and a costs
-# about 0.4-1.3 us per unit of _pattern_work(k, n, m) = (k+1)(n+1)(m+1)(k+n+m):
-# 0.4 us over the (6, 3, 3) and (4, 3, 4) sweeps (1.07e7 and 9.9e6 units),
-# 0.9 us for an x of 256 letters alone, 1.3 us for a b and an a of 30 each.
-# MAX_LETTER_WORK holds for a sweep's sum and for a single pattern alike.
+# expansion_sweep's ceilings (2-vCPU x86_64, in process): (6, 3, 3), 15,331
+# patterns, takes 1.1-1.5 s, (4, 3, 4) 1.2-1.6 s and (354, 0, 2) 1.7-2.3 s.
+# A pattern of k, n and m letters in b, x and a costs about 0.14 us per unit
+# of _pattern_work(k, n, m) = (k+1)(n+1)(m+1)(k+n+m) over those sweeps and for
+# an x of 256 letters or a b, x and a of 30 each; 0.34 us for a b and an a of
+# 30 around an empty x.  MAX_LETTER_WORK holds for a sweep and a single pattern.
 MAX_SWEEP_PATTERNS = 20_000
 MAX_LETTER_WORK = 15 * 10**6
 
@@ -62,13 +72,6 @@ def word(*letters):
     return tuple(letters)
 
 
-def _phi(algebra, factors):
-    """The scalar symbol of a same-algebra product; None when structurally zero."""
-    if len(factors) == 1 and factors[0][0] == "a":
-        return None
-    return PhiSymbol(algebra, factors)
-
-
 def _exact(coeff):
     """A coefficient from outside: an int as it is, anything else as an exact
     Fraction, which becomes an int again when it is integral."""
@@ -79,9 +82,16 @@ def _exact(coeff):
 
 
 def _is_centered(letter):
-    return letter.circled or (
-        len(letter.factors) == 1 and letter.factors[0][0] == "a"
-    )
+    return letter.circled or (len(letter.factors) == 1 and letter.factors[0][0] == "a")
+
+
+def _add(terms, key, coeff):
+    """Add coeff to the term at key, dropping the term when the sum is zero."""
+    total = terms.get(key, 0) + coeff
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
 
 
 class Expression:
@@ -104,31 +114,8 @@ class Expression:
     @classmethod
     def from_word(cls, letters, coeff=1, phis=()):
         out = cls()
-        out._add(tuple(letters), tuple(phis), _exact(coeff))
+        _add(out.terms, (tuple(letters), tuple(sorted(phis))), _exact(coeff))
         return out
-
-    def _add(self, letters, phis, coeff):
-        if not coeff:
-            return
-        key = (letters, tuple(sorted(phis)))
-        total = self.terms.get(key, 0) + coeff
-        if total:
-            self.terms[key] = total
-        else:
-            self.terms.pop(key, None)
-
-    def _add_scaled(self, other, extra_phis, scale):
-        if extra_phis:
-            for (w, phis), coeff in other.terms.items():
-                self._add(w, phis + tuple(extra_phis), coeff * scale)
-            return
-        terms = self.terms
-        for key, coeff in other.terms.items():
-            total = terms.get(key, 0) + coeff * scale
-            if total:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
 
     def is_zero(self):
         return not self.terms
@@ -140,21 +127,23 @@ class Expression:
         return isinstance(other, Expression) and self.terms == other.terms
 
     def __add__(self, other):
-        out = Expression(dict(self.terms))
-        out._add_scaled(other, (), 1)
+        out = Expression(self.terms)
+        for key, coeff in other.terms.items():
+            _add(out.terms, key, coeff)
         return out
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return Expression({k: -c for k, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, Expression):
             return multiply(self, other)
-        out = Expression()
-        out._add_scaled(self, (), _exact(other))
+        out, scale = Expression(), _exact(other)
+        for key, coeff in self.terms.items():
+            _add(out.terms, key, coeff * scale)
         return out
 
     __rmul__ = __mul__
@@ -168,46 +157,123 @@ class Expression:
         return "Expression(" + " + ".join(bits) + ")"
 
 
-def _concat_into(out, w1, w2, phis, coeff):
+class _Table:
+    """One call's interned letters and phi symbols (see the module docstring);
+    defect is a sweep's current ((b types, x types), b, x, eb, ex, C(b, x))."""
+
+    __slots__ = ("ids", "values", "algebra", "phi", "merges", "wraps", "defect")
+
+    def __init__(self):
+        self.ids, self.values, self.algebra, self.phi = {}, [], [], []
+        self.merges, self.wraps, self.defect = {}, {}, None
+
+    def intern(self, value):
+        u = self.ids.get(value)
+        if u is None:
+            circled = isinstance(value, Letter) and value.circled
+            phi = self.symbol(value.algebra, value.factors) if circled else None
+            u = self.ids[value] = len(self.values)
+            self.values.append(value)
+            self.algebra.append(value.algebra)
+            self.phi.append(phi)
+        return u
+
+    def symbol(self, algebra, factors):
+        """The id of phi of a same-algebra product; None when structurally zero."""
+        if len(factors) == 1 and factors[0][0] == "a":
+            return None
+        return self.intern(PhiSymbol(algebra, factors))
+
+    def word(self, letters):
+        return tuple(map(self.intern, letters))
+
+    def merge(self, u, v):
+        """The ids of the circled letter fusing u v and of its phi."""
+        pair = self.merges.get((u, v))
+        if pair is None:
+            alg, merged = self.algebra[u], self.values[u].factors + self.values[v].factors
+            pair = self.merges[u, v] = (self.intern(Letter(alg, merged, True)),
+                                        self.symbol(alg, merged))
+        return pair
+
+    def wrap(self, u):
+        """The id of u wrapped by the generator, which ignores circling."""
+        w = self.wraps.get(u)
+        if w is None:
+            lt = Letter(self.algebra[u], (("g", self.values[u].factors),), False)
+            w = self.wraps[u] = self.intern(lt)
+        return w
+
+    def encode(self, expr):
+        terms = {}
+        for (w, phis), coeff in expr.terms.items():
+            _add(terms, (self.word(w), tuple(sorted(self.word(phis)))), coeff)
+        return terms
+
+    def decode(self, terms):
+        get, out = self.values.__getitem__, Expression()
+        out.terms = {(tuple(map(get, w)), tuple(sorted(map(get, phis)))): coeff
+                     for (w, phis), coeff in terms.items()}
+        return out
+
+
+def _on_ids(engine, *exprs):
+    """engine run on the expressions, encoded in a fresh table, and decoded."""
+    t = _Table()
+    return t.decode(engine(t, {}, *map(t.encode, exprs)))
+
+
+def _concat_into(t, out, w1, w2, phis, coeff):
     """Add coeff phis w1 w2 to out, rewriting the junction of the two reduced
     words until every term is reduced."""
-    if not w1 or not w2 or w1[-1].algebra != w2[0].algebra:
-        out._add(w1 + w2, phis, coeff)
+    if not w1 or not w2 or t.algebra[w1[-1]] != t.algebra[w2[0]]:
+        _add(out, (w1 + w2, phis), coeff)
         return
     u, v = w1[-1], w2[0]
     head, tail = w1[:-1], w2[1:]
-    merged = u.factors + v.factors
-    out._add(head + (Letter(u.algebra, merged, True),) + tail, phis, coeff)
-    _concat_into(out, head, tail, phis + (PhiSymbol(u.algebra, merged),), coeff)
-    pu = _phi(u.algebra, u.factors) if u.circled else None
-    pv = _phi(v.algebra, v.factors) if v.circled else None
+    fused, phi = t.merge(u, v)
+    _add(out, (head + (fused,) + tail, phis), coeff)
+    _concat_into(t, out, head, tail, tuple(sorted(phis + (phi,))), coeff)
+    pu, pv = t.phi[u], t.phi[v]
     if pu is not None:
-        out._add(head + (v,) + tail, phis + (pu,), -coeff)
+        _add(out, (head + (v,) + tail, tuple(sorted(phis + (pu,)))), -coeff)
     if pv is not None:
-        out._add(head + (u,) + tail, phis + (pv,), -coeff)
+        _add(out, (head + (u,) + tail, tuple(sorted(phis + (pv,)))), -coeff)
     if pu is not None and pv is not None:
-        _concat_into(out, head, tail, phis + (pu, pv), -coeff)
+        _concat_into(t, out, head, tail, tuple(sorted(phis + (pu, pv))), -coeff)
 
 
-def _multiply_into(out, e1, e2, scale):
+def _multiply_into(t, out, e1, e2, scale=1):
     """Add scale times the product e1 e2 to out, reducing every junction."""
-    for (w1, p1), c1 in e1.terms.items():
-        for (w2, p2), c2 in e2.terms.items():
-            _concat_into(out, w1, w2, p1 + p2, c1 * c2 * scale)
+    for (w1, p1), c1 in e1.items():
+        for (w2, p2), c2 in e2.items():
+            phis = tuple(sorted(p1 + p2)) if p1 and p2 else p1 or p2
+            _concat_into(t, out, w1, w2, phis, c1 * c2 * scale)
     return out
 
 
 def multiply(e1, e2):
     """Product of two expressions, reducing every junction."""
-    return _multiply_into(Expression(), e1, e2, 1)
+    return _on_ids(_multiply_into, e1, e2)
 
 
 def reduce_product(b, x, a):
     """Full reduced expansion of the three-word product b x a."""
-    eb = Expression.from_word(word(*b))
-    ex = Expression.from_word(word(*x))
-    ea = Expression.from_word(word(*a))
-    return multiply(multiply(eb, ex), ea)
+    t = _Table()
+    eb, ex, ea = ({(t.word(word(*w)), ()): 1} for w in (b, x, a))
+    return t.decode(_multiply_into(t, {}, _multiply_into(t, {}, eb, ex), ea))
+
+
+def _generator_into(t, out, expr, scale=1):
+    """Add scale times the Leibniz sum wrapping each letter; scalars map to zero."""
+    for (w, phis), coeff in expr.items():
+        coeff *= scale
+        letters = list(w)
+        for j, u in enumerate(w):
+            letters[j] = t.wrap(u)
+            _add(out, (tuple(letters), phis), coeff)
+            letters[j] = u
+    return out
 
 
 def apply_generator(expr):
@@ -216,28 +282,23 @@ def apply_generator(expr):
     Wrapping ignores circling: the generator of a centered letter equals
     the generator of the raw product, and the generator of a scalar is 0.
     """
-    out = Expression()
-    for (w, phis), coeff in expr.terms.items():
-        for j, letter in enumerate(w):
-            wrapped = Letter(letter.algebra, (("g", letter.factors),), False)
-            out._add(w[:j] + (wrapped,) + w[j + 1 :], phis, coeff)
+    return _on_ids(_generator_into, expr)
+
+
+def _circle_into(t, out, expr):
+    for (w, phis), coeff in expr.items():
+        if len(w) == 1 and not _is_centered(t.values[w[0]]):
+            w = (t.intern(t.values[w[0]]._replace(circled=True)),)
+        elif len(w) > 1 and not all(_is_centered(t.values[u]) for u in w):
+            raise ValueError("cannot center a long word with uncentered letters")
+        if w:
+            _add(out, (w, phis), coeff)
     return out
 
 
 def circle(expr):
     """Mean-center an expression: drop scalars, center single letters."""
-    out = Expression()
-    for (w, phis), coeff in expr.terms.items():
-        if len(w) == 0:
-            continue
-        if len(w) == 1 and not _is_centered(w[0]):
-            lt = w[0]
-            out._add((Letter(lt.algebra, lt.factors, True),), phis, coeff)
-            continue
-        if len(w) > 1 and not all(_is_centered(lt) for lt in w):
-            raise ValueError("cannot center a long word with uncentered letters")
-        out._add(w, phis, coeff)
-    return out
+    return _on_ids(_circle_into, expr)
 
 
 def _star_primary(p):
@@ -246,30 +307,39 @@ def _star_primary(p):
     return ("g", tuple(_star_primary(f) for f in reversed(p[1])))
 
 
-def star(expr):
-    """Formal adjoint: reverse each word, star letters, star phi contents."""
-    out = Expression()
-    for (w, phis), coeff in expr.terms.items():
-        rw = tuple(
-            Letter(
-                lt.algebra,
-                tuple(_star_primary(f) for f in reversed(lt.factors)),
-                lt.circled,
-            )
-            for lt in reversed(w)
-        )
-        rp = tuple(
-            PhiSymbol(p.algebra, tuple(_star_primary(f) for f in reversed(p.factors)))
-            for p in phis
-        )
-        out._add(rw, rp, coeff)
+def _star_into(t, out, expr):
+    def starred(u):
+        lt = t.values[u]
+        return t.intern(lt._replace(factors=tuple(map(_star_primary, reversed(lt.factors)))))
+
+    for (w, phis), coeff in expr.items():
+        _add(out, (tuple(map(starred, reversed(w))), tuple(sorted(map(starred, phis)))), coeff)
     return out
 
 
+def star(expr):
+    """Formal adjoint: reverse each word, star letters, star phi contents."""
+    return _on_ids(_star_into, expr)
+
+
+def _defect_into(t, out, eb, ev, scale=1):
+    """Add scale times C(b, v) = D(b v) - b D(v), the failure of the Leibniz
+    rule at b."""
+    _generator_into(t, out, _multiply_into(t, {}, eb, ev), scale)
+    return _multiply_into(t, out, eb, _generator_into(t, {}, ev), -scale)
+
+
 def _leibniz_defect(eb, ev):
-    """C(b, v) = D(b v) - b D(v), the failure of the Leibniz rule at b."""
-    out = apply_generator(multiply(eb, ev))
-    return _multiply_into(out, eb, apply_generator(ev), -1)
+    """C(b, v), the failure of the Leibniz rule at b."""
+    return _on_ids(_defect_into, eb, ev)
+
+
+def _commutator_into(t, out, eb, ex, ea, cbx=None):
+    """Add C(b, x) a - C(b, x a); cbx is C(b, x) when it is already built."""
+    if cbx is None:
+        cbx = _defect_into(t, {}, eb, ex)
+    _multiply_into(t, out, cbx, ea)
+    return _defect_into(t, out, eb, _multiply_into(t, {}, ex, ea), -1)
 
 
 def gradient_commutator(b, x, a):
@@ -277,32 +347,28 @@ def gradient_commutator(b, x, a):
 
     Expanded as C(b, x) a - C(b, x a) with C the Leibniz defect, which is
     the same sum regrouped by bilinearity of the product."""
-    eb = Expression.from_word(word(*b))
-    ex = Expression.from_word(word(*x))
-    ea = Expression.from_word(word(*a))
-    out = multiply(_leibniz_defect(eb, ex), ea)
-    out._add_scaled(_leibniz_defect(eb, multiply(ex, ea)), (), -1)
-    return out
+    return _on_ids(_commutator_into, *(Expression.from_word(word(*w)) for w in (b, x, a)))
 
 
 def _boundary_main_sum(b, x, a):
     """Sum over junction positions of scalar pairs around a centered local term."""
     n, k, m = len(x), len(b), len(a)
-    total = Expression()
+    t, total = _Table(), {}
     for i in range(max(1, n - m + 1), min(n, k) + 1):
+        mid = (b[k - i], x[i - 1], a[n - i])
+        if not mid[0].algebra == mid[1].algebra == mid[2].algebra:
+            continue
         pairs = [(b[k - j], x[j - 1]) for j in range(1, i)]
         pairs += [(x[j - 1], a[n - j]) for j in range(i + 1, n + 1)]
         if any(u.algebra != v.algebra for u, v in pairs):
             continue
-        phis = [PhiSymbol(u.algebra, u.factors + v.factors) for u, v in pairs]
-        mid_b, mid_x, mid_a = b[k - i], x[i - 1], a[n - i]
-        if not mid_b.algebra == mid_x.algebra == mid_a.algebra:
-            continue
-        middle = circle(gradient_commutator((mid_b,), (mid_x,), (mid_a,)))
-        term = multiply(Expression.from_word(b[: k - i]), middle)
-        term = multiply(term, Expression.from_word(a[n - i + 1 :]))
-        total._add_scaled(term, tuple(phis), 1)
-    return total
+        phis = tuple(t.symbol(u.algebra, u.factors + v.factors) for u, v in pairs)
+        middle = _commutator_into(t, {}, *({((t.intern(lt),), ()): 1} for lt in mid))
+        term = _multiply_into(t, {}, {(t.word(b[: k - i]), ()): 1}, _circle_into(t, {}, middle))
+        term = _multiply_into(t, {}, term, {(t.word(a[n - i + 1 :]), ()): 1})
+        for (w, p), coeff in term.items():
+            _add(total, (w, tuple(sorted(p + phis))), coeff)
+    return t.decode(total)
 
 
 @dataclass(frozen=True)
@@ -327,7 +393,13 @@ class ExpansionReport:
     passed: bool
 
 
-def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3):
+def _atoms(name, types):
+    """The word of fresh atoms name1, name2, ... of the given algebra types."""
+    return tuple(atom(alg, f"{name}{i}") for i, alg in enumerate(types, 1))
+
+
+def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3,
+                              _table=None):
     """Check the junction expansion of the commutator against its boundary sum.
 
     Fresh atoms are substituted into the type pattern, the left side is
@@ -353,32 +425,34 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3)
             f"pattern sizes ({len(b_types)}, {len(x_types)}, {len(a_types)}) take "
             f"{work} units of letter work, above {MAX_LETTER_WORK}"
         )
-    b = tuple(atom(t, f"b{i}") for i, t in enumerate(b_types, 1))
-    x = tuple(atom(t, f"x{i}") for i, t in enumerate(x_types, 1))
-    a = tuple(atom(t, f"a{i}") for i, t in enumerate(a_types, 1))
-    ledger_expr = gradient_commutator(b, x, a)
-    lhs_zero = ledger_expr.is_zero()
-    ledger_expr._add_scaled(_boundary_main_sum(b, x, a), (), -1)
+    t = _Table() if _table is None else _table
+    if t.defect is None or t.defect[0] != (b_types, x_types):
+        b, x = _atoms("b", b_types), _atoms("x", x_types)
+        eb, ex = {(t.word(b), ()): 1}, {(t.word(x), ()): 1}
+        t.defect = ((b_types, x_types), b, x, eb, ex, _defect_into(t, {}, eb, ex))
+    _, b, x, eb, ex, cbx = t.defect
+    a = _atoms("a", a_types)
+    ea = {(t.word(a), ()): 1}
+    ledger_terms = _commutator_into(t, {}, eb, ex, ea, cbx)
+    lhs_zero = not ledger_terms
+    for term, coeff in t.encode(_boundary_main_sum(b, x, a)).items():
+        _add(ledger_terms, term, -coeff)
 
     n, k, m = len(x), len(b), len(a)
     bound = k + m
-    groups = {}
-    residual = Expression()
-    max_len = 0
-    for (w, phis), coeff in ledger_expr.terms.items():
-        sig = (len(w), tuple(lt.algebra for lt in w))
-        groups.setdefault(sig, Expression())._add(w, phis, coeff)
-        max_len = max(max_len, len(w))
+    groups, residual = {}, {}
+    for (w, phis), coeff in ledger_terms.items():
+        groups.setdefault((len(w), tuple(t.algebra[u] for u in w)), {})[w, phis] = coeff
         if len(w) > bound:
-            residual._add(w, phis, coeff)
+            residual[w, phis] = coeff
     must_vanish = n > k + m - 1
     ledger = RemainderLedger(
-        groups=groups,
-        max_word_length=max_len,
+        groups={sig: t.decode(group) for sig, group in groups.items()},
+        max_word_length=max((sig[0] for sig in groups), default=0),
         bound=bound,
-        within_bound=residual.is_zero(),
+        within_bound=not residual,
     )
-    passed = residual.is_zero() and (lhs_zero or not must_vanish)
+    passed = not residual and (lhs_zero or not must_vanish)
     return ExpansionReport(
         b_types=b_types,
         x_types=x_types,
@@ -386,7 +460,7 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3)
         lhs_is_zero=lhs_zero,
         must_vanish=must_vanish,
         ledger=ledger,
-        residual=residual,
+        residual=t.decode(residual),
         passed=passed,
     )
 
@@ -437,8 +511,9 @@ def expansion_sweep(*, max_x=4, max_side=3, algebras=3):
                         + (f"{MAX_LETTER_WORK} units of letter work" if work > MAX_LETTER_WORK
                            else f"{MAX_SWEEP_PATTERNS} patterns")
                     )
+    table = _Table()
     return [
-        verify_boundary_expansion(bt, xt, at, max_x=max_x, max_side=max_side)
+        verify_boundary_expansion(bt, xt, at, max_x=max_x, max_side=max_side, _table=table)
         for bt, xt, at in patterns
     ]
 

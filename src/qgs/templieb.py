@@ -253,7 +253,8 @@ class FusionIsometry:
     ``coefficients`` maps (i, j) to the coefficient, an mpf at ``bits``, of
     basis vectors i of p_alpha and j of p_beta in the image of target vector
     k = i + j - (alpha+beta-gamma)/2: weights are kept, so no other entry is
-    nonzero.  ``V``, the chain matrix (B_alpha (x) B_beta) C, is built on read.
+    nonzero.  ``V``, the chain matrix (B_alpha (x) B_beta) C, is built on its
+    first read and kept with the isometry.
     """
 
     param: object
@@ -263,7 +264,7 @@ class FusionIsometry:
     bits: int
     coefficients: MappingProxyType
 
-    @property
+    @functools.cached_property
     def V(self):
         import numpy as np
 

@@ -10,8 +10,10 @@ its order-independence.  The commutator b D(xa) - D(bxa) - b D(x) a
 the oracle for its regrouping as two Leibniz defects.
 """
 
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -579,3 +581,92 @@ def test_leibniz_regrouping_at_phi_carrying_inputs():
         eb, ex, ea = expression(), expression(), expression()
         regrouped = multiply(_leibniz_defect(eb, ex), ea) - _leibniz_defect(eb, multiply(ex, ea))
         assert regrouped == four_term_commutator(eb, ex, ea)
+
+
+def test_sweep_reports_equal_single_pattern_reports():
+    # the sweep shares one table and one C(b, x) across a run of patterns;
+    # each report must be the one the pattern gets alone
+    for max_x, max_side, algebras in ((3, 2, 3), (2, 3, 3)):
+        reports = expansion_sweep(max_x=max_x, max_side=max_side, algebras=algebras)
+        assert len(reports) > 300
+        for rep in reports:
+            alone = verify_boundary_expansion(
+                rep.b_types, rep.x_types, rep.a_types, max_x=max_x, max_side=max_side
+            )
+            assert rep == alone
+            assert {sig: g.terms for sig, g in rep.ledger.groups.items()} == {
+                sig: g.terms for sig, g in alone.ledger.groups.items()
+            }
+            assert rep.residual.terms == alone.residual.terms
+            assert (rep.ledger.max_word_length, rep.ledger.bound) == (
+                alone.ledger.max_word_length, alone.ledger.bound
+            )
+
+
+def test_calls_keep_nothing():
+    # tables and the sweep's C(b, x) live for one call, so new letters in
+    # every round leave no more traced memory than was found
+    def calls(i):
+        expansion_sweep(max_x=3, max_side=2, algebras=3)
+        verify_boundary_expansion((0, 1), (1, 0, 1)[: 1 + i % 3], (1, 0))
+        e1 = Expression.from_word((atom(0, f"u{i}"), atom(1, f"v{i}")))
+        multiply(e1, Expression.from_word((atom(1, f"w{i}"), atom(0, f"z{i}")), coeff=3))
+
+    calls(0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i in range(1, 9):
+            calls(i)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5 * 2**20
+    assert not [
+        name for name, value in vars(freewords).items()
+        if not name.startswith("__")
+        and isinstance(value, (dict, list, set, freewords._Table))
+    ]
+
+
+def _public_keys(expr):
+    """Every letter and phi of an expression's keys, failing on an interned id."""
+    for w, phis in expr.terms:
+        assert type(w) is tuple and type(phis) is tuple
+        assert all(type(lt) is Letter for lt in w)
+        assert all(type(p) is PhiSymbol for p in phis)
+        yield from w
+        yield from phis
+
+
+def test_results_are_decoded():
+    u, v, w = atom(0, "u"), atom(0, "v", star=True), atom(1, "w")
+    eu, ev = Expression.from_word((u,)), Expression.from_word((v, w))
+    prod = multiply(eu, ev)
+    assert len(prod.terms) == 2
+    for expr in (prod, apply_generator(prod), circle(apply_generator(eu)), star(prod)):
+        assert not expr.is_zero()
+        assert list(_public_keys(expr))
+    for rep in expansion_sweep(max_x=3, max_side=2, algebras=2):
+        for group in rep.ledger.groups.values():
+            list(_public_keys(group))
+        list(_public_keys(rep.residual))
+    rep = verify_boundary_expansion((0, 1), (1, 0, 1), (1, 0))
+    assert sum(len(list(_public_keys(g))) for g in rep.ledger.groups.values())
+
+
+def test_results_of_separate_calls_combine():
+    b = (atom(0, "b1"), atom(1, "b2"))
+    x = (atom(1, "x1"), atom(0, "x2"))
+    a = (atom(0, "a1"), atom(1, "a2"))
+    whole = reduce_product(b, x, a)
+    assert multiply(reduce_product(b, x, ()), Expression.from_word(a)) == whole
+    assert multiply(Expression.from_word(b), reduce_product((), x, a)) == whole
+    assert whole.terms == brute_product(b + x + a, random.Random(23))
+    # a product decoded from one table and re-encoded into another
+    assert multiply(star(star(whole)), Expression.from_word(())) == whole
+    assert gradient_commutator(b, x, a) == multiply(
+        _leibniz_defect(Expression.from_word(b), Expression.from_word(x)), Expression.from_word(a)
+    ) - _leibniz_defect(Expression.from_word(b), reduce_product((), x, a))
