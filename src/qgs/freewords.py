@@ -16,15 +16,12 @@ rewrite for same-algebra neighbours u, v with contents C, D is
 which keeps every letter of a normal form mean-zero or a bare generator
 wrap, and makes normal forms unique regardless of rewrite order.
 
-The rewriting runs on interned ids.  Each public call makes one _Table
-mapping every distinct Letter and PhiSymbol to a small int, with each id's
-algebra, the id of a circled letter's own phi, and memos of the junction
-fusion and the generator wrap; it is dropped on return.  Inside, a word is
-a tuple of ids and a term is keyed by (word, sorted phi ids).  Expressions,
-keyed by Letter and PhiSymbol tuples, are encoded into the table on the
-way in and decoded on the way out.  expansion_sweep shares one table
-across its patterns and builds the Leibniz defect C(b, x) once per run of
-patterns with the same b and x.
+The rewriting runs on ids: each public call interns every Letter and
+PhiSymbol it meets as a small int in one _Table, dropped on return, so a
+word is a tuple of ids and a term is keyed by (word, sorted phi ids).
+Expressions are encoded on the way in and decoded on the way out.
+expansion_sweep shares one table across its patterns, which keeps the
+Leibniz defect C(b, x) of the current b and x.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from typing import NamedTuple
 from .errors import ResourceLimitError
 
 # expansion_sweep's ceilings (2-vCPU x86_64, in process): (6, 3, 3), 15,331
-# patterns, takes 1.1-1.5 s, (4, 3, 4) 1.2-1.6 s and (354, 0, 2) 1.7-2.3 s.
+# patterns, takes 1.1-1.5 s, (4, 3, 4) 1.2-1.7 s and (354, 0, 2) 1.5-2.3 s.
 # A pattern of k, n and m letters in b, x and a costs about 0.14 us per unit
 # of _pattern_work(k, n, m) = (k+1)(n+1)(m+1)(k+n+m) over those sweeps and for
 # an x of 256 letters or a b, x and a of 30 each; 0.34 us for a b and an a of
@@ -158,8 +155,9 @@ class Expression:
 
 
 class _Table:
-    """One call's interned letters and phi symbols (see the module docstring);
-    defect is a sweep's current ((b types, x types), b, x, eb, ex, C(b, x))."""
+    """One call's interned letters and phi symbols, each id's algebra and the
+    phi id of a circled letter, memos of the junction fusion and the
+    generator wrap; defect is the current ((b, x), b and x encoded, C(b, x))."""
 
     __slots__ = ("ids", "values", "algebra", "phi", "merges", "wraps", "defect")
 
@@ -189,20 +187,17 @@ class _Table:
 
     def merge(self, u, v):
         """The ids of the circled letter fusing u v and of its phi."""
-        pair = self.merges.get((u, v))
-        if pair is None:
+        if (u, v) not in self.merges:
             alg, merged = self.algebra[u], self.values[u].factors + self.values[v].factors
-            pair = self.merges[u, v] = (self.intern(Letter(alg, merged, True)),
-                                        self.symbol(alg, merged))
-        return pair
+            self.merges[u, v] = (self.intern(Letter(alg, merged, True)), self.symbol(alg, merged))
+        return self.merges[u, v]
 
     def wrap(self, u):
         """The id of u wrapped by the generator, which ignores circling."""
-        w = self.wraps.get(u)
-        if w is None:
+        if u not in self.wraps:
             lt = Letter(self.algebra[u], (("g", self.values[u].factors),), False)
-            w = self.wraps[u] = self.intern(lt)
-        return w
+            self.wraps[u] = self.intern(lt)
+        return self.wraps[u]
 
     def encode(self, expr):
         terms = {}
@@ -259,9 +254,8 @@ def multiply(e1, e2):
 
 def reduce_product(b, x, a):
     """Full reduced expansion of the three-word product b x a."""
-    t = _Table()
-    eb, ex, ea = ({(t.word(word(*w)), ()): 1} for w in (b, x, a))
-    return t.decode(_multiply_into(t, {}, _multiply_into(t, {}, eb, ex), ea))
+    eb, ex, ea = (Expression.from_word(word(*w)) for w in (b, x, a))
+    return multiply(multiply(eb, ex), ea)
 
 
 def _generator_into(t, out, expr, scale=1):
@@ -334,20 +328,22 @@ def _leibniz_defect(eb, ev):
     return _on_ids(_defect_into, eb, ev)
 
 
-def _commutator_into(t, out, eb, ex, ea, cbx=None):
-    """Add C(b, x) a - C(b, x a); cbx is C(b, x) when it is already built."""
-    if cbx is None:
-        cbx = _defect_into(t, {}, eb, ex)
-    _multiply_into(t, out, cbx, ea)
-    return _defect_into(t, out, eb, _multiply_into(t, {}, ex, ea), -1)
-
-
-def gradient_commutator(b, x, a):
+def gradient_commutator(b, x, a, *, _table=None):
     """b D(x a) - D(b x a) - b D(x) a + D(b x) a for reduced words.
 
     Expanded as C(b, x) a - C(b, x a) with C the Leibniz defect, which is
-    the same sum regrouped by bilinearity of the product."""
-    return _on_ids(_commutator_into, *(Expression.from_word(word(*w)) for w in (b, x, a)))
+    the same sum regrouped by bilinearity of the product.  Given a _table,
+    it keeps C(b, x) there for the next call with the same b and x, and the
+    sum is returned on the table's ids."""
+    b, x, a = word(*b), word(*x), word(*a)
+    t = _Table() if _table is None else _table
+    if t.defect is None or t.defect[0] != (b, x):
+        eb, ex = {(t.word(b), ()): 1}, {(t.word(x), ()): 1}
+        t.defect = ((b, x), eb, ex, _defect_into(t, {}, eb, ex))
+    _, eb, ex, cbx = t.defect
+    ea = {(t.word(a), ()): 1}
+    out = _defect_into(t, _multiply_into(t, {}, cbx, ea), eb, _multiply_into(t, {}, ex, ea), -1)
+    return out if _table is not None else t.decode(out)
 
 
 def _boundary_main_sum(b, x, a):
@@ -363,7 +359,7 @@ def _boundary_main_sum(b, x, a):
         if any(u.algebra != v.algebra for u, v in pairs):
             continue
         phis = tuple(t.symbol(u.algebra, u.factors + v.factors) for u, v in pairs)
-        middle = _commutator_into(t, {}, *({((t.intern(lt),), ()): 1} for lt in mid))
+        middle = gradient_commutator(*((lt,) for lt in mid), _table=t)
         term = _multiply_into(t, {}, {(t.word(b[: k - i]), ()): 1}, _circle_into(t, {}, middle))
         term = _multiply_into(t, {}, term, {(t.word(a[n - i + 1 :]), ()): 1})
         for (w, p), coeff in term.items():
@@ -408,9 +404,7 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3,
     patterns with a middle word longer than len(b) + len(a) - 1 must
     cancel to zero outright.
     """
-    b_types = tuple(b_types)
-    x_types = tuple(x_types)
-    a_types = tuple(a_types)
+    b_types, x_types, a_types = tuple(b_types), tuple(x_types), tuple(a_types)
     for seq in (b_types, x_types, a_types):
         if any(left == right for left, right in zip(seq, seq[1:])):
             raise ValueError("type pattern is not reduced")
@@ -426,14 +420,8 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3,
             f"{work} units of letter work, above {MAX_LETTER_WORK}"
         )
     t = _Table() if _table is None else _table
-    if t.defect is None or t.defect[0] != (b_types, x_types):
-        b, x = _atoms("b", b_types), _atoms("x", x_types)
-        eb, ex = {(t.word(b), ()): 1}, {(t.word(x), ()): 1}
-        t.defect = ((b_types, x_types), b, x, eb, ex, _defect_into(t, {}, eb, ex))
-    _, b, x, eb, ex, cbx = t.defect
-    a = _atoms("a", a_types)
-    ea = {(t.word(a), ()): 1}
-    ledger_terms = _commutator_into(t, {}, eb, ex, ea, cbx)
+    b, x, a = _atoms("b", b_types), _atoms("x", x_types), _atoms("a", a_types)
+    ledger_terms = gradient_commutator(b, x, a, _table=t)
     lhs_zero = not ledger_terms
     for term, coeff in t.encode(_boundary_main_sum(b, x, a)).items():
         _add(ledger_terms, term, -coeff)
