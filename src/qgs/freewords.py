@@ -19,9 +19,11 @@ wrap, and makes normal forms unique regardless of rewrite order.
 The rewriting runs on ids: each public call interns every Letter and
 PhiSymbol it meets as a small int in one _Table, dropped on return, so a
 word is a tuple of ids and a term is keyed by (word, sorted phi ids).
-Expressions are encoded on the way in and decoded on the way out.
-expansion_sweep shares one table across its patterns, which keeps the
-Leibniz defect C(b, x) of the current b and x.
+Expressions are encoded on the way in and decoded on the way out.  A
+verification runs on one table: the commutator, its boundary main sum and
+the ledger share its ids, and only the report is decoded.  expansion_sweep
+shares one table across its patterns, which keeps the Leibniz defect
+C(b, x) of the current b and x.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class Expression:
 class _Table:
     """One call's interned letters and phi symbols, each id's algebra and the
     phi id of a circled letter, memos of the junction fusion and the
-    generator wrap; defect is the current ((b, x), b and x encoded, C(b, x))."""
+    generator wrap; defect is the current ((b, x), C(b, x)), b and x as ids."""
 
     __slots__ = ("ids", "values", "algebra", "phi", "merges", "wraps", "defect")
 
@@ -323,48 +325,43 @@ def _defect_into(t, out, eb, ev, scale=1):
     return _multiply_into(t, out, eb, _generator_into(t, {}, ev), -scale)
 
 
-def _leibniz_defect(eb, ev):
-    """C(b, v), the failure of the Leibniz rule at b."""
-    return _on_ids(_defect_into, eb, ev)
+def _commutator_into(t, out, eb, ex, ea, cbx):
+    """Add C(b, x) a - C(b, x a) to out, given cbx = C(b, x)."""
+    _multiply_into(t, out, cbx, ea)
+    return _defect_into(t, out, eb, _multiply_into(t, {}, ex, ea), -1)
 
 
-def gradient_commutator(b, x, a, *, _table=None):
+def gradient_commutator(b, x, a):
     """b D(x a) - D(b x a) - b D(x) a + D(b x) a for reduced words.
 
     Expanded as C(b, x) a - C(b, x a) with C the Leibniz defect, which is
-    the same sum regrouped by bilinearity of the product.  Given a _table,
-    it keeps C(b, x) there for the next call with the same b and x, and the
-    sum is returned on the table's ids."""
-    b, x, a = word(*b), word(*x), word(*a)
-    t = _Table() if _table is None else _table
-    if t.defect is None or t.defect[0] != (b, x):
-        eb, ex = {(t.word(b), ()): 1}, {(t.word(x), ()): 1}
-        t.defect = ((b, x), eb, ex, _defect_into(t, {}, eb, ex))
-    _, eb, ex, cbx = t.defect
-    ea = {(t.word(a), ()): 1}
-    out = _defect_into(t, _multiply_into(t, {}, cbx, ea), eb, _multiply_into(t, {}, ex, ea), -1)
-    return out if _table is not None else t.decode(out)
+    the same sum regrouped by bilinearity of the product."""
+    t = _Table()
+    eb, ex, ea = ({(t.word(word(*w)), ()): 1} for w in (b, x, a))
+    return t.decode(_commutator_into(t, {}, eb, ex, ea, _defect_into(t, {}, eb, ex)))
 
 
-def _boundary_main_sum(b, x, a):
-    """Sum over junction positions of scalar pairs around a centered local term."""
+def _boundary_main_sum(t, b, x, a):
+    """Sum over junction positions of scalar pairs around a centered local
+    term, for words of ids in t."""
     n, k, m = len(x), len(b), len(a)
-    t, total = _Table(), {}
+    alg, total = t.algebra, {}
     for i in range(max(1, n - m + 1), min(n, k) + 1):
         mid = (b[k - i], x[i - 1], a[n - i])
-        if not mid[0].algebra == mid[1].algebra == mid[2].algebra:
+        if not alg[mid[0]] == alg[mid[1]] == alg[mid[2]]:
             continue
         pairs = [(b[k - j], x[j - 1]) for j in range(1, i)]
         pairs += [(x[j - 1], a[n - j]) for j in range(i + 1, n + 1)]
-        if any(u.algebra != v.algebra for u, v in pairs):
+        if any(alg[u] != alg[v] for u, v in pairs):
             continue
-        phis = tuple(t.symbol(u.algebra, u.factors + v.factors) for u, v in pairs)
-        middle = gradient_commutator(*((lt,) for lt in mid), _table=t)
-        term = _multiply_into(t, {}, {(t.word(b[: k - i]), ()): 1}, _circle_into(t, {}, middle))
-        term = _multiply_into(t, {}, term, {(t.word(a[n - i + 1 :]), ()): 1})
+        phis = tuple(t.merge(u, v)[1] for u, v in pairs)
+        eu, ev, ew = ({((u,), ()): 1} for u in mid)
+        middle = _commutator_into(t, {}, eu, ev, ew, _defect_into(t, {}, eu, ev))
+        term = _multiply_into(t, {}, {(b[: k - i], ()): 1}, _circle_into(t, {}, middle))
+        term = _multiply_into(t, {}, term, {(a[n - i + 1 :], ()): 1})
         for (w, p), coeff in term.items():
             _add(total, (w, tuple(sorted(p + phis))), coeff)
-    return t.decode(total)
+    return total
 
 
 @dataclass(frozen=True)
@@ -389,13 +386,12 @@ class ExpansionReport:
     passed: bool
 
 
-def _atoms(name, types):
-    """The word of fresh atoms name1, name2, ... of the given algebra types."""
-    return tuple(atom(alg, f"{name}{i}") for i, alg in enumerate(types, 1))
+def _atoms(t, name, types):
+    """The id word of fresh atoms name1, name2, ... of the given algebra types."""
+    return tuple(t.intern(atom(alg, f"{name}{i}")) for i, alg in enumerate(types, 1))
 
 
-def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3,
-                              _table=None):
+def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3):
     """Check the junction expansion of the commutator against its boundary sum.
 
     Fresh atoms are substituted into the type pattern, the left side is
@@ -404,6 +400,8 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3,
     patterns with a middle word longer than len(b) + len(a) - 1 must
     cancel to zero outright.
     """
+    if min(max_x, max_side) < 0:
+        raise ValueError("max_x and max_side must be >= 0")
     b_types, x_types, a_types = tuple(b_types), tuple(x_types), tuple(a_types)
     for seq in (b_types, x_types, a_types):
         if any(left == right for left, right in zip(seq, seq[1:])):
@@ -419,11 +417,17 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3,
             f"pattern sizes ({len(b_types)}, {len(x_types)}, {len(a_types)}) take "
             f"{work} units of letter work, above {MAX_LETTER_WORK}"
         )
-    t = _Table() if _table is None else _table
-    b, x, a = _atoms("b", b_types), _atoms("x", x_types), _atoms("a", a_types)
-    ledger_terms = gradient_commutator(b, x, a, _table=t)
+    return _verify(_Table(), b_types, x_types, a_types)
+
+
+def _verify(t, b_types, x_types, a_types):
+    b, x, a = _atoms(t, "b", b_types), _atoms(t, "x", x_types), _atoms(t, "a", a_types)
+    eb, ex = {(b, ()): 1}, {(x, ()): 1}
+    if t.defect is None or t.defect[0] != (b, x):
+        t.defect = ((b, x), _defect_into(t, {}, eb, ex))
+    ledger_terms = _commutator_into(t, {}, eb, ex, {(a, ()): 1}, t.defect[1])
     lhs_zero = not ledger_terms
-    for term, coeff in t.encode(_boundary_main_sum(b, x, a)).items():
+    for term, coeff in _boundary_main_sum(t, b, x, a).items():
         _add(ledger_terms, term, -coeff)
 
     n, k, m = len(x), len(b), len(a)
@@ -441,16 +445,8 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3,
         within_bound=not residual,
     )
     passed = not residual and (lhs_zero or not must_vanish)
-    return ExpansionReport(
-        b_types=b_types,
-        x_types=x_types,
-        a_types=a_types,
-        lhs_is_zero=lhs_zero,
-        must_vanish=must_vanish,
-        ledger=ledger,
-        residual=t.decode(residual),
-        passed=passed,
-    )
+    return ExpansionReport(b_types, x_types, a_types, lhs_zero, must_vanish, ledger,
+                           t.decode(residual), passed)
 
 
 def _growth_words(max_length, used, algebras):
@@ -499,11 +495,8 @@ def expansion_sweep(*, max_x=4, max_side=3, algebras=3):
                         + (f"{MAX_LETTER_WORK} units of letter work" if work > MAX_LETTER_WORK
                            else f"{MAX_SWEEP_PATTERNS} patterns")
                     )
-    table = _Table()
-    return [
-        verify_boundary_expansion(bt, xt, at, max_x=max_x, max_side=max_side, _table=table)
-        for bt, xt, at in patterns
-    ]
+    t = _Table()
+    return [_verify(t, *pattern) for pattern in patterns]
 
 
 def hs_propagation_bound(per_algebra, scalar_bound, a_bound, b_bound, m, k, ledger_hs):
@@ -513,7 +506,7 @@ def hs_propagation_bound(per_algebra, scalar_bound, a_bound, b_bound, m, k, ledg
     * b_bound^(2k) * max(per_algebra values); monotone in every argument.
     """
     values = list(per_algebra.values()) if hasattr(per_algebra, "values") else list(per_algebra)
-    if any(v < 0 for v in values):
+    if any(not v >= 0 for v in values):
         raise ValueError("per-algebra values must be nonnegative")
     for name, v in (
         ("scalar_bound", scalar_bound),
@@ -521,9 +514,9 @@ def hs_propagation_bound(per_algebra, scalar_bound, a_bound, b_bound, m, k, ledg
         ("b_bound", b_bound),
         ("ledger_hs", ledger_hs),
     ):
-        if v < 0:
+        if not v >= 0:
             raise ValueError(f"{name} must be nonnegative")
-    if m < 0 or k < 0:
+    if not (m >= 0 and k >= 0):
         raise ValueError("word lengths must be nonnegative")
     peak = max(values, default=0.0)
     weight = (

@@ -566,7 +566,7 @@ def test_freeprod_letter_ceiling_before_any_pattern(capsys, monkeypatch):
     def unverified(*args, **kwargs):
         raise AssertionError("a pattern was verified")
 
-    monkeypatch.setattr(freewords, "verify_boundary_expansion", unverified)
+    monkeypatch.setattr(freewords, "_verify", unverified)
     code, out, err = run_cli(
         capsys, "freeprod-verify", "--max-x", "19999", "--max-side", "0", "--algebras", "2",
     )
@@ -578,7 +578,7 @@ def test_freeprod_single_pattern_letter_ceiling(capsys, monkeypatch):
     def unverified(*args, **kwargs):
         raise AssertionError("the pattern was verified")
 
-    monkeypatch.setattr(freewords, "gradient_commutator", unverified)
+    monkeypatch.setattr(freewords, "_verify", unverified)
     side = ",".join("01" * 30)
     code, out, err = run_cli(
         capsys, "freeprod-verify", "--b", side, "--x", side, "--a", side,
@@ -692,6 +692,9 @@ HS_CERT = ("hs-cert", "--N", "2", "--q", "0.5", "--t", "0.5", "--alpha-max", "30
         ("fusion", "--N", "2", "--q", "0.5", "--alpha-max", "-1", "--format", "csv"),
         ("freeprod-verify", "--max-x", "-1", "--format", "csv"),
         ("freeprod-verify", "--max-side", "-1"),
+        # a single pattern refuses a negative limit as the sweep does
+        ("freeprod-verify", "--x", "", "--max-x", "-1"),
+        ("freeprod-verify", "--b", "0", "--x", "1", "--a", "0", "--max-side", "-5"),
         # no algebra leaves only the empty pattern, a vacuous pass
         ("freeprod-verify", "--max-x", "2", "--max-side", "1", "--algebras", "0"),
         ("freeprod-verify", "--max-x", "2", "--max-side", "1", "--algebras", "-1"),

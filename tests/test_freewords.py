@@ -12,6 +12,7 @@ the oracle for its regrouping as two Leibniz defects.
 
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -28,7 +29,6 @@ from qgs.freewords import (
     PhiSymbol,
     _boundary_main_sum,
     _growth_words,
-    _leibniz_defect,
     _pattern_work,
     apply_generator,
     atom,
@@ -42,6 +42,11 @@ from qgs.freewords import (
     verify_boundary_expansion,
     word,
 )
+
+
+def leibniz_defect(eb, ev):
+    """C(b, v) = D(b v) - b D(v) on the library's id engine."""
+    return freewords._on_ids(freewords._defect_into, eb, ev)
 
 
 def brute_phi(algebra, factors):
@@ -266,7 +271,7 @@ def test_verify_fails_on_a_ledger_word_past_the_bound(monkeypatch):
     # the commutator's words are never longer than len(b) + len(a), so a boundary
     # sum that leaves one (here the whole word bxa) must fail the check
     monkeypatch.setattr(freewords, "_boundary_main_sum",
-                        lambda b, x, a: Expression.from_word(b + x + a))
+                        lambda t, b, x, a: {(b + x + a, ()): 1})
     rep = verify_boundary_expansion((0, 1), (1, 0, 1), (1, 0))
     assert not rep.passed
     assert not rep.ledger.within_bound
@@ -301,6 +306,12 @@ def test_hs_propagation_bound():
     assert hs_propagation_bound({}, 1.0, 1.0, 1.0, 1, 1, 0.5) == 1.0
     with pytest.raises(ValueError):
         hs_propagation_bound({0: -1.0}, 1.0, 1.0, 1.0, 1, 1, 0.0)
+    # a NaN passes every `< 0` test, so it is refused as not `>= 0`
+    for name, args in (("scalar_bound", (math.nan, 1.0, 1.0, 1, 1, 0.0)),
+                       ("ledger_hs", (1.0, 1.0, 1.0, 1, 1, math.nan)),
+                       ("word lengths", (1.0, 1.0, 1.0, math.nan, 1, 0.0))):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            hs_propagation_bound({0: 1.0}, *args)
 
 
 def test_star_reverses_products():
@@ -414,13 +425,13 @@ def unverified(*args, **kwargs):
     raise AssertionError("a pattern was verified")
 
 
-def listed(b_types, x_types, a_types, **limits):
-    return tuple(b_types), tuple(x_types), tuple(a_types)
+def listed(t, b_types, x_types, a_types):
+    return b_types, x_types, a_types
 
 
 def walk(monkeypatch, max_x, max_side, algebras):
     """The patterns expansion_sweep lists, with verification stubbed out."""
-    monkeypatch.setattr(freewords, "verify_boundary_expansion", listed)
+    monkeypatch.setattr(freewords, "_verify", listed)
     return expansion_sweep(max_x=max_x, max_side=max_side, algebras=algebras)
 
 
@@ -442,7 +453,7 @@ def test_sweep_sizes_against_ceiling(monkeypatch):
     assert sizes == [3715, 7587, 15331]
     assert max(sizes) <= MAX_SWEEP_PATTERNS
     # 524,046 and 1,573,887 patterns; the walk stops once past the ceiling
-    monkeypatch.setattr(freewords, "verify_boundary_expansion", unverified)
+    monkeypatch.setattr(freewords, "_verify", unverified)
     for max_x, max_side, algebras in ((5, 4, 4), (6, 4, 4)):
         with pytest.raises(ResourceLimitError, match="patterns"):
             expansion_sweep(max_x=max_x, max_side=max_side, algebras=algebras)
@@ -457,7 +468,7 @@ def test_sweep_work_sums_pattern_work(monkeypatch):
     # the sum of (L + 1) L over those lengths, n (n + 1) (n + 2) / 3
     assert 354 * 355 * 356 // 3 <= MAX_LETTER_WORK < 355 * 356 * 357 // 3
     assert [len(xt) for _, xt, _ in walk(monkeypatch, 354, 0, 2)] == list(range(355))
-    monkeypatch.setattr(freewords, "verify_boundary_expansion", unverified)
+    monkeypatch.setattr(freewords, "_verify", unverified)
     with pytest.raises(ResourceLimitError, match="letter work"):
         expansion_sweep(max_x=355, max_side=0, algebras=2)
 
@@ -473,18 +484,35 @@ def test_sweep_work_against_ceiling(monkeypatch):
 
 def test_sweep_letter_ceiling_before_any_pattern(monkeypatch):
     # 20,000 patterns, within their ceiling, of up to 19,999 letters each
-    monkeypatch.setattr(freewords, "verify_boundary_expansion", unverified)
+    monkeypatch.setattr(freewords, "_verify", unverified)
     with pytest.raises(ResourceLimitError, match="letter work"):
         expansion_sweep(max_x=19999, max_side=0, algebras=2)
 
 
 def test_single_pattern_letter_ceiling(monkeypatch):
     # 60 letters in each of b, x and a: 61^3 * 180 = 4.1e7 units
-    monkeypatch.setattr(freewords, "gradient_commutator", unverified)
+    monkeypatch.setattr(freewords, "_verify", unverified)
     side = tuple(i % 2 for i in range(60))
     assert _pattern_work(60, 60, 60) > MAX_LETTER_WORK
     with pytest.raises(ResourceLimitError, match="letter work"):
         verify_boundary_expansion(side, side, side, max_x=60, max_side=60)
+
+
+def test_one_table_per_verification(monkeypatch):
+    # the commutator, the boundary sum and the ledger of a pattern share one
+    # table, and a sweep shares one across all its patterns
+    real, built = freewords._Table, []
+
+    def counted():
+        built.append(None)
+        return real()
+
+    monkeypatch.setattr(freewords, "_Table", counted)
+    rep = verify_boundary_expansion((0, 1), (1, 0, 1), (1, 0))
+    assert len(built) == 1 and not rep.lhs_is_zero
+    built.clear()
+    assert len(expansion_sweep(max_x=4, max_side=3, algebras=3)) == 3715
+    assert len(built) == 1
 
 
 def test_expansion_sweep_order():
@@ -507,7 +535,9 @@ def four_term_commutator(eb, ex, ea):
 def _oracle_ledger(b, x, a):
     """The ledger groups and residual of the four-term route."""
     words = (Expression.from_word(w) for w in (b, x, a))
-    ledger = four_term_commutator(*words) - _boundary_main_sum(b, x, a)
+    t = freewords._Table()
+    boundary = t.decode(_boundary_main_sum(t, *map(t.word, (b, x, a))))
+    ledger = four_term_commutator(*words) - boundary
     groups, residual = {}, {}
     for (w, phis), coeff in ledger.terms.items():
         groups.setdefault((len(w), tuple(lt.algebra for lt in w)), {})[(w, phis)] = coeff
@@ -579,7 +609,7 @@ def test_leibniz_regrouping_at_phi_carrying_inputs():
 
     for _ in range(60):
         eb, ex, ea = expression(), expression(), expression()
-        regrouped = multiply(_leibniz_defect(eb, ex), ea) - _leibniz_defect(eb, multiply(ex, ea))
+        regrouped = multiply(leibniz_defect(eb, ex), ea) - leibniz_defect(eb, multiply(ex, ea))
         assert regrouped == four_term_commutator(eb, ex, ea)
 
 
@@ -668,5 +698,5 @@ def test_results_of_separate_calls_combine():
     # a product decoded from one table and re-encoded into another
     assert multiply(star(star(whole)), Expression.from_word(())) == whole
     assert gradient_commutator(b, x, a) == multiply(
-        _leibniz_defect(Expression.from_word(b), Expression.from_word(x)), Expression.from_word(a)
-    ) - _leibniz_defect(Expression.from_word(b), reduce_product((), x, a))
+        leibniz_defect(Expression.from_word(b), Expression.from_word(x)), Expression.from_word(a)
+    ) - leibniz_defect(Expression.from_word(b), reduce_product((), x, a))

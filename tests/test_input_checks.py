@@ -13,7 +13,15 @@ from qgs import precision
 from qgs.chebyshev import QParameter, build_poly, poly_value, poly_value_and_derivative, q_number
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.estimates import gap, gap_constant_scan, hs_certificate
-from qgs.freewords import Expression, Letter, atom, circle, hs_propagation_bound, word
+from qgs.freewords import (
+    Expression,
+    Letter,
+    atom,
+    circle,
+    hs_propagation_bound,
+    verify_boundary_expansion,
+    word,
+)
 from qgs.fusion import MAX_LABELS, dims, fusion_grid, growth_rate
 from qgs.precision import precision_bits, set_precision_bits
 from qgs.spectrum import (
@@ -100,6 +108,10 @@ CASES = {
                           "scalar_bound must be nonnegative"),
     "propagation_lengths": (lambda: hs_propagation_bound([1.0], 1, 1, 1, -1, 1, 0), ValueError,
                             "word lengths must be nonnegative"),
+    "propagation_nan": (lambda: hs_propagation_bound([float("nan")], 1, 1, 1, 1, 1, 0),
+                        ValueError, "per-algebra values must be nonnegative"),
+    "verify_limits": (lambda: verify_boundary_expansion((), (), (), max_x=-1), ValueError,
+                      "max_x and max_side must be >= 0"),
 }
 
 
