@@ -138,7 +138,7 @@ class QParameter:
         if float(q) < 1 / sys.float_info.max:
             raise ValueError("q = %s is too small: q + 1/q exceeds the double range" % q)
         object.__setattr__(self, "q", q)
-        if float(self.nq) < N - 1e-9:
+        if N > sys.float_info.max or float(self.nq) < N - 1e-9:  # q + 1/q is within doubles
             raise ValueError(
                 "q + 1/q = %s is below N = %d; q may not exceed the "
                 "smallest positive root of x^2 - N*x + 1" % (float(self.nq), N)

@@ -324,126 +324,85 @@ def _error(kind, exc):
     )
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=("csv", "json"), default="json")
-    parser.add_argument("--output", metavar="PATH", default=None)
-    parser.add_argument("--precision-bits", type=int, default=None)
-    parser.add_argument("--timing", action="store_true")
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors end on main's JSON error line, not in argparse's exit."""
 
-
-def _add_model(parser, *, default_n=None):
-    if default_n is None:
-        parser.add_argument("--N", type=int, required=True)
-    else:
-        parser.add_argument("--N", type=int, default=default_n)
-    parser.add_argument("--q", required=True)
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgs",
         description="Verification suites for spectral, fusion and word-calculus "
         "invariants of the quantum group models.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("csv", "json"), default="json")
+    common.add_argument("--output", metavar="PATH", default=None)
+    common.add_argument("--precision-bits", type=int, default=None)
+    common.add_argument("--timing", action="store_true")
 
-    p = sub.add_parser("spectrum", help="tabulate eigenvalues, dimensions and gaps")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--alpha-max", type=int, required=True)
-    p.set_defaults(handler=_cmd_spectrum)
+    def suite(name, handler, help, n=None, **defaults):
+        """Add a subcommand with the common flags, then --N (required if n is None, else
+        defaulting to n) and --q unless n is False; return its add_argument."""
+        p = sub.add_parser(name, help=help, parents=[common])
+        if n is not False:
+            p.add_argument("--N", type=int, required=n is None, default=n)
+            p.add_argument("--q", required=True)
+        p.set_defaults(handler=handler, **defaults)
+        return p.add_argument
 
-    p = sub.add_parser("fusion", help="check dimension sum rules on fusion channels")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--beta", type=int, default=None)
-    p.add_argument("--alpha-max", type=int, default=20)
-    p.set_defaults(handler=_cmd_fusion)
-
-    p = sub.add_parser("hs-cert", help="summability certificate for the HS series")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--t", required=True)
-    p.add_argument("--alpha-max", type=int, required=True)
-    p.add_argument("--margin", type=float, default=0.01)
-    p.add_argument("--tail-floor", type=float, default=1e-3)
-    p.set_defaults(handler=_cmd_hs_cert)
-
-    p = sub.add_parser("gap-scan", help="grid supremum of the second-difference ratio")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--alpha-max", type=int, required=True)
-    p.add_argument("--gamma-max", type=int, required=True)
-    p.set_defaults(handler=_cmd_gap_scan)
-
-    p = sub.add_parser("jw-verify", help="diagnostics for top-label projections")
-    _add_common(p)
-    _add_model(p, default_n=2)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--residual-tol", type=float, default=1e-9)
-    p.add_argument(
-        "--trace-tol", type=float, default=1e-8,
-        help="bound on the relative trace error |tr - [n+1]_q| / [n+1]_q",
-    )
-    p.set_defaults(handler=_cmd_jw_verify)
-
-    p = sub.add_parser("pentagon", help="bracketing defect of double fusions")
-    _add_common(p)
-    _add_model(p, default_n=2)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.set_defaults(handler=_cmd_pentagon, constant=2)
-
-    p = sub.add_parser(
-        "lemma65", help="weighted commutator-defect suite over sign pairs"
-    )
-    _add_common(p)
-    _add_model(p, default_n=2)
-    p.add_argument("--alpha-min", type=int, default=2)
-    p.add_argument("--alpha-max", type=int, default=6)
-    p.set_defaults(handler=_cmd_lemma65)
-
-    p = sub.add_parser(
-        "freeprod-verify",
-        help="boundary expansion of the word-calculus commutator",
-    )
-    _add_common(p)
-    p.add_argument("--b", default=None, metavar="TYPES")
-    p.add_argument("--x", default=None, metavar="TYPES")
-    p.add_argument("--a", default=None, metavar="TYPES")
-    p.add_argument("--max-x", type=int, default=4)
-    p.add_argument("--max-side", type=int, default=3)
-    p.add_argument("--algebras", type=int, default=3)
-    p.set_defaults(handler=_cmd_freeprod)
-
-    p = sub.add_parser("amenability", help="eigenvalue growth against log of count")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--threshold", type=float, default=50.0)
-    p.set_defaults(handler=_cmd_amenability)
-
-    p = sub.add_parser("cesaro", help="finite Cesaro-type sum of a named probe")
-    _add_common(p)
-    p.add_argument("--poly", choices=sorted(CESARO_PROBES), required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.set_defaults(handler=_cmd_cesaro)
+    arg = suite("spectrum", _cmd_spectrum, "tabulate eigenvalues, dimensions and gaps")
+    arg("--alpha-max", type=int, required=True)
+    arg = suite("fusion", _cmd_fusion, "check dimension sum rules on fusion channels")
+    arg("--alpha", type=int, default=None)
+    arg("--beta", type=int, default=None)
+    arg("--alpha-max", type=int, default=20)
+    arg = suite("hs-cert", _cmd_hs_cert, "summability certificate for the HS series")
+    arg("--t", required=True)
+    arg("--alpha-max", type=int, required=True)
+    arg("--margin", type=float, default=0.01)
+    arg("--tail-floor", type=float, default=1e-3)
+    arg = suite("gap-scan", _cmd_gap_scan, "grid supremum of the second-difference ratio")
+    arg("--alpha-max", type=int, required=True)
+    arg("--gamma-max", type=int, required=True)
+    arg = suite("jw-verify", _cmd_jw_verify, "diagnostics for top-label projections", n=2)
+    arg("--n-max", type=int, default=8)
+    arg("--residual-tol", type=float, default=1e-9)
+    arg("--trace-tol", type=float, default=1e-8,
+        help="bound on the relative trace error |tr - [n+1]_q| / [n+1]_q")
+    arg = suite("pentagon", _cmd_pentagon, "bracketing defect of double fusions", n=2, constant=2)
+    for flag in ("--alpha", "--r", "--s", "--k", "--l"):
+        arg(flag, type=int, required=True)
+    arg = suite("lemma65", _cmd_lemma65, "weighted commutator-defect suite over sign pairs", n=2)
+    arg("--alpha-min", type=int, default=2)
+    arg("--alpha-max", type=int, default=6)
+    arg = suite("freeprod-verify", _cmd_freeprod,
+                "boundary expansion of the word-calculus commutator", n=False)
+    for flag in ("--b", "--x", "--a"):
+        arg(flag, default=None, metavar="TYPES")
+    arg("--max-x", type=int, default=4)
+    arg("--max-side", type=int, default=3)
+    arg("--algebras", type=int, default=3)
+    arg = suite("amenability", _cmd_amenability, "eigenvalue growth against log of count")
+    arg("--n-max", type=int, required=True)
+    arg("--warmup", type=int, default=1000)
+    arg("--threshold", type=float, default=50.0)
+    arg = suite("cesaro", _cmd_cesaro, "finite Cesaro-type sum of a named probe", n=False)
+    arg("--poly", choices=sorted(CESARO_PROBES), required=True)
+    arg("--k", type=int, required=True)
+    arg("--tol", type=float, default=1e-3)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     previous = _precision._override
-    start = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        start = time.perf_counter()
         if args.precision_bits is not None:
             set_precision_bits(args.precision_bits)
         precision_bits()  # a bad QGS_PRECISION_BITS is refused before any work

@@ -121,8 +121,8 @@ def semigroup_coeff(param: QParameter, alpha: int, t):
         raise DegenerateRegimeError("interpolation coefficients need q < 1")
     with working_precision() as mp:
         tm = to_mpf(t)
-        if tm <= -1:
-            raise ValueError("t must be > -1")
+        if not -1 < tm < mp.inf:
+            raise ValueError("t must be a finite number > -1")
         qt = mp.power(param.q_mpf(), tm)
         num = poly_value(alpha, qt + 1 / qt)
         den = poly_value(alpha, to_mpf(param.nq))
@@ -143,8 +143,8 @@ def multiplier(param: QParameter, alpha: int, t):
     """Semigroup multiplier exp(-t * eigenvalue) for t >= 0."""
     with working_precision() as mp:
         tm = to_mpf(t)
-        if tm < 0:
-            raise ValueError("t must be >= 0")
+        if not 0 <= tm < mp.inf:
+            raise ValueError("t must be a finite number >= 0")
         return mp.exp(-tm * to_mpf(eigenvalue(param, alpha)))
 
 

@@ -34,6 +34,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 
 import mpmath
@@ -186,8 +187,12 @@ def weight_matrix(param, alpha):
 def _bits(param, sites):
     """Width for weight-basis data on `sites` sites: their defects are of
     size q^sites, differences of terms of size 1, so they need that many bits
-    beyond the working precision, and 32 more absorb the sums' roundoff."""
-    return precision_bits() + math.ceil(-sites * math.log2(float(param.q))) + 32
+    beyond the working precision, and 32 more absorb the sums' roundoff;
+    past the float range, an infinite width that _check_work refuses."""
+    try:
+        return precision_bits() + math.ceil(-sites * math.log2(float(param.q))) + 32
+    except OverflowError:
+        return math.inf
 
 
 def _check_work(bits, isometries):
@@ -197,7 +202,10 @@ def _check_work(bits, isometries):
     top = max(max(labels) for labels in isometries)
     terms = 3 * (top + 1) ** 2 + sum(  # min(m, alpha-m, beta-m) = (a+b+g)/2 - max(a, b, g)
         (a + 1) * (g + 1) * ((a + b + g) // 2 - max(a, b, g) + 1) for a, b, g in isometries)
-    work = terms * (1 + (bits / 1000) ** 1.5)
+    try:
+        work = terms * (1 + (bits / 1000) ** 1.5)
+    except OverflowError:  # past the float range, and so past the ceiling
+        work = math.inf
     if work > MAX_FUSION_WORK:
         raise ResourceLimitError(f"fusion coefficients for labels up to {top} at {bits} bits "
                                  f"take about {work:.3g} units of work, above {MAX_FUSION_WORK}")
@@ -375,7 +383,7 @@ def _reference(param, exponent, alpha):
     q = float(param.q)
     try:
         value = q ** exponent
-    except OverflowError:  # q < 1 to a negative power
+    except OverflowError:  # q < 1 to a negative power, or an exponent past the float range
         value = math.inf
     if not sys.float_info.min <= value < math.inf:
         raise ValueError(f"q^{exponent} at q = {q!r}, alpha = {alpha} is outside the "
@@ -385,7 +393,11 @@ def _reference(param, exponent, alpha):
 
 def pentagon_bound(param, alpha, r, k):
     """Decay reference q^(alpha + (k - r)/2) for the bracketing gap."""
-    return _reference(param, alpha + (k - r) / 2, alpha)
+    try:
+        exponent = alpha + (k - r) / 2
+    except OverflowError:  # a label past the float range: the exponent kept exact
+        exponent = alpha + Fraction(k - r, 2)
+    return _reference(param, exponent, alpha)
 
 
 @dataclass(frozen=True)

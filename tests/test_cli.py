@@ -385,6 +385,10 @@ CEILING_MESSAGES = {EXACT_SCAN_ARGV: "exact gap scan", EXACT_DELTA_ARGV: "exact 
         EXACT_SCAN_ARGV,
         *EXACT_TABLE_ARGVS,
         EXACT_DELTA_ARGV,
+        # labels past the float range at q = 1, whose references are all 1
+        ("pentagon", "--q", "1", "--alpha", "1" + "0" * 200, "--r", "1", "--s", "1",
+         "--k", "1", "--l", "1"),
+        ("lemma65", "--q", "1", "--alpha-min", "1" + "0" * 200, "--alpha-max", "1" + "0" * 200),
     ],
 )
 def test_cost_ceilings_are_resource_errors(capsys, argv):
@@ -638,20 +642,6 @@ def test_cesaro_quadratic_probe(capsys):
     assert payload["result"]["limit"] == 0
 
 
-def test_cesaro_unknown_probe_is_usage(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["cesaro", "--poly", "cubic", "--k", "100"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
-def test_unknown_subcommand_is_usage(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-suite"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
 def test_output_file_matches_stdout(tmp_path, capsys):
     args = ("gap-scan", "--N", "2", "--q", "0.5", "--alpha-max", "12",
             "--gamma-max", "2")
@@ -729,6 +719,22 @@ HS_CERT = ("hs-cert", "--N", "2", "--q", "0.5", "--t", "0.5", "--alpha-max", "30
         ("jw-verify", "--q", "0.5", "--n-max", "4", "--residual-tol", "nan"),
         ("jw-verify", "--q", "0.5", "--n-max", "4", "--trace-tol", "nan"),
         ("jw-verify", "--q", "0.5", "--n-max", "4", "--trace-tol", "inf"),
+        # an N past the float range, which q + 1/q cannot reach
+        ("spectrum", "--N", "1" + "0" * 400, "--q", "0.5", "--alpha-max", "3"),
+        ("jw-verify", "--N", "1" + "0" * 400, "--q", "0.5"),
+        # a reference exponent past the float range
+        ("pentagon", "--q", "0.5", "--alpha", "1" + "0" * 400, "--r", "1", "--s", "1",
+         "--k", "1", "--l", "1"),
+        ("pentagon", "--q", "0.5", "--alpha", "3", "--r", "1" + "0" * 400, "--s", "1",
+         "--k", "1", "--l", "1"),
+        # argparse's own refusals: a missing, ill-typed or unknown flag, no
+        # subcommand, an unknown one, and a value outside a flag's choices
+        ("spectrum", "--q", "0.5", "--alpha-max", "3"),
+        ("spectrum", "--N", "2", "--q", "0.5", "--alpha-max", "x"),
+        ("spectrum", "--N", "2", "--q", "0.5", "--alpha-max", "3", "--bogus"),
+        (),
+        ("no-such-suite",),
+        ("cesaro", "--poly", "cubic", "--k", "100"),
     ],
 )
 def test_out_of_range_inputs_are_usage_errors(capsys, argv):
@@ -834,6 +840,14 @@ SUITES = [
     ("amenability", "--N", "2", "--q", "1", "--n-max", "1000"),
     ("cesaro", "--poly", "x", "--k", "100"),
 ]
+
+
+@pytest.mark.parametrize("argv", SUITES, ids=[argv[0] for argv in SUITES])
+def test_help_prints_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main([argv[0], "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: qgs {argv[0]} ")
 
 
 @pytest.mark.parametrize("argv", SUITES, ids=[argv[0] for argv in SUITES])

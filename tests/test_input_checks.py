@@ -1,7 +1,7 @@
 """Input checks across the package: each bad argument ends in its own error.
 
 One case per check, for the checks that the suite does not reach through
-any other test (QParameter's are in test_chebyshev.py); the message
+any other test (QParameter's others are in test_chebyshev.py); the message
 fragment pins which check fired.
 """
 
@@ -28,6 +28,7 @@ from qgs.spectrum import (
     amenability_criterion,
     dirichlet_form,
     eigenvalue,
+    multiplier,
     semigroup_coeff,
     semigroup_rate,
     spectral_data,
@@ -35,9 +36,11 @@ from qgs.spectrum import (
 from qgs.templieb import (
     MAX_STRANDS,
     commutator_estimate,
+    commutator_suite,
     fusion_isometry,
     jones_wenzl,
     jw_report,
+    pentagon_bound,
     pentagon_defect,
     tl_rep,
     weight_matrix,
@@ -45,12 +48,15 @@ from qgs.templieb import (
 
 P = QParameter(Fraction(1, 2), 2)
 UNIT = QParameter(1, 2)
+HALF = QParameter(0.5, 2)
+HALF_TEXT = QParameter("0.5", 2)
 # a letter of two factors is not mean-zero, so a long word holding it cannot be centred
 UNCENTERED = Letter(0, (("a", "x", False), ("a", "y", False)), False)
 
 
 CASES = {
     # chebyshev
+    "qparameter_N": (lambda: QParameter(Fraction(1, 2), 10**400), ValueError, "is below N"),
     "build_poly": (lambda: build_poly(-1), ValueError, "degree"),
     "poly_value": (lambda: poly_value(-1, 2), ValueError, "degree"),
     "poly_value_and_derivative": (lambda: poly_value_and_derivative(-1, 2), ValueError, "degree"),
@@ -68,6 +74,12 @@ CASES = {
     "semigroup_coeff": (lambda: semigroup_coeff(P, -1, 0.5), ValueError, "alpha must be >= 0"),
     "semigroup_coeff_labels": (lambda: semigroup_coeff(P, MAX_LABELS, 0.5), ResourceLimitError,
                                "exceed 20000 labels"),
+    "semigroup_coeff_nan": (lambda: semigroup_coeff(HALF, 3, float("nan")), ValueError,
+                            "t must be a finite number > -1"),
+    "semigroup_coeff_inf": (lambda: semigroup_coeff(HALF, 3, float("inf")), ValueError,
+                            "t must be a finite number > -1"),
+    "multiplier_nan": (lambda: multiplier(HALF, 3, float("nan")), ValueError,
+                       "t must be a finite number >= 0"),
     "semigroup_rate_q1": (lambda: semigroup_rate(UNIT, 3), DegenerateRegimeError, "q < 1"),
     "spectral_data": (lambda: spectral_data(P, -1), ValueError, "alpha_max must be >= 0"),
     "dirichlet_key": (lambda: dirichlet_form(P, {(1, 1): 1}), InvalidVectorError, "expected"),
@@ -100,6 +112,15 @@ CASES = {
     "commutator_labels": (lambda: commutator_estimate(P, 0, 1, 1, -1, 1), ValueError,
                           "must stay nonnegative"),
     "jw_report": (lambda: jw_report(P, 0), ValueError, "need at least one site"),
+    # inputs past the float range
+    "pentagon_bound_exponent": (lambda: pentagon_bound(HALF_TEXT, 10**400, 1, 1), ValueError,
+                                "outside the normal double range"),
+    "isometry_work": (lambda: fusion_isometry(UNIT, 10**200, 10**200, 2), ResourceLimitError,
+                      "above 1000000"),
+    "isometry_bits": (lambda: fusion_isometry(HALF_TEXT, 10**400, 1, 10**400 + 1),
+                      ResourceLimitError, "at inf bits"),
+    "commutator_suite_work": (lambda: commutator_suite(UNIT, [10**200]), ResourceLimitError,
+                              "above 1000000"),
     # freewords
     "word_letters": (lambda: word("x"), TypeError, "built from Letter values"),
     "circle_long_word": (lambda: circle(Expression.from_word((UNCENTERED, atom(1, "b")))),
