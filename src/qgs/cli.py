@@ -296,6 +296,26 @@ def _csv_cell(value):
     return str(value)
 
 
+def _wide(w):
+    return "\0" + w.text
+
+
+def _json(record):
+    """The record as JSON indented by 2, each row of scalars through json's C
+    encoder: indent makes json use its pure-Python encoder, and an encoded
+    string holds no raw newline, so the separator falls only between fields."""
+    rows = record.get("rows")
+    text = json.dumps({**record, "rows": 0} if rows else record, indent=2,
+                      ensure_ascii=False, default=_wide)
+    if rows:
+        encode = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "),
+                                  default=_wide).encode
+        body = ",\n    ".join(["{\n      " + encode(row)[1:-1] + "\n    }" for row in rows])
+        text = text.replace('\n  "rows": 0', '\n  "rows": [\n    ' + body + "\n  ]", 1)
+    # a _Wide number is written as a marked string, then unquoted
+    return re.sub(r'"\\u0000([^"]*)"', r"\1", text) + "\n"
+
+
 def _emit(args, record):
     """Write the record as JSON, or its rows (else result plus verdict) as CSV."""
     if args.format == "csv":
@@ -307,11 +327,7 @@ def _emit(args, record):
             writer.writerow([_csv_cell(v) for v in row.values()])
         text = buf.getvalue()
     else:
-        # a _Wide number is written as a marked string, then unquoted
-        text = json.dumps(
-            record, indent=2, ensure_ascii=False, default=lambda w: "\0" + w.text
-        )
-        text = re.sub(r'"\\u0000([^"]*)"', r"\1", text) + "\n"
+        text = _json(record)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

@@ -28,18 +28,18 @@ C(b, x) of the current b and x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ResourceLimitError
 
 # expansion_sweep's ceilings (2-vCPU x86_64, in process): (6, 3, 3), 15,331
-# patterns, takes 1.1-1.5 s, (4, 3, 4) 1.2-1.7 s and (354, 0, 2) 1.5-2.3 s.
-# A pattern of k, n and m letters in b, x and a costs about 0.14 us per unit
-# of _pattern_work(k, n, m) = (k+1)(n+1)(m+1)(k+n+m) over those sweeps and for
-# an x of 256 letters or a b, x and a of 30 each; 0.34 us for a b and an a of
-# 30 around an empty x.  MAX_LETTER_WORK holds for a sweep and a single pattern.
+# patterns, takes 0.85-1.25 s, (4, 3, 4) 0.7-1.1 s and (354, 0, 2) 1.6-1.9 s.
+# A pattern of k, n and m letters in b, x and a costs 0.07-0.13 us per unit of
+# _pattern_work(k, n, m) = (k+1)(n+1)(m+1)(k+n+m) over those sweeps, about
+# 0.1 us for an x of 256 letters or a b, x and a of 30 each, and 0.34 us for a
+# b and an a of 30 around an empty x.  MAX_LETTER_WORK holds for a sweep and a
+# single pattern.
 MAX_SWEEP_PATTERNS = 20_000
 MAX_LETTER_WORK = 15 * 10**6
 
@@ -159,13 +159,14 @@ class Expression:
 class _Table:
     """One call's interned letters and phi symbols, each id's algebra and the
     phi id of a circled letter, memos of the junction fusion and the
-    generator wrap; defect is the current ((b, x), C(b, x)), b and x as ids."""
+    generator wrap, and the id word of each (name, types) of atoms; defect is
+    the current ((b, x), C(b, x)), b and x as ids."""
 
-    __slots__ = ("ids", "values", "algebra", "phi", "merges", "wraps", "defect")
+    __slots__ = ("ids", "values", "algebra", "phi", "merges", "wraps", "atoms", "defect")
 
     def __init__(self):
         self.ids, self.values, self.algebra, self.phi = {}, [], [], []
-        self.merges, self.wraps, self.defect = {}, {}, None
+        self.merges, self.wraps, self.atoms, self.defect = {}, {}, {}, None
 
     def intern(self, value):
         u = self.ids.get(value)
@@ -364,8 +365,7 @@ def _boundary_main_sum(t, b, x, a):
     return total
 
 
-@dataclass(frozen=True)
-class RemainderLedger:
+class RemainderLedger(NamedTuple):
     """Leftover short-word terms, grouped by (length, algebra signature)."""
 
     groups: dict
@@ -374,8 +374,7 @@ class RemainderLedger:
     within_bound: bool
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     b_types: tuple
     x_types: tuple
     a_types: tuple
@@ -387,8 +386,13 @@ class ExpansionReport:
 
 
 def _atoms(t, name, types):
-    """The id word of fresh atoms name1, name2, ... of the given algebra types."""
-    return tuple(t.intern(atom(alg, f"{name}{i}")) for i, alg in enumerate(types, 1))
+    """The id word of fresh atoms name1, name2, ... of the given algebra types,
+    interned once per table."""
+    ids = t.atoms.get((name, types))
+    if ids is None:
+        ids = tuple(t.intern(atom(alg, f"{name}{i}")) for i, alg in enumerate(types, 1))
+        t.atoms[name, types] = ids
+    return ids
 
 
 def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3):
@@ -464,6 +468,8 @@ def _growth_words(max_length, used, algebras):
             for t in range(min(n + 1, algebras))
             if not w or t != w[-1]
         ]
+        if not level:  # over one algebra no reduced word is longer than 1
+            return
         yield from level
 
 

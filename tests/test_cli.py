@@ -1,10 +1,15 @@
 """Command-line front end: schemas, verdicts, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
+import math
+import os
 import random
+import re
 import runpy
+import subprocess
 import sys
 import time
 from decimal import Context, Decimal
@@ -13,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from qgs import QParameter, freewords, fusion, spectrum, templieb
+import qgs
+from qgs import QParameter, cli, freewords, fusion, spectrum, templieb
 from qgs.cli import _num, main
 from qgs.errors import NumericalDegradationError
 
@@ -557,6 +563,21 @@ def test_freeprod_sweep_small(capsys):
     assert payload["result"]["failures"] == 0
 
 
+def test_freeprod_sweep_stops_at_its_first_empty_level():
+    # over one algebra no x is longer than one letter, so a larger --max-x
+    # adds no pattern and no time
+    env = dict(os.environ, PYTHONPATH=str(Path(qgs.__file__).resolve().parents[1]))
+
+    def rows(max_x):
+        argv = ["freeprod-verify", "--max-x", str(max_x), "--max-side", "0", "--algebras", "1"]
+        done = subprocess.run([sys.executable, "-m", "qgs.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=30, check=True)
+        return json.loads(done.stdout)["rows"]
+
+    assert rows(10**12) == rows(1)
+    assert len(rows(1)) == 2
+
+
 def test_freeprod_resource_limit(capsys):
     code, _, err = run_cli(
         capsys, "freeprod-verify", "--b", "0", "--x", "0,1,0,1,0", "--a", "0",
@@ -864,6 +885,64 @@ def test_csv_header_matches_json_record(capsys, argv):
     else:
         assert header == list(record["result"]) + ["verdict"]
         assert len(rows) == 1
+
+
+def _assert_one_dump(out, record):
+    """out is the record as one json.dumps call with indent=2 writes it, _Wide
+    unquoted; a mismatch shows the text around its first differing character."""
+    text = json.dumps(record, indent=2, ensure_ascii=False, default=lambda w: "\0" + w.text)
+    expected = re.sub(r'"\\u0000([^"]*)"', r"\1", text) + "\n"
+    at = next((i for i, pair in enumerate(zip(out, expected)) if pair[0] != pair[1]),
+              min(len(out), len(expected)))
+    window = slice(max(at - 60, 0), at + 60)
+    assert (out[window], len(out)) == (expected[window], len(expected))
+
+
+_WIDE = _num(Fraction(10**400, 3))
+_HEAD = {"suite": 'a "rows": 0\n  "rows": 0', "inputs": {"q": "1/2", "rows": 0},
+         "precision_bits": 128}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {**_HEAD, "rows": [{"n": i, "label": f"é{i}\n\"\\", "x": i / 7, "ok": i % 2 == 0}
+                           for i in range(40)], "verdict": "pass"},
+        {**_HEAD, "result": {"patterns": 0}, "rows": [], "verdict": "pass"},
+        {**_HEAD, "result": {"value": _WIDE, "limit": math.inf}, "verdict": "fail"},
+        {**_HEAD, "rows": [{"qdim": _WIDE, "gap": math.inf, "low": -math.inf},
+                           {"qdim": _num(Fraction(-(10**500), 7)), "gap": 0.0, "low": -0.0}],
+         "verdict": "fail", "wall_time_s": 0.125},
+    ],
+    ids=["many-rows", "empty-rows", "no-rows", "wide-and-infinite"],
+)
+def test_row_writer_keeps_the_bytes_of_one_dump(capsys, record):
+    cli._emit(argparse.Namespace(format="json", output=None), record)
+    _assert_one_dump(capsys.readouterr().out, record)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *SUITES,
+        ("freeprod-verify", "--max-x", "3", "--max-side", "2", "--algebras", "3"),
+        ("spectrum", "--N", "2", "--q", "0.2", "--alpha-max", "750"),
+    ],
+    ids=[argv[0] for argv in SUITES] + ["freeprod-sweep", "spectrum-wide"],
+)
+def test_records_keep_the_bytes_of_one_dump(capsys, monkeypatch, argv):
+    records, emit = [], cli._emit
+
+    def kept(args, record):
+        records.append(record)
+        emit(args, record)
+
+    monkeypatch.setattr(cli, "_emit", kept)
+    code, out, _ = run_cli(capsys, *argv, "--timing")
+    assert code in (0, 1)  # a record with its verdict
+    (record,) = records
+    assert "wall_time_s" in record
+    _assert_one_dump(out, record)
 
 
 def _num_by_one_division(x):

@@ -515,6 +515,18 @@ def test_one_table_per_verification(monkeypatch):
     assert len(built) == 1
 
 
+def test_atoms_are_interned_once_per_table():
+    # the sweep asks for the same b, x and a atoms many times; the table keeps
+    # their id word, which is the word a fresh interning gives
+    t = freewords._Table()
+    b = freewords._atoms(t, "b", (0, 1, 0))
+    size = len(t.values)
+    assert freewords._atoms(t, "b", (0, 1, 0)) is b
+    assert len(t.values) == size
+    assert b == tuple(t.intern(atom(alg, f"b{i}")) for i, alg in enumerate((0, 1, 0), 1))
+    assert freewords._atoms(t, "a", (0, 1, 0)) != b
+
+
 def test_expansion_sweep_order():
     reports = expansion_sweep(max_x=2, max_side=2, algebras=3)
     assert [(r.b_types, r.x_types, r.a_types) for r in reports] == _relabel_and_filter(2, 2, 3)

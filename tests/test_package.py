@@ -7,10 +7,11 @@ basis and matrix, weight_matrix, an isometry's V) import it, which one
 probe confirms.  mpmath is loaded only for decimal q, hs-cert and the
 Temperley-Lieb suites (jw-verify, lemma65, pentagon): spectrum, fusion,
 gap-scan and amenability at rational q stay exact and never load it, nor
-does freeprod-verify.  Each check runs in a fresh interpreter, since this
-process has imported everything already; it asserts module names, not
-times.  The README's ceiling table is checked against the MAX_* constants
-the package defines.
+does freeprod-verify, whose word path loads no dataclasses or inspect
+either.  Each check runs in a fresh interpreter, since this process has
+imported everything already; it asserts module names, not times.  The
+README's ceiling table is checked against the MAX_* constants the
+package defines.
 """
 
 import importlib
@@ -68,6 +69,33 @@ def _loaded(argv):
 )
 def test_import_and_word_calculus_load_neither_numpy_nor_mpmath(argv):
     assert _loaded(argv) == set()
+
+
+_BEYOND_BARE = """
+import sys
+bare = set(sys.modules)
+import contextlib, io, json
+import qgs.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qgs.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(set(sys.modules) - bare)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["freeprod-verify", "--max-x", "2", "--max-side", "1", "--algebras", "2"],
+        ["freeprod-verify", "--b", "0,1", "--x", "1,0,1", "--a", "1,0"],
+    ],
+)
+def test_word_calculus_loads_neither_dataclasses_nor_inspect(argv):
+    # counted beyond the modules the bare interpreter has loaded, since site
+    # hooks differ between machines; dataclasses imports inspect, ast and dis
+    code, loaded = _fresh(_BEYOND_BARE, json.dumps(argv))
+    assert code == 0
+    assert "qgs.freewords" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 @pytest.mark.parametrize("q", ["0.5", "1/2"])
