@@ -16,7 +16,7 @@ coefficients.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice, zip_longest
 
@@ -33,16 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChebyshevPoly:
+class ChebyshevPoly(namedtuple("ChebyshevPoly", "degree coeffs")):
     """One member of the family, held as exact integer coefficients.
 
     coeffs is ascending: coeffs[k] multiplies x**k.  The leading coefficient
     is 1 and coefficients of parity opposite to the degree vanish.
     """
 
-    degree: int
-    coeffs: tuple
+    __slots__ = ()
 
     def value(self, x):
         acc = 0 * x
@@ -101,8 +99,7 @@ def poly_derivative(alpha, x):
     return poly_value_and_derivative(alpha, x)[1]
 
 
-@dataclass(frozen=True, slots=True)
-class QParameter:
+class QParameter(namedtuple("QParameter", "q N")):
     """Deformation data (q, N) for one quantum group model.
 
     Admissible inputs satisfy 0 < q <= 1, integer N >= 2, and q + 1/q >= N
@@ -112,11 +109,10 @@ class QParameter:
     read at the working precision (at least 53 bits).
     """
 
-    q: object
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        q, N = self.q, self.N
+    def __new__(cls, q, N):
+        given = q
         if not isinstance(N, int) or N < 2:
             raise ValueError("N must be an integer >= 2")
         if isinstance(q, bool):
@@ -128,8 +124,8 @@ class QParameter:
             # and never less than a float's
             with working_precision(max(precision_bits(), 53)) as mp:
                 q, bits = mp.mpf(q), mp.prec
-            if q == 1 and Fraction(self.q) != 1:  # nearer 1 than the width resolves
-                raise ValueError(f"q = {self.q} reads as 1 at {bits} bits: give q as a fraction, "
+            if q == 1 and Fraction(given) != 1:  # nearer 1 than the width resolves
+                raise ValueError(f"q = {given} reads as 1 at {bits} bits: give q as a fraction, "
                                  "or a wider --precision-bits")
         elif not (isinstance(q, Fraction) or _is_mp(q)):  # an mpc fails the ordering below
             raise TypeError("q must be Fraction, int, float, str or mpf")
@@ -137,12 +133,17 @@ class QParameter:
             raise ValueError("q must lie in (0, 1]")
         if float(q) < 1 / sys.float_info.max:
             raise ValueError("q = %s is too small: q + 1/q exceeds the double range" % q)
-        object.__setattr__(self, "q", q)
+        self = super().__new__(cls, q, N)
         if N > sys.float_info.max or float(self.nq) < N - 1e-9:  # q + 1/q is within doubles
             raise ValueError(
                 "q + 1/q = %s is below N = %d; q may not exceed the "
                 "smallest positive root of x^2 - N*x + 1" % (float(self.nq), N)
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
     @classmethod
     def kac(cls, N):

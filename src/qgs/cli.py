@@ -10,8 +10,6 @@ affirmative verdict, 1 verdict failure, 2 usage error, 3 resource limit.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -19,7 +17,6 @@ import sys
 import time
 from decimal import Context, Decimal
 from fractions import Fraction
-from pathlib import Path
 
 from . import precision as _precision
 from .errors import NumericalDegradationError, ResourceLimitError
@@ -301,17 +298,19 @@ def _wide(w):
 
 
 def _json(record):
-    """The record as JSON indented by 2, each row of scalars through json's C
-    encoder: indent makes json use its pure-Python encoder, and an encoded
-    string holds no raw newline, so the separator falls only between fields."""
+    """The record as JSON indented by 2, its rows of scalars through one call
+    of json's C encoder: indent makes json use its pure-Python encoder, and an
+    encoded string holds no raw newline, so the separator falls only between
+    fields and a closing brace, separator and opening brace only between rows."""
     rows = record.get("rows")
     text = json.dumps({**record, "rows": 0} if rows else record, indent=2,
                       ensure_ascii=False, default=_wide)
     if rows:
         encode = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "),
                                   default=_wide).encode
-        body = ",\n    ".join(["{\n      " + encode(row)[1:-1] + "\n    }" for row in rows])
-        text = text.replace('\n  "rows": 0', '\n  "rows": [\n    ' + body + "\n  ]", 1)
+        body = encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        body = '\n  "rows": [\n    {\n      ' + body + "\n    }\n  ]"
+        text = text.replace('\n  "rows": 0', body, 1)
     # a _Wide number is written as a marked string, then unquoted
     return re.sub(r'"\\u0000([^"]*)"', r"\1", text) + "\n"
 
@@ -319,6 +318,9 @@ def _json(record):
 def _emit(args, record):
     """Write the record as JSON, or its rows (else result plus verdict) as CSV."""
     if args.format == "csv":
+        import csv
+        import io
+
         rows = record.get("rows") or [dict(record["result"], verdict=record["verdict"])]
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -329,7 +331,8 @@ def _emit(args, record):
     else:
         text = _json(record)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.write(text)
     else:
         sys.stdout.write(text)
 

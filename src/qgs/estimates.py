@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import index, mul
@@ -251,8 +251,7 @@ def _cells(param, top):
     return _FloatCells(q, top, _log_q(int(man), 1 << -exp))
 
 
-@dataclass(frozen=True)
-class GapEvaluation:
+class GapEvaluation(namedtuple("GapEvaluation", "alpha beta gamma lhs rhs ratio")):
     """One evaluation of the second-difference gap functional.
 
     ``ratio`` is lhs/rhs: 0 when both sides vanish, infinity when only the
@@ -261,12 +260,7 @@ class GapEvaluation:
     and rhs are mpf, so they neither underflow nor overflow.
     """
 
-    alpha: int
-    beta: int
-    gamma: int
-    lhs: object
-    rhs: object
-    ratio: object
+    __slots__ = ()
 
 
 def _exact_gap(param, a, b, g):
@@ -297,18 +291,11 @@ def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
     return GapEvaluation(alpha, beta, gamma, *_cells(param, top).gap(alpha, beta, gamma))
 
 
-@dataclass(frozen=True)
-class GapScan:
+class GapScan(namedtuple("GapScan", "param alpha_max gamma_max sup_ratio argmax "
+                         "window_low_sup window_high_sup stable")):
     """Grid supremum of the gap ratio with a two-window stability check."""
 
-    param: QParameter
-    alpha_max: int
-    gamma_max: int
-    sup_ratio: float
-    argmax: tuple[int, int, int]
-    window_low_sup: float
-    window_high_sup: float
-    stable: bool
+    __slots__ = ()
 
 
 def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapScan:
@@ -386,17 +373,11 @@ def gap_constant_scan(param: QParameter, alpha_max: int, gamma_max: int) -> GapS
     return GapScan(param, alpha_max, gamma_max, sup, argmax, low_sup, high_sup, stable)
 
 
-@dataclass(frozen=True)
-class HSCoefficient:
+class HSCoefficient(namedtuple("HSCoefficient", "alpha beta gamma t gap_coefficient "
+                               "step_coefficient damping")):
     """The three scalar factors of one summand in the coefficient bound."""
 
-    alpha: int
-    beta: int
-    gamma: int
-    t: float
-    gap_coefficient: object
-    step_coefficient: object
-    damping: object
+    __slots__ = ()
 
 
 def hs_coefficient(param: QParameter, alpha, beta, gamma, t) -> HSCoefficient:
@@ -412,8 +393,8 @@ def hs_coefficient(param: QParameter, alpha, beta, gamma, t) -> HSCoefficient:
     return HSCoefficient(alpha, beta, gamma, float(t), ev.lhs, step, damping)
 
 
-@dataclass(frozen=True)
-class HSCertificate:
+class HSCertificate(namedtuple("HSCertificate", "param t alpha_max terms compressed_terms "
+                               "partial_sums ratio_value verdict")):
     """Summability evidence for the squared Hilbert-Schmidt norm series.
 
     ``terms`` is the exact-term series n_a^2 (q^(2a) + q^a)^2 exp(-2ta);
@@ -422,14 +403,7 @@ class HSCertificate:
     never a proof.
     """
 
-    param: QParameter
-    t: float
-    alpha_max: int
-    terms: tuple[float, ...]
-    compressed_terms: tuple[float, ...]
-    partial_sums: tuple[float, ...]
-    ratio_value: float
-    verdict: str
+    __slots__ = ()
 
 
 def hs_certificate(
@@ -486,8 +460,7 @@ def hs_certificate(
     )
 
 
-@dataclass(frozen=True)
-class RegimeClassification:
+class RegimeClassification(namedtuple("RegimeClassification", "kac ighs ghs")):
     """Summability regime flags for one parameter point.
 
     ``ighs`` (damped summability for every t > 0) holds throughout the
@@ -495,9 +468,7 @@ class RegimeClassification:
     strictly below the Kac point q0; ``kac`` flags q = q0 itself.
     """
 
-    kac: bool
-    ighs: bool
-    ghs: bool
+    __slots__ = ()
 
 
 def regime_classify(param: QParameter) -> RegimeClassification:

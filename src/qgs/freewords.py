@@ -28,8 +28,8 @@ C(b, x) of the current b and x.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ResourceLimitError
 
@@ -44,15 +44,12 @@ MAX_SWEEP_PATTERNS = 20_000
 MAX_LETTER_WORK = 15 * 10**6
 
 
-class Letter(NamedTuple):
-    algebra: object
-    factors: tuple
-    circled: bool
+class Letter(namedtuple("Letter", "algebra factors circled")):
+    __slots__ = ()
 
 
-class PhiSymbol(NamedTuple):
-    algebra: object
-    factors: tuple
+class PhiSymbol(namedtuple("PhiSymbol", "algebra factors")):
+    __slots__ = ()
 
 
 def atom(algebra, name, star=False):
@@ -365,24 +362,15 @@ def _boundary_main_sum(t, b, x, a):
     return total
 
 
-class RemainderLedger(NamedTuple):
+class RemainderLedger(namedtuple("RemainderLedger", "groups max_word_length bound within_bound")):
     """Leftover short-word terms, grouped by (length, algebra signature)."""
 
-    groups: dict
-    max_word_length: int
-    bound: int
-    within_bound: bool
+    __slots__ = ()
 
 
-class ExpansionReport(NamedTuple):
-    b_types: tuple
-    x_types: tuple
-    a_types: tuple
-    lhs_is_zero: bool
-    must_vanish: bool
-    ledger: RemainderLedger
-    residual: Expression
-    passed: bool
+class ExpansionReport(namedtuple("ExpansionReport", "b_types x_types a_types lhs_is_zero "
+                                 "must_vanish ledger residual passed")):
+    __slots__ = ()
 
 
 def _atoms(t, name, types):

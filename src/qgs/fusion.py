@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from operator import index
@@ -55,8 +55,7 @@ def fuse(alpha: int, beta: int) -> list[int]:
     return list(range(abs(alpha - beta), alpha + beta + 1, 2))
 
 
-@dataclass(frozen=True)
-class DimensionTable:
+class DimensionTable(namedtuple("DimensionTable", "param n qdim")):
     """Classical and quantum dimensions of the irreducibles up to a cutoff.
 
     ``n[a]`` is the exact integer dimension, satisfying N*n[a] = n[a+1] + n[a-1]
@@ -64,9 +63,7 @@ class DimensionTable:
     [a+1]_q, exact rational when q is a Fraction.
     """
 
-    param: QParameter
-    n: tuple[int, ...]
-    qdim: tuple
+    __slots__ = ()
 
 
 def _integer_dims(N: int, top: int) -> tuple[int, ...]:
@@ -97,18 +94,14 @@ def _dims(param, alpha_max, bits):
 dims.cache_info = _dims.cache_info
 
 
-@dataclass(frozen=True)
-class GrowthProbe:
+class GrowthProbe(namedtuple("GrowthProbe", "alpha_probe q0 n_root limsup_product")):
     """Finite-cutoff probe of the exponential growth of dimensions.
 
     ``limsup_product`` approximates lim sup n_a^{1/a} * q, which is 1 in the
     Kac regime q = q0 and strictly smaller for q < q0.
     """
 
-    alpha_probe: int
-    q0: float
-    n_root: float
-    limsup_product: float
+    __slots__ = ()
 
 
 def growth_rate(param: QParameter, alpha_probe: int) -> GrowthProbe:
@@ -120,20 +113,11 @@ def growth_rate(param: QParameter, alpha_probe: int) -> GrowthProbe:
     return GrowthProbe(alpha_probe, float(param.q0), root, root * float(param.q))
 
 
-@dataclass(frozen=True)
-class FusionCheck:
+class FusionCheck(namedtuple("FusionCheck", "param alpha beta channels n_product n_sum "
+                             "qdim_product qdim_sum classical_ok quantum_ok")):
     """Result of checking both dimension sum rules on one channel list."""
 
-    param: QParameter
-    alpha: int
-    beta: int
-    channels: list[int]
-    n_product: int
-    n_sum: int
-    qdim_product: object
-    qdim_sum: object
-    classical_ok: bool
-    quantum_ok: bool
+    __slots__ = ()
 
 
 def _fusion_checks(param: QParameter, cells) -> list[FusionCheck]:

@@ -10,11 +10,11 @@ evaluated in mpmath at the configured working precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
 from itertools import accumulate, count, islice
 from operator import index
-from typing import Callable, Iterator, Mapping
 
 from .chebyshev import QParameter, _values, poly_value
 from .errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
@@ -168,14 +168,10 @@ def cesaro_sum(func: Callable[[float], float], k: int) -> float:
     return tail - k * float(func(0.0))
 
 
-@dataclass(frozen=True)
-class SpectralDatum:
+class SpectralDatum(namedtuple("SpectralDatum", "alpha delta n multiplicity")):
     """One eigenvalue with its label, dimension and L2 multiplicity."""
 
-    alpha: int
-    delta: object
-    n: int
-    multiplicity: int
+    __slots__ = ()
 
 
 def spectral_stream(param: QParameter) -> Iterator[SpectralDatum]:
@@ -193,15 +189,10 @@ def spectral_data(param: QParameter, alpha_max: int) -> list[SpectralDatum]:
     return list(islice(spectral_stream(param), alpha_max + 1))
 
 
-@dataclass(frozen=True)
-class SpectralRow:
+class SpectralRow(namedtuple("SpectralRow", "alpha n qdim delta gap")):
     """One row of the tabulated spectrum: label, dimensions, eigenvalue, gap."""
 
-    alpha: int
-    n: int
-    qdim: object
-    delta: object
-    gap: object
+    __slots__ = ()
 
 
 def spectral_rows(param: QParameter, alpha_max: int) -> list[SpectralRow]:
@@ -250,14 +241,10 @@ def dirichlet_form(param: QParameter, vector: Mapping):
     return total
 
 
-@dataclass(frozen=True)
-class ResolventCoeff:
+class ResolventCoeff(namedtuple("ResolventCoeff", "alpha eps resolvent regularized")):
     """Resolvent and regularized-generator coefficients at one label."""
 
-    alpha: int
-    eps: float
-    resolvent: object
-    regularized: object
+    __slots__ = ()
 
 
 def resolvent_coeff(param: QParameter, alpha: int, eps) -> ResolventCoeff:
@@ -270,8 +257,9 @@ def resolvent_coeff(param: QParameter, alpha: int, eps) -> ResolventCoeff:
         return ResolventCoeff(index(alpha), float(eps), 1 / den, delta / den)
 
 
-@dataclass(frozen=True)
-class AmenabilityReport:
+class AmenabilityReport(namedtuple(
+        "AmenabilityReport", "n_max warmup threshold checkpoints ratios envelope "
+        "liminf_estimate satisfied verdict note", defaults=("numerical evidence",))):
     """Finite-sample probe of eigenvalue growth against log of the count.
 
     ``ratios[i]`` is lambda_n / log(n) at checkpoint n = checkpoints[i],
@@ -282,16 +270,7 @@ class AmenabilityReport:
     never a proof.
     """
 
-    n_max: int
-    warmup: int
-    threshold: float
-    checkpoints: tuple[int, ...]
-    ratios: tuple[float, ...]
-    envelope: tuple[float, ...]
-    liminf_estimate: float
-    satisfied: bool
-    verdict: str
-    note: str = "numerical evidence"
+    __slots__ = ()
 
 
 def amenability_criterion(

@@ -33,7 +33,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -211,11 +211,13 @@ def _check_work(bits, isometries):
                                  f"take about {work:.3g} units of work, above {MAX_FUSION_WORK}")
 
 
-def _tables(param, bits, top):
-    """q-number tables for labels 0..top: q, binom[n][k] = S(n, k) = [n]!/([k]!
-    [n-k]!), [n] = U_(n-1)(q + 1/q), root[n][k] = sqrt(q^(k(n-k)) / S(n, k)) and
-    an empty memo of powers of q, all formed from q at bits (QParameter.nq and
-    fusion.dims are at the working precision)."""
+def _tables(param, bits, labels):
+    """q-number tables for the (alpha, beta, gamma) of labels, up to their
+    largest label top: q, binom[n][k] = S(n, k) = [n]!/([k]! [n-k]!) for
+    n = 0..top, [n] = U_(n-1)(q + 1/q), root[n][k] = sqrt(q^(k(n-k)) / S(n, k))
+    for each n among labels and an empty memo of powers of q, all formed from
+    q at bits (QParameter.nq and fusion.dims are at the working precision)."""
+    top = max(map(max, labels))
     with working_precision(bits):
         q = to_mpf(param.q)
         numbers = _values(q + 1 / q)
@@ -223,8 +225,8 @@ def _tables(param, bits, top):
         binom = [[q ** 0]]
         for n in range(1, top + 1):
             binom.append([q ** 0] + [binom[-1][k - 1] * nums[n] / nums[k] for k in range(1, n + 1)])
-        root = [[mpmath.sqrt(q ** (k * (n - k)) / b) for k, b in enumerate(row)]
-                for n, row in enumerate(binom)]
+        root = {n: [mpmath.sqrt(q ** (k * (n - k)) / b) for k, b in enumerate(binom[n])]
+                for n in set().union(*labels)}
     return q, binom, root, {}
 
 
@@ -254,23 +256,28 @@ def _closed_form(tables, alpha, beta, gamma):
     return columns
 
 
-@dataclass(frozen=True, eq=False)
-class FusionIsometry:
+class FusionIsometry(namedtuple("FusionIsometry", "param alpha beta gamma bits coefficients")):
     """Isometric embedding of the label-gamma image into the alpha (x) beta chain.
 
     ``coefficients`` maps (i, j) to the coefficient, an mpf at ``bits``, of
     basis vectors i of p_alpha and j of p_beta in the image of target vector
     k = i + j - (alpha+beta-gamma)/2: weights are kept, so no other entry is
     nonzero.  ``V``, the chain matrix (B_alpha (x) B_beta) C, is built on its
-    first read and kept with the isometry.
+    first read and kept with the isometry.  Isometries compare and hash by
+    identity.
     """
 
-    param: object
-    alpha: int
-    beta: int
-    gamma: int
-    bits: int
-    coefficients: MappingProxyType
+    # no __slots__: V is kept in the instance __dict__
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @functools.cached_property
     def V(self):
@@ -297,7 +304,7 @@ def _isometries(param, bits, labels):
     (alpha, beta, gamma): the work of all of labels is checked first, and
     they are read from one table up to the largest label."""
     _check_work(bits, labels)
-    tables = _tables(param, bits, max(map(max, labels)))
+    tables = _tables(param, bits, labels)
 
     @functools.cache
     def isometry(alpha, beta, gamma):
@@ -400,18 +407,9 @@ def pentagon_bound(param, alpha, r, k):
     return _reference(param, exponent, alpha)
 
 
-@dataclass(frozen=True)
-class CommutatorEstimate:
-    alpha: int
-    r: int
-    s: int
-    k: int
-    l: int
-    weighted_defect: float
-    reference: float
-    ratio: float
-    constant: int
-    passed: bool
+class CommutatorEstimate(namedtuple("CommutatorEstimate", "alpha r s k l weighted_defect "
+                                     "reference ratio constant passed")):
+    __slots__ = ()
 
 
 def _weighted_defect(param, alpha, k, l, isometry=None):
@@ -469,14 +467,10 @@ def commutator_suite(param, alphas):
     return _estimates(param, cases) if cases else []
 
 
-@dataclass(frozen=True)
-class JWReportRow:
-    n: int
-    rank: int
-    idempotency: float
-    annihilation: float
-    trace_error: object  # an mpf: |tr - [n+1]_q| may lie beyond the double range
-    trace_rel_error: float
+class JWReportRow(namedtuple("JWReportRow", "n rank idempotency annihilation trace_error "
+                              "trace_rel_error")):
+    # trace_error is an mpf: |tr - [n+1]_q| may lie beyond the double range
+    __slots__ = ()
 
 
 def _weight_sectors(n_max):

@@ -7,14 +7,21 @@ basis and matrix, weight_matrix, an isometry's V) import it, which one
 probe confirms.  mpmath is loaded only for decimal q, hs-cert and the
 Temperley-Lieb suites (jw-verify, lemma65, pentagon): spectrum, fusion,
 gap-scan and amenability at rational q stay exact and never load it, nor
-does freeprod-verify, whose word path loads no dataclasses or inspect
-either.  Each check runs in a fresh interpreter, since this process has
-imported everything already; it asserts module names, not times.  The
-README's ceiling table is checked against the MAX_* constants the
-package defines.
+does freeprod-verify.  The package's records are named tuples, so no
+subcommand's default run (JSON to stdout), at rational or at decimal q,
+loads dataclasses (which pulls in inspect, ast and dis), typing, pathlib
+or csv; that probe runs under -S, with this qgs and mpmath's directory
+put on sys.path by hand, as a site hook (a .pth file) may import typing or
+pathlib before any of it.  Each check runs in a fresh interpreter, since
+this process has imported everything already; it asserts module names,
+not times.  The README's ceiling table is checked against the MAX_*
+constants the package defines.
 """
 
+import csv
 import importlib
+import importlib.util
+import io
 import json
 import os
 import re
@@ -26,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import qgs
+from test_cli import SUITES
 from test_spectrum import closed_form_eigenvalue
 
 _SRC = str(Path(qgs.__file__).resolve().parents[1])
@@ -96,6 +104,48 @@ def test_word_calculus_loads_neither_dataclasses_nor_inspect(argv):
     assert code == 0
     assert "qgs.freewords" in loaded
     assert not {"dataclasses", "inspect"} & set(loaded)
+
+
+_BUDGET = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import contextlib, io, json
+import qgs.cli
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        return [qgs.cli.main(argv), out.getvalue()]
+argv = json.loads(sys.argv[3])
+default = run(argv)
+# what a default run (JSON to stdout) does without; csv serves --format csv alone
+loaded = [m for m in ("dataclasses", "inspect", "typing", "pathlib", "csv") if m in sys.modules]
+print(json.dumps([loaded, default, run(argv + ["--format", "csv"])]))
+"""
+
+
+def _rational_and_decimal(argv):
+    """argv with its q as a fraction and as a decimal, or argv alone if it has no q."""
+    if "--q" not in argv:
+        return [pytest.param(list(argv), id=argv[0])]
+    at = argv.index("--q") + 1
+    q = Fraction(argv[at])
+    return [pytest.param([*argv[:at], text, *argv[at + 1:]], id=f"{argv[0]}-{text}")
+            for text in (str(q), str(float(q)))]
+
+
+@pytest.mark.parametrize("argv", [p for suite in SUITES for p in _rational_and_decimal(suite)])
+def test_default_run_loads_no_dataclasses_typing_pathlib_or_csv(argv):
+    mpmath_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("mpmath").origin))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _BUDGET, _SRC, mpmath_dir, json.dumps(argv)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded, (code, out), (csv_code, csv_out) = json.loads(done.stdout)
+    assert loaded == []
+    assert code == csv_code and code in (0, 1)
+    record = json.loads(out)
+    header = list(record["rows"][0]) if "rows" in record else [*record["result"], "verdict"]
+    assert next(csv.reader(io.StringIO(csv_out))) == header
 
 
 @pytest.mark.parametrize("q", ["0.5", "1/2"])
