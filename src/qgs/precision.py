@@ -4,7 +4,8 @@ Exact identities run in rational arithmetic and never touch this module's
 working precision, so they never import mpmath: code that works on data
 of either kind enters it through _precision_for, which tests the data
 with _is_mp.  Everything floating (large-degree polynomial values,
-eigenvalues, series certificates) runs under mpmath with a mantissa width
+eigenvalues, series certificates) runs under mpmath, and the
+Temperley-Lieb fusion kernels on decimal.Decimal, with a mantissa width
 resolved in priority order: an explicit set_precision_bits() call, the
 QGS_PRECISION_BITS environment variable, then the 128-bit default.  Both
 routes refuse a width below 24 bits (ValueError) or above
@@ -13,7 +14,6 @@ sized near the default, and a wider mantissa multiplies every step.
 """
 
 import os
-import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
@@ -68,12 +68,17 @@ def working_precision(bits=None):
         yield mpmath.mp
 
 
+_PLAIN = (Fraction, int, float)  # never an mpmath number, and the most common data
+
+
 def _is_mp(*values):
-    """Whether any of values is an mpmath number.  Only code that makes one
-    imports mpmath, so the test imports nothing: exact data (int, Fraction)
-    and floats never are one."""
-    mpmath = sys.modules.get("mpmath")
-    return mpmath is not None and any(isinstance(v, (mpmath.mpf, mpmath.mpc)) for v in values)
+    """Whether any of values is an mpmath number, or a value that mpmath
+    takes as one (a chebyshev.Dyadic): one whose type has an _mpf_ or an
+    _mpc_.  The test reads the type alone, so it imports nothing."""
+    for v in values:
+        if type(v) not in _PLAIN and (hasattr(type(v), "_mpf_") or hasattr(type(v), "_mpc_")):
+            return True
+    return False
 
 
 def _precision_for(*values):

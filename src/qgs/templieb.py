@@ -14,13 +14,16 @@ sector at a time in plain floats, each level's sectors grown from the last.
 
 A fusion isometry is kept as its coefficients in these weight bases, from
 their closed form as one alternating sum of symmetric q-binomials
-(Kirillov-Reshetikhin 1989) in mpmath.  The bracketings of a double fusion
-contract those coefficients with no 2^n vector and no numpy, n log2(1/q)
-bits above the working precision (_bits), as their gap of size q^n on n
-sites is a difference of terms of size 1.  The chain objects (generators,
-projections, weight matrices, an isometry's chain matrix V) are float64
-and read-only, hold at most MAX_STRANDS sites, and are the only code here
-that imports numpy, when called.
+(Kirillov-Reshetikhin 1989).  The bracketings of a double fusion contract
+those coefficients with no 2^n vector and no numpy, n log2(1/q) bits above
+the working precision (_bits), as their gap of size q^n on n sites is a
+difference of terms of size 1.  These kernels run on decimal.Decimal, in
+one context per call of as many digits as those bits need (_context), and
+import no mpmath; only the public fusion_isometry decodes its coefficients
+to mpf.  The chain objects (generators, projections, weight matrices, an
+isometry's chain matrix V) are float64 and read-only, hold at most
+MAX_STRANDS sites, and are the only code here that imports numpy, when
+called.
 
 Nothing is kept between calls.  Each public call builds one q-binomial
 table up to the largest label it needs and a memo of the isometries it
@@ -34,22 +37,23 @@ import math
 import operator
 import sys
 from collections import namedtuple
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from types import MappingProxyType
 
-import mpmath
-
-from .chebyshev import _values, q_number
+from .chebyshev import _values
 from .errors import NumericalDegradationError, ResourceLimitError
-from .precision import precision_bits, to_mpf, working_precision
+from .precision import precision_bits
 
 MAX_STRANDS = 14
 DENSE_LIMIT = 12
 
 # The closed form's one ceiling, in table entries plus coefficient summands
-# weighted by 1 + (bits/1000)^1.5 (_check_work).  A unit takes 2.5-4.5 us
-# (2-vCPU x86_64), so this is 3-4 s: the 100 (x) 100 -> 100 isometry at
-# q = 0.9 takes 1.6 s, a pentagon at alpha = 40, q = 1e-100 takes 2.1 s
+# weighted by 1 + (bits/1000)^1.5 (_check_work).  On decimal.Decimal a unit
+# takes 0.5-1 us at a few hundred bits and 3.3 us at 17,000 (2-vCPU x86_64):
+# lemma65 at q = 0.5 to its largest alpha, 104, takes 0.5 s, the
+# 118 (x) 118 -> 118 isometry at q = 0.9 0.5 s, a pentagon at alpha = 49,
+# q = 1e-100 3.3 s
 MAX_FUSION_WORK = 10**6
 _GRAM_TOL = 1e-8  # relative spread of the column norms, which Schur's lemma makes equal
 
@@ -211,21 +215,30 @@ def _check_work(bits, isometries):
                                  f"take about {work:.3g} units of work, above {MAX_FUSION_WORK}")
 
 
+def _context(bits):
+    """The decimal context of a kernel at bits: the digits that hold bits,
+    plus 2, rounded half-even, with an exponent range no power of q leaves."""
+    return Context(prec=math.ceil(bits * math.log10(2)) + 2, rounding=ROUND_HALF_EVEN,
+                   Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def _tables(param, bits, labels):
     """q-number tables for the (alpha, beta, gamma) of labels, up to their
     largest label top: q, binom[n][k] = S(n, k) = [n]!/([k]! [n-k]!) for
     n = 0..top, [n] = U_(n-1)(q + 1/q), root[n][k] = sqrt(q^(k(n-k)) / S(n, k))
-    for each n among labels and an empty memo of powers of q, all formed from
-    q at bits (QParameter.nq and fusion.dims are at the working precision)."""
+    for each n among labels and an empty memo of powers of q, all Decimals
+    formed from the exact q at bits (QParameter.nq and fusion.dims are at
+    the working precision)."""
     top = max(map(max, labels))
-    with working_precision(bits):
-        q = to_mpf(param.q)
+    num, den = param.q.as_integer_ratio()
+    with localcontext(_context(bits)):
+        q = Decimal(num) / den
         numbers = _values(q + 1 / q)
         nums = [0 * q] + [next(numbers) for _ in range(top)]  # [0], [1], ..., [top]
         binom = [[q ** 0]]
         for n in range(1, top + 1):
             binom.append([q ** 0] + [binom[-1][k - 1] * nums[n] / nums[k] for k in range(1, n + 1)])
-        root = {n: [mpmath.sqrt(q ** (k * (n - k)) / b) for k, b in enumerate(binom[n])]
+        root = {n: [(q ** (k * (n - k)) / b).sqrt() for k, b in enumerate(binom[n])]
                 for n in set().union(*labels)}
     return q, binom, root, {}
 
@@ -233,7 +246,7 @@ def _tables(param, bits, labels):
 def _closed_form(tables, alpha, beta, gamma):
     """One list of ((i, j), c) per target weight k of the alpha (x) beta ->
     gamma isometry, i + j = k + m, m = (alpha+beta-gamma)/2, not normalised;
-    run at the precision of the tables.  c(i, j, k) is root(alpha, i)
+    run in the decimal context of the tables.  c(i, j, k) is root(alpha, i)
     root(beta, j) root(gamma, k) sum_a (-1)^s S(m, s) S(alpha-m, a) S(beta-m, k-a)
     q^-x, s = i - a, x = s(j+1) + (alpha-m-a)(i+k-a) + (k-a)(beta-m-k+a):
     a of the target's k ones lie on its first alpha - m sites, and s of the m
@@ -259,8 +272,9 @@ def _closed_form(tables, alpha, beta, gamma):
 class FusionIsometry(namedtuple("FusionIsometry", "param alpha beta gamma bits coefficients")):
     """Isometric embedding of the label-gamma image into the alpha (x) beta chain.
 
-    ``coefficients`` maps (i, j) to the coefficient, an mpf at ``bits``, of
-    basis vectors i of p_alpha and j of p_beta in the image of target vector
+    ``coefficients`` maps (i, j) to the coefficient, an mpf at ``bits`` (a
+    Decimal of as many digits inside the kernels), of basis vectors i of
+    p_alpha and j of p_beta in the image of target vector
     k = i + j - (alpha+beta-gamma)/2: weights are kept, so no other entry is
     nonzero.  ``V``, the chain matrix (B_alpha (x) B_beta) C, is built on its
     first read and kept with the isometry.  Isometries compare and hash by
@@ -301,14 +315,15 @@ def _check_channel(gamma, left, right):  # not fuse(left, right): labels may be 
 
 def _isometries(param, bits, labels):
     """A memo of the isometries at bits that one call reads, keyed on their
-    (alpha, beta, gamma): the work of all of labels is checked first, and
-    they are read from one table up to the largest label."""
+    (alpha, beta, gamma), with Decimal coefficients: the work of all of
+    labels is checked first, and they are read from one table up to the
+    largest label."""
     _check_work(bits, labels)
     tables = _tables(param, bits, labels)
 
     @functools.cache
     def isometry(alpha, beta, gamma):
-        with working_precision(bits):
+        with localcontext(_context(bits)):
             columns = _closed_form(tables, alpha, beta, gamma)
             norms = [sum(c * c for _, c in column) for column in columns]
             scale = sum(norms) / (gamma + 1)
@@ -316,7 +331,7 @@ def _isometries(param, bits, labels):
             if residual > _GRAM_TOL:
                 raise NumericalDegradationError("fusion overlap is not a scalar multiple "
                                                 "of the identity", residual=residual)
-            units = [1 / mpmath.sqrt(n) for n in norms]
+            units = [1 / n.sqrt() for n in norms]
             coefficients = {ij: c * unit for column, unit in zip(columns, units)
                             for ij, c in column}
         return FusionIsometry(param, alpha, beta, gamma, bits, MappingProxyType(coefficients))
@@ -332,7 +347,13 @@ def fusion_isometry(param, alpha, beta, gamma, bits=None):
         raise ValueError("labels must be nonnegative")
     _check_channel(gamma, alpha, beta)
     bits = _bits(param, alpha + beta) if bits is None else bits
-    return _isometries(param, bits, [(alpha, beta, gamma)])(alpha, beta, gamma)
+    iso = _isometries(param, bits, [(alpha, beta, gamma)])(alpha, beta, gamma)
+    import mpmath
+    from mpmath.libmp import from_rational
+
+    coefficients = {ij: mpmath.mp.make_mpf(from_rational(*c.as_integer_ratio(), bits, "n"))
+                    for ij, c in iso.coefficients.items()}  # each Decimal rounded to bits
+    return iso._replace(coefficients=MappingProxyType(coefficients))
 
 
 def _pentagon_isometries(alpha, r, s, k, l):
@@ -351,7 +372,7 @@ def _pentagon_gap(isometry, alpha, r, s, k, l, align_phase):
     isos = [isometry(*labels) for labels in _pentagon_isometries(alpha, r, s, k, l)]
     inner_a, outer_a, inner_b, outer_b = (iso.coefficients for iso in isos)
     ma, mb = (r - l) // 2, (s - k) // 2
-    with working_precision(isos[0].bits):
+    with localcontext(_context(isos[0].bits)):
         a_side = {(i, a, j): c * outer_a[i, a + j - ma]
                   for (a, j), c in inner_a.items() for i in range(s + 1)
                   if (i, a + j - ma) in outer_a}
@@ -378,10 +399,10 @@ def pentagon_defect(param, alpha, r, s, k, l, align_phase=True):
     bits = _bits(param, s + alpha + r)
     isometry = _isometries(param, bits, _pentagon_isometries(alpha, r, s, k, l))
     columns = {}
-    with working_precision(bits):
+    with localcontext(_context(bits)):
         for key, d in _pentagon_gap(isometry, alpha, r, s, k, l, align_phase).items():
             columns[sum(key)] = columns.get(sum(key), 0) + d * d  # i + a + j fixes c
-        return float(mpmath.sqrt(max(columns.values())))
+        return float(max(columns.values()).sqrt())
 
 
 def _reference(param, exponent, alpha):
@@ -421,7 +442,8 @@ def _weighted_defect(param, alpha, k, l, isometry=None):
     is the largest entry."""
     isometry = isometry or _isometries(param, _bits(param, alpha + 2),
                                        _pentagon_isometries(alpha, 1, 1, k, l))
-    return float(max(map(abs, _pentagon_gap(isometry, alpha, 1, 1, k, l, True).values())))
+    gap = _pentagon_gap(isometry, alpha, 1, 1, k, l, True)
+    return float(max(map(Decimal.copy_abs, gap.values())))
 
 
 def _estimates(param, cases):
@@ -469,7 +491,10 @@ def commutator_suite(param, alphas):
 
 class JWReportRow(namedtuple("JWReportRow", "n rank idempotency annihilation trace_error "
                               "trace_rel_error")):
-    # trace_error is an mpf: |tr - [n+1]_q| may lie beyond the double range
+    """One level of jw_report.  trace_error is exact, the Fraction of
+    trace_rel_error times [n+1]_q, as |tr - [n+1]_q| may lie beyond the
+    double range; the other checks are floats."""
+
     __slots__ = ()
 
 
@@ -506,6 +531,9 @@ def jw_report(param, n_max):
     q = float(param.q)
     powers = [q ** e for e in range(max(n_max * n_max // 4, 2 * n_max) + 1)]
     gain = math.hypot(1, 1 / q)
+    exact = Fraction(*param.q.as_integer_ratio())
+    brackets = _values(exact + 1 / exact)  # [1]_q, [2]_q, ... exactly
+    next(brackets)
     rows = []
     for n, sectors in enumerate(_weight_sectors(n_max), 1):
         idem = ann = 0.0
@@ -521,7 +549,6 @@ def jw_report(param, n_max):
                                                    if w & pair == low]))
         target = math.fsum(powers[2 * k] for k in range(n + 1))
         rel = abs(math.fsum(powers[2 * k] * s for k, s in enumerate(norms)) - target) / target
-        with working_precision():
-            trace_error = rel * to_mpf(q_number(n + 1, param))
+        trace_error = Fraction(rel) * next(brackets)
         rows.append(JWReportRow(n, len(sectors), idem, ann, trace_error, rel))
     return rows

@@ -5,6 +5,8 @@ hand (degrees 2 and 3) and from the classical specialization U_a(2) = a+1.
 """
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -14,14 +16,16 @@ from hypothesis import strategies as st
 
 from qgs.chebyshev import (
     ChebyshevPoly,
+    Dyadic,
     QParameter,
+    _read,
     build_poly,
     poly_derivative,
     poly_value,
     poly_value_and_derivative,
     q_number,
 )
-from qgs.precision import set_precision_bits, working_precision
+from qgs.precision import _is_mp, set_precision_bits, working_precision
 
 
 def test_build_poly_small_degrees():
@@ -257,12 +261,87 @@ def test_qparameter_repr_and_immutability():
         ("1e-400", 2, ValueError, "q = 1.0e-400 is too small: q + 1/q exceeds the double range"),
         (Fraction(1, 2), 3, ValueError, "q + 1/q = 2.5 is below N = 3; q may not exceed the "
          "smallest positive root of x^2 - N*x + 1"),
+        (mpmath.mpc(0.5, 1), 2, TypeError, "no ordering relation is defined for complex numbers"),
+        (mpmath.mpf("inf"), 2, ValueError, "q must lie in (0, 1]"),
     ],
 )
 def test_qparameter_validation_messages(q, N, error, message):
     with pytest.raises(error) as info:
         QParameter(q, N)
     assert str(info.value) == message
+
+
+_rng = random.Random(28)
+# tl-chain draws, then the literal forms mpmath reads: an exponent at its
+# correctly rounded limit, 300 nines, a bare point, a sign, a capital E,
+# and a rational string, which mpmath itself reads
+READINGS = [f"{_rng.uniform(0.005, 0.95):.4f}" for _ in range(40)] + [
+    "1e-400", "0." + "9" * 300, ".5", "5.", "+0.3", "3E-2", "1/3"]
+
+
+@pytest.mark.parametrize("bits", [24, 53, 128, 256, 1024])
+def test_decimal_strings_read_as_mpmath_reads_them(bits):
+    width = max(bits, 53)
+    try:
+        set_precision_bits(bits)
+        for text in READINGS:
+            with mpmath.workprec(width):
+                want = mpmath.mpf(text)
+            assert _read(text, width).man_exp == want.man_exp, text
+            if 0 < want < 1 and want > 1 / sys.float_info.max:  # the q QParameter admits
+                assert QParameter(text, 2).q.man_exp == want.man_exp, text
+    finally:
+        set_precision_bits(None)
+
+
+def test_float_and_mpf_inputs_are_held_exactly():
+    for x in (0.1, 0.9999, 2.0 ** -1000, 1e-300, math.nextafter(1.0, 0)):
+        q = QParameter(x, 2).q
+        assert type(q) is Dyadic and q == Fraction(x) and float(q) == x
+        assert q.man_exp == mpmath.mpf(x).man_exp
+    with mpmath.workprec(300):
+        third = mpmath.mpf(1) / 3
+    q = QParameter(third, 2).q  # kept at its 300 bits, not rounded to 128
+    assert type(q) is Dyadic and q.man_exp == third.man_exp and q.bc == 300
+    assert QParameter(q, 2).q is q
+
+
+@pytest.mark.parametrize("text, message", [
+    ("inf", "q must lie in (0, 1]"),
+    ("nan", "q must lie in (0, 1]"),
+    ("0.0", "q must lie in (0, 1]"),
+    ("abc", "could not convert string to float: 'abc'"),
+    ("0x1p-2", "could not convert string to float: '0x1p-2'"),
+    ("", "could not convert string to float: ''"),
+])
+def test_strings_that_are_no_admissible_number_keep_their_errors(text, message):
+    with pytest.raises(ValueError) as info:
+        QParameter(text, 2)
+    assert str(info.value) == message
+
+
+def test_dyadic_is_its_exact_value_and_an_mpf_to_mpmath():
+    d = QParameter("0.3", 2).q
+    exact = Fraction(*d.as_integer_ratio())
+    with working_precision(53) as mp:
+        m = mp.mpf("0.3")
+    with working_precision(128) as mp:
+        m128 = mp.mpf("0.3")
+    assert exact == Fraction(int(m128.man), 2 ** -m128.exp)
+    # exact comparisons with exact data, floats, mpfs and other Dyadics
+    assert d == exact and hash(d) == hash(exact) and d != Fraction(3, 10)
+    assert d == m128 and m128 == d and d != m and d > m and m < d
+    assert Fraction(3, 10) < d < 0.3 + 1e-16 and not d < Fraction(3, 10)
+    assert -math.inf < d < math.inf and not d == math.nan and d != math.nan
+    assert d == Dyadic(*d.man_exp) and d < Dyadic(1, 0) and Dyadic(0, 5) == 0
+    assert float(d) == 0.3 and d.man_exp == m128.man_exp and d.bc == m128.bc and _is_mp(d)
+    assert float(Dyadic(3, 2000)) == math.inf and float(Dyadic(-3, 2000)) == -math.inf
+    # mpmath reads it as the mpf of the same value; repr, str and arithmetic are mpmath's
+    assert mpmath.mpf(d) == m and mpmath.mpf(d) is not d
+    with working_precision(128) as mp:
+        assert mp.mpf(d) == m128 and mp.sqrt(d) == mp.sqrt(m128)
+        assert d + 1 == m128 + 1 and 1 / d == 1 / m128 and d ** 2 == m128 ** 2 and -d == -m128
+    assert repr(d) == repr(m128) and str(d) == str(m128)
 
 
 def test_poly_class_value_types():

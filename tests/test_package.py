@@ -4,10 +4,13 @@ A run should import only what its subcommand calls.  No subcommand loads
 numpy: jw-verify checks the projections one weight sector at a time in
 floats, and only the library's qubit-chain objects (tl_rep, jones_wenzl's
 basis and matrix, weight_matrix, an isometry's V) import it, which one
-probe confirms.  mpmath is loaded only for decimal q, hs-cert and the
-Temperley-Lieb suites (jw-verify, lemma65, pentagon): spectrum, fusion,
-gap-scan and amenability at rational q stay exact and never load it, nor
-does freeprod-verify.  The package's records are named tuples, so no
+probe confirms.  mpmath is loaded only for spectrum, fusion and
+amenability at decimal q, and for hs-cert: at rational q those stay exact
+and never load it.  Nor do freeprod-verify, gap-scan at decimal q (its
+cells are floats), and the Temperley-Lieb suites (jw-verify, lemma65,
+pentagon) at either kind of q, which hold a decimal q as its exact binary
+value and run their fusion kernels on decimal.Decimal; that probe runs
+under -S.  The package's records are named tuples, so no
 subcommand's default run (JSON to stdout), at rational or at decimal q,
 loads dataclasses (which pulls in inspect, ast and dis), typing, pathlib
 or csv; that probe runs under -S, with this qgs and mpmath's directory
@@ -194,12 +197,44 @@ def test_rational_q_usage_error_does_not_load_mpmath():
 @pytest.mark.parametrize(
     "argv",
     [
-        *(argv + ["--q", "0.5"] for argv in _EXACT_ROUTE),
+        *(argv + ["--q", "0.5"] for argv in _EXACT_ROUTE if argv[0] != "gap-scan"),
         ["hs-cert", "--N", "2", "--q", "1/2", "--t", "0.5", "--alpha-max", "40"],
     ],
 )
 def test_decimal_q_and_hs_cert_load_mpmath(argv):
     assert "mpmath" in _loaded(argv)
+
+
+_BARE = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import contextlib, io, json
+import qgs.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qgs.cli.main(json.loads(sys.argv[3]))
+print(json.dumps([code, "mpmath" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(argv + ["--q", q] for q in ("0.5", "1/3") for argv in (
+            ["jw-verify", "--n-max", "10"],
+            ["lemma65", "--alpha-max", "5"],
+            ["pentagon", "--alpha", "4", "--r", "2", "--s", "1", "--k", "-1", "--l", "0"],
+        )),
+        ["gap-scan", "--N", "2", "--q", "0.5", "--alpha-max", "12", "--gamma-max", "1"],
+    ],
+)
+def test_tl_chain_and_decimal_gap_scan_leave_mpmath_unloaded(argv):
+    # under -S, with mpmath's directory on sys.path, so an import would succeed
+    mpmath_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("mpmath").origin))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _BARE, _SRC, mpmath_dir, json.dumps(argv)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout) == [0, False]
 
 
 _PRECISION = """

@@ -7,15 +7,21 @@ with d the loop parameter; the quantum trace of p_2 is [3] = d^2 - 1
 coefficients are checked against their chain construction (_chain_coefficients:
 nested cups under the target basis, projected on the product basis), and
 the weight-basis defects against the chain maps of the isometries (_chain_sides).
+The fusion kernels run on decimal.Decimal; the mpmath kernels they replaced
+(_mpf_isometries, _mpf_pentagon_gap, _mpf_pentagon_defect) are kept here as
+their oracle.
 """
 
 import functools
 import gc
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
+from types import MappingProxyType
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -204,12 +210,12 @@ def test_jw_report_at_tiny_q(q):
 def test_jw_report_scaled_trace_matches_direct_trace():
     # where q^-n fits a double, the trace taken against diag(1/q, q) agrees
     p = QParameter(0.3, 2)
+    exact = QParameter(Fraction(*p.q.as_integer_ratio()), 2)  # the same q, as a Fraction
     for r in jw_report(p, 12):
-        target = q_number(r.n + 1, p)
+        target = q_number(r.n + 1, exact)
         direct = abs(jones_wenzl(p, r.n).quantum_trace() - float(target)) / float(target)
         assert r.trace_rel_error == pytest.approx(direct, abs=1e-14)
-        with working_precision():
-            assert r.trace_error == r.trace_rel_error * to_mpf(target)
+        assert r.trace_error == Fraction(r.trace_rel_error) * target
 
 
 def _dense_jw_report(param, n_max):
@@ -660,3 +666,136 @@ def test_commutator_suite_rows():
     assert rows
     for rec in rows:
         assert rec.ratio <= rec.constant + 1e-9
+
+
+def _mpf_tables(param, bits, labels):
+    """templieb._tables on mpf values at bits."""
+    top = max(map(max, labels))
+    with working_precision(bits):
+        q = to_mpf(param.q)
+        numbers = templieb._values(q + 1 / q)
+        nums = [0 * q] + [next(numbers) for _ in range(top)]
+        binom = [[q ** 0]]
+        for n in range(1, top + 1):
+            binom.append([q ** 0] + [binom[-1][k - 1] * nums[n] / nums[k] for k in range(1, n + 1)])
+        root = {n: [mpmath.sqrt(q ** (k * (n - k)) / b) for k, b in enumerate(binom[n])]
+                for n in set().union(*labels)}
+    return q, binom, root, {}
+
+
+def _mpf_isometries(param, bits, labels):
+    """templieb._isometries on mpf values: the closed form on mpf tables,
+    normalised in mpmath at bits."""
+    templieb._check_work(bits, labels)
+    tables = _mpf_tables(param, bits, labels)
+
+    @functools.cache
+    def isometry(alpha, beta, gamma):
+        with working_precision(bits):
+            columns = templieb._closed_form(tables, alpha, beta, gamma)
+            units = [1 / mpmath.sqrt(sum(c * c for _, c in column)) for column in columns]
+            coefficients = {ij: c * unit for column, unit in zip(columns, units)
+                            for ij, c in column}
+        return templieb.FusionIsometry(param, alpha, beta, gamma, bits,
+                                       MappingProxyType(coefficients))
+
+    return isometry
+
+
+def _mpf_pentagon_gap(isometry, alpha, r, s, k, l, align_phase):
+    """templieb._pentagon_gap on mpf isometries, in mpmath at their bits."""
+    isos = [isometry(*labels) for labels in templieb._pentagon_isometries(alpha, r, s, k, l)]
+    inner_a, outer_a, inner_b, outer_b = (iso.coefficients for iso in isos)
+    ma, mb = (r - l) // 2, (s - k) // 2
+    with working_precision(isos[0].bits):
+        a_side = {(i, a, j): c * outer_a[i, a + j - ma]
+                  for (a, j), c in inner_a.items() for i in range(s + 1)
+                  if (i, a + j - ma) in outer_a}
+        b_side = {(i, a, j): c * outer_b[i + a - mb, j]
+                  for (i, a), c in inner_b.items() for j in range(r + 1)
+                  if (i + a - mb, j) in outer_b}
+        if align_phase and sum(c * b_side.get(key, 0) for key, c in a_side.items()) < 0:
+            b_side = {key: -c for key, c in b_side.items()}
+        return {key: a_side.get(key, 0) - b_side.get(key, 0) for key in a_side.keys() | b_side}
+
+
+def _mpf_pentagon_defect(param, alpha, r, s, k, l):
+    """templieb.pentagon_defect on the mpf kernels."""
+    bits = _bits(param, s + alpha + r)
+    isometry = _mpf_isometries(param, bits, templieb._pentagon_isometries(alpha, r, s, k, l))
+    columns = {}
+    with working_precision(bits):
+        for key, d in _mpf_pentagon_gap(isometry, alpha, r, s, k, l, True).items():
+            columns[sum(key)] = columns.get(sum(key), 0) + d * d
+        return float(mpmath.sqrt(max(columns.values())))
+
+
+def _mpf_weighted_defect(param, alpha, k, l, isometry):
+    """templieb._weighted_defect on the mpf kernels."""
+    return float(max(map(abs, _mpf_pentagon_gap(isometry, alpha, 1, 1, k, l, True).values())))
+
+
+@pytest.mark.parametrize("q", ["0.005", "0.05", "0.3", "0.5", "0.9", 1])
+def test_decimal_coefficients_match_the_mpf_kernels(q):
+    # every isometry on up to 13 sites, each coefficient within 2^-(bits-8)
+    # of the mpf kernels' at the same bits: both are unit columns
+    p = QParameter(q, 2)
+    for alpha, beta in itertools.product(range(14), repeat=2):
+        if alpha + beta > 13:
+            continue
+        for gamma in fuse(alpha, beta):
+            iso = fusion_isometry(p, alpha, beta, gamma)
+            oracle = _mpf_isometries(p, iso.bits, [(alpha, beta, gamma)])(alpha, beta, gamma)
+            assert iso.coefficients.keys() == oracle.coefficients.keys()
+            assert all(isinstance(c, mpmath.mpf) for c in iso.coefficients.values())
+            for key, c in iso.coefficients.items():
+                assert abs(c - oracle.coefficients[key]) <= 2.0 ** -(iso.bits - 8)
+
+
+def _agree(value, oracle, bits):
+    """Equal at 12 digits, or both below the roundoff floor 2^-(bits-8) of
+    an exact zero (the coincident routes), where the two kernels differ."""
+    floor = 2.0 ** -(bits - 8)
+    if value <= floor or oracle <= floor:
+        return value <= floor and oracle <= floor
+    return f"{value:.12g}" == f"{oracle:.12g}"
+
+
+def _tl_chain_inputs(seed, count):
+    """lemma65 and pentagon inputs drawn as the benchmark's tl-chain draws
+    them: q = 0.dddd, lemma65 up to 13 sites, pentagons up to 12."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        q = f"{rng.uniform(0.005, 0.95):.4f}"
+        if rng.random() < 0.4:
+            draws.append(("lemma65", q, rng.randint(1, 11)))
+            continue
+        r, s = rng.randint(1, 3), rng.randint(1, 3)
+        alpha = rng.randint(0, 12 - r - s)
+        k, l = rng.choice(range(-s, s + 1, 2)), rng.choice(range(-r, r + 1, 2))
+        if min(alpha + k, alpha + l, alpha + k + l) >= 0 and all(
+                abs(a - b) <= g <= a + b
+                for a, b, g in templieb._pentagon_isometries(alpha, r, s, k, l)):
+            draws.append(("pentagon", q, (alpha, r, s, k, l)))
+    return draws
+
+
+@pytest.mark.parametrize("suite, q, sizes", _tl_chain_inputs(28, 120))
+def test_tl_chain_records_match_the_mpf_kernels(suite, q, sizes, monkeypatch):
+    p = QParameter(q, 2)
+    if suite == "pentagon":
+        bits = _bits(p, sum(sizes[:3]))
+        assert _agree(pentagon_defect(p, *sizes), _mpf_pentagon_defect(p, *sizes), bits)
+        return
+    rows = commutator_suite(p, range(1, sizes + 1))
+    monkeypatch.setattr(templieb, "_isometries", _mpf_isometries)
+    monkeypatch.setattr(templieb, "_weighted_defect", _mpf_weighted_defect)
+    oracle = commutator_suite(p, range(1, sizes + 1))
+    bits = _bits(p, sizes + 2)
+    assert len(rows) == len(oracle)
+    for row, ref in zip(rows, oracle):
+        assert row[:3] == ref[:3] and row.reference == ref.reference
+        assert _agree(row.weighted_defect, ref.weighted_defect, bits)
+        assert _agree(row.ratio, ref.ratio, bits - math.ceil(-row.alpha * math.log2(float(p.q))))
+        assert row.passed == ref.passed
