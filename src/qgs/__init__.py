@@ -4,11 +4,11 @@ The package is lazy: a public name imports its submodule on first access,
 so a caller pays for numpy (the optional ``chain`` extra) only when it
 builds the qubit-chain objects of ``templieb`` (``tl_rep``, a
 ``jones_wenzl`` basis or matrix, ``weight_matrix``, an isometry's ``V``),
-which no CLI subcommand does, and for mpmath only when it does arithmetic
-on a decimal q or calls an mpmath-only function (``hs_certificate``,
-``gap_limit``, ...): exact data at rational q never imports it, a decimal
-q is read and held as its exact binary value without it, and ``templieb``
-runs its fusion kernels on decimal.Decimal.
+which no CLI subcommand does, and for mpmath only when a public function
+returns an mpf at decimal q (``eigenvalue``, ``dims``, ``spectral_rows``,
+...) or is mpmath-only (``gap_limit``, ``semigroup_coeff``, ...): a decimal
+q is read and held as its exact binary value without it, and the kernels
+the CLI runs work on decimal.Decimal.
 """
 
 import importlib

@@ -4,8 +4,8 @@ The family is pinned by U_0 = 1, U_1 = x and the three-term recursion
 x*U_a = U_{a-1} + U_{a+1}.  Values at x = q + 1/q feed every quantum
 dimension downstream, so two evaluation routes coexist: exact integer
 coefficients for structural identities, and a value-domain recurrence (exact
-on rational inputs, mpmath otherwise) that is O(degree) and stable for
-x >= 2.  The recurrence is written once: ``_values`` yields U_0(x), U_1(x),
+on rational inputs, in the arithmetic of x otherwise: decimal.Decimal in the
+kernels, mpf in the tests' oracles) that is O(degree) and stable for x >= 2.  The recurrence is written once: ``_values`` yields U_0(x), U_1(x),
 ... and ``_pairs`` adds the exact derivatives; every value, derivative,
 q-number and dimension table reads one of the two.  The eigenvalues
 U'/U at q + 1/q have a closed form (spectrum._deltas), which the tests
@@ -15,6 +15,8 @@ coefficients.
 A decimal q is held as its exact binary value, a ``Dyadic``: the number
 mpmath.mpf reads from the same text at the same width, read here without
 importing mpmath, which its arithmetic, repr and str load on first use.
+The kernels work on it in decimal.Decimal, in one context per call
+(_context).
 """
 
 from __future__ import annotations
@@ -231,14 +233,13 @@ def _read(q, bits):
         return _exact(mp.mpf(q))
 
 
-def _clears(q, N):
-    """Whether float(QParameter.nq) >= N follows from the exact q + 1/q of
-    a Dyadic q: that float is q + 1/q rounded twice at the working width
-    and once to a double, less than 2^(3 - min(bits, 53)) off relative."""
-    if type(q) is not Dyadic:
-        return False
-    exact = Fraction(*q.as_integer_ratio())
-    return (exact + 1 / exact - N) * 2 ** (min(precision_bits(), 53) - 3) >= N
+def _context(bits):
+    """The decimal context of a kernel at bits: the digits that hold bits,
+    plus 2, rounded half-even, with an exponent range no power of q leaves."""
+    from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
+
+    return Context(prec=math.ceil(bits * math.log10(2)) + 2, rounding=ROUND_HALF_EVEN,
+                   Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _exact(x):
@@ -258,8 +259,7 @@ class QParameter(namedtuple("QParameter", "q N")):
     x^2 - N*x + 1).  Rational q (Fraction or int) keeps all derived values
     exact; float/str/mpf inputs are held as a Dyadic, exact for a float or
     an mpf, a decimal string rounded at the working precision (at least 53
-    bits) as mpmath.mpf rounds it, and run on the mpmath side, imported on
-    demand by their arithmetic.
+    bits) as mpmath.mpf rounds it, and nq is then a Dyadic too.
     """
 
     __slots__ = ()
@@ -287,10 +287,9 @@ class QParameter(namedtuple("QParameter", "q N")):
         if not 0 < q <= 1:
             raise ValueError("q must lie in (0, 1]")
         if float(q) < 1 / sys.float_info.max:
-            raise ValueError("q = %s is too small: q + 1/q exceeds the double range" % q)
+            raise ValueError("q = %s is too small: q + 1/q exceeds the double range" % (given,))
         self = super().__new__(cls, q, N)
-        # q + 1/q is within doubles; where its exact value decides, mpmath stays unloaded
-        if N > sys.float_info.max or not _clears(q, N) and float(self.nq) < N - 1e-9:
+        if N > sys.float_info.max or float(self.nq) < N - 1e-9:  # q + 1/q is within doubles
             raise ValueError(
                 "q + 1/q = %s is below N = %d; q may not exceed the "
                 "smallest positive root of x^2 - N*x + 1" % (float(self.nq), N)
@@ -312,11 +311,12 @@ class QParameter(namedtuple("QParameter", "q N")):
 
     @property
     def nq(self):
-        """q + 1/q in the arithmetic of q."""
+        """q + 1/q in the arithmetic of q: exact at rational q, and a Dyadic
+        q + 1/q rounded once at the working precision otherwise."""
         if isinstance(self.q, Fraction):
             return self.q + 1 / self.q
-        with working_precision():
-            return self.q + 1 / self.q
+        num, den = self.q.as_integer_ratio()
+        return Dyadic(*_rounded(num * num + den * den, num * den, precision_bits()))
 
     @property
     def q0(self):

@@ -15,7 +15,7 @@ import math
 import re
 import sys
 import time
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from . import precision as _precision
@@ -36,7 +36,7 @@ _COMMON = frozenset({"command", "handler", "format", "output", "precision_bits",
 _TOLERANCES = frozenset(
     {"margin", "tail_floor", "residual_tol", "trace_tol", "warmup", "threshold", "tol", "constant"}
 )
-_DIGITS = Context(prec=12)
+_DIGITS = Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 class _Wide:
@@ -50,25 +50,27 @@ class _Wide:
 
 
 def _num(x):
-    """x at 12 significant digits: a float, or _Wide for a finite Fraction or
-    mpf beyond the double range (a float that is already infinite stays so)."""
+    """x at 12 significant digits: a float, or _Wide for a finite Fraction,
+    Decimal or mpf beyond the double range (a float that is already infinite
+    stays so)."""
     try:
         value = float(x)
     except OverflowError:  # a Fraction beyond the double range
         value = math.inf
     if not math.isinf(value) or isinstance(x, float):
         return float(f"{value:.12g}")
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-    else:  # an mpf, exactly man * 2^exp
-        man, exp = x.man_exp
-        num, den = int(man) << max(exp, 0), 1 << max(-exp, 0)
-    # the quotient by 10^k has at least 29 digits, and a last sticky digit marks
-    # a nonzero remainder, so the one half-even rounding to 12 digits is exact
-    k = (abs(num).bit_length() - den.bit_length()) * 3 // 10 - 30
-    q, r = divmod(abs(num) * 10 ** max(-k, 0), den * 10 ** max(k, 0))
-    digits = _DIGITS.plus(Decimal(f"{'-' if num < 0 else ''}{10 * q + (r > 0)}E{k - 1}"))
-    return _Wide(format(digits.normalize(_DIGITS), "g"))
+    if not isinstance(x, Decimal):
+        if isinstance(x, Fraction):
+            num, den = x.numerator, x.denominator
+        else:  # an mpf, exactly (-1)^sign man 2^exp (its man_exp is the magnitude's)
+            sign, man, exp, _ = x._mpf_
+            num, den = (-int(man) if sign else int(man)) << max(exp, 0), 1 << max(-exp, 0)
+        # the quotient by 10^k has at least 29 digits, and a last sticky digit marks
+        # a nonzero remainder, so the one half-even rounding to 12 digits is exact
+        k = (abs(num).bit_length() - den.bit_length()) * 3 // 10 - 30
+        q, r = divmod(abs(num) * 10 ** max(-k, 0), den * 10 ** max(k, 0))
+        x = Decimal(f"{'-' if num < 0 else ''}{10 * q + (r > 0)}E{k - 1}")
+    return _Wide(format(_DIGITS.plus(x).normalize(_DIGITS), "g"))
 
 
 def _row(obj, *names, **extra):
@@ -133,27 +135,26 @@ def _check_tolerances(args, *names):
 
 
 def _cmd_spectrum(args):
-    from .spectrum import spectral_rows
+    from .spectrum import _rows
 
     rows = [
-        _row(r, "alpha", "n", "qdim", "delta", "gap")
-        for r in spectral_rows(_param(args), args.alpha_max)
+        _row(r, "alpha", "n", "qdim", "delta", "gap") for r in _rows(_param(args), args.alpha_max)
     ]
     return "pass", None, rows
 
 
 def _cmd_fusion(args):
-    from .fusion import fusion_check, fusion_grid
+    from .fusion import _fusion_check, _fusion_grid
 
     param = _param(args)
     if (args.alpha is None) != (args.beta is None):
         raise ValueError("--alpha and --beta must be given together")
     if args.alpha is not None:
-        checks = [fusion_check(param, args.alpha, args.beta)]
+        checks = [_fusion_check(param, args.alpha, args.beta)]
     elif args.alpha_max < 0:
         raise ValueError("--alpha-max must be >= 0")
     else:
-        checks = fusion_grid(param, args.alpha_max)
+        checks = _fusion_grid(param, args.alpha_max)
     rows = [
         _row(c, "alpha", "beta", "channels", "n_product", "n_sum",
              "qdim_product", "qdim_sum", "classical_ok", "quantum_ok")
@@ -350,7 +351,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def build_parser():
+def build_parser(argv=()):
+    """The parser of every subcommand; given argv, of the one it names first
+    alone, if it names one (help before a subcommand, and a missing or unknown
+    one, need them all)."""
     parser = _Parser(
         prog="qgs",
         description="Verification suites for spectral, fusion and word-calculus "
@@ -365,7 +369,10 @@ def build_parser():
 
     def suite(name, handler, help, n=None, **defaults):
         """Add a subcommand with the common flags, then --N (required if n is None, else
-        defaulting to n) and --q unless n is False; return its add_argument."""
+        defaulting to n) and --q unless n is False; return its add_argument, or a
+        no-op for a subcommand argv does not name."""
+        if argv and argv[0] != name:
+            return lambda *args, **kwargs: None
         p = sub.add_parser(name, help=help, parents=[common])
         if n is not False:
             p.add_argument("--N", type=int, required=n is None, default=n)
@@ -414,13 +421,14 @@ def build_parser():
     arg("--k", type=int, required=True)
     arg("--tol", type=float, default=1e-3)
 
-    return parser
+    return parser if sub.choices else build_parser()
 
 
 def main(argv=None):
     previous = _precision._override
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv).parse_args(argv)
         start = time.perf_counter()
         if args.precision_bits is not None:
             set_precision_bits(args.precision_bits)

@@ -23,14 +23,15 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import index, mul
 
-from .chebyshev import QParameter
+from .chebyshev import QParameter, _context, _exact
 from .errors import ResourceLimitError
-from .fusion import _check_table_labels, _integer_dims
-from .precision import to_mpf, working_precision
+from .fusion import _check_table_labels
+from .precision import precision_bits, to_mpf, working_precision
 from .spectrum import MAX_EXACT_TOTAL_BITS, _check_exact_bits, eigenvalue
 
 
@@ -419,7 +420,9 @@ def hs_certificate(
     Divergent when the ratio-test value at the probe exceeds 1 + margin or
     the last term has not decayed below tail_floor times the early-term
     scale; finite when the ratio-test value is below 1 - margin; otherwise
-    inconclusive.
+    inconclusive.  The terms are formed on decimal.Decimal at the working
+    precision, at every q, with n_a, q^a and e^(-2ta) each carried from
+    label to label, and returned as floats.
     """
     alpha_max = index(alpha_max)
     if alpha_max < 20:
@@ -430,24 +433,23 @@ def hs_certificate(
         raise ValueError("margin must lie in (0, 1)")
     if not 0 < tail_floor < 1:
         raise ValueError("tail_floor must lie in (0, 1)")
-    n = _integer_dims(param.N, alpha_max)
+    _check_table_labels(alpha_max)
     terms = []
     compressed = []
-    with working_precision() as mp:
-        qm = param.q_mpf()
-        tm = to_mpf(t)
-        qa = mp.mpf(1)
+    ctx = _context(precision_bits())
+    num, den = param.q.as_integer_ratio()
+    q = ctx.divide(num, den)
+    tm = ctx.plus(Decimal(t)) if isinstance(t, str) else ctx.divide(*_exact(t).as_integer_ratio())
+    step = ctx.exp(ctx.multiply(-2, tm))  # e^(-2t), carried from label to label
+    with localcontext(ctx):
+        qa = damp = n = ctx.plus(1)  # q^a, e^(-2ta), n_a
+        prev = 0 * n
         for a in range(alpha_max + 1):
-            damp = mp.exp(-2 * tm * a)
-            n2 = mp.mpf(n[a]) ** 2
+            n2 = n * n
             terms.append(float(n2 * (qa * qa + qa) ** 2 * damp))
             compressed.append(float(n2 * qa * qa * damp))
-            qa = qa * qm
-        ratio_value = float(
-            mp.exp(2 * mp.log(mp.mpf(n[alpha_max])) / alpha_max)
-            * qm ** 2
-            * mp.exp(-2 * tm)
-        )
+            qa, damp, prev, n = qa * q, damp * step, n, param.N * n - prev
+        ratio_value = float((2 * prev.ln() / alpha_max).exp() * q * q * step)
     if ratio_value >= 1 + margin or terms[-1] >= tail_floor * max(terms[1:11]):
         verdict = "divergent"
     elif ratio_value <= 1 - margin:

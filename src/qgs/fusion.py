@@ -11,13 +11,14 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from operator import index
 
-from .chebyshev import QParameter, _values
+from .chebyshev import QParameter, _context, _values
 from .errors import ResourceLimitError
-from .precision import _is_mp, _precision_for, precision_bits
+from .precision import _is_mp, precision_bits
 
 MAX_LABELS = 20_000  # per dimension table or spectral probe; 10^4 labels take seconds
 
@@ -72,21 +73,50 @@ def _integer_dims(N: int, top: int) -> tuple[int, ...]:
     return tuple(islice(_values(N), top + 1))
 
 
-def dims(param: QParameter, alpha_max: int) -> DimensionTable:
-    """Build the dimension table for labels 0..alpha_max; the last 64 are
-    cached, and for floating q keyed on the working precision too."""
+def _mpf(x):
+    """A kernel's Decimal c 10^e as the mpf it rounds to at the working
+    precision, with 10^|e| formed 64 bits wider rather than as an integer;
+    an exact value as it is.  The public functions decode through this."""
+    if type(x) is not Decimal:
+        return x
+    import mpmath
+    from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pow_int
+
+    sign, digits, e = x.as_tuple()
+    bits = precision_bits()
+    scale = mpf_pow_int(from_int(10), abs(e), bits + 64)
+    c = from_int(int(Decimal((sign, digits, 0))))
+    return mpmath.mp.make_mpf((mpf_mul if e >= 0 else mpf_div)(c, scale, bits, "n"))
+
+
+def _table(param, alpha_max):
+    """dims' table with the kernel's numbers: Decimal q-dimensions at decimal q."""
     alpha_max = index(alpha_max)
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
     _check_table_labels(alpha_max, param.q)
-    bits = precision_bits() if _is_mp(param.q) else None
-    return _dims(param, alpha_max, bits)
+    return _dims(param, alpha_max, precision_bits() if _is_mp(param.q) else None)
+
+
+def dims(param: QParameter, alpha_max: int) -> DimensionTable:
+    """Build the dimension table for labels 0..alpha_max, with mpf q-dimensions
+    at decimal q; the last 64 are cached, and for decimal q keyed on the
+    working precision too."""
+    table = _table(param, alpha_max)
+    return table._replace(qdim=tuple(map(_mpf, table.qdim))) if _is_mp(param.q) else table
 
 
 @functools.lru_cache(maxsize=64)  # a fusion_check sweep of 0..40 reuses 41 tables
 def _dims(param, alpha_max, bits):
-    with _precision_for(param.q):  # at precision_bits(), the bits of the key
+    """At decimal q the recurrence runs on q + 1/q formed from q's exact value
+    and rounded once, in the decimal context of bits."""
+    if bits is None:
         qdim = tuple(islice(_values(param.nq), alpha_max + 1))
+    else:
+        num, den = param.q.as_integer_ratio()
+        with localcontext(_context(bits)) as ctx:
+            qdim = tuple(islice(_values(ctx.divide(num * num + den * den, num * den)),
+                                alpha_max + 1))
     return DimensionTable(param, _integer_dims(param.N, alpha_max), qdim)
 
 
@@ -113,6 +143,9 @@ def growth_rate(param: QParameter, alpha_probe: int) -> GrowthProbe:
     return GrowthProbe(alpha_probe, float(param.q0), root, root * float(param.q))
 
 
+_SLACK = Decimal(1e-12)  # the quantum rule's relative slack at decimal q, as the double
+
+
 class FusionCheck(namedtuple("FusionCheck", "param alpha beta channels n_product n_sum "
                              "qdim_product qdim_sum classical_ok quantum_ok")):
     """Result of checking both dimension sum rules on one channel list."""
@@ -126,9 +159,9 @@ def _fusion_checks(param: QParameter, cells) -> list[FusionCheck]:
     formed apart.  A table past the ceilings is refused before any channel list is built."""
     _check_table_labels(max(a + b for a, b in cells), param.q)
     channels = [fuse(a, b) for a, b in cells]
-    table = dims(param, max(c[-1] for c in channels))
+    table = _table(param, max(c[-1] for c in channels))
     checks = []
-    with _precision_for(table.qdim[0]):  # the same steps on ints, Fractions and mpfs
+    with localcontext(_context(precision_bits())):  # the same steps on Fractions and Decimals
         g0 = min(c[0] for c in channels)  # s[g+2] = s[g] + x[g] from s[g0] = s[g0+1] = 0
         step = 1 if any((c[0] - g0) % 2 for c in channels) else 2  # only the parities read
         n_sums, qdim_sums = [0] * (len(table.n) + 2), [0] * (len(table.n) + 2)
@@ -140,10 +173,25 @@ def _fusion_checks(param: QParameter, cells) -> list[FusionCheck]:
             n_product, n_sum = table.n[a] * table.n[b], n_sums[hi] - n_sums[lo]
             qdim_product, qdim_sum = table.qdim[a] * table.qdim[b], qdim_sums[hi] - qdim_sums[lo]
             quantum_ok = (qdim_product == qdim_sum if isinstance(qdim_product, Fraction)
-                          else abs(qdim_product - qdim_sum) <= 1e-12 * abs(qdim_product))
+                          else abs(qdim_product - qdim_sum) <= _SLACK * abs(qdim_product))
             checks.append(FusionCheck(param, a, b, chan, n_product, n_sum, qdim_product,
                                       qdim_sum, n_product == n_sum, quantum_ok))
     return checks
+
+
+def _decoded(param, checks):
+    """checks with mpf q-dimensions at decimal q (_mpf)."""
+    if not _is_mp(param.q):
+        return checks
+    return [c._replace(qdim_product=_mpf(c.qdim_product), qdim_sum=_mpf(c.qdim_sum))
+            for c in checks]
+
+
+def _fusion_check(param, alpha, beta):
+    alpha, beta = index(alpha), index(beta)
+    if alpha < 0 or beta < 0:
+        raise ValueError("irreducible labels must be >= 0")
+    return _fusion_checks(param, [(alpha, beta)])[0]
 
 
 def fusion_check(param: QParameter, alpha: int, beta: int) -> FusionCheck:
@@ -163,6 +211,10 @@ def fusion_grid(param: QParameter, alpha_max: int) -> list[FusionCheck]:
     """fusion_check on every cell alpha <= beta <= alpha_max, row by row, all
     read from one table of labels 0..2 alpha_max.  A grid past MAX_GRID_WORK
     is a ResourceLimitError raised before the table is built."""
+    return _decoded(param, _fusion_grid(param, alpha_max))
+
+
+def _fusion_grid(param, alpha_max):
     alpha_max = index(alpha_max)
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")

@@ -3,9 +3,11 @@
 Exact identities run in rational arithmetic and never touch this module's
 working precision, so they never import mpmath: code that works on data
 of either kind enters it through _precision_for, which tests the data
-with _is_mp.  Everything floating (large-degree polynomial values,
-eigenvalues, series certificates) runs under mpmath, and the
-Temperley-Lieb fusion kernels on decimal.Decimal, with a mantissa width
+with _is_mp.  The kernels the subcommands run at decimal q (eigenvalues,
+q-dimensions, fusion sums, the HS certificate, the Temperley-Lieb fusion
+coefficients) work on decimal.Decimal with as many digits as the width
+holds, and the rest of the floating side (gap_limit, semigroup_coeff, the
+public functions' mpf results) under mpmath, with a mantissa width
 resolved in priority order: an explicit set_precision_bits() call, the
 QGS_PRECISION_BITS environment variable, then the 128-bit default.  Both
 routes refuse a width below 24 bits (ValueError) or above
@@ -20,8 +22,8 @@ from fractions import Fraction
 from .errors import ResourceLimitError
 
 DEFAULT_BITS = 128
-# at 1024 bits each decimal command's largest input takes at most 2.5x its time at
-# 128 bits (spectrum at q = 0.(300 nines), 19,999 labels: 1.2 -> 2.9 s; 2-vCPU x86_64)
+# at 1024 bits the slowest decimal input, spectrum at q = 0.(300 nines) with 19,999
+# labels, takes 1.1 s in a fresh process (0.27 s at q = 0.5 and 128 bits; 2-vCPU x86_64)
 MAX_PRECISION_BITS = 1024
 
 _override = None

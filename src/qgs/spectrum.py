@@ -3,8 +3,9 @@
 The generator acts diagonally on matrix coefficients of the irreducible of
 label alpha, with eigenvalue delta_alpha = U'_alpha(N_q)/U_alpha(N_q), which
 _deltas evaluates in closed form.  Everything here is a pure function of a
-QParameter; rational q gives exact rational eigenvalues, floating q is
-evaluated in mpmath at the configured working precision.
+QParameter; rational q gives exact rational eigenvalues.  At decimal q the
+kernels (_deltas, _rows) give Decimals rounded to the digits of the working
+precision, and the public functions decode them to mpf at that precision.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
 from itertools import accumulate, count, islice
-from operator import index
+from operator import index, sub
 
-from .chebyshev import QParameter, _values, poly_value
+from .chebyshev import QParameter, _context, _values, poly_value
 from .errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
-from .fusion import MAX_LABELS, _check_table_labels, _integer_dims, dims
+from .fusion import MAX_LABELS, _check_table_labels, _integer_dims, _mpf, _table
 from .precision import _is_mp, _precision_for, precision_bits, to_mpf, working_precision
 
 # exact eigenvalues at q = p/r < 1, about (alpha+1) log2(r^2) bits each
@@ -42,41 +43,48 @@ def _check_exact_bits(q, labels, ceiling):
 def _deltas(q, alpha=0):
     """Yield delta_alpha, delta_(alpha+1), ... in closed form, carrying w forward:
     with u = q^2 and w = u^(a+1), delta_a = q/(1-u) [(a+1)(1+w)/(1-w) - (1+u)/(1-u)],
-    and a(a+2)/6 at q = 1.  Exact at rational q.  At decimal q the bracket cancels
-    to about (1-u)^3 of its terms, so they are formed 3 log2(1/(1-u)) + 16 bits
-    wider than the working precision of the first step, and rounded to it.
+    and a(a+2)/6 at q = 1.  Exact at rational q; at decimal q each is a Decimal
+    rounded to the digits of the working precision (chebyshev._context).  There
+    the bracket cancels to about (1-u)^3 of its terms, so it is formed in
+    integers scaled by 2^wide, wide = 3 log2(1/(1-u)) + 16 bits over the
+    working precision, which multiply and divide faster than Decimals that wide.
     """
-    if q == 1:
-        for a in count(alpha):
-            delta = Fraction(a * (a + 2), 6)
-            if _is_mp(q):
-                with working_precision():
-                    delta = to_mpf(delta)
-            yield delta
-    elif isinstance(q, Fraction):  # n = p^2, d = r^2: w = n^(a+1) / d^(a+1)
-        p, r = q.numerator, q.denominator
+    if isinstance(q, Fraction):
+        if q == 1:
+            for a in count(alpha):
+                yield Fraction(a * (a + 2), 6)
+        p, r = q.numerator, q.denominator  # n = p^2, d = r^2: w = n^(a+1) / d^(a+1)
         n, d = p * p, r * r
         npow, dpow = n ** (alpha + 1), d ** (alpha + 1)
         for a in count(alpha):
             yield Fraction(p * r * ((a + 1) * (dpow + npow) * (d - n) - (d + n) * (dpow - npow)),
                            (d - n) ** 2 * (dpow - npow))
             npow, dpow = npow * n, dpow * d
-    else:
-        from mpmath.libmp import fone, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_sub
-
-        # log2(1/(1-u)) from q's exact value man 2^exp: 1 - u = (4^-exp - man^2) / 4^-exp
-        man, exp = q.man_exp
-        bits = precision_bits()
-        wide = bits + 3 * (1 - 2 * exp - ((1 << -2 * exp) - man * man).bit_length()) + 16
-        with working_precision(wide) as mp:
-            u = q * q
-            w, b, c = u ** (alpha + 1), (1 + u) / (1 - u), q / (1 - u)
-        u, w, b, c = u._mpf_, w._mpf_, b._mpf_, c._mpf_
-        for a in count(alpha):  # on raw mpf values rounded to nearest: no context per label
-            z = mpf_div(mpf_add(fone, w, wide, "n"), mpf_sub(fone, w, wide, "n"), wide, "n")
-            t = mpf_sub(mpf_mul_int(z, a + 1, wide, "n"), b, wide, "n")
-            yield mp.make_mpf(mpf_mul(c, t, bits, "n"))
-            w = mpf_mul(w, u, wide, "n")
+    bits = precision_bits()
+    narrow = _context(bits)
+    if q == 1:
+        for a in count(alpha):
+            yield narrow.divide(a * (a + 2), 6)
+    # q = man 2^-k exactly, so 1 - u = (4^k - man^2) / 4^k
+    man, k = q.man_exp[0], -q.man_exp[1]
+    gap = (1 << 2 * k) - man * man
+    wide = bits + 3 * (1 + 2 * k - gap.bit_length()) + 16
+    one, shift = 1 << wide, wide - 2 * k
+    u = man * man << shift if shift >= 0 else man * man >> -shift
+    w, b = one, ((one + u) << wide) // (one - u)
+    for e in bin(alpha + 1)[2:]:  # w = u^(alpha+1), square and multiply
+        w = w * w >> wide
+        if e == "1":
+            w = w * u >> wide
+    scales, mid = {}, _context(bits + 32)
+    for a in count(alpha):
+        t = (a + 1) * (((one + w) << wide) // (one - w)) - b
+        s = max(t.bit_length() - bits - 40, 0)  # t's leading bits + 40 as one Decimal
+        scale = scales.get(s)
+        if scale is None:  # q / (1-u) / 2^(wide - s), exact until this one rounding
+            scale = scales[s] = mid.divide(man << k, gap << wide - s)
+        yield narrow.multiply(scale, t >> s)
+        w = w * u >> wide
 
 
 def eigenvalue(param: QParameter, alpha: int):
@@ -90,7 +98,7 @@ def eigenvalue(param: QParameter, alpha: int):
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     _check_exact_bits(param.q, [alpha], MAX_EXACT_DELTA_BITS)
-    return next(_deltas(param.q, alpha))
+    return _mpf(next(_deltas(param.q, alpha)))
 
 
 def gap_limit(param: QParameter):
@@ -178,7 +186,7 @@ def spectral_stream(param: QParameter) -> Iterator[SpectralDatum]:
     """Yield SpectralDatum for alpha = 0, 1, 2, ... indefinitely, each in
     O(1) arithmetic operations (see _deltas)."""
     for alpha, delta, n in zip(count(), _deltas(param.q), _values(param.N)):
-        yield SpectralDatum(alpha, delta, n, n * n)
+        yield SpectralDatum(alpha, _mpf(delta), n, n * n)
 
 
 def spectral_data(param: QParameter, alpha_max: int) -> list[SpectralDatum]:
@@ -197,13 +205,19 @@ class SpectralRow(namedtuple("SpectralRow", "alpha n qdim delta gap")):
 
 def spectral_rows(param: QParameter, alpha_max: int) -> list[SpectralRow]:
     """Tabulate label, dimension, quantum dimension, eigenvalue and gap."""
-    table = dims(param, alpha_max)
-    rows = []
-    for alpha, n, qdim, delta in zip(count(), table.n, table.qdim, _deltas(param.q)):
-        with _precision_for(delta):
-            gap = delta - rows[-1].delta if rows else 0 * delta
-        rows.append(SpectralRow(alpha, n, qdim, delta, gap))
-    return rows
+    rows = _rows(param, alpha_max)
+    if not _is_mp(param.q):
+        return rows
+    return [r._replace(qdim=_mpf(r.qdim), delta=_mpf(r.delta), gap=_mpf(r.gap)) for r in rows]
+
+
+def _rows(param, alpha_max):
+    """spectral_rows with the kernels' numbers: Decimals at decimal q."""
+    table = _table(param, alpha_max)
+    deltas = list(islice(_deltas(param.q), alpha_max + 1))
+    minus = _context(precision_bits()).subtract if _is_mp(param.q) else sub
+    gaps = map(minus, deltas, deltas[:1] + deltas[:-1])  # delta_0 - delta_0 = 0 first
+    return list(map(SpectralRow, count(), table.n, table.qdim, deltas, gaps))
 
 
 def dirichlet_form(param: QParameter, vector: Mapping):
@@ -314,7 +328,7 @@ def amenability_criterion(
     distinct = set(labels)
     # their bits summed under the one-value ceiling: a gcd's cost grows faster than its bits
     _check_exact_bits(param.q, distinct, MAX_EXACT_DELTA_BITS)
-    delta = {a: float(eigenvalue(param, a)) for a in distinct}
+    delta = {a: float(next(_deltas(param.q, a))) for a in distinct}
     ratios = tuple(delta[a] / math.log(cp) for a, cp in zip(labels, checkpoints))
     envelope = tuple(accumulate(reversed(ratios), min))[::-1]
     window = [i for i, cp in enumerate(checkpoints) if 2 * cp >= n_max]

@@ -37,11 +37,11 @@ import math
 import operator
 import sys
 from collections import namedtuple
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import MappingProxyType
 
-from .chebyshev import _values
+from .chebyshev import _context, _values
 from .errors import NumericalDegradationError, ResourceLimitError
 from .precision import precision_bits
 
@@ -213,13 +213,6 @@ def _check_work(bits, isometries):
     if work > MAX_FUSION_WORK:
         raise ResourceLimitError(f"fusion coefficients for labels up to {top} at {bits} bits "
                                  f"take about {work:.3g} units of work, above {MAX_FUSION_WORK}")
-
-
-def _context(bits):
-    """The decimal context of a kernel at bits: the digits that hold bits,
-    plus 2, rounded half-even, with an exponent range no power of q leaves."""
-    return Context(prec=math.ceil(bits * math.log10(2)) + 2, rounding=ROUND_HALF_EVEN,
-                   Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _tables(param, bits, labels):

@@ -258,7 +258,7 @@ def test_qparameter_repr_and_immutability():
         (1j, 2, TypeError, "q must be Fraction, int, float, str or mpf"),
         (0, 2, ValueError, "q must lie in (0, 1]"),
         (Fraction(3, 2), 2, ValueError, "q must lie in (0, 1]"),
-        ("1e-400", 2, ValueError, "q = 1.0e-400 is too small: q + 1/q exceeds the double range"),
+        ("1e-400", 2, ValueError, "q = 1e-400 is too small: q + 1/q exceeds the double range"),
         (Fraction(1, 2), 3, ValueError, "q + 1/q = 2.5 is below N = 3; q may not exceed the "
          "smallest positive root of x^2 - N*x + 1"),
         (mpmath.mpc(0.5, 1), 2, TypeError, "no ordering relation is defined for complex numbers"),

@@ -1,7 +1,9 @@
 """Command-line front end: schemas, verdicts, exit codes, determinism."""
 
 import argparse
+import contextlib
 import csv
+import decimal
 import io
 import json
 import math
@@ -871,6 +873,42 @@ def test_help_prints_and_exits_zero(capsys, argv):
     assert capsys.readouterr().out.startswith(f"usage: qgs {argv[0]} ")
 
 
+def _parsed(parser, argv):
+    """What parsing argv does: vars(args), or the usage error, or the help
+    text with its exit code; handlers compared by name."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit as done:
+        return "exit", done.code, out.getvalue()
+    return {k: getattr(v, "__name__", v) for k, v in vars(args).items()}
+
+
+@pytest.mark.parametrize("argv", SUITES, ids=[argv[0] for argv in SUITES])
+def test_one_subparser_parses_as_all_ten(argv):
+    # build_parser(argv) builds the subcommand argv names alone; help, usage
+    # errors and the parsed flags are those of the parser of all ten
+    name = argv[0]
+    cases = [list(argv), list(argv) + ["--format", "csv", "--timing"], [name], [name, "--help"],
+             [name, "-h"], [name, "--bogus", "1"], list(argv) + ["--precision-bits", "x"],
+             list(argv) + ["extra"], list(argv[:-1])]
+    for case in cases:
+        parser = cli.build_parser(case)
+        assert list(parser._subparsers._group_actions[0].choices) == [name]
+        assert _parsed(parser, case) == _parsed(cli.build_parser(), case), case
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["-h", "spectrum"], ["spec"],
+                                  ["--q", "0.5"], ["cesaro-"]])
+def test_parser_without_a_named_subcommand_builds_all_ten(argv):
+    parser = cli.build_parser(argv)
+    assert len(parser._subparsers._group_actions[0].choices) == len(SUITES)
+    assert _parsed(parser, argv) == _parsed(cli.build_parser(), argv)
+
+
 @pytest.mark.parametrize("argv", SUITES, ids=[argv[0] for argv in SUITES])
 def test_csv_header_matches_json_record(capsys, argv):
     # one record feeds both formats: the CSV header is the keys of the first
@@ -948,8 +986,8 @@ def test_records_keep_the_bytes_of_one_dump(capsys, monkeypatch, argv):
 def _num_by_one_division(x):
     """The wide-number text as one Decimal division of the whole exact quotient."""
     if not isinstance(x, Fraction):
-        man, exp = x.man_exp
-        x = Fraction(int(man)) * Fraction(2) ** exp
+        sign, man, exp, _ = x._mpf_  # man_exp is the magnitude's
+        x = Fraction((-1) ** sign * int(man)) * Fraction(2) ** exp
     digits = Context(prec=12).divide(Decimal(x.numerator), Decimal(x.denominator))
     return format(digits.normalize(Context(prec=12)), "g")
 
@@ -972,6 +1010,47 @@ def test_wide_numbers_match_one_decimal_division():
         values.append(rng.choice((1, -1)) * Fraction((10 * digits + 5) * 10 ** rng.randint(320, 9000)))
     for x in values:
         assert str(_num(x)) == _num_by_one_division(x)
+
+
+def test_wide_negative_mpf_keeps_its_sign():
+    import mpmath
+
+    assert str(_num(-mpmath.mpf("1e400"))) == "-1e+400"
+    assert str(_num(mpmath.mpf("-2.5e-400") * mpmath.mpf("1e800"))) == "-2.5e+400"
+
+
+def test_wide_decimals_match_the_exact_route():
+    # a Decimal past the double range is rounded once to 12 digits; the oracle
+    # is the exact quotient route of a Fraction, with both signs and exact ties
+    rng = random.Random(68)
+    values = []
+    for top in [1024, 1025, 2000, 20000, 2**17] * 40 + [2**20] * 4:
+        sign = rng.choice(("", "-"))
+        digits = str(rng.randint(1, 10**rng.randint(1, 60)))
+        if rng.random() < 0.3:  # a tie at 12 digits
+            digits = str(rng.randint(10**11, 10**12 - 1)) + "5"
+        exp = math.ceil(rng.randint(1024, top) * math.log10(2)) - len(digits) + 1
+        values.append(Decimal(f"{sign}{digits}E{exp}"))
+    for x in values:
+        assert abs(x) > sys.float_info.max
+        assert str(_num(x)) == str(_num(Fraction(x)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*SUITES, ("spectrum", "--N", "2", "--q", "0.2", "--alpha-max", "750"),
+     ("fusion", "--N", "2", "--q", "0.5", "--alpha-max", "3"),
+     ("hs-cert", "--N", "3", "--q", "1/4", "--t", "0.3", "--alpha-max", "30"),
+     ("amenability", "--N", "2", "--q", "0.3", "--n-max", "100000")],
+    ids=[argv[0] for argv in SUITES] + ["spectrum-wide", "fusion-decimal", "hs-cert-rational",
+                                         "amenability-decimal"],
+)
+def test_caller_decimal_context_leaves_records_unchanged(capsys, argv):
+    # the kernels run in explicit contexts, never in the caller's
+    want = run_cli(capsys, *argv)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        assert run_cli(capsys, *argv) == want
 
 
 @pytest.mark.parametrize("flag, env", [(("--precision-bits", "1025"), None), ((), "1025")],

@@ -35,7 +35,8 @@ from qgs.estimates import (
     hs_coefficient,
     regime_classify,
 )
-from qgs.precision import set_precision_bits
+from qgs.fusion import _integer_dims
+from qgs.precision import set_precision_bits, to_mpf
 from qgs.spectrum import spectral_data
 
 
@@ -589,3 +590,48 @@ def test_regime_classify_flags():
     n2 = regime_classify(QParameter(1, 2))
     assert n2.kac is True
     assert n2.ghs is False
+
+
+def mpf_hs_certificate(param, t, alpha_max, wp):
+    """The mpf oracle of hs_certificate's terms, compressed terms and ratio
+    value at wp bits, one exp per label."""
+    n = _integer_dims(param.N, alpha_max)
+    terms, compressed = [], []
+    with mpmath.workprec(wp):
+        qm, tm, qa = to_mpf(param.q), mpmath.mpf(t), mpmath.mpf(1)
+        for a in range(alpha_max + 1):
+            damp = mpmath.exp(-2 * tm * a)
+            n2 = mpmath.mpf(n[a]) ** 2
+            terms.append(n2 * (qa * qa + qa) ** 2 * damp)
+            compressed.append(n2 * qa * qa * damp)
+            qa = qa * qm
+        ratio = mpmath.exp(2 * mpmath.log(n[alpha_max]) / alpha_max) * qm**2 * mpmath.exp(-2 * tm)
+    return terms, compressed, ratio
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 1024])
+@pytest.mark.parametrize(
+    "q, N, t, alpha_max",
+    [("1e-150", 2, "0.5", 300), ("0.3", 3, "0", 300), ("0.381966011250", 3, "0", 300),
+     ("0.9", 2, "0.027", 300), ("0.999999999", 2, "0.5", 300), ("1.0", 2, "0.25", 300),
+     (Fraction(1, 4), 4, "0.3", 300), ("0.5", 2, "0.5", 19999)],
+)
+def test_hs_certificate_agrees_with_the_mpf_oracle(bits, q, N, t, alpha_max):
+    # the kernel carries e^(-2t) and q^a from label to label, so its rounding
+    # errors add up over the labels; each float is within that of the oracle
+    if alpha_max > 300 and bits != 128:
+        return
+    set_precision_bits(bits)
+    try:
+        param = QParameter(q, N)
+        cert = hs_certificate(param, t, alpha_max)
+    finally:
+        set_precision_bits(None)
+    terms, compressed, ratio = mpf_hs_certificate(param, t, alpha_max, bits + 64)
+    with mpmath.workprec(bits + 64):
+        for a, (got, want) in enumerate(zip(cert.terms, terms)):
+            bound = (2.0 ** (8 - bits) * (a + 1) + 2.0**-52) * want
+            assert abs(got - want) <= bound + 2.0**-1074
+            assert abs(cert.compressed_terms[a] - compressed[a]) <= (
+                (2.0 ** (8 - bits) * (a + 1) + 2.0**-52) * compressed[a] + 2.0**-1074)
+        assert abs(cert.ratio_value - ratio) <= (2.0 ** (8 - bits) + 2.0**-52) * ratio

@@ -9,6 +9,7 @@ spot.
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgs import fusion
-from qgs.chebyshev import QParameter, q_number
+from qgs.chebyshev import QParameter, _values, q_number
 from qgs.cli import _num
 from qgs.errors import ResourceLimitError
 from qgs.fusion import dims, fuse, fusion_check, fusion_grid, growth_rate
@@ -255,3 +256,31 @@ def test_dims_cache_is_bounded():
         dims(param, top)
     info = dims.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize < 200
+
+
+_NINES = "0." + "9" * 300  # within 1e-300 of 1, which 1,024 bits resolve
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 1024])
+@pytest.mark.parametrize("q", ["1e-150", "0.3", "0.5", "0.9", "0.999999999", _NINES, "1.0"])
+def test_decimal_dimensions_agree_with_the_mpf_recurrence(bits, q):
+    # the oracle steps the recurrence in mpf, 64 bits wider, from the exact
+    # q + 1/q; the kernel rounds q + 1/q to its digits first, and near x = 2
+    # the recurrence turns a relative change of x into (a+1)^2/6 times it at
+    # label a, hence the bound
+    if q == _NINES and bits < 1024:
+        return  # q reads as 1 there, and is refused
+    set_precision_bits(bits)
+    try:
+        p = QParameter(q, 2)
+        table = fusion._table(p, 19999)
+        assert dims(p, 40).qdim == tuple(map(fusion._mpf, table.qdim[:41]))
+    finally:
+        set_precision_bits(None)
+    num, den = p.q.as_integer_ratio()
+    with mpmath.workprec(bits + 64):
+        x = mpmath.mpf(num * num + den * den) / (num * den)
+        for a, want in enumerate(islice(_values(x), 20000)):
+            if a % 37 == 0 or a > 19990:
+                got = mpmath.mpf(str(table.qdim[a]))
+                assert abs(got - want) <= 2.0 ** (8 - bits) * (a + 1) ** 2 * want

@@ -4,13 +4,11 @@ A run should import only what its subcommand calls.  No subcommand loads
 numpy: jw-verify checks the projections one weight sector at a time in
 floats, and only the library's qubit-chain objects (tl_rep, jones_wenzl's
 basis and matrix, weight_matrix, an isometry's V) import it, which one
-probe confirms.  mpmath is loaded only for spectrum, fusion and
-amenability at decimal q, and for hs-cert: at rational q those stay exact
-and never load it.  Nor do freeprod-verify, gap-scan at decimal q (its
-cells are floats), and the Temperley-Lieb suites (jw-verify, lemma65,
-pentagon) at either kind of q, which hold a decimal q as its exact binary
-value and run their fusion kernels on decimal.Decimal; that probe runs
-under -S.  The package's records are named tuples, so no
+probe confirms.  No subcommand loads mpmath at either kind of q: a
+decimal q is held as its exact binary value, the spectral kernels
+(eigenvalues, q-dimensions, the fusion sums, the HS certificate) and the
+Temperley-Lieb fusion kernels run on decimal.Decimal, and gap-scan's cells
+are floats; those probes run under -S, one argv per shape of job.  The package's records are named tuples, so no
 subcommand's default run (JSON to stdout), at rational or at decimal q,
 loads dataclasses (which pulls in inspect, ast and dis), typing, pathlib
 or csv; that probe runs under -S, with this qgs and mpmath's directory
@@ -194,20 +192,6 @@ def test_rational_q_usage_error_does_not_load_mpmath():
     assert _fresh(_RUN, json.dumps(argv)) == [2, []]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # gap-scan's slot holds hs-cert at decimal q: gap-scan leaves mpmath unloaded
-        *(argv + ["--q", "0.5"] if argv[0] != "gap-scan"
-          else ["hs-cert", "--N", "2", "--q", "0.5", "--t", "0.5", "--alpha-max", "40"]
-          for argv in _EXACT_ROUTE),
-        ["hs-cert", "--N", "2", "--q", "1/2", "--t", "0.5", "--alpha-max", "40"],
-    ],
-)
-def test_decimal_q_and_hs_cert_load_mpmath(argv):
-    assert "mpmath" in _loaded(argv)
-
-
 _BARE = """
 import sys
 sys.path[:0] = sys.argv[1:3]
@@ -231,13 +215,47 @@ print(json.dumps([code, "mpmath" in sys.modules]))
     ],
 )
 def test_tl_chain_and_decimal_gap_scan_leave_mpmath_unloaded(argv):
-    # under -S, with mpmath's directory on sys.path, so an import would succeed
+    assert _bare(argv) == [0, False]
+
+
+def _bare(argv):
+    """[exit code, whether mpmath was loaded] of a run under -S, with
+    mpmath's directory on sys.path, so an import would succeed."""
     mpmath_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("mpmath").origin))
     done = subprocess.run(
         [sys.executable, "-S", "-c", _BARE, _SRC, mpmath_dir, json.dumps(argv)],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert json.loads(done.stdout) == [0, False]
+    return json.loads(done.stdout)
+
+
+# one argv per shape of the spectral-float jobs: the kernels run on
+# decimal.Decimal, and a wide number is written from its Decimal
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["spectrum", "--N", "2", "--q", "0.5", "--alpha-max", "5"], 0, id="spectrum"),
+        pytest.param(["spectrum", "--N", "2", "--q", "0.2", "--alpha-max", "700"], 0,
+                     id="spectrum-wide"),
+        pytest.param(["fusion", "--N", "2", "--q", "0.5", "--alpha-max", "4"], 0, id="fusion-grid"),
+        pytest.param(["fusion", "--N", "2", "--q", "0.5", "--alpha", "3", "--beta", "4"], 0,
+                     id="fusion-pair"),
+        pytest.param(["hs-cert", "--N", "2", "--q", "0.5", "--t", "0.5", "--alpha-max", "40"], 0,
+                     id="hs-cert-decimal"),
+        pytest.param(["hs-cert", "--N", "3", "--q", "0.381966011250", "--t", "0",
+                      "--alpha-max", "100"], 0, id="hs-cert-kac"),
+        pytest.param(["hs-cert", "--N", "2", "--q", "1/2", "--t", "0.5", "--alpha-max", "40"], 0,
+                     id="hs-cert-rational"),
+        pytest.param(["amenability", "--N", "2", "--q", "0.5", "--n-max", "2000", "--warmup",
+                      "100"], 1, id="amenability-decimal"),
+        pytest.param(["amenability", "--N", "2", "--q", "1.0", "--n-max", "2000000"], 0,
+                     id="amenability-free"),
+        pytest.param(["spectrum", "--N", "2", "--q", "1e-400", "--alpha-max", "5"], 2,
+                     id="tiny-q"),
+    ],
+)
+def test_spectral_float_slots_leave_mpmath_unloaded(argv, code):
+    assert _bare(argv) == [code, False]
 
 
 _PRECISION = """
@@ -363,3 +381,25 @@ def test_readme_ceiling_table_names_every_ceiling():
     rows = re.findall(r"^\| `(\w+\.MAX_\w+)` =", readme.read_text(encoding="utf-8"), re.M)
     assert len(rows) == len(set(rows))
     assert set(rows) == defined
+
+
+def test_layer_bench_writes_every_layer(tmp_path):
+    # a smoke run of the layer bench: one run per layer at tiny sizes
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "layers.json"
+    subprocess.run([sys.executable, str(root / "tools" / "bench_layers.py"), "--k", "1", "--tiny",
+                    "--out", str(out)], capture_output=True, text=True, check=True, timeout=300)
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert {"commit", "src_modified", "python", "machine", "nproc", "k", "sizes", "src_lines",
+            "layers"} <= set(record)
+    assert (record["k"], record["sizes"]) == (1, "tiny")
+    modules = sorted(p.name for p in (root / "src" / "qgs").glob("*.py"))
+    assert sorted(record["src_lines"]) == sorted([*modules, "total"])
+    layers = record["layers"]
+    for name in ("spectrum._deltas.decimal", "spectrum._deltas.rational", "fusion.dims.decimal",
+                 "fusion.dims.rational", "estimates.hs_certificate", "cli._num.decimal",
+                 "cli._num.mpf_2^2000", "cli.build_parser+parse_args",
+                 *(f"compile.{m[:-3]}" for m in modules)):
+        row = layers[name]
+        assert 0 <= row["best_s"] <= row["median_s"] <= row["worst_s"]
+        assert row["spread"] >= 0

@@ -7,6 +7,7 @@ value/derivative recurrence of chebyshev, exact at rational q and at four
 times the working width at decimal q.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -483,10 +484,10 @@ def test_labels_covering_counts_the_labels_amenability_draws(monkeypatch, N, n_m
     # the labels covering n_max eigenvalues, drawn by the stream walk, end
     # at the last label whose eigenvalue amenability_criterion evaluates
     p = QParameter(Fraction(1, N + 1), N)
-    evaluated = []
-    monkeypatch.setattr(spectrum, "eigenvalue",
-                        lambda param, a: evaluated.append(a) or eigenvalue(param, a))
+    evaluated, deltas = [], spectrum._deltas
+    monkeypatch.setattr(spectrum, "_deltas", lambda q, a: evaluated.append(a) or deltas(q, a))
     amenability_criterion(p, n_max)
+    monkeypatch.setattr(spectrum, "_deltas", deltas)
     assert max(evaluated) + 1 == stream_walk(p, n_max)[4]
     assert len(evaluated) == len(set(evaluated)) <= math.log2(n_max) + 2
 
@@ -538,3 +539,49 @@ def test_amenability_validation():
         amenability_criterion(p, 32, warmup=1)
     # a warm-up past n_max leaves the single checkpoint n_max
     assert amenability_criterion(p, 32, warmup=100).checkpoints == (32,)
+
+
+def libmp_deltas(q, alpha, bits):
+    """The mpf oracle of _deltas at decimal q < 1: the closed form on raw mpf
+    values at the guard width 3 log2(1/(1-u)) + 16 over bits, each eigenvalue
+    rounded to bits."""
+    from mpmath.libmp import fone, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_sub
+
+    man, exp = q.man_exp
+    wide = bits + 3 * (1 - 2 * exp - ((1 << -2 * exp) - man * man).bit_length()) + 16
+    with mpmath.workprec(wide):
+        qm = mpmath.mpf(q)
+        u = qm * qm
+        w, b, c = u ** (alpha + 1), (1 + u) / (1 - u), qm / (1 - u)
+    u, w, b, c = u._mpf_, w._mpf_, b._mpf_, c._mpf_
+    for a in itertools.count(alpha):
+        z = mpf_div(mpf_add(fone, w, wide, "n"), mpf_sub(fone, w, wide, "n"), wide, "n")
+        t = mpf_sub(mpf_mul_int(z, a + 1, wide, "n"), b, wide, "n")
+        yield mpmath.mp.make_mpf(mpf_mul(c, t, bits, "n"))
+        w = mpf_mul(w, u, wide, "n")
+
+
+_NINES = "0." + "9" * 300  # within 1e-300 of 1, which 1,024 bits resolve
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 1024])
+@pytest.mark.parametrize("q", ["1e-150", "0.05", "0.3", "0.5", "0.9", "0.999999999", _NINES, "1.0"])
+def test_decimal_kernel_agrees_with_the_mpf_oracle(bits, q):
+    if q == _NINES and bits < 1024:
+        return  # q reads as 1 there, and is refused
+    set_precision_bits(bits)
+    try:
+        p = QParameter(q, 2)
+        for start in (0, 9000, 19800):
+            got = list(islice(spectrum._deltas(p.q, start), 200))
+            if q == "1.0":
+                with mpmath.workprec(bits):
+                    want = [mpmath.mpf(a * (a + 2)) / 6 for a in range(start, start + 200)]
+            else:
+                want = list(islice(libmp_deltas(p.q, start, bits), 200))
+            with mpmath.workprec(bits + 64):
+                for g, w in zip(got, want):
+                    assert abs(mpmath.mpf(str(g)) - w) <= 2.0 ** (8 - bits) * abs(w)
+            assert eigenvalue(p, start + 7) == spectrum._mpf(got[7])
+    finally:
+        set_precision_bits(None)
