@@ -5,8 +5,9 @@ x*U_a = U_{a-1} + U_{a+1}.  Values at x = q + 1/q feed every quantum
 dimension downstream, so two evaluation routes coexist: exact integer
 coefficients for structural identities, and a value-domain recurrence (exact
 on rational inputs, in the arithmetic of x otherwise: decimal.Decimal in the
-kernels, mpf in the tests' oracles) that is O(degree) and stable for x >= 2.  The recurrence is written once: ``_values`` yields U_0(x), U_1(x),
-... and ``_pairs`` adds the exact derivatives; every value, derivative,
+kernels, mpf in the tests' oracles) that is O(degree) and stable for x >= 2.
+The recurrence is written once: ``_values`` yields U_0(x), U_1(x), ... and
+``_pairs`` adds the exact derivatives; every value, derivative,
 q-number and dimension table reads one of the two.  The eigenvalues
 U'/U at q + 1/q have a closed form (spectrum._deltas), which the tests
 check against ``_pairs``.  Large-degree evaluation must never expand

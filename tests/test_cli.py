@@ -1058,7 +1058,7 @@ def test_caller_decimal_context_leaves_records_unchanged(capsys, argv):
 def test_precision_width_ceiling_before_any_work(capsys, monkeypatch, flag, env):
     if env is not None:
         monkeypatch.setenv("QGS_PRECISION_BITS", env)
-    monkeypatch.setattr(spectrum, "spectral_rows", lambda *args: pytest.fail("work ran"))
+    monkeypatch.setattr(spectrum, "_rows", lambda *args: pytest.fail("work ran"))
     code, out, err = run_cli(capsys, "spectrum", "--N", "2", "--q", "1/2", "--alpha-max", "5", *flag)
     assert code == 3
     assert out == ""

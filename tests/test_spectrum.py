@@ -397,6 +397,15 @@ def test_spectral_rows_shape():
         assert float(row.qdim) == pytest.approx(float(table.qdim[row.alpha]), rel=1e-12)
 
 
+def test_spectral_rows_exact_at_rational_q():
+    p = QParameter(Fraction(1, 2), 2)
+    rows = spectral_rows(p, 6)
+    table = dims(p, 6)
+    assert [row.qdim for row in rows] == list(table.qdim)
+    assert [row.delta for row in rows] == [eigenvalue(p, a) for a in range(7)]
+    assert all(isinstance(row.gap, Fraction) for row in rows[1:])
+
+
 def stream_walk(param, n_max, warmup=1000, threshold=50.0):
     """The amenability probe as a walk along spectral_stream, drawing every
     label up to the last checkpoint: (ratios, envelope, liminf, verdict,
