@@ -73,20 +73,46 @@ def _integer_dims(N: int, top: int) -> tuple[int, ...]:
     return tuple(islice(_values(N), top + 1))
 
 
-def _mpf(x):
-    """A kernel's Decimal c 10^e as the mpf it rounds to at the working
-    precision, with 10^|e| formed 64 bits wider rather than as an integer;
-    an exact value as it is.  The public functions decode through this."""
-    if type(x) is not Decimal:
-        return x
-    import mpmath
-    from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pow_int
+_GUARD = 64  # the bits over the precision of 5^e's top part, at which _mpfs cuts it
 
-    sign, digits, e = x.as_tuple()
-    bits = precision_bits()
-    scale = mpf_pow_int(from_int(10), abs(e), bits + 64)
-    c = from_int(int(Decimal((sign, digits, 0))))
-    return mpmath.mp.make_mpf((mpf_mul if e >= 0 else mpf_div)(c, scale, bits, "n"))
+
+def _mpfs(values):
+    """Yield each of a kernel's numbers as the mpf it rounds to at the working
+    precision, rounded once from its exact value: an int or a Fraction as it
+    is, a Decimal c 10^e as c 5^e 2^e.  5^|e| is carried from one value to the
+    next, since a column's exponents move a few at a time, and past _GUARD bits
+    over the precision only its top part meets c.  The public functions decode
+    through this."""
+    import mpmath
+    from mpmath.libmp import from_rational, normalize
+
+    bits, make = precision_bits(), mpmath.mp.make_mpf
+    context = _context(bits)
+    top, scaleb = context.prec - 1, context.scaleb
+    e, p5 = 0, 1  # p5 = 5^|e|
+    for x in values:
+        if type(x) is not Decimal:
+            yield make(from_rational(*x.as_integer_ratio(), bits, "n"))
+            continue
+        f = x.adjusted() - top  # x = c 10^f, c of at most top + 1 digits
+        c = int(scaleb(x, -f))
+        sign, c = c < 0, abs(c)
+        if f != e:
+            k = abs(f) - abs(e)
+            p5, e = p5 * 5**k if k > 0 else p5 // 5**-k, f
+        if f < 0:  # c / p5 to bits + 2 bits or more, then a sticky bit for the remainder
+            s = max(bits + 2 + p5.bit_length() - c.bit_length(), 0)
+            quotient, remainder = divmod(c << s, p5)
+            m, g = quotient << 1 | (remainder > 0), f - s - 1
+        else:
+            z = max(p5.bit_length() - bits - _GUARD, 0)
+            m, g = c * (p5 >> z), f + z
+            # c p5 2^-z lies strictly between m and m + c when z > 0, and rounds as m
+            # unless they differ from the guard bit up (n - 1) or m stands on a midpoint
+            n = m.bit_length() - bits
+            if z and c and ((m ^ (m + c)) >> (n - 1) or m & ((1 << n) - 1) == 1 << (n - 1)):
+                m, g = c * p5, f
+        yield make(normalize(sign, m, g, m.bit_length(), bits, "n"))
 
 
 def _table(param, alpha_max):
@@ -103,7 +129,7 @@ def dims(param: QParameter, alpha_max: int) -> DimensionTable:
     at decimal q; the last 64 are cached, and for decimal q keyed on the
     working precision too."""
     table = _table(param, alpha_max)
-    return table._replace(qdim=tuple(map(_mpf, table.qdim))) if _is_mp(param.q) else table
+    return _mpf_dims(param, len(table.n) - 1, precision_bits()) if _is_mp(param.q) else table
 
 
 @functools.lru_cache(maxsize=64)  # a fusion_check sweep of 0..40 reuses 41 tables
@@ -118,6 +144,13 @@ def _dims(param, alpha_max, bits):
             qdim = tuple(islice(_values(ctx.divide(num * num + den * den, num * den)),
                                 alpha_max + 1))
     return DimensionTable(param, _integer_dims(param.N, alpha_max), qdim)
+
+
+@functools.lru_cache(maxsize=8)
+def _mpf_dims(param, alpha_max, bits):
+    """dims' table at decimal q: _dims' with its q-dimensions decoded once."""
+    table = _dims(param, alpha_max, bits)
+    return table._replace(qdim=tuple(_mpfs(table.qdim)))
 
 
 # callers that inspect the table cache (perfbench/tracer.py) ask dims for it
@@ -180,11 +213,12 @@ def _fusion_checks(param: QParameter, cells) -> list[FusionCheck]:
 
 
 def _decoded(param, checks):
-    """checks with mpf q-dimensions at decimal q (_mpf)."""
+    """checks with mpf q-dimensions at decimal q, each column decoded in one pass."""
     if not _is_mp(param.q):
         return checks
-    return [c._replace(qdim_product=_mpf(c.qdim_product), qdim_sum=_mpf(c.qdim_sum))
-            for c in checks]
+    products = _mpfs([c.qdim_product for c in checks])
+    sums = _mpfs([c.qdim_sum for c in checks])
+    return [c._replace(qdim_product=p, qdim_sum=s) for c, p, s in zip(checks, products, sums)]
 
 
 def _fusion_check(param, alpha, beta):
@@ -201,10 +235,7 @@ def fusion_check(param: QParameter, alpha: int, beta: int) -> FusionCheck:
     rule is exact for rational q; for floating q the comparison allows a
     relative slack of 1e-12.
     """
-    alpha, beta = index(alpha), index(beta)
-    if alpha < 0 or beta < 0:
-        raise ValueError("irreducible labels must be >= 0")
-    return _fusion_checks(param, [(alpha, beta)])[0]
+    return _decoded(param, [_fusion_check(param, alpha, beta)])[0]
 
 
 def fusion_grid(param: QParameter, alpha_max: int) -> list[FusionCheck]:

@@ -5,7 +5,9 @@ label alpha, with eigenvalue delta_alpha = U'_alpha(N_q)/U_alpha(N_q), which
 _deltas evaluates in closed form.  Everything here is a pure function of a
 QParameter; rational q gives exact rational eigenvalues.  At decimal q the
 kernels (_deltas, _rows) give Decimals rounded to the digits of the working
-precision, and the public functions decode them to mpf at that precision.
+precision, and the public functions decode them to mpf at that precision
+(fusion._mpfs), so each is within an ulp of the exact value; at q = 1.0 they
+round the exact a(a+2)/6 and its gaps once, as correctly rounded mpfs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from operator import index, sub
 
 from .chebyshev import QParameter, _context, _values, poly_value
 from .errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
-from .fusion import MAX_LABELS, _check_table_labels, _integer_dims, _mpf, _table
+from .fusion import MAX_LABELS, _check_table_labels, _integer_dims, _mpfs, _table
 from .precision import _is_mp, _precision_for, precision_bits, to_mpf, working_precision
 
 # exact eigenvalues at q = p/r < 1, about (alpha+1) log2(r^2) bits each
@@ -98,7 +100,19 @@ def eigenvalue(param: QParameter, alpha: int):
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     _check_exact_bits(param.q, [alpha], MAX_EXACT_DELTA_BITS)
-    return _mpf(next(_deltas(param.q, alpha)))
+    return next(_mpf_deltas(param, alpha))
+
+
+def _exact_one(param):
+    """param, or at q = 1.0 the same model at q = 1 exactly, whose kernels the
+    public functions read so as to round a(a+2)/6 and its gaps once."""
+    return param._replace(q=Fraction(1)) if _is_mp(param.q) and param.q == 1 else param
+
+
+def _mpf_deltas(param, alpha=0):
+    """_deltas as the public functions give them: mpfs at decimal q."""
+    deltas = _deltas(_exact_one(param).q, alpha)
+    return _mpfs(deltas) if _is_mp(param.q) else deltas
 
 
 def gap_limit(param: QParameter):
@@ -185,8 +199,8 @@ class SpectralDatum(namedtuple("SpectralDatum", "alpha delta n multiplicity")):
 def spectral_stream(param: QParameter) -> Iterator[SpectralDatum]:
     """Yield SpectralDatum for alpha = 0, 1, 2, ... indefinitely, each in
     O(1) arithmetic operations (see _deltas)."""
-    for alpha, delta, n in zip(count(), _deltas(param.q), _values(param.N)):
-        yield SpectralDatum(alpha, _mpf(delta), n, n * n)
+    for alpha, delta, n in zip(count(), _mpf_deltas(param), _values(param.N)):
+        yield SpectralDatum(alpha, delta, n, n * n)
 
 
 def spectral_data(param: QParameter, alpha_max: int) -> list[SpectralDatum]:
@@ -205,10 +219,11 @@ class SpectralRow(namedtuple("SpectralRow", "alpha n qdim delta gap")):
 
 def spectral_rows(param: QParameter, alpha_max: int) -> list[SpectralRow]:
     """Tabulate label, dimension, quantum dimension, eigenvalue and gap."""
-    rows = _rows(param, alpha_max)
+    rows = _rows(_exact_one(param), alpha_max)
     if not _is_mp(param.q):
         return rows
-    return [r._replace(qdim=_mpf(r.qdim), delta=_mpf(r.delta), gap=_mpf(r.gap)) for r in rows]
+    alpha, n, *numbers = zip(*rows)  # each column of numbers decoded in one pass
+    return list(map(SpectralRow, alpha, n, *(_mpfs(column) for column in numbers)))
 
 
 def _rows(param, alpha_max):

@@ -8,16 +8,18 @@ spot.
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 
 import mpmath
 import pytest
 from hypothesis import given, settings
+from mpmath.libmp import from_rational
 from hypothesis import strategies as st
 
 from qgs import fusion
-from qgs.chebyshev import QParameter, _values, q_number
+from qgs.chebyshev import QParameter, _context, _values, q_number
 from qgs.cli import _num
 from qgs.errors import ResourceLimitError
 from qgs.fusion import dims, fuse, fusion_check, fusion_grid, growth_rate
@@ -129,6 +131,48 @@ def test_fusion_check_record():
     rec = fusion_check(QParameter(Fraction(1, 2), 2), 3, 4)
     assert rec.channels == fuse(3, 4)
     assert rec.classical_ok and rec.quantum_ok
+
+
+def test_fusion_check_decodes_as_the_grid_at_decimal_q():
+    param = QParameter("0.5", 2)
+    check = fusion_check(param, 2, 3)
+    cell = next(c for c in fusion_grid(param, 3) if (c.alpha, c.beta) == (2, 3))
+    assert type(check.qdim_product) is type(check.qdim_sum) is mpmath.mpf
+    assert record(check) == record(cell)
+    assert check.qdim_product + 0.5 == cell.qdim_product + 0.5  # mpf meets a float
+
+
+def test_dims_decodes_each_table_once(monkeypatch):
+    calls = []
+    decode = fusion._mpfs
+    monkeypatch.setattr(fusion, "_mpfs", lambda values: calls.append(1) or decode(values))
+    fusion._mpf_dims.cache_clear()
+    param = QParameter("0.3", 2)
+    table = dims(param, 300)
+    assert dims(param, 300) is table and dims(param, 300).qdim is table.qdim
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("guard", [64, 1])  # at 1 bit many large exponents take c 5^e whole
+@pytest.mark.parametrize("bits", [24, 53, 128, 1024])
+def test_mpfs_rounds_each_number_once(monkeypatch, bits, guard):
+    monkeypatch.setattr(fusion, "_GUARD", guard)
+    context, rng = _context(bits), random.Random(bits)
+    values, e = [], 0
+    for _ in range(1000):  # exponents that wander, as a column's do, and jump
+        e += rng.choice([-40, -3, -1, 0, 0, 1, 2, 5, 40])
+        c = rng.randrange(1, 10 ** rng.randrange(1, context.prec + 1))
+        values.append(context.scaleb(Decimal(rng.choice([c, -c])), e))
+    values += [Decimal(0), Decimal("-0"), Decimal(7), Decimal("1e3000"), Decimal("-3e-900"),
+               5, Fraction(-7, 3)]
+    set_precision_bits(bits)
+    try:
+        values += list(fusion._table(QParameter("0.3", 2), 2000).qdim)
+        got = list(fusion._mpfs(values))
+    finally:
+        set_precision_bits(None)
+    for x, g in zip(values, got):
+        assert g._mpf_ == from_rational(*Fraction(x).as_integer_ratio(), bits, "n")
 
 
 def test_fusion_labels_refused_before_any_channel_list(monkeypatch):
@@ -274,7 +318,7 @@ def test_decimal_dimensions_agree_with_the_mpf_recurrence(bits, q):
     try:
         p = QParameter(q, 2)
         table = fusion._table(p, 19999)
-        assert dims(p, 40).qdim == tuple(map(fusion._mpf, table.qdim[:41]))
+        assert dims(p, 40).qdim == tuple(fusion._mpfs(table.qdim[:41]))
     finally:
         set_precision_bits(None)
     num, den = p.q.as_integer_ratio()

@@ -397,7 +397,8 @@ def test_layer_bench_writes_every_layer(tmp_path):
     assert sorted(record["src_lines"]) == sorted([*modules, "total"])
     layers = record["layers"]
     for name in ("spectrum._deltas.decimal", "spectrum._deltas.rational", "fusion.dims.decimal",
-                 "fusion.dims.rational", "estimates.hs_certificate", "cli._num.decimal",
+                 "fusion.dims.rational", "spectrum.spectral_rows.decimal",
+                 "estimates.hs_certificate", "cli._num.decimal",
                  "cli._num.mpf_2^2000", "cli.build_parser+parse_args",
                  *(f"compile.{m[:-3]}" for m in modules)):
         row = layers[name]

@@ -18,11 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qgs import spectrum
+from qgs import fusion, spectrum
 from qgs.chebyshev import QParameter, _pairs, build_poly, poly_value_and_derivative
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.fusion import MAX_LABELS, dims
-from qgs.precision import set_precision_bits
+from qgs.precision import set_precision_bits, to_mpf, working_precision
 from qgs.spectrum import (
     AmenabilityReport,
     ResolventCoeff,
@@ -150,6 +150,25 @@ def test_decimal_eigenvalue_is_an_mpf_at_the_working_precision(q):
         assert isinstance(d, mpmath.mpf)
         assert 128 < d._mpf_[3] <= 192  # mantissa bits: not mpmath's 53, nor 128
     assert type(eigenvalue(QParameter(1, 2), 5)) is Fraction
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_public_values_at_q_one_round_the_exact_ones_once(bits):
+    set_precision_bits(bits)
+    try:
+        p = QParameter("1.0", 2)
+        rows = spectral_rows(p, 300)
+        stream = [d.delta for d in islice(spectral_stream(p), 301)]
+        eigenvalues = [eigenvalue(p, a) for a in range(301)]
+        with working_precision():
+            deltas = [to_mpf(Fraction(a * (a + 2), 6)) for a in range(301)]
+            gaps = [to_mpf(Fraction(2 * a + 1, 6)) if a else 0 for a in range(301)]
+    finally:
+        set_precision_bits(None)
+    assert [r.delta for r in rows] == stream == eigenvalues == deltas
+    assert [r.gap for r in rows] == gaps
+    assert [r.qdim for r in rows] == list(range(1, 302))
+    assert all(type(x) is mpmath.mpf for r in rows for x in (r.qdim, r.delta, r.gap))
 
 
 def test_exact_eigenvalue_ceiling():
@@ -591,6 +610,8 @@ def test_decimal_kernel_agrees_with_the_mpf_oracle(bits, q):
             with mpmath.workprec(bits + 64):
                 for g, w in zip(got, want):
                     assert abs(mpmath.mpf(str(g)) - w) <= 2.0 ** (8 - bits) * abs(w)
-            assert eigenvalue(p, start + 7) == spectrum._mpf(got[7])
+            # the public value rounds the kernel's once, and at q = 1.0 the exact a(a+2)/6
+            decoded = want[7] if q == "1.0" else next(fusion._mpfs([got[7]]))
+            assert eigenvalue(p, start + 7) == decoded
     finally:
         set_precision_bits(None)

@@ -53,7 +53,8 @@ def _layers(tiny):
 
     def table(function, param, top):
         def run():
-            fusion._dims.cache_clear()  # a table is built, not read from the cache
+            fusion._dims.cache_clear()  # a table is built and decoded, not read from a cache
+            fusion._mpf_dims.cache_clear()
             return function(param, top)
 
         return run
@@ -72,6 +73,7 @@ def _layers(tiny):
     yield "fusion._table.decimal", table(fusion._table, decimal_q, labels - 1)
     yield "fusion.dims.decimal", table(fusion.dims, decimal_q, labels - 1)
     yield "fusion.dims.rational", table(fusion.dims, rational_q, exact_top)
+    yield "spectrum.spectral_rows.decimal", table(spectrum.spectral_rows, decimal_q, labels - 1)
     yield "estimates.hs_certificate", lambda: estimates.hs_certificate(
         QParameter("0.5", 2), "0.5", labels - 1)
     yield "cli._num.float", nums([1 / 3] * 1000)
