@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 # the public names of each submodule; __all__ and the lazy lookup read this table
 _EXPORTS = {
-    "chebyshev": ("ChebyshevPoly", "QParameter", "build_poly", "poly_derivative",
-                  "poly_value", "poly_value_and_derivative", "q_number"),
+    "chebyshev": ("QParameter", "poly_value", "q_number"),
     "errors": ("DegenerateRegimeError", "InvalidVectorError",
                "NumericalDegradationError", "ResourceLimitError"),
     "estimates": ("gap", "gap_constant_scan", "hs_certificate", "hs_coefficient",

@@ -2,22 +2,20 @@
 
 The family is pinned by U_0 = 1, U_1 = x and the three-term recursion
 x*U_a = U_{a-1} + U_{a+1}.  Values at x = q + 1/q feed every quantum
-dimension downstream, so two evaluation routes coexist: exact integer
-coefficients for structural identities, and a value-domain recurrence (exact
-on rational inputs, in the arithmetic of x otherwise: decimal.Decimal in the
-kernels, mpf in the tests' oracles) that is O(degree) and stable for x >= 2.
-The recurrence is written once: ``_values`` yields U_0(x), U_1(x), ... and
-``_pairs`` adds the exact derivatives; every value, derivative,
-q-number and dimension table reads one of the two.  The eigenvalues
-U'/U at q + 1/q have a closed form (spectrum._deltas), which the tests
-check against ``_pairs``.  Large-degree evaluation must never expand
-coefficients.
+dimension downstream, by one route: a value-domain recurrence (exact on
+rational inputs, in the arithmetic of x otherwise: decimal.Decimal in the
+kernels, mpf in the tests' oracles) that is O(degree) and stable for
+x >= 2.  ``_values`` yields U_0(x), U_1(x), ..., and every value, q-number
+and dimension table reads it; the eigenvalues U'/U at q + 1/q have a
+closed form (spectrum._deltas).  The tests check both against references
+of their own (tests/oracles.py): the exact coefficients and the derivative
+recurrence.  Large-degree evaluation must never expand coefficients.
 
 A decimal q is held as its exact binary value, a ``Dyadic``: the number
 mpmath.mpf reads from the same text at the same width, read here without
 importing mpmath, which its arithmetic, repr and str load on first use.
 The kernels work on it in decimal.Decimal, in one context per call
-(_context).
+(_context).  A decimal q of exactly 1 is held as Fraction(1), q = 1's route.
 """
 
 from __future__ import annotations
@@ -28,48 +26,11 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import islice
 
 from .precision import _is_mp, _precision_for, precision_bits, to_mpf, working_precision
 
-__all__ = [
-    "ChebyshevPoly",
-    "QParameter",
-    "build_poly",
-    "poly_value",
-    "poly_derivative",
-    "poly_value_and_derivative",
-    "q_number",
-]
-
-
-class ChebyshevPoly(namedtuple("ChebyshevPoly", "degree coeffs")):
-    """One member of the family, held as exact integer coefficients.
-
-    coeffs is ascending: coeffs[k] multiplies x**k.  The leading coefficient
-    is 1 and coefficients of parity opposite to the degree vanish.
-    """
-
-    __slots__ = ()
-
-    def value(self, x):
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative_coeffs(self):
-        return tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
-
-
-def build_poly(alpha):
-    """Exact coefficient vector of the degree-alpha member."""
-    if alpha < 0:
-        raise ValueError("degree must be a natural number")
-    prev, cur = (), (1,)
-    for _ in range(alpha):  # x*cur shifts coefficients up one slot; subtract prev
-        prev, cur = cur, tuple(c - p for c, p in zip_longest((0, *cur), prev, fillvalue=0))
-    return ChebyshevPoly(alpha, cur)
+__all__ = ["QParameter", "poly_value", "q_number"]
 
 
 def _values(x):
@@ -81,32 +42,11 @@ def _values(x):
         prev, cur = cur, x * cur - prev
 
 
-def _pairs(x):
-    """Yield (U_a(x), U_a'(x)) for a = 0, 1, ...: differentiating the recursion
-    gives u'_{a+1} = u_a + x*u'_a - u'_{a-1}, exact, never a finite difference."""
-    du_prev = du = 0 * x
-    for u in _values(x):
-        yield u, du
-        du_prev, du = du, u + x * du - du_prev
-
-
 def poly_value(alpha, x):
     """U_alpha(x) by the recurrence in the arithmetic of x."""
     if alpha < 0:
         raise ValueError("degree must be a natural number")
     return next(islice(_values(x), alpha, None))
-
-
-def poly_value_and_derivative(alpha, x):
-    """(U_alpha(x), U_alpha'(x)) by the simultaneous recurrence."""
-    if alpha < 0:
-        raise ValueError("degree must be a natural number")
-    return next(islice(_pairs(x), alpha, None))
-
-
-def poly_derivative(alpha, x):
-    """U_alpha'(x), computed from exact data (never by finite differences)."""
-    return poly_value_and_derivative(alpha, x)[1]
 
 
 def _rounded(num, den, bits):
@@ -126,11 +66,11 @@ def _rounded(num, den, bits):
 class Dyadic:
     """A finite binary number man * 2^exp, man odd (or 0, with exp 0).
 
-    QParameter holds every decimal q as one: a float exactly, an mpf
+    QParameter holds every decimal q but 1 as one: a float exactly, an mpf
     exactly, a decimal string rounded as mpmath.mpf rounds it.  It converts
     to float as an mpf does, compares and hashes by its exact value, as the
     Fraction of that value does, and gives man_exp (man signed, where an
-    mpf's is its magnitude), bc and an ``_mpf_``, so mpmath takes it
+    mpf's is its magnitude) and an ``_mpf_``, so mpmath takes it
     wherever it takes an mpf.  Its repr, str and arithmetic are those of
     that mpf, and import mpmath when used.
     """
@@ -144,10 +84,6 @@ class Dyadic:
     @property
     def man_exp(self):
         return self.man, self.exp
-
-    @property
-    def bc(self):
-        return abs(self.man).bit_length()
 
     @property
     def _mpf_(self):
@@ -231,7 +167,10 @@ def _read(q, bits):
             num = int(whole + frac)
             return Dyadic(*_rounded(num * 10 ** max(exp, 0), 10 ** max(-exp, 0), bits))
     with working_precision(bits) as mp:
-        return _exact(mp.mpf(q))
+        try:
+            return _exact(mp.mpf(q))
+        except ValueError:  # mpmath's parser names its own steps, as for '0.5_0'
+            raise ValueError(f"could not convert string to float: {q!r}") from None
 
 
 def _context(bits):
@@ -260,7 +199,8 @@ class QParameter(namedtuple("QParameter", "q N")):
     x^2 - N*x + 1).  Rational q (Fraction or int) keeps all derived values
     exact; float/str/mpf inputs are held as a Dyadic, exact for a float or
     an mpf, a decimal string rounded at the working precision (at least 53
-    bits) as mpmath.mpf rounds it, and nq is then a Dyadic too.
+    bits) as mpmath.mpf rounds it, and nq is then a Dyadic too.  One that is
+    exactly 1 is held as Fraction(1).
     """
 
     __slots__ = ()
@@ -287,6 +227,7 @@ class QParameter(namedtuple("QParameter", "q N")):
             raise TypeError("q must be Fraction, int, float, str or mpf")
         if not 0 < q <= 1:
             raise ValueError("q must lie in (0, 1]")
+        q = Fraction(1) if q == 1 else q  # q = 1.0 takes the exact route of q = 1
         if float(q) < 1 / sys.float_info.max:
             raise ValueError("q = %s is too small: q + 1/q exceeds the double range" % (given,))
         self = super().__new__(cls, q, N)

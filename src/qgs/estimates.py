@@ -265,9 +265,7 @@ class GapEvaluation(namedtuple("GapEvaluation", "alpha beta gamma lhs rhs ratio"
 
 
 def _exact_gap(param, a, b, g):
-    """(lhs, rhs, ratio) at rational q or q = 1, every one exact but an infinite ratio."""
-    if param.q == 1:  # a decimal q = 1.0 too: delta_a = a(a+2)/6 and the bound 0 are exact
-        param = QParameter(1, 2)
+    """(lhs, rhs, ratio) at rational q, every one exact but an infinite ratio."""
     labels = (a + g, a, b, b - g)
     _check_exact_bits(param.q, labels, MAX_EXACT_TOTAL_BITS)
     d = [eigenvalue(param, k) for k in labels]
@@ -287,7 +285,7 @@ def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
     alpha, beta, gamma = _check_labels(alpha, beta, gamma)
     top = max(alpha, beta) + abs(gamma)
     _check_table_labels(top)
-    if param.q == 1 or isinstance(param.q, Fraction):
+    if isinstance(param.q, Fraction):
         return GapEvaluation(alpha, beta, gamma, *_exact_gap(param, alpha, beta, gamma))
     return GapEvaluation(alpha, beta, gamma, *_cells(param, top).gap(alpha, beta, gamma))
 

@@ -78,22 +78,19 @@ _GUARD = 64  # the bits over the precision of 5^e's top part, at which _mpfs cut
 
 def _mpfs(values):
     """Yield each of a kernel's numbers as the mpf it rounds to at the working
-    precision, rounded once from its exact value: an int or a Fraction
-    directly, a Decimal c 10^e as c 5^e 2^e.  5^|e| is carried from one value
+    precision, rounded once from its exact value, a Decimal c 10^e, as
+    c 5^e 2^e.  5^|e| is carried from one value
     to the next, since a column's exponents move a few at a time, and past
     _GUARD bits over the precision only its top part meets c.  The public
     functions decode through this."""
     import mpmath
-    from mpmath.libmp import from_rational, normalize
+    from mpmath.libmp import normalize
 
     bits, make = precision_bits(), mpmath.mp.make_mpf
     context = _context(bits)
     top, scaleb = context.prec - 1, context.scaleb
     e, p5 = 0, 1  # p5 = 5^|e|
     for x in values:
-        if type(x) is not Decimal:
-            yield make(from_rational(*x.as_integer_ratio(), bits, "n"))
-            continue
         f = x.adjusted() - top  # x = c 10^f, c of at most top + 1 digits
         c = int(scaleb(x, -f))
         sign, c = c < 0, abs(c)

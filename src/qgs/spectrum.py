@@ -6,8 +6,8 @@ _deltas evaluates in closed form.  Everything here is a pure function of a
 QParameter; rational q gives exact rational eigenvalues.  At decimal q the
 kernels (_deltas, _rows) give Decimals rounded to the digits of the working
 precision, and the public functions decode them to mpf at that precision
-(fusion._mpfs), so each is within an ulp of the exact value; at q = 1.0 they
-round the exact a(a+2)/6 and its gaps once, as correctly rounded mpfs.
+(fusion._mpfs), so each is within an ulp of the exact value.  A decimal q
+of 1.0 is held as Fraction(1) (QParameter), and its values are exact.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ def _deltas(q, alpha=0):
             npow, dpow = npow * n, dpow * d
     bits = precision_bits()
     narrow = _context(bits)
-    if q == 1:
-        for a in count(alpha):
-            yield narrow.divide(a * (a + 2), 6)
     # q = man 2^-k exactly, so 1 - u = (4^k - man^2) / 4^k
     man, k = q.man_exp[0], -q.man_exp[1]
     gap = (1 << 2 * k) - man * man
@@ -103,15 +100,9 @@ def eigenvalue(param: QParameter, alpha: int):
     return next(_mpf_deltas(param, alpha))
 
 
-def _exact_one(param):
-    """param, or at q = 1.0 the same model at q = 1 exactly, whose kernels the
-    public functions read so as to round a(a+2)/6 and its gaps once."""
-    return param._replace(q=Fraction(1)) if _is_mp(param.q) and param.q == 1 else param
-
-
 def _mpf_deltas(param, alpha=0):
     """_deltas as the public functions give them: mpfs at decimal q."""
-    deltas = _deltas(_exact_one(param).q, alpha)
+    deltas = _deltas(param.q, alpha)
     return _mpfs(deltas) if _is_mp(param.q) else deltas
 
 
@@ -219,7 +210,7 @@ class SpectralRow(namedtuple("SpectralRow", "alpha n qdim delta gap")):
 
 def spectral_rows(param: QParameter, alpha_max: int) -> list[SpectralRow]:
     """Tabulate label, dimension, quantum dimension, eigenvalue and gap."""
-    rows = _rows(_exact_one(param), alpha_max)
+    rows = _rows(param, alpha_max)
     if not _is_mp(param.q):
         return rows
     alpha, n, *numbers = zip(*rows)  # each column of numbers decoded in one pass

@@ -14,17 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgs.chebyshev import (
-    ChebyshevPoly,
-    Dyadic,
-    QParameter,
-    _read,
-    build_poly,
-    poly_derivative,
-    poly_value,
-    poly_value_and_derivative,
-    q_number,
-)
+from oracles import ChebyshevPoly, bc, build_poly, poly_derivative, poly_value_and_derivative
+from qgs.chebyshev import Dyadic, QParameter, _read, poly_value, q_number
 from qgs.precision import _is_mp, set_precision_bits, working_precision
 
 
@@ -302,7 +293,7 @@ def test_float_and_mpf_inputs_are_held_exactly():
     with mpmath.workprec(300):
         third = mpmath.mpf(1) / 3
     q = QParameter(third, 2).q  # kept at its 300 bits, not rounded to 128
-    assert type(q) is Dyadic and q.man_exp == third.man_exp and q.bc == 300
+    assert type(q) is Dyadic and q.man_exp == third.man_exp and bc(q) == 300
     assert QParameter(q, 2).q is q
 
 
@@ -313,6 +304,8 @@ def test_float_and_mpf_inputs_are_held_exactly():
     ("abc", "could not convert string to float: 'abc'"),
     ("0x1p-2", "could not convert string to float: '0x1p-2'"),
     ("", "could not convert string to float: ''"),
+    ("0.5_0", "could not convert string to float: '0.5_0'"),  # past mpmath's own parser
+    ("infinity", "could not convert string to float: 'infinity'"),
 ])
 def test_strings_that_are_no_admissible_number_keep_their_errors(text, message):
     with pytest.raises(ValueError) as info:
@@ -334,7 +327,7 @@ def test_dyadic_is_its_exact_value_and_an_mpf_to_mpmath():
     assert Fraction(3, 10) < d < 0.3 + 1e-16 and not d < Fraction(3, 10)
     assert -math.inf < d < math.inf and not d == math.nan and d != math.nan
     assert d == Dyadic(*d.man_exp) and d < Dyadic(1, 0) and Dyadic(0, 5) == 0
-    assert float(d) == 0.3 and d.man_exp == m128.man_exp and d.bc == m128.bc and _is_mp(d)
+    assert float(d) == 0.3 and d.man_exp == m128.man_exp and bc(d) == m128.bc and _is_mp(d)
     assert float(Dyadic(3, 2000)) == math.inf and float(Dyadic(-3, 2000)) == -math.inf
     # mpmath reads it as the mpf of the same value; repr, str and arithmetic are mpmath's
     assert mpmath.mpf(d) == m and mpmath.mpf(d) is not d

@@ -211,6 +211,33 @@ def test_gap_scan_at_q_one_is_usage_error(capsys, q):
     assert "q = 1" in error["message"]
 
 
+Q_ONE_ARGVS = {
+    "spectrum": ("spectrum", "--N", "2", "--alpha-max", "40"),
+    "spectrum-csv": ("spectrum", "--N", "2", "--alpha-max", "40", "--format", "csv"),
+    "spectrum-1024": ("spectrum", "--N", "2", "--alpha-max", "40", "--precision-bits", "1024"),
+    "fusion-grid": ("fusion", "--N", "2", "--alpha-max", "6"),
+    "fusion-cell": ("fusion", "--N", "2", "--alpha", "7", "--beta", "4"),
+    "hs-cert-0": ("hs-cert", "--N", "2", "--t", "0", "--alpha-max", "40"),
+    "hs-cert-0.5": ("hs-cert", "--N", "2", "--t", "0.5", "--alpha-max", "40"),
+    "amenability": ("amenability", "--N", "2", "--n-max", "50000"),
+    "jw-verify": ("jw-verify", "--n-max", "5"),
+    "lemma65": ("lemma65", "--alpha-max", "6"),
+    "pentagon-refused": ("pentagon", "--alpha", "1" + "0" * 200, "--r", "1", "--s", "1",
+                         "--k", "1", "--l", "1"),
+    "gap-scan-refused": ("gap-scan", "--N", "2", "--alpha-max", "30", "--gamma-max", "3"),
+}
+
+
+@pytest.mark.parametrize("text", ["1.0", "1e0", "1.00"])
+@pytest.mark.parametrize("argv", Q_ONE_ARGVS.values(), ids=Q_ONE_ARGVS)
+def test_decimal_q_of_one_writes_the_records_of_q_one(capsys, argv, text):
+    # a decimal q of exactly 1 is held as q = 1: the same bytes but inputs.q
+    code, out, err = run_cli(capsys, *argv, "--q", text)
+    want = run_cli(capsys, *argv, "--q", "1")
+    assert out.count(f'"q": "{text}"') == (out != "" and "--format" not in argv)
+    assert (code, out.replace(f'"q": "{text}"', '"q": "1"'), err) == want
+
+
 def test_gap_scan_at_decimal_q_rounding_to_one_is_usage_error(capsys):
     # q < 1 at the working width, but the float cells would divide by 1 - 1.0
     code, out, err = run_cli(

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import build_poly, poly_value_and_derivative
 from qgs import precision
-from qgs.chebyshev import QParameter, build_poly, poly_value, poly_value_and_derivative, q_number
+from qgs.chebyshev import QParameter, poly_value, q_number
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.estimates import gap, gap_constant_scan, hs_certificate
 from qgs.freewords import (

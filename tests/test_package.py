@@ -267,7 +267,7 @@ from qgs import QParameter, eigenvalue
 q = QParameter("0.3", 2).q
 delta = eigenvalue(QParameter("0.3", 2), 50)
 exact = eigenvalue(QParameter(Fraction(1, 2), 2), 300)
-print(json.dumps([[[str(x.man), x.exp, x.bc] for x in (q, delta)], type(exact).__name__,
+print(json.dumps([[[str(x.man), x.exp, x._mpf_[3]] for x in (q, delta)], type(exact).__name__,
                   str(exact)]))
 """
 
@@ -399,7 +399,10 @@ def test_layer_bench_writes_every_layer(tmp_path):
     for name in ("spectrum._deltas.decimal", "spectrum._deltas.rational", "fusion.dims.decimal",
                  "fusion.dims.rational", "spectrum.spectral_rows.decimal",
                  "estimates.hs_certificate", "cli._num.decimal",
-                 "cli._num.mpf_2^2000", "cli.build_parser+parse_args",
+                 "cli._num.mpf_2^2000", "cli.build_parser+parse_args", "templieb._tables",
+                 "templieb._closed_form", "freewords._verify", "estimates._FloatCells.decimal",
+                 "estimates._ExactCells.rational", "fusion._fusion_checks",
+                 "cli._row+_emit.fusion",
                  *(f"compile.{m[:-3]}" for m in modules)):
         row = layers[name]
         assert 0 <= row["best_s"] <= row["median_s"] <= row["worst_s"]

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from qgs import chebyshev, estimates, freewords, fusion, spectrum, templieb
 from qgs.chebyshev import QParameter
 
 # each record type with its fields, in order
 FIELDS = {
-    chebyshev.ChebyshevPoly: "degree coeffs",
+    oracles.ChebyshevPoly: "degree coeffs",
     chebyshev.QParameter: "q N",
     spectrum.SpectralDatum: "alpha delta n multiplicity",
     spectrum.SpectralRow: "alpha n qdim delta gap",
@@ -50,7 +51,7 @@ def _instances():
     p = QParameter("0.5", 2)
     report = freewords.verify_boundary_expansion((0, 1), (1, 0, 1), (1, 0))
     return [
-        chebyshev.build_poly(3), p, next(spectrum.spectral_stream(p)),
+        oracles.build_poly(3), p, next(spectrum.spectral_stream(p)),
         spectrum.spectral_rows(p, 2)[-1], spectrum.resolvent_coeff(p, 2, 0.5),
         spectrum.amenability_criterion(p, 100, warmup=10), fusion.dims(p, 2),
         fusion.growth_rate(p, 4), fusion.fusion_check(p, 1, 2), estimates.gap(p, 3, 4, 1),

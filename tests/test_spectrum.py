@@ -18,11 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import _pairs, build_poly, poly_value_and_derivative
 from qgs import fusion, spectrum
-from qgs.chebyshev import QParameter, _pairs, build_poly, poly_value_and_derivative
+from qgs.chebyshev import QParameter
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.fusion import MAX_LABELS, dims
-from qgs.precision import set_precision_bits, to_mpf, working_precision
+from qgs.precision import set_precision_bits
 from qgs.spectrum import (
     AmenabilityReport,
     ResolventCoeff,
@@ -138,7 +139,7 @@ def test_decimal_q_read_wider_than_the_working_precision():
     assert [d.delta for d in islice(spectral_stream(p), 4)] == want
 
 
-@pytest.mark.parametrize("q", ["0.3", "1.0"])
+@pytest.mark.parametrize("q", ["0.3"])  # q = 1.0 is held as q = 1: see below
 def test_decimal_eigenvalue_is_an_mpf_at_the_working_precision(q):
     set_precision_bits(192)
     try:
@@ -152,23 +153,23 @@ def test_decimal_eigenvalue_is_an_mpf_at_the_working_precision(q):
     assert type(eigenvalue(QParameter(1, 2), 5)) is Fraction
 
 
-@pytest.mark.parametrize("bits", [53, 128])
-def test_public_values_at_q_one_round_the_exact_ones_once(bits):
+@pytest.mark.parametrize("bits", [53, 128, 192])
+def test_public_values_at_q_one_point_zero_are_the_exact_ones(bits):
+    # a decimal q of exactly 1 is held as q = 1, at every width
     set_precision_bits(bits)
     try:
         p = QParameter("1.0", 2)
         rows = spectral_rows(p, 300)
         stream = [d.delta for d in islice(spectral_stream(p), 301)]
         eigenvalues = [eigenvalue(p, a) for a in range(301)]
-        with working_precision():
-            deltas = [to_mpf(Fraction(a * (a + 2), 6)) for a in range(301)]
-            gaps = [to_mpf(Fraction(2 * a + 1, 6)) if a else 0 for a in range(301)]
     finally:
         set_precision_bits(None)
+    assert p == QParameter(1, 2) and type(p.q) is Fraction
+    deltas = [Fraction(a * (a + 2), 6) for a in range(301)]
     assert [r.delta for r in rows] == stream == eigenvalues == deltas
-    assert [r.gap for r in rows] == gaps
+    assert [r.gap for r in rows] == [Fraction(2 * a + 1, 6) if a else 0 for a in range(301)]
     assert [r.qdim for r in rows] == list(range(1, 302))
-    assert all(type(x) is mpmath.mpf for r in rows for x in (r.qdim, r.delta, r.gap))
+    assert all(type(x) is Fraction for r in rows for x in (r.qdim, r.delta, r.gap))
 
 
 def test_exact_eigenvalue_ceiling():

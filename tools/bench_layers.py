@@ -13,7 +13,9 @@ src/qgs module (as `wc -l` counts them), so two records can be compared:
 Full sizes are the largest the CLI admits on each route: 20,000 labels for
 eigenvalues, dimension tables and the HS certificate at decimal q (2,115
 at q = 4/11, the exact table ceiling), and numbers near 2^2000 and 2^20000
-for the record writer.  --tiny shrinks every size, for a smoke test.  The
+for the record writer; the isometries of lemma65 to label 104 at q = 0.5,
+a 200 x 5 gap grid at q = 0.3 and 4/11, the sum rules of a 40-label fusion
+grid, and the record of the grid to label 200 at q = 0.3.  --tiny shrinks every size, for a smoke test.  The
 compile time of each module is measured with compile() on its source,
 which is what a process without a bytecode cache pays.
 """
@@ -46,7 +48,7 @@ def _layers(tiny):
     labels = 200 if tiny else 20000
     wide = (2000, 3000) if tiny else (2000, 20000)
     decimal_q, rational_q = QParameter("0.3", 2), QParameter(Fraction(4, 11), 2)
-    one = QParameter("1.0", 2)
+    one = QParameter("1.0", 2)  # held as q = 1 exactly: the exact a(a+2)/6 route
 
     def deltas(param, count):
         return lambda: list(islice(spectrum._deltas(param.q), count))
@@ -83,6 +85,69 @@ def _layers(tiny):
         yield f"cli._num.mpf_2^{e}", nums([x])
         yield f"cli._num.decimal_2^{e}", nums([d])
     yield "cli.build_parser+parse_args", lambda: cli.build_parser(argv).parse_args(argv)
+    yield from _kernel_layers(tiny)
+
+
+def _kernel_layers(tiny):
+    """The kernels under lemma65, freeprod-verify, gap-scan and fusion, and the
+    record writer on the largest fusion grid."""
+    from decimal import localcontext
+    from fractions import Fraction
+
+    from qgs import cli, estimates, freewords, fusion, templieb
+    from qgs.chebyshev import QParameter, _context
+
+    decimal_q, rational_q = QParameter("0.3", 2), QParameter(Fraction(4, 11), 2)
+    # lemma65 --q 0.5 --alpha-max 104, its largest: every isometry its estimates read
+    half, top = QParameter("0.5", 2), 8 if tiny else 104
+    cases = [(a, k, l) for a in range(1, top + 1) for k, l in templieb._SIGNS
+             if a + min(k, l, k + l) >= 0]
+    labels = {labels for a, k, l in cases for part in templieb._PARTS[k, l]
+              for labels in templieb._pentagon_isometries(a, 1, 1, *part)}
+    bits = templieb._bits(half, top + 2)
+    tables = templieb._tables(half, bits, labels)
+
+    def closed_forms():
+        with localcontext(_context(bits)):
+            return [templieb._closed_form(tables, *iso) for iso in labels]
+
+    yield "templieb._tables", lambda: templieb._tables(half, bits, labels)
+    yield "templieb._closed_form", closed_forms
+    # one pattern of the (4, 3, 3) sweep: x of 4 letters, b and a of 3, 3 algebras
+    pattern = ((0, 1), (2, 0, 1), (0, 2)) if tiny else ((0, 1, 2), (0, 1, 0, 2), (1, 2, 0))
+    yield "freewords._verify", lambda: freewords._verify(freewords._Table(), *pattern)
+
+    # every cell of a gap-scan --alpha-max 200 --gamma-max 5, tables built too
+    alpha_max, gamma_max = (20, 2) if tiny else (200, 5)
+    grid = [(a, b, g) for a in range(alpha_max + 1)
+            for b in range(max(0, a - 2 * gamma_max), min(alpha_max, a + 2 * gamma_max) + 1)
+            for g in range(max(-gamma_max, -a), min(gamma_max, b) + 1)]
+
+    def cells(param):
+        def run():
+            ratio = estimates._cells(param, alpha_max + gamma_max).ratio
+            return [ratio(*cell) for cell in grid]
+
+        return run
+
+    yield "estimates._FloatCells.decimal", cells(decimal_q)
+    yield "estimates._ExactCells.rational", cells(rational_q)
+    edge = 8 if tiny else 40
+    yield "fusion._fusion_checks", lambda: fusion._fusion_checks(
+        decimal_q, [(a, b) for a in range(edge + 1) for b in range(a, edge + 1)])
+
+    # the record of fusion --N 2 --q 0.3 --alpha-max 200, written to the null device
+    argv = ["fusion", "--N", "2", "--q", "0.3", "--alpha-max", "20" if tiny else "200",
+            "--output", os.devnull]
+    args = cli.build_parser(argv).parse_args(argv)
+    checks = fusion._fusion_grid(decimal_q, args.alpha_max)
+
+    def record():
+        rows = [cli._row(c, "alpha", "beta", "channels", "n_product", "n_sum", "qdim_product",
+                         "qdim_sum", "classical_ok", "quantum_ok") for c in checks]
+        cli._emit(args, cli._record(args, "pass", None, rows))
+
+    yield "cli._row+_emit.fusion", record
 
 
 def _compiles():
