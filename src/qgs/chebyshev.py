@@ -15,7 +15,7 @@ A decimal q is held as its exact binary value, a ``Dyadic``: the number
 mpmath.mpf reads from the same text at the same width, read here without
 importing mpmath, which its arithmetic, repr and str load on first use.
 The kernels work on it in decimal.Decimal, in one context per call
-(_context).  A decimal q of exactly 1 is held as Fraction(1), q = 1's route.
+(_context).  A decimal q of exactly 1 is held as Fraction(1), on q = 1's route.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _read(q, bits):
     with working_precision(bits) as mp:
         try:
             return _exact(mp.mpf(q))
-        except ValueError:  # mpmath's parser names its own steps, as for '0.5_0'
+        except ValueError:  # mpmath's parser reports its own internals, as for '0.5_0'
             raise ValueError(f"could not convert string to float: {q!r}") from None
 
 

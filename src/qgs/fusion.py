@@ -78,11 +78,11 @@ _GUARD = 64  # the bits over the precision of 5^e's top part, at which _mpfs cut
 
 def _mpfs(values):
     """Yield each of a kernel's numbers as the mpf it rounds to at the working
-    precision, rounded once from its exact value, a Decimal c 10^e, as
-    c 5^e 2^e.  5^|e| is carried from one value
-    to the next, since a column's exponents move a few at a time, and past
-    _GUARD bits over the precision only its top part meets c.  The public
-    functions decode through this."""
+    precision, rounded once from its exact value: a Decimal c 10^e as
+    c 5^e 2^e.  5^|e| is carried from one value to the next, since a
+    column's exponents move a few at a time, and past _GUARD bits over the
+    precision only its top part meets c.  The public functions decode
+    through this."""
     import mpmath
     from mpmath.libmp import normalize
 
