@@ -4,11 +4,13 @@ The package is lazy: a public name imports its submodule on first access,
 so a caller pays for numpy (the optional ``chain`` extra) only when it
 builds the qubit-chain objects of ``templieb`` (``tl_rep``, a
 ``jones_wenzl`` basis or matrix, ``weight_matrix``, an isometry's ``V``),
-which no CLI subcommand does, and for mpmath only when a public function
-returns an mpf at decimal q (``eigenvalue``, ``dims``, ``spectral_rows``,
-...) or is mpmath-only (``gap_limit``, ``semigroup_coeff``, ...): a decimal
-q is read and held as its exact binary value without it, and the kernels
-the CLI runs work on decimal.Decimal.
+which no CLI subcommand does.  A decimal q is read and held as its exact
+binary value without mpmath, and every number computed at it is a
+decimal.Decimal rounded to the working precision; mpmath loads only to
+read a q string that is not a plain decimal literal ("1/3", "inf"), to
+print or do arithmetic on that held q, or in ``working_precision``.  The
+arithmetic on a returned Decimal follows the caller's decimal context, of
+28 digits by default: widen it with decimal.localcontext.
 """
 
 import importlib

@@ -14,8 +14,10 @@ recurrence.  Large-degree evaluation must never expand coefficients.
 A decimal q is held as its exact binary value, a ``Dyadic``: the number
 mpmath.mpf reads from the same text at the same width, read here without
 importing mpmath, which its arithmetic, repr and str load on first use.
-The kernels work on it in decimal.Decimal, in one context per call
-(_context).  A decimal q of exactly 1 is held as Fraction(1), on q = 1's route.
+Every number computed from it is a decimal.Decimal in one context per call
+(_context), and a caller's number joins it through _decimal, rounded once
+from its exact value.  A decimal q of exactly 1 is held as Fraction(1), on
+q = 1's route.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import operator
 import re
 import sys
 from collections import namedtuple
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation,
+                     localcontext)
 from fractions import Fraction
 from itertools import islice
 
-from .precision import _is_mp, _precision_for, precision_bits, to_mpf, working_precision
+from .precision import precision_bits, working_precision
 
 __all__ = ["QParameter", "poly_value", "q_number"]
 
@@ -176,8 +180,6 @@ def _read(q, bits):
 def _context(bits):
     """The decimal context of a kernel at bits: the digits that hold bits,
     plus 2, rounded half-even, with an exponent range no power of q leaves."""
-    from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
-
     return Context(prec=math.ceil(bits * math.log10(2)) + 2, rounding=ROUND_HALF_EVEN,
                    Emax=MAX_EMAX, Emin=MIN_EMIN)
 
@@ -191,16 +193,37 @@ def _exact(x):
     return Dyadic(-int(man) if sign else int(man), exp) if man or not exp else x
 
 
+def _decimal(x, ctx):
+    """x as a Decimal rounded once into ctx from its exact value: an int, a
+    float, a Fraction, a Dyadic, an mpf (by its _exact value), a Decimal, or
+    a decimal string as Decimal reads it.  A non-finite x stays non-finite."""
+    x = _exact(x)
+    if isinstance(x, (Fraction, Dyadic)):
+        return ctx.divide(*x.as_integer_ratio())
+    try:
+        return ctx.plus(Decimal(x if isinstance(x, (int, str, Decimal)) else float(x)))
+    except InvalidOperation:  # a string Decimal does not read, as '1/3'
+        raise ValueError(f"could not convert string to a number: {x!r}") from None
+
+
+def _root(N, bits):
+    """The smallest positive root of x^2 - N x + 1, 2/(N + sqrt(N^2 - 4)) with
+    no cancellation, as a Decimal in the context of bits."""
+    ctx = _context(bits)
+    return ctx.divide(2, ctx.add(N, ctx.sqrt(N * N - 4)))
+
+
 class QParameter(namedtuple("QParameter", "q N")):
     """Deformation data (q, N) for one quantum group model.
 
     Admissible inputs satisfy 0 < q <= 1, integer N >= 2, and q + 1/q >= N
     (equivalently q no larger than the smallest positive root of
     x^2 - N*x + 1).  Rational q (Fraction or int) keeps all derived values
-    exact; float/str/mpf inputs are held as a Dyadic, exact for a float or
-    an mpf, a decimal string rounded at the working precision (at least 53
-    bits) as mpmath.mpf rounds it, and nq is then a Dyadic too.  One that is
-    exactly 1 is held as Fraction(1).
+    exact; float/str/Decimal/mpf inputs are held as a Dyadic, exact for a
+    float or an mpf, a decimal string (or a Decimal, as its string) rounded
+    at the working precision (at least 53 bits) as mpmath.mpf rounds it,
+    and nq is then a Dyadic too.  One that is exactly 1 is held as
+    Fraction(1).
     """
 
     __slots__ = ()
@@ -211,6 +234,8 @@ class QParameter(namedtuple("QParameter", "q N")):
             raise ValueError("N must be an integer >= 2")
         if isinstance(q, bool):
             raise ValueError("q must be a number in (0, 1]")
+        if isinstance(q, Decimal):  # read as its string; an infinity or a NaN as a float
+            q = str(q) if q.is_finite() else float(q)
         if isinstance(q, int):
             q = Fraction(q)
         elif isinstance(q, (float, str)):
@@ -221,10 +246,10 @@ class QParameter(namedtuple("QParameter", "q N")):
             if q == 1 and Fraction(given) != 1:  # nearer 1 than the width resolves
                 raise ValueError(f"q = {given} reads as 1 at {bits} bits: give q as a fraction, "
                                  "or a wider --precision-bits")
-        elif _is_mp(q):  # an mpc fails the ordering below
-            q = _exact(q)
+        elif hasattr(type(q), "_mpf_") or hasattr(type(q), "_mpc_"):
+            q = _exact(q)  # an mpc fails the ordering below
         elif not isinstance(q, Fraction):
-            raise TypeError("q must be Fraction, int, float, str or mpf")
+            raise TypeError("q must be Fraction, int, float, str, Decimal or mpf")
         if not 0 < q <= 1:
             raise ValueError("q must lie in (0, 1]")
         q = Fraction(1) if q == 1 else q  # q = 1.0 takes the exact route of q = 1
@@ -244,12 +269,12 @@ class QParameter(namedtuple("QParameter", "q N")):
 
     @classmethod
     def kac(cls, N):
-        """The tracial model at this N: q equal to the small root exactly."""
+        """The tracial model at this N: q the small root, held at 256 bits or the
+        working precision, whichever is wider."""
         if N == 2:
             return cls(Fraction(1), 2)
-        with working_precision(max(precision_bits(), 256)) as mp:
-            q = (N - mp.sqrt(N * N - 4)) / 2
-        return cls(q, N)
+        bits = max(precision_bits(), 256)
+        return cls(_read(str(_root(N, bits)), bits), N)
 
     @property
     def nq(self):
@@ -262,25 +287,26 @@ class QParameter(namedtuple("QParameter", "q N")):
 
     @property
     def q0(self):
-        """Smallest positive root of x^2 - N*x + 1 (exactly 1 at N = 2)."""
-        if self.N == 2:
-            return 1
-        with working_precision() as mp:
-            return (self.N - mp.sqrt(self.N * self.N - 4)) / 2
+        """Smallest positive root of x^2 - N*x + 1: exactly 1 at N = 2, and a
+        Decimal at the working precision otherwise."""
+        return 1 if self.N == 2 else _root(self.N, precision_bits())
 
     @property
     def is_kac(self):
         return abs(float(self.q) - float(self.q0)) <= 1e-9
 
-    def q_mpf(self):
-        """q as mpf at the current working precision."""
-        return to_mpf(self.q)
+
+def _nq(q, ctx):
+    """q + 1/q as a Decimal in ctx, rounded once from q's exact value."""
+    num, den = q.as_integer_ratio()
+    return ctx.divide(num * num + den * den, num * den)
 
 
 def q_number(n, param):
-    """[n]_q = U_{n-1}(q + 1/q), with [0] = 0 and [1] = 1."""
+    """[n]_q = U_{n-1}(q + 1/q), with [0] = 0 and [1] = 1: exact at rational q,
+    and a Decimal at the working precision at decimal q."""
     if n < 0:
         raise ValueError("q-number index must be a natural number")
-    nq = param.nq
-    with _precision_for(nq):
-        return poly_value(n - 1, nq) if n else 0 * nq
+    with localcontext(_context(precision_bits())) as ctx:
+        x = param.nq if isinstance(param.q, Fraction) else _nq(param.q, ctx)
+        return poly_value(n - 1, x) if n else 0 * x

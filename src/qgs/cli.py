@@ -4,8 +4,8 @@ Every subcommand maps one-to-one onto a library operation and adds no
 numerics of its own; it parses parameters, runs the operation, and emits
 a deterministic CSV table or JSON report.  Numbers are formatted at 12
 significant digits, so identical requests at fixed precision produce
-byte-identical output; an exact or mpf value beyond the double range is
-written as a plain number such as 1.75886302402e+524.  Exit codes: 0
+byte-identical output; an exact or Decimal value beyond the double range
+is written as a plain number such as 1.75886302402e+524.  Exit codes: 0
 affirmative verdict, 1 verdict failure, 2 usage error, 3 resource limit.
 """
 
@@ -50,21 +50,17 @@ class _Wide:
 
 
 def _num(x):
-    """x at 12 significant digits: a float, or _Wide for a finite Fraction,
-    Decimal or mpf beyond the double range (a float that is already infinite
-    stays so)."""
+    """x at 12 significant digits: a float, or _Wide for a finite Fraction or
+    Decimal beyond the double range (a float that is already infinite stays
+    so)."""
     try:
         value = float(x)
     except OverflowError:  # a Fraction beyond the double range
         value = math.inf
     if not math.isinf(value) or isinstance(x, float):
         return float(f"{value:.12g}")
-    if not isinstance(x, Decimal):
-        if isinstance(x, Fraction):
-            num, den = x.numerator, x.denominator
-        else:  # an mpf, exactly (-1)^sign man 2^exp (its man_exp is the magnitude's)
-            sign, man, exp, _ = x._mpf_
-            num, den = (-int(man) if sign else int(man)) << max(exp, 0), 1 << max(-exp, 0)
+    if isinstance(x, Fraction):
+        num, den = x.numerator, x.denominator
         # the quotient by 10^k has at least 29 digits, and a last sticky digit marks
         # a nonzero remainder, so the one half-even rounding to 12 digits is exact
         k = (abs(num).bit_length() - den.bit_length()) * 3 // 10 - 30
@@ -87,7 +83,7 @@ def _row(obj, *names, **extra):
 
 
 def _parse_q(text):
-    """Map a command-line q to the exact (int/Fraction) or mpf constructor path."""
+    """Map a command-line q to the exact (int/Fraction) or decimal-string constructor path."""
     if "/" in text:
         try:
             return Fraction(text)
@@ -135,26 +131,27 @@ def _check_tolerances(args, *names):
 
 
 def _cmd_spectrum(args):
-    from .spectrum import _rows
+    from .spectrum import spectral_rows
 
     rows = [
-        _row(r, "alpha", "n", "qdim", "delta", "gap") for r in _rows(_param(args), args.alpha_max)
+        _row(r, "alpha", "n", "qdim", "delta", "gap")
+        for r in spectral_rows(_param(args), args.alpha_max)
     ]
     return "pass", None, rows
 
 
 def _cmd_fusion(args):
-    from .fusion import _fusion_check, _fusion_grid
+    from .fusion import fusion_check, fusion_grid
 
     param = _param(args)
     if (args.alpha is None) != (args.beta is None):
         raise ValueError("--alpha and --beta must be given together")
     if args.alpha is not None:
-        checks = [_fusion_check(param, args.alpha, args.beta)]
+        checks = [fusion_check(param, args.alpha, args.beta)]
     elif args.alpha_max < 0:
         raise ValueError("--alpha-max must be >= 0")
     else:
-        checks = _fusion_grid(param, args.alpha_max)
+        checks = fusion_grid(param, args.alpha_max)
     rows = [
         _row(c, "alpha", "beta", "channels", "n_product", "n_sum",
              "qdim_product", "qdim_sum", "classical_ok", "quantum_ok")

@@ -28,10 +28,10 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import index, mul
 
-from .chebyshev import QParameter, _context, _exact
+from .chebyshev import QParameter, _context, _decimal
 from .errors import ResourceLimitError
 from .fusion import _check_table_labels
-from .precision import precision_bits, to_mpf, working_precision
+from .precision import precision_bits
 from .spectrum import MAX_EXACT_TOTAL_BITS, _check_exact_bits, eigenvalue
 
 
@@ -184,8 +184,9 @@ class _FloatCells:
         p = self.pw[abs(lo - m)]  # rhs > 0: its term of exponent m has a nonzero factor
         if p >= sys.float_info.min:
             return lhs * p / rhs if lo >= m else lhs / rhs / p
-        with working_precision() as mp:  # q^(2(lo - m)) is outside the normal float range
-            return float(mp.mpf(lhs) / rhs * mp.mpf(self.q) ** (2 * (lo - m)))
+        # q^(2(lo - m)) is outside the normal float range, and not a Decimal's
+        with localcontext(_context(precision_bits())):
+            return float(Decimal(lhs) / Decimal(rhs) * Decimal(self.q) ** (2 * (lo - m)))
 
     def ratio(self, a, b, g):
         ratio = self._ratio(*self.sides(a, b, g))
@@ -200,9 +201,9 @@ class _FloatCells:
 
     def gap(self, a, b, g):
         lhs, rhs, lo, m = sides = self.sides(a, b, g)
-        with working_precision():  # the scales as mpf, so they neither underflow nor overflow
-            q = to_mpf(self.q)
-            return lhs * q ** (2 * lo), rhs * q ** (2 * m), self._ratio(*sides)
+        with localcontext(_context(precision_bits())):  # scales that never leave the range
+            q = Decimal(self.q)
+            return Decimal(lhs) * q ** (2 * lo), Decimal(rhs) * q ** (2 * m), self._ratio(*sides)
 
 
 # The float64 screen of the rational gap scan: _FloatCells at float(q), with
@@ -258,7 +259,7 @@ class GapEvaluation(namedtuple("GapEvaluation", "alpha beta gamma lhs rhs ratio"
     ``ratio`` is lhs/rhs: 0 when both sides vanish, infinity when only the
     bound side does (at q = 1, where every power of q collapses to 1) and,
     at decimal q < 1, beyond the double range; there it is a float while lhs
-    and rhs are mpf, so they neither underflow nor overflow.
+    and rhs are Decimals, so they neither underflow nor overflow.
     """
 
     __slots__ = ()
@@ -385,10 +386,10 @@ def hs_coefficient(param: QParameter, alpha, beta, gamma, t) -> HSCoefficient:
     if not 0 <= float(t) < math.inf:
         raise ValueError("t must be a finite number >= 0")
     ev = gap(param, alpha, beta, gamma)
-    with working_precision() as mp:
+    with localcontext(_context(precision_bits())) as ctx:
         delta_b = eigenvalue(param, beta)
         step = abs(delta_b - eigenvalue(param, beta - gamma))
-        damping = mp.exp(-to_mpf(t) * to_mpf(delta_b))
+        damping = (-_decimal(t, ctx) * _decimal(delta_b, ctx)).exp()
     return HSCoefficient(alpha, beta, gamma, float(t), ev.lhs, step, damping)
 
 
@@ -435,9 +436,7 @@ def hs_certificate(
     terms = []
     compressed = []
     ctx = _context(precision_bits())
-    num, den = param.q.as_integer_ratio()
-    q = ctx.divide(num, den)
-    tm = ctx.plus(Decimal(t)) if isinstance(t, str) else ctx.divide(*_exact(t).as_integer_ratio())
+    q, tm = _decimal(param.q, ctx), _decimal(t, ctx)
     step = ctx.exp(ctx.multiply(-2, tm))  # e^(-2t), carried from label to label
     with localcontext(ctx):
         qa = damp = n = ctx.plus(1)  # q^a, e^(-2ta), n_a

@@ -3,7 +3,9 @@
 Irreducible representations are labelled by naturals.  The tensor product
 of labels ``a`` and ``b`` decomposes multiplicity-free along
 ``|a-b|, |a-b|+2, ..., a+b``, so a plain ordered list is a faithful
-description of the fusion channels.
+description of the fusion channels.  Quantum dimensions and their fusion
+sums are exact at rational q, and at decimal q Decimals rounded to the
+digits of the working precision (chebyshev._context).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from fractions import Fraction
 from itertools import islice
 from operator import index
 
-from .chebyshev import QParameter, _context, _values
+from .chebyshev import QParameter, _context, _nq, _values
 from .errors import ResourceLimitError
-from .precision import _is_mp, precision_bits
+from .precision import precision_bits
 
 MAX_LABELS = 20_000  # per dimension table or spectral probe; 10^4 labels take seconds
 
@@ -73,62 +75,6 @@ def _integer_dims(N: int, top: int) -> tuple[int, ...]:
     return tuple(islice(_values(N), top + 1))
 
 
-_GUARD = 64  # the bits over the precision of 5^e's top part, at which _mpfs cuts it
-
-
-def _mpfs(values):
-    """Yield each of a kernel's numbers as the mpf it rounds to at the working
-    precision, rounded once from its exact value: a Decimal c 10^e as
-    c 5^e 2^e.  5^|e| is carried from one value to the next, since a
-    column's exponents move a few at a time, and past _GUARD bits over the
-    precision only its top part meets c.  The public functions decode
-    through this."""
-    import mpmath
-    from mpmath.libmp import normalize
-
-    bits, make = precision_bits(), mpmath.mp.make_mpf
-    context = _context(bits)
-    top, scaleb = context.prec - 1, context.scaleb
-    e, p5 = 0, 1  # p5 = 5^|e|
-    for x in values:
-        f = x.adjusted() - top  # x = c 10^f, c of at most top + 1 digits
-        c = int(scaleb(x, -f))
-        sign, c = c < 0, abs(c)
-        if f != e:
-            k = abs(f) - abs(e)
-            p5, e = p5 * 5**k if k > 0 else p5 // 5**-k, f
-        if f < 0:  # c / p5 to bits + 2 bits or more, then a sticky bit for the remainder
-            s = max(bits + 2 + p5.bit_length() - c.bit_length(), 0)
-            quotient, remainder = divmod(c << s, p5)
-            m, g = quotient << 1 | (remainder > 0), f - s - 1
-        else:
-            z = max(p5.bit_length() - bits - _GUARD, 0)
-            m, g = c * (p5 >> z), f + z
-            # c p5 2^-z lies strictly between m and m + c when z > 0, and rounds as m
-            # unless they differ from the guard bit up (n - 1) or m stands on a midpoint
-            n = m.bit_length() - bits
-            if z and c and ((m ^ (m + c)) >> (n - 1) or m & ((1 << n) - 1) == 1 << (n - 1)):
-                m, g = c * p5, f
-        yield make(normalize(sign, m, g, m.bit_length(), bits, "n"))
-
-
-def _table(param, alpha_max):
-    """dims' table with the kernel's numbers: Decimal q-dimensions at decimal q."""
-    alpha_max = index(alpha_max)
-    if alpha_max < 0:
-        raise ValueError("alpha_max must be >= 0")
-    _check_table_labels(alpha_max, param.q)
-    return _dims(param, alpha_max, precision_bits() if _is_mp(param.q) else None)
-
-
-def dims(param: QParameter, alpha_max: int) -> DimensionTable:
-    """Build the dimension table for labels 0..alpha_max, with mpf q-dimensions
-    at decimal q; the last 64 are cached, and for decimal q keyed on the
-    working precision too."""
-    table = _table(param, alpha_max)
-    return _mpf_dims(param, len(table.n) - 1, precision_bits()) if _is_mp(param.q) else table
-
-
 @functools.lru_cache(maxsize=64)  # a fusion_check sweep of 0..40 reuses 41 tables
 def _dims(param, alpha_max, bits):
     """At decimal q the recurrence runs on q + 1/q formed from q's exact value
@@ -136,18 +82,20 @@ def _dims(param, alpha_max, bits):
     if bits is None:
         qdim = tuple(islice(_values(param.nq), alpha_max + 1))
     else:
-        num, den = param.q.as_integer_ratio()
         with localcontext(_context(bits)) as ctx:
-            qdim = tuple(islice(_values(ctx.divide(num * num + den * den, num * den)),
-                                alpha_max + 1))
+            qdim = tuple(islice(_values(_nq(param.q, ctx)), alpha_max + 1))
     return DimensionTable(param, _integer_dims(param.N, alpha_max), qdim)
 
 
-@functools.lru_cache(maxsize=8)
-def _mpf_dims(param, alpha_max, bits):
-    """dims' table at decimal q: _dims' with its q-dimensions decoded once."""
-    table = _dims(param, alpha_max, bits)
-    return table._replace(qdim=tuple(_mpfs(table.qdim)))
+def dims(param: QParameter, alpha_max: int) -> DimensionTable:
+    """Build the dimension table for labels 0..alpha_max, with Decimal
+    q-dimensions at decimal q; the last 64 are cached, and for decimal q
+    keyed on the working precision too."""
+    alpha_max = index(alpha_max)
+    if alpha_max < 0:
+        raise ValueError("alpha_max must be >= 0")
+    _check_table_labels(alpha_max, param.q)
+    return _dims(param, alpha_max, None if isinstance(param.q, Fraction) else precision_bits())
 
 
 # callers that inspect the table cache (perfbench/tracer.py) ask dims for it
@@ -189,7 +137,7 @@ def _fusion_checks(param: QParameter, cells) -> list[FusionCheck]:
     formed apart.  A table past the ceilings is refused before any channel list is built."""
     _check_table_labels(max(a + b for a, b in cells), param.q)
     channels = [fuse(a, b) for a, b in cells]
-    table = _table(param, max(c[-1] for c in channels))
+    table = dims(param, max(c[-1] for c in channels))
     checks = []
     with localcontext(_context(precision_bits())):  # the same steps on Fractions and Decimals
         g0 = min(c[0] for c in channels)  # s[g+2] = s[g] + x[g] from s[g0] = s[g0+1] = 0
@@ -209,40 +157,23 @@ def _fusion_checks(param: QParameter, cells) -> list[FusionCheck]:
     return checks
 
 
-def _decoded(param, checks):
-    """checks with mpf q-dimensions at decimal q, each column decoded in one pass."""
-    if not _is_mp(param.q):
-        return checks
-    products = _mpfs([c.qdim_product for c in checks])
-    sums = _mpfs([c.qdim_sum for c in checks])
-    return [c._replace(qdim_product=p, qdim_sum=s) for c, p, s in zip(checks, products, sums)]
+def fusion_check(param: QParameter, alpha: int, beta: int) -> FusionCheck:
+    """Verify n_a*n_b and [a+1][b+1] against the sums over fusion channels.
 
-
-def _fusion_check(param, alpha, beta):
+    The classical rule is checked in exact integer arithmetic.  The quantum
+    rule is exact for rational q; for decimal q the comparison allows a
+    relative slack of 1e-12.
+    """
     alpha, beta = index(alpha), index(beta)
     if alpha < 0 or beta < 0:
         raise ValueError("irreducible labels must be >= 0")
     return _fusion_checks(param, [(alpha, beta)])[0]
 
 
-def fusion_check(param: QParameter, alpha: int, beta: int) -> FusionCheck:
-    """Verify n_a*n_b and [a+1][b+1] against the sums over fusion channels.
-
-    The classical rule is checked in exact integer arithmetic.  The quantum
-    rule is exact for rational q; for floating q the comparison allows a
-    relative slack of 1e-12.
-    """
-    return _decoded(param, [_fusion_check(param, alpha, beta)])[0]
-
-
 def fusion_grid(param: QParameter, alpha_max: int) -> list[FusionCheck]:
     """fusion_check on every cell alpha <= beta <= alpha_max, row by row, all
     read from one table of labels 0..2 alpha_max.  A grid past MAX_GRID_WORK
     is a ResourceLimitError raised before the table is built."""
-    return _decoded(param, _fusion_grid(param, alpha_max))
-
-
-def _fusion_grid(param, alpha_max):
     alpha_max = index(alpha_max)
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")

@@ -1,23 +1,20 @@
 """Working-precision control for the floating-point side of the package.
 
-Exact identities run in rational arithmetic and never touch this module's
-working precision, so they never import mpmath: code that works on data
-of either kind enters it through _precision_for, which tests the data
-with _is_mp.  The kernels the subcommands run at decimal q (eigenvalues,
-q-dimensions, fusion sums, the HS certificate, the Temperley-Lieb fusion
-coefficients) work on decimal.Decimal with as many digits as the width
-holds, and the rest of the floating side (gap_limit, semigroup_coeff, the
-public functions' mpf results) under mpmath, with a mantissa width
-resolved in priority order: an explicit set_precision_bits() call, the
-QGS_PRECISION_BITS environment variable, then the 128-bit default.  Both
-routes refuse a width below 24 bits (ValueError) or above
+Exact identities run in rational arithmetic and never read the width.  At
+decimal q every number the package computes is a decimal.Decimal rounded
+to the digits the width holds (chebyshev._context), a width resolved in
+priority order: an explicit set_precision_bits() call, the
+QGS_PRECISION_BITS environment variable, then the 128-bit default.  A
+width below 24 bits is refused (ValueError), and one above
 MAX_PRECISION_BITS (ResourceLimitError): the cost ceilings elsewhere are
 sized near the default, and a wider mantissa multiplies every step.
+working_precision runs mpmath at the width, for a caller's own mpmath
+work; the package reads a q string that is not a plain decimal literal
+with it (chebyshev._read), and nothing else.
 """
 
 import os
-from contextlib import contextmanager, nullcontext
-from fractions import Fraction
+from contextlib import contextmanager
 
 from .errors import ResourceLimitError
 
@@ -69,30 +66,3 @@ def working_precision(bits=None):
     with mpmath.workprec(bits if bits is not None else precision_bits()):
         yield mpmath.mp
 
-
-_PLAIN = (Fraction, int, float)  # never an mpmath number, and the most common data
-
-
-def _is_mp(*values):
-    """Whether any of values is an mpmath number, or a value that mpmath
-    takes as one (a chebyshev.Dyadic): one whose type has an _mpf_ or an
-    _mpc_.  The test reads the type alone, so it imports nothing."""
-    for v in values:
-        if type(v) not in _PLAIN and (hasattr(type(v), "_mpf_") or hasattr(type(v), "_mpc_")):
-            return True
-    return False
-
-
-def _precision_for(*values):
-    """working_precision() for arithmetic on values when any is an mpmath
-    number; otherwise a null context, which leaves mpmath unimported."""
-    return working_precision() if _is_mp(*values) else nullcontext()
-
-
-def to_mpf(x):
-    """Convert int/float/str/Fraction/mpf to mpf at current precision."""
-    import mpmath
-
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)

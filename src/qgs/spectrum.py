@@ -3,26 +3,29 @@
 The generator acts diagonally on matrix coefficients of the irreducible of
 label alpha, with eigenvalue delta_alpha = U'_alpha(N_q)/U_alpha(N_q), which
 _deltas evaluates in closed form.  Everything here is a pure function of a
-QParameter; rational q gives exact rational eigenvalues.  At decimal q the
-kernels (_deltas, _rows) give Decimals rounded to the digits of the working
-precision, and the public functions decode them to mpf at that precision
-(fusion._mpfs), so each is within an ulp of the exact value.  A decimal q
-of 1.0 is held as Fraction(1) (QParameter), and its values are exact.
+QParameter; rational q gives exact rational eigenvalues.  At decimal q
+every value is a Decimal rounded to the digits of the working precision
+(chebyshev._context), within an ulp of the exact value, and so is every
+transcendental value (an exponential, a logarithm, a power of q) at any
+q.  A decimal q of 1.0 is held as Fraction(1) (QParameter), and its values
+are exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
+from decimal import DivisionByZero, Overflow, localcontext
 from itertools import accumulate, count, islice
 from operator import index, sub
 
-from .chebyshev import QParameter, _context, _values, poly_value
+from .chebyshev import QParameter, _context, _decimal, _nq, _values, poly_value
 from .errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
-from .fusion import MAX_LABELS, _check_table_labels, _integer_dims, _mpfs, _table
-from .precision import _is_mp, _precision_for, precision_bits, to_mpf, working_precision
+from .fusion import MAX_LABELS, _check_table_labels, _integer_dims, dims
+from .precision import precision_bits
 
 # exact eigenvalues at q = p/r < 1, about (alpha+1) log2(r^2) bits each
 # (2-vCPU x86_64): one takes 2.0 s at 1e7 bits (q = 1/10^307, alpha = 5,000),
@@ -89,41 +92,50 @@ def _deltas(q, alpha=0):
 def eigenvalue(param: QParameter, alpha: int):
     """Generator eigenvalue on the irreducible of label alpha.
 
-    Exact (a Fraction) when q is rational; an mpf otherwise.  The value is
-    0 at alpha = 0 and strictly increasing in alpha.  An exact value of more
-    than MAX_EXACT_DELTA_BITS is a ResourceLimitError.
+    Exact (a Fraction) when q is rational; a Decimal otherwise.  The value
+    is 0 at alpha = 0 and strictly increasing in alpha.  An exact value of
+    more than MAX_EXACT_DELTA_BITS is a ResourceLimitError.
     """
     alpha = index(alpha)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     _check_exact_bits(param.q, [alpha], MAX_EXACT_DELTA_BITS)
-    return next(_mpf_deltas(param, alpha))
-
-
-def _mpf_deltas(param, alpha=0):
-    """_deltas as the public functions give them: mpfs at decimal q."""
-    deltas = _deltas(param.q, alpha)
-    return _mpfs(deltas) if _is_mp(param.q) else deltas
+    return next(_deltas(param.q, alpha))
 
 
 def gap_limit(param: QParameter):
-    """Limit of consecutive eigenvalue gaps, 1/sqrt(N_q^2 - 4).
+    """Limit of consecutive eigenvalue gaps, 1/sqrt(N_q^2 - 4) = q/(1 - q^2),
+    since sqrt(N_q^2 - 4) = 1/q - q: exact at rational q, and at decimal q
+    rounded once from q's exact value, so nothing cancels near q = 1.
 
     Raises DegenerateRegimeError at q = 1, where the gaps grow linearly
     instead of converging.
     """
-    with working_precision() as mp:
-        nq = to_mpf(param.nq)
-        if nq <= 2:
-            raise DegenerateRegimeError("eigenvalue gaps diverge at q = 1")
-        return 1 / mp.sqrt(nq * nq - 4)
+    q = param.q
+    if q == 1:
+        raise DegenerateRegimeError("eigenvalue gaps diverge at q = 1")
+    if isinstance(q, Fraction):
+        return q / (1 - q * q)
+    num, den = q.as_integer_ratio()
+    return _context(precision_bits()).divide(num * den, den * den - num * num)
+
+
+@functools.lru_cache(maxsize=64)  # a sweep over t or alpha reads one q's log
+def _log(q, bits):
+    """log q in the context of bits, from q rounded with as many more bits as
+    its denominator has: they cover the 1/(1 - q) <= den by which log q
+    magnifies a rounding of q near 1."""
+    num, den = q.as_integer_ratio()
+    wide = _context(bits + den.bit_length())
+    return _context(bits).plus(wide.ln(wide.divide(num, den)))
 
 
 def semigroup_coeff(param: QParameter, alpha: int, t):
-    """Interpolation coefficient (U_alpha(q^t + q^-t) / U_alpha(N_q))^3.
+    """Interpolation coefficient (U_alpha(q^t + q^-t) / U_alpha(N_q))^3, a Decimal.
 
     Lies in (0, 1] for t in (-1, 1] and equals 1 at t = 1.  Values of t
-    above 1 are accepted so the derivative at the endpoint can be probed.
+    above 1 are accepted so the derivative at the endpoint can be probed,
+    up to where q^-t leaves the decimal exponent range (a ValueError).
     Each U_alpha takes alpha steps, so alpha is held under MAX_LABELS.
     """
     alpha = index(alpha)
@@ -132,33 +144,37 @@ def semigroup_coeff(param: QParameter, alpha: int, t):
     _check_table_labels(alpha)
     if param.q == 1:
         raise DegenerateRegimeError("interpolation coefficients need q < 1")
-    with working_precision() as mp:
-        tm = to_mpf(t)
-        if not -1 < tm < mp.inf:
+    bits = precision_bits()
+    with localcontext(_context(bits)) as ctx:
+        tm = _decimal(t, ctx)
+        if not (tm.is_finite() and tm > -1):
             raise ValueError("t must be a finite number > -1")
-        qt = mp.power(param.q_mpf(), tm)
-        num = poly_value(alpha, qt + 1 / qt)
-        den = poly_value(alpha, to_mpf(param.nq))
-        return (num / den) ** 3
+        try:
+            qt = (tm * _log(param.q, bits)).exp()
+            return (poly_value(alpha, qt + 1 / qt) / poly_value(alpha, _nq(param.q, ctx))) ** 3
+        except (DivisionByZero, Overflow):
+            raise ValueError(f"q^-t at t = {t} is beyond the decimal exponent range") from None
 
 
 def semigroup_rate(param: QParameter, alpha: int):
-    """d/dt of semigroup_coeff at t = 1: 3 (q - 1/q) log(q) times the eigenvalue."""
+    """d/dt of semigroup_coeff at t = 1: 3 (q - 1/q) log(q) times the
+    eigenvalue, a Decimal, with q - 1/q rounded once from q's exact value."""
     if param.q == 1:
         raise DegenerateRegimeError("interpolation coefficients need q < 1")
-    with working_precision() as mp:
-        qm = param.q_mpf()
-        delta = to_mpf(eigenvalue(param, alpha))
-        return 3 * delta * mp.log(qm) * (qm - 1 / qm)
+    bits = precision_bits()
+    num, den = param.q.as_integer_ratio()
+    with localcontext(_context(bits)) as ctx:
+        delta = _decimal(eigenvalue(param, alpha), ctx)
+        return 3 * delta * _log(param.q, bits) * ctx.divide(num * num - den * den, num * den)
 
 
 def multiplier(param: QParameter, alpha: int, t):
-    """Semigroup multiplier exp(-t * eigenvalue) for t >= 0."""
-    with working_precision() as mp:
-        tm = to_mpf(t)
-        if not 0 <= tm < mp.inf:
+    """Semigroup multiplier exp(-t * eigenvalue) for t >= 0, a Decimal."""
+    with localcontext(_context(precision_bits())) as ctx:
+        tm = _decimal(t, ctx)
+        if not (tm.is_finite() and tm >= 0):
             raise ValueError("t must be a finite number >= 0")
-        return mp.exp(-tm * to_mpf(eigenvalue(param, alpha)))
+        return (-tm * _decimal(eigenvalue(param, alpha), ctx)).exp()
 
 
 # cesaro_sum's ceiling on k: 10^7 terms take about 3 s (0.27 s per 10^6 for
@@ -190,7 +206,7 @@ class SpectralDatum(namedtuple("SpectralDatum", "alpha delta n multiplicity")):
 def spectral_stream(param: QParameter) -> Iterator[SpectralDatum]:
     """Yield SpectralDatum for alpha = 0, 1, 2, ... indefinitely, each in
     O(1) arithmetic operations (see _deltas)."""
-    for alpha, delta, n in zip(count(), _mpf_deltas(param), _values(param.N)):
+    for alpha, delta, n in zip(count(), _deltas(param.q), _values(param.N)):
         yield SpectralDatum(alpha, delta, n, n * n)
 
 
@@ -210,18 +226,9 @@ class SpectralRow(namedtuple("SpectralRow", "alpha n qdim delta gap")):
 
 def spectral_rows(param: QParameter, alpha_max: int) -> list[SpectralRow]:
     """Tabulate label, dimension, quantum dimension, eigenvalue and gap."""
-    rows = _rows(param, alpha_max)
-    if not _is_mp(param.q):
-        return rows
-    alpha, n, *numbers = zip(*rows)  # each column of numbers decoded in one pass
-    return list(map(SpectralRow, alpha, n, *(_mpfs(column) for column in numbers)))
-
-
-def _rows(param, alpha_max):
-    """spectral_rows with the kernels' numbers: Decimals at decimal q."""
-    table = _table(param, alpha_max)
-    deltas = list(islice(_deltas(param.q), alpha_max + 1))
-    minus = _context(precision_bits()).subtract if _is_mp(param.q) else sub
+    table = dims(param, alpha_max)
+    deltas = list(islice(_deltas(param.q), len(table.n)))
+    minus = sub if isinstance(param.q, Fraction) else _context(precision_bits()).subtract
     gaps = map(minus, deltas, deltas[:1] + deltas[:-1])  # delta_0 - delta_0 = 0 first
     return list(map(SpectralRow, count(), table.n, table.qdim, deltas, gaps))
 
@@ -230,9 +237,11 @@ def dirichlet_form(param: QParameter, vector: Mapping):
     """Quadratic form sum of eigenvalue * |amplitude|^2 over the support.
 
     ``vector`` maps (alpha, i, j) with 1-based matrix indices to an
-    amplitude; indices outside 1..n_alpha raise InvalidVectorError.  Each
-    label adds one term; an exact total whose eigenvalues pass
-    MAX_EXACT_TOTAL_BITS is a ResourceLimitError.
+    amplitude; indices outside 1..n_alpha, or an amplitude that is not
+    finite, raise InvalidVectorError.  Each label adds one term.  The total
+    is exact when q and every amplitude are rational, and a Decimal
+    otherwise; an exact total whose eigenvalues pass MAX_EXACT_TOTAL_BITS is
+    a ResourceLimitError.
     """
     if not vector:
         return 0
@@ -243,22 +252,25 @@ def dirichlet_form(param: QParameter, vector: Mapping):
         if not all(isinstance(v, int) for v in (a, i, j)) or a < 0:
             raise InvalidVectorError(f"bad index triple {key!r}")
     n = _integer_dims(param.N, max(k[0] for k in vector))
-    weights = {}
+    parts = {}  # the real and imaginary parts of each label's amplitudes
     for key in sorted(vector):
         a, i, j = key
         if not (1 <= i <= n[a] and 1 <= j <= n[a]):
             raise InvalidVectorError(f"matrix indices {key!r} outside 1..{n[a]}")
-        w = weights.get(a, 0)
-        with _precision_for(w, vector[key]):
-            weights[a] = w + abs(vector[key]) ** 2
-    exact = [a for a, w in weights.items() if isinstance(w, (int, Fraction))]  # exact terms
-    _check_exact_bits(param.q, exact, MAX_EXACT_TOTAL_BITS)
-    total = 0
-    for a, w in weights.items():
-        delta = eigenvalue(param, a)
-        with _precision_for(total, delta, w):
-            total = total + delta * w
-    return total
+        x = vector[key]
+        if not hasattr(x, "imag"):
+            raise TypeError(f"amplitude {x!r} at {key!r} is not a number")
+        parts.setdefault(a, []).extend((x.real, x.imag))
+    if isinstance(param.q, Fraction) and all(
+            isinstance(v, (int, Fraction)) for vs in parts.values() for v in vs):
+        _check_exact_bits(param.q, parts, MAX_EXACT_TOTAL_BITS)
+        return sum(eigenvalue(param, a) * sum(v * v for v in vs) for a, vs in parts.items())
+    with localcontext(_context(precision_bits())) as ctx:
+        parts = {a: [_decimal(v, ctx) for v in vs] for a, vs in parts.items()}
+        if not all(v.is_finite() for vs in parts.values() for v in vs):
+            raise InvalidVectorError("every amplitude must be a finite number")
+        return sum(_decimal(eigenvalue(param, a), ctx) * sum(v * v for v in vs)
+                   for a, vs in parts.items())
 
 
 class ResolventCoeff(namedtuple("ResolventCoeff", "alpha eps resolvent regularized")):
@@ -268,11 +280,15 @@ class ResolventCoeff(namedtuple("ResolventCoeff", "alpha eps resolvent regulariz
 
 
 def resolvent_coeff(param: QParameter, alpha: int, eps) -> ResolventCoeff:
-    """Coefficients 1/(1 + eps*delta) and delta/(1 + eps*delta), eps > 0."""
-    if not float(eps) > 0:
-        raise ValueError("eps must be > 0")
-    delta = eigenvalue(param, alpha)
-    with _precision_for(delta, eps):
+    """Coefficients 1/(1 + eps*delta) and delta/(1 + eps*delta), eps > 0: exact
+    when q and eps are rational, Decimals otherwise."""
+    with localcontext(_context(precision_bits())) as ctx:
+        e = _decimal(eps, ctx)
+        if not (e.is_finite() and e > 0):
+            raise ValueError("eps must be a finite number > 0")
+        delta = eigenvalue(param, alpha)
+        if not (isinstance(delta, Fraction) and isinstance(eps, (int, Fraction))):
+            eps, delta = e, _decimal(delta, ctx)
         den = 1 + eps * delta
         return ResolventCoeff(index(alpha), float(eps), 1 / den, delta / den)
 

@@ -19,8 +19,8 @@ those coefficients with no 2^n vector and no numpy, n log2(1/q) bits above
 the working precision (_bits), as their gap of size q^n on n sites is a
 difference of terms of size 1.  These kernels run on decimal.Decimal, in
 one context per call of as many digits as those bits need (_context), and
-import no mpmath; only the public fusion_isometry decodes its coefficients
-to mpf.  The chain objects (generators, projections, weight matrices, an
+import no mpmath; fusion_isometry returns its coefficients as those
+Decimals.  The chain objects (generators, projections, weight matrices, an
 isometry's chain matrix V) are float64 and read-only, hold at most
 MAX_STRANDS sites, and are the only code here that imports numpy, when
 called.
@@ -265,11 +265,10 @@ def _closed_form(tables, alpha, beta, gamma):
 class FusionIsometry(namedtuple("FusionIsometry", "param alpha beta gamma bits coefficients")):
     """Isometric embedding of the label-gamma image into the alpha (x) beta chain.
 
-    ``coefficients`` maps (i, j) to the coefficient, an mpf at ``bits`` (a
-    Decimal of as many digits inside the kernels), of basis vectors i of
-    p_alpha and j of p_beta in the image of target vector
-    k = i + j - (alpha+beta-gamma)/2: weights are kept, so no other entry is
-    nonzero.  ``V``, the chain matrix (B_alpha (x) B_beta) C, is built on its
+    ``coefficients`` maps (i, j) to the coefficient, a Decimal in the context
+    of ``bits`` (chebyshev._context), of basis vectors i of p_alpha and j of
+    p_beta in the image of target vector k = i + j - (alpha+beta-gamma)/2:
+    weights are kept, so no other entry is nonzero.  ``V``, the chain matrix (B_alpha (x) B_beta) C, is built on its
     first read and kept with the isometry.  Isometries compare and hash by
     identity.
     """
@@ -340,13 +339,7 @@ def fusion_isometry(param, alpha, beta, gamma, bits=None):
         raise ValueError("labels must be nonnegative")
     _check_channel(gamma, alpha, beta)
     bits = _bits(param, alpha + beta) if bits is None else bits
-    iso = _isometries(param, bits, [(alpha, beta, gamma)])(alpha, beta, gamma)
-    import mpmath
-    from mpmath.libmp import from_rational
-
-    coefficients = {ij: mpmath.mp.make_mpf(from_rational(*c.as_integer_ratio(), bits, "n"))
-                    for ij, c in iso.coefficients.items()}  # each Decimal rounded to bits
-    return iso._replace(coefficients=MappingProxyType(coefficients))
+    return _isometries(param, bits, [(alpha, beta, gamma)])(alpha, beta, gamma)
 
 
 def _pentagon_isometries(alpha, r, s, k, l):

@@ -4,10 +4,13 @@ The package evaluates U_a by one value recurrence (qgs.chebyshev._values)
 and the eigenvalues U'_a/U_a at q + 1/q by a closed form
 (qgs.spectrum._deltas).  The tests check both against the routes here:
 the exact integer coefficients of each U_a, and the recurrence for the
-derivative, exact, never a finite difference.
+derivative, exact, never a finite difference.  The mpf oracles elsewhere
+in the tests read the package's numbers through to_mpf.
 """
 
 from collections import namedtuple
+from decimal import Decimal
+from fractions import Fraction
 from itertools import islice, zip_longest
 
 from qgs.chebyshev import _values
@@ -66,3 +69,15 @@ def poly_derivative(alpha, x):
 def bc(x):
     """The mantissa bits of a chebyshev.Dyadic or an mpf, as mpmath counts them."""
     return x._mpf_[3]
+
+
+def to_mpf(x):
+    """x as an mpf at mpmath's working precision: a Fraction or a Decimal
+    rounded once from its exact value, an int, float, str, Dyadic or mpf as
+    mpmath.mpf reads it."""
+    import mpmath
+    from mpmath.libmp import from_rational
+
+    if isinstance(x, (Fraction, Decimal)):
+        return mpmath.mp.make_mpf(from_rational(*x.as_integer_ratio(), mpmath.mp.prec, "n"))
+    return mpmath.mpf(x)

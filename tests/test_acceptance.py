@@ -15,6 +15,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from oracles import to_mpf
 from qgs import (
     QParameter,
     amenability_criterion,
@@ -63,10 +64,10 @@ def test_criterion_01_eigenvalue_oracle():
         param = QParameter(qv, 2)
         data = spectral_data(param, 500)
         with working_precision():
-            q = param.q_mpf()
+            q = to_mpf(param.q)
             for datum in data[1:]:
                 ref = hyperbolic_oracle(q, datum.alpha)
-                worst = max(worst, abs(float((datum.delta - ref) / ref)))
+                worst = max(worst, abs(float((to_mpf(datum.delta) - ref) / ref)))
         assert data[0].delta == 0
     exact = QParameter(Fraction(1, 2), 2)
     spot1 = eigenvalue(exact, 1) == Fraction(2, 5)
@@ -97,10 +98,10 @@ def test_criterion_03_semigroup_generator():
             with working_precision():
                 h = mpmath.mpf(10) ** -7
                 fd = (
-                    semigroup_coeff(param, alpha, 1 + h)
-                    - semigroup_coeff(param, alpha, 1 - h)
+                    to_mpf(semigroup_coeff(param, alpha, 1 + h))
+                    - to_mpf(semigroup_coeff(param, alpha, 1 - h))
                 ) / (2 * h)
-                rate = semigroup_rate(param, alpha)
+                rate = to_mpf(semigroup_rate(param, alpha))
                 worst = max(worst, abs(float((fd - rate) / rate)))
     ok = worst <= 1e-6
     report(3, ok, f"max relative FD-vs-rate gap {worst:.2e} (tol 1e-6)")

@@ -7,6 +7,7 @@ hand (degrees 2 and 3) and from the classical specialization U_a(2) = a+1.
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ChebyshevPoly, bc, build_poly, poly_derivative, poly_value_and_derivative
-from qgs.chebyshev import Dyadic, QParameter, _read, poly_value, q_number
-from qgs.precision import _is_mp, set_precision_bits, working_precision
+from qgs.chebyshev import (Dyadic, QParameter, _context, _decimal, _exact, _read, _root, poly_value,
+                           q_number)
+from qgs.precision import set_precision_bits, working_precision
 
 
 def test_build_poly_small_degrees():
@@ -246,7 +248,7 @@ def test_qparameter_repr_and_immutability():
         (Fraction(1, 2), 1, ValueError, "N must be an integer >= 2"),
         (Fraction(1, 2), 2.0, ValueError, "N must be an integer >= 2"),
         (True, 2, ValueError, "q must be a number in (0, 1]"),
-        (1j, 2, TypeError, "q must be Fraction, int, float, str or mpf"),
+        (1j, 2, TypeError, "q must be Fraction, int, float, str, Decimal or mpf"),
         (0, 2, ValueError, "q must lie in (0, 1]"),
         (Fraction(3, 2), 2, ValueError, "q must lie in (0, 1]"),
         ("1e-400", 2, ValueError, "q = 1e-400 is too small: q + 1/q exceeds the double range"),
@@ -254,6 +256,11 @@ def test_qparameter_repr_and_immutability():
          "smallest positive root of x^2 - N*x + 1"),
         (mpmath.mpc(0.5, 1), 2, TypeError, "no ordering relation is defined for complex numbers"),
         (mpmath.mpf("inf"), 2, ValueError, "q must lie in (0, 1]"),
+        (Decimal("1.5"), 2, ValueError, "q must lie in (0, 1]"),
+        (Decimal("Infinity"), 2, ValueError, "q must lie in (0, 1]"),
+        (Decimal("NaN"), 2, ValueError, "q must lie in (0, 1]"),
+        (Decimal("1e-400"), 2, ValueError, "q = 1E-400 is too small: q + 1/q exceeds the double "
+         "range"),
     ],
 )
 def test_qparameter_validation_messages(q, N, error, message):
@@ -297,6 +304,41 @@ def test_float_and_mpf_inputs_are_held_exactly():
     assert QParameter(q, 2).q is q
 
 
+@pytest.mark.parametrize("bits", [53, 128, 1024])
+def test_decimal_inputs_read_as_their_strings(bits):
+    set_precision_bits(bits)
+    try:
+        for text in ("0.3", "0.381966011250105151795413165634", "1e-300", "0.25", "1.0"):
+            assert QParameter(Decimal(text), 2).q.as_integer_ratio() == \
+                QParameter(text, 2).q.as_integer_ratio()
+        p = QParameter(Fraction(1, 3), 3)
+        assert QParameter(p.q0, 3).q == QParameter(str(p.q0), 3).q  # a q0 is a q
+    finally:
+        set_precision_bits(None)
+    kac = QParameter.kac(3)  # at 256 bits, whatever the working width
+    assert kac.q.man_exp == _read(str(_root(3, 256)), 256).man_exp and bc(kac.q) > 200
+
+
+@pytest.mark.parametrize("bits", [24, 53, 128, 1024])
+def test_numbers_join_a_context_rounded_once(bits):
+    # each kind of caller's number is rounded once from its exact value
+    ctx, rng = _context(bits), random.Random(bits)
+    values = [0, 7, -3, 10**400 + 1, 0.1, -2.0 ** -1074, 1e300, Fraction(1, 3),
+              Fraction(-10**500, 7), "0.1", "-1e-5000", " 2.5 ", Decimal("0.1") ** 500]
+    for _ in range(200):
+        values.append(Fraction(rng.getrandbits(300) - 2**299, rng.getrandbits(200) + 1))
+        values.append(Decimal(rng.getrandbits(400)).scaleb(rng.randint(-400, 400)))
+        with mpmath.workprec(rng.randint(24, 2000)):
+            values.append(mpmath.mpf(rng.random()) ** rng.randint(-40, 40))
+    for x in values:
+        exact = Fraction(x.strip() if isinstance(x, str) else x) if not isinstance(
+            x, mpmath.mpf) else Fraction(*_exact(x).as_integer_ratio())
+        assert _decimal(x, ctx) == ctx.divide(exact.numerator, exact.denominator)
+    assert _decimal(float("inf"), ctx).is_infinite() and _decimal("nan", ctx).is_nan()
+    with pytest.raises(ValueError, match="could not convert string to a number: '1/3'"):
+        _decimal("1/3", ctx)
+
+
 @pytest.mark.parametrize("text, message", [
     ("inf", "q must lie in (0, 1]"),
     ("nan", "q must lie in (0, 1]"),
@@ -327,7 +369,8 @@ def test_dyadic_is_its_exact_value_and_an_mpf_to_mpmath():
     assert Fraction(3, 10) < d < 0.3 + 1e-16 and not d < Fraction(3, 10)
     assert -math.inf < d < math.inf and not d == math.nan and d != math.nan
     assert d == Dyadic(*d.man_exp) and d < Dyadic(1, 0) and Dyadic(0, 5) == 0
-    assert float(d) == 0.3 and d.man_exp == m128.man_exp and bc(d) == m128.bc and _is_mp(d)
+    assert float(d) == 0.3 and d.man_exp == m128.man_exp and bc(d) == m128.bc
+    assert hasattr(type(d), "_mpf_")
     assert float(Dyadic(3, 2000)) == math.inf and float(Dyadic(-3, 2000)) == -math.inf
     # mpmath reads it as the mpf of the same value; repr, str and arithmetic are mpmath's
     assert mpmath.mpf(d) == m and mpmath.mpf(d) is not d

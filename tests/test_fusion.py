@@ -8,22 +8,22 @@ spot.
 
 import math
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
 import mpmath
 import pytest
 from hypothesis import given, settings
-from mpmath.libmp import from_rational
 from hypothesis import strategies as st
 
+from oracles import to_mpf
 from qgs import fusion
 from qgs.chebyshev import QParameter, _context, _values, q_number
 from qgs.cli import _num
 from qgs.errors import ResourceLimitError
 from qgs.fusion import dims, fuse, fusion_check, fusion_grid, growth_rate
-from qgs.precision import _precision_for, set_precision_bits, working_precision
+from qgs.precision import precision_bits, set_precision_bits, working_precision
 
 
 def test_fuse_examples():
@@ -133,45 +133,19 @@ def test_fusion_check_record():
     assert rec.classical_ok and rec.quantum_ok
 
 
-def test_fusion_check_decodes_as_the_grid_at_decimal_q():
-    param = QParameter("0.5", 2)
-    check = fusion_check(param, 2, 3)
-    cell = next(c for c in fusion_grid(param, 3) if (c.alpha, c.beta) == (2, 3))
-    assert type(check.qdim_product) is type(check.qdim_sum) is mpmath.mpf
-    assert record(check) == record(cell)
-    assert check.qdim_product + 0.5 == cell.qdim_product + 0.5  # mpf meets a float
-
-
-def test_dims_decodes_each_table_once(monkeypatch):
-    calls = []
-    decode = fusion._mpfs
-    monkeypatch.setattr(fusion, "_mpfs", lambda values: calls.append(1) or decode(values))
-    fusion._mpf_dims.cache_clear()
-    param = QParameter("0.3", 2)
-    table = dims(param, 300)
-    assert dims(param, 300) is table and dims(param, 300).qdim is table.qdim
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("guard", [64, 1])  # at 1 bit many large exponents take c 5^e whole
-@pytest.mark.parametrize("bits", [24, 53, 128, 1024])
-def test_mpfs_rounds_each_number_once(monkeypatch, bits, guard):
-    monkeypatch.setattr(fusion, "_GUARD", guard)
-    context, rng = _context(bits), random.Random(bits)
-    values, e = [], 0
-    for _ in range(1000):  # exponents that wander, as a column's do, and jump
-        e += rng.choice([-40, -3, -1, 0, 0, 1, 2, 5, 40])
-        c = rng.randrange(1, 10 ** rng.randrange(1, context.prec + 1))
-        values.append(context.scaleb(Decimal(rng.choice([c, -c])), e))
-    values += [Decimal(0), Decimal("-0"), Decimal(7), Decimal("1e3000"), Decimal("-3e-900")]
+@pytest.mark.parametrize("bits", [53, 128, 1024])
+def test_fusion_check_is_the_grid_cell_at_decimal_q(bits):
+    # the public results are the kernel's Decimals, at the digits of the width
     set_precision_bits(bits)
     try:
-        values += list(fusion._table(QParameter("0.3", 2), 2000).qdim)
-        got = list(fusion._mpfs(values))
+        param = QParameter("0.5", 2)
+        check = fusion_check(param, 2, 3)
+        cell = next(c for c in fusion_grid(param, 3) if (c.alpha, c.beta) == (2, 3))
     finally:
         set_precision_bits(None)
-    for x, g in zip(values, got):
-        assert g._mpf_ == from_rational(*Fraction(x).as_integer_ratio(), bits, "n")
+    assert type(check.qdim_product) is type(check.qdim_sum) is Decimal
+    assert record(check) == record(cell)
+    assert len(check.qdim_sum.as_tuple().digits) <= _context(bits).prec
 
 
 def test_fusion_labels_refused_before_any_channel_list(monkeypatch):
@@ -195,8 +169,8 @@ def test_dims_cache_is_keyed_on_precision():
         set_precision_bits(512)
         table = dims(param, 50)
         with working_precision():
-            want = q_number(51, param)
-            assert abs(table.qdim[50] - want) <= mpmath.mpf(2) ** -400 * want
+            want = to_mpf(q_number(51, param))
+            assert abs(to_mpf(table.qdim[50]) - want) <= mpmath.mpf(2) ** -400 * want
     finally:
         set_precision_bits(None)
 
@@ -205,13 +179,13 @@ def direct_check(table, a, b):
     """Both sum rules on cell (a, b) with one q-dimension added per channel:
     the oracle of the telescoped prefix sums."""
     channels = fuse(a, b)
-    with _precision_for(table.qdim[a]):
+    with localcontext(_context(precision_bits())):  # no effect on Fractions
         qdim_product = table.qdim[a] * table.qdim[b]
         qdim_sum = sum(table.qdim[g] for g in channels)
         if isinstance(qdim_product, Fraction):
             quantum_ok = qdim_product == qdim_sum
         else:
-            quantum_ok = abs(qdim_product - qdim_sum) <= 1e-12 * abs(qdim_product)
+            quantum_ok = abs(qdim_product - qdim_sum) <= Decimal(1e-12) * abs(qdim_product)
     n_product, n_sum = table.n[a] * table.n[b], sum(table.n[g] for g in channels)
     return (channels, n_product, n_sum, qdim_product, qdim_sum, n_product == n_sum, quantum_ok)
 
@@ -316,10 +290,9 @@ def test_decimal_dimensions_agree_with_the_mpf_recurrence(bits, q):
     set_precision_bits(bits)
     try:
         p = QParameter(q, 2)
-        table = fusion._table(p, 19999)
+        table = dims(p, 19999)
         exact = q == "1.0"  # held as q = 1, whose tables are exact: [a+1] = a + 1
-        want = table.qdim[:41] if exact else tuple(fusion._mpfs(table.qdim[:41]))
-        assert dims(p, 40).qdim == want
+        assert dims(p, 40).qdim == table.qdim[:41]
     finally:
         set_precision_bits(None)
     if exact:

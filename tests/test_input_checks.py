@@ -30,6 +30,7 @@ from qgs.spectrum import (
     dirichlet_form,
     eigenvalue,
     multiplier,
+    resolvent_coeff,
     semigroup_coeff,
     semigroup_rate,
     spectral_data,
@@ -81,6 +82,21 @@ CASES = {
                             "t must be a finite number > -1"),
     "multiplier_nan": (lambda: multiplier(HALF, 3, float("nan")), ValueError,
                        "t must be a finite number >= 0"),
+    # a non-finite eps or amplitude, which ended in NaN or an infinity
+    "resolvent_inf": (lambda: resolvent_coeff(P, 0, float("inf")), ValueError,
+                      "eps must be a finite number > 0"),
+    "resolvent_inf_decimal": (lambda: resolvent_coeff(HALF_TEXT, 0, float("inf")), ValueError,
+                              "eps must be a finite number > 0"),
+    "dirichlet_nan": (lambda: dirichlet_form(P, {(1, 1, 1): float("nan")}), InvalidVectorError,
+                      "every amplitude must be a finite number"),
+    "dirichlet_inf": (lambda: dirichlet_form(HALF_TEXT, {(1, 1, 1): float("inf")}),
+                      InvalidVectorError, "every amplitude must be a finite number"),
+    "dirichlet_text": (lambda: dirichlet_form(P, {(1, 1, 1): "1"}), TypeError,
+                       "amplitude '1' at .1, 1, 1. is not a number"),
+    "semigroup_coeff_huge_t": (lambda: semigroup_coeff(HALF, 3, 1e30), ValueError,
+                               "beyond the decimal exponent range"),
+    "dirichlet_complex_inf": (lambda: dirichlet_form(P, {(1, 1, 1): complex(1, float("inf"))}),
+                              InvalidVectorError, "every amplitude must be a finite number"),
     "semigroup_rate_q1": (lambda: semigroup_rate(UNIT, 3), DegenerateRegimeError, "q < 1"),
     "spectral_data": (lambda: spectral_data(P, -1), ValueError, "alpha_max must be >= 0"),
     "dirichlet_key": (lambda: dirichlet_form(P, {(1, 1): 1}), InvalidVectorError, "expected"),

@@ -28,12 +28,14 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qgs
+from qgs.chebyshev import _context
 from test_cli import SUITES
 from test_spectrum import closed_form_eigenvalue
 
@@ -267,7 +269,7 @@ from qgs import QParameter, eigenvalue
 q = QParameter("0.3", 2).q
 delta = eigenvalue(QParameter("0.3", 2), 50)
 exact = eigenvalue(QParameter(Fraction(1, 2), 2), 300)
-print(json.dumps([[[str(x.man), x.exp, x._mpf_[3]] for x in (q, delta)], type(exact).__name__,
+print(json.dumps([[str(q.man), q.exp], [type(x).__name__ for x in (delta, exact)], str(delta),
                   str(exact)]))
 """
 
@@ -276,10 +278,44 @@ def test_lazy_mpmath_computes_at_the_working_precision(monkeypatch):
     monkeypatch.setenv("QGS_PRECISION_BITS", "256")
     lazy, eager = (_fresh(_PRECISION, order) for order in ("lazy", "eager"))
     assert lazy == eager
-    mpfs, kind, exact = lazy
-    assert all(128 < bc <= 256 for _, _, bc in mpfs)  # not mpmath's 53 bits, nor 128
-    assert kind == "Fraction"
+    (man, _), kinds, delta, exact = lazy
+    assert 128 < int(man).bit_length() <= 256  # q at 256 bits: not mpmath's 53, nor 128
+    assert kinds == ["Decimal", "Fraction"]
+    assert len(Decimal(delta).as_tuple().digits) == _context(256).prec  # not 28, nor 41
     assert Fraction(exact) == closed_form_eigenvalue(Fraction(1, 2), 300)
+
+
+# every public numeric function at decimal q, under -S with mpmath importable
+_PUBLIC = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import json
+from itertools import islice
+from qgs import (QParameter, dims, dirichlet_form, eigenvalue, fusion_check, fusion_grid,
+                 fusion_isometry, gap, gap_limit, hs_coefficient, multiplier, q_number,
+                 resolvent_coeff, semigroup_coeff, semigroup_rate, spectral_data, spectral_rows,
+                 spectral_stream)
+p = QParameter("0.3", 2)
+values = [
+    eigenvalue(p, 7), next(islice(spectral_stream(p), 7, None)).delta,
+    spectral_data(p, 7)[-1].delta, *spectral_rows(p, 7)[-1][2:], dims(p, 7).qdim[-1],
+    *fusion_check(p, 2, 3)[6:8], *fusion_grid(p, 3)[-1][6:8], q_number(5, p),
+    *gap(p, 5, 7, 1)[3:5], *hs_coefficient(p, 5, 7, 1, 0.5)[4:],
+    *fusion_isometry(p, 2, 2, 2).coefficients.values(), QParameter.kac(3).q0, gap_limit(p),
+    semigroup_coeff(p, 3, 0.5), semigroup_rate(p, 3), multiplier(p, 3, 0.5),
+    *resolvent_coeff(p, 3, 0.5)[2:], dirichlet_form(p, {(1, 1, 1): 0.5}),
+]
+print(json.dumps([sorted({type(x).__name__ for x in values}), "mpmath" in sys.modules]))
+"""
+
+
+def test_public_numbers_at_decimal_q_are_decimals_without_mpmath():
+    mpmath_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("mpmath").origin))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _PUBLIC, _SRC, mpmath_dir],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout) == [["Decimal"], False]
 
 
 _CHAIN = """
@@ -391,15 +427,15 @@ def test_layer_bench_writes_every_layer(tmp_path):
                     "--out", str(out)], capture_output=True, text=True, check=True, timeout=300)
     record = json.loads(out.read_text(encoding="utf-8"))
     assert {"commit", "src_modified", "python", "machine", "nproc", "k", "sizes", "src_lines",
-            "layers"} <= set(record)
+            "layers", "loadavg"} <= set(record)
     assert (record["k"], record["sizes"]) == (1, "tiny")
     modules = sorted(p.name for p in (root / "src" / "qgs").glob("*.py"))
     assert sorted(record["src_lines"]) == sorted([*modules, "total"])
     layers = record["layers"]
     for name in ("spectrum._deltas.decimal", "spectrum._deltas.rational", "fusion.dims.decimal",
                  "fusion.dims.rational", "spectrum.spectral_rows.decimal",
-                 "estimates.hs_certificate", "cli._num.decimal",
-                 "cli._num.mpf_2^2000", "cli.build_parser+parse_args", "templieb._tables",
+                 "estimates.hs_certificate", "cli._num.decimal", "cli._num.fraction",
+                 "cli._num.fraction_2^2000", "cli.build_parser+parse_args", "templieb._tables",
                  "templieb._closed_form", "freewords._verify", "estimates._FloatCells.decimal",
                  "estimates._ExactCells.rational", "fusion._fusion_checks",
                  "cli._row+_emit.fusion",
@@ -407,3 +443,33 @@ def test_layer_bench_writes_every_layer(tmp_path):
         row = layers[name]
         assert 0 <= row["best_s"] <= row["median_s"] <= row["worst_s"]
         assert row["spread"] >= 0
+
+
+def test_layer_bench_compares_two_runs(tmp_path):
+    # --compare against a first tiny run prints one ratio per layer of both
+    root = Path(__file__).resolve().parents[1]
+    bench = [sys.executable, str(root / "tools" / "bench_layers.py"), "--k", "1", "--tiny"]
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    subprocess.run([*bench, "--out", str(old)], capture_output=True, check=True, timeout=300)
+    done = subprocess.run([*bench, "--out", str(new), "--compare", str(old)],
+                          capture_output=True, text=True, check=True, timeout=300)
+    layers = json.loads(new.read_text(encoding="utf-8"))["layers"]
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == list(layers)
+    assert all(re.search(r" x *\d+\.\d{3}(  (slower|faster))?$", line) for line in lines)
+    # a change is marked only where the ratio lies outside both runs' spreads
+    spec = importlib.util.spec_from_file_location("bench_layers", root / "tools" / "bench_layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def record(best, spread):
+        return {"layers": {"a": {"best_s": best, "spread": spread}}}
+
+    def mark(old, new):
+        (line,) = module._compare(record(*old), record(*new))
+        return line.split("x", 1)[1].split()[1:]
+
+    assert mark((1.0, 0.3), (1.2, 0.1)) == []  # within the old run's spread
+    assert mark((1.0, 0.1), (1.2, 0.3)) == []  # within the new run's
+    assert mark((1.0, 0.1), (1.2, 0.1)) == ["slower"]
+    assert mark((1.2, 0.1), (1.0, 0.1)) == ["faster"]

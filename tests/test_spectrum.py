@@ -10,6 +10,7 @@ times the working width at decimal q.
 import itertools
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import _pairs, build_poly, poly_value_and_derivative
-from qgs import fusion, spectrum
-from qgs.chebyshev import QParameter
+from oracles import _pairs, build_poly, poly_value_and_derivative, to_mpf
+from qgs import spectrum
+from qgs.chebyshev import QParameter, _context, poly_value, q_number
+from qgs.estimates import hs_coefficient
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.fusion import MAX_LABELS, dims
 from qgs.precision import set_precision_bits
@@ -70,7 +72,7 @@ def test_eigenvalue_degenerate_regime_exact():
 def test_eigenvalue_matches_hyperbolic_oracle():
     for q in (0.2, 0.5, 0.8):
         p = QParameter(q, 2)
-        qm = p.q_mpf()
+        qm = to_mpf(p.q)
         for a in (1, 2, 3, 5, 10, 50, 200, 500):
             got = float(eigenvalue(p, a))
             want = float(hyperbolic_eigenvalue(qm, a))
@@ -114,9 +116,9 @@ def test_decimal_eigenvalue_against_the_recurrence_at_four_times_the_bits(q, alp
     want = recurrence_eigenvalue(p, alpha, 512)
     got = (eigenvalue(p, alpha), list(islice(spectral_stream(p), alpha + 1))[-1].delta)
     for d in got:
-        assert isinstance(d, mpmath.mpf)
+        assert isinstance(d, Decimal)
         with mpmath.workprec(512):
-            assert abs(d - want) <= 2.0**-120 * want
+            assert abs(to_mpf(d) - want) <= 2.0**-120 * want
 
 
 def test_decimal_eigenvalue_is_correctly_rounded_near_one():
@@ -136,11 +138,11 @@ def test_decimal_q_read_wider_than_the_working_precision():
     assert eigenvalue(p, 3) == 2.5  # 3 * 5 / 6 up to O((1-q)^2)
     with mpmath.workprec(128):
         want = [0, 0.5, mpmath.mpf(4) / 3, 2.5]
-    assert [d.delta for d in islice(spectral_stream(p), 4)] == want
+        assert [to_mpf(d.delta) for d in islice(spectral_stream(p), 4)] == want
 
 
 @pytest.mark.parametrize("q", ["0.3"])  # q = 1.0 is held as q = 1: see below
-def test_decimal_eigenvalue_is_an_mpf_at_the_working_precision(q):
+def test_decimal_eigenvalue_is_a_decimal_at_the_working_precision(q):
     set_precision_bits(192)
     try:
         p = QParameter(q, 2)
@@ -148,8 +150,9 @@ def test_decimal_eigenvalue_is_an_mpf_at_the_working_precision(q):
     finally:
         set_precision_bits(None)
     for d in values:
-        assert isinstance(d, mpmath.mpf)
-        assert 128 < d._mpf_[3] <= 192  # mantissa bits: not mpmath's 53, nor 128
+        assert isinstance(d, Decimal)
+        # the digits of 192 bits: not the caller's 28, nor the 41 of 128 bits
+        assert len(d.as_tuple().digits) == _context(192).prec == 60
     assert type(eigenvalue(QParameter(1, 2), 5)) is Fraction
 
 
@@ -234,13 +237,14 @@ def test_semigroup_coeff_range_and_validation():
 
 
 def test_semigroup_rate_matches_finite_difference():
-    h = mpmath.mpf(1) / 10 ** 6
+    h = Fraction(1, 10**6)
     for q in (0.3, 0.5):
         p = QParameter(q, 2)
         for a in (1, 3, 8, 15, 29, 50):
-            diff = (semigroup_coeff(p, a, 1 + h) - semigroup_coeff(p, a, 1 - h)) / (2 * h)
+            upper, lower = semigroup_coeff(p, a, 1 + h), semigroup_coeff(p, a, 1 - h)
+            diff = (Fraction(upper) - Fraction(lower)) / (2 * h)
             rate = semigroup_rate(p, a)
-            assert abs(float(diff - rate)) <= 1e-6 * abs(float(rate))
+            assert abs(float(diff - Fraction(rate))) <= 1e-6 * abs(float(rate))
 
 
 def test_semigroup_rate_sign():
@@ -611,8 +615,74 @@ def test_decimal_kernel_agrees_with_the_mpf_oracle(bits, q):
             with mpmath.workprec(bits + 64):
                 for g, w in zip(got, want):
                     assert abs(mpmath.mpf(str(g)) - w) <= 2.0 ** (8 - bits) * abs(w)
-            # the public value rounds the kernel's once, and at q = 1.0 the exact a(a+2)/6
-            decoded = want[7] if q == "1.0" else next(fusion._mpfs([got[7]]))
-            assert eigenvalue(p, start + 7) == decoded
+            # the public value is the kernel's, and at q = 1.0 the exact a(a+2)/6
+            assert eigenvalue(p, start + 7) == got[7]
     finally:
         set_precision_bits(None)
+
+
+@pytest.mark.parametrize("q", [Fraction(10**30 - 1, 10**30), Fraction(10**12 - 1, 10**12),
+                               "0.99999999999999999999", "0.999999999999"])
+def test_gap_limit_near_one(q):
+    # 1/sqrt(N_q^2 - 4) = q/(1 - q^2), as sqrt(N_q^2 - 4) = 1/q - q: from N_q
+    # rounded at 128 bits, q = 1 - 10^-30 and 1 - 10^-20 read as q = 1, and
+    # 1 - 10^-12 lost 15 digits
+    p = QParameter(q, 2)
+    want = Fraction(p.q) / (1 - Fraction(p.q) ** 2) if isinstance(q, Fraction) else None
+    if want is not None:
+        assert gap_limit(p) == want
+    else:
+        num, den = p.q.as_integer_ratio()
+        want = Fraction(num * den, den * den - num * num)
+        assert abs(Fraction(gap_limit(p)) - want) <= Fraction(1, 2**120) * want
+
+
+@pytest.mark.parametrize("bits", [53, 128, 1024])
+@pytest.mark.parametrize("q, N", [("0.3", 3), ("0.9", 2), ("0.999999", 2), (Fraction(2, 7), 3)])
+def test_public_values_agree_with_the_mpf_oracle(bits, q, N):
+    # every value is a Decimal at decimal q (and a transcendental one at any q),
+    # within 2^-(bits-8) of the mpf formula at bits + 64 from q's exact value;
+    # exact values at rational q stay Fractions
+    set_precision_bits(bits)
+    try:
+        p = QParameter(q, N)
+        got = {
+            "gap_limit": gap_limit(p),
+            "q_number": q_number(9, p),
+            "q0": p.q0 if N > 2 else QParameter(Fraction(1, 3), 3).q0,
+            "semigroup_coeff": semigroup_coeff(p, 7, Fraction(1, 2)),
+            "semigroup_rate": semigroup_rate(p, 7),
+            "multiplier": multiplier(p, 7, 0.75),
+            "resolvent": resolvent_coeff(p, 7, 0.25).resolvent,
+            "regularized": resolvent_coeff(p, 7, 0.25).regularized,
+            "dirichlet_form": dirichlet_form(p, {(2, 1, 1): 0.5, (3, 2, 1): 1.5 + 1j}),
+            "damping": hs_coefficient(p, 5, 7, 2, 0.75).damping,
+            "step": hs_coefficient(p, 5, 7, 2, 0.75).step_coefficient,
+        }
+    finally:
+        set_precision_bits(None)
+    exact = {"gap_limit", "q_number", "step"} if isinstance(q, Fraction) else set()
+    for name, value in got.items():
+        assert type(value) is (Fraction if name in exact else Decimal), name
+    with mpmath.workprec(bits + 64):
+        qm = to_mpf(p.q)
+        nq = qm + 1 / qm
+        delta = [recurrence_eigenvalue(p, a, bits + 64) for a in range(8)]
+        if isinstance(q, Fraction):
+            delta = [to_mpf(d) for d in delta]
+        qt = qm ** mpmath.mpf(0.5)
+        want = {
+            "gap_limit": 1 / mpmath.sqrt(nq * nq - 4),
+            "q_number": poly_value(8, nq),
+            "q0": (3 - mpmath.sqrt(5)) / 2,
+            "semigroup_coeff": (poly_value(7, qt + 1 / qt) / poly_value(7, nq)) ** 3,
+            "semigroup_rate": 3 * delta[7] * mpmath.log(qm) * (qm - 1 / qm),
+            "multiplier": mpmath.exp(-0.75 * delta[7]),
+            "resolvent": 1 / (1 + 0.25 * delta[7]),
+            "regularized": delta[7] / (1 + 0.25 * delta[7]),
+            "dirichlet_form": 0.25 * delta[2] + (1.5**2 + 1) * delta[3],
+            "damping": mpmath.exp(-0.75 * delta[7]),
+            "step": abs(delta[7] - delta[5]),
+        }
+        for name, value in got.items():
+            assert abs(to_mpf(value) - want[name]) <= 2.0 ** (8 - bits) * abs(want[name]), name

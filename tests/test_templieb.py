@@ -18,6 +18,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -25,11 +26,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import to_mpf
 from qgs import templieb
 from qgs.chebyshev import QParameter, q_number
 from qgs.errors import ResourceLimitError
 from qgs.fusion import fuse
-from qgs.precision import to_mpf, working_precision
+from qgs.precision import working_precision
 from qgs.templieb import (
     _bits,
     _weighted_defect,
@@ -506,7 +508,7 @@ def test_coincident_routes_vanish_at_the_raised_precision(q):
     iso = fusion_isometry(p, 1, 1, 0)
     with working_precision(iso.bits):
         q2 = to_mpf(p.q) ** 2
-        assert abs(iso.coefficients[0, 1] ** 2 - q2 / (1 + q2)) <= 2.0 ** -120
+        assert abs(to_mpf(iso.coefficients[0, 1]) ** 2 - q2 / (1 + q2)) <= 2.0 ** -120
 
 
 def test_pentagon_defect_trivial_source():
@@ -747,9 +749,10 @@ def test_decimal_coefficients_match_the_mpf_kernels(q):
             iso = fusion_isometry(p, alpha, beta, gamma)
             oracle = _mpf_isometries(p, iso.bits, [(alpha, beta, gamma)])(alpha, beta, gamma)
             assert iso.coefficients.keys() == oracle.coefficients.keys()
-            assert all(isinstance(c, mpmath.mpf) for c in iso.coefficients.values())
-            for key, c in iso.coefficients.items():
-                assert abs(c - oracle.coefficients[key]) <= 2.0 ** -(iso.bits - 8)
+            assert all(isinstance(c, Decimal) for c in iso.coefficients.values())
+            with working_precision(iso.bits):
+                for key, c in iso.coefficients.items():
+                    assert abs(to_mpf(c) - oracle.coefficients[key]) <= 2.0 ** -(iso.bits - 8)
 
 
 def _agree(value, oracle, bits):

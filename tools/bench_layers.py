@@ -1,14 +1,21 @@
 """Time the layers of qgs in process and write BENCH_layers.json.
 
-Standard library only, besides qgs and the mpmath it depends on.  Each
-layer runs k times in this process; the record keeps the best, median and
-worst of the k wall times (time.perf_counter) and their spread,
-(worst - best) / best.  The record also names the git commit (and whether
-src differs from it), the Python, the machine and the line count of every
-src/qgs module (as `wc -l` counts them), so two records can be compared:
+Standard library only, besides qgs.  Each layer runs k times in this
+process; the record keeps the best, median and worst of the k wall times
+(time.perf_counter) and their spread, (worst - best) / best.  The record
+also names the git commit (and whether src differs from it), the Python,
+the machine, the load average at the start and the end of the run (read
+from /proc/loadavg, where there is one: a loaded machine reads slower
+throughout) and the line count of every src/qgs module (as `wc -l` counts
+them), so two records can be compared:
 
     python tools/bench_layers.py                  # k = 5, full sizes
     python tools/bench_layers.py --k 1 --tiny --out /tmp/layers.json
+    python tools/bench_layers.py --compare OLD.json
+
+--compare prints each layer's best-of-k time against OLD.json's as a ratio,
+new / old, and marks it faster or slower only where the ratio lies outside
+both runs' spreads.
 
 Full sizes are the largest the CLI admits on each route: 20,000 labels for
 eigenvalues, dimension tables and the HS certificate at decimal q (2,115
@@ -40,8 +47,6 @@ def _layers(tiny):
     from decimal import Decimal
     from fractions import Fraction
 
-    import mpmath
-
     from qgs import cli, estimates, fusion, spectrum
     from qgs.chebyshev import QParameter
 
@@ -55,8 +60,7 @@ def _layers(tiny):
 
     def table(function, param, top):
         def run():
-            fusion._dims.cache_clear()  # a table is built and decoded, not read from a cache
-            fusion._mpf_dims.cache_clear()
+            fusion._dims.cache_clear()  # a table is built, not read from a cache
             return function(param, top)
 
         return run
@@ -64,25 +68,23 @@ def _layers(tiny):
     def nums(values):
         return lambda: [cli._num(x) for x in values]
 
-    with mpmath.workprec(128):
-        narrow, mpf_wide = mpmath.mpf(1) / 3, [mpmath.mpf(2) ** e / 3 for e in wide]
+    fractions = [Fraction(2**e, 3) for e in wide]
     decimals = [Decimal(2) ** e / 3 for e in wide]
     argv = ["spectrum", "--N", "2", "--q", "0.3", "--alpha-max", "20"]
     exact_top = 200 if tiny else 2114  # the exact table ceiling at q = 4/11
     yield "spectrum._deltas.decimal", deltas(decimal_q, labels)
     yield "spectrum._deltas.rational", deltas(rational_q, exact_top + 1)
     yield "spectrum._deltas.one", deltas(one, labels)
-    yield "fusion._table.decimal", table(fusion._table, decimal_q, labels - 1)
     yield "fusion.dims.decimal", table(fusion.dims, decimal_q, labels - 1)
     yield "fusion.dims.rational", table(fusion.dims, rational_q, exact_top)
     yield "spectrum.spectral_rows.decimal", table(spectrum.spectral_rows, decimal_q, labels - 1)
     yield "estimates.hs_certificate", lambda: estimates.hs_certificate(
         QParameter("0.5", 2), "0.5", labels - 1)
     yield "cli._num.float", nums([1 / 3] * 1000)
-    yield "cli._num.mpf", nums([narrow] * 1000)
+    yield "cli._num.fraction", nums([Fraction(1, 3)] * 1000)
     yield "cli._num.decimal", nums([Decimal(1) / 3] * 1000)
-    for e, x, d in zip(wide, mpf_wide, decimals):
-        yield f"cli._num.mpf_2^{e}", nums([x])
+    for e, x, d in zip(wide, fractions, decimals):
+        yield f"cli._num.fraction_2^{e}", nums([x])
         yield f"cli._num.decimal_2^{e}", nums([d])
     yield "cli.build_parser+parse_args", lambda: cli.build_parser(argv).parse_args(argv)
     yield from _kernel_layers(tiny)
@@ -140,7 +142,7 @@ def _kernel_layers(tiny):
     argv = ["fusion", "--N", "2", "--q", "0.3", "--alpha-max", "20" if tiny else "200",
             "--output", os.devnull]
     args = cli.build_parser(argv).parse_args(argv)
-    checks = fusion._fusion_grid(decimal_q, args.alpha_max)
+    checks = fusion.fusion_grid(decimal_q, args.alpha_max)
 
     def record():
         rows = [cli._row(c, "alpha", "beta", "channels", "n_product", "n_sum", "qdim_product",
@@ -177,16 +179,44 @@ def _git(*args):
     return done.stdout.strip()
 
 
+def _loadavg():
+    """The 1, 5 and 15 minute load averages, or None where /proc/loadavg is missing."""
+    try:
+        return [float(x) for x in Path("/proc/loadavg").read_text().split()[:3]]
+    except OSError:
+        return None
+
+
+def _compare(old, new):
+    """One line per layer of both records: best-of-k times and their ratio new / old,
+    marked only where the ratio lies outside both spreads."""
+    lines = []
+    for name, row in new["layers"].items():
+        before = old["layers"].get(name)
+        if before is None or not before["best_s"]:
+            continue
+        ratio = row["best_s"] / before["best_s"]
+        spread = max(row["spread"], before["spread"])
+        mark = "slower" if ratio > 1 + spread else "faster" if ratio * (1 + spread) < 1 else ""
+        lines.append(f"{name:34s} {before['best_s'] * 1e3:10.3f} -> {row['best_s'] * 1e3:10.3f} ms"
+                     f"  x{ratio:6.3f}  {mark}".rstrip())
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Per-layer timings of qgs, in process.")
     parser.add_argument("--k", type=int, default=5, help="runs per layer (best of k)")
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
+    parser.add_argument("--compare", metavar="OLD.json", default=None,
+                        help="print each layer's ratio to the best-of-k times in OLD.json")
     args = parser.parse_args(argv)
     if args.k < 1:
         parser.error("--k must be >= 1")
+    old = json.loads(Path(args.compare).read_text(encoding="utf-8")) if args.compare else None
     sys.path.insert(0, str(ROOT / "src"))
     lines = {p.name: p.read_bytes().count(b"\n") for p in sorted(PACKAGE.glob("*.py"))}
+    load = _loadavg()
     record = {
         "commit": _git("rev-parse", "HEAD"),
         "src_modified": bool(_git("status", "--porcelain", "--", "src")),
@@ -198,7 +228,11 @@ def main(argv=None):
         "src_lines": {**lines, "total": sum(lines.values())},
         "layers": {name: _time(f, args.k) for name, f in [*_layers(args.tiny), *_compiles()]},
     }
+    record["loadavg"] = {"start": load, "end": _loadavg()}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    if old is not None:
+        print("\n".join(_compare(old, record)))
+        return
     for name, row in record["layers"].items():
         print(f"{name:34s} best {row['best_s'] * 1e3:10.3f} ms  spread {row['spread']:.2f}")
 
