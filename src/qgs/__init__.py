@@ -4,13 +4,11 @@ The package is lazy: a public name imports its submodule on first access,
 so a caller pays for numpy (the optional ``chain`` extra) only when it
 builds the qubit-chain objects of ``templieb`` (``tl_rep``, a
 ``jones_wenzl`` basis or matrix, ``weight_matrix``, an isometry's ``V``),
-which no CLI subcommand does.  A decimal q is read and held as its exact
-binary value without mpmath, and every number computed at it is a
-decimal.Decimal rounded to the working precision; mpmath loads only to
-read a q string that is not a plain decimal literal ("1/3", "inf"), to
-print or do arithmetic on that held q, or in ``working_precision``.  The
-arithmetic on a returned Decimal follows the caller's decimal context, of
-28 digits by default: widen it with decimal.localcontext.
+which no CLI subcommand does.  Nothing else needs more than the standard
+library: a decimal q is held as its exact binary value, and every number
+computed at it is a decimal.Decimal rounded to the working precision.
+The arithmetic on a returned Decimal follows the caller's decimal
+context, of 28 digits by default: widen it with decimal.localcontext.
 """
 
 import importlib
@@ -29,7 +27,7 @@ _EXPORTS = {
                   "hs_propagation_bound", "multiply", "reduce_product", "star",
                   "verify_boundary_expansion", "word"),
     "fusion": ("dims", "fuse", "fusion_check", "fusion_grid", "growth_rate"),
-    "precision": ("precision_bits", "set_precision_bits", "working_precision"),
+    "precision": ("precision_bits", "set_precision_bits"),
     "spectrum": ("amenability_criterion", "cesaro_sum", "dirichlet_form", "eigenvalue",
                  "gap_limit", "multiplier", "resolvent_coeff", "semigroup_coeff",
                  "semigroup_rate", "spectral_data", "spectral_rows", "spectral_stream"),

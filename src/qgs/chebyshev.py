@@ -11,28 +11,29 @@ closed form (spectrum._deltas).  The tests check both against references
 of their own (tests/oracles.py): the exact coefficients and the derivative
 recurrence.  Large-degree evaluation must never expand coefficients.
 
-A decimal q is held as its exact binary value, a ``Dyadic``: the number
-mpmath.mpf reads from the same text at the same width, read here without
-importing mpmath, which its arithmetic, repr and str load on first use.
-Every number computed from it is a decimal.Decimal in one context per call
+A decimal q is held as its exact binary value, a ``Dyadic``, which does
+its arithmetic as the Fraction of that value.  ``_read`` is the one reader
+of q text, for QParameter and the CLI alike: a fraction or an integer is
+read exactly, a decimal literal rounded once at the working width.  Every
+number computed from a Dyadic is a decimal.Decimal in one context per call
 (_context), and a caller's number joins it through _decimal, rounded once
 from its exact value.  A decimal q of exactly 1 is held as Fraction(1), on
-q = 1's route.
+q = 1's route.  Only Dyadic._mpf_, which mpmath alone calls, imports from
+mpmath.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 import sys
 from collections import namedtuple
-from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation,
-                     localcontext)
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
+                     InvalidOperation, localcontext)
 from fractions import Fraction
 from itertools import islice
 
-from .precision import precision_bits, working_precision
+from .precision import precision_bits
 
 __all__ = ["QParameter", "poly_value", "q_number"]
 
@@ -70,13 +71,14 @@ def _rounded(num, den, bits):
 class Dyadic:
     """A finite binary number man * 2^exp, man odd (or 0, with exp 0).
 
-    QParameter holds every decimal q but 1 as one: a float exactly, an mpf
-    exactly, a decimal string rounded as mpmath.mpf rounds it.  It converts
-    to float as an mpf does, compares and hashes by its exact value, as the
-    Fraction of that value does, and gives man_exp (man signed, where an
-    mpf's is its magnitude) and an ``_mpf_``, so mpmath takes it
-    wherever it takes an mpf.  Its repr, str and arithmetic are those of
-    that mpf, and import mpmath when used.
+    QParameter holds every decimal q but 1 as one: a float or an mpf
+    exactly, decimal text rounded once at the working width.  It is its
+    exact value: it compares, hashes and does arithmetic as the Fraction of
+    that value does (d + 1 is a Fraction), converts to float as an mpf does,
+    and gives man_exp (man signed, where an mpf's is its magnitude).  Its
+    repr is Dyadic(man, exp), and its str the exact, finite decimal
+    expansion of its value.  Its ``_mpf_``, which only mpmath calls, lets
+    mpmath take it wherever it takes an mpf.
     """
 
     __slots__ = ("man", "exp")
@@ -95,11 +97,6 @@ class Dyadic:
 
         return from_man_exp(self.man, self.exp)
 
-    def _mpf(self):
-        import mpmath
-
-        return mpmath.mp.make_mpf(self._mpf_)
-
     def as_integer_ratio(self):
         if self.exp >= 0:
             return self.man << self.exp, 1
@@ -116,65 +113,75 @@ class Dyadic:
             return math.copysign(math.inf, man)
 
     def __hash__(self):
-        return hash(Fraction(*self.as_integer_ratio()))
+        return hash(_value(self))
 
     def __repr__(self):
-        return repr(self._mpf())
+        return f"Dyadic({self.man}, {self.exp})"
 
     def __str__(self):
-        return str(self._mpf())
+        k = max(-self.exp, 0)  # man 2^-k = man 5^k 10^-k, a Decimal of that many digits
+        return str(Decimal(self.man * 5 ** k << max(self.exp, 0)).scaleb(-k, _EXACT))
 
 
-def _compare(op):
-    def compare(self, other):
-        if isinstance(other, float) and not math.isfinite(other):
-            return op(0.0, other)  # a finite value against an infinity or a NaN
-        if not isinstance(other, (int, float, Fraction, Dyadic)):
-            return NotImplemented  # an mpf compares through _mpf_
-        (a, b), (c, d) = self.as_integer_ratio(), other.as_integer_ratio()
-        return op(a * d, c * b)  # b, d > 0
-
-    return compare
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _through_mpf(name):
+def _value(x):
+    """x, or the Fraction of a Dyadic's value."""
+    return Fraction(*x.as_integer_ratio()) if type(x) is Dyadic else x
+
+
+def _exactly(name):
     def method(self, *other):
-        return getattr(self._mpf(), name)(*other)
+        return getattr(_value(self), name)(*map(_value, other))
 
     return method
 
 
-for _name in ("eq", "lt", "le", "gt", "ge"):
-    setattr(Dyadic, f"__{_name}__", _compare(getattr(operator, _name)))
-for _name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv", "pow",
-              "rpow", "neg", "pos", "abs"):
-    setattr(Dyadic, f"__{_name}__", _through_mpf(f"__{_name}__"))
+for _name in ("eq", "lt", "le", "gt", "ge", "add", "radd", "sub", "rsub", "mul", "rmul",
+              "truediv", "rtruediv", "pow", "rpow", "neg", "pos", "abs", "bool"):
+    setattr(Dyadic, f"__{_name}__", _exactly(f"__{_name}__"))
 
-# what mpmath's str_to_man_exp splits a plain decimal literal into; re
+# a plain decimal literal, split as mpmath's str_to_man_exp splits one; re
 # compiles it on the first decimal string read, not on every import
-_LITERAL = r"([+-]?[0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?"
+_LITERAL = r"([+-]?\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?"
 
 
 def _read(q, bits):
-    """q as a Dyadic: a finite float exactly; a plain decimal literal
-    d * 10^e, |e| <= 400, rounded half-even at bits as mpmath.mpf(q) is;
-    any other string by mpmath.mpf itself, where an infinity or a NaN
-    stays an mpf (and a float stays a float), for the range check to refuse."""
+    """q as a number for QParameter: a finite float exactly; text with a '/'
+    in it a Fraction, and integer text an int, both exact; a plain decimal
+    literal d * 10^e, stripped, rounded half-even once at bits, and one
+    below 1e-400 or from 1e401 in magnitude a Dyadic past 2^+-1400 of its
+    sign, without forming 10^|e|; 'inf' and 'nan', as mpmath.mpf spells
+    them, and a non-finite float the non-finite floats.  The range check
+    refuses those last two kinds; other text is a ValueError."""
     if isinstance(q, float):
         return Dyadic(*_rounded(*q.as_integer_ratio(), bits)) if math.isfinite(q) else q
-    literal = re.fullmatch(_LITERAL, q)
-    if literal:
-        whole, frac, power = literal.groups(default="")
-        frac = frac.rstrip("0")
-        exp = int(power or 0) - len(frac)
-        if (whole + frac).lstrip("+-") and abs(exp) <= 400:  # past 400 mpmath rounds twice
-            num = int(whole + frac)
-            return Dyadic(*_rounded(num * 10 ** max(exp, 0), 10 ** max(-exp, 0), bits))
-    with working_precision(bits) as mp:
+    if "/" in q:
         try:
-            return _exact(mp.mpf(q))
-        except ValueError:  # mpmath's parser reports its own internals, as for '0.5_0'
-            raise ValueError(f"could not convert string to float: {q!r}") from None
+            return Fraction(q)
+        except ZeroDivisionError:
+            raise ValueError(f"q = {q} has a zero denominator") from None
+    try:
+        return int(q)
+    except ValueError:
+        pass
+    text = q.strip()
+    if text.lower() in ("inf", "+inf", "-inf", "nan"):
+        return float(text)
+    literal = re.fullmatch(_LITERAL, text)
+    if not literal:
+        raise ValueError(f"could not convert string to float: {q!r}")
+    whole, frac, power = literal.groups(default="")
+    frac = frac.rstrip("0")
+    try:  # no digit left, as mpmath reads '.0', or more than int() converts
+        num, exp = int(whole + frac), int(power or 0) - len(frac)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {q!r}") from None
+    size = exp + len(str(abs(num)))  # 10^(size - 1) <= |q| < 10^size, or q = 0
+    if not num or not -400 < size <= 401:  # 0, or a size the range check refuses
+        return Dyadic((num > 0) - (num < 0), 1400 if size > 0 else -1400)
+    return Dyadic(*_rounded(num * 10 ** max(exp, 0), 10 ** max(-exp, 0), bits))
 
 
 def _context(bits):
@@ -218,12 +225,12 @@ class QParameter(namedtuple("QParameter", "q N")):
 
     Admissible inputs satisfy 0 < q <= 1, integer N >= 2, and q + 1/q >= N
     (equivalently q no larger than the smallest positive root of
-    x^2 - N*x + 1).  Rational q (Fraction or int) keeps all derived values
-    exact; float/str/Decimal/mpf inputs are held as a Dyadic, exact for a
-    float or an mpf, a decimal string (or a Decimal, as its string) rounded
-    at the working precision (at least 53 bits) as mpmath.mpf rounds it,
-    and nq is then a Dyadic too.  One that is exactly 1 is held as
-    Fraction(1).
+    x^2 - N*x + 1).  Rational q (a Fraction, an int, or text that _read
+    reads as one, such as "1/3") keeps all derived values exact; a float,
+    decimal text, a Decimal (as its string) or an mpf is held as a Dyadic,
+    exact for a float or an mpf, text rounded once at the working precision
+    (at least 53 bits), and nq is then a Dyadic too.  One that is exactly 1
+    is held as Fraction(1).
     """
 
     __slots__ = ()
@@ -236,20 +243,19 @@ class QParameter(namedtuple("QParameter", "q N")):
             raise ValueError("q must be a number in (0, 1]")
         if isinstance(q, Decimal):  # read as its string; an infinity or a NaN as a float
             q = str(q) if q.is_finite() else float(q)
-        if isinstance(q, int):
-            q = Fraction(q)
-        elif isinstance(q, (float, str)):
-            # a float is read exactly, a decimal string at the working width
-            # and never less than a float's
+        if isinstance(q, (float, str)):
+            # a float is read exactly, decimal text at the working width and
+            # never less than a float's
             bits = max(precision_bits(), 53)
             q = _read(q, bits)
-            if q == 1 and Fraction(given) != 1:  # nearer 1 than the width resolves
+            if type(q) is Dyadic and q == 1 and Fraction(given) != 1:  # nearer 1 than bits resolve
                 raise ValueError(f"q = {given} reads as 1 at {bits} bits: give q as a fraction, "
                                  "or a wider --precision-bits")
         elif hasattr(type(q), "_mpf_") or hasattr(type(q), "_mpc_"):
             q = _exact(q)  # an mpc fails the ordering below
-        elif not isinstance(q, Fraction):
+        elif not isinstance(q, (int, Fraction)):
             raise TypeError("q must be Fraction, int, float, str, Decimal or mpf")
+        q = Fraction(q) if isinstance(q, int) else q
         if not 0 < q <= 1:
             raise ValueError("q must lie in (0, 1]")
         q = Fraction(1) if q == 1 else q  # q = 1.0 takes the exact route of q = 1

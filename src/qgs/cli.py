@@ -82,23 +82,10 @@ def _row(obj, *names, **extra):
     return row
 
 
-def _parse_q(text):
-    """Map a command-line q to the exact (int/Fraction) or decimal-string constructor path."""
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError("q = %s has a zero denominator" % text) from None
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
 def _param(args):
     from .chebyshev import QParameter
 
-    return QParameter(_parse_q(args.q), args.N)
+    return QParameter(args.q, args.N)  # chebyshev._read reads the text
 
 
 def _parse_pattern(text):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import index, mul
@@ -124,6 +124,7 @@ class _ExactCells:
 
 
 _SCALE = 192  # S and T of _FloatCells are integers in units of 2^-_SCALE: see there
+_SIDE = Context(prec=17, Emax=MAX_EMAX, Emin=MIN_EMIN)  # a float64 side's digits, at any scale
 
 
 class _FloatCells:
@@ -199,11 +200,14 @@ class _FloatCells:
         stand for, when they come from _screen_cells."""
         return self._ratio(*self.sides(a, b, g)) * (1 + _SCREEN_EPS) + 2.0**-1000
 
-    def gap(self, a, b, g):
+    def gap(self, a, b, g, q):
+        """lhs and rhs scaled back by powers of the exact q, and rounded to
+        the 17 digits that hold their float64 sides; and the ratio."""
         lhs, rhs, lo, m = sides = self.sides(a, b, g)
-        with localcontext(_context(precision_bits())):  # scales that never leave the range
-            q = Decimal(self.q)
-            return Decimal(lhs) * q ** (2 * lo), Decimal(rhs) * q ** (2 * m), self._ratio(*sides)
+        with localcontext(_context(precision_bits())) as ctx:  # scales that never leave the range
+            q = _decimal(q, ctx)
+            lhs, rhs = (_SIDE.multiply(Decimal(x), q ** (2 * k)) for x, k in ((lhs, lo), (rhs, m)))
+        return lhs, rhs, self._ratio(*sides)
 
 
 # The float64 screen of the rational gap scan: _FloatCells at float(q), with
@@ -258,8 +262,10 @@ class GapEvaluation(namedtuple("GapEvaluation", "alpha beta gamma lhs rhs ratio"
 
     ``ratio`` is lhs/rhs: 0 when both sides vanish, infinity when only the
     bound side does (at q = 1, where every power of q collapses to 1) and,
-    at decimal q < 1, beyond the double range; there it is a float while lhs
-    and rhs are Decimals, so they neither underflow nor overflow.
+    at decimal q < 1, beyond the double range.  There ratio is a float, and
+    lhs and rhs are Decimals of 17 significant digits, which neither
+    underflow nor overflow: the digits of the float64 cells they come from,
+    whose accuracy they carry (within about 2^-49 relative).
     """
 
     __slots__ = ()
@@ -288,7 +294,7 @@ def gap(param: QParameter, alpha: int, beta: int, gamma: int) -> GapEvaluation:
     _check_table_labels(top)
     if isinstance(param.q, Fraction):
         return GapEvaluation(alpha, beta, gamma, *_exact_gap(param, alpha, beta, gamma))
-    return GapEvaluation(alpha, beta, gamma, *_cells(param, top).gap(alpha, beta, gamma))
+    return GapEvaluation(alpha, beta, gamma, *_cells(param, top).gap(alpha, beta, gamma, param.q))
 
 
 class GapScan(namedtuple("GapScan", "param alpha_max gamma_max sup_ratio argmax "

@@ -8,13 +8,11 @@ QGS_PRECISION_BITS environment variable, then the 128-bit default.  A
 width below 24 bits is refused (ValueError), and one above
 MAX_PRECISION_BITS (ResourceLimitError): the cost ceilings elsewhere are
 sized near the default, and a wider mantissa multiplies every step.
-working_precision runs mpmath at the width, for a caller's own mpmath
-work; the package reads a q string that is not a plain decimal literal
-with it (chebyshev._read), and nothing else.
+Decimal q text is read at the width, never below a float's 53 bits
+(chebyshev._read).
 """
 
 import os
-from contextlib import contextmanager
 
 from .errors import ResourceLimitError
 
@@ -55,14 +53,3 @@ def _checked(bits, name):
     if bits > MAX_PRECISION_BITS:
         raise ResourceLimitError(f"{name} of {bits} bits exceeds {MAX_PRECISION_BITS} bits")
     return bits
-
-
-@contextmanager
-def working_precision(bits=None):
-    """Context manager running mpmath at the resolved precision; it imports
-    mpmath and yields its context, whose mpf, sqrt, exp, ... are mpmath's."""
-    import mpmath
-
-    with mpmath.workprec(bits if bits is not None else precision_bits()):
-        yield mpmath.mp
-

@@ -5,15 +5,19 @@ and the eigenvalues U'_a/U_a at q + 1/q by a closed form
 (qgs.spectrum._deltas).  The tests check both against the routes here:
 the exact integer coefficients of each U_a, and the recurrence for the
 derivative, exact, never a finite difference.  The mpf oracles elsewhere
-in the tests read the package's numbers through to_mpf.
+in the tests read the package's numbers through to_mpf, at a width set by
+working_precision: mpmath is the tests' oracle, and the package never
+imports it.
 """
 
 from collections import namedtuple
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice, zip_longest
 
 from qgs.chebyshev import _values
+from qgs.precision import precision_bits
 
 
 class ChebyshevPoly(namedtuple("ChebyshevPoly", "degree coeffs")):
@@ -81,3 +85,13 @@ def to_mpf(x):
     if isinstance(x, (Fraction, Decimal)):
         return mpmath.mp.make_mpf(from_rational(*x.as_integer_ratio(), mpmath.mp.prec, "n"))
     return mpmath.mpf(x)
+
+
+@contextmanager
+def working_precision(bits=None):
+    """mpmath at bits, by default the package's working width; yields
+    mpmath's context, whose mpf, sqrt, exp, ... are mpmath's."""
+    import mpmath
+
+    with mpmath.workprec(bits if bits is not None else precision_bits()):
+        yield mpmath.mp

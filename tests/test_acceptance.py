@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from oracles import to_mpf
+from oracles import to_mpf, working_precision
 from qgs import (
     QParameter,
     amenability_criterion,
@@ -39,7 +39,6 @@ from qgs import (
     tl_rep,
 )
 from qgs.freewords import expansion_sweep
-from qgs.precision import working_precision
 
 KAC3_Q = (3 - math.sqrt(5)) / 2
 

@@ -7,6 +7,7 @@ hand (degrees 2 and 3) and from the classical specialization U_a(2) = a+1.
 import math
 import random
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ChebyshevPoly, bc, build_poly, poly_derivative, poly_value_and_derivative
-from qgs.chebyshev import (Dyadic, QParameter, _context, _decimal, _exact, _read, _root, poly_value,
-                           q_number)
-from qgs.precision import set_precision_bits, working_precision
+from oracles import (ChebyshevPoly, bc, build_poly, poly_derivative, poly_value_and_derivative,
+                     working_precision)
+from qgs.chebyshev import (Dyadic, QParameter, _context, _decimal, _exact, _read, _root, _rounded,
+                           poly_value, q_number)
+from qgs.precision import set_precision_bits
 
 
 def test_build_poly_small_degrees():
@@ -232,7 +234,7 @@ def test_qparameter_equality_and_hash():
 
 
 def test_qparameter_repr_and_immutability():
-    assert repr(QParameter("0.5", 2)) == "QParameter(q=mpf('0.5'), N=2)"
+    assert repr(QParameter("0.5", 2)) == "QParameter(q=Dyadic(1, -1), N=2)"
     assert repr(QParameter(1, 2)) == "QParameter(q=Fraction(1, 1), N=2)"
     assert repr(QParameter(Fraction(1, 3), 3)) == "QParameter(q=Fraction(1, 3), N=3)"
     p = QParameter("0.5", 2)
@@ -271,10 +273,10 @@ def test_qparameter_validation_messages(q, N, error, message):
 
 _rng = random.Random(28)
 # tl-chain draws, then the literal forms mpmath reads: an exponent at its
-# correctly rounded limit, 300 nines, a bare point, a sign, a capital E,
-# and a rational string, which mpmath itself reads
+# correctly rounded limit, 300 nines, a bare point, a sign and a capital E
+# (a rational string is read exactly: test_q_text_is_read_by_one_reader)
 READINGS = [f"{_rng.uniform(0.005, 0.95):.4f}" for _ in range(40)] + [
-    "1e-400", "0." + "9" * 300, ".5", "5.", "+0.3", "3E-2", "1/3"]
+    "1e-400", "0." + "9" * 300, ".5", "5.", "+0.3", "3E-2"]
 
 
 @pytest.mark.parametrize("bits", [24, 53, 128, 256, 1024])
@@ -355,8 +357,60 @@ def test_strings_that_are_no_admissible_number_keep_their_errors(text, message):
     assert str(info.value) == message
 
 
+
+def test_q_text_is_read_by_one_reader():
+    # a '/' makes a Fraction and integer text an int, both exact, as the CLI read them
+    for text, want in (("1/3", Fraction(1, 3)), (" 1/3 ", Fraction(1, 3)), ("2/6", Fraction(1, 3)),
+                       ("1", Fraction(1)), (" 1 ", Fraction(1)), ("3/4", Fraction(3, 4))):
+        q = QParameter(text, 2).q
+        assert type(q) is Fraction and q == want, text
+    assert _read("1/3", 53) == Fraction(1, 3) and _read(" 7 ", 53) == 7
+    with pytest.raises(ValueError, match=r"^q = 1/0 has a zero denominator$"):
+        QParameter("1/0", 2)
+    with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: '1/3.0'$"):
+        QParameter("1/3.0", 2)
+    for text in ("3", "0", "-1", "1_0"):
+        with pytest.raises(ValueError, match=r"^q must lie in \(0, 1\]$"):
+            QParameter(text, 2)
+    # surrounding whitespace goes, as float() drops it; an underscore stays unread
+    assert QParameter(" 0.5 ", 2).q == Fraction(1, 2) and type(QParameter("\t0.5\n", 2).q) is Dyadic
+    assert _read(" 0.3 ", 128).man_exp == _read("0.3", 128).man_exp
+    # 'inf' and 'nan', in mpmath's spellings, are the floats the range check refuses
+    for text in ("inf", "+inf", "-inf", " INF ", "nan", "NaN"):
+        x = _read(text, 53)
+        assert type(x) is float and not math.isfinite(x), text
+    # a literal outside 1e-400..1e400 is settled by its size alone, without 10^|e|
+    start = time.perf_counter()
+    for text, sign, big in (("1e-999999999", 1, False), ("-3e-401", -1, False),
+                            ("0.01e-398", 1, False), ("5e400", 1, True), ("-12e399", -1, True),
+                            ("1e999999999", 1, True)):
+        x = _read(text, 128)
+        assert type(x) is Dyadic and (x > 0) == (sign > 0), text
+        assert (abs(x) > 10**400) if big else (0 < abs(x) < Fraction(1, 10**400)), text
+    assert time.perf_counter() - start < 0.5
+    for text in ("1e400", "1e-400", "9.99e-400"):  # the range's own ends
+        x = _read(text, 128)
+        assert x.man_exp == Dyadic(*_rounded(*Fraction(text).as_integer_ratio(), 128)).man_exp, text
+    for text in ("0.00e999999999", "-0e-999999999", "0.0", 0.0):  # a zero, as the float 0
+        assert _read(text, 128).man_exp == (0, 0), text
+    with pytest.raises(ValueError, match="too small"):
+        QParameter("1e-999999999", 2)
+    for text in ("0." + "1" * 5000, "1e" + "9" * 5000):  # past int()'s digit limit
+        with pytest.raises(ValueError, match=r"^could not convert string to float: '"):
+            QParameter(text, 2)
+    with pytest.raises(ValueError, match=r"^q must lie in \(0, 1\]$"):
+        QParameter("1e999999999", 2)
+    # the working width, never below a float's
+    for bits in (24, 53, 128, 1024):
+        set_precision_bits(bits)
+        try:
+            assert QParameter("0.3", 2).q.man_exp == Dyadic(*_rounded(3, 10, max(bits, 53))).man_exp
+        finally:
+            set_precision_bits(None)
+
 def test_dyadic_is_its_exact_value_and_an_mpf_to_mpmath():
     d = QParameter("0.3", 2).q
+    assert d.man_exp == (102084710076281539039012382229530463437, -128)  # as mpmath reads it
     exact = Fraction(*d.as_integer_ratio())
     with working_precision(53) as mp:
         m = mp.mpf("0.3")
@@ -369,15 +423,30 @@ def test_dyadic_is_its_exact_value_and_an_mpf_to_mpmath():
     assert Fraction(3, 10) < d < 0.3 + 1e-16 and not d < Fraction(3, 10)
     assert -math.inf < d < math.inf and not d == math.nan and d != math.nan
     assert d == Dyadic(*d.man_exp) and d < Dyadic(1, 0) and Dyadic(0, 5) == 0
+    assert d and not Dyadic(0, 0)  # truth as the Fraction's
     assert float(d) == 0.3 and d.man_exp == m128.man_exp and bc(d) == m128.bc
     assert hasattr(type(d), "_mpf_")
     assert float(Dyadic(3, 2000)) == math.inf and float(Dyadic(-3, 2000)) == -math.inf
-    # mpmath reads it as the mpf of the same value; repr, str and arithmetic are mpmath's
+    # mpmath reads it as the mpf of the same value, through _mpf_
     assert mpmath.mpf(d) == m and mpmath.mpf(d) is not d
     with working_precision(128) as mp:
-        assert mp.mpf(d) == m128 and mp.sqrt(d) == mp.sqrt(m128)
-        assert d + 1 == m128 + 1 and 1 / d == 1 / m128 and d ** 2 == m128 ** 2 and -d == -m128
-    assert repr(d) == repr(m128) and str(d) == str(m128)
+        assert mp.mpf(d) == m128 and mp.sqrt(d) == mp.sqrt(m128) and d + m128 == 2 * m128
+    # its arithmetic is the Fraction's of its value, exact, with or without another Dyadic
+    for value in (d + 1, 1 / d, d ** 2, -d, abs(d), d - d, d * Dyadic(3, -2), 2 - d):
+        assert type(value) is Fraction
+    assert d + 1 == exact + 1 and 1 / d == 1 / exact and d ** 2 == exact ** 2 and -d == -exact
+    assert d * Dyadic(3, -2) == exact * Fraction(3, 4) and d - d == 0 and 2 - d == 2 - exact
+    assert d + 0.5 == float(exact) + 0.5 and type(d ** 0.5) is float
+    # its repr is its constructor call, and its str its exact decimal expansion
+    assert repr(d) == "Dyadic(102084710076281539039012382229530463437, -128)"
+    assert eval(repr(d)) == d and type(eval(repr(d))) is Dyadic
+    assert Fraction(str(d)) == exact and str(d).startswith("0.300000000000000000000000000000000000")
+    assert str(d).endswith("736358642578125") and len(str(d)) == 2 + 128
+    for man, exp, text in ((3, 2, "12"), (-3, -1, "-1.5"), (0, 0, "0"), (1, -1074, None),
+                           (5, 20000, None), (-1, -20000, None)):
+        x = Dyadic(man, exp)
+        assert text is None or str(x) == text
+        assert Decimal(str(x)).as_integer_ratio() == x.as_integer_ratio() and eval(repr(x)) == x
 
 
 def test_poly_class_value_types():

@@ -19,6 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qgs
 from qgs import QParameter, cli, freewords, fusion, spectrum, templieb
@@ -1129,3 +1131,102 @@ def test_dyadic_q_writes_the_same_records_on_both_routes(capsys, argv, fraction,
         assert exact[0] == decimal_route[0] and exact[2] == decimal_route[2] == ""
         assert (f'"q": "{fraction}"' in exact[1]) is (fmt == "json")
         assert exact[1].replace(f'"q": "{fraction}"', f'"q": "{text}"') == decimal_route[1]
+
+
+# The input contract, drawn over all ten subcommands.  Each flag has valid
+# values and others: boundary, malformed, huge, negative and non-finite
+# ones, and for --q every form the q reader settles.  A draw is clean, and
+# makes a record, or gives one flag another value (or leaves it out if it
+# is required) and every other flag a valid one, so that each refusal is
+# met on its own; a third of the draws with a --q give it an odd one.
+# Sizes stay small but for values refused before any work.
+_HUGE = "1" + "0" * 400
+_INTS = (["0", "1", "2", "3", "5", "8", "12"], ["-1", _HUGE, "-" + _HUGE, "x", "2.5", ""])
+_FLOATS = (["0.01", "0.1", "0.5"], ["0", "1", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "x"])
+_QS = (["0.5", "0.3", "0.05", "0.999", "1e-30", "1/2", "3/7", "1", "1.0", "1/1" + "0" * 30,
+        "1/1" + "0" * 150, "1/3", " 0.5"],
+       ["inf", "nan", "infinity", "1e-999999999", "5e400", "1/0", "", "0x1p-2", "-0.5", "2",
+        "0", "0.5_0", "abc"])
+_N = (["2"], ["3", "1", "0", "-2", _HUGE, "x", "2.0"])
+_TYPES = (["", "0", "1", "0,1", "1,0,1"], ["2", "-1", "x"])
+_MODEL = {"--N": _N, "--q": _QS}
+_CONTRACT = {  # name: (required flags, optional flags)
+    "spectrum": ({**_MODEL, "--alpha-max": _INTS}, {}),
+    "fusion": (_MODEL, {"--alpha": _INTS, "--beta": _INTS, "--alpha-max": _INTS}),
+    "hs-cert": ({**_MODEL, "--t": (["0", "0.5", "2"], _FLOATS[1]),
+                 "--alpha-max": (["20", "40"], _INTS[0] + _INTS[1])},
+                {"--margin": _FLOATS, "--tail-floor": _FLOATS}),
+    "gap-scan": ({**_MODEL, "--alpha-max": (["10", "20"], _INTS[0] + _INTS[1]),
+                  "--gamma-max": _INTS}, {}),
+    "jw-verify": ({"--q": _QS}, {"--N": _N, "--n-max": _INTS, "--residual-tol": _FLOATS,
+                                 "--trace-tol": _FLOATS}),
+    "pentagon": ({"--q": _QS, "--alpha": _INTS, **dict.fromkeys(("--r", "--s"), (["1"], _INTS[1])),
+                  **dict.fromkeys(("--k", "--l"), (["-1", "1"], _INTS[0] + _INTS[1]))},
+                 {"--N": _N}),
+    "lemma65": ({"--q": _QS}, {"--N": _N, "--alpha-min": _INTS, "--alpha-max": _INTS}),
+    "freeprod-verify": ({}, {"--b": _TYPES, "--x": _TYPES, "--a": _TYPES, "--max-x": _INTS,
+                             "--max-side": (["0", "1", "2"], ["-1"]), "--algebras": _INTS}),
+    "amenability": ({**_MODEL, "--n-max": (["12", "1000000"], _INTS[1])},
+                    {"--warmup": _INTS, "--threshold": (["50"], _FLOATS[1])}),
+    "cesaro": ({"--poly": (["x", "x2", "exp2x"], ["cubic"]),
+                "--k": (_INTS[0] + ["10000"], _INTS[1])}, {"--tol": _FLOATS}),
+}
+
+
+def _argv(name):
+    required, optional = _CONTRACT[name]
+    optional = {**optional, "--precision-bits": (["53", "200"], ["24", "1025", "23", "x"])}
+
+    def flags(odd):  # the odd flag is always given, or left out if it is required
+        given = {flag: st.sampled_from(valid) for flag, (valid, _) in required.items()}
+        maybe = {flag: st.sampled_from(valid) for flag, (valid, _) in optional.items()}
+        if odd is not None:
+            maybe.pop(odd, None)
+            given[odd] = st.sampled_from([*(required.get(odd) or optional[odd])[1],
+                                          *[None] * (odd in required)])
+        return st.fixed_dictionaries(given, optional=maybe)
+
+    # clean, one odd flag, or an odd --q, in equal parts where there is a --q
+    odd = st.one_of(st.none(), st.sampled_from([*required, *optional]),
+                    *[st.just("--q")] * ("--q" in required))
+    return odd.flatmap(lambda odd: st.tuples(
+        flags(odd), st.sampled_from(["json", "csv"]),
+    )).map(lambda drawn: [
+        name, *(part for flag, value in drawn[0].items() if value is not None
+                for part in (flag, value)), "--format", drawn[1],
+    ])
+
+
+_ARGV = st.sampled_from(sorted(_CONTRACT)).flatmap(_argv)
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in a JSON record")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_ARGV)
+def test_every_input_ends_in_a_record_or_one_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        qgs.set_precision_bits(None)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):  # a record, with no NaN or Infinity
+        assert err == ""
+        if argv[-1] == "csv":
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
+            assert not {cell.lower() for row in rows for cell in row} & {"nan", "inf", "-inf"}
+        else:
+            record = json.loads(out, parse_float=Decimal, parse_constant=_no_constant)
+            assert record["suite"] == argv[0] and "verdict" in record
+    else:  # one JSON error line, usage (2) or resource (3), and nothing on stdout
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == ("usage" if code == 2 else "resource")
+        assert isinstance(error["message"], str) and error["message"]

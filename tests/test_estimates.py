@@ -142,6 +142,31 @@ def test_gap_decimal_q_near_one_takes_log_q_from_the_decimal(bits):
     assert abs(got / exact - 1) <= 1e-14
 
 
+
+@pytest.mark.parametrize("bits", [128, 1024])
+@pytest.mark.parametrize("q", ["0.3", "0.7"])
+def test_gap_sides_at_decimal_q_carry_the_digits_of_their_float64_cells(q, bits):
+    # lhs and rhs come from float64 cells: 17 significant digits, not the
+    # width's 41 or 311, within 2^-50 of the mpf oracle at 200 bits from q's
+    # exact value (near q = 1 an lhs sum of many terms reaches about 2^-49)
+    set_precision_bits(bits)
+    try:
+        p = QParameter(q, 2)
+        cells = [(5, 7, 1), (3, 3, -2), (20, 25, 4), (0, 9, 3), (12, 4, -4), (1, 3, 1),
+                 (30, 10, 5), (8, 8, 3)]
+        evs = [gap(p, a, b, g) for a, b, g in cells]
+        coefficient = hs_coefficient(p, 5, 7, 1, 0.5).gap_coefficient
+    finally:
+        set_precision_bits(None)
+    assert coefficient == evs[0].lhs
+    with mpmath.workprec(200):
+        qm = to_mpf(p.q)
+        d = delta_table(qm + 1 / qm, 40)
+        for (a, b, g), ev in zip(cells, evs):
+            for got, want in zip(ev[3:5], oracle_cell(qm, d, a, b, g)):
+                assert len(got.as_tuple().digits) <= 17, (a, b, g)
+                assert abs(to_mpf(got) - want) <= 2.0**-50 * want, (a, b, g)
+
 # the eight q of the table accuracy checks, from tiny to within 1e-9 of 1
 TABLE_QS = [1e-150, 0.05, 0.3, 0.5, 0.9, 0.99, 0.99999, 1 - 1e-9]
 

@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import to_mpf
+from oracles import to_mpf, working_precision
 from qgs import fusion
 from qgs.chebyshev import QParameter, _context, _values, q_number
 from qgs.cli import _num
 from qgs.errors import ResourceLimitError
 from qgs.fusion import dims, fuse, fusion_check, fusion_grid, growth_rate
-from qgs.precision import precision_bits, set_precision_bits, working_precision
+from qgs.precision import precision_bits, set_precision_bits
 
 
 def test_fuse_examples():

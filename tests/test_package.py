@@ -265,6 +265,8 @@ import json, sys
 from fractions import Fraction
 if sys.argv[1] == "eager":
     import mpmath
+elif sys.argv[1] == "blocked":
+    sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
 from qgs import QParameter, eigenvalue
 q = QParameter("0.3", 2).q
 delta = eigenvalue(QParameter("0.3", 2), 50)
@@ -275,9 +277,10 @@ print(json.dumps([[str(q.man), q.exp], [type(x).__name__ for x in (delta, exact)
 
 
 def test_lazy_mpmath_computes_at_the_working_precision(monkeypatch):
+    # mpmath loaded first, never loaded, or unimportable: the same numbers at the width
     monkeypatch.setenv("QGS_PRECISION_BITS", "256")
-    lazy, eager = (_fresh(_PRECISION, order) for order in ("lazy", "eager"))
-    assert lazy == eager
+    lazy, eager, blocked = (_fresh(_PRECISION, order) for order in ("lazy", "eager", "blocked"))
+    assert lazy == eager == blocked
     (man, _), kinds, delta, exact = lazy
     assert 128 < int(man).bit_length() <= 256  # q at 256 bits: not mpmath's 53, nor 128
     assert kinds == ["Decimal", "Fraction"]
@@ -348,6 +351,72 @@ def test_jw_verify_runs_with_numpy_blocked():
     assert blocked[0] == 0
     assert blocked == free
     assert json.loads(blocked[1])["verdict"] == "pass"
+
+
+def _readme_examples():
+    """The argv of each `qgs` line in README's Examples block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()
+            if line.startswith("qgs ")]
+
+
+_NO_MPMATH = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
+from itertools import islice
+import qgs.cli
+from qgs import (QParameter, dims, dirichlet_form, eigenvalue, fusion_check, fusion_grid,
+                 fusion_isometry, gap, gap_limit, hs_coefficient, multiplier, q_number,
+                 resolvent_coeff, semigroup_coeff, semigroup_rate, spectral_data, spectral_rows,
+                 spectral_stream)
+out = []
+for argv in json.loads(sys.argv[2]):
+    argv = [a for a in argv if a not in ("--format", "csv")]
+    for fmt in ("json", "csv"):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = qgs.cli.main([*argv, "--format", fmt])
+        out.append([argv, fmt, code, text.getvalue()])
+p = QParameter("0.3", 2)
+out.append([str(x) for x in (
+    eigenvalue(p, 7), next(islice(spectral_stream(p), 7, None)).delta,
+    spectral_data(p, 7)[-1].delta, *spectral_rows(p, 7)[-1][2:], dims(p, 7).qdim[-1],
+    *fusion_check(p, 2, 3)[6:8], *fusion_grid(p, 3)[-1][6:8], q_number(5, p),
+    *gap(p, 5, 7, 1)[3:5], *hs_coefficient(p, 5, 7, 1, 0.5)[4:],
+    *fusion_isometry(p, 2, 2, 2).coefficients.values(), QParameter.kac(3).q0, gap_limit(p),
+    semigroup_coeff(p, 3, 0.5), semigroup_rate(p, 3), multiplier(p, 3, 0.5),
+    *resolvent_coeff(p, 3, 0.5)[2:], dirichlet_form(p, {(1, 1, 1): 0.5}))])
+for text in ("1/3", " 0.5 ", "inf", "1e-500", "1e500", "0.5_0"):
+    try:
+        out.append(repr(QParameter(text, 2)))
+    except ValueError as exc:
+        out.append(str(exc))
+out.append([repr(p.q), str(p.q), repr(p.q + p.q)])
+print(json.dumps([out, sys.modules.get("mpmath", False) is not False]))
+"""
+
+
+def test_the_package_runs_with_mpmath_unimportable():
+    # the README's CLI examples, the Decimal results, the q reader and a held
+    # Dyadic, byte for byte as in a run that could import mpmath and did not
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert "\ndependencies = []\n" in pyproject  # mpmath is in the test extra alone
+    examples = json.dumps(_readme_examples())
+    (blocked, _), (free, loaded) = (_fresh(_NO_MPMATH, mode, examples)
+                                    for mode in ("blocked", "free"))
+    assert blocked == free and not loaded
+    runs = [run for run in free if isinstance(run, list) and len(run) == 4]
+    assert len(runs) == 2 * len(_readme_examples()) >= 14
+    assert all(code == 0 and text for _, _, code, text in runs)
+    q = qgs.QParameter("0.3", 2).q
+    assert free[-7:] == [
+        "QParameter(q=Fraction(1, 3), N=2)", "QParameter(q=Dyadic(1, -1), N=2)",
+        "q must lie in (0, 1]", "q = 1e-500 is too small: q + 1/q exceeds the double range",
+        "q must lie in (0, 1]", "could not convert string to float: '0.5_0'",
+        [f"Dyadic({q.man}, {q.exp})", str(q), repr(Fraction(q.man, 2 ** -q.exp) * 2)],
+    ]
 
 
 def test_every_public_name_is_its_submodules_object():

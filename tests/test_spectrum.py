@@ -100,7 +100,8 @@ def test_eigenvalue_equals_the_recurrence_exactly(q):
 def recurrence_eigenvalue(p, alpha, bits):
     """U'/U at the value of p.q, by the recurrence at the given width."""
     with mpmath.workprec(bits):
-        u, du = poly_value_and_derivative(alpha, p.q + 1 / p.q)
+        q = p.q if isinstance(p.q, Fraction) else to_mpf(p.q)
+        u, du = poly_value_and_derivative(alpha, q + 1 / q)
         return du / u
 
 

@@ -26,12 +26,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import to_mpf
+from oracles import to_mpf, working_precision
 from qgs import templieb
 from qgs.chebyshev import QParameter, q_number
 from qgs.errors import ResourceLimitError
 from qgs.fusion import fuse
-from qgs.precision import working_precision
 from qgs.templieb import (
     _bits,
     _weighted_defect,
