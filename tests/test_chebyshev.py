@@ -357,7 +357,6 @@ def test_strings_that_are_no_admissible_number_keep_their_errors(text, message):
     assert str(info.value) == message
 
 
-
 def test_q_text_is_read_by_one_reader():
     # a '/' makes a Fraction and integer text an int, both exact, as the CLI read them
     for text, want in (("1/3", Fraction(1, 3)), (" 1/3 ", Fraction(1, 3)), ("2/6", Fraction(1, 3)),
@@ -372,7 +371,7 @@ def test_q_text_is_read_by_one_reader():
     for text in ("3", "0", "-1", "1_0"):
         with pytest.raises(ValueError, match=r"^q must lie in \(0, 1\]$"):
             QParameter(text, 2)
-    # surrounding whitespace goes, as float() drops it; an underscore stays unread
+    # surrounding whitespace goes, as float() drops it
     assert QParameter(" 0.5 ", 2).q == Fraction(1, 2) and type(QParameter("\t0.5\n", 2).q) is Dyadic
     assert _read(" 0.3 ", 128).man_exp == _read("0.3", 128).man_exp
     # 'inf' and 'nan', in mpmath's spellings, are the floats the range check refuses
@@ -404,9 +403,11 @@ def test_q_text_is_read_by_one_reader():
     for bits in (24, 53, 128, 1024):
         set_precision_bits(bits)
         try:
-            assert QParameter("0.3", 2).q.man_exp == Dyadic(*_rounded(3, 10, max(bits, 53))).man_exp
+            want = Dyadic(*_rounded(3, 10, max(bits, 53)))
+            assert QParameter("0.3", 2).q.man_exp == want.man_exp
         finally:
             set_precision_bits(None)
+
 
 def test_dyadic_is_its_exact_value_and_an_mpf_to_mpmath():
     d = QParameter("0.3", 2).q

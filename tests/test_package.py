@@ -8,7 +8,9 @@ probe confirms.  No subcommand loads mpmath at either kind of q: a
 decimal q is held as its exact binary value, the spectral kernels
 (eigenvalues, q-dimensions, the fusion sums, the HS certificate) and the
 Temperley-Lieb fusion kernels run on decimal.Decimal, and gap-scan's cells
-are floats; those probes run under -S, one argv per shape of job.  The
+are floats; those probes run under -S, one argv per shape of job.  mpmath
+is the tests' oracle alone: one probe runs the README's CLI examples and
+every public Decimal result with mpmath unimportable.  The
 package's records are named tuples, so no subcommand's default run (JSON
 to stdout), at rational or at decimal q, loads dataclasses (which pulls
 in inspect, ast and dis), typing, pathlib or csv; that probe runs under -S, with this qgs and mpmath's directory
