@@ -5,8 +5,8 @@ so a caller pays for numpy (the optional ``chain`` extra) only when it
 builds the qubit-chain objects of ``templieb`` (``tl_rep``, a
 ``jones_wenzl`` basis or matrix, ``weight_matrix``, an isometry's ``V``),
 which no CLI subcommand does.  Nothing else needs more than the standard
-library: a decimal q is held as its exact binary value, and every number
-computed at it is a decimal.Decimal rounded to the working precision.
+library: a decimal q is held as a decimal.Decimal, and so is every
+number computed at it, rounded to the working precision.
 The arithmetic on a returned Decimal follows the caller's decimal
 context, of 28 digits by default: widen it with decimal.localcontext.
 """

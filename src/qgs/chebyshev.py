@@ -11,15 +11,15 @@ closed form (spectrum._deltas).  The tests check both against references
 of their own (tests/oracles.py): the exact coefficients and the derivative
 recurrence.  Large-degree evaluation must never expand coefficients.
 
-A decimal q is held as its exact binary value, a ``Dyadic``, which does
-its arithmetic as the Fraction of that value.  ``_read`` is the one reader
-of q text, for QParameter and the CLI alike: a fraction or an integer is
-read exactly, a decimal literal rounded once at the working width.  Every
-number computed from a Dyadic is a decimal.Decimal in one context per call
-(_context), and a caller's number joins it through _decimal, rounded once
-from its exact value.  A decimal q of exactly 1 is held as Fraction(1), on
-q = 1's route.  Only Dyadic._mpf_, which mpmath alone calls, imports from
-mpmath.
+A decimal q is held as a decimal.Decimal.  ``_read`` is the one reader of
+q, for QParameter and the CLI alike: a fraction or an integer is read
+exactly, a float or an mpf as the Decimal of its exact value, and decimal
+text or a Decimal rounded once into the context of the working width
+(_context).  Every number computed at a decimal q is a Decimal in one
+context per call, and a caller's number joins it through _decimal, rounded
+once from its exact value.  A decimal q of exactly 1 is held as
+Fraction(1), on q = 1's route.  Nothing here imports mpmath: an mpf is read
+from its _mpf_ tuple.
 """
 
 from __future__ import annotations
@@ -54,121 +54,67 @@ def poly_value(alpha, x):
     return next(islice(_values(x), alpha, None))
 
 
-def _rounded(num, den, bits):
-    """(man, exp) with man * 2^exp the quotient num/den (den > 0) rounded
-    half-even to bits significant bits, as mpmath's round-to-nearest does."""
-    if not num:
-        return 0, 0
-    shift = bits + 2 - abs(num).bit_length() + den.bit_length()  # the quotient has bits + 2 or 3
-    man, rest = divmod(abs(num) << max(shift, 0), den << max(-shift, 0))
-    extra = man.bit_length() - bits
-    half, low = 1 << (extra - 1), man & ((1 << extra) - 1)
-    man >>= extra
-    man += low > half or low == half and bool(rest or man & 1)
-    return (-man if num < 0 else man), extra - shift
-
-
-class Dyadic:
-    """A finite binary number man * 2^exp, man odd (or 0, with exp 0).
-
-    QParameter holds every decimal q but 1 as one: a float or an mpf
-    exactly, decimal text rounded once at the working width.  It is its
-    exact value: it compares, hashes and does arithmetic as the Fraction of
-    that value does (d + 1 is a Fraction), converts to float as an mpf does,
-    and gives man_exp (man signed, where an mpf's is its magnitude).  Its
-    repr is Dyadic(man, exp), and its str the exact, finite decimal
-    expansion of its value.  Its ``_mpf_``, which only mpmath calls, lets
-    mpmath take it wherever it takes an mpf.
-    """
-
-    __slots__ = ("man", "exp")
-
-    def __init__(self, man, exp):
-        zeros = max((man & -man).bit_length() - 1, 0)
-        self.man, self.exp = man >> zeros, exp + zeros if man else 0
-
-    @property
-    def man_exp(self):
-        return self.man, self.exp
-
-    @property
-    def _mpf_(self):
-        from mpmath.libmp import from_man_exp
-
-        return from_man_exp(self.man, self.exp)
-
-    def as_integer_ratio(self):
-        if self.exp >= 0:
-            return self.man << self.exp, 1
-        return self.man, 1 << -self.exp
-
-    def __float__(self):
-        man, exp = self.man, self.exp
-        if abs(man).bit_length() > 53:  # to a double's 53 bits first, as mpmath does
-            man, shift = _rounded(man, 1, 53)
-            exp += shift
-        try:
-            return math.ldexp(man, exp)
-        except OverflowError:
-            return math.copysign(math.inf, man)
-
-    def __hash__(self):
-        return hash(_value(self))
-
-    def __repr__(self):
-        return f"Dyadic({self.man}, {self.exp})"
-
-    def __str__(self):
-        k = max(-self.exp, 0)  # man 2^-k = man 5^k 10^-k, a Decimal of that many digits
-        return str(Decimal(self.man * 5 ** k << max(self.exp, 0)).scaleb(-k, _EXACT))
-
-
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _value(x):
-    """x, or the Fraction of a Dyadic's value."""
-    return Fraction(*x.as_integer_ratio()) if type(x) is Dyadic else x
+def _context(bits):
+    """The decimal context of a kernel at bits: the digits that hold bits,
+    plus 2, rounded half-even, with an exponent range no power of q leaves."""
+    return Context(prec=math.ceil(bits * math.log10(2)) + 2, rounding=ROUND_HALF_EVEN,
+                   Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _exactly(name):
-    def method(self, *other):
-        return getattr(_value(self), name)(*map(_value, other))
-
-    return method
-
-
-for _name in ("eq", "lt", "le", "gt", "ge", "add", "radd", "sub", "rsub", "mul", "rmul",
-              "truediv", "rtruediv", "pow", "rpow", "neg", "pos", "abs", "bool"):
-    setattr(Dyadic, f"__{_name}__", _exactly(f"__{_name}__"))
-
-# a plain decimal literal, split as mpmath's str_to_man_exp splits one; re
+# a plain decimal literal, split as mpmath's string parser splits one; re
 # compiles it on the first decimal string read, not on every import
 _LITERAL = r"([+-]?\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?"
 
 
 def _read(q, bits):
-    """q as a number for QParameter: a finite float exactly; text with a '/'
-    in it a Fraction, and integer text an int, both exact; a plain decimal
-    literal d * 10^e, stripped, rounded half-even once at bits, and one
-    below 1e-400 or from 1e401 in magnitude a Dyadic past 2^+-1400 of its
-    sign, without forming 10^|e|; 'inf' and 'nan', as mpmath.mpf spells
-    them, and a non-finite float the non-finite floats.  The range check
-    refuses those last two kinds; other text is a ValueError."""
+    """q as a number for QParameter.  A finite float or mpf is the Decimal of
+    its exact value, and a finite Decimal or a plain decimal literal d * 10^e
+    (stripped) a Decimal rounded half-even once into the context of bits;
+    one that rounds to 1 but is not 1 is a ValueError.  Text with a '/' in it
+    is a Fraction, and integer text an int, both exact.  A literal below
+    1e-400 or from 1e401 in magnitude, or an mpf past 2^+-1400, is 10^+-1400
+    of its sign, settled by its size without forming 10^|e| or 5^|exp|.
+    'inf' and 'nan', as mpmath.mpf spells them, and a non-finite float or
+    Decimal are the non-finite floats, and a non-finite mpf stays one; the
+    range check refuses those last kinds.  Other text is a ValueError."""
     if isinstance(q, float):
-        return Dyadic(*_rounded(*q.as_integer_ratio(), bits)) if math.isfinite(q) else q
-    if "/" in q:
+        return Decimal(q) if math.isfinite(q) else q
+    if hasattr(type(q), "_mpf_"):
+        sign, man, exp, bc = q._mpf_
+        if man and not -1400 < exp + bc <= 1400:  # 2^(exp + bc - 1) <= |q| < 2^(exp + bc)
+            return Decimal(f"{'-' if sign else ''}1e{1400 if exp + bc > 0 else -1400}")
+        q = _exact(q)
+        return _EXACT.divide(q.numerator, q.denominator) if isinstance(q, Fraction) else q
+    if not isinstance(q, str):
+        value = q
+    elif "/" in q:
         try:
             return Fraction(q)
         except ZeroDivisionError:
             raise ValueError(f"q = {q} has a zero denominator") from None
-    try:
-        return int(q)
-    except ValueError:
-        pass
+    else:
+        try:
+            return int(q)
+        except ValueError:
+            value = _literal(q)
+    if not value.is_finite():
+        return float(value)
+    rounded = _context(bits).plus(value)
+    if rounded == 1 != value:  # nearer 1 than bits resolve
+        raise ValueError(f"q = {q} reads as 1 at {bits} bits: give q as a fraction, "
+                         "or a wider --precision-bits")
+    return rounded
+
+
+def _literal(q):
+    """Decimal text q, stripped, as a Decimal: 'inf' and 'nan' too, and a
+    literal outside 1e-400..1e401 as 10^+-1400 of its sign."""
     text = q.strip()
     if text.lower() in ("inf", "+inf", "-inf", "nan"):
-        return float(text)
+        return Decimal(text)
     literal = re.fullmatch(_LITERAL, text)
     if not literal:
         raise ValueError(f"could not convert string to float: {q!r}")
@@ -180,33 +126,29 @@ def _read(q, bits):
         raise ValueError(f"could not convert string to float: {q!r}") from None
     size = exp + len(str(abs(num)))  # 10^(size - 1) <= |q| < 10^size, or q = 0
     if not num or not -400 < size <= 401:  # 0, or a size the range check refuses
-        return Dyadic((num > 0) - (num < 0), 1400 if size > 0 else -1400)
-    return Dyadic(*_rounded(num * 10 ** max(exp, 0), 10 ** max(-exp, 0), bits))
-
-
-def _context(bits):
-    """The decimal context of a kernel at bits: the digits that hold bits,
-    plus 2, rounded half-even, with an exponent range no power of q leaves."""
-    return Context(prec=math.ceil(bits * math.log10(2)) + 2, rounding=ROUND_HALF_EVEN,
-                   Emax=MAX_EMAX, Emin=MIN_EMIN)
+        return Decimal(f"{(num > 0) - (num < 0)}e{1400 if size > 0 else -1400}")
+    return Decimal(text)
 
 
 def _exact(x):
-    """A finite mpf as the Dyadic of its value; any other x (a Dyadic, an
-    mpc, an infinity, a NaN) as it is."""
-    if type(x) is Dyadic or not hasattr(type(x), "_mpf_"):
+    """A finite mpf as the Fraction of its value; any other x (an mpc, an
+    infinity, a NaN) as it is."""
+    if not hasattr(type(x), "_mpf_"):
         return x
     sign, man, exp, _ = x._mpf_
-    return Dyadic(-int(man) if sign else int(man), exp) if man or not exp else x
+    if not man and exp:
+        return x
+    man = -int(man) if sign else int(man)
+    return Fraction(man << max(exp, 0), 1 << max(-exp, 0))
 
 
 def _decimal(x, ctx):
     """x as a Decimal rounded once into ctx from its exact value: an int, a
-    float, a Fraction, a Dyadic, an mpf (by its _exact value), a Decimal, or
-    a decimal string as Decimal reads it.  A non-finite x stays non-finite."""
+    float, a Fraction, an mpf (by its _exact value), a Decimal, or a decimal
+    string as Decimal reads it.  A non-finite x stays non-finite."""
     x = _exact(x)
-    if isinstance(x, (Fraction, Dyadic)):
-        return ctx.divide(*x.as_integer_ratio())
+    if isinstance(x, Fraction):
+        return ctx.divide(x.numerator, x.denominator)
     try:
         return ctx.plus(Decimal(x if isinstance(x, (int, str, Decimal)) else float(x)))
     except InvalidOperation:  # a string Decimal does not read, as '1/3'
@@ -227,10 +169,10 @@ class QParameter(namedtuple("QParameter", "q N")):
     (equivalently q no larger than the smallest positive root of
     x^2 - N*x + 1).  Rational q (a Fraction, an int, or text that _read
     reads as one, such as "1/3") keeps all derived values exact; a float,
-    decimal text, a Decimal (as its string) or an mpf is held as a Dyadic,
-    exact for a float or an mpf, text rounded once at the working precision
-    (at least 53 bits), and nq is then a Dyadic too.  One that is exactly 1
-    is held as Fraction(1).
+    decimal text, a Decimal or an mpf is held as a decimal.Decimal, exact
+    for a float or an mpf, text or a Decimal rounded once at the working
+    precision (at least 53 bits), and nq is then a Decimal too.  One that
+    is exactly 1 is held as Fraction(1).
     """
 
     __slots__ = ()
@@ -241,22 +183,12 @@ class QParameter(namedtuple("QParameter", "q N")):
             raise ValueError("N must be an integer >= 2")
         if isinstance(q, bool):
             raise ValueError("q must be a number in (0, 1]")
-        if isinstance(q, Decimal):  # read as its string; an infinity or a NaN as a float
-            q = str(q) if q.is_finite() else float(q)
-        if isinstance(q, (float, str)):
-            # a float is read exactly, decimal text at the working width and
-            # never less than a float's
-            bits = max(precision_bits(), 53)
-            q = _read(q, bits)
-            if type(q) is Dyadic and q == 1 and Fraction(given) != 1:  # nearer 1 than bits resolve
-                raise ValueError(f"q = {given} reads as 1 at {bits} bits: give q as a fraction, "
-                                 "or a wider --precision-bits")
-        elif hasattr(type(q), "_mpf_") or hasattr(type(q), "_mpc_"):
-            q = _exact(q)  # an mpc fails the ordering below
-        elif not isinstance(q, (int, Fraction)):
+        if isinstance(q, (float, str, Decimal)) or hasattr(type(q), "_mpf_"):
+            q = _read(q, max(precision_bits(), 53))  # never narrower than a float
+        elif not isinstance(q, (int, Fraction)) and not hasattr(type(q), "_mpc_"):
             raise TypeError("q must be Fraction, int, float, str, Decimal or mpf")
         q = Fraction(q) if isinstance(q, int) else q
-        if not 0 < q <= 1:
+        if not 0 < q <= 1:  # an mpc fails the ordering
             raise ValueError("q must lie in (0, 1]")
         q = Fraction(1) if q == 1 else q  # q = 1.0 takes the exact route of q = 1
         if float(q) < 1 / sys.float_info.max:
@@ -273,23 +205,25 @@ class QParameter(namedtuple("QParameter", "q N")):
     def _make(cls, iterable):  # so _replace validates too
         return cls(*iterable)
 
+    def __reduce__(self):  # a copy or a pickle keeps q as held, not read again at the width
+        return tuple.__new__, (type(self), tuple(self))
+
     @classmethod
     def kac(cls, N):
-        """The tracial model at this N: q the small root, held at 256 bits or the
-        working precision, whichever is wider."""
+        """The tracial model at this N: q the small root, a Decimal at 256 bits
+        or the working precision, whichever is wider, held as it is, where
+        QParameter would round a Decimal to the working precision."""
         if N == 2:
             return cls(Fraction(1), 2)
-        bits = max(precision_bits(), 256)
-        return cls(_read(str(_root(N, bits)), bits), N)
+        return super().__new__(cls, _root(N, max(precision_bits(), 256)), N)
 
     @property
     def nq(self):
-        """q + 1/q in the arithmetic of q: exact at rational q, and a Dyadic
-        q + 1/q rounded once at the working precision otherwise."""
+        """q + 1/q in the arithmetic of q: exact at rational q, and a Decimal
+        rounded once at the working precision otherwise."""
         if isinstance(self.q, Fraction):
             return self.q + 1 / self.q
-        num, den = self.q.as_integer_ratio()
-        return Dyadic(*_rounded(num * num + den * den, num * den, precision_bits()))
+        return _nq(self.q, _context(precision_bits()))
 
     @property
     def q0(self):
@@ -313,6 +247,6 @@ def q_number(n, param):
     and a Decimal at the working precision at decimal q."""
     if n < 0:
         raise ValueError("q-number index must be a natural number")
-    with localcontext(_context(precision_bits())) as ctx:
-        x = param.nq if isinstance(param.q, Fraction) else _nq(param.q, ctx)
+    with localcontext(_context(precision_bits())):
+        x = param.nq
         return poly_value(n - 1, x) if n else 0 * x

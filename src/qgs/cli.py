@@ -6,7 +6,9 @@ a deterministic CSV table or JSON report.  Numbers are formatted at 12
 significant digits, so identical requests at fixed precision produce
 byte-identical output; an exact or Decimal value beyond the double range
 is written as a plain number such as 1.75886302402e+524.  Exit codes: 0
-affirmative verdict, 1 verdict failure, 2 usage error, 3 resource limit.
+affirmative verdict; 1 either a record whose verdict fails, or, for a
+NumericalDegradationError, exactly one JSON error line of type numerical
+with nothing on stdout; 2 usage error; 3 resource limit.
 """
 
 import argparse

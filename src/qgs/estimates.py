@@ -251,10 +251,9 @@ def _cells(param, top):
             "this decimal q < 1 rounds to 1.0 as a double, where the float "
             "gap cells would divide by 1 - q^2 = 0; give q as a fraction"
         )
-    # log q from q's exact value man 2^exp: log(float(q)) would carry
-    # the 2^-53 of float(q) into 1 - u^k as 2^-53/(1-q)
-    man, exp = param.q.man_exp
-    return _FloatCells(q, top, _log_q(int(man), 1 << -exp))
+    # log q from q's exact value: log(float(q)) would carry the 2^-53 of
+    # float(q) into 1 - u^k as 2^-53/(1-q)
+    return _FloatCells(q, top, _log_q(*param.q.as_integer_ratio()))
 
 
 class GapEvaluation(namedtuple("GapEvaluation", "alpha beta gamma lhs rhs ratio")):

@@ -8,8 +8,8 @@ QGS_PRECISION_BITS environment variable, then the 128-bit default.  A
 width below 24 bits is refused (ValueError), and one above
 MAX_PRECISION_BITS (ResourceLimitError): the cost ceilings elsewhere are
 sized near the default, and a wider mantissa multiplies every step.
-Decimal q text is read at the width, never below a float's 53 bits
-(chebyshev._read).
+Decimal q text is rounded once into the context of the width, never
+below a float's 53 bits (chebyshev._read).
 """
 
 import os

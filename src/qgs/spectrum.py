@@ -50,9 +50,10 @@ def _deltas(q, alpha=0):
     with u = q^2 and w = u^(a+1), delta_a = q/(1-u) [(a+1)(1+w)/(1-w) - (1+u)/(1-u)],
     and a(a+2)/6 at q = 1.  Exact at rational q; at decimal q each is a Decimal
     rounded to the digits of the working precision (chebyshev._context).  There
-    the bracket cancels to about (1-u)^3 of its terms, so it is formed in
-    integers scaled by 2^wide, wide = 3 log2(1/(1-u)) + 16 bits over the
-    working precision, which multiply and divide faster than Decimals that wide.
+    the bracket cancels to about (1-u)^3 of its terms, so it is formed from
+    q's exact ratio num/den in integers scaled by 2^wide, wide =
+    3 log2(1/(1-u)) + 16 bits over the working precision, which multiply and
+    divide faster than Decimals that wide.
     """
     if isinstance(q, Fraction):
         if q == 1:
@@ -67,12 +68,12 @@ def _deltas(q, alpha=0):
             npow, dpow = npow * n, dpow * d
     bits = precision_bits()
     narrow = _context(bits)
-    # q = man 2^-k exactly, so 1 - u = (4^k - man^2) / 4^k
-    man, k = q.man_exp[0], -q.man_exp[1]
-    gap = (1 << 2 * k) - man * man
-    wide = bits + 3 * (1 + 2 * k - gap.bit_length()) + 16
-    one, shift = 1 << wide, wide - 2 * k
-    u = man * man << shift if shift >= 0 else man * man >> -shift
+    # q = num / den exactly, so 1 - u = gap / dd with dd = den^2
+    num, den = q.as_integer_ratio()
+    dd = den * den
+    gap = dd - num * num
+    wide = bits + 3 * (dd.bit_length() - gap.bit_length()) + 16
+    one, u = 1 << wide, (num * num << wide) // dd
     w, b = one, ((one + u) << wide) // (one - u)
     for e in bin(alpha + 1)[2:]:  # w = u^(alpha+1), square and multiply
         w = w * w >> wide
@@ -84,7 +85,7 @@ def _deltas(q, alpha=0):
         s = max(t.bit_length() - bits - 40, 0)  # t's leading bits + 40 as one Decimal
         scale = scales.get(s)
         if scale is None:  # q / (1-u) / 2^(wide - s), exact until this one rounding
-            scale = scales[s] = mid.divide(man << k, gap << wide - s)
+            scale = scales[s] = mid.divide(num * den, gap << wide - s)
         yield narrow.multiply(scale, t >> s)
         w = w * u >> wide
 

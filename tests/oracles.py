@@ -70,15 +70,10 @@ def poly_derivative(alpha, x):
     return poly_value_and_derivative(alpha, x)[1]
 
 
-def bc(x):
-    """The mantissa bits of a chebyshev.Dyadic or an mpf, as mpmath counts them."""
-    return x._mpf_[3]
-
-
 def to_mpf(x):
     """x as an mpf at mpmath's working precision: a Fraction or a Decimal
-    rounded once from its exact value, an int, float, str, Dyadic or mpf as
-    mpmath.mpf reads it."""
+    (a decimal q among them) rounded once from its exact value, an int,
+    float, str or mpf as mpmath.mpf reads it."""
     import mpmath
     from mpmath.libmp import from_rational
 

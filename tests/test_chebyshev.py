@@ -4,7 +4,9 @@ Frozen values below were derived by unrolling the three-term recursion by
 hand (degrees 2 and 3) and from the classical specialization U_a(2) = a+1.
 """
 
+import copy
 import math
+import pickle
 import random
 import sys
 import time
@@ -16,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (ChebyshevPoly, bc, build_poly, poly_derivative, poly_value_and_derivative,
-                     working_precision)
-from qgs.chebyshev import (Dyadic, QParameter, _context, _decimal, _exact, _read, _root, _rounded,
-                           poly_value, q_number)
+from oracles import (ChebyshevPoly, build_poly, poly_derivative, poly_value_and_derivative,
+                     to_mpf, working_precision)
+from qgs.chebyshev import (QParameter, _context, _decimal, _exact, _read, _root, poly_value,
+                           q_number)
 from qgs.precision import set_precision_bits
 
 
@@ -194,14 +196,16 @@ def test_qparameter_invariants():
 
 
 def test_qparameter_decimal_string_keeps_working_precision(monkeypatch):
-    # 0.9999 has no finite binary expansion, so a 53-bit parse is off by ~1e-17
+    # a literal is its decimal value, rounded once only past the 80 digits of 256 bits
     monkeypatch.setenv("QGS_PRECISION_BITS", "256")
     q = QParameter("0.9999", 2).q
-    man, exp = q.man_exp
-    assert man.bit_length() > 200
-    assert abs(Fraction(man) * Fraction(2) ** exp - Fraction(9999, 10000)) < Fraction(1, 2 ** 256)
+    assert type(q) is Decimal and q == Decimal("0.9999") and Fraction(q) == Fraction(9999, 10000)
+    long = "0." + "9876543210" * 10
+    q = QParameter(long, 2).q
+    assert q == _context(256).plus(Decimal(long)) and len(q.as_tuple().digits) == 80
+    assert abs(Fraction(q) - Fraction(long)) <= Fraction(1, 2 * 10**80)
     # a float is already exact and is kept as given
-    assert QParameter(0.9999, 2).q == mpmath.mpf(0.9999)
+    assert QParameter(0.9999, 2).q == Decimal(0.9999) != Decimal("0.9999")
 
 
 def test_qparameter_refuses_a_decimal_string_read_as_one():
@@ -214,6 +218,13 @@ def test_qparameter_refuses_a_decimal_string_read_as_one():
                 QParameter(text, 2)
         assert QParameter("0." + "9" * 30, 2).q < 1
         assert QParameter("1.0", 2).q == 1
+        # the 41 digits of 128 bits hold up to 41 nines exactly; 42 round to 1
+        for count in (39, 40, 41):
+            assert Fraction(QParameter("0." + "9" * count, 2).q) == 1 - Fraction(1, 10**count)
+        with pytest.raises(ValueError, match="reads as 1 at 128 bits"):
+            QParameter("0." + "9" * 42, 2)
+        with pytest.raises(ValueError, match=r"^q = 0\.9{42} reads as 1 at 128 bits"):
+            QParameter(Decimal("0." + "9" * 42), 2)
         set_precision_bits(1024)
         assert QParameter(nines, 2).q < 1
     finally:
@@ -231,10 +242,15 @@ def test_qparameter_equality_and_hash():
     assert QParameter("0.5", 2) == a
     assert hash(QParameter("0.5", 2)) == hash(a)
     assert QParameter("0.25", 3) != QParameter("0.25", 2) != 0.25
+    # a copy or a pickle is the same model: a float's exact q and kac's 256-bit
+    # root are not read again at the working width
+    for p in (QParameter(0.3, 2), QParameter.kac(3), QParameter("0.3", 2), c):
+        for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and type(twin) is QParameter and type(twin.q) is type(p.q)
 
 
 def test_qparameter_repr_and_immutability():
-    assert repr(QParameter("0.5", 2)) == "QParameter(q=Dyadic(1, -1), N=2)"
+    assert repr(QParameter("0.5", 2)) == "QParameter(q=Decimal('0.5'), N=2)"
     assert repr(QParameter(1, 2)) == "QParameter(q=Fraction(1, 1), N=2)"
     assert repr(QParameter(Fraction(1, 3), 3)) == "QParameter(q=Fraction(1, 3), N=3)"
     p = QParameter("0.5", 2)
@@ -281,15 +297,25 @@ READINGS = [f"{_rng.uniform(0.005, 0.95):.4f}" for _ in range(40)] + [
 
 @pytest.mark.parametrize("bits", [24, 53, 128, 256, 1024])
 def test_decimal_strings_read_as_mpmath_reads_them(bits):
+    # a literal the context of the width holds is read exactly, so at that
+    # width it rounds to the binary number mpmath reads; 300 nines, which
+    # only 1,024 bits hold, read as 1 to both below that
     width = max(bits, 53)
     try:
         set_precision_bits(bits)
         for text in READINGS:
             with mpmath.workprec(width):
                 want = mpmath.mpf(text)
-            assert _read(text, width).man_exp == want.man_exp, text
+            if want == 1:
+                with pytest.raises(ValueError, match=f"reads as 1 at {width} bits"):
+                    _read(text, width)
+                continue
+            x = _read(text, width)
+            assert type(x) is Decimal and x == Decimal(text), text
+            with mpmath.workprec(width):
+                assert to_mpf(x) == want, text
             if 0 < want < 1 and want > 1 / sys.float_info.max:  # the q QParameter admits
-                assert QParameter(text, 2).q.man_exp == want.man_exp, text
+                assert QParameter(text, 2).q == x, text
     finally:
         set_precision_bits(None)
 
@@ -297,13 +323,24 @@ def test_decimal_strings_read_as_mpmath_reads_them(bits):
 def test_float_and_mpf_inputs_are_held_exactly():
     for x in (0.1, 0.9999, 2.0 ** -1000, 1e-300, math.nextafter(1.0, 0)):
         q = QParameter(x, 2).q
-        assert type(q) is Dyadic and q == Fraction(x) and float(q) == x
-        assert q.man_exp == mpmath.mpf(x).man_exp
+        assert type(q) is Decimal and q == Decimal(x) and Fraction(q) == Fraction(x)
+        assert float(q) == x
     with mpmath.workprec(300):
         third = mpmath.mpf(1) / 3
-    q = QParameter(third, 2).q  # kept at its 300 bits, not rounded to 128
-    assert type(q) is Dyadic and q.man_exp == third.man_exp and bc(q) == 300
-    assert QParameter(q, 2).q is q
+        q = QParameter(third, 2).q  # kept at its 300 bits, not rounded to 128
+        assert type(q) is Decimal and Fraction(q) == Fraction(int(third.man), 2 ** -third.exp)
+        assert to_mpf(q) == third and len(q.as_tuple().digits) > 200
+    # a Decimal given back is rounded once, as its text would be
+    assert QParameter(q, 2).q == _context(128).plus(q) == QParameter(str(q), 2).q
+    # an mpf past 2^+-1400 is settled by its exponent, without forming 5^|exp|
+    start = time.perf_counter()
+    for x, message in ((mpmath.mpf("1e-10000000"), "too small"), (-mpmath.mpf("1e-10000000"),
+                       "lie in"), (mpmath.mpf("1e10000000"), "lie in")):
+        with pytest.raises(ValueError, match=message):
+            QParameter(x, 2)
+    assert time.perf_counter() - start < 0.5
+    assert _read(mpmath.mpf("1e-10000000"), 128) == Decimal("1e-1400")
+    assert _read(mpmath.mpf(2) ** -1399, 128) == Fraction(1, 2**1399)  # within the range, exact
 
 
 @pytest.mark.parametrize("bits", [53, 128, 1024])
@@ -315,10 +352,12 @@ def test_decimal_inputs_read_as_their_strings(bits):
                 QParameter(text, 2).q.as_integer_ratio()
         p = QParameter(Fraction(1, 3), 3)
         assert QParameter(p.q0, 3).q == QParameter(str(p.q0), 3).q  # a q0 is a q
+        long = Decimal("0." + "123456789" * 7)  # 63 digits, rounded as a literal is
+        assert QParameter(long, 2).q == _context(max(bits, 53)).plus(long)
+        kac = QParameter.kac(3)  # the root at 256 bits or the width, not rounded to the width
+        assert kac.q == _root(3, max(bits, 256)) and type(kac.q) is Decimal
     finally:
         set_precision_bits(None)
-    kac = QParameter.kac(3)  # at 256 bits, whatever the working width
-    assert kac.q.man_exp == _read(str(_root(3, 256)), 256).man_exp and bc(kac.q) > 200
 
 
 @pytest.mark.parametrize("bits", [24, 53, 128, 1024])
@@ -332,9 +371,10 @@ def test_numbers_join_a_context_rounded_once(bits):
         values.append(Decimal(rng.getrandbits(400)).scaleb(rng.randint(-400, 400)))
         with mpmath.workprec(rng.randint(24, 2000)):
             values.append(mpmath.mpf(rng.random()) ** rng.randint(-40, 40))
+    values += [QParameter(text, 2).q for text in ("0.3", "0." + "7" * 60, 0.3)]
     for x in values:
         exact = Fraction(x.strip() if isinstance(x, str) else x) if not isinstance(
-            x, mpmath.mpf) else Fraction(*_exact(x).as_integer_ratio())
+            x, mpmath.mpf) else _exact(x)
         assert _decimal(x, ctx) == ctx.divide(exact.numerator, exact.denominator)
     assert _decimal(float("inf"), ctx).is_infinite() and _decimal("nan", ctx).is_nan()
     with pytest.raises(ValueError, match="could not convert string to a number: '1/3'"):
@@ -372,8 +412,9 @@ def test_q_text_is_read_by_one_reader():
         with pytest.raises(ValueError, match=r"^q must lie in \(0, 1\]$"):
             QParameter(text, 2)
     # surrounding whitespace goes, as float() drops it
-    assert QParameter(" 0.5 ", 2).q == Fraction(1, 2) and type(QParameter("\t0.5\n", 2).q) is Dyadic
-    assert _read(" 0.3 ", 128).man_exp == _read("0.3", 128).man_exp
+    assert QParameter(" 0.5 ", 2).q == Fraction(1, 2)
+    assert type(QParameter("\t0.5\n", 2).q) is Decimal
+    assert _read(" 0.3 ", 128) == _read("0.3", 128) == Decimal("0.3")
     # 'inf' and 'nan', in mpmath's spellings, are the floats the range check refuses
     for text in ("inf", "+inf", "-inf", " INF ", "nan", "NaN"):
         x = _read(text, 53)
@@ -384,14 +425,13 @@ def test_q_text_is_read_by_one_reader():
                             ("0.01e-398", 1, False), ("5e400", 1, True), ("-12e399", -1, True),
                             ("1e999999999", 1, True)):
         x = _read(text, 128)
-        assert type(x) is Dyadic and (x > 0) == (sign > 0), text
-        assert (abs(x) > 10**400) if big else (0 < abs(x) < Fraction(1, 10**400)), text
+        assert type(x) is Decimal and (x > 0) == (sign > 0), text
+        assert (abs(x) > 10**400) if big else (0 < abs(x) <= Fraction(1, 10**400)), text
     assert time.perf_counter() - start < 0.5
-    for text in ("1e400", "1e-400", "9.99e-400"):  # the range's own ends
-        x = _read(text, 128)
-        assert x.man_exp == Dyadic(*_rounded(*Fraction(text).as_integer_ratio(), 128)).man_exp, text
-    for text in ("0.00e999999999", "-0e-999999999", "0.0", 0.0):  # a zero, as the float 0
-        assert _read(text, 128).man_exp == (0, 0), text
+    for text in ("1e400", "1e-400", "9.99e-400"):  # the range's own ends, read exactly
+        assert _read(text, 128) == Decimal(text), text
+    for text in ("0.00e999999999", "-0e-999999999", "0.0", 0.0):  # a zero
+        assert _read(text, 128) == 0, text
     with pytest.raises(ValueError, match="too small"):
         QParameter("1e-999999999", 2)
     for text in ("0." + "1" * 5000, "1e" + "9" * 5000):  # past int()'s digit limit
@@ -399,55 +439,38 @@ def test_q_text_is_read_by_one_reader():
             QParameter(text, 2)
     with pytest.raises(ValueError, match=r"^q must lie in \(0, 1\]$"):
         QParameter("1e999999999", 2)
-    # the working width, never below a float's
+    # rounded once into the context of the working width, never below a float's
+    long = "0." + "314159265358979323846264338327950288419716939937510582097494"  # 60 digits
     for bits in (24, 53, 128, 1024):
         set_precision_bits(bits)
         try:
-            want = Dyadic(*_rounded(3, 10, max(bits, 53)))
-            assert QParameter("0.3", 2).q.man_exp == want.man_exp
+            assert QParameter(long, 2).q == _context(max(bits, 53)).plus(Decimal(long))
+            assert QParameter("0.3", 2).q == Decimal("0.3")
         finally:
             set_precision_bits(None)
 
 
-def test_dyadic_is_its_exact_value_and_an_mpf_to_mpmath():
-    d = QParameter("0.3", 2).q
-    assert d.man_exp == (102084710076281539039012382229530463437, -128)  # as mpmath reads it
-    exact = Fraction(*d.as_integer_ratio())
-    with working_precision(53) as mp:
-        m = mp.mpf("0.3")
-    with working_precision(128) as mp:
-        m128 = mp.mpf("0.3")
-    assert exact == Fraction(int(m128.man), 2 ** -m128.exp)
-    # exact comparisons with exact data, floats, mpfs and other Dyadics
-    assert d == exact and hash(d) == hash(exact) and d != Fraction(3, 10)
-    assert d == m128 and m128 == d and d != m and d > m and m < d
-    assert Fraction(3, 10) < d < 0.3 + 1e-16 and not d < Fraction(3, 10)
-    assert -math.inf < d < math.inf and not d == math.nan and d != math.nan
-    assert d == Dyadic(*d.man_exp) and d < Dyadic(1, 0) and Dyadic(0, 5) == 0
-    assert d and not Dyadic(0, 0)  # truth as the Fraction's
-    assert float(d) == 0.3 and d.man_exp == m128.man_exp and bc(d) == m128.bc
-    assert hasattr(type(d), "_mpf_")
-    assert float(Dyadic(3, 2000)) == math.inf and float(Dyadic(-3, 2000)) == -math.inf
-    # mpmath reads it as the mpf of the same value, through _mpf_
-    assert mpmath.mpf(d) == m and mpmath.mpf(d) is not d
-    with working_precision(128) as mp:
-        assert mp.mpf(d) == m128 and mp.sqrt(d) == mp.sqrt(m128) and d + m128 == 2 * m128
-    # its arithmetic is the Fraction's of its value, exact, with or without another Dyadic
-    for value in (d + 1, 1 / d, d ** 2, -d, abs(d), d - d, d * Dyadic(3, -2), 2 - d):
-        assert type(value) is Fraction
-    assert d + 1 == exact + 1 and 1 / d == 1 / exact and d ** 2 == exact ** 2 and -d == -exact
-    assert d * Dyadic(3, -2) == exact * Fraction(3, 4) and d - d == 0 and 2 - d == 2 - exact
-    assert d + 0.5 == float(exact) + 0.5 and type(d ** 0.5) is float
-    # its repr is its constructor call, and its str its exact decimal expansion
-    assert repr(d) == "Dyadic(102084710076281539039012382229530463437, -128)"
-    assert eval(repr(d)) == d and type(eval(repr(d))) is Dyadic
-    assert Fraction(str(d)) == exact and str(d).startswith("0.300000000000000000000000000000000000")
-    assert str(d).endswith("736358642578125") and len(str(d)) == 2 + 128
-    for man, exp, text in ((3, 2, "12"), (-3, -1, "-1.5"), (0, 0, "0"), (1, -1074, None),
-                           (5, 20000, None), (-1, -20000, None)):
-        x = Dyadic(man, exp)
-        assert text is None or str(x) == text
-        assert Decimal(str(x)).as_integer_ratio() == x.as_integer_ratio() and eval(repr(x)) == x
+def test_the_cost_of_q_stays_bounded():
+    # q text or an mpf is as costly as the working width, not as its own
+    # digits or exponent: each case ends in its record or its usage error
+    from qgs.spectrum import semigroup_coeff, spectral_rows
+    from qgs.templieb import jw_report
+
+    rng = random.Random(38)
+    digits = "".join(rng.choice("0123456789") for _ in range(4000))
+    start = time.perf_counter()
+    p = QParameter("0." + digits, 2)
+    assert len(p.q.as_tuple().digits) <= _context(128).prec
+    assert 0 < semigroup_coeff(p, 100, 0.5) <= 1 and len(jw_report(p, 10)) == 10
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="reads as 1 at 128 bits"):
+        spectral_rows(QParameter("0." + "9" * 4000, 2), 2000)
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too small"):
+        QParameter(mpmath.mpf("1e-10000000"), 2)
+    assert time.perf_counter() - start < 1
 
 
 def test_poly_class_value_types():

@@ -1116,21 +1116,35 @@ _CROSS_ROUTE = [
 ]
 
 
-@pytest.mark.parametrize("fraction, text", [("1/2", "0.5"), ("1/4", "0.25"), ("3/8", "0.375"),
-                                            ("1/8", "0.125")])
-@pytest.mark.parametrize("argv", _CROSS_ROUTE, ids=["spectrum", "fusion-grid", "fusion-pair",
-                                                     "hs-cert", "gap-scan", "jw-verify", "pentagon",
-                                                     "lemma65", "amenability"])
-def test_dyadic_q_writes_the_same_records_on_both_routes(capsys, argv, fraction, text):
-    # a dyadic q written as a fraction takes the exact route and written as a
-    # decimal the Decimal (or float) route; the records agree byte for byte
-    # but for inputs.q, in JSON and in CSV
+_ON_EVERY_Q_SUITE = pytest.mark.parametrize(
+    "argv", _CROSS_ROUTE, ids=["spectrum", "fusion-grid", "fusion-pair", "hs-cert", "gap-scan",
+                               "jw-verify", "pentagon", "lemma65", "amenability"])
+
+
+def _same_records_on_both_routes(capsys, argv, fraction, text):
+    # a terminating decimal q written as a fraction takes the exact route and
+    # written as a decimal the Decimal (or float) route, at the same value;
+    # the records agree byte for byte but for inputs.q, in JSON and in CSV
     for fmt in ("json", "csv"):
         exact, decimal_route = (run_cli(capsys, *argv, "--q", q, "--format", fmt)
                                 for q in (fraction, text))
         assert exact[0] == decimal_route[0] and exact[2] == decimal_route[2] == ""
         assert (f'"q": "{fraction}"' in exact[1]) is (fmt == "json")
         assert exact[1].replace(f'"q": "{fraction}"', f'"q": "{text}"') == decimal_route[1]
+
+
+@pytest.mark.parametrize("fraction, text", [("1/2", "0.5"), ("1/4", "0.25"), ("3/8", "0.375"),
+                                            ("1/8", "0.125")])
+@_ON_EVERY_Q_SUITE
+def test_dyadic_q_writes_the_same_records_on_both_routes(capsys, argv, fraction, text):
+    _same_records_on_both_routes(capsys, argv, fraction, text)
+
+
+@pytest.mark.parametrize("fraction, text", [("3/10", "0.3"), ("9/20", "0.45"), ("7/25", "0.28"),
+                                            ("1/100", "0.01")])
+@_ON_EVERY_Q_SUITE
+def test_terminating_decimal_q_writes_the_same_records_on_both_routes(capsys, argv, fraction, text):
+    _same_records_on_both_routes(capsys, argv, fraction, text)
 
 
 # The input contract, drawn over all ten subcommands.  Each flag has valid
@@ -1216,8 +1230,8 @@ def test_every_input_ends_in_a_record_or_one_json_error(argv):
         qgs.set_precision_bits(None)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3)
-    if code in (0, 1):  # a record, with no NaN or Infinity
-        assert err == ""
+    if code == 0 or code == 1 and err == "":  # a record, with no NaN or Infinity
+        assert err == ""  # at exit 0 too
         if argv[-1] == "csv":
             rows = list(csv.reader(io.StringIO(out)))
             assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
@@ -1225,8 +1239,8 @@ def test_every_input_ends_in_a_record_or_one_json_error(argv):
         else:
             record = json.loads(out, parse_float=Decimal, parse_constant=_no_constant)
             assert record["suite"] == argv[0] and "verdict" in record
-    else:  # one JSON error line, usage (2) or resource (3), and nothing on stdout
+    else:  # one JSON error line and nothing on stdout: numerical (1), usage (2) or resource (3)
         assert out == "" and err.endswith("\n") and err.count("\n") == 1
         error = json.loads(err)["error"]
-        assert error["type"] == ("usage" if code == 2 else "resource")
+        assert error["type"] == {1: "numerical", 2: "usage", 3: "resource"}[code]
         assert isinstance(error["message"], str) and error["message"]

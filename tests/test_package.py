@@ -270,11 +270,10 @@ if sys.argv[1] == "eager":
 elif sys.argv[1] == "blocked":
     sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
 from qgs import QParameter, eigenvalue
-q = QParameter("0.3", 2).q
+q = QParameter("0." + "3" * 100, 2).q
 delta = eigenvalue(QParameter("0.3", 2), 50)
 exact = eigenvalue(QParameter(Fraction(1, 2), 2), 300)
-print(json.dumps([[str(q.man), q.exp], [type(x).__name__ for x in (delta, exact)], str(delta),
-                  str(exact)]))
+print(json.dumps([str(q), [type(x).__name__ for x in (delta, exact)], str(delta), str(exact)]))
 """
 
 
@@ -283,8 +282,8 @@ def test_lazy_mpmath_computes_at_the_working_precision(monkeypatch):
     monkeypatch.setenv("QGS_PRECISION_BITS", "256")
     lazy, eager, blocked = (_fresh(_PRECISION, order) for order in ("lazy", "eager", "blocked"))
     assert lazy == eager == blocked
-    (man, _), kinds, delta, exact = lazy
-    assert 128 < int(man).bit_length() <= 256  # q at 256 bits: not mpmath's 53, nor 128
+    q, kinds, delta, exact = lazy
+    assert len(Decimal(q).as_tuple().digits) == _context(256).prec  # q at 256 bits, not 53 nor 128
     assert kinds == ["Decimal", "Fraction"]
     assert len(Decimal(delta).as_tuple().digits) == _context(256).prec  # not 28, nor 41
     assert Fraction(exact) == closed_form_eigenvalue(Fraction(1, 2), 300)
@@ -402,7 +401,7 @@ print(json.dumps([out, sys.modules.get("mpmath", False) is not False]))
 
 def test_the_package_runs_with_mpmath_unimportable():
     # the README's CLI examples, the Decimal results, the q reader and a held
-    # Dyadic, byte for byte as in a run that could import mpmath and did not
+    # decimal q, byte for byte as in a run that could import mpmath and did not
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert "\ndependencies = []\n" in pyproject  # mpmath is in the test extra alone
     examples = json.dumps(_readme_examples())
@@ -412,12 +411,11 @@ def test_the_package_runs_with_mpmath_unimportable():
     runs = [run for run in free if isinstance(run, list) and len(run) == 4]
     assert len(runs) == 2 * len(_readme_examples()) >= 14
     assert all(code == 0 and text for _, _, code, text in runs)
-    q = qgs.QParameter("0.3", 2).q
     assert free[-7:] == [
-        "QParameter(q=Fraction(1, 3), N=2)", "QParameter(q=Dyadic(1, -1), N=2)",
+        "QParameter(q=Fraction(1, 3), N=2)", "QParameter(q=Decimal('0.5'), N=2)",
         "q must lie in (0, 1]", "q = 1e-500 is too small: q + 1/q exceeds the double range",
         "q must lie in (0, 1]", "could not convert string to float: '0.5_0'",
-        [f"Dyadic({q.man}, {q.exp})", str(q), repr(Fraction(q.man, 2 ** -q.exp) * 2)],
+        ["Decimal('0.3')", "0.3", "Decimal('0.6')"],
     ]
 
 
@@ -506,7 +504,8 @@ def test_layer_bench_writes_every_layer(tmp_path):
     for name in ("spectrum._deltas.decimal", "spectrum._deltas.rational", "fusion.dims.decimal",
                  "fusion.dims.rational", "spectrum.spectral_rows.decimal",
                  "estimates.hs_certificate", "cli._num.decimal", "cli._num.fraction",
-                 "cli._num.fraction_2^2000", "cli.build_parser+parse_args", "templieb._tables",
+                 "cli._num.fraction_2^2000", "cli.build_parser+parse_args",
+                 "chebyshev.QParameter", "templieb._tables",
                  "templieb._closed_form", "freewords._verify", "estimates._FloatCells.decimal",
                  "estimates._ExactCells.rational", "fusion._fusion_checks",
                  "cli._row+_emit.fusion",

@@ -577,14 +577,14 @@ def test_amenability_validation():
 
 def libmp_deltas(q, alpha, bits):
     """The mpf oracle of _deltas at decimal q < 1: the closed form on raw mpf
-    values at the guard width 3 log2(1/(1-u)) + 16 over bits, each eigenvalue
-    rounded to bits."""
+    values at the guard width 3 log2(1/(1-u)) + 16 over bits, q among them
+    rounded once to that width, each eigenvalue rounded to bits."""
     from mpmath.libmp import fone, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_sub
 
-    man, exp = q.man_exp
-    wide = bits + 3 * (1 - 2 * exp - ((1 << -2 * exp) - man * man).bit_length()) + 16
+    num, den = q.as_integer_ratio()
+    wide = bits + 3 * ((den * den).bit_length() - (den * den - num * num).bit_length()) + 16
     with mpmath.workprec(wide):
-        qm = mpmath.mpf(q)
+        qm = to_mpf(q)
         u = qm * qm
         w, b, c = u ** (alpha + 1), (1 + u) / (1 - u), qm / (1 - u)
     u, w, b, c = u._mpf_, w._mpf_, b._mpf_, c._mpf_

@@ -22,7 +22,8 @@ eigenvalues, dimension tables and the HS certificate at decimal q (2,115
 at q = 4/11, the exact table ceiling), and numbers near 2^2000 and 2^20000
 for the record writer; the isometries of lemma65 to label 104 at q = 0.5,
 a 200 x 5 gap grid at q = 0.3 and 4/11, the sum rules of a 40-label fusion
-grid, and the record of the grid to label 200 at q = 0.3.  --tiny shrinks every size, for a smoke test.  The
+grid, the record of the grid to label 200 at q = 0.3, and 1,000 reads of
+each of four q by QParameter.  --tiny shrinks every size, for a smoke test.  The
 compile time of each module is measured with compile() on its source,
 which is what a process without a bytecode cache pays.
 """
@@ -87,7 +88,32 @@ def _layers(tiny):
         yield f"cli._num.fraction_2^{e}", nums([x])
         yield f"cli._num.decimal_2^{e}", nums([d])
     yield "cli.build_parser+parse_args", lambda: cli.build_parser(argv).parse_args(argv)
+    yield "chebyshev.QParameter", _reads(tiny)
     yield from _kernel_layers(tiny)
+
+
+def _reads(tiny):
+    """QParameter at 128 bits on "0.3", a literal of the 41 digits that hold
+    128 bits, one of 4,000 digits (rounded to 41) and a float, each read
+    1,000 times (10 with --tiny)."""
+    import random
+
+    from qgs.chebyshev import QParameter
+    from qgs.precision import set_precision_bits
+
+    rng = random.Random(0)
+    qs = ["0.3", "0." + "".join(rng.choice("0123456789") for _ in range(41)),
+          "0." + "".join(rng.choice("0123456789") for _ in range(4000)), 0.3]
+    reads = 10 if tiny else 1000
+
+    def run():
+        set_precision_bits(128)
+        try:
+            return [QParameter(q, 2) for q in qs for _ in range(reads)]
+        finally:
+            set_precision_bits(None)
+
+    return run
 
 
 def _kernel_layers(tiny):
