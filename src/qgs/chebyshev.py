@@ -57,13 +57,6 @@ def poly_value(alpha, x):
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _context(bits):
-    """The decimal context of a kernel at bits: the digits that hold bits,
-    plus 2, rounded half-even, with an exponent range no power of q leaves."""
-    return Context(prec=math.ceil(bits * math.log10(2)) + 2, rounding=ROUND_HALF_EVEN,
-                   Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-
 # a plain decimal literal, split as mpmath's string parser splits one; re
 # compiles it on the first decimal string read, not on every import
 _LITERAL = r"([+-]?\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?"
@@ -128,6 +121,13 @@ def _literal(q):
     if not num or not -400 < size <= 401:  # 0, or a size the range check refuses
         return Decimal(f"{(num > 0) - (num < 0)}e{1400 if size > 0 else -1400}")
     return Decimal(text)
+
+
+def _context(bits):
+    """The decimal context of a kernel at bits: the digits that hold bits,
+    plus 2, rounded half-even, with an exponent range no power of q leaves."""
+    return Context(prec=math.ceil(bits * math.log10(2)) + 2, rounding=ROUND_HALF_EVEN,
+                   Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _exact(x):
