@@ -179,8 +179,7 @@ class QParameter(namedtuple("QParameter", "q N")):
 
     def __new__(cls, q, N):
         given = q
-        if not isinstance(N, int) or N < 2:
-            raise ValueError("N must be an integer >= 2")
+        _check_n(N)
         if isinstance(q, bool):
             raise ValueError("q must be a number in (0, 1]")
         if isinstance(q, (float, str, Decimal)) or hasattr(type(q), "_mpf_"):
@@ -193,17 +192,31 @@ class QParameter(namedtuple("QParameter", "q N")):
         q = Fraction(1) if q == 1 else q  # q = 1.0 takes the exact route of q = 1
         if float(q) < 1 / sys.float_info.max:
             raise ValueError("q = %s is too small: q + 1/q exceeds the double range" % (given,))
-        self = super().__new__(cls, q, N)
-        if N > sys.float_info.max or float(self.nq) < N - 1e-9:  # q + 1/q is within doubles
+        return super().__new__(cls, q, N)._below_root()
+
+    def _below_root(self):
+        """self, if q + 1/q >= N."""
+        if self.N > sys.float_info.max or float(self.nq) < self.N - 1e-9:  # within doubles
             raise ValueError(
                 "q + 1/q = %s is below N = %d; q may not exceed the "
-                "smallest positive root of x^2 - N*x + 1" % (float(self.nq), N)
+                "smallest positive root of x^2 - N*x + 1" % (float(self.nq), self.N)
             )
         return self
 
     @classmethod
-    def _make(cls, iterable):  # so _replace validates too
+    def _make(cls, iterable):  # so _replace validates a new q too
         return cls(*iterable)
+
+    def _replace(self, **changes):
+        """A copy with the given fields changed, validated.  Without a new q
+        the q held is kept as it is, not read again at the working width."""
+        if "q" in changes:
+            return super()._replace(**changes)
+        N = changes.pop("N", self.N)
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        _check_n(N)
+        return tuple.__new__(type(self), (self.q, N))._below_root()
 
     def __reduce__(self):  # a copy or a pickle keeps q as held, not read again at the width
         return tuple.__new__, (type(self), tuple(self))
@@ -234,6 +247,11 @@ class QParameter(namedtuple("QParameter", "q N")):
     @property
     def is_kac(self):
         return abs(float(self.q) - float(self.q0)) <= 1e-9
+
+
+def _check_n(N):
+    if not isinstance(N, int) or N < 2:
+        raise ValueError("N must be an integer >= 2")
 
 
 def _nq(q, ctx):

@@ -17,8 +17,6 @@ import math
 import re
 import sys
 import time
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
-from fractions import Fraction
 
 from . import precision as _precision
 from .errors import NumericalDegradationError, ResourceLimitError
@@ -38,7 +36,9 @@ _COMMON = frozenset({"command", "handler", "format", "output", "precision_bits",
 _TOLERANCES = frozenset(
     {"margin", "tail_floor", "residual_tol", "trace_tol", "warmup", "threshold", "tol", "constant"}
 )
-_DIGITS = Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# Decimal, Fraction and the 12-digit context of a wide number, taken on the first
+# one: a run whose numbers all fit a double imports neither decimal nor fractions
+_DECIMAL = None
 
 
 class _Wide:
@@ -55,12 +55,19 @@ def _num(x):
     """x at 12 significant digits: a float, or _Wide for a finite Fraction or
     Decimal beyond the double range (a float that is already infinite stays
     so)."""
+    global _DECIMAL
     try:
         value = float(x)
     except OverflowError:  # a Fraction beyond the double range
         value = math.inf
     if not math.isinf(value) or isinstance(x, float):
         return float(f"{value:.12g}")
+    if _DECIMAL is None:
+        from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+        from fractions import Fraction
+
+        _DECIMAL = Decimal, Fraction, Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    Decimal, Fraction, digits = _DECIMAL
     if isinstance(x, Fraction):
         num, den = x.numerator, x.denominator
         # the quotient by 10^k has at least 29 digits, and a last sticky digit marks
@@ -68,7 +75,7 @@ def _num(x):
         k = (abs(num).bit_length() - den.bit_length()) * 3 // 10 - 30
         q, r = divmod(abs(num) * 10 ** max(-k, 0), den * 10 ** max(k, 0))
         x = Decimal(f"{'-' if num < 0 else ''}{10 * q + (r > 0)}E{k - 1}")
-    return _Wide(format(_DIGITS.plus(x).normalize(_DIGITS), "g"))
+    return _Wide(format(digits.plus(x).normalize(digits), "g"))
 
 
 def _row(obj, *names, **extra):

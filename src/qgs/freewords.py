@@ -19,27 +19,34 @@ wrap, and makes normal forms unique regardless of rewrite order.
 The rewriting runs on ids: each public call interns every Letter and
 PhiSymbol it meets as a small int in one _Table, dropped on return, so a
 word is a tuple of ids and a term is keyed by (word, sorted phi ids).
-Expressions are encoded on the way in and decoded on the way out.  A
-verification runs on one table: the commutator, its boundary main sum and
-the ledger share its ids, and only the report is decoded.  expansion_sweep
-shares one table across its patterns, which keeps the Leibniz defect
-C(b, x) of the current b and x.
+Expressions are encoded on the way in and decoded on the way out.
+
+Every product is computed on its junction core.  Let depth(u, v) = L be
+the longest run of i with alg(u[-1-i]) = alg(v[i]), and u = U u', v = v' V
+with u' and v' of L letters.  Then u v = U (u' v') V and E(u, v) =
+U E(u', v') V by plain concatenation, where E(u, v) = D(uv) - D(u) v -
+u D(v) is the product defect of the generator D (E = 0 at L = 0).  Proof:
+each term of u' v' starts in alg(u'[0]) != alg(U[-1]) and ends in
+alg(v'[-1]) != alg(V[0]), and a full collapse leaves U V, reduced as the
+run stops at L; D(U w V) = D(U) w V + U D(w) V + U w D(V), and D(u) v and
+u D(v) split alike, so all but U E(u', v') V cancels.  The cores are
+memoised on the call's table.  A verification runs on one table: the
+commutator E(b, x) a - E(b, x a), its boundary main sum and the ledger
+share its ids, and only the report is decoded.  expansion_sweep shares one
+table across its patterns, keeping E(b, x) of the current b and x and x a.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import ResourceLimitError
 
 # expansion_sweep's ceilings (2-vCPU x86_64, in process): (6, 3, 3), 15,331
-# patterns, takes 0.85-1.25 s, (4, 3, 4) 0.7-1.1 s and (354, 0, 2) 1.6-1.9 s.
-# A pattern of k, n and m letters in b, x and a costs 0.07-0.13 us per unit of
-# _pattern_work(k, n, m) = (k+1)(n+1)(m+1)(k+n+m) over those sweeps, about
-# 0.1 us for an x of 256 letters or a b, x and a of 30 each, and 0.34 us for a
-# b and an a of 30 around an empty x.  MAX_LETTER_WORK holds for a sweep and a
-# single pattern.
+# patterns, takes 0.11-0.22 s, (4, 3, 4) 0.14-0.31 s and (354, 0, 2) under
+# 0.01 s, as _pattern_work(k, n, m) = (k+1)(n+1)(m+1)(k+n+m), for k, n and m
+# letters in b, x and a, over-counts the patterns _verify decides by locality.
+# A pattern whose letters all meet costs 0.1-0.33 us a unit: 1.4-2.3 s for a b,
+# x and a of 46 each, 3.9-4.8 s for a b and an a of 194 around an empty x.
+# MAX_LETTER_WORK holds for a sweep and a single pattern.
 MAX_SWEEP_PATTERNS = 20_000
 MAX_LETTER_WORK = 15 * 10**6
 
@@ -73,6 +80,8 @@ def _exact(coeff):
     Fraction, which becomes an int again when it is integral."""
     if type(coeff) is int:
         return coeff
+    from fractions import Fraction
+
     value = Fraction(coeff)
     return value.numerator if value.denominator == 1 else value
 
@@ -155,15 +164,17 @@ class Expression:
 
 class _Table:
     """One call's interned letters and phi symbols, each id's algebra and the
-    phi id of a circled letter, memos of the junction fusion and the
-    generator wrap, and the id word of each (name, types) of atoms; defect is
-    the current ((b, x), C(b, x)), b and x as ids."""
+    phi id of a circled letter, memos of the junction fusion, the generator
+    wrap, the cores, each x a and the id word of each (name, types) of atoms;
+    defect is the current ((b, x), E(b, x)), b and x as ids."""
 
-    __slots__ = ("ids", "values", "algebra", "phi", "merges", "wraps", "atoms", "defect")
+    __slots__ = ("ids", "values", "algebra", "phi", "merges", "wraps", "cores", "defects",
+                 "products", "atoms", "defect")
 
     def __init__(self):
         self.ids, self.values, self.algebra, self.phi = {}, [], [], []
-        self.merges, self.wraps, self.atoms, self.defect = {}, {}, {}, None
+        self.merges, self.wraps, self.atoms, self.defect, self.products = {}, {}, {}, None, {}
+        self.cores, self.defects = {((), ()): {((), ()): 1}}, {}  # u v = U V at depth 0
 
     def intern(self, value):
         u = self.ids.get(value)
@@ -218,38 +229,87 @@ def _on_ids(engine, *exprs):
     return t.decode(engine(t, {}, *map(t.encode, exprs)))
 
 
-def _concat_into(t, out, w1, w2, phis, coeff):
-    """Add coeff phis w1 w2 to out, rewriting the junction of the two reduced
-    words until every term is reduced."""
-    if not w1 or not w2 or t.algebra[w1[-1]] != t.algebra[w2[0]]:
-        _add(out, (w1 + w2, phis), coeff)
-        return
-    u, v = w1[-1], w2[0]
-    head, tail = w1[:-1], w2[1:]
-    fused, phi = t.merge(u, v)
-    _add(out, (head + (fused,) + tail, phis), coeff)
-    _concat_into(t, out, head, tail, tuple(sorted(phis + (phi,))), coeff)
-    pu, pv = t.phi[u], t.phi[v]
-    if pu is not None:
-        _add(out, (head + (v,) + tail, tuple(sorted(phis + (pu,)))), -coeff)
-    if pv is not None:
-        _add(out, (head + (u,) + tail, tuple(sorted(phis + (pv,)))), -coeff)
-    if pu is not None and pv is not None:
-        _concat_into(t, out, head, tail, tuple(sorted(phis + (pu, pv))), -coeff)
+def _depth(left, right):
+    """How many letters meet at a junction, given the algebras of the left
+    word backwards and of the right word: the run of i with left[i] ==
+    right[i]."""
+    depth = 0
+    for u, v in zip(left, right):
+        if u != v:
+            break
+        depth += 1
+    return depth
 
 
-def _multiply_into(t, out, e1, e2, scale=1):
-    """Add scale times the product e1 e2 to out, reducing every junction."""
+def _core(t, u, v):
+    """u v for a junction core (u and v meet letter by letter), memoised on
+    t.  With u = h x and v = y k, x y leaves h (xy) k, -phi(x) h y k and
+    -phi(y) h x k for a circled x or y, and the core of h and k times
+    phi(xy) - [both circled] phi(x) phi(y)."""
+    terms = t.cores.get((u, v))
+    if terms is None:
+        head, tail, x, y = u[:-1], v[1:], u[-1], v[0]
+        (fused, phi), px, py = t.merge(x, y), t.phi[x], t.phi[y]
+        terms = t.cores[u, v] = {(head + (fused,) + tail, ()): 1}
+        for z, p in ((y, px), (x, py)):
+            if p is not None:
+                _add(terms, (head + (z,) + tail, (p,)), -1)
+        for (w, p), c in _core(t, head, tail).items():
+            _add(terms, (w, tuple(sorted(p + (phi,)))), c)
+            if px is not None and py is not None:
+                _add(terms, (w, tuple(sorted(p + (px, py)))), -c)
+    return terms
+
+
+def _defect_core(t, u, v):
+    """E(u, v) for a junction core, memoised on t.  With u = h x and v = y k,
+    it leaves h (g(xy) - g(x) y - x g(y)) k - (phi(g(x) y) + phi(x g(y))) h k,
+    g the generator wrap, and E(h, k) times the scalar of x y: D(uv) - D(u) v
+    - u D(v) through one junction, where the terms with phi(x) or phi(y)
+    alone cancel.  Unrolled, as E(h, k) has quadratically many terms."""
+    terms = t.defects.get((u, v))
+    if terms is None:
+        terms, scalars, n = t.defects.setdefault((u, v), {}), {(): 1}, len(u)
+        for level in range(n):
+            head, tail, x, y = u[: n - 1 - level], v[level + 1 :], u[-1 - level], v[level]
+            (fused, phi), px, py = t.merge(x, y), t.phi[x], t.phi[y]
+            (left, phi_left), (right, phi_right) = t.merge(t.wrap(x), y), t.merge(x, t.wrap(y))
+            inner = _core(t, head, tail).items()
+            for s, c in scalars.items():
+                for letter, sign in ((t.wrap(fused), 1), (left, -1), (right, -1)):
+                    _add(terms, (head + (letter,) + tail, s), sign * c)
+                for (w, p), d in inner:
+                    for extra in (phi_left, phi_right):
+                        _add(terms, (w, tuple(sorted(s + p + (extra,)))), -c * d)
+            scalars, above = {}, scalars
+            for s, c in above.items():
+                _add(scalars, tuple(sorted(s + (phi,))), c)
+                if px is not None and py is not None:
+                    _add(scalars, tuple(sorted(s + (px, py))), -c)
+    return terms
+
+
+def _product_into(t, out, e1, e2, scale=1, core=_core):
+    """Add scale times the product e1 e2 to out, or, with core=_defect_core,
+    the product defect E(e1, e2): each pair of words on its junction core."""
+    alg = t.algebra
     for (w1, p1), c1 in e1.items():
         for (w2, p2), c2 in e2.items():
             phis = tuple(sorted(p1 + p2)) if p1 and p2 else p1 or p2
-            _concat_into(t, out, w1, w2, phis, c1 * c2 * scale)
+            depth, top = 0, min(len(w1), len(w2))
+            while depth < top and alg[w1[-1 - depth]] == alg[w2[depth]]:
+                depth += 1
+            cut, coeff = len(w1) - depth, c1 * c2 * scale
+            head, tail = w1[:cut], w2[depth:]
+            for (w, p), c in core(t, w1[cut:], w2[:depth]).items():
+                _add(out, (head + w + tail, tuple(sorted(phis + p)) if phis and p else phis or p),
+                     coeff * c)
     return out
 
 
 def multiply(e1, e2):
     """Product of two expressions, reducing every junction."""
-    return _on_ids(_multiply_into, e1, e2)
+    return _on_ids(_product_into, e1, e2)
 
 
 def reduce_product(b, x, a):
@@ -316,47 +376,42 @@ def star(expr):
     return _on_ids(_star_into, expr)
 
 
-def _defect_into(t, out, eb, ev, scale=1):
-    """Add scale times C(b, v) = D(b v) - b D(v), the failure of the Leibniz
-    rule at b."""
-    _generator_into(t, out, _multiply_into(t, {}, eb, ev), scale)
-    return _multiply_into(t, out, eb, _generator_into(t, {}, ev), -scale)
-
-
-def _commutator_into(t, out, eb, ex, ea, cbx):
-    """Add C(b, x) a - C(b, x a) to out, given cbx = C(b, x)."""
-    _multiply_into(t, out, cbx, ea)
-    return _defect_into(t, out, eb, _multiply_into(t, {}, ex, ea), -1)
+def _commutator_into(t, out, eb, ea, ebx, exa):
+    """Add E(b, x) a - E(b, x a) to out, given ebx = E(b, x) and exa = x a."""
+    _product_into(t, out, ebx, ea)
+    return _product_into(t, out, eb, exa, -1, _defect_core)
 
 
 def gradient_commutator(b, x, a):
     """b D(x a) - D(b x a) - b D(x) a + D(b x) a for reduced words.
 
-    Expanded as C(b, x) a - C(b, x a) with C the Leibniz defect, which is
-    the same sum regrouped by bilinearity of the product."""
+    Expanded as E(b, x) a - E(b, x a), with E(u, v) = D(uv) - D(u) v - u D(v)
+    the product defect, each on its junction core.  Proof: the Leibniz
+    defect C(u, v) = D(uv) - u D(v) is E(u, v) + D(u) v, and the product is
+    associative, so the four terms, C(b, x) a - C(b, x a) regrouped by
+    bilinearity, are E(b, x) a + (D(b) x) a - E(b, x a) - D(b) (x a)."""
     t = _Table()
     eb, ex, ea = ({(t.word(word(*w)), ()): 1} for w in (b, x, a))
-    return t.decode(_commutator_into(t, {}, eb, ex, ea, _defect_into(t, {}, eb, ex)))
+    ebx = _product_into(t, {}, eb, ex, core=_defect_core)
+    return t.decode(_commutator_into(t, {}, eb, ea, ebx, _product_into(t, {}, ex, ea)))
 
 
 def _boundary_main_sum(t, b, x, a):
     """Sum over junction positions of scalar pairs around a centered local
-    term, for words of ids in t."""
-    n, k, m = len(x), len(b), len(a)
-    alg, total = t.algebra, {}
-    for i in range(max(1, n - m + 1), min(n, k) + 1):
-        mid = (b[k - i], x[i - 1], a[n - i])
-        if not alg[mid[0]] == alg[mid[1]] == alg[mid[2]]:
-            continue
+    term, for words of ids in t.  Position i needs the last i letters of b to
+    meet the first i of x, and the last n - i + 1 of x the first of a, so it
+    runs over n + 1 - depth(x, a) <= i <= depth(b, x)."""
+    n, k, alg = len(x), len(b), t.algebra.__getitem__
+    total, low = {}, n + 1 - _depth(map(alg, reversed(x)), map(alg, a))
+    for i in range(max(1, low), _depth(map(alg, reversed(b)), map(alg, x)) + 1):
         pairs = [(b[k - j], x[j - 1]) for j in range(1, i)]
         pairs += [(x[j - 1], a[n - j]) for j in range(i + 1, n + 1)]
-        if any(alg[u] != alg[v] for u, v in pairs):
-            continue
         phis = tuple(t.merge(u, v)[1] for u, v in pairs)
-        eu, ev, ew = ({((u,), ()): 1} for u in mid)
-        middle = _commutator_into(t, {}, eu, ev, ew, _defect_into(t, {}, eu, ev))
-        term = _multiply_into(t, {}, {(b[: k - i], ()): 1}, _circle_into(t, {}, middle))
-        term = _multiply_into(t, {}, term, {(a[n - i + 1 :], ()): 1})
+        eu, ev, ew = ({((u,), ()): 1} for u in (b[k - i], x[i - 1], a[n - i]))
+        ebx = _product_into(t, {}, eu, ev, core=_defect_core)
+        middle = _commutator_into(t, {}, eu, ew, ebx, _product_into(t, {}, ev, ew))
+        term = _product_into(t, {}, {(b[: k - i], ()): 1}, _circle_into(t, {}, middle))
+        term = _product_into(t, {}, term, {(a[n - i + 1 :], ()): 1})
         for (w, p), coeff in term.items():
             _add(total, (w, tuple(sorted(p + phis))), coeff)
     return total
@@ -413,16 +468,28 @@ def verify_boundary_expansion(b_types, x_types, a_types, *, max_x=4, max_side=3)
 
 
 def _verify(t, b_types, x_types, a_types):
-    b, x, a = _atoms(t, "b", b_types), _atoms(t, "x", x_types), _atoms(t, "a", a_types)
-    eb, ex = {(b, ()): 1}, {(x, ()): 1}
-    if t.defect is None or t.defect[0] != (b, x):
-        t.defect = ((b, x), _defect_into(t, {}, eb, ex))
-    ledger_terms = _commutator_into(t, {}, eb, ex, {(a, ()): 1}, t.defect[1])
-    lhs_zero = not ledger_terms
-    for term, coeff in _boundary_main_sum(t, b, x, a).items():
-        _add(ledger_terms, term, -coeff)
+    """The report of one pattern on t.  Locality: where depth(b, x) +
+    depth(x, a) < n = len(x), read from the types (an atom's algebra is its
+    type), the left side is 0 and the boundary sum empty.  Proof: x = x' y x''
+    with y nonempty, x' the first depth(b, x) letters and x'' the last
+    depth(x, a); each term of x a and of E(b, x) keeps y, so E(b, x) a and
+    E(b, x a) are both B E(b', x') y (x'' a') A, and the boundary sum needs
+    i <= depth(b, x) and n - i + 1 <= depth(x, a)."""
+    n, k, m = len(x_types), len(b_types), len(a_types)
+    ledger_terms, lhs_zero = {}, True
+    if _depth(reversed(b_types), x_types) + _depth(reversed(x_types), a_types) >= n:
+        b, x, a = _atoms(t, "b", b_types), _atoms(t, "x", x_types), _atoms(t, "a", a_types)
+        eb, ea = {(b, ()): 1}, {(a, ()): 1}
+        if t.defect is None or t.defect[0] != (b, x):
+            t.defect = ((b, x), _product_into(t, {}, eb, {(x, ()): 1}, core=_defect_core))
+        xa = t.products.get((x, a))
+        if xa is None:
+            xa = t.products[x, a] = _product_into(t, {}, {(x, ()): 1}, ea)
+        ledger_terms = _commutator_into(t, {}, eb, ea, t.defect[1], xa)
+        lhs_zero = not ledger_terms
+        for term, coeff in _boundary_main_sum(t, b, x, a).items():
+            _add(ledger_terms, term, -coeff)
 
-    n, k, m = len(x), len(b), len(a)
     bound = k + m
     groups, residual = {}, {}
     for (w, phis), coeff in ledger_terms.items():

@@ -249,6 +249,25 @@ def test_qparameter_equality_and_hash():
             assert twin == p and type(twin) is QParameter and type(twin.q) is type(p.q)
 
 
+def test_qparameter_replace_keeps_the_held_q():
+    # a changed N is checked against q as held: a float's exact q and kac's
+    # 256-bit root are not read again at the working width
+    assert QParameter(0.3, 2)._replace(N=2).q == Decimal(0.3)
+    kac = QParameter.kac(3)
+    assert kac._replace(N=3).q == kac.q and kac._replace().q == kac.q
+    assert type(kac._replace(N=3)) is QParameter
+    assert QParameter(Fraction(1, 3), 2)._replace(N=3) == QParameter(Fraction(1, 3), 3)
+    with pytest.raises(ValueError, match="is below N = 3"):
+        QParameter(0.5, 2)._replace(N=3)
+    with pytest.raises(ValueError, match="N must be an integer >= 2"):
+        QParameter(0.5, 2)._replace(N=2.0)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        QParameter(0.5, 2)._replace(M=2)
+    # a new q is read as QParameter reads it
+    assert QParameter(0.3, 2)._replace(q="0.25") == QParameter("0.25", 2)
+    assert QParameter(0.3, 2)._replace(q="0.3", N=2).q != Decimal(0.3)
+
+
 def test_qparameter_repr_and_immutability():
     assert repr(QParameter("0.5", 2)) == "QParameter(q=Decimal('0.5'), N=2)"
     assert repr(QParameter(1, 2)) == "QParameter(q=Fraction(1, 1), N=2)"

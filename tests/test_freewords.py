@@ -7,7 +7,10 @@ junction each step and canonicalizes at the end.  Agreement with the
 library product over many random orders checks both the expansion and
 its order-independence.  The commutator b D(xa) - D(bxa) - b D(x) a
 + D(bx) a, built term by term from the public product and generator, is
-the oracle for its regrouping as two Leibniz defects.
+the oracle for its regrouping as two product defects.  The package
+computes every product on its junction core; tests/oracles.py keeps the
+full junction rewrite and the C-based verifier, and the reports of both
+routes must be equal, sweep by sweep and on drawn patterns.
 """
 
 import gc
@@ -18,7 +21,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from qgs.errors import ResourceLimitError
 from qgs import freewords
 from qgs.freewords import (
@@ -45,8 +51,8 @@ from qgs.freewords import (
 
 
 def leibniz_defect(eb, ev):
-    """C(b, v) = D(b v) - b D(v) on the library's id engine."""
-    return freewords._on_ids(freewords._defect_into, eb, ev)
+    """C(b, v) = D(b v) - b D(v) on the reference route."""
+    return freewords._on_ids(oracles._defect_into, eb, ev)
 
 
 def brute_phi(algebra, factors):
@@ -626,7 +632,7 @@ def test_leibniz_regrouping_at_phi_carrying_inputs():
 
 
 def test_sweep_reports_equal_single_pattern_reports():
-    # the sweep shares one table and one C(b, x) across a run of patterns;
+    # the sweep shares one table and one E(b, x) across a run of patterns;
     # each report must be the one the pattern gets alone
     for max_x, max_side, algebras in ((3, 2, 3), (2, 3, 3)):
         reports = expansion_sweep(max_x=max_x, max_side=max_side, algebras=algebras)
@@ -646,7 +652,7 @@ def test_sweep_reports_equal_single_pattern_reports():
 
 
 def test_calls_keep_nothing():
-    # tables and the sweep's C(b, x) live for one call, so new letters in
+    # tables, their cores and the sweep's E(b, x) live for one call, so new letters in
     # every round leave no more traced memory than was found
     def calls(i):
         expansion_sweep(max_x=3, max_side=2, algebras=3)
@@ -712,3 +718,109 @@ def test_results_of_separate_calls_combine():
     assert gradient_commutator(b, x, a) == multiply(
         leibniz_defect(Expression.from_word(b), Expression.from_word(x)), Expression.from_word(a)
     ) - leibniz_defect(Expression.from_word(b), reduce_product((), x, a))
+
+
+def _reference_reports(reports):
+    """The reference verifier's reports of the same patterns, on one table."""
+    t = freewords._Table()
+    return [oracles._verify(t, r.b_types, r.x_types, r.a_types) for r in reports]
+
+
+@pytest.mark.parametrize("sweep", [(4, 3, 3), (6, 3, 3), (4, 3, 4), (354, 0, 2)],
+                         ids=lambda sweep: "-".join(map(str, sweep)))
+def test_sweep_reports_equal_the_reference_route(sweep):
+    max_x, max_side, algebras = sweep
+    reports = expansion_sweep(max_x=max_x, max_side=max_side, algebras=algebras)
+    assert reports == _reference_reports(reports)
+
+
+def _types(choose, length, algebras):
+    """A reduced type tuple of the given length over the algebras, each type
+    picked by choose from those that may follow."""
+    out = []
+    for _ in range(length):
+        out.append(choose([t for t in range(algebras) if not out or t != out[-1]]))
+    return tuple(out)
+
+
+@st.composite
+def _patterns(draw):
+    algebras = draw(st.integers(2, 4))
+    sizes = draw(st.integers(0, 7)), draw(st.integers(0, 10)), draw(st.integers(0, 7))
+    return tuple(_types(lambda ts: draw(st.sampled_from(ts)), size, algebras) for size in sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern=_patterns())
+def test_drawn_patterns_match_the_reference_route(pattern):
+    rep = freewords._verify(freewords._Table(), *pattern)
+    assert rep == oracles._verify(freewords._Table(), *pattern)
+    b, x, a = (tuple(atom(t, f"{name}{i}") for i, t in enumerate(types, 1))
+               for name, types in zip("bxa", pattern))
+    t = freewords._Table()
+    eb, ex, ea = ({(t.word(w), ()): 1} for w in (b, x, a))
+    reference = oracles._commutator_into(t, {}, eb, ex, ea, oracles._defect_into(t, {}, eb, ex))
+    assert gradient_commutator(b, x, a) == t.decode(reference)
+    assert rep.lhs_is_zero == (not reference)
+
+
+def _expression(rng, names, coeffs):
+    """A sum of one to three words with phi symbols and the given coefficients."""
+    out = Expression()
+    for _ in range(rng.randint(1, 3)):
+        w = _random_word(rng, rng.randint(0, 3), names)
+        phis = tuple(PhiSymbol(rng.randrange(2), atom(0, next(names)).factors * 2)
+                     for _ in range(rng.randint(0, 2)))
+        out = out + Expression.from_word(w, coeff=rng.choice(coeffs), phis=phis)
+    return out
+
+
+def test_multiply_matches_the_reference_route():
+    # phi-carrying terms, circled letters, and int and Fraction coefficients
+    rng = random.Random(4033)
+    names = (f"s{i}" for i in itertools.count())
+    fractional = 0
+    for coeffs in ((-2, -1, 1, 3), (Fraction(1, 2), Fraction(-2, 3), 2)):
+        for _ in range(80):
+            e1, e2 = _expression(rng, names, coeffs), _expression(rng, names, coeffs)
+            product = multiply(e1, e2)
+            assert product == freewords._on_ids(oracles._multiply_into, e1, e2)
+            fractional += any(type(c) is Fraction for c in product.terms.values())
+    assert fractional >= 20
+
+
+def test_locality_lemma_decides_only_vanishing_patterns():
+    # where depth(b, x) + depth(x, a) < len(x) the reference route must give a
+    # zero left side and an empty boundary sum, which _verify then skips
+    rng = random.Random(1802)
+    patterns = [(r.b_types, r.x_types, r.a_types)
+                for r in expansion_sweep(max_x=4, max_side=3, algebras=3)]
+    for _ in range(400):
+        algebras = rng.randint(2, 4)
+        patterns.append(tuple(_types(rng.choice, rng.randint(0, size), algebras)
+                              for size in (5, 8, 5)))
+    decided = 0
+    for b_types, x_types, a_types in patterns:
+        if _junction_depth(b_types, x_types) + _junction_depth(x_types, a_types) >= len(x_types):
+            continue
+        decided += 1
+        t = freewords._Table()
+        b, x, a = (freewords._atoms(t, name, types)
+                   for name, types in zip("bxa", (b_types, x_types, a_types)))
+        eb, ex, ea = ({(w, ()): 1} for w in (b, x, a))
+        assert oracles._commutator_into(t, {}, eb, ex, ea, oracles._defect_into(t, {}, eb, ex)) == {}
+        assert oracles._boundary_main_sum(t, b, x, a) == {}
+    assert decided > 3000
+
+
+def _junction_depth(u, v):
+    """depth(u, v) for two type tuples."""
+    return freewords._depth(reversed(u), v)
+
+
+def test_depth_counts_the_letters_that_meet():
+    assert _junction_depth((), (0, 1)) == _junction_depth((0, 1), ()) == 0
+    assert _junction_depth((2, 0, 1), (1, 0, 2)) == 3
+    assert _junction_depth((2, 0, 1), (1, 2, 0)) == 1
+    assert _junction_depth((0, 1, 0), (1, 0)) == 0
+    assert _junction_depth((1, 0), (0, 1, 0)) == 2

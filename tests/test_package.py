@@ -89,8 +89,11 @@ import sys
 bare = set(sys.modules)
 import contextlib, io, json
 import qgs.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = qgs.cli.main(json.loads(sys.argv[1]))
+argv = json.loads(sys.argv[1])
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qgs.cli.main(argv)
 print(json.dumps([code, sorted(set(sys.modules) - bare)]))
 """
 
@@ -109,6 +112,24 @@ def test_word_calculus_loads_neither_dataclasses_nor_inspect(argv):
     assert code == 0
     assert "qgs.freewords" in loaded
     assert not {"dataclasses", "inspect"} & set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["freeprod-verify", "--max-x", "2", "--max-side", "1", "--algebras", "2"],
+        ["freeprod-verify", "--b", "0,1", "--x", "1,0,1", "--a", "1,0", "--format", "csv"],
+    ],
+)
+def test_cli_import_and_word_calculus_load_neither_decimal_nor_fractions(argv):
+    # cli formats a number past the double range through decimal, and
+    # freewords makes a Fraction of a coefficient that is not an int; each
+    # imports the module there alone (fractions imports decimal)
+    code, loaded = _fresh(_BEYOND_BARE, json.dumps(argv))
+    assert code == (0 if argv else None)
+    assert "qgs.cli" in loaded
+    assert not {"decimal", "fractions"} & set(loaded)
 
 
 _BUDGET = """
@@ -508,7 +529,8 @@ def test_layer_bench_writes_every_layer(tmp_path):
                  "chebyshev.QParameter", "templieb._tables",
                  "templieb._closed_form", "freewords._verify", "estimates._FloatCells.decimal",
                  "estimates._ExactCells.rational", "fusion._fusion_checks",
-                 "cli._row+_emit.fusion",
+                 "cli._row+_emit.fusion", "freewords._verify.long_x",
+                 "freewords.expansion_sweep", "cli._row+_emit.freeprod",
                  *(f"compile.{m[:-3]}" for m in modules)):
         row = layers[name]
         assert 0 <= row["best_s"] <= row["median_s"] <= row["worst_s"]

@@ -22,8 +22,9 @@ eigenvalues, dimension tables and the HS certificate at decimal q (2,115
 at q = 4/11, the exact table ceiling), and numbers near 2^2000 and 2^20000
 for the record writer; the isometries of lemma65 to label 104 at q = 0.5,
 a 200 x 5 gap grid at q = 0.3 and 4/11, the sum rules of a 40-label fusion
-grid, the record of the grid to label 200 at q = 0.3, and 1,000 reads of
-each of four q by QParameter.  --tiny shrinks every size, for a smoke test.  The
+grid, the record of the grid to label 200 at q = 0.3, 1,000 reads of
+each of four q by QParameter, the freeprod-verify sweep (4, 3, 3) and its
+record, and one word pattern with an x of 256 letters.  --tiny shrinks every size, for a smoke test.  The
 compile time of each module is measured with compile() on its source,
 which is what a process without a bytecode cache pays.
 """
@@ -144,6 +145,32 @@ def _kernel_layers(tiny):
     # one pattern of the (4, 3, 3) sweep: x of 4 letters, b and a of 3, 3 algebras
     pattern = ((0, 1), (2, 0, 1), (0, 2)) if tiny else ((0, 1, 2), (0, 1, 0, 2), (1, 2, 0))
     yield "freewords._verify", lambda: freewords._verify(freewords._Table(), *pattern)
+    # one long-x pattern: x of 256 letters over 3 algebras, b and a of 3 meeting it
+    # letter by letter
+    long_x = tuple(i % 3 for i in range(16 if tiny else 256))
+    long_pattern = (long_x[2::-1], long_x, long_x[:-4:-1])
+    yield "freewords._verify.long_x", lambda: freewords._verify(freewords._Table(), *long_pattern)
+    # the sweep of freeprod-verify --max-x 4 --max-side 3 --algebras 3, and its record
+    sweep = (2, 2, 3) if tiny else (4, 3, 3)
+    yield "freewords.expansion_sweep", lambda: freewords.expansion_sweep(
+        max_x=sweep[0], max_side=sweep[1], algebras=sweep[2])
+    argv = ["freeprod-verify", "--max-x", str(sweep[0]), "--max-side", str(sweep[1]),
+            "--algebras", str(sweep[2]), "--output", os.devnull]
+    freeprod_args = cli.build_parser(argv).parse_args(argv)
+    reports = freewords.expansion_sweep(max_x=sweep[0], max_side=sweep[1], algebras=sweep[2])
+
+    def freeprod_record():
+        rows = [cli._row(None, b=rep.b_types, x=rep.x_types, a=rep.a_types,
+                         lhs_is_zero=rep.lhs_is_zero, must_vanish=rep.must_vanish,
+                         max_word_length=rep.ledger.max_word_length,
+                         length_bound=rep.ledger.bound, residual_zero=rep.residual.is_zero(),
+                         passed=rep.passed) for rep in reports]
+        failures = sum(1 for row in rows if not row["passed"])
+        result = {"patterns": len(rows), "failures": failures}
+        verdict = "pass" if failures == 0 else "fail"
+        cli._emit(freeprod_args, cli._record(freeprod_args, verdict, result, rows))
+
+    yield "cli._row+_emit.freeprod", freeprod_record
 
     # every cell of a gap-scan --alpha-max 200 --gamma-max 5, tables built too
     alpha_max, gamma_max = (20, 2) if tiny else (200, 5)
