@@ -1,12 +1,11 @@
 """Spectral, fusion and intertwiner toolkit for free orthogonal quantum groups.
 
-The package is lazy: a public name imports its submodule on first access,
-so a caller pays for numpy (the optional ``chain`` extra) only when it
-builds the qubit-chain objects of ``templieb`` (``tl_rep``, a
-``jones_wenzl`` basis or matrix, ``weight_matrix``, an isometry's ``V``),
-which no CLI subcommand does.  Nothing else needs more than the standard
-library: a decimal q is held as a decimal.Decimal, and so is every
-number computed at it, rounded to the working precision.
+The package is lazy: a public name imports its submodule on first access.
+Nothing in it needs more than the standard library, and every public
+function takes and returns standard-library numbers: a decimal q is held as
+a decimal.Decimal, and so is every number computed at it, rounded to the
+working precision.  A number of another library is refused with a
+TypeError; pass it as str(x) or a Fraction.
 The arithmetic on a returned Decimal follows the caller's decimal
 context, of 28 digits by default: widen it with decimal.localcontext.
 """
@@ -32,8 +31,7 @@ _EXPORTS = {
                  "gap_limit", "multiplier", "resolvent_coeff", "semigroup_coeff",
                  "semigroup_rate", "spectral_data", "spectral_rows", "spectral_stream"),
     "templieb": ("commutator_estimate", "commutator_suite", "fusion_isometry",
-                 "jones_wenzl", "jw_report", "pentagon_bound", "pentagon_defect",
-                 "tl_rep", "weight_matrix"),
+                 "jw_report", "pentagon_bound", "pentagon_defect"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -13,13 +13,14 @@ recurrence.  Large-degree evaluation must never expand coefficients.
 
 A decimal q is held as a decimal.Decimal.  ``_read`` is the one reader of
 q, for QParameter and the CLI alike: a fraction or an integer is read
-exactly, a float or an mpf as the Decimal of its exact value, and decimal
-text or a Decimal rounded once into the context of the working width
-(_context).  Every number computed at a decimal q is a Decimal in one
-context per call, and a caller's number joins it through _decimal, rounded
-once from its exact value.  A decimal q of exactly 1 is held as
-Fraction(1), on q = 1's route.  Nothing here imports mpmath: an mpf is read
-from its _mpf_ tuple.
+exactly, a float as the Decimal of its exact value, and decimal text or a
+Decimal rounded once into the context of the working width (_context).
+Every number computed at a decimal q is a Decimal in one context per call,
+and a caller's number joins it through _decimal, rounded once from its
+exact value.  A decimal q of exactly 1 is held as Fraction(1), on q = 1's
+route.  Both read only int, float, Fraction, Decimal and str, and refuse
+any other type with a TypeError (_refused): an mpmath mpf, say, is passed
+as str(x) or as a Fraction, so that no float() drops its digits.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import math
 import re
 import sys
 from collections import namedtuple
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
-                     InvalidOperation, localcontext)
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation,
+                     localcontext)
 from fractions import Fraction
 from itertools import islice
 
@@ -54,35 +55,28 @@ def poly_value(alpha, x):
     return next(islice(_values(x), alpha, None))
 
 
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-
 # a plain decimal literal, split as mpmath's string parser splits one; re
 # compiles it on the first decimal string read, not on every import
 _LITERAL = r"([+-]?\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?"
 
 
 def _read(q, bits):
-    """q as a number for QParameter.  A finite float or mpf is the Decimal of
-    its exact value, and a finite Decimal or a plain decimal literal d * 10^e
+    """q as a number for QParameter.  A finite float is the Decimal of its
+    exact value, and a finite Decimal or a plain decimal literal d * 10^e
     (stripped) a Decimal rounded half-even once into the context of bits;
     one that rounds to 1 but is not 1 is a ValueError.  Text with a '/' in it
     is a Fraction, and integer text an int, both exact.  A literal below
-    1e-400 or from 1e401 in magnitude, or an mpf past 2^+-1400, is 10^+-1400
-    of its sign, settled by its size without forming 10^|e| or 5^|exp|.
-    'inf' and 'nan', as mpmath.mpf spells them, and a non-finite float or
-    Decimal are the non-finite floats, and a non-finite mpf stays one; the
-    range check refuses those last kinds.  Other text is a ValueError."""
+    1e-400 or from 1e401 in magnitude is 10^+-1400 of its sign, settled by
+    its size without forming 10^|e|.  'inf' and 'nan', as mpmath.mpf spells
+    them, and a non-finite float or Decimal are the non-finite floats, which
+    the range check refuses.  Other text is a ValueError, and any other type
+    a TypeError (_refused)."""
     if isinstance(q, float):
         return Decimal(q) if math.isfinite(q) else q
-    if hasattr(type(q), "_mpf_"):
-        sign, man, exp, bc = q._mpf_
-        if man and not -1400 < exp + bc <= 1400:  # 2^(exp + bc - 1) <= |q| < 2^(exp + bc)
-            return Decimal(f"{'-' if sign else ''}1e{1400 if exp + bc > 0 else -1400}")
-        q = _exact(q)
-        return _EXACT.divide(q.numerator, q.denominator) if isinstance(q, Fraction) else q
-    if not isinstance(q, str):
+    if isinstance(q, Decimal):
         value = q
+    elif not isinstance(q, str):
+        raise _refused(q, "q")
     elif "/" in q:
         try:
             return Fraction(q)
@@ -100,6 +94,14 @@ def _read(q, bits):
         raise ValueError(f"q = {q} reads as 1 at {bits} bits: give q as a fraction, "
                          "or a wider --precision-bits")
     return rounded
+
+
+def _refused(x, name="x"):
+    """The TypeError for a number that is no Fraction, int, float, str or
+    Decimal, such as an mpmath mpf or mpc: it would be read through float()
+    and lose its digits, or not be read at all."""
+    return TypeError(f"{name} must be Fraction, int, float, str or Decimal, not "
+                     f"{type(x).__name__}: pass it as str({name}) or a Fraction")
 
 
 def _literal(q):
@@ -130,27 +132,17 @@ def _context(bits):
                    Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _exact(x):
-    """A finite mpf as the Fraction of its value; any other x (an mpc, an
-    infinity, a NaN) as it is."""
-    if not hasattr(type(x), "_mpf_"):
-        return x
-    sign, man, exp, _ = x._mpf_
-    if not man and exp:
-        return x
-    man = -int(man) if sign else int(man)
-    return Fraction(man << max(exp, 0), 1 << max(-exp, 0))
-
-
 def _decimal(x, ctx):
     """x as a Decimal rounded once into ctx from its exact value: an int, a
-    float, a Fraction, an mpf (by its _exact value), a Decimal, or a decimal
-    string as Decimal reads it.  A non-finite x stays non-finite."""
-    x = _exact(x)
+    float, a Fraction, a Decimal, or a decimal string as Decimal reads it;
+    any other type is a TypeError (_refused).  A non-finite x stays
+    non-finite."""
     if isinstance(x, Fraction):
         return ctx.divide(x.numerator, x.denominator)
+    if not isinstance(x, (int, float, str, Decimal)):
+        raise _refused(x)
     try:
-        return ctx.plus(Decimal(x if isinstance(x, (int, str, Decimal)) else float(x)))
+        return ctx.plus(Decimal(x))
     except InvalidOperation:  # a string Decimal does not read, as '1/3'
         raise ValueError(f"could not convert string to a number: {x!r}") from None
 
@@ -169,10 +161,11 @@ class QParameter(namedtuple("QParameter", "q N")):
     (equivalently q no larger than the smallest positive root of
     x^2 - N*x + 1).  Rational q (a Fraction, an int, or text that _read
     reads as one, such as "1/3") keeps all derived values exact; a float,
-    decimal text, a Decimal or an mpf is held as a decimal.Decimal, exact
-    for a float or an mpf, text or a Decimal rounded once at the working
-    precision (at least 53 bits), and nq is then a Decimal too.  One that
-    is exactly 1 is held as Fraction(1).
+    decimal text or a Decimal is held as a decimal.Decimal, exact for a
+    float, text or a Decimal rounded once at the working precision (at
+    least 53 bits), and nq is then a Decimal too.  One that is exactly 1 is
+    held as Fraction(1).  A q of any other type is a TypeError: pass it as
+    str(q) or a Fraction.
     """
 
     __slots__ = ()
@@ -182,12 +175,10 @@ class QParameter(namedtuple("QParameter", "q N")):
         _check_n(N)
         if isinstance(q, bool):
             raise ValueError("q must be a number in (0, 1]")
-        if isinstance(q, (float, str, Decimal)) or hasattr(type(q), "_mpf_"):
+        if not isinstance(q, (int, Fraction)):
             q = _read(q, max(precision_bits(), 53))  # never narrower than a float
-        elif not isinstance(q, (int, Fraction)) and not hasattr(type(q), "_mpc_"):
-            raise TypeError("q must be Fraction, int, float, str, Decimal or mpf")
         q = Fraction(q) if isinstance(q, int) else q
-        if not 0 < q <= 1:  # an mpc fails the ordering
+        if not 0 < q <= 1:
             raise ValueError("q must lie in (0, 1]")
         q = Fraction(1) if q == 1 else q  # q = 1.0 takes the exact route of q = 1
         if float(q) < 1 / sys.float_info.max:

@@ -42,7 +42,7 @@ _DECIMAL = None
 
 
 class _Wide:
-    """A finite number beyond the double range, held as its 12-digit text."""
+    """A finite number outside the normal double range, held as its 12-digit text."""
 
     def __init__(self, text):
         self.text = text
@@ -52,16 +52,16 @@ class _Wide:
 
 
 def _num(x):
-    """x at 12 significant digits: a float, or _Wide for a finite Fraction or
-    Decimal beyond the double range (a float that is already infinite stays
-    so)."""
+    """x at 12 significant digits: a float, or _Wide for a finite nonzero
+    Fraction or Decimal beyond the double range or below its normal range,
+    where a float would keep fewer digits or none (a float stays a float)."""
     global _DECIMAL
     try:
         value = float(x)
     except OverflowError:  # a Fraction beyond the double range
         value = math.inf
-    if not math.isinf(value) or isinstance(x, float):
-        return float(f"{value:.12g}")
+    if isinstance(x, float) or sys.float_info.min <= abs(value) < math.inf or not x or value != value:
+        return float(f"{value:.12g}")  # a float, a normal double, a zero or a NaN
     if _DECIMAL is None:
         from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
         from fractions import Fraction
@@ -70,9 +70,11 @@ def _num(x):
     Decimal, Fraction, digits = _DECIMAL
     if isinstance(x, Fraction):
         num, den = x.numerator, x.denominator
-        # the quotient by 10^k has at least 29 digits, and a last sticky digit marks
-        # a nonzero remainder, so the one half-even rounding to 12 digits is exact
-        k = (abs(num).bit_length() - den.bit_length()) * 3 // 10 - 30
+        # 2^(e-1) < |x| < 2^(e+1) and 0.3 < log10(2) < 0.31, so the quotient by 10^k
+        # has at least 29 digits, and a last sticky digit marks a nonzero
+        # remainder, so the one half-even rounding to 12 digits is exact
+        e = abs(num).bit_length() - den.bit_length()
+        k = min(e * 3 // 10, e * 31 // 100) - 30
         q, r = divmod(abs(num) * 10 ** max(-k, 0), den * 10 ** max(k, 0))
         x = Decimal(f"{'-' if num < 0 else ''}{10 * q + (r > 0)}E{k - 1}")
     return _Wide(format(digits.plus(x).normalize(digits), "g"))

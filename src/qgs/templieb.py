@@ -15,15 +15,14 @@ sector at a time in plain floats, each level's sectors grown from the last.
 A fusion isometry is kept as its coefficients in these weight bases, from
 their closed form as one alternating sum of symmetric q-binomials
 (Kirillov-Reshetikhin 1989).  The bracketings of a double fusion contract
-those coefficients with no 2^n vector and no numpy, n log2(1/q) bits above
+those coefficients with no 2^n vector, n log2(1/q) bits above
 the working precision (_bits), as their gap of size q^n on n sites is a
 difference of terms of size 1.  These kernels run on decimal.Decimal, in
 one context per call of as many digits as those bits need (_context), and
 import no mpmath; fusion_isometry returns its coefficients as those
-Decimals.  The chain objects (generators, projections, weight matrices, an
-isometry's chain matrix V) are float64 and read-only, hold at most
-MAX_STRANDS sites, and are the only code here that imports numpy, when
-called.
+Decimals.  Nothing here builds a 2^n chain array: the dense generators,
+projections and chain matrices are the tests' reference (tests/oracles.py),
+and jw_report checks at most MAX_STRANDS sites.
 
 Nothing is kept between calls.  Each public call builds one q-binomial
 table up to the largest label it needs and a memo of the isometries it
@@ -46,7 +45,6 @@ from .errors import NumericalDegradationError, ResourceLimitError
 from .precision import precision_bits
 
 MAX_STRANDS = 14
-DENSE_LIMIT = 12
 
 # The closed form's one ceiling, in table entries plus coefficient summands
 # weighted by 1 + (bits/1000)^1.5 (_check_work).  On decimal.Decimal a unit
@@ -62,130 +60,9 @@ _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _PARTS = {(k, l): ((k, l),) for k, l in _SIGNS[:3]} | {(-1, -1): _SIGNS[:3]}
 
 
-class TLRep:
-    """Temperley-Lieb generators e_1 .. e_{n-1} on an n-site qubit chain."""
-
-    def __init__(self, param, n, e4):
-        self.param = param
-        self.n = n
-        self.delta = float(param.nq)
-        self._e4 = e4
-
-    def _check_index(self, i):
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"generator index {i} out of range for {self.n} sites")
-
-    def apply(self, i, block):
-        """e_i applied to a vector or to the columns of a matrix."""
-        import numpy as np
-
-        self._check_index(i)
-        block = np.asarray(block, dtype=float)
-        out = np.einsum("ab,xby->xay", self._e4, block.reshape(2 ** (i - 1), 4, -1))
-        return out.reshape(block.shape)
-
-    def generator_matrix(self, i):
-        import numpy as np
-
-        self._check_index(i)
-        if self.n > DENSE_LIMIT:
-            raise ResourceLimitError(
-                f"dense generator needs 4^{self.n} entries; limit is {DENSE_LIMIT} sites"
-            )
-        left = np.eye(2 ** (i - 1))
-        right = np.eye(2 ** (self.n - i - 1))
-        return np.kron(np.kron(left, self._e4), right)
-
-
 def _check_strands(n):
     if n > MAX_STRANDS:
         raise ResourceLimitError(f"{n} sites exceeds the {MAX_STRANDS}-site limit")
-
-
-def tl_rep(param, n):
-    import numpy as np
-
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("need at least one site")
-    _check_strands(n)
-    root = math.sqrt(float(param.q))
-    w = np.array([0.0, root, -1.0 / root, 0.0])  # the defining vector
-    return TLRep(param, n, np.outer(w, w))
-
-
-def _dicke_basis(q, n):
-    """Unit q-Dicke vectors v_k(w) ~ q^(-inv(w)), one column per weight k = 0..n.
-
-    inv(w) counts the pairs i < j with w_i = 0 and w_j = 1.  Each column is
-    stored as q^(k(n-k) - inv(w)), whose entries lie in (0, 1], and then
-    normalised, so no power of 1/q can overflow.
-    """
-    import numpy as np
-
-    words = np.arange(2 ** n)
-    weight = np.zeros(2 ** n, dtype=np.int64)
-    inv = np.zeros(2 ** n, dtype=np.int64)
-    for site in range(n):  # last site first: weight counts the ones to its right
-        bit = (words >> site) & 1
-        inv += (1 - bit) * weight
-        weight += bit
-    basis = np.zeros((2 ** n, n + 1))
-    basis[words, weight] = q ** (weight * (n - weight) - inv).astype(float)
-    return basis / np.linalg.norm(basis, axis=0)
-
-
-class JWProjection:
-    """Top-label projection on n sites, stored through an orthonormal image basis.
-
-    Column k of the basis is the q-Dicke vector of weight k, so every weight
-    operator of the chain is diagonal on it.
-    """
-
-    def __init__(self, param, n, basis):
-        self.param = param
-        self.n = n
-        self.basis = basis
-        self.rank = basis.shape[1]
-
-    def matrix(self):
-        if self.n > DENSE_LIMIT:
-            raise ResourceLimitError(
-                f"dense projection needs 4^{self.n} entries; limit is {DENSE_LIMIT} sites"
-            )
-        return self.basis @ self.basis.T
-
-    def quantum_trace(self):
-        """Trace against the product of diag(1/q, q), which is q^(2k-n) on the
-        words of weight k where column k lives; equals [n+1] up to roundoff."""
-        import numpy as np
-
-        with np.errstate(over="ignore"):  # inf, not inf * 0, at tiny q
-            weights = float(self.param.q) ** np.arange(-self.n, self.n + 1, 2.0)
-        return float(weights @ np.einsum("xj,xj->j", self.basis, self.basis))
-
-
-def jones_wenzl(param, n):
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("label must be nonnegative")
-    _check_strands(n)
-    basis = _dicke_basis(float(param.q), n)
-    basis.setflags(write=False)
-    return JWProjection(param, n, basis)
-
-
-def weight_matrix(param, alpha):
-    """diag(q^(2k - alpha)) on the image basis: trace [alpha+1], identity at q = 1."""
-    alpha = operator.index(alpha)
-    if alpha < 0:
-        raise ValueError("label must be nonnegative")
-    _check_strands(alpha)
-    import numpy as np
-
-    matrix = np.diag(float(param.q) ** np.arange(-alpha, alpha + 1, 2.0))
-    matrix.setflags(write=False)
-    return matrix
 
 
 def _bits(param, sites):
@@ -268,12 +145,11 @@ class FusionIsometry(namedtuple("FusionIsometry", "param alpha beta gamma bits c
     ``coefficients`` maps (i, j) to the coefficient, a Decimal in the context
     of ``bits`` (chebyshev._context), of basis vectors i of p_alpha and j of
     p_beta in the image of target vector k = i + j - (alpha+beta-gamma)/2:
-    weights are kept, so no other entry is nonzero.  ``V``, the chain matrix (B_alpha (x) B_beta) C, is built on its
-    first read and kept with the isometry.  Isometries compare and hash by
-    identity.
+    weights are kept, so no other entry is nonzero.  Isometries compare and
+    hash by identity.
     """
 
-    # no __slots__: V is kept in the instance __dict__
+    __slots__ = ()
     __hash__ = object.__hash__
 
     def __eq__(self, other):
@@ -281,23 +157,6 @@ class FusionIsometry(namedtuple("FusionIsometry", "param alpha beta gamma bits c
 
     def __ne__(self, other):
         return self is not other
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    @functools.cached_property
-    def V(self):
-        import numpy as np
-
-        _check_strands(self.alpha + self.beta)
-        ba, bb = (jones_wenzl(self.param, n).basis for n in (self.alpha, self.beta))
-        m = (self.alpha + self.beta - self.gamma) // 2
-        v = np.zeros((2 ** self.alpha, 2 ** self.beta, self.gamma + 1))
-        for (i, j), c in self.coefficients.items():
-            v[:, :, i + j - m] += float(c) * np.outer(ba[:, i], bb[:, j])
-        v = v.reshape(2 ** (self.alpha + self.beta), -1)
-        v.setflags(write=False)
-        return v
 
 
 def _check_channel(gamma, left, right):  # not fuse(left, right): labels may be huge

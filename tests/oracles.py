@@ -1,5 +1,5 @@
-"""Reference routes for the Chebyshev family and the word calculus, read
-only by the tests.
+"""Reference routes for the Chebyshev family, the qubit chain and the word
+calculus, read only by the tests.
 
 The package evaluates U_a by one value recurrence (qgs.chebyshev._values)
 and the eigenvalues U'_a/U_a at q + 1/q by a closed form
@@ -10,6 +10,13 @@ in the tests read the package's numbers through to_mpf, at a width set by
 working_precision: mpmath is the tests' oracle, and the package never
 imports it.
 
+The Temperley-Lieb suites (qgs.templieb) work on weight sectors and on the
+coefficients of each fusion isometry, and never build a 2^n chain array.
+The dense chain routes here are their reference, in float64 on numpy:
+the generators e_i (tl_apply, tl_generator), the q-Dicke basis of the
+image of each top-label projection (dicke_basis), and an isometry's chain
+matrix built from its coefficients (chain_matrix).
+
 The word calculus (qgs.freewords) multiplies on junction cores and writes
 the commutator as E(b, x) a - E(b, x a).  The reference here is the full
 junction rewrite of every product, and the commutator as C(b, x) a -
@@ -18,6 +25,7 @@ id tables; _verify is the verifier on that route, with a boundary sum of
 its own that checks every junction pair.
 """
 
+import math
 from collections import namedtuple
 from contextlib import contextmanager
 from decimal import Decimal
@@ -100,6 +108,62 @@ def working_precision(bits=None):
 
     with mpmath.workprec(bits if bits is not None else precision_bits()):
         yield mpmath.mp
+
+
+def tl_apply(q, i, block):
+    """e_i applied to a chain vector or to the columns of a matrix: the
+    rank-one |w><w| on sites i and i+1 for the defining vector
+    w = sqrt(q)|01> - (1/sqrt(q))|10>, site 1 the most significant bit."""
+    import numpy as np
+
+    root = math.sqrt(q)
+    w = np.array([0.0, root, -1.0 / root, 0.0])
+    block = np.asarray(block, dtype=float)
+    out = np.einsum("ab,xby->xay", np.outer(w, w), block.reshape(2 ** (i - 1), 4, -1))
+    return out.reshape(block.shape)
+
+
+def tl_generator(q, n, i):
+    """The dense 2^n x 2^n matrix of e_i on n sites, i = 1..n-1."""
+    import numpy as np
+
+    return tl_apply(q, i, np.eye(2 ** n))
+
+
+def dicke_basis(q, n):
+    """Unit q-Dicke vectors v_k(w) ~ q^(-inv(w)), one column per weight k = 0..n.
+
+    inv(w) counts the pairs i < j with w_i = 0 and w_j = 1.  Each column is
+    stored as q^(k(n-k) - inv(w)), whose entries lie in (0, 1], and then
+    normalised, so no power of 1/q can overflow.
+    """
+    import numpy as np
+
+    words = np.arange(2 ** n)
+    weight = np.zeros(2 ** n, dtype=np.int64)
+    inv = np.zeros(2 ** n, dtype=np.int64)
+    for site in range(n):  # last site first: weight counts the ones to its right
+        bit = (words >> site) & 1
+        inv += (1 - bit) * weight
+        weight += bit
+    basis = np.zeros((2 ** n, n + 1))
+    basis[words, weight] = q ** (weight * (n - weight) - inv).astype(float)
+    return basis / np.linalg.norm(basis, axis=0)
+
+
+def chain_matrix(iso):
+    """The chain matrix (B_alpha (x) B_beta) C of a fusion isometry, with
+    2^(alpha+beta) rows and gamma + 1 columns: its coefficients C on the
+    q-Dicke bases B (dicke_basis), in float64."""
+    import numpy as np
+
+    q = float(iso.param.q)
+    ba, bb = dicke_basis(q, iso.alpha), dicke_basis(q, iso.beta)
+    m = (iso.alpha + iso.beta - iso.gamma) // 2
+    v = np.zeros((2 ** iso.alpha, 2 ** iso.beta, iso.gamma + 1))
+    for (i, j), c in iso.coefficients.items():
+        v[:, :, i + j - m] += float(c) * np.outer(ba[:, i], bb[:, j])
+    return v.reshape(2 ** (iso.alpha + iso.beta), -1)
 
 
 def _concat_into(t, out, w1, w2, phis, coeff):

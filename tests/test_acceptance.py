@@ -4,8 +4,10 @@ Each criterion prints a [PASS]/[FAIL] line with its headline numbers and
 then asserts.  Oracles are independent of the library paths they check:
 the eigenvalue criterion uses the hyperbolic closed form, the semigroup
 criterion uses a central finite difference, the Cesaro criterion uses the
-analytic slope of each probe, and the word-calculus criterion relies on
-exact rational bookkeeping.
+analytic slope of each probe, the Temperley-Lieb criterion builds the
+dense generators, projections and isometry chain matrices of
+tests/oracles.py, and the word-calculus criterion relies on exact rational
+bookkeeping.
 """
 
 import math
@@ -15,7 +17,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from oracles import to_mpf, working_precision
+from oracles import chain_matrix, dicke_basis, tl_generator, to_mpf, working_precision
 from qgs import (
     QParameter,
     amenability_criterion,
@@ -28,7 +30,6 @@ from qgs import (
     gap_constant_scan,
     gap_limit,
     hs_certificate,
-    jones_wenzl,
     jw_report,
     pentagon_bound,
     pentagon_defect,
@@ -36,7 +37,6 @@ from qgs import (
     semigroup_coeff,
     semigroup_rate,
     spectral_data,
-    tl_rep,
 )
 from qgs.freewords import expansion_sweep
 
@@ -95,11 +95,11 @@ def test_criterion_03_semigroup_generator():
         param = QParameter(qv, 2)
         for alpha in range(1, 51):
             with working_precision():
-                h = mpmath.mpf(10) ** -7
+                h = Fraction(1, 10**7)  # t = 1 +- h exactly: the library reads no mpf
                 fd = (
                     to_mpf(semigroup_coeff(param, alpha, 1 + h))
                     - to_mpf(semigroup_coeff(param, alpha, 1 - h))
-                ) / (2 * h)
+                ) / (2 * to_mpf(h))
                 rate = to_mpf(semigroup_rate(param, alpha))
                 worst = max(worst, abs(float((fd - rate) / rate)))
     ok = worst <= 1e-6
@@ -162,8 +162,7 @@ def test_criterion_07_tl_suite():
         param = QParameter(qv, 2)
         delta = float(param.nq)
         for n in range(2, 11):
-            rep = tl_rep(param, n)
-            gens = [rep.generator_matrix(i) for i in range(1, n)]
+            gens = [tl_generator(qv, n, i) for i in range(1, n)]
             for i, e in enumerate(gens, 1):
                 worst_rel = max(worst_rel, np.max(np.abs(e @ e - delta * e)))
                 for j in range(i + 1, n):
@@ -179,13 +178,11 @@ def test_criterion_07_tl_suite():
         for total in range(2, 9):
             for alpha in range(1, total):
                 beta = total - alpha
-                target = np.kron(
-                    jones_wenzl(param, alpha).matrix(),
-                    jones_wenzl(param, beta).matrix(),
-                )
+                ba, bb = dicke_basis(qv, alpha), dicke_basis(qv, beta)
+                target = np.kron(ba @ ba.T, bb @ bb.T)
                 acc = np.zeros_like(target)
                 for gamma in fuse(alpha, beta):
-                    v = fusion_isometry(param, alpha, beta, gamma).V
+                    v = chain_matrix(fusion_isometry(param, alpha, beta, gamma))
                     acc += v @ v.T
                 worst_res = max(worst_res, float(np.max(np.abs(acc - target))))
     ok = (

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 
 from oracles import (ChebyshevPoly, build_poly, poly_derivative, poly_value_and_derivative,
                      to_mpf, working_precision)
-from qgs.chebyshev import (QParameter, _context, _decimal, _exact, _read, _root, poly_value,
-                           q_number)
+from qgs.chebyshev import QParameter, _context, _decimal, _read, _root, poly_value, q_number
 from qgs.precision import set_precision_bits
 
 
@@ -285,14 +284,17 @@ def test_qparameter_repr_and_immutability():
         (Fraction(1, 2), 1, ValueError, "N must be an integer >= 2"),
         (Fraction(1, 2), 2.0, ValueError, "N must be an integer >= 2"),
         (True, 2, ValueError, "q must be a number in (0, 1]"),
-        (1j, 2, TypeError, "q must be Fraction, int, float, str, Decimal or mpf"),
+        (1j, 2, TypeError, "q must be Fraction, int, float, str or Decimal, not complex: pass it "
+         "as str(q) or a Fraction"),
         (0, 2, ValueError, "q must lie in (0, 1]"),
         (Fraction(3, 2), 2, ValueError, "q must lie in (0, 1]"),
         ("1e-400", 2, ValueError, "q = 1e-400 is too small: q + 1/q exceeds the double range"),
         (Fraction(1, 2), 3, ValueError, "q + 1/q = 2.5 is below N = 3; q may not exceed the "
          "smallest positive root of x^2 - N*x + 1"),
-        (mpmath.mpc(0.5, 1), 2, TypeError, "no ordering relation is defined for complex numbers"),
-        (mpmath.mpf("inf"), 2, ValueError, "q must lie in (0, 1]"),
+        (mpmath.mpc(0.5, 1), 2, TypeError, "q must be Fraction, int, float, str or Decimal, not "
+         "mpc: pass it as str(q) or a Fraction"),
+        (mpmath.mpf("inf"), 2, TypeError, "q must be Fraction, int, float, str or Decimal, not "
+         "mpf: pass it as str(q) or a Fraction"),
         (Decimal("1.5"), 2, ValueError, "q must lie in (0, 1]"),
         (Decimal("Infinity"), 2, ValueError, "q must lie in (0, 1]"),
         (Decimal("NaN"), 2, ValueError, "q must lie in (0, 1]"),
@@ -339,27 +341,34 @@ def test_decimal_strings_read_as_mpmath_reads_them(bits):
         set_precision_bits(None)
 
 
-def test_float_and_mpf_inputs_are_held_exactly():
+_REFUSED = r"must be Fraction, int, float, str or Decimal, not mp[fc]: pass it as str\(\w+\) or a Fraction"
+
+
+def test_float_inputs_are_held_exactly_and_mpf_inputs_refused():
     for x in (0.1, 0.9999, 2.0 ** -1000, 1e-300, math.nextafter(1.0, 0)):
         q = QParameter(x, 2).q
         assert type(q) is Decimal and q == Decimal(x) and Fraction(q) == Fraction(x)
         assert float(q) == x
+    # an mpf or an mpc is refused before any of its digits is read, whatever its size
     with mpmath.workprec(300):
         third = mpmath.mpf(1) / 3
-        q = QParameter(third, 2).q  # kept at its 300 bits, not rounded to 128
-        assert type(q) is Decimal and Fraction(q) == Fraction(int(third.man), 2 ** -third.exp)
-        assert to_mpf(q) == third and len(q.as_tuple().digits) > 200
-    # a Decimal given back is rounded once, as its text would be
-    assert QParameter(q, 2).q == _context(128).plus(q) == QParameter(str(q), 2).q
-    # an mpf past 2^+-1400 is settled by its exponent, without forming 5^|exp|
     start = time.perf_counter()
-    for x, message in ((mpmath.mpf("1e-10000000"), "too small"), (-mpmath.mpf("1e-10000000"),
-                       "lie in"), (mpmath.mpf("1e10000000"), "lie in")):
-        with pytest.raises(ValueError, match=message):
+    for x in (third, mpmath.mpf("1e-10000000"), -mpmath.mpf("1e-10000000"),
+              mpmath.mpf("1e10000000"), mpmath.mpf("nan"), mpmath.mpc(0.5, 0)):
+        with pytest.raises(TypeError, match=_REFUSED):
             QParameter(x, 2)
+        with pytest.raises(TypeError, match=_REFUSED):
+            _read(x, 128)
     assert time.perf_counter() - start < 0.5
-    assert _read(mpmath.mpf("1e-10000000"), 128) == Decimal("1e-1400")
-    assert _read(mpmath.mpf(2) ** -1399, 128) == Fraction(1, 2**1399)  # within the range, exact
+    # its ways in: a Fraction is held exactly, and its text rounded once at the width
+    man, exp = third.man_exp
+    exact = Fraction(man, 2 ** -exp)
+    assert QParameter(exact, 2).q == exact
+    assert QParameter(str(third), 2).q == _context(128).plus(Decimal(str(third)))
+    # a Decimal given back is rounded once, as its text would be
+    q = Decimal(f"{man * 5 ** -exp}E{exp}")  # the 300-bit third, exactly
+    assert Fraction(q) == exact and len(q.as_tuple().digits) > 200
+    assert QParameter(q, 2).q == _context(128).plus(q) == QParameter(str(q), 2).q
 
 
 @pytest.mark.parametrize("bits", [53, 128, 1024])
@@ -385,16 +394,19 @@ def test_numbers_join_a_context_rounded_once(bits):
     ctx, rng = _context(bits), random.Random(bits)
     values = [0, 7, -3, 10**400 + 1, 0.1, -2.0 ** -1074, 1e300, Fraction(1, 3),
               Fraction(-10**500, 7), "0.1", "-1e-5000", " 2.5 ", Decimal("0.1") ** 500]
+    refused = [mpmath.mpc(0.5, 1)]  # an mpf or an mpc is no number _decimal reads
     for _ in range(200):
         values.append(Fraction(rng.getrandbits(300) - 2**299, rng.getrandbits(200) + 1))
         values.append(Decimal(rng.getrandbits(400)).scaleb(rng.randint(-400, 400)))
         with mpmath.workprec(rng.randint(24, 2000)):
-            values.append(mpmath.mpf(rng.random()) ** rng.randint(-40, 40))
+            refused.append(mpmath.mpf(rng.random()) ** rng.randint(-40, 40))
     values += [QParameter(text, 2).q for text in ("0.3", "0." + "7" * 60, 0.3)]
     for x in values:
-        exact = Fraction(x.strip() if isinstance(x, str) else x) if not isinstance(
-            x, mpmath.mpf) else _exact(x)
+        exact = Fraction(x.strip() if isinstance(x, str) else x)
         assert _decimal(x, ctx) == ctx.divide(exact.numerator, exact.denominator)
+    for x in refused:
+        with pytest.raises(TypeError, match=_REFUSED):
+            _decimal(x, ctx)
     assert _decimal(float("inf"), ctx).is_infinite() and _decimal("nan", ctx).is_nan()
     with pytest.raises(ValueError, match="could not convert string to a number: '1/3'"):
         _decimal("1/3", ctx)
@@ -470,8 +482,9 @@ def test_q_text_is_read_by_one_reader():
 
 
 def test_the_cost_of_q_stays_bounded():
-    # q text or an mpf is as costly as the working width, not as its own
-    # digits or exponent: each case ends in its record or its usage error
+    # q text is as costly as the working width, not as its own digits or
+    # exponent, and an mpf is refused unread: each case ends in its record
+    # or its usage error
     from qgs.spectrum import semigroup_coeff, spectral_rows
     from qgs.templieb import jw_report
 
@@ -487,8 +500,12 @@ def test_the_cost_of_q_stays_bounded():
         spectral_rows(QParameter("0." + "9" * 4000, 2), 2000)
     assert time.perf_counter() - start < 1
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="too small"):
+    with pytest.raises(TypeError, match=_REFUSED):
         QParameter(mpmath.mpf("1e-10000000"), 2)
+    with mpmath.workprec(200000):  # a 200,000-bit third, which took seconds to hold
+        third = mpmath.mpf(1) / 3
+    with pytest.raises(TypeError, match=_REFUSED):
+        QParameter(third, 2)
     assert time.perf_counter() - start < 1
 
 

@@ -1052,6 +1052,34 @@ def test_wide_decimals_match_the_exact_route():
         assert str(_num(x)) == str(_num(Fraction(x)))
 
 
+def test_numbers_below_the_normal_range_keep_12_digits():
+    # a nonzero Fraction or Decimal below the normal double range takes the
+    # wide route that a number above the range takes: its value times 10^K,
+    # above the range, gives the oracle's 12 digits, with its exponent K lower
+    rng = random.Random(43)
+    values = [Decimal("1.234567890123e-320"), Decimal("1e-400"), Fraction(1, 2**1100),
+              Decimal("-2.2250738585071e-308"), Fraction(-1, 3 * 10**5000)]
+    for _ in range(60):
+        digits = rng.randint(1, 10 ** rng.randint(1, 40))
+        exp = -rng.randint(308, 20000) - len(str(digits))
+        values.append(Decimal(f"{rng.choice('+-')}{digits}E{exp}"))
+        values.append(Fraction(rng.choice((1, -1)) * digits, rng.randint(1, 10**30) * 10**-exp))
+        tie = Decimal(f"{rng.choice('+-')}{rng.randint(10**11, 10**12 - 1)}5E{exp}")  # half-even
+        values += [tie, Fraction(tie)]
+    for x in values:
+        assert 0 < abs(x) < sys.float_info.min
+        above = x.scaleb(30000, Context(prec=60)) if isinstance(x, Decimal) else x * 10**30000
+        assert type(above) is type(x) and abs(above) > sys.float_info.max
+        mantissa, exp = str(_num(above)).split("e")
+        assert str(_num(x)) == f"{mantissa}e{int(exp) - 30000:+d}"
+        if isinstance(x, Fraction):
+            assert str(_num(x)) == _num_by_one_division(x)
+    # a float stays a float, and a zero a zero
+    assert [_num(x) for x in (1e-320, 5e-324, Decimal(0), Fraction(0), -Decimal(0))] == [
+        1e-320, 5e-324, 0.0, 0.0, -0.0]
+    assert type(_num(1e-320)) is float
+
+
 @pytest.mark.parametrize(
     "argv",
     [*SUITES, ("spectrum", "--N", "2", "--q", "0.2", "--alpha-max", "750"),

@@ -7,13 +7,14 @@ fragment pins which check fired.
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from oracles import build_poly, poly_value_and_derivative
 from qgs import precision
 from qgs.chebyshev import QParameter, poly_value, q_number
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
-from qgs.estimates import gap, gap_constant_scan, hs_certificate
+from qgs.estimates import gap, gap_constant_scan, hs_certificate, hs_coefficient
 from qgs.freewords import (
     Expression,
     Letter,
@@ -36,22 +37,20 @@ from qgs.spectrum import (
     spectral_data,
 )
 from qgs.templieb import (
-    MAX_STRANDS,
     commutator_estimate,
     commutator_suite,
     fusion_isometry,
-    jones_wenzl,
     jw_report,
     pentagon_bound,
     pentagon_defect,
-    tl_rep,
-    weight_matrix,
 )
 
 P = QParameter(Fraction(1, 2), 2)
 UNIT = QParameter(1, 2)
 HALF = QParameter(0.5, 2)
 HALF_TEXT = QParameter("0.5", 2)
+with mpmath.workprec(300):
+    THIRD = mpmath.mpf(1) / 3
 # a letter of two factors is not mean-zero, so a long word holding it cannot be centred
 UNCENTERED = Letter(0, (("a", "x", False), ("a", "y", False)), False)
 
@@ -113,13 +112,6 @@ CASES = {
     "scan_gamma_max": (lambda: gap_constant_scan(P, 20, -1), ValueError, "gamma_max must be >= 0"),
     "hs_margin": (lambda: hs_certificate(P, 0.5, 30, margin=0), ValueError, "margin must lie"),
     # templieb
-    "tl_index": (lambda: tl_rep(P, 3).apply(3, [0.0] * 8), ValueError, "generator index 3"),
-    "tl_dense": (lambda: tl_rep(P, 13).generator_matrix(1), ResourceLimitError, "dense generator"),
-    "jw_dense": (lambda: jones_wenzl(P, 13).matrix(), ResourceLimitError, "dense projection"),
-    "jw_label": (lambda: jones_wenzl(P, -1), ValueError, "label must be nonnegative"),
-    "weight_matrix_label": (lambda: weight_matrix(P, -3), ValueError, "label must be nonnegative"),
-    "weight_matrix_strands": (lambda: weight_matrix(P, MAX_STRANDS + 1), ResourceLimitError,
-                              "15 sites exceeds the 14-site limit"),
     "isometry_labels": (lambda: fusion_isometry(P, -1, 1, 0), ValueError,
                         "labels must be nonnegative"),
     "pentagon_labels": (lambda: pentagon_defect(P, 0, 1, 1, -1, 1), ValueError,
@@ -129,6 +121,20 @@ CASES = {
     "commutator_labels": (lambda: commutator_estimate(P, 0, 1, 1, -1, 1), ValueError,
                           "must stay nonnegative"),
     "jw_report": (lambda: jw_report(P, 0), ValueError, "need at least one site"),
+    # a number of another library is refused at every real-valued input: read
+    # through float(), a 300-bit mpf would keep 53 of its bits
+    "mpf_q": (lambda: QParameter(THIRD, 2), TypeError, "q must be Fraction, int, float, str or "
+              "Decimal, not mpf: pass it as str"),
+    "mpf_semigroup_t": (lambda: semigroup_coeff(HALF, 3, THIRD), TypeError, "not mpf: pass it"),
+    "mpf_multiplier_t": (lambda: multiplier(P, 3, THIRD), TypeError, "not mpf: pass it"),
+    "mpf_hs_coefficient_t": (lambda: hs_coefficient(HALF, 3, 4, 1, THIRD), TypeError,
+                             "not mpf: pass it"),
+    "mpf_hs_certificate_t": (lambda: hs_certificate(P, THIRD, 30), TypeError, "not mpf: pass it"),
+    "mpf_resolvent_eps": (lambda: resolvent_coeff(P, 3, THIRD), TypeError, "not mpf: pass it"),
+    "mpf_dirichlet_value": (lambda: dirichlet_form(P, {(1, 1, 1): THIRD}), TypeError,
+                            "not mpf: pass it"),
+    "mpc_dirichlet_value": (lambda: dirichlet_form(HALF, {(1, 1, 1): mpmath.mpc(THIRD, 1)}),
+                            TypeError, "not mpf: pass it"),
     # inputs past the float range
     "pentagon_bound_exponent": (lambda: pentagon_bound(HALF_TEXT, 10**400, 1, 1), ValueError,
                                 "outside the normal double range"),

@@ -1,10 +1,10 @@
 """The lazy `qgs` package surface, and the modules each subcommand imports.
 
-A run should import only what its subcommand calls.  No subcommand loads
-numpy: jw-verify checks the projections one weight sector at a time in
-floats, and only the library's qubit-chain objects (tl_rep, jones_wenzl's
-basis and matrix, weight_matrix, an isometry's V) import it, which one
-probe confirms.  No subcommand loads mpmath at either kind of q: a
+A run should import only what its subcommand calls.  Nothing in the
+package loads numpy: jw-verify checks the projections one weight sector at
+a time in floats, and one probe resolves every public name and runs each
+public templieb function with numpy and mpmath unimportable.  No
+subcommand loads mpmath at either kind of q: a
 decimal q is held as its exact binary value, the spectral kernels
 (eigenvalues, q-dimensions, the fusion sums, the HS certificate) and the
 Temperley-Lieb fusion kernels run on decimal.Decimal, and gap-scan's cells
@@ -343,17 +343,34 @@ def test_public_numbers_at_decimal_q_are_decimals_without_mpmath():
     assert json.loads(done.stdout) == [["Decimal"], False]
 
 
-_CHAIN = """
+_NO_THIRD_PARTY = """
 import json, sys
-from qgs import QParameter, tl_rep
-tl_rep(QParameter("0.5", 2), 3).generator_matrix(1)
-print(json.dumps("numpy" in sys.modules))
+sys.modules["numpy"] = None  # any import of numpy or mpmath raises ImportError
+sys.modules["mpmath"] = None
+import qgs
+from qgs import templieb
+unresolved = [name for name in qgs.__all__ if getattr(qgs, name, None) is None]
+p = qgs.QParameter("0.3", 2)
+runs = {
+    "commutator_estimate": templieb.commutator_estimate(p, 3, 1, 1, 1, 1).passed,
+    "commutator_suite": len(templieb.commutator_suite(p, range(4))),
+    "fusion_isometry": len(templieb.fusion_isometry(p, 3, 2, 1).coefficients),
+    "jw_report": templieb.jw_report(p, 6)[-1].n,
+    "pentagon_bound": templieb.pentagon_bound(p, 3, 1, 1),
+    "pentagon_defect": templieb.pentagon_defect(p, 3, 1, 1, -1, 1),
+}
+print(json.dumps([len(qgs.__all__), unresolved, runs]))
 """
 
 
-def test_qubit_chain_objects_load_numpy():
-    # the probe sees an import at all
-    assert _fresh(_CHAIN) is True
+def test_public_names_resolve_and_templieb_runs_with_numpy_and_mpmath_blocked():
+    count, unresolved, runs = _fresh(_NO_THIRD_PARTY)
+    assert count == len(qgs.__all__) and unresolved == []
+    assert sorted(runs) == sorted(qgs._EXPORTS["templieb"])
+    assert runs["commutator_estimate"] is True and runs["commutator_suite"] == 1 + 3 + 4 + 4
+    assert runs["fusion_isometry"] == 6 and runs["jw_report"] == 6
+    assert runs["pentagon_bound"] == pytest.approx(0.3 ** 3)
+    assert 0 < runs["pentagon_defect"] <= 2 * runs["pentagon_bound"]
 
 
 _BLOCKED = """

@@ -3,8 +3,7 @@
 Each record type is a collections.namedtuple subclass, so it is indexable
 and iterable; these checks pin its field order, its repr
 Name(field=value, ...), and that no attribute can be set on it.
-FusionIsometry alone compares and hashes by identity, and keeps the chain
-matrix V it builds on its first read.
+FusionIsometry alone compares and hashes by identity.
 """
 
 from fractions import Fraction
@@ -114,16 +113,3 @@ def test_fusion_isometry_compares_and_hashes_by_identity():
     assert len({a, b}) == 2
     c, d = (templieb.FusionIsometry(p, 1, 1, 0, 64, _Untouchable()) for _ in range(2))
     assert hash(c) != hash(d) and {c: 1}[c] == 1 and c != d
-
-
-def test_fusion_isometry_builds_v_once(monkeypatch):
-    pytest.importorskip("numpy")
-    built = []
-    jones_wenzl = templieb.jones_wenzl
-    monkeypatch.setattr(templieb, "jones_wenzl",
-                        lambda param, n: built.append(n) or jones_wenzl(param, n))
-    iso = templieb.fusion_isometry(QParameter("0.5", 2), 2, 1, 1)
-    first = iso.V
-    assert built == [2, 1]
-    assert iso.V is first and built == [2, 1]
-    assert not first.flags.writeable

@@ -1,5 +1,8 @@
-"""Qubit-chain Temperley-Lieb calculus: generators, projections, isometries.
+"""Temperley-Lieb calculus on qubit chains: projections, isometries, defects.
 
+The library works on weight sectors and on isometry coefficients; the
+dense chain routes of tests/oracles.py (tl_apply, tl_generator,
+dicke_basis, chain_matrix) are the reference it is checked against.
 Hand-derived oracles used below: one recursion step gives p_2 = I - e_1/d
 with d the loop parameter; the quantum trace of p_2 is [3] = d^2 - 1
 (5.25 at q = 1/2); the single-cup isometry embedding the trivial label in
@@ -26,7 +29,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import to_mpf, working_precision
+from oracles import (chain_matrix, dicke_basis, tl_apply, tl_generator, to_mpf,
+                     working_precision)
 from qgs import templieb
 from qgs.chebyshev import QParameter, q_number
 from qgs.errors import ResourceLimitError
@@ -37,12 +41,9 @@ from qgs.templieb import (
     commutator_estimate,
     commutator_suite,
     fusion_isometry,
-    jones_wenzl,
     jw_report,
     pentagon_bound,
     pentagon_defect,
-    tl_rep,
-    weight_matrix,
 )
 
 
@@ -56,27 +57,35 @@ def _weight_diag(param, n):
     return functools.reduce(np.kron, [np.array([1.0 / q, q])] * n, np.ones(1))
 
 
+def _basis(param, n):
+    """The q-Dicke image basis of p_n at float(q)."""
+    return dicke_basis(float(param.q), n)
+
+
+def _projection(param, n):
+    """The dense top-label projection p_n, from its orthonormal image basis."""
+    b = _basis(param, n)
+    return b @ b.T
+
+
 def test_defining_vector_rank_one_generator():
     q = 0.25
-    rep = tl_rep(QParameter(q, 2), 2)
-    e = rep.generator_matrix(1)
+    e = tl_generator(q, 2, 1)
     w = np.array([0.0, math.sqrt(q), -1 / math.sqrt(q), 0.0])
     assert np.allclose(e, np.outer(w, w), atol=1e-14)
     assert np.allclose(e @ e, loop_parameter(q) * e, atol=1e-12)
 
 
 def test_classical_limit_generator():
-    rep = tl_rep(QParameter(1, 2), 2)
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
-    assert np.allclose(rep.generator_matrix(1), 2 * np.outer(singlet, singlet), atol=1e-14)
+    assert np.allclose(tl_generator(1.0, 2, 1), 2 * np.outer(singlet, singlet), atol=1e-14)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.0])
 def test_tl_relations(q):
     n = 5
-    rep = tl_rep(QParameter(q, 2), n)
     d = loop_parameter(q)
-    es = [rep.generator_matrix(i) for i in range(1, n)]
+    es = [tl_generator(q, n, i) for i in range(1, n)]
     for i, e in enumerate(es, start=1):
         assert np.max(np.abs(e @ e - d * e)) <= 1e-12
         for j, f in enumerate(es, start=1):
@@ -86,86 +95,47 @@ def test_tl_relations(q):
                 assert np.max(np.abs(e @ f - f @ e)) <= 1e-12
 
 
-def test_apply_matches_dense():
-    rng = np.random.default_rng(7)
-    rep = tl_rep(QParameter(0.5, 2), 5)
-    x = rng.standard_normal((32, 3))
-    for i in range(1, 5):
-        dense = rep.generator_matrix(i) @ x
-        assert np.allclose(rep.apply(i, x), dense, atol=1e-13)
-
-
-def test_tl_rep_validation():
-    with pytest.raises(ValueError):
-        tl_rep(QParameter(0.5, 2), 0)
-    with pytest.raises(ResourceLimitError):
-        tl_rep(QParameter(0.5, 2), 15)
-
-
 def test_jw_small_cases():
     p = QParameter(0.5, 2)
-    jw1 = jones_wenzl(p, 1)
-    assert np.allclose(jw1.matrix(), np.eye(2), atol=1e-14)
-    jw2 = jones_wenzl(p, 2)
-    rep = tl_rep(p, 2)
-    expected = np.eye(4) - rep.generator_matrix(1) / loop_parameter(0.5)
-    assert np.allclose(jw2.matrix(), expected, atol=1e-12)
-    assert jw2.quantum_trace() == pytest.approx(5.25, abs=1e-10)
+    assert np.allclose(_projection(p, 1), np.eye(2), atol=1e-14)
+    expected = np.eye(4) - tl_generator(0.5, 2, 1) / loop_parameter(0.5)
+    assert np.allclose(_projection(p, 2), expected, atol=1e-12)
+    trace = float(np.einsum("x,xj,xj->", _weight_diag(p, 2), _basis(p, 2), _basis(p, 2)))
+    assert trace == pytest.approx(5.25, abs=1e-10)
 
 
 def test_jw_invariants():
     for q in (0.3, 0.5):
         param = QParameter(q, 2)
         for n in range(1, 9):
-            jw = jones_wenzl(param, n)
-            b = jw.basis
+            b = _basis(param, n)
             assert b.shape == (2 ** n, n + 1)
             gram = b.T @ b
             assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-10
-            rep = tl_rep(param, n)
             for i in range(1, n):
-                assert np.max(np.abs(rep.apply(i, b))) <= 1e-9
-            assert jw.quantum_trace() == pytest.approx(
-                float(q_number(n + 1, param)), abs=1e-8
-            )
-
-
-def test_quantum_trace_weights_columns_by_weight():
-    # column k lives on the words of weight k, where the Kronecker diagonal is q^(2k-n)
-    for q in (0.3, 0.5):
-        param = QParameter(q, 2)
-        for n in range(13):
-            b = jones_wenzl(param, n).basis
-            direct = float(np.einsum("x,xj,xj->", _weight_diag(param, n), b, b))
-            assert jones_wenzl(param, n).quantum_trace() == pytest.approx(direct, rel=1e-12)
-    # the Kronecker diagonal meets zero entries with 1/q^12 = inf there, which gave NaN
-    assert jones_wenzl(QParameter("1e-30", 2), 12).quantum_trace() == math.inf
+                assert np.max(np.abs(tl_apply(q, i, b))) <= 1e-9
+            trace = float(np.einsum("x,xj,xj->", _weight_diag(param, n), b, b))
+            assert trace == pytest.approx(float(q_number(n + 1, param)), abs=1e-8)
 
 
 def test_jw_basis_is_weight_pure():
     # column k lives on the words with k ones, so weights are diagonal on it
     p = QParameter(0.3, 2)
     for n in range(1, 9):
-        b = jones_wenzl(p, n).basis
+        b = _basis(p, n)
         ones = np.array([bin(x).count("1") for x in range(2 ** n)])
         assert np.all(b[ones[:, None] != np.arange(n + 1)] == 0)
 
 
-def test_jw_basis_is_frozen():
-    p = QParameter(0.5, 2)
-    with pytest.raises(ValueError):
-        jones_wenzl(p, 5).basis[0, 0] = 1.0
-
-
 def test_calls_keep_nothing():
-    # tables, isometries and bases live for one call, so 20 new q leave no
-    # more traced memory than they found
+    # tables and isometries live for one call, so 20 new q leave no more
+    # traced memory than they found
     def calls(q):
         p = QParameter(q, 2)
         commutator_suite(p, [1, 2])
         pentagon_defect(p, 3, 1, 2, 0, 1)
         fusion_isometry(p, 4, 3, 3)
-        jones_wenzl(p, 10)
+        jw_report(p, 10)
 
     calls("0.5")  # imports and their one-time state, outside the trace
     gc.collect()
@@ -182,8 +152,8 @@ def test_calls_keep_nothing():
 
 
 def test_jw_resource_limit():
-    with pytest.raises(ResourceLimitError):
-        jones_wenzl(QParameter(0.5, 2), 20)
+    with pytest.raises(ResourceLimitError, match="20 sites exceeds the 14-site limit"):
+        jw_report(QParameter(0.5, 2), 20)
 
 
 def test_jw_report_rows():
@@ -214,7 +184,9 @@ def test_jw_report_scaled_trace_matches_direct_trace():
     exact = QParameter(Fraction(*p.q.as_integer_ratio()), 2)  # the same q, as a Fraction
     for r in jw_report(p, 12):
         target = q_number(r.n + 1, exact)
-        direct = abs(jones_wenzl(p, r.n).quantum_trace() - float(target)) / float(target)
+        b = _basis(p, r.n)
+        trace = float(np.einsum("x,xj,xj->", _weight_diag(p, r.n), b, b))
+        direct = abs(trace - float(target)) / float(target)
         assert r.trace_rel_error == pytest.approx(direct, abs=1e-14)
         assert r.trace_error == Fraction(r.trace_rel_error) * target
 
@@ -224,20 +196,19 @@ def _dense_jw_report(param, n_max):
     sectors: the whole image basis b, the spectral norms of b^T b - 1 and of
     each e_i b as largest column norms, and the trace against diag(1, q^2)
     per site.  Rows of (n, rank, idempotency, annihilation, trace_rel_error)."""
-    site = np.array([1.0, float(param.q) ** 2])
+    q = float(param.q)
+    site = np.array([1.0, q ** 2])
     diag = np.ones(1)
     rows = []
     for n in range(1, n_max + 1):
-        jw = jones_wenzl(param, n)
-        b = jw.basis
+        b = dicke_basis(q, n)
         idem = float(np.max(np.abs(np.diag(b.T @ b) - 1)))
-        rep = tl_rep(param, n)
-        ann = max((float(np.max(np.linalg.norm(rep.apply(i, b), axis=0)))
+        ann = max((float(np.max(np.linalg.norm(tl_apply(q, i, b), axis=0)))
                    for i in range(1, n)), default=0.0)
         diag = np.kron(diag, site)
         target = float(np.sum(site[1] ** np.arange(n + 1)))
         rel = abs(float(np.einsum("x,xj,xj->", diag, b, b)) - target) / target
-        rows.append((n, jw.rank, idem, ann, rel))
+        rows.append((n, b.shape[1], idem, ann, rel))
     return rows
 
 
@@ -289,8 +260,8 @@ def test_jw_report_sees_a_wrong_entry(monkeypatch):
         for w, e in sector.items():
             b[w, k] = 0.5 ** e
     b /= np.linalg.norm(b, axis=0)
-    rep = tl_rep(param, n_max)
-    ann = max(float(np.max(np.linalg.norm(rep.apply(i, b), axis=0))) for i in range(1, n_max))
+    ann = max(float(np.max(np.linalg.norm(tl_apply(0.5, i, b), axis=0)))
+              for i in range(1, n_max))
     assert ann > 0.1
     assert last.annihilation == pytest.approx(ann, rel=1e-12)
     assert last.idempotency < 1e-15
@@ -307,32 +278,32 @@ def test_references_outside_double_range_are_usage_errors():
         pentagon_bound(tiny, 0, 5, 1)  # q^-2 overflows
 
 
+def _weight_operator(param, alpha):
+    """diag(q^(2k - alpha)): the weight operator on the image basis, with
+    trace [alpha+1] and the identity at q = 1."""
+    return np.diag(float(param.q) ** np.arange(-alpha, alpha + 1, 2.0))
+
+
 def test_weight_matrix_spots():
+    # the Kronecker weight diagonal is diagonal on the image basis, q^(2k - alpha) on column k
     p = QParameter(0.5, 2)
-    q1 = weight_matrix(p, 1)
-    assert np.allclose(q1, np.diag([2.0, 0.5]), atol=1e-12)
-    assert np.trace(weight_matrix(p, 2)) == pytest.approx(5.25, abs=1e-8)
+    assert np.allclose(_weight_operator(p, 1), np.diag([2.0, 0.5]), atol=1e-12)
     for a in range(1, 8):
-        b = jones_wenzl(p, a).basis
+        b = _basis(p, a)
         measured = b.T @ (_weight_diag(p, a)[:, None] * b)
-        assert np.allclose(weight_matrix(p, a), measured, rtol=1e-12, atol=1e-14)
-        tr = np.trace(weight_matrix(p, a))
-        assert tr == pytest.approx(float(q_number(a + 1, p)), abs=1e-8)
-        vals = np.linalg.eigvalsh(weight_matrix(p, a))
-        assert vals.min() > 0
-    classical = weight_matrix(QParameter(1, 2), 4)
-    assert np.allclose(classical, np.eye(5), atol=1e-10)
-
-
-def test_weight_matrix_is_frozen():
-    with pytest.raises(ValueError):
-        weight_matrix(QParameter(0.5, 2), 3)[0, 0] = 1.0
+        assert np.allclose(_weight_operator(p, a), measured, rtol=1e-12, atol=1e-14)
+        assert np.trace(measured) == pytest.approx(float(q_number(a + 1, p)), abs=1e-8)
+        assert np.linalg.eigvalsh(measured).min() > 0
+    assert np.trace(_weight_operator(p, 2)) == pytest.approx(5.25, abs=1e-8)
+    classical = _basis(QParameter(1, 2), 4)
+    assert np.allclose(classical.T @ (_weight_diag(QParameter(1, 2), 4)[:, None] * classical),
+                       np.eye(5), atol=1e-10)
 
 
 def test_fusion_isometry_trivial_right_factor():
     p = QParameter(0.5, 2)
     iso = fusion_isometry(p, 3, 0, 3)
-    assert np.allclose(iso.V, jones_wenzl(p, 3).basis, atol=1e-10)
+    assert np.allclose(chain_matrix(iso), _basis(p, 3), atol=1e-10)
 
 
 def test_fusion_isometry_single_cup():
@@ -340,7 +311,7 @@ def test_fusion_isometry_single_cup():
     iso = fusion_isometry(QParameter(q, 2), 1, 1, 0)
     w = np.array([0.0, math.sqrt(q), -1 / math.sqrt(q), 0.0])
     target = w / math.sqrt(loop_parameter(q))
-    col = iso.V[:, 0]
+    col = chain_matrix(iso)[:, 0]
     sign = 1.0 if abs(col[1] - target[1]) < abs(col[1] + target[1]) else -1.0
     assert np.allclose(sign * col, target, atol=1e-10)
 
@@ -348,27 +319,25 @@ def test_fusion_isometry_single_cup():
 def test_fusion_isometry_is_isometry():
     p = QParameter(0.5, 2)
     for a, b, g in ((2, 1, 1), (2, 2, 2), (3, 2, 1), (2, 3, 5)):
-        iso = fusion_isometry(p, a, b, g)
-        gram = iso.V.T @ iso.V
-        assert np.max(np.abs(gram - np.eye(g + 1))) <= 1e-10
+        v = chain_matrix(fusion_isometry(p, a, b, g))
+        assert np.max(np.abs(v.T @ v - np.eye(g + 1))) <= 1e-10
 
 
 def test_fusion_isometry_lives_in_product_image():
     p = QParameter(0.5, 2)
-    iso = fusion_isometry(p, 2, 2, 2)
-    pa = jones_wenzl(p, 2).matrix()
-    proj = np.kron(pa, pa)
-    assert np.max(np.abs(proj @ iso.V - iso.V)) <= 1e-10
+    v = chain_matrix(fusion_isometry(p, 2, 2, 2))
+    proj = np.kron(_projection(p, 2), _projection(p, 2))
+    assert np.max(np.abs(proj @ v - v)) <= 1e-10
 
 
 def test_fusion_isometry_weight_intertwining():
     p = QParameter(0.5, 2)
     for a, b, g in ((2, 1, 1), (2, 2, 0), (3, 1, 2)):
-        iso = fusion_isometry(p, a, b, g)
-        lhs = iso.V @ weight_matrix(p, g)
-        rhs = np.kron(weight_matrix(p, a), weight_matrix(p, b))
-        basis = np.kron(jones_wenzl(p, a).basis, jones_wenzl(p, b).basis)
-        rhs_chain = basis @ rhs @ basis.T @ iso.V
+        v = chain_matrix(fusion_isometry(p, a, b, g))
+        lhs = v @ _weight_operator(p, g)
+        rhs = np.kron(_weight_operator(p, a), _weight_operator(p, b))
+        basis = np.kron(_basis(p, a), _basis(p, b))
+        rhs_chain = basis @ rhs @ basis.T @ v
         assert np.max(np.abs(lhs - rhs_chain)) <= 1e-8
 
 
@@ -377,9 +346,9 @@ def test_fusion_isometry_resolution_of_identity():
     for a, b in ((1, 1), (2, 1), (2, 2), (3, 2)):
         total = np.zeros((2 ** (a + b), 2 ** (a + b)))
         for g in fuse(a, b):
-            v = fusion_isometry(p, a, b, g).V
+            v = chain_matrix(fusion_isometry(p, a, b, g))
             total += v @ v.T
-        target = np.kron(jones_wenzl(p, a).matrix(), jones_wenzl(p, b).matrix())
+        target = np.kron(_projection(p, a), _projection(p, b))
         assert np.max(np.abs(total - target)) <= 1e-8
 
 
@@ -392,10 +361,9 @@ def test_fusion_isometry_validation():
         fusion_isometry(p, 10**9, 10**9, 2)
     with pytest.raises(ResourceLimitError, match="units of work"):
         fusion_isometry(QParameter("1e-300", 2), 100, 1, 101)
-    # 16 sites of coefficients are fine; their chain matrix is not
-    iso = fusion_isometry(p, 8, 8, 2)
-    with pytest.raises(ResourceLimitError, match="14-site limit"):
-        iso.V  # noqa: B018
+    # coefficients need no chain array: 16 sites are fine, one (i, j) with
+    # i + j = k + 7 per weight k = 0, 1, 2 and i, j <= 8
+    assert len(fusion_isometry(p, 8, 8, 2).coefficients) == 8 + 9 + 8
 
 
 def _nested_cups(q, m):
@@ -413,7 +381,7 @@ def _chain_coefficients(param, alpha, beta, gamma):
     under the target basis, projected on the product basis and scaled by the
     trace of their Gram matrix."""
     m = (alpha + beta - gamma) // 2
-    ba, bb, bg = (jones_wenzl(param, n).basis for n in (alpha, beta, gamma))
+    ba, bb, bg = (_basis(param, n) for n in (alpha, beta, gamma))
     split = bg.reshape(2 ** (alpha - m), 2 ** (beta - m), gamma + 1)
     t = np.einsum("xyk,c->xcyk", split, _nested_cups(float(param.q), m))
     comp = np.einsum("ai,abk->ibk", ba, t.reshape(2 ** alpha, 2 ** beta, gamma + 1))
@@ -534,22 +502,22 @@ def _chain_sides(param, alpha, r, s, k, l, isometry=fusion_isometry):
     """Both bracketings as chain maps out of the source, built from the
     chain isometries (isometry(param, alpha, beta, gamma)): the
     2^(s+alpha+r)-row oracle for the weight-basis sides."""
-    inner_a = isometry(param, alpha, r, alpha + l)
-    outer_a = isometry(param, s, alpha + l, alpha + k + l)
+    inner_a = chain_matrix(isometry(param, alpha, r, alpha + l))
+    outer_a = chain_matrix(isometry(param, s, alpha + l, alpha + k + l))
     t = np.tensordot(
-        jones_wenzl(param, alpha + l).basis,
-        outer_a.V.reshape(2 ** s, 2 ** (alpha + l), -1), axes=([0], [1]),
+        _basis(param, alpha + l),
+        outer_a.reshape(2 ** s, 2 ** (alpha + l), -1), axes=([0], [1]),
     )
-    a_side = np.tensordot(inner_a.V, t, axes=([1], [0]))
+    a_side = np.tensordot(inner_a, t, axes=([1], [0]))
     a_side = a_side.transpose(1, 0, 2).reshape(2 ** (s + alpha + r), -1)
 
-    inner_b = isometry(param, s, alpha, alpha + k)
-    outer_b = isometry(param, alpha + k, r, alpha + k + l)
+    inner_b = chain_matrix(isometry(param, s, alpha, alpha + k))
+    outer_b = chain_matrix(isometry(param, alpha + k, r, alpha + k + l))
     t = np.tensordot(
-        jones_wenzl(param, alpha + k).basis,
-        outer_b.V.reshape(2 ** (alpha + k), 2 ** r, -1), axes=([0], [0]),
+        _basis(param, alpha + k),
+        outer_b.reshape(2 ** (alpha + k), 2 ** r, -1), axes=([0], [0]),
     )
-    b_side = np.tensordot(inner_b.V, t, axes=([1], [0]))
+    b_side = np.tensordot(inner_b, t, axes=([1], [0]))
     b_side = b_side.reshape(2 ** (s + alpha + r), -1)
     return a_side, b_side
 
@@ -583,7 +551,7 @@ def test_weight_basis_defects_match_chain_maps_at_full_size(q):
             chain = float(np.max(np.linalg.norm(diff, axis=0)))
             assert abs(pentagon_defect(p, alpha, 1, 1, k, l) - chain) <= 5e-14
             hit = np.einsum("xayc,ai->xiyc", diff.reshape(2, 2 ** alpha, 2, -1),
-                            jones_wenzl(p, alpha).basis)
+                            _basis(p, alpha))
             chain = float(np.max(np.linalg.norm(hit, axis=3)))
             assert abs(_weighted_defect(p, alpha, k, l) - chain) <= 5e-14
 
@@ -623,11 +591,11 @@ def _weighted_defect_reference(param, alpha, k, l):
     diff = _aligned_difference(*_chain_sides(param, alpha, 1, 1, k, l), True)
 
     def weights(n):
-        b = jones_wenzl(param, n).basis
+        b = _basis(param, n)
         return b.T @ (_weight_diag(param, n)[:, None] * b)
 
     q1 = weights(1)
-    za = jones_wenzl(param, alpha).basis @ weights(alpha)
+    za = _basis(param, alpha) @ weights(alpha)
     probe = np.einsum("am,bi,cn->abcmin", q1, za, q1).reshape(2 ** (alpha + 2), -1)
     norms = np.linalg.norm(diff.T @ probe, axis=0)
     n1 = np.linalg.norm(q1, axis=0)
