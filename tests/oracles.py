@@ -110,24 +110,31 @@ def working_precision(bits=None):
         yield mpmath.mp
 
 
-def tl_apply(q, i, block):
-    """e_i applied to a chain vector or to the columns of a matrix: the
-    rank-one |w><w| on sites i and i+1 for the defining vector
-    w = sqrt(q)|01> - (1/sqrt(q))|10>, site 1 the most significant bit."""
+def _pair(q):
+    """|w><w| on two sites for the defining vector w = sqrt(q)|01> - (1/sqrt(q))|10>."""
     import numpy as np
 
     root = math.sqrt(q)
     w = np.array([0.0, root, -1.0 / root, 0.0])
+    return np.outer(w, w)
+
+
+def tl_apply(q, i, block):
+    """e_i applied to a chain vector or to the columns of a matrix: |w><w|
+    on sites i and i+1, site 1 the most significant bit."""
+    import numpy as np
+
     block = np.asarray(block, dtype=float)
-    out = np.einsum("ab,xby->xay", np.outer(w, w), block.reshape(2 ** (i - 1), 4, -1))
+    out = np.einsum("ab,xby->xay", _pair(q), block.reshape(2 ** (i - 1), 4, -1))
     return out.reshape(block.shape)
 
 
 def tl_generator(q, n, i):
-    """The dense 2^n x 2^n matrix of e_i on n sites, i = 1..n-1."""
+    """The dense 2^n x 2^n matrix of e_i on n sites, i = 1..n-1, as a
+    Kronecker product 1 (x) |w><w| (x) 1."""
     import numpy as np
 
-    return tl_apply(q, i, np.eye(2 ** n))
+    return np.kron(np.kron(np.eye(2 ** (i - 1)), _pair(q)), np.eye(2 ** (n - i - 1)))
 
 
 def dicke_basis(q, n):

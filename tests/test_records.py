@@ -2,7 +2,8 @@
 
 Each record type is a collections.namedtuple subclass, so it is indexable
 and iterable; these checks pin its field order, its repr
-Name(field=value, ...), and that no attribute can be set on it.
+Name(field=value, ...), and that it is slotted, so no attribute can be set
+on it.
 FusionIsometry alone compares and hashes by identity.
 """
 
@@ -73,6 +74,7 @@ def test_record_is_a_frozen_named_tuple_with_its_old_repr(record):
     for name in (*kind._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
+    assert not hasattr(record, "__dict__")  # slotted: it holds its fields alone
 
 
 def test_every_record_type_is_checked():

@@ -95,6 +95,14 @@ def test_tl_relations(q):
                 assert np.max(np.abs(e @ f - f @ e)) <= 1e-12
 
 
+def test_apply_matches_dense():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((32, 3))
+    for i in range(1, 5):
+        dense = tl_generator(0.5, 5, i) @ x
+        assert np.allclose(tl_apply(0.5, i, x), dense, atol=1e-13)
+
+
 def test_jw_small_cases():
     p = QParameter(0.5, 2)
     assert np.allclose(_projection(p, 1), np.eye(2), atol=1e-14)
@@ -116,6 +124,18 @@ def test_jw_invariants():
                 assert np.max(np.abs(tl_apply(q, i, b))) <= 1e-9
             trace = float(np.einsum("x,xj,xj->", _weight_diag(param, n), b, b))
             assert trace == pytest.approx(float(q_number(n + 1, param)), abs=1e-8)
+
+
+def test_quantum_trace_weights_columns_by_weight():
+    # column k lives on the words of weight k, where the Kronecker diagonal is
+    # q^(2k-n): the trace jw_report takes per column
+    for q in (0.3, 0.5):
+        param = QParameter(q, 2)
+        for n in range(13):
+            b = _basis(param, n)
+            direct = float(np.einsum("x,xj,xj->", _weight_diag(param, n), b, b))
+            by_column = float(q ** np.arange(-n, n + 1, 2.0) @ np.einsum("xj,xj->j", b, b))
+            assert by_column == pytest.approx(direct, rel=1e-12)
 
 
 def test_jw_basis_is_weight_pure():
