@@ -980,8 +980,10 @@ _HEAD = {"suite": 'a "rows": 0\n  "rows": 0', "inputs": {"q": "1/2", "rows": 0},
         {**_HEAD, "rows": [{"qdim": _WIDE, "gap": math.inf, "low": -math.inf},
                            {"qdim": _num(Fraction(-(10**500), 7)), "gap": 0.0, "low": -0.0}],
          "verdict": "fail", "wall_time_s": 0.125},
+        {**_HEAD, "rows": [{"tiny": _num(Decimal("1e-400")), "sub": _num(Fraction(-1, 2**1100)),
+                            "float": 5e-324}], "verdict": "pass"},
     ],
-    ids=["many-rows", "empty-rows", "no-rows", "wide-and-infinite"],
+    ids=["many-rows", "empty-rows", "no-rows", "wide-and-infinite", "below-the-range"],
 )
 def test_row_writer_keeps_the_bytes_of_one_dump(capsys, record):
     cli._emit(argparse.Namespace(format="json", output=None), record)
