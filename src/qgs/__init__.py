@@ -21,10 +21,8 @@ _EXPORTS = {
                "NumericalDegradationError", "ResourceLimitError"),
     "estimates": ("gap", "gap_constant_scan", "hs_certificate", "hs_coefficient",
                   "regime_classify"),
-    "freewords": ("Expression", "Letter", "PhiSymbol", "apply_generator", "atom",
-                  "circle", "expansion_sweep", "gradient_commutator",
-                  "hs_propagation_bound", "multiply", "reduce_product", "star",
-                  "verify_boundary_expansion", "word"),
+    "freewords": ("Expression", "Letter", "PhiSymbol", "atom", "expansion_sweep",
+                  "verify_boundary_expansion"),
     "fusion": ("dims", "fuse", "fusion_check", "fusion_grid", "growth_rate"),
     "precision": ("precision_bits", "set_precision_bits"),
     "spectrum": ("amenability_criterion", "cesaro_sum", "dirichlet_form", "eigenvalue",

@@ -54,14 +54,16 @@ class _Wide:
 def _num(x):
     """x at 12 significant digits: a float, or _Wide for a finite nonzero
     Fraction or Decimal beyond the double range or below its normal range,
-    where a float would keep fewer digits or none (a float stays a float)."""
+    where a float would keep fewer digits or none (a float stays a float,
+    and an infinite Decimal becomes one)."""
     global _DECIMAL
     try:
         value = float(x)
     except OverflowError:  # a Fraction beyond the double range
         value = math.inf
-    if isinstance(x, float) or sys.float_info.min <= abs(value) < math.inf or not x or value != value:
-        return float(f"{value:.12g}")  # a float, a normal double, a zero or a NaN
+    if (isinstance(x, float) or sys.float_info.min <= abs(value) < math.inf or not x
+            or value != value or abs(x) == math.inf):
+        return float(f"{value:.12g}")  # a float, a normal double, a zero, a NaN or an infinity
     if _DECIMAL is None:
         from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
         from fractions import Fraction

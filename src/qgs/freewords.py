@@ -6,9 +6,8 @@ been mean-centered.  Primitive factors are tagged tuples: ("a", name,
 starred) for an atom, ("g", factors) for a letter wrapped by the formal
 generator.  Atoms are assumed mean-zero, so the scalar symbol phi of a
 single atom is structurally zero; every other phi is an opaque symbol
-and expressions are polynomials in these symbols with int coefficients
-(an exact Fraction only after a non-integer scalar).  The junction
-rewrite for same-algebra neighbours u, v with contents C, D is
+and expressions are polynomials in these symbols with int coefficients.
+The junction rewrite for same-algebra neighbours u, v with contents C, D is
 
     u v = (CD) circled + phi(CD) 1 - [u circled] phi(C) v
           - [v circled] phi(D) u - [both circled] phi(C) phi(D) 1
@@ -19,7 +18,8 @@ wrap, and makes normal forms unique regardless of rewrite order.
 The rewriting runs on ids: each public call interns every Letter and
 PhiSymbol it meets as a small int in one _Table, dropped on return, so a
 word is a tuple of ids and a term is keyed by (word, sorted phi ids).
-Expressions are encoded on the way in and decoded on the way out.
+Terms are decoded to an Expression on the way out only: a report's ledger
+and residual.
 
 Every product is computed on its junction core.  Let depth(u, v) = L be
 the longest run of i with alg(u[-1-i]) = alg(v[i]), and u = U u', v = v' V
@@ -64,28 +64,6 @@ def atom(algebra, name, star=False):
     return Letter(algebra, (("a", str(name), bool(star)),), False)
 
 
-def word(*letters):
-    """A reduced word: adjacent letters must carry distinct algebra labels."""
-    for lt in letters:
-        if not isinstance(lt, Letter):
-            raise TypeError("words are built from Letter values")
-    for left, right in zip(letters, letters[1:]):
-        if left.algebra == right.algebra:
-            raise ValueError("adjacent letters share an algebra; word is not reduced")
-    return tuple(letters)
-
-
-def _exact(coeff):
-    """A coefficient from outside: an int as it is, anything else as an exact
-    Fraction, which becomes an int again when it is integral."""
-    if type(coeff) is int:
-        return coeff
-    from fractions import Fraction
-
-    value = Fraction(coeff)
-    return value.numerator if value.denominator == 1 else value
-
-
 def _is_centered(letter):
     return letter.circled or (len(letter.factors) == 1 and letter.factors[0][0] == "a")
 
@@ -100,27 +78,18 @@ def _add(terms, key, coeff):
 
 
 class Expression:
-    """Linear combination of reduced words with phi-symbol coefficients.
+    """Linear combination of reduced words with phi-symbol coefficients: the
+    ledger groups and residual of a report.
 
-    Terms are keyed by (word, sorted phi multiset); coefficients are ints,
-    or exact Fractions after a non-integer scalar, and zero coefficients
-    are pruned, so equality of expressions is plain dict equality.
+    Terms are keyed by (word, sorted phi multiset) with nonzero int
+    coefficients, as _add leaves them, so equality of expressions is plain
+    dict equality.  The terms dict is stored as given.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    self.terms[key] = _exact(coeff)
-
-    @classmethod
-    def from_word(cls, letters, coeff=1, phis=()):
-        out = cls()
-        _add(out.terms, (tuple(letters), tuple(sorted(phis))), _exact(coeff))
-        return out
+    def __init__(self, terms):
+        self.terms = terms
 
     def is_zero(self):
         return not self.terms
@@ -130,28 +99,6 @@ class Expression:
 
     def __eq__(self, other):
         return isinstance(other, Expression) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = Expression(self.terms)
-        for key, coeff in other.terms.items():
-            _add(out.terms, key, coeff)
-        return out
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, other):
-        if isinstance(other, Expression):
-            return multiply(self, other)
-        out, scale = Expression(), _exact(other)
-        for key, coeff in self.terms.items():
-            _add(out.terms, key, coeff * scale)
-        return out
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         if not self.terms:
@@ -193,9 +140,6 @@ class _Table:
             return None
         return self.intern(PhiSymbol(algebra, factors))
 
-    def word(self, letters):
-        return tuple(map(self.intern, letters))
-
     def merge(self, u, v):
         """The ids of the circled letter fusing u v and of its phi."""
         if (u, v) not in self.merges:
@@ -210,23 +154,10 @@ class _Table:
             self.wraps[u] = self.intern(lt)
         return self.wraps[u]
 
-    def encode(self, expr):
-        terms = {}
-        for (w, phis), coeff in expr.terms.items():
-            _add(terms, (self.word(w), tuple(sorted(self.word(phis)))), coeff)
-        return terms
-
     def decode(self, terms):
-        get, out = self.values.__getitem__, Expression()
-        out.terms = {(tuple(map(get, w)), tuple(sorted(map(get, phis)))): coeff
-                     for (w, phis), coeff in terms.items()}
-        return out
-
-
-def _on_ids(engine, *exprs):
-    """engine run on the expressions, encoded in a fresh table, and decoded."""
-    t = _Table()
-    return t.decode(engine(t, {}, *map(t.encode, exprs)))
+        get = self.values.__getitem__
+        return Expression({(tuple(map(get, w)), tuple(sorted(map(get, phis)))): coeff
+                           for (w, phis), coeff in terms.items()})
 
 
 def _depth(left, right):
@@ -307,39 +238,11 @@ def _product_into(t, out, e1, e2, scale=1, core=_core):
     return out
 
 
-def multiply(e1, e2):
-    """Product of two expressions, reducing every junction."""
-    return _on_ids(_product_into, e1, e2)
-
-
-def reduce_product(b, x, a):
-    """Full reduced expansion of the three-word product b x a."""
-    eb, ex, ea = (Expression.from_word(word(*w)) for w in (b, x, a))
-    return multiply(multiply(eb, ex), ea)
-
-
-def _generator_into(t, out, expr, scale=1):
-    """Add scale times the Leibniz sum wrapping each letter; scalars map to zero."""
-    for (w, phis), coeff in expr.items():
-        coeff *= scale
-        letters = list(w)
-        for j, u in enumerate(w):
-            letters[j] = t.wrap(u)
-            _add(out, (tuple(letters), phis), coeff)
-            letters[j] = u
-    return out
-
-
-def apply_generator(expr):
-    """Leibniz sum wrapping each letter; scalars map to zero.
-
-    Wrapping ignores circling: the generator of a centered letter equals
-    the generator of the raw product, and the generator of a scalar is 0.
-    """
-    return _on_ids(_generator_into, expr)
-
-
 def _circle_into(t, out, expr):
+    """Add expr mean-centered to out: scalars dropped, single letters centered.
+    A long word with an uncentered letter is refused.  The verifier never
+    passes one: the three letters of a boundary term's middle share one
+    algebra, so its words have at most one letter."""
     for (w, phis), coeff in expr.items():
         if len(w) == 1 and not _is_centered(t.values[w[0]]):
             w = (t.intern(t.values[w[0]]._replace(circled=True)),)
@@ -350,50 +253,14 @@ def _circle_into(t, out, expr):
     return out
 
 
-def circle(expr):
-    """Mean-center an expression: drop scalars, center single letters."""
-    return _on_ids(_circle_into, expr)
-
-
-def _star_primary(p):
-    if p[0] == "a":
-        return ("a", p[1], not p[2])
-    return ("g", tuple(_star_primary(f) for f in reversed(p[1])))
-
-
-def _star_into(t, out, expr):
-    def starred(u):
-        lt = t.values[u]
-        return t.intern(lt._replace(factors=tuple(map(_star_primary, reversed(lt.factors)))))
-
-    for (w, phis), coeff in expr.items():
-        _add(out, (tuple(map(starred, reversed(w))), tuple(sorted(map(starred, phis)))), coeff)
-    return out
-
-
-def star(expr):
-    """Formal adjoint: reverse each word, star letters, star phi contents."""
-    return _on_ids(_star_into, expr)
-
-
 def _commutator_into(t, out, eb, ea, ebx, exa):
-    """Add E(b, x) a - E(b, x a) to out, given ebx = E(b, x) and exa = x a."""
+    """Add E(b, x) a - E(b, x a) to out, given ebx = E(b, x) and exa = x a:
+    the commutator b D(x a) - D(b x a) - b D(x) a + D(b x) a.  Proof: the
+    Leibniz defect C(u, v) = D(uv) - u D(v) is E(u, v) + D(u) v, and the
+    product is associative, so the four terms, C(b, x) a - C(b, x a), are
+    E(b, x) a + (D(b) x) a - E(b, x a) - D(b) (x a)."""
     _product_into(t, out, ebx, ea)
     return _product_into(t, out, eb, exa, -1, _defect_core)
-
-
-def gradient_commutator(b, x, a):
-    """b D(x a) - D(b x a) - b D(x) a + D(b x) a for reduced words.
-
-    Expanded as E(b, x) a - E(b, x a), with E(u, v) = D(uv) - D(u) v - u D(v)
-    the product defect, each on its junction core.  Proof: the Leibniz
-    defect C(u, v) = D(uv) - u D(v) is E(u, v) + D(u) v, and the product is
-    associative, so the four terms, C(b, x) a - C(b, x a) regrouped by
-    bilinearity, are E(b, x) a + (D(b) x) a - E(b, x a) - D(b) (x a)."""
-    t = _Table()
-    eb, ex, ea = ({(t.word(word(*w)), ()): 1} for w in (b, x, a))
-    ebx = _product_into(t, {}, eb, ex, core=_defect_core)
-    return t.decode(_commutator_into(t, {}, eb, ea, ebx, _product_into(t, {}, ex, ea)))
 
 
 def _boundary_main_sum(t, b, x, a):
@@ -558,33 +425,3 @@ def expansion_sweep(*, max_x=4, max_side=3, algebras=3):
                     )
     t = _Table()
     return [_verify(t, *pattern) for pattern in patterns]
-
-
-def hs_propagation_bound(per_algebra, scalar_bound, a_bound, b_bound, m, k, ledger_hs):
-    """Numeric propagation bound from per-algebra values and word-norm bounds.
-
-    Computes 2*ledger_hs + 2*(k+m-1)^2 * scalar_bound^(m+k) * a_bound^(2m)
-    * b_bound^(2k) * max(per_algebra values); monotone in every argument.
-    """
-    values = list(per_algebra.values()) if hasattr(per_algebra, "values") else list(per_algebra)
-    if any(not v >= 0 for v in values):
-        raise ValueError("per-algebra values must be nonnegative")
-    for name, v in (
-        ("scalar_bound", scalar_bound),
-        ("a_bound", a_bound),
-        ("b_bound", b_bound),
-        ("ledger_hs", ledger_hs),
-    ):
-        if not v >= 0:
-            raise ValueError(f"{name} must be nonnegative")
-    if not (m >= 0 and k >= 0):
-        raise ValueError("word lengths must be nonnegative")
-    peak = max(values, default=0.0)
-    weight = (
-        2
-        * (k + m - 1) ** 2
-        * scalar_bound ** (m + k)
-        * a_bound ** (2 * m)
-        * b_bound ** (2 * k)
-    )
-    return 2 * ledger_hs + weight * peak

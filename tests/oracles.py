@@ -22,7 +22,11 @@ the commutator as E(b, x) a - E(b, x a).  The reference here is the full
 junction rewrite of every product, and the commutator as C(b, x) a -
 C(b, x a) with C(b, v) = D(b v) - b D(v) the Leibniz defect, on the same
 id tables; _verify is the verifier on that route, with a boundary sum of
-its own that checks every junction pair.
+its own that checks every junction pair.  The expression algebra the tests
+build their words and expressions with lives here too: the generator's
+Leibniz sum, word, expression, add and sub, and multiply, apply_generator,
+circle and gradient_commutator, each a package kernel run on one fresh
+table, its inputs interned and its result decoded.
 """
 
 import math
@@ -32,9 +36,10 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import islice, zip_longest
 
+from qgs import freewords
 from qgs.chebyshev import _values
-from qgs.freewords import (ExpansionReport, RemainderLedger, _add, _atoms, _circle_into,
-                           _generator_into)
+from qgs.freewords import (Expression, ExpansionReport, RemainderLedger, _add, _atoms,
+                           _circle_into, _defect_core, _product_into)
 from qgs.precision import precision_bits
 
 
@@ -171,6 +176,80 @@ def chain_matrix(iso):
     for (i, j), c in iso.coefficients.items():
         v[:, :, i + j - m] += float(c) * np.outer(ba[:, i], bb[:, j])
     return v.reshape(2 ** (iso.alpha + iso.beta), -1)
+
+
+def word(*letters):
+    """A reduced word: adjacent letters must carry distinct algebra labels."""
+    for left, right in zip(letters, letters[1:]):
+        if left.algebra == right.algebra:
+            raise ValueError("adjacent letters share an algebra; word is not reduced")
+    return tuple(letters)
+
+
+def expression(letters=(), coeff=1, phis=()):
+    """coeff phi(phis) letters as an Expression; zero when coeff is."""
+    terms = {}
+    _add(terms, (tuple(letters), tuple(sorted(phis))), coeff)
+    return Expression(terms)
+
+
+def add(e1, e2, scale=1):
+    """e1 + scale e2."""
+    terms = dict(e1.terms)
+    for key, coeff in e2.terms.items():
+        _add(terms, key, scale * coeff)
+    return Expression(terms)
+
+
+def sub(e1, e2):
+    """e1 - e2."""
+    return add(e1, e2, -1)
+
+
+def _generator_into(t, out, expr, scale=1):
+    """Add scale times the Leibniz sum wrapping each letter; scalars map to zero."""
+    for (w, phis), coeff in expr.items():
+        coeff *= scale
+        letters = list(w)
+        for j, u in enumerate(w):
+            letters[j] = t.wrap(u)
+            _add(out, (tuple(letters), phis), coeff)
+            letters[j] = u
+    return out
+
+
+def _on_ids(engine, *exprs):
+    """engine run on the expressions, interned in a fresh table, and decoded."""
+    t = freewords._Table()
+    encoded = [{(tuple(map(t.intern, w)), tuple(sorted(map(t.intern, phis)))): coeff
+                for (w, phis), coeff in e.terms.items()} for e in exprs]
+    return t.decode(engine(t, {}, *encoded))
+
+
+def multiply(e1, e2):
+    """The product e1 e2, on the package's junction cores."""
+    return _on_ids(_product_into, e1, e2)
+
+
+def apply_generator(expr):
+    """The Leibniz sum wrapping each letter.  Wrapping ignores circling: the
+    generator of a centered letter equals the generator of the raw product,
+    and the generator of a scalar is 0."""
+    return _on_ids(_generator_into, expr)
+
+
+def circle(expr):
+    """Mean-center an expression: drop scalars, center single letters."""
+    return _on_ids(_circle_into, expr)
+
+
+def gradient_commutator(b, x, a):
+    """b D(x a) - D(b x a) - b D(x) a + D(b x) a for reduced words, as the
+    package's E(b, x) a - E(b, x a)."""
+    t = freewords._Table()
+    eb, ex, ea = ({(tuple(map(t.intern, word(*w))), ()): 1} for w in (b, x, a))
+    ebx = _product_into(t, {}, eb, ex, core=_defect_core)
+    return t.decode(freewords._commutator_into(t, {}, eb, ea, ebx, _product_into(t, {}, ex, ea)))
 
 
 def _concat_into(t, out, w1, w2, phis, coeff):

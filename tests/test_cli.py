@@ -1082,6 +1082,21 @@ def test_numbers_below_the_normal_range_keep_12_digits():
     assert type(_num(1e-320)) is float
 
 
+def test_infinite_decimal_is_written_as_a_float_infinity(capsys):
+    # an infinite Decimal takes the float route, so a CSV cell reads inf as a
+    # float infinity does; a finite Decimal whose float is infinite stays wide
+    values = [Decimal("Infinity"), Decimal("-Infinity"), math.inf, -math.inf]
+    assert [_num(x) for x in values] == [math.inf, -math.inf, math.inf, -math.inf]
+    assert all(type(_num(x)) is float for x in values)
+    assert str(_num(Decimal("1e400"))) == "1e+400"
+    assert str(_num(Decimal("-1e400"))) == "-1e+400"
+    rows = [{"decimal": _num(x), "float": _num(y)} for x, y in zip(values[:2], values[2:])]
+    cli._emit(argparse.Namespace(format="csv", output=None), {"rows": rows})
+    header, cells = parse_csv(capsys.readouterr().out)
+    assert header == ["decimal", "float"]
+    assert cells == [["inf", "inf"], ["-inf", "-inf"]]
+
+
 @pytest.mark.parametrize(
     "argv",
     [*SUITES, ("spectrum", "--N", "2", "--q", "0.2", "--alpha-max", "750"),

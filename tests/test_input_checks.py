@@ -15,15 +15,7 @@ from qgs import precision
 from qgs.chebyshev import QParameter, poly_value, q_number
 from qgs.errors import DegenerateRegimeError, InvalidVectorError, ResourceLimitError
 from qgs.estimates import gap, gap_constant_scan, hs_certificate, hs_coefficient
-from qgs.freewords import (
-    Expression,
-    Letter,
-    atom,
-    circle,
-    hs_propagation_bound,
-    verify_boundary_expansion,
-    word,
-)
+from qgs.freewords import Letter, _circle_into, _Table, atom, verify_boundary_expansion
 from qgs.fusion import MAX_LABELS, dims, fusion_grid, growth_rate
 from qgs.precision import precision_bits, set_precision_bits
 from qgs.spectrum import (
@@ -53,6 +45,13 @@ with mpmath.workprec(300):
     THIRD = mpmath.mpf(1) / 3
 # a letter of two factors is not mean-zero, so a long word holding it cannot be centred
 UNCENTERED = Letter(0, (("a", "x", False), ("a", "y", False)), False)
+
+
+def _circle_long_word():
+    """The centering kernel on a long word holding UNCENTERED, which no
+    verification passes it."""
+    t = _Table()
+    return _circle_into(t, {}, {((t.intern(UNCENTERED), t.intern(atom(1, "b"))), ()): 1})
 
 
 CASES = {
@@ -145,15 +144,7 @@ CASES = {
     "commutator_suite_work": (lambda: commutator_suite(UNIT, [10**200]), ResourceLimitError,
                               "above 1000000"),
     # freewords
-    "word_letters": (lambda: word("x"), TypeError, "built from Letter values"),
-    "circle_long_word": (lambda: circle(Expression.from_word((UNCENTERED, atom(1, "b")))),
-                         ValueError, "cannot center a long word"),
-    "propagation_bound": (lambda: hs_propagation_bound([1.0], -1, 1, 1, 1, 1, 0), ValueError,
-                          "scalar_bound must be nonnegative"),
-    "propagation_lengths": (lambda: hs_propagation_bound([1.0], 1, 1, 1, -1, 1, 0), ValueError,
-                            "word lengths must be nonnegative"),
-    "propagation_nan": (lambda: hs_propagation_bound([float("nan")], 1, 1, 1, 1, 1, 0),
-                        ValueError, "per-algebra values must be nonnegative"),
+    "circle_long_word": (_circle_long_word, ValueError, "cannot center a long word"),
     "verify_limits": (lambda: verify_boundary_expansion((), (), (), max_x=-1), ValueError,
                       "max_x and max_side must be >= 0"),
 }

@@ -124,12 +124,40 @@ def test_word_calculus_loads_neither_dataclasses_nor_inspect(argv):
 )
 def test_cli_import_and_word_calculus_load_neither_decimal_nor_fractions(argv):
     # cli formats a number past the double range through decimal, and
-    # freewords makes a Fraction of a coefficient that is not an int; each
-    # imports the module there alone (fractions imports decimal)
+    # imports decimal and fractions there alone (fractions imports decimal);
+    # freewords, on int coefficients, imports neither
     code, loaded = _fresh(_BEYOND_BARE, json.dumps(argv))
     assert code == (0 if argv else None)
     assert "qgs.cli" in loaded
     assert not {"decimal", "fractions"} & set(loaded)
+
+
+_WORDS = """
+import json, sys
+bare = set(sys.modules)
+import qgs, qgs.freewords
+from qgs import expansion_sweep, verify_boundary_expansion
+gone = [[hasattr(module, name) for module in (qgs, qgs.freewords)] for name in sys.argv[1:]]
+rep = verify_boundary_expansion((0, 1), (1, 0, 1), (1, 0))
+reports = expansion_sweep(max_x=3, max_side=2, algebras=3)
+print(json.dumps([gone, rep.passed and not rep.lhs_is_zero, len(reports),
+                  sorted({"decimal", "fractions"} & set(sys.modules) - bare)]))
+"""
+_REMOVED_WORD_NAMES = ("multiply", "reduce_product", "apply_generator", "circle", "star",
+                       "gradient_commutator", "hs_propagation_bound", "word")
+
+
+def test_word_calculus_keeps_the_verifier_alone():
+    # the expression algebra left the library: each removed name is an
+    # AttributeError on the package and on freewords, and the verifier run
+    # from the library, a pattern and a sweep, loads neither decimal nor fractions
+    gone, verified, patterns, loaded = _fresh(_WORDS, *_REMOVED_WORD_NAMES)
+    assert gone == [[False, False]] * len(_REMOVED_WORD_NAMES)
+    assert verified and patterns > 300
+    assert loaded == []
+    assert not set(_REMOVED_WORD_NAMES) & set(qgs.__all__)
+    assert {"Expression", "Letter", "PhiSymbol", "atom", "expansion_sweep",
+            "verify_boundary_expansion"} <= set(qgs.__all__)
 
 
 _BUDGET = """
@@ -544,7 +572,8 @@ def test_layer_bench_writes_every_layer(tmp_path):
                  "estimates.hs_certificate", "cli._num.decimal", "cli._num.fraction",
                  "cli._num.fraction_2^2000", "cli.build_parser+parse_args",
                  "chebyshev.QParameter", "templieb._tables",
-                 "templieb._closed_form", "freewords._verify", "estimates._FloatCells.decimal",
+                 "templieb._closed_form", "freewords._verify", "freewords._verify.meeting",
+                 "estimates._FloatCells.decimal",
                  "estimates._ExactCells.rational", "fusion._fusion_checks",
                  "cli._row+_emit.fusion", "freewords._verify.long_x",
                  "freewords.expansion_sweep", "cli._row+_emit.freeprod",

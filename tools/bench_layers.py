@@ -24,9 +24,10 @@ for the record writer; the isometries of lemma65 to label 104 at q = 0.5,
 a 200 x 5 gap grid at q = 0.3 and 4/11, the sum rules of a 40-label fusion
 grid, the record of the grid to label 200 at q = 0.3, 1,000 reads of
 each of four q by QParameter, the freeprod-verify sweep (4, 3, 3) and its
-record, and one word pattern with an x of 256 letters.  --tiny shrinks every size, for a smoke test.  The
-compile time of each module is measured with compile() on its source,
-which is what a process without a bytecode cache pays.
+record, one word pattern with an x of 256 letters, and one of 12 letters in
+each of b, x and a that all meet.  --tiny shrinks every size, for a smoke
+test.  The compile time of each module is measured with compile() on its
+source, which is what a process without a bytecode cache pays.
 """
 
 import argparse
@@ -145,6 +146,11 @@ def _kernel_layers(tiny):
     # one pattern of the (4, 3, 3) sweep: x of 4 letters, b and a of 3, 3 algebras
     pattern = ((0, 1), (2, 0, 1), (0, 2)) if tiny else ((0, 1, 2), (0, 1, 0, 2), (1, 2, 0))
     yield "freewords._verify", lambda: freewords._verify(freewords._Table(), *pattern)
+    # one pattern whose letters all meet, so it is expanded, not decided by locality:
+    # b and a are x reversed, 12 letters each over 3 algebras
+    meeting_x = tuple(i % 3 for i in range(3 if tiny else 12))
+    meeting = (meeting_x[::-1], meeting_x, meeting_x[::-1])
+    yield "freewords._verify.meeting", lambda: freewords._verify(freewords._Table(), *meeting)
     # one long-x pattern: x of 256 letters over 3 algebras, b and a of 3 meeting it
     # letter by letter
     long_x = tuple(i % 3 for i in range(16 if tiny else 256))
