@@ -27,10 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qgs.errors import ResourceLimitError
-from qgs import freewords
 from oracles import (add, apply_generator, circle, expression, gradient_commutator, multiply,
                      sub, word)
+from qgs.errors import ResourceLimitError
+from qgs import freewords
 from qgs.freewords import (
     MAX_LETTER_WORK,
     MAX_SWEEP_PATTERNS,
