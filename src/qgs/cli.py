@@ -33,9 +33,7 @@ CESARO_PROBES = {
 # parsed flags that belong to every subcommand, not to the record's inputs
 _COMMON = frozenset({"command", "handler", "format", "output", "precision_bits", "timing"})
 # parsed flags (and pentagon's fixed constant) that the record lists as tolerances
-_TOLERANCES = frozenset(
-    {"margin", "tail_floor", "residual_tol", "trace_tol", "warmup", "threshold", "tol", "constant"}
-)
+_TOLERANCES = frozenset({"residual_tol", "trace_tol", "warmup", "threshold", "tol", "constant"})
 # Decimal, Fraction and the 12-digit context of a wide number, taken on the first
 # one: a run whose numbers all fit a double imports neither decimal nor fractions
 _DECIMAL = None
@@ -164,9 +162,7 @@ def _cmd_fusion(args):
 def _cmd_hs_cert(args):
     from .estimates import hs_certificate
 
-    cert = hs_certificate(
-        _param(args), args.t, args.alpha_max, margin=args.margin, tail_floor=args.tail_floor
-    )
+    cert = hs_certificate(_param(args), args.t, args.alpha_max)
     series = zip(cert.terms, cert.compressed_terms, cert.partial_sums)
     rows = [
         _row(None, alpha=a, term=term, compressed_term=comp, partial_sum=acc)
@@ -386,8 +382,6 @@ def build_parser(argv=()):
     arg = suite("hs-cert", _cmd_hs_cert, "summability certificate for the HS series")
     arg("--t", required=True)
     arg("--alpha-max", type=int, required=True)
-    arg("--margin", type=float, default=0.01)
-    arg("--tail-floor", type=float, default=1e-3)
     arg = suite("gap-scan", _cmd_gap_scan, "grid supremum of the second-difference ratio")
     arg("--alpha-max", type=int, required=True)
     arg("--gamma-max", type=int, required=True)

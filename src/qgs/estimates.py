@@ -400,31 +400,25 @@ def hs_coefficient(param: QParameter, alpha, beta, gamma, t) -> HSCoefficient:
 
 class HSCertificate(namedtuple("HSCertificate", "param t alpha_max terms compressed_terms "
                                "partial_sums ratio_value verdict")):
-    """Summability evidence for the squared Hilbert-Schmidt norm series.
+    """Summability of the squared Hilbert-Schmidt norm series, with its rows.
 
     ``terms`` is the exact-term series n_a^2 (q^(2a) + q^a)^2 exp(-2ta);
     ``compressed_terms`` drops the (1 + q^a)^2 factor, the form the ratio
-    test addresses.  The verdict is a three-way call with explicit margins,
-    never a proof.
+    test addresses, and ``ratio_value`` is that test read at the last label:
+    evidence, not the verdict.  The verdict is the regime rule.
     """
 
     __slots__ = ()
 
 
-def hs_certificate(
-    param: QParameter,
-    t,
-    alpha_max: int,
-    *,
-    margin: float = 0.01,
-    tail_floor: float = 1e-3,
-) -> HSCertificate:
-    """Ratio-test certificate for the summability of the HS-norm series.
+def hs_certificate(param: QParameter, t, alpha_max: int) -> HSCertificate:
+    """The HS-norm series to alpha_max, and whether it sums.
 
-    Divergent when the ratio-test value at the probe exceeds 1 + margin or
-    the last term has not decayed below tail_floor times the early-term
-    scale; finite when the ratio-test value is below 1 - margin; otherwise
-    inconclusive.  The terms are formed on decimal.Decimal at the working
+    The series converges iff q e^(-t) < q0: for every t > 0, and at t = 0
+    iff q lies outside the Kac band (regime_classify's ghs), since every q
+    that QParameter admits above q0 lies within that band.  The sign of t
+    is read from its Decimal, so a t below the double range counts as
+    positive.  The terms are formed on decimal.Decimal at the working
     precision, at every q, with n_a, q^a and e^(-2ta) each carried from
     label to label, and returned as floats.
     """
@@ -433,10 +427,6 @@ def hs_certificate(
         raise ValueError("alpha_max must be >= 20")
     if not 0 <= float(t) < math.inf:
         raise ValueError("t must be a finite number >= 0")
-    if not 0 < margin < 1:
-        raise ValueError("margin must lie in (0, 1)")
-    if not 0 < tail_floor < 1:
-        raise ValueError("tail_floor must lie in (0, 1)")
     _check_table_labels(alpha_max)
     terms = []
     compressed = []
@@ -452,12 +442,7 @@ def hs_certificate(
             compressed.append(float(n2 * qa * qa * damp))
             qa, damp, prev, n = qa * q, damp * step, n, param.N * n - prev
         ratio_value = float((2 * prev.ln() / alpha_max).exp() * q * q * step)
-    if ratio_value >= 1 + margin or terms[-1] >= tail_floor * max(terms[1:11]):
-        verdict = "divergent"
-    elif ratio_value <= 1 - margin:
-        verdict = "finite"
-    else:
-        verdict = "inconclusive"
+    verdict = "finite" if tm > 0 or not param.is_kac else "divergent"
     return HSCertificate(
         param, float(t), alpha_max, tuple(terms), tuple(compressed),
         tuple(accumulate(terms)), ratio_value, verdict,
@@ -469,12 +454,13 @@ class RegimeClassification(namedtuple("RegimeClassification", "kac ighs ghs")):
 
     ``ighs`` (damped summability for every t > 0) holds throughout the
     admissible range; ``ghs`` (summability already at t = 0) needs q
-    strictly below the Kac point q0; ``kac`` flags q = q0 itself.
+    strictly below the Kac point q0; ``kac`` flags q = q0 itself, within
+    is_kac's band, which holds every q QParameter admits above q0, so
+    ``ghs`` is ``not kac``.
     """
 
     __slots__ = ()
 
 
 def regime_classify(param: QParameter) -> RegimeClassification:
-    ghs = float(param.q) < float(param.q0) - 1e-9
-    return RegimeClassification(kac=param.is_kac, ighs=True, ghs=ghs)
+    return RegimeClassification(kac=param.is_kac, ighs=True, ghs=not param.is_kac)

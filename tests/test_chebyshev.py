@@ -10,7 +10,7 @@ import pickle
 import random
 import sys
 import time
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -192,6 +192,27 @@ def test_qparameter_invariants():
     assert n2.nq == 2
     assert QParameter.kac(2) == n2  # exactly q = 1, a Fraction
     assert type(QParameter.kac(2).q) is Fraction
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 10, 10**6])
+def test_every_admitted_q_above_q0_is_kac(N):
+    # hs_certificate and regime_classify read q < q0 as "not is_kac", which
+    # holds only while _below_root admits no q above q0 outside is_kac's band
+    def admitted(q):
+        try:
+            QParameter(q, N)
+        except ValueError:
+            return False
+        return True
+
+    q0 = QParameter.kac(N).q
+    lo, hi = q0, 2 * q0  # q + 1/q < N at 2 q0 < 1, and q > 1 at N = 2
+    with localcontext(Context(prec=60)):
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    assert admitted(lo) and not admitted(hi)
+    assert QParameter(lo, N).is_kac
 
 
 def test_qparameter_decimal_string_keeps_working_precision(monkeypatch):

@@ -131,8 +131,9 @@ def test_fusion_grid_passes(capsys):
 
 
 def test_hs_cert_divergent_case(capsys):
+    # q0 to 12 digits lies in the Kac band; 0.381966 lies 1.1e-8 below q0, where GHS holds
     code, out, _ = run_cli(
-        capsys, "hs-cert", "--N", "3", "--q", "0.381966", "--t", "0",
+        capsys, "hs-cert", "--N", "3", "--q", "0.381966011250", "--t", "0",
         "--alpha-max", "200",
     )
     payload = json.loads(out)
@@ -756,14 +757,11 @@ HS_CERT = ("hs-cert", "--N", "2", "--q", "0.5", "--t", "0.5", "--alpha-max", "30
         ("fusion", "--N", "2", "--q", "0.5", "--alpha", "3"),
         # a negative label stays a usage error beside one past the label ceiling
         ("fusion", "--N", "2", "--q", "0.5", "--alpha", "-1", "--beta", "1000000000"),
-        # tolerances: tail_floor lies in (0, 1), as margin does, a threshold is
-        # finite, and the others are finite and >= 0; a NaN or inf would decide
-        # the verdict by its comparisons and reach the record as NaN or
-        # Infinity, which is not JSON, and a tail floor of -1 would make every
-        # certificate divergent
-        (*HS_CERT, "--tail-floor", "nan"),
-        (*HS_CERT, "--tail-floor", "-1"),
-        (*HS_CERT, "--tail-floor", "1"),
+        # hs-cert has no tolerance: the regime rule decides its verdict
+        (*HS_CERT, "--margin", "0.01"),
+        # tolerances: a threshold is finite, and the others are finite and
+        # >= 0; a NaN or inf would decide the verdict by its comparisons and
+        # reach the record as NaN or Infinity, which is not JSON
         ("amenability", "--N", "2", "--q", "0.5", "--n-max", "10000", "--threshold", "nan"),
         ("amenability", "--N", "2", "--q", "0.5", "--n-max", "10000", "--threshold", "inf"),
         ("cesaro", "--poly", "x", "--k", "100", "--tol", "nan"),
@@ -1213,8 +1211,7 @@ _CONTRACT = {  # name: (required flags, optional flags)
     "spectrum": ({**_MODEL, "--alpha-max": _INTS}, {}),
     "fusion": (_MODEL, {"--alpha": _INTS, "--beta": _INTS, "--alpha-max": _INTS}),
     "hs-cert": ({**_MODEL, "--t": (["0", "0.5", "2"], _FLOATS[1]),
-                 "--alpha-max": (["20", "40"], _INTS[0] + _INTS[1])},
-                {"--margin": _FLOATS, "--tail-floor": _FLOATS}),
+                 "--alpha-max": (["20", "40"], _INTS[0] + _INTS[1])}, {}),
     "gap-scan": ({**_MODEL, "--alpha-max": (["10", "20"], _INTS[0] + _INTS[1]),
                   "--gamma-max": _INTS}, {}),
     "jw-verify": ({"--q": _QS}, {"--N": _N, "--n-max": _INTS, "--residual-tol": _FLOATS,

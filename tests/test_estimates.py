@@ -589,9 +589,27 @@ def test_hs_certificate_term_shapes():
     assert cert.partial_sums[0] == cert.terms[0]
 
 
-def test_hs_certificate_margin_override():
-    cert = hs_certificate(QParameter.kac(3), 0.1, 200, margin=0.2)
-    assert cert.verdict == "inconclusive"
+@pytest.mark.parametrize(
+    "N, q, t, verdict",
+    [(3, "0.381966", "0", "finite"), (3, "0.38", "0", "finite"), (2, "1", "0.001", "finite"),
+     (2, "0.999", "0", "finite"), (5, "0.2", "0", "finite"),
+     (3, "0.381966011250", "0", "divergent")],
+)
+def test_hs_certificate_verdict_does_not_move_with_alpha_max(N, q, t, verdict):
+    # the series sums iff q e^(-t) < q0, a statement about the whole series:
+    # the last label read never decides it
+    param = QParameter(q, N)
+    assert verdict == ("finite" if float(t) > 0 or regime_classify(param).ghs else "divergent")
+    for alpha_max in (20, 300, 5000, 19999):
+        assert hs_certificate(param, t, alpha_max).verdict == verdict
+
+
+def test_hs_certificate_reads_the_sign_of_t_from_its_decimal():
+    # float("1e-400") is 0.0, but the series is damped at every t > 0
+    kac = QParameter.kac(3)
+    assert hs_certificate(kac, "1e-400", 20).verdict == "finite"
+    for t in ("0", "-0"):
+        assert hs_certificate(kac, t, 20).verdict == "divergent"
 
 
 def test_hs_certificate_validation():

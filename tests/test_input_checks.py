@@ -109,7 +109,6 @@ CASES = {
     # estimates
     "gap_labels": (lambda: gap(P, -1, 2, 0), ValueError, "labels must be >= 0"),
     "scan_gamma_max": (lambda: gap_constant_scan(P, 20, -1), ValueError, "gamma_max must be >= 0"),
-    "hs_margin": (lambda: hs_certificate(P, 0.5, 30, margin=0), ValueError, "margin must lie"),
     # templieb
     "isometry_labels": (lambda: fusion_isometry(P, -1, 1, 0), ValueError,
                         "labels must be nonnegative"),

@@ -575,7 +575,7 @@ def test_layer_bench_writes_every_layer(tmp_path):
                  "templieb._closed_form", "freewords._verify", "freewords._verify.meeting",
                  "estimates._FloatCells.decimal",
                  "estimates._ExactCells.rational", "fusion._fusion_checks",
-                 "cli._row+_emit.fusion", "freewords._verify.long_x",
+                 "cli._row+_emit.fusion",
                  "freewords.expansion_sweep", "cli._row+_emit.freeprod",
                  *(f"compile.{m[:-3]}" for m in modules)):
         row = layers[name]

@@ -151,11 +151,6 @@ def _kernel_layers(tiny):
     meeting_x = tuple(i % 3 for i in range(3 if tiny else 12))
     meeting = (meeting_x[::-1], meeting_x, meeting_x[::-1])
     yield "freewords._verify.meeting", lambda: freewords._verify(freewords._Table(), *meeting)
-    # one long-x pattern: x of 256 letters over 3 algebras, b and a of 3 meeting it
-    # letter by letter
-    long_x = tuple(i % 3 for i in range(16 if tiny else 256))
-    long_pattern = (long_x[2::-1], long_x, long_x[:-4:-1])
-    yield "freewords._verify.long_x", lambda: freewords._verify(freewords._Table(), *long_pattern)
     # the sweep of freeprod-verify --max-x 4 --max-side 3 --algebras 3, and its record
     sweep = (2, 2, 3) if tiny else (4, 3, 3)
     yield "freewords.expansion_sweep", lambda: freewords.expansion_sweep(
