@@ -757,8 +757,11 @@ HS_CERT = ("hs-cert", "--N", "2", "--q", "0.5", "--t", "0.5", "--alpha-max", "30
         ("fusion", "--N", "2", "--q", "0.5", "--alpha", "3"),
         # a negative label stays a usage error beside one past the label ceiling
         ("fusion", "--N", "2", "--q", "0.5", "--alpha", "-1", "--beta", "1000000000"),
-        # hs-cert has no tolerance: the regime rule decides its verdict
+        # hs-cert has no tolerance: the regime rule decides its verdict, and
+        # the deleted --margin and --tail-floor flags are unknown to argparse
         (*HS_CERT, "--margin", "0.01"),
+        (*HS_CERT, "--tail-floor", "1e-12"),
+        (*HS_CERT, "--margin", "0.01", "--tail-floor", "1e-12"),
         # tolerances: a threshold is finite, and the others are finite and
         # >= 0; a NaN or inf would decide the verdict by its comparisons and
         # reach the record as NaN or Infinity, which is not JSON
